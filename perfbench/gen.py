@@ -90,10 +90,25 @@ POOL = (
 SPECTRAL_CYCLE = 33
 TIME_FACTORS = (2.0, 4.0, 8.0)  # evaluation times, in units of 1/min|Re lambda|
 GRID_LOG10 = (3.0, 4.0, 5.0)  # grid strata: 10^u points, u jittered upwards
-GRID_JITTER = 1.0
+# Narrow, so that a slot's grid, and with it its request time, stays about
+# the same from seed to seed and the run's median request does not move
+# with the seed.
+GRID_JITTER = 0.1
 GRID_TERM_POINTS = 1_200_000  # cap on polynomial terms x grid points
 MEAN_SHIFT = 0.05  # initial mean offset, in stationary standard deviations
 COV_SHIFT = 0.05  # initial covariance perturbation, relative
+
+
+# Nominal seconds per cycle, tasks and checks together, on a 2-vCPU Linux
+# machine at commit 0b40eab.  A run holds a fixed number of whole cycles,
+# cycle_count(workload, seconds), so that a seed always gives the same
+# tasks and the same failures, however fast the machine or the program.
+CYCLE_SECONDS = {"verify-cold": 16.5, "spectral-stream": 15.5, "mc-oracle": 9.5}
+
+
+def cycle_count(workload, seconds):
+    """Number of whole cycles in a run of about ``seconds`` (at least 1)."""
+    return max(1, round(seconds / CYCLE_SECONDS[workload]))
 
 
 def rng_for(seed, workload, *keys):

@@ -7,10 +7,13 @@ Usage, from the root of a checkout:
 Workloads: verify-cold, spectral-stream, mc-oracle (see perfbench/README.md).
 
 Every workload runs in fresh worker processes (perfbench/worker.py) with
-BLAS and OpenMP pinned to one thread.  With ``--trace 0`` the command runs
-set-up alone a few times, then one measured run, and reports the
-end-to-end metrics.  With ``--trace 1`` it runs the workload untraced and
-then traced with the same seed, reports the per-layer metrics and
+BLAS and OpenMP pinned to one thread.  A run is a fixed number of whole
+cycles of tasks, as many as take about ``--seconds`` on the reference
+machine (``gen.cycle_count``), so a seed always gives the same tasks.
+With ``--trace 0`` the command runs set-up alone a few times, then one
+measured run, and reports the end-to-end metrics.  With ``--trace 1`` it
+runs the workload untraced and then traced with the same seed, each for
+half of ``--seconds``, reports the per-layer metrics and
 ``trace.overhead_frac``, and checks that tracing left every CLI output
 byte-identical.  The last line of standard output is the JSON result.
 """
@@ -29,7 +32,7 @@ from gen import WORKLOADS
 from layers import metric_units
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SETUP_PROBES = 3  # extra set-up-only processes; setup_s is the median
+SETUP_PROBES = 2  # extra set-up-only processes; setup_s is the median
 DEADLINE_S = 175.0
 THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -89,7 +92,7 @@ class Runner:
         self.start = time.monotonic()
         self.env = worker_env()
 
-    def worker(self, role, trace=0, setup_only=False):
+    def worker(self, role, trace=0, setup_only=False, seconds=None):
         """Run one worker process to completion and return its result."""
         workdir = os.path.join(
             self.root, OUT_DIR, f"{self.args.workload}-seed{self.args.seed}-{role}"
@@ -99,7 +102,7 @@ class Runner:
             os.path.join(HERE, "worker.py"),
             "--workload", self.args.workload,
             "--seed", str(self.args.seed),
-            "--seconds", str(self.args.seconds),
+            "--seconds", str(self.args.seconds if seconds is None else seconds),
             "--trace", str(trace),
             "--workdir", workdir,
             "--t0", repr(time.time()),
@@ -132,6 +135,8 @@ def describe(res, meta):
         f"failed {res['failed']} (failed_frac {res['failed_frac']:.4f}), "
         f"{res['cycles']} cycles, {res['wall_s']:.1f} s wall",
         f"# task_s_tail is p{res['tail_percentile']:g} of {res['tail_samples']} samples",
+        f"# task times are CPU seconds; by wall clock, tasks_per_s "
+        f"{res['wall_tasks_per_s']!r}, task_s_p50 {res['wall_task_s_p50']!r}",
     ]
     for reason, count in res["failure_reasons"].items():
         lines.append(f"# failure reason: {count} x {reason}")
@@ -166,8 +171,10 @@ def main(argv=None):
     runner = Runner(args, root)
     try:
         if args.trace:
-            plain = runner.worker("untraced")
-            traced = runner.worker("traced", trace=1)
+            # The two runs share the time of one run between them.
+            half = args.seconds / 2.0
+            plain = runner.worker("untraced", seconds=half)
+            traced = runner.worker("traced", trace=1, seconds=half)
             res = traced
             before = digests(plain)
             same = all(before[i] == d for i, d in digests(traced).items() if i in before)
@@ -191,15 +198,17 @@ def main(argv=None):
                            "span_fields": ["name", "start", "end", "parent", "task", "self_s"]},
                           fh)
         else:
-            setups = [runner.worker(f"setup{i}", setup_only=True)["setup_s"]
+            probes = [runner.worker(f"setup{i}", setup_only=True)
                       for i in range(SETUP_PROBES)]
             res = runner.worker("measured")
-            setups.append(res["setup_s"])
+            probes.append(res)
+            setups = [p["setup_s"] for p in probes]
             values = {name: res[name] for name, _ in END_TO_END if name != "setup_s"}
             values["setup_s"] = statistics.median(setups)
             correct = res["correct"]
             metrics = {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END}
-            extra = [f"# setup_s samples {setups}"]
+            extra = [f"# setup_s samples {setups} (CPU seconds)",
+                     f"# set-up wall seconds {[p['setup_wall_s'] for p in probes]}"]
     except (RuntimeError, subprocess.SubprocessError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

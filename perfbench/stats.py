@@ -47,6 +47,7 @@ def summarize(records):
             reasons[r["reason"]] = reasons.get(r["reason"], 0) + 1
             by_kind[r["kind"]] = by_kind.get(r["kind"], 0) + 1
     p, value = tail(seconds)
+    wall = [r["wall_seconds"] for r in records]
     return {
         "attempted": len(records),
         "passed": passed,
@@ -61,4 +62,6 @@ def summarize(records):
         "failed_frac": (len(records) - passed) / len(records),
         "failure_reasons": dict(sorted(reasons.items())),
         "failed_by_kind": dict(sorted(by_kind.items())),
+        "wall_tasks_per_s": passed / sum(wall),
+        "wall_task_s_p50": quantile(wall, 0.5),
     }

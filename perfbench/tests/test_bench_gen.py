@@ -59,3 +59,11 @@ def test_fixed_configs_are_copied_verbatim(tmp_path):
             assert copied == fh.read()
     later = gen.verify_cycle(3, 1)
     assert not any("fixed" in t for t in later)
+
+
+def test_run_length_is_a_fixed_number_of_cycles():
+    # A run's tasks depend on the seed and --seconds only, never on timing.
+    assert gen.cycle_count("verify-cold", 30) == 2
+    assert gen.cycle_count("spectral-stream", 30) == 2
+    assert gen.cycle_count("mc-oracle", 30) == 3
+    assert all(gen.cycle_count(w, 1) == 1 for w in gen.WORKLOADS)
