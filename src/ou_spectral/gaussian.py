@@ -5,9 +5,11 @@ Moments of centered Gaussians are computed by recursive pair counting
 products of covariance entries.  Means are handled by shifting the
 polynomial, not the density.  Results are memoized per covariance
 matrix because the same small set of moments recurs constantly in
-inner products.
+inner products; the least recently used tables are evicted once more
+than ``MOMENT_CACHE_SIZE`` covariances have been seen.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,7 +100,9 @@ def stationary_density(Sigma):
     return GaussianDensity(mean=np.zeros(Sigma.shape[0]), cov=Sigma)
 
 
-_MOMENT_CACHE = {}
+MOMENT_CACHE_SIZE = 64
+
+_MOMENT_CACHE = OrderedDict()
 
 
 def _moment_rec(counts, Sigma, memo):
@@ -128,6 +132,29 @@ def _moment_rec(counts, Sigma, memo):
     return val
 
 
+def _memo_for(Sigma):
+    """Moment memo table of a finite square float covariance.
+
+    Sigma is checked to be symmetric positive definite the first time it
+    is seen; a table already cached is only marked as recently used.
+    """
+    key = Sigma.tobytes()
+    memo = _MOMENT_CACHE.get(key)
+    if memo is not None:
+        _MOMENT_CACHE.move_to_end(key)
+        return memo
+    _check_symmetric(Sigma, "Sigma")
+    try:
+        np.linalg.cholesky(Sigma)
+    except np.linalg.LinAlgError:
+        raise NotSPDError("Sigma is not positive definite") from None
+    memo = {}
+    _MOMENT_CACHE[key] = memo
+    if len(_MOMENT_CACHE) > MOMENT_CACHE_SIZE:
+        _MOMENT_CACHE.popitem(last=False)
+    return memo
+
+
 def wick_moment(exponents, Sigma):
     """E[prod_i x_i^k_i] under the centered Gaussian with covariance Sigma.
 
@@ -142,17 +169,7 @@ def wick_moment(exponents, Sigma):
         )
     if any(k < 0 for k in counts):
         raise ValueError(f"negative exponent in {counts}")
-    key = Sigma.tobytes()
-    memo = _MOMENT_CACHE.get(key)
-    if memo is None:
-        _check_symmetric(Sigma, "Sigma")
-        try:
-            np.linalg.cholesky(Sigma)
-        except np.linalg.LinAlgError:
-            raise NotSPDError("Sigma is not positive definite") from None
-        memo = {}
-        _MOMENT_CACHE[key] = memo
-    return _moment_rec(counts, Sigma, memo)
+    return _moment_rec(counts, Sigma, _memo_for(Sigma))
 
 
 def expectation(p, g):
@@ -165,9 +182,14 @@ def expectation(p, g):
         )
     if np.any(g.mean != 0.0):
         p = p.affine(np.eye(g.dim), g.mean)
+    # Sigma is checked once per call.  MPoly exponent keys are already
+    # tuples of nonnegative ints of the right length, so the per-moment
+    # checks of wick_moment are skipped.
+    Sigma = _as_square(g.cov, "Sigma")
+    memo = _memo_for(Sigma)
     total = 0.0 + 0.0j
     for exps, c in p.items():
-        total += c * wick_moment(exps, g.cov)
+        total += c * _moment_rec(exps, Sigma, memo)
     return complex(total)
 
 

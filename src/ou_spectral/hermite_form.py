@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotCanonicalError
-from .ladder import OUModel, _check_multi_index, build_model
+from .ladder import OUModel, _check_multi_index, build_model, compositions
 from .mpoly import MPoly, hermite_in_var, multinomial
 
 
@@ -64,15 +64,6 @@ def _require_canonical(model):
         )
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 _HPROD_CACHE = {}
 
 
@@ -96,7 +87,7 @@ def _hermite_sum(model, K, mode_weights):
             continue
         v = mode_weights(I)
         contrib = {}
-        for comp in _compositions(kI, n):
+        for comp in compositions(kI, n):
             c = complex(multinomial(kI, comp))
             for vk, ek in zip(v, comp):
                 if ek:

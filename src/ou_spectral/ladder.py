@@ -342,6 +342,20 @@ def mode_normalization(K):
     return out
 
 
+def compositions(total, parts):
+    """All tuples of ``parts`` nonnegative ints summing to ``total``.
+
+    The first entry runs from ``total`` down to 0, recursively, so the
+    tuples come out in reverse lexicographic order.
+    """
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def enumerate_modes(dim, max_order):
     """All multi-indices with total order up to max_order, graded-lex."""
     dim = int(dim)
@@ -350,16 +364,7 @@ def enumerate_modes(dim, max_order):
         raise ValueError("dim must be at least 1")
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
-
-    def comps(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in comps(total - first, parts - 1):
-                yield (first,) + rest
-
     out = []
     for deg in range(max_order + 1):
-        out.extend(comps(deg, dim))
+        out.extend(compositions(deg, dim))
     return out

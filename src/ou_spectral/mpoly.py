@@ -1,9 +1,15 @@
 """Sparse multivariate polynomials with complex coefficients.
 
-Terms live in a dict mapping exponent tuples to coefficients.  All
-arithmetic goes through the constructor, which drops coefficients below
-the prune threshold, so cancellation dust never accumulates.  Instances
-are treated as immutable; no method mutates its receiver.
+Terms live in a dict mapping exponent tuples to coefficients.  Every
+instance keeps one invariant: each key is a tuple of ``nvars``
+nonnegative Python ints and each value a Python ``complex`` whose
+magnitude is at least ``prune_eps``.  The public constructor validates
+and converts its input to establish it.  Arithmetic results are built
+from operands that already hold it, using only int addition on
+exponents and complex arithmetic on coefficients, so they go through
+``MPoly._trusted``, which skips validation and only drops coefficients
+below the prune threshold; cancellation dust never accumulates.
+Instances are treated as immutable; no method mutates its receiver.
 
 Printing and ``items()`` use graded lexicographic order (total degree
 first, then lexicographic on exponents), which makes every rendered
@@ -11,6 +17,7 @@ polynomial canonical.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -66,6 +73,18 @@ class MPoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "prune_eps", eps)
+
+    @classmethod
+    def _trusted(cls, nvars, terms, eps):
+        """Wrap terms that already satisfy the module invariant except for
+        pruning.  The caller guarantees the keys and value types."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(
+            self, "terms", {e: c for e, c in terms.items() if abs(c) >= eps and c != 0.0}
+        )
+        object.__setattr__(self, "prune_eps", eps)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -147,12 +166,14 @@ class MPoly:
         out = dict(self.terms)
         for exps, c in other.terms.items():
             out[exps] = out.get(exps, 0.0) + c
-        return MPoly(self.nvars, out, eps)
+        return MPoly._trusted(self.nvars, out, eps)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()}, self.prune_eps)
+        return MPoly._trusted(
+            self.nvars, {e: -c for e, c in self.terms.items()}, self.prune_eps
+        )
 
     def __sub__(self, other):
         if isinstance(other, _SCALARS):
@@ -167,18 +188,20 @@ class MPoly:
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             c = complex(other)
-            return MPoly(
+            return MPoly._trusted(
                 self.nvars, {e: v * c for e, v in self.terms.items()}, self.prune_eps
             )
         if not isinstance(other, MPoly):
             return NotImplemented
         eps = self._check_compat(other)
         out = {}
+        add = operator.add
+        other_items = other.terms.items()
         for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ea, eb))
+            for eb, cb in other_items:
+                key = tuple(map(add, ea, eb))
                 out[key] = out.get(key, 0.0) + ca * cb
-        return MPoly(self.nvars, out, eps)
+        return MPoly._trusted(self.nvars, out, eps)
 
     __rmul__ = __mul__
 
@@ -200,11 +223,11 @@ class MPoly:
                 continue
             key = exps[:axis] + (e - 1,) + exps[axis + 1 :]
             out[key] = out.get(key, 0.0) + c * e
-        return MPoly(self.nvars, out, self.prune_eps)
+        return MPoly._trusted(self.nvars, out, self.prune_eps)
 
     def conj(self):
-        return MPoly(
-            self.nvars, {e: np.conj(c) for e, c in self.terms.items()}, self.prune_eps
+        return MPoly._trusted(
+            self.nvars, {e: c.conjugate() for e, c in self.terms.items()}, self.prune_eps
         )
 
     def affine(self, M, b):
@@ -227,8 +250,9 @@ class MPoly:
         # Power tables, filled lazily up to the largest exponent used.
         pows = [[MPoly.constant(m, 1.0, self.prune_eps), subs[i]] for i in range(self.nvars)]
         result = MPoly.zero(m, self.prune_eps)
+        one = (0,) * m
         for exps, c in self.items():
-            term = MPoly.constant(m, c, self.prune_eps)
+            term = MPoly._trusted(m, {one: c}, self.prune_eps)
             for i, e in enumerate(exps):
                 while len(pows[i]) <= e:
                     pows[i].append(pows[i][-1] * subs[i])

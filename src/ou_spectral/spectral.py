@@ -66,6 +66,13 @@ def expand_gaussian(model, F0, max_order):
     return SpectralExpansion(model=model, max_order=max_order, coeffs=coeffs)
 
 
+def _check_time(t):
+    if not np.isfinite(t):
+        raise ValueError("t must be finite")
+    if t < 0.0:
+        raise ValueError("t must be nonnegative")
+
+
 def _combined_poly(expansion, t):
     """Normalized, time-evolved polynomial factor of the expansion."""
     model = expansion.model
@@ -79,8 +86,7 @@ def _combined_poly(expansion, t):
 
 def evaluate_complex(expansion, x, t):
     """Expansion value at one point and time, imaginary residue intact."""
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    _check_time(t)
     model = expansion.model
     acc = 0.0 + 0.0j
     for K, alpha in expansion.coeffs.items():
@@ -104,8 +110,7 @@ def evaluate_grid(expansion, points, t):
 
 
 def evaluate_grid_complex(expansion, points, t):
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    _check_time(t)
     model = expansion.model
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != model.dim:
@@ -131,8 +136,7 @@ def exact_gaussian_propagate(model, F0, t):
         raise DimensionMismatchError(
             f"density of dimension {F0.dim} for a {model.dim}-dimensional model"
         )
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    _check_time(t)
     E = linalg.expm(model.A, t)
     mean = E @ F0.mean
     cov = model.Sigma + E @ (F0.cov - model.Sigma) @ E.T

@@ -70,6 +70,10 @@ def test_load_config_roundtrip(tmp_path):
         ({"propagate": {"grid": {"lo": 2.0, "hi": -2.0}}}, "lo must be below hi"),
         ({"source": {"terms": [[[1], [1.0]]]}}, "source.terms[0]"),
         ({"source": {"terms": [[[-1], [1.0, 0.0]]]}}, "must be at least 0"),
+        (
+            {"sim": {"paths": 1, "dt": 0.01, "t_final": 0.5, "seed": 1}},
+            "config field 'sim.paths': must be at least 2",
+        ),
     ],
 )
 def test_load_config_rejects(tmp_path, overrides, needle):
@@ -258,6 +262,30 @@ def test_mc_check_passes(tmp_path, capsys):
     assert data["passed"] is True
     assert data["worst_sigma"] <= 4.0
     assert data["backend"] in ("numba", "numpy")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_mc_check_rejects_single_path(tmp_path, capsys):
+    # One path has zero standard errors, which would put Infinity in the JSON.
+    sim = {"paths": 1, "dt": 0.01, "t_final": 0.5, "seed": 77}
+    path = write_config(tmp_path, initial={"mean": [0.8], "cov": [[0.4]]}, sim=sim)
+    out_json = tmp_path / "mc.json"
+    assert cli.main(["mc-check", path, "--json", str(out_json)]) == 2
+    assert "sim.paths" in capsys.readouterr().err
+    assert not out_json.exists()
+
+
+def test_mc_check_two_paths_writes_strict_json(tmp_path):
+    sim = {"paths": 2, "dt": 0.01, "t_final": 0.5, "seed": 77}
+    path = write_config(tmp_path, initial={"mean": [0.8], "cov": [[0.4]]}, sim=sim)
+    out_json = tmp_path / "mc.json"
+    assert cli.main(["mc-check", path, "--json", str(out_json)]) in (0, 1)
+    data = json.loads(out_json.read_text(), parse_constant=_reject_constant)
+    assert data["paths"] == 2
+    assert np.all(np.asarray(data["cov_stderr"]) > 0.0)
 
 
 def test_mc_check_requires_sim(tmp_path, capsys):

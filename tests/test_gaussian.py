@@ -4,7 +4,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from ou_spectral import errors
+from ou_spectral import errors, gaussian
 from ou_spectral.gaussian import (
     ForwardFunction,
     GaussianDensity,
@@ -166,3 +166,45 @@ def test_expectation_type_checks():
         expectation("not a poly", g)
     with pytest.raises(errors.DimensionMismatchError):
         expectation(MPoly(2, {(1, 1): 1.0}), g)
+
+
+def test_moment_cache_is_bounded_and_exact_after_eviction():
+    gaussian._MOMENT_CACHE.clear()
+    size = gaussian.MOMENT_CACHE_SIZE
+
+    def cov(k):
+        s = 1.0 + k / 64.0
+        return np.array([[s, 0.25], [0.25, s]])
+
+    def want(k):
+        s = cov(k)[0, 0]
+        # Isserlis: E[x^2 y^2] = s^2 + 2 r^2 with off-diagonal entry r.
+        return s * s + 2.0 * 0.25 * 0.25
+
+    first = wick_moment((2, 2), cov(0))
+    assert first == want(0)
+    for k in range(1, size + 50):
+        assert wick_moment((2, 2), cov(k)) == pytest.approx(want(k), rel=1e-15)
+        # Keep the first table in use: least-recently-used eviction spares it.
+        wick_moment((4, 0), cov(0))
+        assert len(gaussian._MOMENT_CACHE) <= size
+    assert len(gaussian._MOMENT_CACHE) == size
+    assert cov(0).tobytes() in gaussian._MOMENT_CACHE
+    assert cov(1).tobytes() not in gaussian._MOMENT_CACHE
+    # An evicted covariance is recomputed from scratch, with the same value.
+    assert wick_moment((2, 2), cov(1)) == pytest.approx(want(1), rel=1e-15)
+    x2y2 = MPoly(2, {(2, 2): 1.0})
+    for k in range(size + 10):
+        g = GaussianDensity(mean=[0.0, 0.0], cov=cov(k))
+        assert expectation(x2y2, g) == pytest.approx(want(k), rel=1e-15)
+        assert len(gaussian._MOMENT_CACHE) <= size
+
+
+def test_expectation_and_wick_moment_share_memo_tables():
+    g = GaussianDensity(mean=[0.0], cov=[[2.0]])
+    p = MPoly(1, {(2,): 1.0, (4,): 1.0})
+    assert expectation(p, g) == pytest.approx(2.0 + 12.0)
+    # A table cached by expectation is the one wick_moment reads.
+    key = np.array([[2.0]]).tobytes()
+    assert gaussian._MOMENT_CACHE[key][(4,)] == 12.0
+    assert wick_moment((4,), [[2.0]]) == 12.0

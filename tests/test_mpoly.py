@@ -11,6 +11,7 @@ from ou_spectral.mpoly import (
     multinomial,
     render,
 )
+from ou_spectral.spectral import battery_polynomials
 
 
 def random_int_poly(rng, nvars, degree, lo=-6, hi=7):
@@ -215,3 +216,51 @@ def test_immutability():
     p = MPoly(1, {(1,): 1.0})
     with pytest.raises(AttributeError):
         p.nvars = 2
+
+
+def _assert_canonical(r):
+    # Arithmetic results bypass the validating constructor; they must be
+    # exactly what that constructor would have built from the same terms.
+    assert r == MPoly(r.nvars, r.terms, r.prune_eps)
+    for exps, c in r.terms.items():
+        assert type(exps) is tuple and len(exps) == r.nvars
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(c) is complex
+        assert abs(c) >= r.prune_eps and c != 0.0
+
+
+def _trusted_path_cases():
+    polys = battery_polynomials(2, count=8, max_degree=3)
+    polys.append(MPoly(2, {(1, 2): 1 - 2j, (0, 0): 0.5j, (3, 0): -4.0}))
+    polys.append(MPoly.constant(2, 2.5))
+    polys.append(MPoly(2, {(0, 5): 1.0, (1, 0): -3.0, (2, 2): 1e-3}))
+    return polys
+
+
+def test_arithmetic_results_match_validating_constructor():
+    polys = _trusted_path_cases()
+    M = np.array([[0.5, -1.0], [2.0, 0.25j]])
+    b = np.array([0.3, -0.7])
+    for i, p in enumerate(polys):
+        q = polys[(i + 1) % len(polys)]
+        results = [p + q, p - q, -p, 2.5 * p, p * (1 - 1j), p * q, p.conj()]
+        results += [p.diff(axis) for axis in range(2)]
+        results += [p.affine(M, b), p.affine(np.array([[1.0], [2.0]]), b)]
+        for r in results:
+            _assert_canonical(r)
+
+
+def test_arithmetic_still_prunes_dust_and_nan():
+    p = MPoly(1, {(0,): 1.0, (1,): 1.0})
+    q = MPoly(1, {(1,): -1.0 + 1e-15})
+    s = p + q
+    assert s.terms == {(0,): 1.0 + 0.0j}
+    _assert_canonical(s)
+    assert (p - MPoly(1, {(1,): 1.0 - 1e-15})).terms == {(0,): 1.0 + 0.0j}
+    assert (1e-14 * p).is_zero()
+    assert (p * MPoly(1, {(0,): 1e-14})).is_zero()
+    assert (MPoly(1, {(1,): 1e-13}).diff(0) * 0.5).is_zero()
+    assert (p * float("nan")).is_zero()
+    assert (p * complex(float("nan"), 0.0)).is_zero()
+    wide = MPoly(1, {(0,): 1.0}, prune_eps=1e-6)
+    assert (wide + MPoly(1, {(1,): 1e-7})).terms == {(0,): 1.0 + 0.0j}

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import ou_spectral as ou
-from ou_spectral import errors
+from ou_spectral import errors, linalg
 from ou_spectral.mpoly import MPoly
 from ou_spectral.spectral import battery_polynomials
 
@@ -57,6 +57,30 @@ def test_evaluate_rejects_negative_time(model_1d):
     ex = ou.expand_gaussian(model_1d, model_1d.f0, 2)
     with pytest.raises(ValueError):
         ou.evaluate(ex, [0.0], -0.1)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_evaluate_rejects_non_finite_time(model_1d, t):
+    ex = ou.expand_gaussian(model_1d, ou.GaussianDensity(mean=[0.5], cov=[[0.5]]), 2)
+    pts = np.linspace(-1.0, 1.0, 3).reshape(-1, 1)
+    with pytest.raises(ValueError, match="finite"):
+        ou.evaluate(ex, [0.0], t)
+    with pytest.raises(ValueError, match="finite"):
+        ou.evaluate_complex(ex, [0.0], t)
+    with pytest.raises(ValueError, match="finite"):
+        ou.evaluate_grid(ex, pts, t)
+    with pytest.raises(ValueError, match="finite"):
+        ou.evaluate_grid_complex(ex, pts, t)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_exact_propagator_rejects_non_finite_time_up_front(model_1d, monkeypatch, t):
+    def no_expm(A, t):
+        raise AssertionError("expm reached with a non-finite time")
+
+    monkeypatch.setattr(linalg, "expm", no_expm)
+    with pytest.raises(ValueError, match="finite"):
+        ou.exact_gaussian_propagate(model_1d, model_1d.f0, t)
 
 
 def test_propagation_converges_to_oracle_1d(model_1d):
