@@ -424,10 +424,12 @@ def cmd_solve(cfg, args):
         solvability_tol=cfg.tolerances["solvability_tol"],
     )
     resid_poly = apply_forward(model, P).poly
-    resid = coeff_distance(resid_poly, q.poly)
+    # Relative to the source scale, as in verify: a source in other units
+    # must not change the verdict.
+    resid = coeff_distance(resid_poly, q.poly) / max(1.0, q.poly.max_coeff())
     tol = cfg.tolerances["residual_tol"]
     print(f"P: {render(P.poly)}")
-    print(f"residual max|coeff(L P - q)| = {resid:.6e} (tol {tol:.1e})")
+    print(f"relative residual max|coeff(L P - q)| = {resid:.6e} (tol {tol:.1e})")
     ok = resid <= tol
     print(f"solve: {'PASS' if ok else 'FAIL'}")
     if args.json:

@@ -51,14 +51,9 @@ class GaussianDensity:
         return self.mean.shape[0]
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"point has {x.shape[0]} coordinates, expected {self.dim}"
-            )
-        d = x - self.mean
-        q = d @ np.linalg.solve(self.cov, d)
-        return float(np.exp(self.log_norm - 0.5 * q))
+        """Density at one point."""
+        point = np.asarray(x, dtype=float).reshape(1, -1)
+        return float(self.pdf_grid(point)[0])
 
     def pdf_grid(self, points):
         """Density at many points, shape (P, dim) -> (P,)."""

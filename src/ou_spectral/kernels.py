@@ -1,226 +1,72 @@
 """Hot numeric kernels: Euler-Maruyama stepping and grid evaluation.
 
-Two interchangeable backends implement identical arithmetic:
-
-* ``numba``: scalar loops under ``@njit`` (default when numba imports)
-* ``numpy``: vectorized over paths / grid points
-
-Select with the environment variable ``OU_SPECTRAL_BACKEND`` set to
-``numba`` or ``numpy`` (anything else, or an unavailable choice, falls
-back to the best available), or programmatically via ``set_backend``.
-``OU_SPECTRAL_THREADS`` caps the numba threading pool.
+Both kernels are vectorized numpy: ``em_paths`` over paths and
+``eval_poly_grid`` over grid points.
 
 Randomness is a counter-style splitmix64 generator: path ``p`` owns the
 stream seeded from ``mix64(seed + SALT * (p + 1))``, and each normal
 consumes two raw outputs through a Box-Muller cosine branch.  Per-path
-draws therefore do not depend on how paths are batched, and results for
-a fixed backend are bit-reproducible.
+draws therefore do not depend on how paths are batched, and results are
+bit-reproducible for a fixed seed.
 """
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-        return wrap
-
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SALT = np.uint64(0xD1342543DE82EF95)
-_U64_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _TWO_PI = 2.0 * np.pi
 _INV_2_53 = 2.0**-53
 
 
-def _resolve_backend(requested):
-    if requested == "numba" and HAVE_NUMBA:
-        return "numba"
-    if requested == "numpy":
-        return "numpy"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_ACTIVE = _resolve_backend(os.environ.get("OU_SPECTRAL_BACKEND", "").strip().lower())
-
-if HAVE_NUMBA:
-    _threads = os.environ.get("OU_SPECTRAL_THREADS", "").strip()
-    if _threads:
-        try:
-            numba.set_num_threads(max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS)))
-        except (ValueError, RuntimeError):
-            pass
-
-
 def active_backend():
-    return _ACTIVE
+    """Name of the kernel implementation, reported in run metadata."""
+    return "numpy"
 
 
-def set_backend(name):
-    """Switch backend at runtime.  Raises ValueError for a bad choice."""
-    global _ACTIVE
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _ACTIVE = name
-    return _ACTIVE
-
-
-# ---- numba backend ----
-
-
-@njit(cache=True)
 def _mix64(z):
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
 
 
-@njit(cache=True)
-def _next_normal(state):
-    s1 = state + _GOLDEN
+def _next_normal(states):
+    s1 = states + _GOLDEN
     o1 = _mix64(s1)
     s2 = s1 + _GOLDEN
     o2 = _mix64(s2)
-    u1 = (np.float64(o1 >> np.uint64(11)) + 1.0) * _INV_2_53
-    u2 = np.float64(o2 >> np.uint64(11)) * _INV_2_53
-    return s2, np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
-
-
-@njit(cache=True)
-def _em_paths_nb(A, LB, mean0, L0, n_paths, n_steps, dt, seed):
-    n = A.shape[0]
-    sqdt = np.sqrt(dt)
-    out = np.empty((n_paths, n), dtype=np.float64)
-    z = np.empty(n, dtype=np.float64)
-    x = np.empty(n, dtype=np.float64)
-    drift = np.empty(n, dtype=np.float64)
-    for p in range(n_paths):
-        state = _mix64(seed + _SALT * np.uint64(p + 1))
-        for d in range(n):
-            state, z[d] = _next_normal(state)
-        for i in range(n):
-            acc = mean0[i]
-            for j in range(n):
-                acc += L0[i, j] * z[j]
-            x[i] = acc
-        for _ in range(n_steps):
-            for d in range(n):
-                state, z[d] = _next_normal(state)
-            for i in range(n):
-                a = 0.0
-                b = 0.0
-                for j in range(n):
-                    a += A[i, j] * x[j]
-                    b += LB[i, j] * z[j]
-                drift[i] = x[i] + dt * a + sqdt * b
-            for i in range(n):
-                x[i] = drift[i]
-        for i in range(n):
-            out[p, i] = x[i]
-    return out
-
-
-@njit(cache=True)
-def _eval_poly_grid_nb(exps, coeffs, points):
-    n_pts = points.shape[0]
-    n_terms = exps.shape[0]
-    n = points.shape[1]
-    out = np.empty(n_pts, dtype=np.complex128)
-    for p in range(n_pts):
-        acc = 0.0 + 0.0j
-        for t in range(n_terms):
-            m = 1.0
-            for d in range(n):
-                xv = points[p, d]
-                for _ in range(exps[t, d]):
-                    m *= xv
-            acc += coeffs[t] * m
-        out[p] = acc
-    return out
-
-
-# ---- numpy backend ----
-
-
-def _mix64_np(z):
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
-
-
-def _next_normal_np(states):
-    s1 = states + _GOLDEN
-    o1 = _mix64_np(s1)
-    s2 = s1 + _GOLDEN
-    o2 = _mix64_np(s2)
     u1 = ((o1 >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
     u2 = (o2 >> np.uint64(11)).astype(np.float64) * _INV_2_53
     return s2, np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
-
-
-def _em_paths_np(A, LB, mean0, L0, n_paths, n_steps, dt, seed):
-    n = A.shape[0]
-    sqdt = np.sqrt(dt)
-    with np.errstate(over="ignore"):
-        p = np.arange(1, n_paths + 1, dtype=np.uint64)
-        states = _mix64_np(np.uint64(seed) + _SALT * p)
-        z = np.empty((n_paths, n), dtype=np.float64)
-        for d in range(n):
-            states, z[:, d] = _next_normal_np(states)
-        x = mean0[None, :] + z @ L0.T
-        for _ in range(n_steps):
-            for d in range(n):
-                states, z[:, d] = _next_normal_np(states)
-            x = x + dt * (x @ A.T) + sqdt * (z @ LB.T)
-    return x
-
-
-def _eval_poly_grid_np(exps, coeffs, points):
-    n_pts = points.shape[0]
-    out = np.empty(n_pts, dtype=np.complex128)
-    chunk = 4096
-    for lo in range(0, n_pts, chunk):
-        hi = min(lo + chunk, n_pts)
-        block = points[lo:hi, None, :] ** exps[None, :, :]
-        out[lo:hi] = block.prod(axis=2) @ coeffs
-    if n_pts == 0:
-        return out
-    return out
-
-
-# ---- dispatchers ----
 
 
 def em_paths(A, LB, mean0, L0, n_paths, n_steps, dt, seed):
     """Terminal states of Euler-Maruyama paths, shape (n_paths, N).
 
     ``LB`` and ``L0`` are Cholesky factors of the diffusion matrix and
-    the initial covariance.  Deterministic for a fixed backend.
+    the initial covariance.  Bit-reproducible for a fixed seed.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     LB = np.ascontiguousarray(LB, dtype=np.float64)
     mean0 = np.ascontiguousarray(mean0, dtype=np.float64)
     L0 = np.ascontiguousarray(L0, dtype=np.float64)
     seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    if _ACTIVE == "numba":
-        return _em_paths_nb(A, LB, mean0, L0, int(n_paths), int(n_steps), float(dt), seed)
-    return _em_paths_np(A, LB, mean0, L0, int(n_paths), int(n_steps), float(dt), seed)
+    n_paths, n_steps, dt = int(n_paths), int(n_steps), float(dt)
+    n = A.shape[0]
+    sqdt = np.sqrt(dt)
+    with np.errstate(over="ignore"):
+        p = np.arange(1, n_paths + 1, dtype=np.uint64)
+        states = _mix64(seed + _SALT * p)
+        z = np.empty((n_paths, n), dtype=np.float64)
+        for d in range(n):
+            states, z[:, d] = _next_normal(states)
+        x = mean0[None, :] + z @ L0.T
+        for _ in range(n_steps):
+            for d in range(n):
+                states, z[:, d] = _next_normal(states)
+            x = x + dt * (x @ A.T) + sqdt * (z @ LB.T)
+    return x
 
 
 def eval_poly_grid(exps, coeffs, points):
@@ -228,8 +74,13 @@ def eval_poly_grid(exps, coeffs, points):
     exps = np.ascontiguousarray(exps, dtype=np.int64)
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     points = np.ascontiguousarray(points, dtype=np.float64)
+    n_pts = points.shape[0]
     if exps.shape[0] == 0:
-        return np.zeros(points.shape[0], dtype=np.complex128)
-    if _ACTIVE == "numba":
-        return _eval_poly_grid_nb(exps, coeffs, points)
-    return _eval_poly_grid_np(exps, coeffs, points)
+        return np.zeros(n_pts, dtype=np.complex128)
+    out = np.empty(n_pts, dtype=np.complex128)
+    chunk = 4096
+    for lo in range(0, n_pts, chunk):
+        hi = min(lo + chunk, n_pts)
+        block = points[lo:hi, None, :] ** exps[None, :, :]
+        out[lo:hi] = block.prod(axis=2) @ coeffs
+    return out

@@ -25,8 +25,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.paths < 1:
-            raise ValueError("paths must be at least 1")
+        if self.paths < 2:
+            raise ValueError("paths must be at least 2")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if self.t_final < self.dt:
@@ -61,7 +61,7 @@ def simulate(model, F0, cfg):
     Returns
     -------
     MomentReport
-        Bit-reproducible for a fixed seed and backend.
+        Bit-reproducible for a fixed seed.
     """
     if not isinstance(F0, GaussianDensity):
         raise TypeError("simulate takes a GaussianDensity initial law")
@@ -80,15 +80,14 @@ def simulate(model, F0, cfg):
 
     mean = X.mean(axis=0)
     d = X - mean[None, :]
-    ddof = 1 if cfg.paths > 1 else 0
-    cov = (d.T @ d) / max(cfg.paths - 1, 1)
-    mean_stderr = d.std(axis=0, ddof=ddof) / np.sqrt(cfg.paths)
+    cov = (d.T @ d) / (cfg.paths - 1)
+    mean_stderr = d.std(axis=0, ddof=1) / np.sqrt(cfg.paths)
     n = model.dim
     cov_stderr = np.empty((n, n))
     for i in range(n):
         for j in range(n):
             prod = d[:, i] * d[:, j]
-            cov_stderr[i, j] = prod.std(ddof=ddof) / np.sqrt(cfg.paths)
+            cov_stderr[i, j] = prod.std(ddof=1) / np.sqrt(cfg.paths)
     return MomentReport(
         mean=mean,
         cov=cov,

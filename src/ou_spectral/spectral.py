@@ -86,17 +86,8 @@ def _combined_poly(expansion, t):
 
 def evaluate_complex(expansion, x, t):
     """Expansion value at one point and time, imaginary residue intact."""
-    _check_time(t)
-    model = expansion.model
-    acc = 0.0 + 0.0j
-    for K, alpha in expansion.coeffs.items():
-        acc += (
-            alpha
-            / mode_normalization(K)
-            * np.exp(eigenvalue(model, K) * t)
-            * forward_eigenfunction(model, K).poly(x)
-        )
-    return complex(acc * model.f0.pdf(x))
+    point = np.asarray(x, dtype=float).reshape(1, -1)
+    return complex(evaluate_grid_complex(expansion, point, t)[0])
 
 
 def evaluate(expansion, x, t):
