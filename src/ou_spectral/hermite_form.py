@@ -67,14 +67,14 @@ def _require_canonical(model):
 _HPROD_CACHE = {}
 
 
-def _hermite_product(orders, nvars):
-    key = (nvars, orders)
+def _hermite_product(orders, nvars, eps):
+    key = (nvars, orders, eps)
     got = _HPROD_CACHE.get(key)
     if got is None:
-        got = MPoly.constant(nvars, 1.0)
+        got = MPoly.constant(nvars, 1.0, eps)
         for axis, m in enumerate(orders):
             if m:
-                got = got * hermite_in_var(m, axis, nvars)
+                got = got * hermite_in_var(m, axis, nvars, eps)
         _HPROD_CACHE[key] = got
     return got
 
@@ -102,7 +102,7 @@ def _hermite_sum(model, K, mode_weights):
         orders = merged
     out = MPoly.zero(n, model.prune_eps)
     for m, c in sorted(orders.items()):
-        out = out + c * _hermite_product(m, n)
+        out = out + c * _hermite_product(m, n, model.prune_eps)
     return out
 
 

@@ -1,7 +1,11 @@
-"""Hot numeric kernels: Euler-Maruyama stepping and grid evaluation.
+"""Hot numeric kernels: Euler-Maruyama stepping and polynomial grid evaluation.
 
 Both kernels are vectorized numpy: ``em_paths`` over paths and
-``eval_poly_grid`` over grid points.
+``eval_poly_grid`` over grid points.  Spectral propagation no longer
+calls ``eval_poly_grid``: ``spectral`` evaluates every mode on the grid
+by its three-term recursion.  The kernel stays as the term-array
+evaluator that the tests use as a reference and that the ``perfbench``
+trace binds by name.
 
 Randomness is a counter-style splitmix64 generator: path ``p`` owns the
 stream seeded from ``mix64(seed + SALT * (p + 1))``, and each normal

@@ -9,6 +9,8 @@ from operands that already hold it, using only int addition on
 exponents and complex arithmetic on coefficients, so they go through
 ``MPoly._trusted``, which skips validation and only drops coefficients
 below the prune threshold; cancellation dust never accumulates.
+Negation and conjugation keep every magnitude exactly, so they skip the
+prune pass as well (``MPoly._wrap``).
 Instances are treated as immutable; no method mutates its receiver.
 
 Printing and ``items()`` use graded lexicographic order (total degree
@@ -78,11 +80,17 @@ class MPoly:
     def _trusted(cls, nvars, terms, eps):
         """Wrap terms that already satisfy the module invariant except for
         pruning.  The caller guarantees the keys and value types."""
+        return cls._wrap(
+            nvars, {e: c for e, c in terms.items() if abs(c) >= eps and c != 0.0}, eps
+        )
+
+    @classmethod
+    def _wrap(cls, nvars, terms, eps):
+        """Wrap terms that satisfy the whole invariant, pruning included.
+        For maps that keep every ``|c|``, such as negation and conjugation."""
         self = object.__new__(cls)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(
-            self, "terms", {e: c for e, c in terms.items() if abs(c) >= eps and c != 0.0}
-        )
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "prune_eps", eps)
         return self
 
@@ -171,9 +179,7 @@ class MPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly._trusted(
-            self.nvars, {e: -c for e, c in self.terms.items()}, self.prune_eps
-        )
+        return MPoly._wrap(self.nvars, {e: -c for e, c in self.terms.items()}, self.prune_eps)
 
     def __sub__(self, other):
         if isinstance(other, _SCALARS):
@@ -226,7 +232,7 @@ class MPoly:
         return MPoly._trusted(self.nvars, out, self.prune_eps)
 
     def conj(self):
-        return MPoly._trusted(
+        return MPoly._wrap(
             self.nvars, {e: c.conjugate() for e, c in self.terms.items()}, self.prune_eps
         )
 

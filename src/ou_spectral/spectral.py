@@ -6,6 +6,21 @@ coefficients are the raw duality pairings; evaluation divides by the
 bi-orthogonal normalization of each mode so the expansion reproduces
 the density itself.  The exact Gaussian propagator doubles as an
 independent oracle for convergence tests.
+
+Expansion and evaluation never build a polynomial.  The raising
+operators of each family commute, so the eigenfunctions have Gaussian
+generating functions and obey three-term recursions along the modes:
+
+* coefficients: with ``W`` the left eigenvectors, ``a = 2 W mu`` and
+  ``M = 4 W (C - Sigma) W^T`` for ``F0 = N(mu, C)``,
+  ``c_{K+e_I} = a_I c_K + sum_J M_IJ K_J c_{K-e_J}``, ``c_0 = 1``;
+* forward polynomial factors: with ``E`` the right eigenvectors,
+  ``y = x Sigma^-1 E`` and ``G = E^T Sigma^-1 E``,
+  ``p_{K+e_I} = y_I p_K - sum_J G_IJ K_J p_{K-e_J}``, ``p_0 = 1``.
+
+Both cost O(modes * dim) per value and prune nothing.  The inhomogeneous
+solve and the ``verify`` suites stay on the exact ``MPoly`` ladder, which
+is the reference these recursions are tested against.
 """
 
 from dataclasses import dataclass, field
@@ -13,9 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, NotSolvableError
+from .errors import DimensionMismatchError, NotSolvableError, SingularSystemError
 from .gaussian import ForwardFunction, GaussianDensity, expectation, inner_product
-from .kernels import eval_poly_grid
 from .ladder import (
     adjoint_eigenfunction,
     eigenvalue,
@@ -24,6 +38,10 @@ from .ladder import (
     mode_normalization,
 )
 from .mpoly import MPoly
+
+# Points per block of grid evaluation; the work array holds every mode
+# over one block, never over the whole grid.
+GRID_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -43,10 +61,47 @@ class SpectralExpansion:
         return self.coeffs[tuple(K)]
 
 
+def _ladder_steps(modes):
+    """Recursion steps along ``modes`` (``enumerate_modes`` order).
+
+    Mode K is reached from its parent P = K - e_I, with I the first
+    nonzero axis of K, as ``forward_eigenfunction`` builds it.  Each step
+    is (index of P, I, [(J, P_J, index of P - e_J) for nonzero P_J]).
+    """
+    index = {K: k for k, K in enumerate(modes)}
+    steps = []
+    for K in modes[1:]:
+        I = next(i for i, k in enumerate(K) if k > 0)
+        P = K[:I] + (K[I] - 1,) + K[I + 1 :]
+        lower = [
+            (J, P[J], index[P[:J] + (P[J] - 1,) + P[J + 1 :]])
+            for J in range(len(P))
+            if P[J]
+        ]
+        steps.append((index[P], I, lower))
+    return steps
+
+
+def _ladder_recursion(steps, shift, Q, out):
+    """Fill ``out`` mode by mode: out[K] = shift[I] out[P] + sum_J Q_IJ P_J out[P - e_J].
+
+    ``out[0]`` must hold the stationary value.  Works on scalars
+    (``out`` of shape (modes,)) and on point blocks (``out`` of shape
+    (modes, points), ``shift`` of shape (dim, points)).
+    """
+    for k, (p, I, lower) in enumerate(steps, 1):
+        out[k] = shift[I] * out[p]
+        for J, m, q in lower:
+            out[k] += (Q[I, J] * m) * out[q]
+    return out
+
+
 def expand_gaussian(model, F0, max_order):
     """Project a Gaussian density onto the adjoint eigenbasis.
 
-    Every pairing is an exact Gaussian moment, so no quadrature enters.
+    Coefficient K is the pairing ``<g_K, F0>``, K! times a Taylor
+    coefficient of exp(a.s + s^T M s / 2); the recursion in the module
+    docstring generates them all with no quadrature and no pruning.
     Coefficients of conjugate mode pairs are complex conjugates when
     ``F0`` is real, which all Gaussians here are.
     """
@@ -59,10 +114,14 @@ def expand_gaussian(model, F0, max_order):
     max_order = int(max_order)
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
-    coeffs = {}
-    for K in enumerate_modes(model.dim, max_order):
-        g = adjoint_eigenfunction(model, K)
-        coeffs[K] = expectation(g.conj(), F0)
+    W = model.eig.left
+    a = 2.0 * (W @ F0.mean)
+    M = 4.0 * (W @ (F0.cov - model.Sigma) @ W.T)
+    modes = enumerate_modes(model.dim, max_order)
+    c = np.empty(len(modes), dtype=np.complex128)
+    c[0] = 1.0
+    _ladder_recursion(_ladder_steps(modes), a, M, c)
+    coeffs = {K: complex(v) for K, v in zip(modes, c)}
     return SpectralExpansion(model=model, max_order=max_order, coeffs=coeffs)
 
 
@@ -71,17 +130,6 @@ def _check_time(t):
         raise ValueError("t must be finite")
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-
-
-def _combined_poly(expansion, t):
-    """Normalized, time-evolved polynomial factor of the expansion."""
-    model = expansion.model
-    out = MPoly.zero(model.dim, model.prune_eps)
-    for K, alpha in expansion.coeffs.items():
-        weight = alpha / mode_normalization(K) * np.exp(eigenvalue(model, K) * t)
-        if weight != 0.0:
-            out = out + weight * forward_eigenfunction(model, K).poly
-    return out
 
 
 def evaluate_complex(expansion, x, t):
@@ -101,6 +149,12 @@ def evaluate_grid(expansion, points, t):
 
 
 def evaluate_grid_complex(expansion, points, t):
+    """Complex expansion values on a grid of points, shape (P, N) -> (P,).
+
+    Sums f0(x) c_K / mode_normalization(K) exp(lambda_K t) p_K(x) with
+    every p_K from the forward recursion, one block of at most
+    ``GRID_CHUNK`` points at a time.
+    """
     _check_time(t)
     model = expansion.model
     pts = np.asarray(points, dtype=float)
@@ -108,10 +162,25 @@ def evaluate_grid_complex(expansion, points, t):
         raise DimensionMismatchError(
             f"points must have shape (P, {model.dim}), got {pts.shape}"
         )
-    poly = _combined_poly(expansion, t)
-    exps, coeffs = poly.to_arrays()
-    vals = eval_poly_grid(exps, coeffs, pts)
-    return vals * model.f0.pdf_grid(pts)
+    modes = enumerate_modes(model.dim, expansion.max_order)
+    steps = _ladder_steps(modes)
+    weights = np.array(
+        [
+            expansion.coeffs[K] / mode_normalization(K) * np.exp(eigenvalue(model, K) * t)
+            for K in modes
+        ]
+    )
+    E = model.eig.right
+    S = model.Sigma_inv @ E
+    G = E.T @ S
+    out = np.empty(pts.shape[0], dtype=np.complex128)
+    for lo in range(0, pts.shape[0], GRID_CHUNK):
+        block = pts[lo : lo + GRID_CHUNK]
+        work = np.empty((len(modes), block.shape[0]), dtype=np.complex128)
+        work[0] = 1.0
+        _ladder_recursion(steps, (block @ S).T, -G, work)
+        out[lo : lo + block.shape[0]] = (weights @ work) * model.f0.pdf_grid(block)
+    return out
 
 
 def exact_gaussian_propagate(model, F0, t):
@@ -169,6 +238,11 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
         if proj == 0.0:
             continue
         norm = inner_product(g, f)
+        if norm == 0.0 or not np.isfinite(norm):
+            raise SingularSystemError(
+                f"mode {K} has duality pairing {norm}, which cannot be divided out; "
+                "its eigenfunctions were pruned away or overflowed"
+            )
         lam = eigenvalue(model, K)
         out = out + (proj / (lam * norm)) * f.poly
     return ForwardFunction(out, model.f0)

@@ -112,3 +112,12 @@ def test_densities_agree_through_the_transform(model_diag):
         ratios.append(a / b)
     for r in ratios[1:]:
         npt.assert_allclose(r, ratios[0], rtol=1e-9)
+
+
+def test_hermite_form_keeps_the_model_prune_eps(model_spiral):
+    fine = ou.build_model(model_spiral.A, model_spiral.B, prune_eps=1e-20)
+    for K in ((1, 1), (2, 0), (0, 3)):
+        assert ou.forward_hermite(fine, K).prune_eps == 1e-20
+        assert ou.adjoint_hermite(fine, K).prune_eps == 1e-20
+        # the products cached for the fine model do not leak into others
+        assert ou.forward_hermite(model_spiral, K).prune_eps == model_spiral.prune_eps

@@ -250,6 +250,21 @@ def test_arithmetic_results_match_validating_constructor():
             _assert_canonical(r)
 
 
+def test_negation_and_conjugation_keep_every_term():
+    # Both keep |c| exactly, so their results skip the prune pass; they
+    # must still be what the validating constructor builds.
+    eps = 1e-13
+    edge = MPoly(2, {(0, 0): eps, (1, 0): complex(-0.0, eps), (0, 1): complex(eps, -0.0)})
+    wide = MPoly(2, {(2, 1): 1e-6 - 1e-6j, (0, 3): -2e-6}, prune_eps=1e-6)
+    for p in _trusted_path_cases() + [edge, wide]:
+        for r in (-p, p.conj(), -(p.conj()), (-p).conj()):
+            _assert_canonical(r)
+            assert set(r.terms) == set(p.terms)
+            assert r.prune_eps == p.prune_eps
+            assert r.terms is not p.terms
+        assert -(-p) == p and p.conj().conj() == p
+
+
 def test_arithmetic_still_prunes_dust_and_nan():
     p = MPoly(1, {(0,): 1.0, (1,): 1.0})
     q = MPoly(1, {(1,): -1.0 + 1e-15})
