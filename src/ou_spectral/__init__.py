@@ -11,6 +11,7 @@ from .errors import (
     DimensionMismatchError,
     ModeIndexMismatchError,
     ModeOutOfRangeError,
+    NonFiniteResultError,
     NotCanonicalError,
     NotSolvableError,
     NotSPDError,

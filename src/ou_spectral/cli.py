@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
-from .errors import ConfigError, OUSpectralError
+from .errors import ConfigError, NonFiniteResultError, OUSpectralError
 from .gaussian import ForwardFunction, GaussianDensity
 from .ladder import (
     adjoint_eigenfunction,
@@ -255,9 +255,13 @@ def _jsonify(x):
 
 
 def _write_json(path, obj):
+    # Bare NaN and Infinity are not JSON: refuse them before the file opens.
+    try:
+        text = json.dumps(_jsonify(obj), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise NonFiniteResultError(f"cannot write {path}: {e}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path, header, rows):

@@ -49,6 +49,10 @@ class NotCanonicalError(OUSpectralError):
     """Model is not in canonical coordinates (stationary covariance I/2)."""
 
 
+class NonFiniteResultError(OUSpectralError):
+    """A computed value overflowed to infinity or became NaN."""
+
+
 class NotSolvableError(OUSpectralError):
     """Inhomogeneous source has a stationary component; no solution exists."""
 

@@ -10,6 +10,7 @@ independent route to the eigenfunctions that never touches the ladder
 recursion.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,18 +65,30 @@ def _require_canonical(model):
         )
 
 
-_HPROD_CACHE = {}
+HPROD_CACHE_SIZE = 1024
+
+_HPROD_CACHE = OrderedDict()
 
 
 def _hermite_product(orders, nvars, eps):
+    """prod_axis H_{orders[axis]}(x_axis), memoized per (nvars, orders, eps).
+
+    The least recently used products are evicted once more than
+    ``HPROD_CACHE_SIZE`` are held, so a process that sees many models
+    or prune thresholds keeps a bounded table.
+    """
     key = (nvars, orders, eps)
     got = _HPROD_CACHE.get(key)
-    if got is None:
-        got = MPoly.constant(nvars, 1.0, eps)
-        for axis, m in enumerate(orders):
-            if m:
-                got = got * hermite_in_var(m, axis, nvars, eps)
-        _HPROD_CACHE[key] = got
+    if got is not None:
+        _HPROD_CACHE.move_to_end(key)
+        return got
+    got = MPoly.constant(nvars, 1.0, eps)
+    for axis, m in enumerate(orders):
+        if m:
+            got = got * hermite_in_var(m, axis, nvars, eps)
+    _HPROD_CACHE[key] = got
+    if len(_HPROD_CACHE) > HPROD_CACHE_SIZE:
+        _HPROD_CACHE.popitem(last=False)
     return got
 
 

@@ -11,6 +11,10 @@ polynomial, and each operator application is a closed-form map between
 those polynomials.
 
 Eigenfunctions are memoized on the model, keyed by their multi-index.
+The polynomial factors and gradient weights of each operator (the
+``MPoly.linear`` factors, the zero it sums onto, the scaled eigenvector
+entries) depend only on the model, the mode and the ``prune_eps`` of the
+input, so each is built once per model and kept in ``model._op_cache``.
 Concurrent builds may race to insert a cache entry; both compute the
 same value, so last write wins harmlessly.
 """
@@ -38,7 +42,8 @@ class OUModel:
     ``eig.right[:, I]`` is the right eigenvector for mode ``I`` and
     ``eig.left[I, :]`` the matching left eigenvector; the two bases are
     mutually bi-orthogonal.  Caches on the instance hold eigenfunctions
-    and operator ingredients; treat everything returned from them as
+    and operator ingredients (the factors of every ladder operator, per
+    mode and ``prune_eps``); treat everything returned from them as
     immutable.
     """
 
@@ -151,6 +156,61 @@ def _check_adjoint(model, g):
         )
 
 
+def _cached(model, build, I, eps):
+    """``build(model, I, eps)``, built on first use and kept in
+    ``model._op_cache`` under (build, I, eps)."""
+    key = (build, I, eps)
+    got = model._op_cache.get(key)
+    if got is None:
+        got = build(model, I, eps)
+        model._op_cache[key] = got
+    return got
+
+
+def _grad_weights(v, scale):
+    """(axis, scale * v[axis]) for each nonzero entry of ``v``."""
+    return [(i, complex(scale * v[i])) for i in range(len(v)) if v[i] != 0.0]
+
+
+def _adjoint_factors(model, I, eps):
+    # I is unused: the adjoint operator has one set of factors per eps.
+    n = model.dim
+    rows = [MPoly.linear(n, model.A[i, :], prune_eps=eps) for i in range(n)]
+    diffusion = [
+        [(j, 0.5 * model.B[i, j]) for j in range(n) if model.B[i, j] != 0.0]
+        for i in range(n)
+    ]
+    return MPoly.zero(n, eps), rows, diffusion
+
+
+def _raise_forward_factors(model, I, eps):
+    e = model.eig.right[:, I]
+    u = model.Sigma_inv @ e
+    return MPoly.linear(model.dim, u, prune_eps=eps), _grad_weights(e, 1.0)
+
+
+def _lower_forward_factors(model, I, eps):
+    w = model.eig.left[I, :]
+    sw = model.Sigma @ w
+    u = model.Sigma_inv @ sw
+    return (
+        MPoly.linear(model.dim, w, prune_eps=eps),
+        MPoly.linear(model.dim, u, prune_eps=eps),
+        _grad_weights(sw, 2.0),
+    )
+
+
+def _raise_adjoint_factors(model, I, eps):
+    w = np.conj(model.eig.left[I, :])
+    sw = model.Sigma @ w
+    return MPoly.linear(model.dim, w, prune_eps=eps), _grad_weights(sw, 2.0)
+
+
+def _lower_adjoint_factors(model, I, eps):
+    e = np.conj(model.eig.right[:, I])
+    return MPoly.zero(model.dim, eps), _grad_weights(e, 1.0)
+
+
 def _op_ingredients(model):
     """Cached polynomials entering the forward-operator reduction."""
     got = model._op_cache.get("forward")
@@ -205,18 +265,17 @@ def apply_forward(model, f):
 
 
 def apply_adjoint(model, g):
-    """Apply the adjoint (backward) operator to a plain polynomial."""
+    """Apply the adjoint (backward) operator to a plain polynomial.
+
+    The drift rows ``A[i, :] . x`` are cached ``MPoly.linear`` factors.
+    """
     _check_adjoint(model, g)
-    n = model.dim
-    out = MPoly.zero(n, g.prune_eps)
-    for i in range(n):
+    out, rows, diffusion = _cached(model, _adjoint_factors, None, g.prune_eps)
+    for i, row in enumerate(rows):
         gi = g.diff(i)
-        row = MPoly.linear(n, model.A[i, :], prune_eps=g.prune_eps)
         out = out + row * gi
-        for j in range(n):
-            bij = model.B[i, j]
-            if bij != 0.0:
-                out = out + (0.5 * bij) * gi.diff(j)
+        for j, half_bij in diffusion[i]:
+            out = out + half_bij * gi.diff(j)
     return out
 
 
@@ -224,17 +283,16 @@ def raise_forward(model, I, f):
     """Mode-I raising operator on the forward side: -e_I . grad.
 
     Acting on p * f0 this sends p to -e_I . grad p + (e_I^T Sigma^-1 x) p,
-    stepping the eigenvalue by lambda_I.
+    stepping the eigenvalue by lambda_I.  The linear factor and the
+    entries of e_I are cached per mode.
     """
     _check_mode(model, I)
     _check_forward(model, f)
     p = f.poly
-    e = model.eig.right[:, I]
-    u = model.Sigma_inv @ e
-    out = MPoly.linear(model.dim, u, prune_eps=p.prune_eps) * p
-    for i in range(model.dim):
-        if e[i] != 0.0:
-            out = out - e[i] * p.diff(i)
+    lin, grad = _cached(model, _raise_forward_factors, I, p.prune_eps)
+    out = lin * p
+    for i, ei in grad:
+        out = out - ei * p.diff(i)
     return ForwardFunction(out, f.base)
 
 
@@ -242,19 +300,17 @@ def lower_forward(model, I, f):
     """Mode-I lowering operator on the forward side.
 
     Sends p to 2 (w_I . x) p + 2 (Sigma w_I) . grad p applied through
-    the Gaussian factor; annihilates the stationary density.
+    the Gaussian factor; annihilates the stationary density.  The two
+    linear factors and the entries of 2 Sigma w_I are cached per mode.
     """
     _check_mode(model, I)
     _check_forward(model, f)
     p = f.poly
-    w = model.eig.left[I, :]
-    sw = model.Sigma @ w
-    u = model.Sigma_inv @ sw
-    out = 2.0 * (MPoly.linear(model.dim, w, prune_eps=p.prune_eps) * p)
-    out = out - 2.0 * (MPoly.linear(model.dim, u, prune_eps=p.prune_eps) * p)
-    for i in range(model.dim):
-        if sw[i] != 0.0:
-            out = out + (2.0 * sw[i]) * p.diff(i)
+    lin_w, lin_u, grad = _cached(model, _lower_forward_factors, I, p.prune_eps)
+    out = 2.0 * (lin_w * p)
+    out = out - 2.0 * (lin_u * p)
+    for i, swi in grad:
+        out = out + swi * p.diff(i)
     return ForwardFunction(out, f.base)
 
 
@@ -262,28 +318,28 @@ def raise_adjoint(model, I, g):
     """Mode-I raising operator on the adjoint side.
 
     g -> 2 conj(w_I) . x g - 2 (Sigma conj(w_I)) . grad g, stepping the
-    adjoint eigenvalue by conj(lambda_I).
+    adjoint eigenvalue by conj(lambda_I).  The linear factor and the
+    entries of 2 Sigma conj(w_I) are cached per mode.
     """
     _check_mode(model, I)
     _check_adjoint(model, g)
-    w = np.conj(model.eig.left[I, :])
-    sw = model.Sigma @ w
-    out = 2.0 * (MPoly.linear(model.dim, w, prune_eps=g.prune_eps) * g)
-    for i in range(model.dim):
-        if sw[i] != 0.0:
-            out = out - (2.0 * sw[i]) * g.diff(i)
+    lin, grad = _cached(model, _raise_adjoint_factors, I, g.prune_eps)
+    out = 2.0 * (lin * g)
+    for i, swi in grad:
+        out = out - swi * g.diff(i)
     return out
 
 
 def lower_adjoint(model, I, g):
-    """Mode-I lowering operator on the adjoint side: conj(e_I) . grad."""
+    """Mode-I lowering operator on the adjoint side: conj(e_I) . grad.
+
+    The entries of conj(e_I) are cached per mode.
+    """
     _check_mode(model, I)
     _check_adjoint(model, g)
-    e = np.conj(model.eig.right[:, I])
-    out = MPoly.zero(model.dim, g.prune_eps)
-    for i in range(model.dim):
-        if e[i] != 0.0:
-            out = out + e[i] * g.diff(i)
+    out, grad = _cached(model, _lower_adjoint_factors, I, g.prune_eps)
+    for i, ei in grad:
+        out = out + ei * g.diff(i)
     return out
 
 

@@ -6,11 +6,21 @@ nonnegative Python ints and each value a Python ``complex`` whose
 magnitude is at least ``prune_eps``.  The public constructor validates
 and converts its input to establish it.  Arithmetic results are built
 from operands that already hold it, using only int addition on
-exponents and complex arithmetic on coefficients, so they go through
-``MPoly._trusted``, which skips validation and only drops coefficients
-below the prune threshold; cancellation dust never accumulates.
-Negation and conjugation keep every magnitude exactly, so they skip the
-prune pass as well (``MPoly._wrap``).
+exponents and complex arithmetic on coefficients, so they skip
+validation.  Pruning, which drops coefficients below the threshold so
+cancellation dust never accumulates, runs only where a coefficient can
+have shrunk:
+
+* ``__mul__``, ``affine`` and ``__add__`` of operands with different
+  ``prune_eps`` scan every result coefficient (``MPoly._trusted``);
+* ``__add__`` of operands with equal ``prune_eps`` checks only the keys
+  both operands hold, since every other coefficient is copied unchanged;
+* negation, conjugation and ``diff`` scan nothing (``MPoly._wrap``):
+  the first two keep every ``|c|`` and ``diff`` multiplies each
+  coefficient by an integer exponent of at least 1 without merging keys.
+
+Results keep the key order of the dict arithmetic that built them;
+later products accumulate in that order.
 Instances are treated as immutable; no method mutates its receiver.
 
 Printing and ``items()`` use graded lexicographic order (total degree
@@ -79,15 +89,18 @@ class MPoly:
     @classmethod
     def _trusted(cls, nvars, terms, eps):
         """Wrap terms that already satisfy the module invariant except for
-        pruning.  The caller guarantees the keys and value types."""
+        pruning, which runs here over every coefficient, in key order.
+        The caller guarantees the keys and value types."""
         return cls._wrap(
             nvars, {e: c for e, c in terms.items() if abs(c) >= eps and c != 0.0}, eps
         )
 
     @classmethod
     def _wrap(cls, nvars, terms, eps):
-        """Wrap terms that satisfy the whole invariant, pruning included.
-        For maps that keep every ``|c|``, such as negation and conjugation."""
+        """Wrap terms that satisfy the whole invariant, pruning included;
+        nothing is scanned.  For maps under which no ``|c|`` can fall below
+        ``eps``: negation, conjugation, ``diff``, and ``__add__`` of
+        operands with equal ``prune_eps`` once its merged keys are checked."""
         self = object.__new__(cls)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", terms)
@@ -172,9 +185,25 @@ class MPoly:
             return NotImplemented
         eps = self._check_compat(other)
         out = dict(self.terms)
+        if self.prune_eps != other.prune_eps:
+            # The operand with the smaller eps may hold terms below eps.
+            for exps, c in other.terms.items():
+                out[exps] = out.get(exps, 0.0) + c
+            return MPoly._trusted(self.nvars, out, eps)
+        merged = []
         for exps, c in other.terms.items():
-            out[exps] = out.get(exps, 0.0) + c
-        return MPoly._trusted(self.nvars, out, eps)
+            if exps in out:
+                out[exps] = out[exps] + c
+                merged.append(exps)
+            else:
+                # 0.0 + c, not c: a sum onto the missing key turns a -0.0
+                # part into +0.0, and later products see that sign.
+                out[exps] = 0.0 + c
+        for exps in merged:
+            c = out[exps]
+            if not (abs(c) >= eps and c != 0.0):
+                del out[exps]
+        return MPoly._wrap(self.nvars, out, eps)
 
     __radd__ = __add__
 
@@ -219,7 +248,13 @@ class MPoly:
     # ---- calculus and substitution ----
 
     def diff(self, axis):
-        """Partial derivative along one variable."""
+        """Partial derivative along one variable.
+
+        Lowering one exponent maps distinct keys to distinct keys, and an
+        integer factor of at least 1 never lowers ``|c|``, so the result
+        needs no prune pass.  (A coefficient with both parts infinite, an
+        overflow already, turns into NaN and is kept.)
+        """
         if not 0 <= axis < self.nvars:
             raise AxisOutOfRangeError(f"axis {axis} outside 0..{self.nvars - 1}")
         out = {}
@@ -227,9 +262,9 @@ class MPoly:
             e = exps[axis]
             if e == 0:
                 continue
-            key = exps[:axis] + (e - 1,) + exps[axis + 1 :]
-            out[key] = out.get(key, 0.0) + c * e
-        return MPoly._trusted(self.nvars, out, self.prune_eps)
+            # 0.0 + c * e keeps the signed zeros of a sum onto a new key.
+            out[exps[:axis] + (e - 1,) + exps[axis + 1 :]] = 0.0 + c * e
+        return MPoly._wrap(self.nvars, out, self.prune_eps)
 
     def conj(self):
         return MPoly._wrap(

@@ -24,20 +24,32 @@ is the reference these recursions are tested against.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, NotSolvableError, SingularSystemError
+from .errors import (
+    DimensionMismatchError,
+    NonFiniteResultError,
+    NotSolvableError,
+    SingularSystemError,
+)
 from .gaussian import ForwardFunction, GaussianDensity, expectation, inner_product
 from .ladder import (
     adjoint_eigenfunction,
+    apply_adjoint,
+    apply_forward,
     eigenvalue,
     enumerate_modes,
     forward_eigenfunction,
+    lower_adjoint,
+    lower_forward,
     mode_normalization,
+    raise_adjoint,
+    raise_forward,
 )
-from .mpoly import MPoly
+from .mpoly import MPoly, coeff_distance
 
 # Points per block of grid evaluation; the work array holds every mode
 # over one block, never over the whole grid.
@@ -103,7 +115,8 @@ def expand_gaussian(model, F0, max_order):
     coefficient of exp(a.s + s^T M s / 2); the recursion in the module
     docstring generates them all with no quadrature and no pruning.
     Coefficients of conjugate mode pairs are complex conjugates when
-    ``F0`` is real, which all Gaussians here are.
+    ``F0`` is real, which all Gaussians here are.  Raises
+    ``NonFiniteResultError`` when a coefficient overflows.
     """
     if not isinstance(F0, GaussianDensity):
         raise TypeError("expand_gaussian takes a GaussianDensity")
@@ -120,7 +133,15 @@ def expand_gaussian(model, F0, max_order):
     modes = enumerate_modes(model.dim, max_order)
     c = np.empty(len(modes), dtype=np.complex128)
     c[0] = 1.0
-    _ladder_recursion(_ladder_steps(modes), a, M, c)
+    # An overflow is reported by the check below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _ladder_recursion(_ladder_steps(modes), a, M, c)
+    bad = np.flatnonzero(~np.isfinite(c))
+    if bad.size:
+        raise NonFiniteResultError(
+            f"expansion coefficient of mode {modes[bad[0]]} is {c[bad[0]]}; "
+            f"the expansion overflows at order {sum(modes[bad[0]])}"
+        )
     coeffs = {K: complex(v) for K, v in zip(modes, c)}
     return SpectralExpansion(model=model, max_order=max_order, coeffs=coeffs)
 
@@ -153,7 +174,8 @@ def evaluate_grid_complex(expansion, points, t):
 
     Sums f0(x) c_K / mode_normalization(K) exp(lambda_K t) p_K(x) with
     every p_K from the forward recursion, one block of at most
-    ``GRID_CHUNK`` points at a time.
+    ``GRID_CHUNK`` points at a time.  Raises ``NonFiniteResultError``
+    when a value overflows or turns NaN.
     """
     _check_time(t)
     model = expansion.model
@@ -178,8 +200,16 @@ def evaluate_grid_complex(expansion, points, t):
         block = pts[lo : lo + GRID_CHUNK]
         work = np.empty((len(modes), block.shape[0]), dtype=np.complex128)
         work[0] = 1.0
-        _ladder_recursion(steps, (block @ S).T, -G, work)
-        out[lo : lo + block.shape[0]] = (weights @ work) * model.f0.pdf_grid(block)
+        # An overflow is reported by the check below, not as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            _ladder_recursion(steps, (block @ S).T, -G, work)
+            out[lo : lo + block.shape[0]] = (weights @ work) * model.f0.pdf_grid(block)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise NonFiniteResultError(
+            f"expansion value at x={pts[bad[0]].tolist()}, t={t} is {out[bad[0]]}; "
+            "a mode value or weight overflowed"
+        )
     return out
 
 
@@ -268,6 +298,64 @@ def battery_polynomials(nvars, count=20, max_degree=5, seed=20240817):
 
 
 @dataclass(frozen=True)
+class BatteryImage:
+    """Ladder images of one battery polynomial p, each computed once.
+
+    Forward images act on p f0 and adjoint images on p; list entries are
+    indexed by mode.  ``raise_lower_*[I]`` raises the mode-I lowering
+    image by mode I: the commutator suite's J = I cross term, which the
+    operator reconstruction sums.
+    """
+
+    poly: MPoly
+    apply_forward: ForwardFunction
+    apply_adjoint: MPoly
+    raise_forward: list
+    raise_adjoint: list
+    lower_forward: list
+    lower_adjoint: list
+    raise_lower_forward: list
+    raise_lower_adjoint: list
+
+
+def _battery_image(model, p):
+    n = model.dim
+    fwd = ForwardFunction(p, model.f0)
+    lower_f = [lower_forward(model, J, fwd) for J in range(n)]
+    lower_a = [lower_adjoint(model, J, p) for J in range(n)]
+    return BatteryImage(
+        poly=p,
+        apply_forward=apply_forward(model, fwd),
+        apply_adjoint=apply_adjoint(model, p),
+        raise_forward=[raise_forward(model, I, fwd) for I in range(n)],
+        raise_adjoint=[raise_adjoint(model, I, p) for I in range(n)],
+        lower_forward=lower_f,
+        lower_adjoint=lower_a,
+        raise_lower_forward=[raise_forward(model, I, lower_f[I]) for I in range(n)],
+        raise_lower_adjoint=[raise_adjoint(model, I, lower_a[I]) for I in range(n)],
+    )
+
+
+class BatteryImages:
+    """The ``BatteryImage`` of every battery polynomial on one model.
+
+    Built on first use of ``records``, so the cost shows under the first
+    suite that reads them; the commutator suite and the operator
+    reconstruction share one instance per ``verify`` run, so the images
+    live as long as that run.
+    """
+
+    def __init__(self, model):
+        self.model = model
+
+    @cached_property
+    def records(self):
+        return [
+            _battery_image(self.model, p) for p in battery_polynomials(self.model.dim)
+        ]
+
+
+@dataclass(frozen=True)
 class OperatorIdentityReport:
     """Worst relative residuals of the four operator reconstructions."""
 
@@ -284,7 +372,7 @@ class OperatorIdentityReport:
         return max(self.residuals.values())
 
 
-def reconstruct_operators_check(model, tol=1e-9):
+def reconstruct_operators_check(model, tol=1e-9, images=None):
     """Verify gradient, position, and both evolution operators rebuild
     from the ladder families alone.
 
@@ -295,17 +383,12 @@ def reconstruct_operators_check(model, tol=1e-9):
     * position  from adjoint raising plus a lowering correction
     * forward   as half the eigenvalue-weighted sum of raise(lower(.))
     * adjoint   as the conjugate-weighted mirror of the same sum
-    """
-    from .ladder import (
-        apply_adjoint,
-        apply_forward,
-        lower_adjoint,
-        lower_forward,
-        raise_adjoint,
-        raise_forward,
-    )
-    from .mpoly import coeff_distance
 
+    ``images`` (a ``BatteryImages`` of this model) supplies the ladder
+    images; without it they are built here.
+    """
+    if images is None:
+        images = BatteryImages(model)
     n = model.dim
     E = model.eig.right
     W = model.eig.left
@@ -316,14 +399,21 @@ def reconstruct_operators_check(model, tol=1e-9):
     G = Wc @ model.Sigma @ Wc.T
 
     worst = {"gradient": 0.0, "position": 0.0, "forward": 0.0, "adjoint": 0.0}
-    battery = battery_polynomials(n)
 
     def rel(d, *scales):
         return d / max(1.0, *scales)
 
-    for p in battery:
-        lows = [lower_adjoint(model, I, p) for I in range(n)]
-        raises_ = [raise_adjoint(model, I, p) for I in range(n)]
+    for img in images.records:
+        p = img.poly
+        lows = img.lower_adjoint
+        # Raising terms of the position identity with their lowering
+        # correction; neither depends on the axis i.
+        shifted = []
+        for I in range(n):
+            corr = MPoly.zero(n, p.prune_eps)
+            for J in range(n):
+                corr = corr + (2.0 * G[I, J]) * lows[J]
+            shifted.append(img.raise_adjoint[I] + corr)
         for i in range(n):
             lhs = p.diff(i)
             rhs = MPoly.zero(n, p.prune_eps)
@@ -335,28 +425,24 @@ def reconstruct_operators_check(model, tol=1e-9):
             lhs = MPoly.variable(n, i, p.prune_eps) * p
             rhs = MPoly.zero(n, p.prune_eps)
             for I in range(n):
-                corr = MPoly.zero(n, p.prune_eps)
-                for J in range(n):
-                    corr = corr + (2.0 * G[I, J]) * lows[J]
-                rhs = rhs + 0.5 * Ec[i, I] * (raises_[I] + corr)
+                rhs = rhs + 0.5 * Ec[i, I] * shifted[I]
             d = rel(coeff_distance(lhs, rhs), lhs.max_coeff(), rhs.max_coeff())
             worst["position"] = max(worst["position"], d)
 
-        lhs = apply_adjoint(model, p)
+        lhs = img.apply_adjoint
         rhs = MPoly.zero(n, p.prune_eps)
         for I in range(n):
-            rhs = rhs + (0.5 * np.conj(lams[I])) * raise_adjoint(model, I, lows[I])
+            rhs = rhs + (0.5 * np.conj(lams[I])) * img.raise_lower_adjoint[I]
         d = rel(coeff_distance(lhs, rhs), lhs.max_coeff(), rhs.max_coeff(), p.max_coeff())
         worst["adjoint"] = max(worst["adjoint"], d)
 
-        fwd = ForwardFunction(p, model.f0)
-        lhs = apply_forward(model, fwd).poly
+        lhs = img.apply_forward.poly
         rhs = MPoly.zero(n, p.prune_eps)
         for I in range(n):
-            rhs = rhs + (0.5 * lams[I]) * raise_forward(
-                model, I, lower_forward(model, I, fwd)
-            ).poly
+            rhs = rhs + (0.5 * lams[I]) * img.raise_lower_forward[I].poly
         d = rel(coeff_distance(lhs, rhs), lhs.max_coeff(), rhs.max_coeff(), p.max_coeff())
         worst["forward"] = max(worst["forward"], d)
 
-    return OperatorIdentityReport(residuals=worst, tol=tol, battery_size=len(battery))
+    return OperatorIdentityReport(
+        residuals=worst, tol=tol, battery_size=len(images.records)
+    )

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import ForwardFunction, inner_product
+from .gaussian import inner_product
 from .hermite_form import adjoint_hermite, forward_hermite, is_canonical, to_canonical
 from .ladder import (
     adjoint_eigenfunction,
@@ -25,7 +25,7 @@ from .ladder import (
     raise_forward,
 )
 from .mpoly import coeff_distance
-from .spectral import battery_polynomials, reconstruct_operators_check
+from .spectral import BatteryImages, reconstruct_operators_check
 
 
 @dataclass
@@ -127,43 +127,57 @@ def ladder_suite(model, n_max=6, tol=1e-10):
     return SuiteResult("ladder-factorials", worst, tol)
 
 
-def commutator_suite(model, tol=1e-9):
+def commutator_suite(model, tol=1e-9, images=None):
     """Ladder commutation relations on the polynomial battery.
 
     [L, V_I] = lambda_I V_I on the forward side, the conjugate relation
     on the adjoint side, and the cross relations between opposite
     lowering and raising families equal to twice the identity.
+
+    ``images`` (a ``BatteryImages`` of this model) holds each battery
+    polynomial's images under L, its adjoint and every raising and
+    lowering operator, computed once and reused for every mode pair;
+    without it they are built here.
     """
+    if images is None:
+        images = BatteryImages(model)
     n = model.dim
     worst = 0.0
-    for p in battery_polynomials(n):
-        fwd = ForwardFunction(p, model.f0)
+    for img in images.records:
+        p = img.poly
+        scale = max(1.0, p.max_coeff())
+        zero_p, two_p = 0.0 * p, 2.0 * p
         for I in range(n):
             lam = model.eig.values[I]
 
-            a = apply_forward(model, raise_forward(model, I, fwd)).poly
-            b = raise_forward(model, I, apply_forward(model, fwd)).poly
-            c = raise_forward(model, I, fwd).poly
-            d = coeff_distance(a - b, lam * c)
-            worst = max(worst, d / max(1.0, c.max_coeff()))
+            c = img.raise_forward[I]
+            a = apply_forward(model, c).poly
+            b = raise_forward(model, I, img.apply_forward).poly
+            d = coeff_distance(a - b, lam * c.poly)
+            worst = max(worst, d / max(1.0, c.poly.max_coeff()))
 
-            a = apply_adjoint(model, raise_adjoint(model, I, p))
-            b = raise_adjoint(model, I, apply_adjoint(model, p))
-            c = raise_adjoint(model, I, p)
+            c = img.raise_adjoint[I]
+            a = apply_adjoint(model, c)
+            b = raise_adjoint(model, I, img.apply_adjoint)
             d = coeff_distance(a - b, np.conj(lam) * c)
             worst = max(worst, d / max(1.0, c.max_coeff()))
 
             for J in range(n):
-                a = lower_adjoint(model, J, raise_adjoint(model, I, p))
-                b = raise_adjoint(model, I, lower_adjoint(model, J, p))
-                target = (2.0 if I == J else 0.0) * p
-                d = coeff_distance(a - b, target)
-                worst = max(worst, d / max(1.0, p.max_coeff()))
+                if I == J:
+                    target = two_p
+                    b_adj = img.raise_lower_adjoint[I]
+                    b_fwd = img.raise_lower_forward[I]
+                else:
+                    target = zero_p
+                    b_adj = raise_adjoint(model, I, img.lower_adjoint[J])
+                    b_fwd = raise_forward(model, I, img.lower_forward[J])
+                a = lower_adjoint(model, J, img.raise_adjoint[I])
+                d = coeff_distance(a - b_adj, target)
+                worst = max(worst, d / scale)
 
-                a = lower_forward(model, J, raise_forward(model, I, fwd)).poly
-                b = raise_forward(model, I, lower_forward(model, J, fwd)).poly
-                d = coeff_distance(a - b, target)
-                worst = max(worst, d / max(1.0, p.max_coeff()))
+                a = lower_forward(model, J, img.raise_forward[I])
+                d = coeff_distance(a.poly - b_fwd.poly, target)
+                worst = max(worst, d / scale)
     return SuiteResult("commutators", worst, tol)
 
 
@@ -189,21 +203,26 @@ def hermite_suite(model, max_order=5, tol=1e-9):
     return SuiteResult("hermite-form", worst, tol)
 
 
-def reconstruction_suite(model, tol=1e-9):
-    report = reconstruct_operators_check(model, tol=tol)
+def reconstruction_suite(model, tol=1e-9, images=None):
+    report = reconstruct_operators_check(model, tol=tol, images=images)
     lines = [f"{name}: {val:.3e}" for name, val in sorted(report.residuals.items())]
     return SuiteResult("operator-reconstruction", report.worst, tol, lines)
 
 
 def run_all(model, max_order, residual_tol=1e-8):
     """Every suite at its standard tolerance; shared residual_tol where
-    a suite has no tighter inherent requirement."""
+    a suite has no tighter inherent requirement.
+
+    The commutator and reconstruction suites share one ``BatteryImages``,
+    built inside the commutator suite and dropped when this call returns.
+    """
+    images = BatteryImages(model)
     suites = [
         biorthogonality_suite(model, max_order, tol=residual_tol),
         eigen_residual_suite(model, min(max_order, 6), tol=residual_tol),
         ladder_suite(model, n_max=min(max_order, 6)),
-        commutator_suite(model),
+        commutator_suite(model, images=images),
         hermite_suite(model, max_order=min(max_order, 5)),
-        reconstruction_suite(model),
+        reconstruction_suite(model, images=images),
     ]
     return VerifyReport(suites=suites)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ou_spectral import ConfigError, cli
+from ou_spectral import ConfigError, cli, errors
 
 
 def write_config(tmp_path, name="model.json", **overrides):
@@ -219,6 +219,43 @@ def test_propagate_tracks_moving_gaussian(tmp_path):
     assert cli.main(["propagate", path, "--json", str(out_json)]) == 0
     data = json.loads(out_json.read_text())
     assert data["results"][0]["max_abs_error"] < 1e-6
+
+
+@pytest.mark.parametrize(
+    "B, needle",
+    [
+        # Coefficients overflow: the expansion raises before any output.
+        (1e200, "expansion coefficient of mode"),
+        # Coefficients are fine, but mode values overflow on the grid.
+        (1e-100, "expansion value at x="),
+    ],
+)
+def test_propagate_overflow_exits_2_without_json(tmp_path, capsys, B, needle):
+    path = write_config(
+        tmp_path,
+        B=[[B]],
+        max_order=6,
+        initial={"mean": [0.5], "cov": [[0.5]]},
+        propagate={"times": [0.1], "grid": {"lo": -3, "hi": 3, "points": 5}},
+    )
+    out_json = tmp_path / "prop.json"
+    assert cli.main(["propagate", path, "--json", str(out_json)]) == 2
+    captured = capsys.readouterr()
+    assert "error[NonFiniteResultError]" in captured.err and needle in captured.err
+    assert "RuntimeWarning" not in captured.err
+    assert not out_json.exists()
+
+
+def test_write_json_refuses_non_finite(tmp_path):
+    out_json = tmp_path / "out.json"
+    for bad in (float("nan"), float("inf"), complex(1.0, float("-inf"))):
+        with pytest.raises(errors.NonFiniteResultError):
+            cli._write_json(str(out_json), {"value": [bad]})
+        assert not out_json.exists()
+    cli._write_json(str(out_json), {"value": [1.0, 2j]})
+    assert json.loads(out_json.read_text(), parse_constant=_reject_constant) == {
+        "value": [1.0, [0.0, 2.0]]
+    }
 
 
 def test_solve_roundtrip(tmp_path, capsys):

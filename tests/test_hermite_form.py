@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import ou_spectral as ou
-from ou_spectral import errors
+from ou_spectral import errors, hermite_form
 from ou_spectral.mpoly import hermite
 
 
@@ -121,3 +121,36 @@ def test_hermite_form_keeps_the_model_prune_eps(model_spiral):
         assert ou.adjoint_hermite(fine, K).prune_eps == 1e-20
         # the products cached for the fine model do not leak into others
         assert ou.forward_hermite(model_spiral, K).prune_eps == model_spiral.prune_eps
+
+
+def test_hermite_product_cache_is_bounded_over_many_prune_eps(model_spiral, monkeypatch):
+    size = hermite_form.HPROD_CACHE_SIZE
+    hermite_form._HPROD_CACHE.clear()
+    for k in range(size + 50):
+        hermite_form._hermite_product((2, 1), 2, 1e-13 * (1.0 + k / 4096.0))
+        assert len(hermite_form._HPROD_CACHE) <= size
+    assert len(hermite_form._HPROD_CACHE) == size
+    # The same bound holds through the public route, one model per eps.
+    monkeypatch.setattr(hermite_form, "HPROD_CACHE_SIZE", 16)
+    hermite_form._HPROD_CACHE.clear()
+    for k in range(40):
+        model = ou.build_model(model_spiral.A, model_spiral.B, prune_eps=1e-14 * (1.0 + k))
+        ou.forward_hermite(model, (2, 1))
+        ou.adjoint_hermite(model, (1, 2))
+        assert len(hermite_form._HPROD_CACHE) <= 16
+
+
+def test_hermite_product_rebuilt_after_eviction_equals_original(monkeypatch):
+    monkeypatch.setattr(hermite_form, "HPROD_CACHE_SIZE", 4)
+    hermite_form._HPROD_CACHE.clear()
+    first = hermite_form._hermite_product((3, 2), 2, 1e-13)
+    kept = hermite_form._hermite_product((1, 1), 2, 1e-13)
+    for m in range(6):
+        hermite_form._hermite_product((m, 0), 2, 1e-13)
+        # Keep one entry in use: least-recently-used eviction spares it.
+        assert hermite_form._hermite_product((1, 1), 2, 1e-13) is kept
+    assert (2, (3, 2), 1e-13) not in hermite_form._HPROD_CACHE
+    rebuilt = hermite_form._hermite_product((3, 2), 2, 1e-13)
+    assert rebuilt is not first
+    assert rebuilt == first and rebuilt.prune_eps == first.prune_eps
+    assert list(rebuilt.terms.items()) == list(first.terms.items())

@@ -279,3 +279,77 @@ def test_arithmetic_still_prunes_dust_and_nan():
     assert (p * complex(float("nan"), 0.0)).is_zero()
     wide = MPoly(1, {(0,): 1.0}, prune_eps=1e-6)
     assert (wide + MPoly(1, {(1,): 1e-7})).terms == {(0,): 1.0 + 0.0j}
+
+
+def _dict_add(a, b):
+    # One dict pass, then a prune pass over every coefficient.
+    eps = max(a.prune_eps, b.prune_eps)
+    out = dict(a.terms)
+    for exps, c in b.terms.items():
+        out[exps] = out.get(exps, 0.0) + c
+    return {e: c for e, c in out.items() if abs(c) >= eps and c != 0.0}
+
+
+def _dict_diff(p, axis):
+    out = {}
+    for exps, c in p.terms.items():
+        e = exps[axis]
+        if e:
+            key = exps[:axis] + (e - 1,) + exps[axis + 1 :]
+            out[key] = out.get(key, 0.0) + c * e
+    return {e: c for e, c in out.items() if abs(c) >= p.prune_eps and c != 0.0}
+
+
+def _bits(terms):
+    # Keys in order and both parts of each value bit for bit (signed zeros too).
+    return [(e, c.real.hex(), c.imag.hex()) for e, c in terms.items()]
+
+
+def test_add_and_diff_match_the_full_prune_pass():
+    eps = 1e-13
+    base = MPoly(2, {(1, 0): 1 + 2j, (0, 1): 3.0, (2, 2): complex(1.0, -0.0), (0, 0): 2e-13})
+    equal_eps = [
+        # a merged key cancelling to exactly 0, another ending below eps
+        MPoly(2, {(1, 0): -1 - 2j, (2, 0): 0.5, (0, 1): -3.0 + 1e-14}),
+        # a merged key landing exactly on eps; signed zeros, merged and new
+        MPoly(2, {(0, 0): -1e-13, (2, 2): complex(1.0, -0.0), (3, 0): complex(-0.0, 2.0)}),
+        MPoly(2, {(0, 3): complex(eps, -0.0), (1, 0): complex(-0.0, -1.0)}),
+    ]
+    mixed_eps = [
+        # the lower-eps operand holds terms below the larger eps
+        MPoly(2, {(1, 0): 1e-7, (0, 1): 2.0, (1, 1): 3e-10j}, prune_eps=1e-6),
+        MPoly(2, {(1, 0): -1 - 2j + 1e-7}, prune_eps=1e-6),
+        MPoly(2, {(0, 0): 5e-7, (3, 0): 1.0}, prune_eps=1e-20),
+    ]
+    small = MPoly(2, {(0, 0): 1e-10, (1, 0): 1.0, (0, 2): 5e-7}, prune_eps=1e-20)
+    pairs = [(base, q) for q in equal_eps + mixed_eps]
+    pairs += [(q, base) for q in equal_eps + mixed_eps]
+    pairs += [(small, mixed_eps[0]), (mixed_eps[0], small), (base, base), (base, -base)]
+    for a, b in pairs:
+        for r, want in ((a + b, _dict_add(a, b)), (a - b, _dict_add(a, -b))):
+            _assert_canonical(r)
+            assert r.prune_eps == max(a.prune_eps, b.prune_eps)
+            assert _bits(r.terms) == _bits(want)
+    for c in (0.0, 1.5, complex(-0.0, 1.0), -2e-13):
+        const = MPoly.constant(2, c)
+        assert _bits((base + c).terms) == _bits(_dict_add(base, const))
+
+    # diff: coefficients at exactly eps, signed zero parts, a wide eps.
+    edge = MPoly(
+        2,
+        {
+            (1, 0): eps,
+            (2, 0): complex(-0.0, eps),
+            (1, 1): complex(eps, -0.0),
+            (0, 3): complex(-eps, -0.0),
+            (3, 2): complex(-0.0, -2.5),
+            (0, 0): 7.0,
+        },
+    )
+    wide = MPoly(2, {(2, 1): 1e-6 - 1e-6j, (0, 3): -2e-6, (1, 0): complex(1e-6, -0.0)}, prune_eps=1e-6)
+    for p in _trusted_path_cases() + [base, edge, wide] + equal_eps + mixed_eps:
+        for axis in range(2):
+            r = p.diff(axis)
+            _assert_canonical(r)
+            assert r.prune_eps == p.prune_eps
+            assert _bits(r.terms) == _bits(_dict_diff(p, axis))

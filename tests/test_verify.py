@@ -1,0 +1,197 @@
+"""The commutator and reconstruction suites against a direct evaluation.
+
+The suites share one set of ladder images per battery polynomial.  The
+reference below applies every operator in place, with no reuse, so the
+two must agree bit for bit; a call-count guard checks the reuse itself.
+"""
+
+import pathlib
+
+import numpy as np
+import pytest
+
+from ou_spectral import cli, ladder, spectral, verify
+from ou_spectral.gaussian import ForwardFunction
+from ou_spectral.ladder import (
+    apply_adjoint,
+    apply_forward,
+    build_model,
+    lower_adjoint,
+    lower_forward,
+    raise_adjoint,
+    raise_forward,
+)
+from ou_spectral.mpoly import MPoly, coeff_distance
+from ou_spectral.spectral import battery_polynomials
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+CONFIG_NAMES = ("canonical_1d", "diag_2d", "random_3d", "spiral_2d")
+
+
+def _config_model(name):
+    cfg = cli.load_config(str(CONFIGS / f"{name}.json"))
+    return cli._build(cfg), cfg.max_order
+
+
+def _random_model_3d(seed=20261018):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((3, 3)) - 2.5 * np.eye(3)
+    L = rng.standard_normal((3, 3))
+    B = L @ L.T + 0.2 * np.eye(3)
+    return build_model(A, B)
+
+
+def _reference_commutators(model):
+    n = model.dim
+    worst = 0.0
+    for p in battery_polynomials(n):
+        fwd = ForwardFunction(p, model.f0)
+        for I in range(n):
+            lam = model.eig.values[I]
+
+            a = apply_forward(model, raise_forward(model, I, fwd)).poly
+            b = raise_forward(model, I, apply_forward(model, fwd)).poly
+            c = raise_forward(model, I, fwd).poly
+            d = coeff_distance(a - b, lam * c)
+            worst = max(worst, d / max(1.0, c.max_coeff()))
+
+            a = apply_adjoint(model, raise_adjoint(model, I, p))
+            b = raise_adjoint(model, I, apply_adjoint(model, p))
+            c = raise_adjoint(model, I, p)
+            d = coeff_distance(a - b, np.conj(lam) * c)
+            worst = max(worst, d / max(1.0, c.max_coeff()))
+
+            for J in range(n):
+                a = lower_adjoint(model, J, raise_adjoint(model, I, p))
+                b = raise_adjoint(model, I, lower_adjoint(model, J, p))
+                target = (2.0 if I == J else 0.0) * p
+                d = coeff_distance(a - b, target)
+                worst = max(worst, d / max(1.0, p.max_coeff()))
+
+                a = lower_forward(model, J, raise_forward(model, I, fwd)).poly
+                b = raise_forward(model, I, lower_forward(model, J, fwd)).poly
+                d = coeff_distance(a - b, target)
+                worst = max(worst, d / max(1.0, p.max_coeff()))
+    return worst
+
+
+def _reference_reconstruction(model):
+    n = model.dim
+    Wc = np.conj(model.eig.left)
+    Ec = np.conj(model.eig.right)
+    lams = model.eig.values
+    G = Wc @ model.Sigma @ Wc.T
+    worst = {"gradient": 0.0, "position": 0.0, "forward": 0.0, "adjoint": 0.0}
+
+    def rel(d, *scales):
+        return d / max(1.0, *scales)
+
+    for p in battery_polynomials(n):
+        lows = [lower_adjoint(model, I, p) for I in range(n)]
+        raises_ = [raise_adjoint(model, I, p) for I in range(n)]
+        for i in range(n):
+            lhs = p.diff(i)
+            rhs = MPoly.zero(n, p.prune_eps)
+            for I in range(n):
+                rhs = rhs + Wc[I, i] * lows[I]
+            d = rel(coeff_distance(lhs, rhs), lhs.max_coeff(), rhs.max_coeff())
+            worst["gradient"] = max(worst["gradient"], d)
+
+            lhs = MPoly.variable(n, i, p.prune_eps) * p
+            rhs = MPoly.zero(n, p.prune_eps)
+            for I in range(n):
+                corr = MPoly.zero(n, p.prune_eps)
+                for J in range(n):
+                    corr = corr + (2.0 * G[I, J]) * lows[J]
+                rhs = rhs + 0.5 * Ec[i, I] * (raises_[I] + corr)
+            d = rel(coeff_distance(lhs, rhs), lhs.max_coeff(), rhs.max_coeff())
+            worst["position"] = max(worst["position"], d)
+
+        lhs = apply_adjoint(model, p)
+        rhs = MPoly.zero(n, p.prune_eps)
+        for I in range(n):
+            rhs = rhs + (0.5 * np.conj(lams[I])) * raise_adjoint(model, I, lows[I])
+        d = rel(coeff_distance(lhs, rhs), lhs.max_coeff(), rhs.max_coeff(), p.max_coeff())
+        worst["adjoint"] = max(worst["adjoint"], d)
+
+        fwd = ForwardFunction(p, model.f0)
+        lhs = apply_forward(model, fwd).poly
+        rhs = MPoly.zero(n, p.prune_eps)
+        for I in range(n):
+            rhs = rhs + (0.5 * lams[I]) * raise_forward(
+                model, I, lower_forward(model, I, fwd)
+            ).poly
+        d = rel(coeff_distance(lhs, rhs), lhs.max_coeff(), rhs.max_coeff(), p.max_coeff())
+        worst["forward"] = max(worst["forward"], d)
+    return worst
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES + ("random_3d_seeded",))
+def test_shared_images_match_direct_evaluation(name):
+    if name == "random_3d_seeded":
+        model = _random_model_3d()
+    else:
+        model, _ = _config_model(name)
+    want_comm = _reference_commutators(model)
+    want_rec = _reference_reconstruction(model)
+
+    images = spectral.BatteryImages(model)
+    comm = verify.commutator_suite(model, images=images)
+    report = verify.reconstruction_suite(model, images=images)
+    assert comm.worst == want_comm
+    assert report.worst == max(want_rec.values())
+    rec = spectral.reconstruct_operators_check(model)
+    assert rec.residuals == want_rec
+    assert rec.worst == max(want_rec.values())
+    assert rec.battery_size == len(battery_polynomials(model.dim))
+    # Without shared images each suite builds its own, with equal results.
+    assert verify.commutator_suite(model).worst == want_comm
+    assert spectral.reconstruct_operators_check(model, images=images).residuals == want_rec
+
+
+LADDER_OPS = (
+    "raise_adjoint",
+    "raise_forward",
+    "lower_adjoint",
+    "lower_forward",
+    "apply_adjoint",
+    "apply_forward",
+)
+
+
+def test_run_all_applies_each_ladder_operator_once_per_input(monkeypatch):
+    model, max_order = _config_model("spiral_2d")
+    # (op, id of input, mode) -> [input, calls]; holding the input keeps
+    # its id from being reused by a later object.
+    seen = {}
+
+    def counted(name, original):
+        def op(model, *args):
+            *mode, target = args
+            entry = seen.setdefault((name, id(target), tuple(mode)), [target, 0])
+            entry[1] += 1
+            return original(model, *args)
+
+        return op
+
+    for name in LADDER_OPS:
+        original = getattr(ladder, name)
+        wrapped = counted(name, original)
+        for module in (ladder, spectral, verify):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapped)
+
+    report = verify.run_all(model, max_order)
+    assert report.passed
+    repeats = {key: calls for key, (_, calls) in seen.items() if calls > 1}
+    assert not repeats
+    # The battery went through the shared images: every battery polynomial
+    # was raised by every mode, once.
+    battery = battery_polynomials(model.dim)
+    raised = [
+        target
+        for (name, _, mode), (target, _) in seen.items()
+        if name == "raise_adjoint" and mode == (0,)
+    ]
+    for p in battery:
+        assert sum(1 for g in raised if g == p) == 1
