@@ -421,6 +421,8 @@ def cmd_solve(cfg, args):
     q = ForwardFunction(
         MPoly(model.dim, cfg.source, model.prune_eps), model.f0
     )
+    if q.poly.degree() > cfg.max_order:
+        _fail("source", f"degree {q.poly.degree()} exceeds max_order {cfg.max_order}")
     P = solve_inhomogeneous(
         model,
         q,

@@ -204,11 +204,15 @@ def inverse(S):
 
 
 def sym_sqrt(S):
-    """Symmetric square root of an SPD matrix via eigendecomposition."""
+    """Symmetric square root of an SPD matrix via eigendecomposition.
+
+    The smallest eigenvalue must exceed 1e-14 times the largest, so the
+    test does not depend on the units of S; a NaN eigenvalue fails it too.
+    """
     S = _as_square(S, "S")
     _check_symmetric(S, "S")
     w, V = np.linalg.eigh(S)
-    if w[0] <= 1e-14 * max(w[-1], 1.0):
+    if not w[0] > 1e-14 * w[-1]:
         raise NotSPDError(f"matrix has non-positive eigenvalue {w[0]:.3e}")
     T = (V * np.sqrt(w)) @ V.T
     return 0.5 * (T + T.T)

@@ -2,14 +2,15 @@
 
 Terms live in a dict mapping exponent tuples to coefficients.  Every
 instance keeps one invariant: each key is a tuple of ``nvars``
-nonnegative Python ints and each value a Python ``complex`` whose
-magnitude is at least ``prune_eps``.  The public constructor validates
-and converts its input to establish it.  Arithmetic results are built
-from operands that already hold it, using only int addition on
-exponents and complex arithmetic on coefficients, so they skip
-validation.  Pruning, which drops coefficients below the threshold so
-cancellation dust never accumulates, runs only where a coefficient can
-have shrunk:
+nonnegative Python ints and each value a nonzero Python ``complex``
+whose magnitude is not below ``prune_eps``.  Only finite coefficients
+can be small, so NaN is kept: an overflow never reads as an exact zero.
+The public constructor validates and converts its input to establish
+it.  Arithmetic results are built from operands that already hold it,
+using only int addition on exponents and complex arithmetic on
+coefficients, so they skip validation.  Pruning, which drops
+coefficients below the threshold so cancellation dust never
+accumulates, runs only where a coefficient can have shrunk:
 
 * ``__mul__``, ``affine`` and ``__add__`` of operands with different
   ``prune_eps`` scan every result coefficient (``MPoly._trusted``);
@@ -53,8 +54,8 @@ class MPoly:
         Number of variables, at least 1.
     terms : dict, optional
         Map from exponent tuple (length ``nvars``, nonnegative ints) to
-        coefficient.  Coefficients with magnitude below ``prune_eps``
-        are dropped.
+        coefficient.  Zero coefficients and those with magnitude below
+        ``prune_eps`` are dropped; NaN is kept.
     prune_eps : float, optional
         Prune threshold carried onto results of arithmetic with this
         polynomial.  Defaults to ``DEFAULT_PRUNE_EPS``.
@@ -80,7 +81,7 @@ class MPoly:
                 if any(e < 0 for e in key):
                     raise ValueError(f"negative exponent in {key}")
                 c = complex(c)
-                if abs(c) >= eps and c != 0.0:
+                if c != 0.0 and not abs(c) < eps:
                     clean[key] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
@@ -92,7 +93,7 @@ class MPoly:
         pruning, which runs here over every coefficient, in key order.
         The caller guarantees the keys and value types."""
         return cls._wrap(
-            nvars, {e: c for e, c in terms.items() if abs(c) >= eps and c != 0.0}, eps
+            nvars, {e: c for e, c in terms.items() if c != 0.0 and not abs(c) < eps}, eps
         )
 
     @classmethod
@@ -201,7 +202,7 @@ class MPoly:
                 out[exps] = 0.0 + c
         for exps in merged:
             c = out[exps]
-            if not (abs(c) >= eps and c != 0.0):
+            if c == 0.0 or abs(c) < eps:
                 del out[exps]
         return MPoly._wrap(self.nvars, out, eps)
 
@@ -382,7 +383,11 @@ def render(p):
 
 
 def coeff_distance(p, q):
-    """Largest coefficient difference between two polynomials."""
+    """Largest coefficient difference between two polynomials.
+
+    NaN when some difference is NaN (an overflow on either side), so a
+    non-finite mismatch never hides behind a finite one.
+    """
     if p.nvars != q.nvars:
         raise DimensionMismatchError(
             f"operands have {p.nvars} and {q.nvars} variables"
@@ -392,6 +397,8 @@ def coeff_distance(p, q):
         d = abs(p.terms.get(exps, 0.0) - q.terms.get(exps, 0.0))
         if d > worst:
             worst = d
+        elif d != d:
+            return d
     return worst
 
 

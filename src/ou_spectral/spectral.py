@@ -18,9 +18,14 @@ generating functions and obey three-term recursions along the modes:
   ``y = x Sigma^-1 E`` and ``G = E^T Sigma^-1 E``,
   ``p_{K+e_I} = y_I p_K - sum_J G_IJ K_J p_{K-e_J}``, ``p_0 = 1``.
 
-Both cost O(modes * dim) per value and prune nothing.  The inhomogeneous
-solve and the ``verify`` suites stay on the exact ``MPoly`` ladder, which
-is the reference these recursions are tested against.
+Both cost O(modes * dim) per value and prune nothing.  The ``verify``
+suites stay on the exact ``MPoly`` ladder, which is the reference these
+recursions are tested against.
+
+The inhomogeneous solve builds no eigenfunction either.  With P = p f0,
+f0^-1 L(p f0) = (M x) . grad p + (1/2) B : grad grad p, M = Sigma A^T
+Sigma^-1, is block-triangular by degree, so ``solve_inhomogeneous``
+solves one small real system per degree of the source, top degree first.
 """
 
 from dataclasses import dataclass, field
@@ -33,16 +38,14 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteResultError,
     NotSolvableError,
-    SingularSystemError,
 )
-from .gaussian import ForwardFunction, GaussianDensity, expectation, inner_product
+from .gaussian import ForwardFunction, GaussianDensity, expectation
 from .ladder import (
-    adjoint_eigenfunction,
     apply_adjoint,
     apply_forward,
+    compositions,
     eigenvalue,
     enumerate_modes,
-    forward_eigenfunction,
     lower_adjoint,
     lower_forward,
     mode_normalization,
@@ -233,14 +236,71 @@ def exact_gaussian_propagate(model, F0, t):
     return GaussianDensity(mean=mean, cov=0.5 * (cov + cov.T))
 
 
+def _monomials(n, k):
+    """Degree-k monomials in n variables and their row index."""
+    monos = list(compositions(k, n))
+    return monos, {a: r for r, a in enumerate(monos)}
+
+
+def _drift_block(M, monos, index):
+    """D_k: the matrix of p -> (M x) . grad p on the degree-k ``monos``.
+
+    Column a holds the image of x^a, sum_ij M_ij a_i x^(a - e_i + e_j),
+    which is again of degree k.
+    """
+    n = M.shape[0]
+    D = np.zeros((len(monos), len(monos)))
+    for col, a in enumerate(monos):
+        for i in range(n):
+            if a[i] == 0:
+                continue
+            lowered = a[:i] + (a[i] - 1,) + a[i + 1 :]
+            for j in range(n):
+                b = lowered[:j] + (lowered[j] + 1,) + lowered[j + 1 :]
+                D[index[b], col] += a[i] * M[i, j]
+    return D
+
+
+def _hessian_block(B, monos, index):
+    """The matrix of p -> (1/2) B : grad grad p from the degree-(k+2)
+    ``monos`` to the degree-k monomials of ``index``."""
+    n = B.shape[0]
+    H = np.zeros((len(index), len(monos)))
+    for col, a in enumerate(monos):
+        for i in range(n):
+            if a[i] == 0:
+                continue
+            lowered = a[:i] + (a[i] - 1,) + a[i + 1 :]
+            for j in range(n):
+                if lowered[j] == 0:
+                    continue
+                b = lowered[:j] + (lowered[j] - 1,) + lowered[j + 1 :]
+                H[index[b], col] += 0.5 * B[i, j] * a[i] * lowered[j]
+    return H
+
+
 def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
-    """Solve L P = q for a polynomial-times-Gaussian source q.
+    """Solve L P = q for a source q = (polynomial of degree d) * f0.
+
+    With P = p f0, f0^-1 L(p f0) = (M x) . grad p + (1/2) B : grad grad p,
+    M = Sigma A^T Sigma^-1: the backward generator of the time-reversed
+    process.  The first term keeps the degree of a homogeneous
+    polynomial and the second lowers it by 2, so for k = d down to 1 the
+    degree-k part of p solves D_k p_k = q_k - (1/2) B : grad grad p_{k+2}.
+    D_k has the eigenvalues lambda_K with |K| = k, so it is nonsingular;
+    the real and imaginary parts of q solve as two real right-hand sides.
+    The solution is exact, of degree d, and real for a real source.
 
     The stationary mode lies in the kernel of L, so a source with a
-    nonzero stationary component admits no solution; that component is
-    measured against the source scale with ``solvability_tol``.  All
-    other modes divide by their (computed, not assumed) eigenvalue and
-    duality normalization.
+    nonzero stationary component E_f0[q / f0] admits no solution; that
+    component is measured against the source scale with
+    ``solvability_tol`` and raises ``NotSolvableError``.  The constant of
+    p, which L does not see, is fixed by E_f0[p] = 0: P has no
+    stationary component either.
+
+    Raises ``ValueError`` when ``q`` is not a polynomial times the
+    model's stationary density, or when its degree exceeds ``max_order``,
+    and ``NonFiniteResultError`` when a coefficient of P overflows.
     """
     if not isinstance(q, ForwardFunction):
         raise TypeError("solve_inhomogeneous takes a ForwardFunction")
@@ -248,9 +308,17 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
         raise DimensionMismatchError(
             f"source of dimension {q.dim} for a {model.dim}-dimensional model"
         )
+    if q.base is not model.f0 and not (
+        np.array_equal(q.base.mean, model.f0.mean)
+        and np.array_equal(q.base.cov, model.f0.cov)
+    ):
+        raise ValueError("source is not based on the model's stationary density")
     max_order = int(max_order)
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
+    d = q.poly.degree()
+    if d > max_order:
+        raise ValueError(f"source of degree {d} exceeds max_order {max_order}")
     scale = max(1.0, q.poly.max_coeff())
     c0 = expectation(q.poly, q.base)
     if abs(c0) > solvability_tol * scale:
@@ -258,24 +326,29 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
             f"source has stationary component {abs(c0):.3e} "
             f"(tolerance {solvability_tol * scale:.3e}); no solution exists"
         )
-    out = MPoly.zero(model.dim, model.prune_eps)
-    for K in enumerate_modes(model.dim, max_order):
-        if sum(K) == 0:
-            continue
-        g = adjoint_eigenfunction(model, K)
-        f = forward_eigenfunction(model, K)
-        proj = inner_product(g, q)
-        if proj == 0.0:
-            continue
-        norm = inner_product(g, f)
-        if norm == 0.0 or not np.isfinite(norm):
-            raise SingularSystemError(
-                f"mode {K} has duality pairing {norm}, which cannot be divided out; "
-                "its eigenfunctions were pruned away or overflowed"
+    n = model.dim
+    M = model.Sigma @ model.A.T @ model.Sigma_inv
+    levels = [_monomials(n, k) for k in range(d + 1)]
+    rhs = [np.zeros((len(monos), 2)) for monos, _ in levels]
+    for a, c in q.poly.terms.items():
+        k = sum(a)
+        rhs[k][levels[k][1][a]] = (c.real, c.imag)
+    terms = {}
+    sol = {}
+    for k in range(d, 0, -1):
+        monos, index = levels[k]
+        b = rhs[k]
+        if k + 2 <= d:
+            b = b - _hessian_block(model.B, levels[k + 2][0], index) @ sol[k + 2]
+        sol[k] = np.linalg.solve(_drift_block(M, monos, index), b)
+        if not np.all(np.isfinite(sol[k])):
+            raise NonFiniteResultError(
+                f"the degree-{k} part of the solution is not finite; "
+                "the source is too large or not finite"
             )
-        lam = eigenvalue(model, K)
-        out = out + (proj / (lam * norm)) * f.poly
-    return ForwardFunction(out, model.f0)
+        terms.update((a, complex(re, im)) for a, (re, im) in zip(monos, sol[k]))
+    p = MPoly(n, terms, model.prune_eps)
+    return ForwardFunction(p - expectation(p, model.f0), model.f0)
 
 
 def battery_polynomials(nvars, count=20, max_degree=5, seed=20240817):

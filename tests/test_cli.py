@@ -297,6 +297,12 @@ def test_solve_requires_source(tmp_path, capsys):
     assert "required for solve" in capsys.readouterr().err
 
 
+def test_solve_source_above_max_order_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, max_order=2, source={"terms": [[[3], [1.0, 0.0]]]})
+    assert cli.main(["solve", path]) == 2
+    assert "exceeds max_order" in capsys.readouterr().err
+
+
 def test_solve_unsolvable_source_exits_2(tmp_path, capsys):
     # q = f0 has a nonzero stationary component, so L P = q has no solution
     path = write_config(tmp_path, source={"terms": [[[0], [1.0, 0.0]]]})

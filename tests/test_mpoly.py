@@ -184,6 +184,24 @@ def test_coeff_distance():
     assert coeff_distance(p, p) == 0.0
 
 
+def test_overflow_is_not_an_exact_match():
+    # inf - inf is NaN: a difference of overflowed polynomials must not
+    # read as the zero polynomial, nor their distance as 0.
+    inf, nan = float("inf"), float("nan")
+    a = MPoly(1, {(1,): inf})
+    for d in (a - a, a + (-a), a - MPoly(1, {(1,): inf}, prune_eps=1e-20)):
+        assert not d.is_zero()
+        assert np.isnan(d.terms[(1,)])
+    assert not coeff_distance(a, a) == 0.0
+    assert np.isnan(coeff_distance(a, a))
+    assert MPoly(1, {(0,): nan}).terms.keys() == {(0,)}
+    # A NaN difference wins over every finite one, in either operand order.
+    p = MPoly(1, {(0,): 5.0, (1,): nan, (2,): 1.0})
+    q = MPoly(1, {(1,): 1.0})
+    assert np.isnan(coeff_distance(p, q)) and np.isnan(coeff_distance(q, p))
+    assert coeff_distance(a, MPoly(1, {(1,): 1.0})) == inf
+
+
 def test_multinomial_values():
     assert multinomial(4, (2, 2)) == 6
     assert multinomial(5, (5, 0, 0)) == 1
@@ -265,7 +283,7 @@ def test_negation_and_conjugation_keep_every_term():
         assert -(-p) == p and p.conj().conj() == p
 
 
-def test_arithmetic_still_prunes_dust_and_nan():
+def test_arithmetic_prunes_dust_and_keeps_nan():
     p = MPoly(1, {(0,): 1.0, (1,): 1.0})
     q = MPoly(1, {(1,): -1.0 + 1e-15})
     s = p + q
@@ -275,8 +293,10 @@ def test_arithmetic_still_prunes_dust_and_nan():
     assert (1e-14 * p).is_zero()
     assert (p * MPoly(1, {(0,): 1e-14})).is_zero()
     assert (MPoly(1, {(1,): 1e-13}).diff(0) * 0.5).is_zero()
-    assert (p * float("nan")).is_zero()
-    assert (p * complex(float("nan"), 0.0)).is_zero()
+    for nan in (float("nan"), complex(float("nan"), 0.0)):
+        r = p * nan
+        assert set(r.terms) == set(p.terms)
+        assert all(np.isnan(c) for c in r.terms.values())
     wide = MPoly(1, {(0,): 1.0}, prune_eps=1e-6)
     assert (wide + MPoly(1, {(1,): 1e-7})).terms == {(0,): 1.0 + 0.0j}
 
@@ -287,7 +307,7 @@ def _dict_add(a, b):
     out = dict(a.terms)
     for exps, c in b.terms.items():
         out[exps] = out.get(exps, 0.0) + c
-    return {e: c for e, c in out.items() if abs(c) >= eps and c != 0.0}
+    return {e: c for e, c in out.items() if c != 0.0 and not abs(c) < eps}
 
 
 def _dict_diff(p, axis):
@@ -297,7 +317,7 @@ def _dict_diff(p, axis):
         if e:
             key = exps[:axis] + (e - 1,) + exps[axis + 1 :]
             out[key] = out.get(key, 0.0) + c * e
-    return {e: c for e, c in out.items() if abs(c) >= p.prune_eps and c != 0.0}
+    return {e: c for e, c in out.items() if c != 0.0 and not abs(c) < p.prune_eps}
 
 
 def _bits(terms):

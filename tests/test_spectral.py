@@ -7,8 +7,9 @@ import numpy.testing as npt
 import pytest
 
 import ou_spectral as ou
-from ou_spectral import cli, errors, linalg
+from ou_spectral import cli, errors, ladder, linalg, spectral
 from ou_spectral.kernels import eval_poly_grid
+from ou_spectral.ladder import compositions
 from ou_spectral.mpoly import MPoly
 from ou_spectral.spectral import GRID_CHUNK, battery_polynomials
 
@@ -324,9 +325,204 @@ def test_order_zero_is_the_stationary_mode(model_3d):
     )
 
 
-def test_solve_raises_typed_error_on_pruned_pairing():
-    # Sigma = 1e6: f_3 and higher are pruned to zero, so <g_K, f_K> = 0.
+# ---- the degree-by-degree solve ----
+
+
+def _mode_sum_solve(model, q, order):
+    """Reference solve by the eigenmode sum
+    P = sum_{K != 0} <g_K, q> / (lambda_K <g_K, f_K>) f_K.
+
+    Exact once ``order`` reaches deg q, but each pairing is a Wick sum over
+    ladder-built eigenfunctions, so it loses digits with the conditioning
+    of the eigenvectors; use it on well-conditioned models only.
+    """
+    out = MPoly.zero(model.dim, model.prune_eps)
+    for K in ou.enumerate_modes(model.dim, order)[1:]:
+        g = ou.adjoint_eigenfunction(model, K)
+        f = ou.forward_eigenfunction(model, K)
+        norm = ou.inner_product(g, f)
+        out = out + (ou.inner_product(g, q) / (ou.eigenvalue(model, K) * norm)) * f.poly
+    return out
+
+
+def _odd_source(rng, model, order, scale=1.0):
+    """Every odd-degree monomial up to ``order`` with a complex standard
+    normal coefficient, degree d scaled by scale^-d: zero stationary
+    component under any centred Gaussian, so L P = q is solvable."""
+    terms = {
+        K: complex(*rng.standard_normal(2)) * scale ** -sum(K)
+        for K in ou.enumerate_modes(model.dim, order)
+        if sum(K) % 2 == 1
+    }
+    return ou.ForwardFunction(MPoly(model.dim, terms, model.prune_eps), model.f0)
+
+
+def _relative_residual(model, P, q):
+    resid = ou.coeff_distance(ou.apply_forward(model, P).poly, q.poly)
+    return resid / max(1.0, q.poly.max_coeff())
+
+
+def _pool_model(rng, n, spectrum):
+    """Stable drift with decay rates in [0.5, 2.5] (one conjugate pair for
+    a complex spectrum) behind a change of basis of condition below 10,
+    and a random SPD diffusion."""
+    D = np.diag(-rng.uniform(0.5, 2.5, size=n))
+    if spectrum == "complex":
+        a, b = rng.uniform(0.5, 1.5), rng.uniform(0.5, 2.5)
+        D[:2, :2] = [[-a, -b], [b, -a]]
+    while True:
+        S = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        if np.linalg.cond(S) < 10.0:
+            break
+    M = rng.standard_normal((n, n))
+    return ou.build_model(S @ D @ np.linalg.inv(S), M @ M.T / n + 0.5 * np.eye(n))
+
+
+def test_solve_matches_mode_sum_reference():
+    # The mode sum is the less accurate side: on the random models its
+    # relative residual reaches 9e-9 where the degree solve stays below
+    # 7e-12, so agreement is checked to 1e-9 of the largest coefficient.
+    rng = np.random.default_rng(31)
+    cases = []
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = cli.load_config(str(path))
+        model = ou.build_model(cfg.A, cfg.B)
+        if cfg.source is not None:
+            q = ou.ForwardFunction(MPoly(model.dim, cfg.source, model.prune_eps), model.f0)
+        else:
+            q = _odd_source(rng, model, cfg.max_order)
+        cases.append((path.stem, model, q, cfg.max_order))
+    for n, order in [(2, 6), (3, 5), (4, 4), (5, 3)]:
+        model = _random_model(100 + n, n)
+        cases.append((f"random n={n}", model, _odd_source(rng, model, order), order))
+    for name, model, q, order in cases:
+        P = ou.solve_inhomogeneous(model, q, order)
+        ref = _mode_sum_solve(model, q, order)
+        d = ou.coeff_distance(P.poly, ref)
+        assert d <= 1e-9 * ref.max_coeff(), (name, d)
+
+
+@pytest.mark.parametrize("seed", range(9001, 9011))
+def test_solve_residual_gate_on_unseen_seeds(seed):
+    # The spectral-stream pool shapes (n, order, spectrum), each model
+    # with its own odd complex source; exact up to round-off.
+    rng = np.random.default_rng(seed)
+    for n, order, spectrum in [(2, 6, "complex"), (3, 5, "real"), (4, 4, "complex"), (5, 3, "complex")]:
+        model = _pool_model(rng, n, spectrum)
+        q = _odd_source(rng, model, order)
+        P = ou.solve_inhomogeneous(model, q, order)
+        assert P.poly.degree() <= order
+        assert _relative_residual(model, P, q) <= 1e-12, (seed, n, order)
+
+
+def test_solve_blocks_are_the_forward_operator(four_models):
+    # f0^-1 L(x^a f0) is D_k x^a in degree k = |a|, the Hessian block in
+    # degree k - 2, and nothing else; D_k has the eigenvalues lambda_K, |K| = k.
+    models = list(four_models.values()) + [_random_model(104, 4)]
+    for model in models:
+        n = model.dim
+        M = model.Sigma @ model.A.T @ model.Sigma_inv
+        for k in range(1, 5):
+            monos, index = spectral._monomials(n, k)
+            D = spectral._drift_block(M, monos, index)
+            lams = [ou.eigenvalue(model, K) for K in compositions(k, n)]
+            gap = np.abs(np.subtract.outer(np.linalg.eigvals(D), lams))
+            worst = max(gap.min(axis=0).max(), gap.min(axis=1).max())
+            assert worst <= 1e-9 * max(abs(lam) for lam in lams), (n, k)
+            lower, lower_index = spectral._monomials(n, k - 2) if k >= 2 else ([], {})
+            H = spectral._hessian_block(model.B, monos, lower_index)
+            for col, a in enumerate(monos):
+                f = ou.ForwardFunction(MPoly(n, {a: 1.0}, model.prune_eps), model.f0)
+                img = ou.apply_forward(model, f).poly
+                want = {b: D[r, col] for b, r in index.items()}
+                want.update({b: H[r, col] for b, r in lower_index.items()})
+                for b in set(img.terms) | set(want):
+                    assert abs(img.terms.get(b, 0.0) - want.get(b, 0.0)) <= 1e-12, (n, a, b)
+
+
+def test_solve_closed_form_at_high_diffusion():
+    # A = -1, B = 2e6, Sigma = 1e6: L(p f0) = (-x p' + 1e6 p'') f0.  The
+    # eigenmode route pruned f_3 and higher away and could not solve this.
     model = ou.build_model([[-1.0]], [[2e6]])
     q = ou.ForwardFunction(MPoly(1, {(1,): 1e-3, (3,): 1e-9}), model.f0)
-    with pytest.raises(errors.SingularSystemError, match=r"mode \(\d+,\)"):
-        ou.solve_inhomogeneous(model, q, 5)
+    P = ou.solve_inhomogeneous(model, q, 5)
+    exact = MPoly(1, {(1,): -3e-3, (3,): -1e-9 / 3.0})
+    assert set(P.poly.terms) == {(1,), (3,)}
+    assert ou.coeff_distance(P.poly, exact) <= 1e-18
+
+
+A_RESCALE = np.array([[-1.0, -2.0], [2.0, -1.0]])
+B_RESCALE = np.array([[1.0, 0.3], [0.3, 0.8]])
+
+
+def test_solve_rescaled_high_scale_model():
+    # x -> c x keeps A and scales B by c^2; a source in scaled units has
+    # degree d scaled by c^-d.  The eigenmode route raised
+    # SingularSystemError on this model.
+    c = 1.3e5
+    model = ou.build_model(A_RESCALE, c * c * B_RESCALE)
+    q = _odd_source(np.random.default_rng(5), model, 5, scale=c)
+    assert _relative_residual(model, ou.solve_inhomogeneous(model, q, 5), q) <= 1e-12
+
+
+@pytest.mark.parametrize("c", [10**-5.5, 1.3e5])
+def test_solve_does_not_depend_on_units(c):
+    # With nothing pruned, the source q1(x / c) has the solution P1(x / c):
+    # the coefficient of x^a times c^|a| is that of the unit-scale solution.
+    # (At the small scale the apply_forward residual itself loses digits,
+    # so this compares solutions instead.)
+    unit = ou.build_model(A_RESCALE, B_RESCALE, prune_eps=0.0)
+    scaled = ou.build_model(A_RESCALE, c * c * B_RESCALE, prune_eps=0.0)
+    q1 = _odd_source(np.random.default_rng(6), unit, 5)
+    q = ou.ForwardFunction(q1.poly.affine(np.eye(2) / c, np.zeros(2)), scaled.f0)
+    P = ou.solve_inhomogeneous(scaled, q, 5).poly
+    want = ou.solve_inhomogeneous(unit, q1, 5).poly
+    assert set(P.terms) == set(want.terms)
+    for a, w in want.terms.items():
+        assert abs(P.terms[a] * c ** sum(a) - w) <= 1e-14 * want.max_coeff(), a
+
+
+def test_solve_real_source_gives_real_solution_of_its_degree(model_spiral):
+    q = ou.ForwardFunction(MPoly(2, {(1, 0): 1e8, (2, 1): 0.5e8}), model_spiral.f0)
+    P = ou.solve_inhomogeneous(model_spiral, q, 6)
+    assert P.poly.terms
+    assert all(c.imag == 0.0 for c in P.poly.terms.values())
+    assert P.poly.degree() == 3
+    assert _relative_residual(model_spiral, P, q) <= 1e-14
+
+
+def test_solve_defines_its_inputs(model_spiral):
+    model = model_spiral
+    q = ou.ForwardFunction(MPoly(2, {(1, 0): 1.0, (2, 1): 0.5}), model.f0)
+    with pytest.raises(ValueError, match="max_order"):
+        ou.solve_inhomogeneous(model, q, 2)
+    other = ou.GaussianDensity(mean=np.zeros(2), cov=2.0 * model.Sigma)
+    with pytest.raises(ValueError, match="stationary density"):
+        ou.solve_inhomogeneous(model, ou.ForwardFunction(q.poly, other), 3)
+    # A copy of f0 is the same density.
+    same = ou.GaussianDensity(mean=model.f0.mean.copy(), cov=model.f0.cov.copy())
+    P = ou.solve_inhomogeneous(model, ou.ForwardFunction(q.poly, same), 3)
+    assert P.poly == ou.solve_inhomogeneous(model, q, 3).poly
+
+
+def test_solve_overflow_raises_typed_error(model_spiral):
+    # p_5 is about 2e307; the Hessian step to degree 3 multiplies it past
+    # the float range.
+    for c in (1e308, float("inf")):
+        q = ou.ForwardFunction(MPoly(2, {(5, 0): c}), model_spiral.f0)
+        with pytest.raises(errors.NonFiniteResultError, match="not finite"):
+            ou.solve_inhomogeneous(model_spiral, q, 5)
+
+
+def test_solve_builds_no_eigenfunction(monkeypatch):
+    def refuse(model, K):
+        raise AssertionError("solve_inhomogeneous built an eigenfunction")
+
+    for name in ("forward_eigenfunction", "adjoint_eigenfunction"):
+        monkeypatch.setattr(ladder, name, refuse)
+        monkeypatch.setattr(spectral, name, refuse, raising=False)
+    model = _random_model(203, 3)
+    q = _odd_source(np.random.default_rng(2), model, 5)
+    P = ou.solve_inhomogeneous(model, q, 5)
+    assert _relative_residual(model, P, q) <= 1e-12
+    assert not model._forward_cache and not model._adjoint_cache
