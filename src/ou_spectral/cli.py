@@ -142,7 +142,7 @@ class ModelConfig:
                     _fail(f"sim.{key}", "missing (required for sim)")
             try:
                 self.sim = SimConfig(
-                    paths=_integer(block["paths"], "sim.paths", minimum=2),
+                    paths=_integer(block["paths"], "sim.paths", minimum=3),
                     dt=_number(block["dt"], "sim.dt"),
                     t_final=_number(block["t_final"], "sim.t_final"),
                     seed=_integer(block["seed"], "sim.seed"),

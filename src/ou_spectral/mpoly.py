@@ -402,6 +402,15 @@ def coeff_distance(p, q):
     return worst
 
 
+def fold_worst(worst, d):
+    """The larger of two residuals, and NaN when either is NaN.
+
+    ``max(worst, d)`` keeps ``worst`` when ``d`` is NaN, so a running
+    maximum folded with it drops every NaN that does not come first.
+    """
+    return d if d > worst or d != d else worst
+
+
 _HERMITE_CACHE = None
 
 

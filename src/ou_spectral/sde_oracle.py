@@ -25,8 +25,10 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.paths < 2:
-            raise ValueError("paths must be at least 2")
+        # With two paths d1 = -d2, so every product d_i d_j is the same on
+        # both and the covariance standard errors are zero up to rounding.
+        if self.paths < 3:
+            raise ValueError("paths must be at least 3")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if self.t_final < self.dt:

@@ -29,7 +29,7 @@ solves one small real system per degree of the source, top degree first.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .ladder import (
     raise_adjoint,
     raise_forward,
 )
-from .mpoly import MPoly, coeff_distance
+from .mpoly import MPoly, coeff_distance, fold_worst
 
 # Points per block of grid evaluation; the work array holds every mode
 # over one block, never over the whole grid.
@@ -442,7 +442,7 @@ class OperatorIdentityReport:
 
     @property
     def worst(self):
-        return max(self.residuals.values())
+        return reduce(fold_worst, self.residuals.values(), 0.0)
 
 
 def reconstruct_operators_check(model, tol=1e-9, images=None):
@@ -493,28 +493,28 @@ def reconstruct_operators_check(model, tol=1e-9, images=None):
             for I in range(n):
                 rhs = rhs + Wc[I, i] * lows[I]
             d = rel(coeff_distance(lhs, rhs), lhs.max_coeff(), rhs.max_coeff())
-            worst["gradient"] = max(worst["gradient"], d)
+            worst["gradient"] = fold_worst(worst["gradient"], d)
 
             lhs = MPoly.variable(n, i, p.prune_eps) * p
             rhs = MPoly.zero(n, p.prune_eps)
             for I in range(n):
                 rhs = rhs + 0.5 * Ec[i, I] * shifted[I]
             d = rel(coeff_distance(lhs, rhs), lhs.max_coeff(), rhs.max_coeff())
-            worst["position"] = max(worst["position"], d)
+            worst["position"] = fold_worst(worst["position"], d)
 
         lhs = img.apply_adjoint
         rhs = MPoly.zero(n, p.prune_eps)
         for I in range(n):
             rhs = rhs + (0.5 * np.conj(lams[I])) * img.raise_lower_adjoint[I]
         d = rel(coeff_distance(lhs, rhs), lhs.max_coeff(), rhs.max_coeff(), p.max_coeff())
-        worst["adjoint"] = max(worst["adjoint"], d)
+        worst["adjoint"] = fold_worst(worst["adjoint"], d)
 
         lhs = img.apply_forward.poly
         rhs = MPoly.zero(n, p.prune_eps)
         for I in range(n):
             rhs = rhs + (0.5 * lams[I]) * img.raise_lower_forward[I].poly
         d = rel(coeff_distance(lhs, rhs), lhs.max_coeff(), rhs.max_coeff(), p.max_coeff())
-        worst["forward"] = max(worst["forward"], d)
+        worst["forward"] = fold_worst(worst["forward"], d)
 
     return OperatorIdentityReport(
         residuals=worst, tol=tol, battery_size=len(images.records)

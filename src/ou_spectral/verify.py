@@ -24,7 +24,7 @@ from .ladder import (
     raise_adjoint,
     raise_forward,
 )
-from .mpoly import coeff_distance
+from .mpoly import coeff_distance, fold_worst
 from .spectral import BatteryImages, reconstruct_operators_check
 
 
@@ -69,13 +69,13 @@ def biorthogonality_suite(model, max_order, tol=1e-8):
             f"K={K} pairing/normalization = {diag.real / norm:.6f}"
             + (f" {diag.imag / norm:+.2e}i" if abs(diag.imag) > 0 else "")
         )
-        worst = max(worst, abs(diag - norm) / norm)
+        worst = fold_worst(worst, abs(diag - norm) / norm)
         if sum(K) <= pair_order:
             for M in modes_pair:
                 if M == K:
                     continue
                 val = inner_product(adjoint_eigenfunction(model, M), f)
-                worst = max(worst, abs(val) / norm)
+                worst = fold_worst(worst, abs(val) / norm)
     return SuiteResult("biorthogonality", worst, tol, lines)
 
 
@@ -86,10 +86,10 @@ def eigen_residual_suite(model, max_order, tol=1e-8):
         lam = eigenvalue(model, K)
         f = forward_eigenfunction(model, K)
         resid = coeff_distance(apply_forward(model, f).poly, lam * f.poly)
-        worst = max(worst, resid / max(1.0, f.poly.max_coeff()))
+        worst = fold_worst(worst, resid / max(1.0, f.poly.max_coeff()))
         g = adjoint_eigenfunction(model, K)
         resid = coeff_distance(apply_adjoint(model, g), np.conj(lam) * g)
-        worst = max(worst, resid / max(1.0, g.max_coeff()))
+        worst = fold_worst(worst, resid / max(1.0, g.max_coeff()))
     return SuiteResult("eigen-residuals", worst, tol)
 
 
@@ -116,14 +116,14 @@ def ladder_suite(model, n_max=6, tol=1e-10):
                 f = lower_forward(model, I, f)
                 g = lower_adjoint(model, I, g)
                 d = coeff_distance(f.poly, factor * fref.poly)
-                worst = max(worst, d / (factor * max(1.0, fref.poly.max_coeff())))
+                worst = fold_worst(worst, d / (factor * max(1.0, fref.poly.max_coeff())))
                 d = coeff_distance(g, factor * gref)
-                worst = max(worst, d / (factor * max(1.0, gref.max_coeff())))
+                worst = fold_worst(worst, d / (factor * max(1.0, gref.max_coeff())))
             f = lower_forward(model, I, f)
             g = lower_adjoint(model, I, g)
             scale = float(2**n) * math.factorial(n)
-            worst = max(worst, f.poly.max_coeff() / scale)
-            worst = max(worst, g.max_coeff() / scale)
+            worst = fold_worst(worst, f.poly.max_coeff() / scale)
+            worst = fold_worst(worst, g.max_coeff() / scale)
     return SuiteResult("ladder-factorials", worst, tol)
 
 
@@ -154,13 +154,13 @@ def commutator_suite(model, tol=1e-9, images=None):
             a = apply_forward(model, c).poly
             b = raise_forward(model, I, img.apply_forward).poly
             d = coeff_distance(a - b, lam * c.poly)
-            worst = max(worst, d / max(1.0, c.poly.max_coeff()))
+            worst = fold_worst(worst, d / max(1.0, c.poly.max_coeff()))
 
             c = img.raise_adjoint[I]
             a = apply_adjoint(model, c)
             b = raise_adjoint(model, I, img.apply_adjoint)
             d = coeff_distance(a - b, np.conj(lam) * c)
-            worst = max(worst, d / max(1.0, c.max_coeff()))
+            worst = fold_worst(worst, d / max(1.0, c.max_coeff()))
 
             for J in range(n):
                 if I == J:
@@ -173,11 +173,11 @@ def commutator_suite(model, tol=1e-9, images=None):
                     b_fwd = raise_forward(model, I, img.lower_forward[J])
                 a = lower_adjoint(model, J, img.raise_adjoint[I])
                 d = coeff_distance(a - b_adj, target)
-                worst = max(worst, d / scale)
+                worst = fold_worst(worst, d / scale)
 
                 a = lower_forward(model, J, img.raise_forward[I])
                 d = coeff_distance(a.poly - b_fwd.poly, target)
-                worst = max(worst, d / scale)
+                worst = fold_worst(worst, d / scale)
     return SuiteResult("commutators", worst, tol)
 
 
@@ -195,11 +195,11 @@ def hermite_suite(model, max_order=5, tol=1e-9):
         d = coeff_distance(
             forward_eigenfunction(model_c, K).poly, forward_hermite(model_c, K)
         )
-        worst = max(worst, d)
+        worst = fold_worst(worst, d)
         d = coeff_distance(
             adjoint_eigenfunction(model_c, K), adjoint_hermite(model_c, K)
         )
-        worst = max(worst, d)
+        worst = fold_worst(worst, d)
     return SuiteResult("hermite-form", worst, tol)
 
 

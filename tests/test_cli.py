@@ -71,8 +71,8 @@ def test_load_config_roundtrip(tmp_path):
         ({"source": {"terms": [[[1], [1.0]]]}}, "source.terms[0]"),
         ({"source": {"terms": [[[-1], [1.0, 0.0]]]}}, "must be at least 0"),
         (
-            {"sim": {"paths": 1, "dt": 0.01, "t_final": 0.5, "seed": 1}},
-            "config field 'sim.paths': must be at least 2",
+            {"sim": {"paths": 2, "dt": 0.01, "t_final": 0.5, "seed": 1}},
+            "config field 'sim.paths': must be at least 3",
         ),
     ],
 )
@@ -340,13 +340,24 @@ def test_mc_check_rejects_single_path(tmp_path, capsys):
     assert not out_json.exists()
 
 
-def test_mc_check_two_paths_writes_strict_json(tmp_path):
-    sim = {"paths": 2, "dt": 0.01, "t_final": 0.5, "seed": 77}
+def test_mc_check_rejects_two_paths(tmp_path, capsys):
+    # Two paths have d1 = -d2, so both give the same product d_i d_j and
+    # cov_stderr is zero up to rounding: this seed reported "inf sigma".
+    sim = {"paths": 2, "dt": 0.01, "t_final": 0.5, "seed": 2}
+    path = write_config(tmp_path, initial={"mean": [0.8], "cov": [[0.4]]}, sim=sim)
+    out_json = tmp_path / "mc.json"
+    assert cli.main(["mc-check", path, "--json", str(out_json)]) == 2
+    assert "sim.paths" in capsys.readouterr().err
+    assert not out_json.exists()
+
+
+def test_mc_check_three_paths_writes_strict_json(tmp_path):
+    sim = {"paths": 3, "dt": 0.01, "t_final": 0.5, "seed": 77}
     path = write_config(tmp_path, initial={"mean": [0.8], "cov": [[0.4]]}, sim=sim)
     out_json = tmp_path / "mc.json"
     assert cli.main(["mc-check", path, "--json", str(out_json)]) in (0, 1)
     data = json.loads(out_json.read_text(), parse_constant=_reject_constant)
-    assert data["paths"] == 2
+    assert data["paths"] == 3
     assert np.all(np.asarray(data["cov_stderr"]) > 0.0)
 
 

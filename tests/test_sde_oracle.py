@@ -86,8 +86,10 @@ def test_weak_bias_shrinks_with_dt(model_1d):
 def test_simconfig_validation():
     with pytest.raises(ValueError):
         SimConfig(paths=0, dt=0.01, t_final=1.0, seed=1)
-    with pytest.raises(ValueError, match="paths must be at least 2"):
+    with pytest.raises(ValueError, match="paths must be at least 3"):
         SimConfig(paths=1, dt=0.01, t_final=1.0, seed=1)
+    with pytest.raises(ValueError, match="paths must be at least 3"):
+        SimConfig(paths=2, dt=0.01, t_final=1.0, seed=1)
     with pytest.raises(ValueError):
         SimConfig(paths=10, dt=0.0, t_final=1.0, seed=1)
     with pytest.raises(ValueError):

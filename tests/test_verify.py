@@ -195,3 +195,51 @@ def test_run_all_applies_each_ladder_operator_once_per_input(monkeypatch):
     ]
     for p in battery:
         assert sum(1 for g in raised if g == p) == 1
+
+
+def _nan_on_call(original, k, nan):
+    """``original`` with its ``k``-th call answered by ``nan``."""
+    calls = [0]
+
+    def wrapped(*args):
+        calls[0] += 1
+        return nan if calls[0] == k else original(*args)
+
+    return wrapped
+
+
+NAN_CASES = {
+    "biorthogonality": ("inner_product", lambda m: verify.biorthogonality_suite(m, 2)),
+    "eigen-residuals": ("coeff_distance", lambda m: verify.eigen_residual_suite(m, 2)),
+    "ladder-factorials": ("coeff_distance", lambda m: verify.ladder_suite(m, n_max=2)),
+    "commutators": ("coeff_distance", verify.commutator_suite),
+    "hermite-form": ("coeff_distance", lambda m: verify.hermite_suite(m, max_order=2)),
+    "operator-reconstruction": ("coeff_distance", verify.reconstruction_suite),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(NAN_CASES))
+def test_nan_residual_after_a_finite_one_fails_the_suite(monkeypatch, suite):
+    # max(worst, nan) keeps worst: a NaN residual that does not come first
+    # must still reach the suite's verdict.
+    model, _ = _config_model("spiral_2d")
+    name, run = NAN_CASES[suite]
+    nan = complex("nan") if name == "inner_product" else float("nan")
+    for module in (verify, spectral):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, _nan_on_call(getattr(module, name), 2, nan))
+    result = run(model)
+    assert result.name == suite
+    assert np.isnan(result.worst)
+    assert not result.passed
+
+
+def test_nan_residual_reaches_the_cli_as_non_finite(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(
+        verify, "coeff_distance", _nan_on_call(coeff_distance, 2, float("nan"))
+    )
+    out = tmp_path / "verify.json"
+    rc = cli.main(["verify", str(CONFIGS / "canonical_1d.json"), "--json", str(out)])
+    assert rc == 2
+    assert "NonFiniteResultError" in capsys.readouterr().err
+    assert not out.exists()
