@@ -1,8 +1,8 @@
 """Ladder operators and eigenfunctions of the OU Fokker-Planck operator.
 
 The forward operator L q = -div(A x q) + (1/2) B : Hess q has stationary
-density f0, a zero-mean Gaussian whose covariance solves the Lyapunov
-equation.  Its spectrum is generated from f0 by per-mode raising
+density f0, a zero-mean Gaussian whose covariance Sigma solves the
+Lyapunov equation.  Its spectrum is generated from f0 by per-mode raising
 operators, one for each eigenvalue of the drift matrix A; the adjoint
 operator gets its own raising family built from the left eigenvectors.
 Everything is reduced to exact polynomial arithmetic: a forward function
@@ -10,13 +10,20 @@ is stored as polynomial times f0, an adjoint function as a bare
 polynomial, and each operator application is a closed-form map between
 those polynomials.
 
+In that frame both operators are generators of the same form,
+(D x) . grad p + (1/2) B : grad grad p: the adjoint with D = A, and
+f0^-1 L (p f0) with D = ``forward_drift`` = Sigma A^T Sigma^-1.  One
+routine applies both.  The lowering operators are directional
+derivatives on either side, and the raising operators add one linear
+factor to a directional derivative.
+
 Eigenfunctions are memoized on the model, keyed by their multi-index.
 The polynomial factors and gradient weights of each operator (the
-``MPoly.linear`` factors, the zero it sums onto, the scaled eigenvector
-entries) depend only on the model, the mode and the ``prune_eps`` of the
-input, so each is built once per model and kept in ``model._op_cache``.
-Concurrent builds may race to insert a cache entry; both compute the
-same value, so last write wins harmlessly.
+generator's drift rows, the ``MPoly.linear`` factors, the scaled
+eigenvector entries) depend only on the model, the mode and the
+``prune_eps`` of the input, so each is built once per model and kept in
+``model._op_cache``.  Concurrent builds may race to insert a cache
+entry; both compute the same value, so last write wins harmlessly.
 """
 
 import math
@@ -41,10 +48,13 @@ class OUModel:
 
     ``eig.right[:, I]`` is the right eigenvector for mode ``I`` and
     ``eig.left[I, :]`` the matching left eigenvector; the two bases are
-    mutually bi-orthogonal.  Caches on the instance hold eigenfunctions
-    and operator ingredients (the factors of every ladder operator, per
-    mode and ``prune_eps``); treat everything returned from them as
-    immutable.
+    mutually bi-orthogonal.  ``Sigma`` solves the Lyapunov equation
+    A Sigma + Sigma A^T + B = 0; the forward operator relies on it, since
+    it is applied in the frame of f0 as the generator with drift
+    Sigma A^T Sigma^-1.  Caches on the instance hold eigenfunctions and
+    operator factors (the generators' drift rows and the factors of every
+    ladder operator, per mode and ``prune_eps``); treat everything
+    returned from them as immutable.
     """
 
     A: np.ndarray
@@ -172,10 +182,21 @@ def _grad_weights(v, scale):
     return [(i, complex(scale * v[i])) for i in range(len(v)) if v[i] != 0.0]
 
 
-def _adjoint_factors(model, I, eps):
-    # I is unused: the adjoint operator has one set of factors per eps.
+def forward_drift(model):
+    """M = Sigma A^T Sigma^-1: the drift of f0^-1 L (p f0) as a generator of p.
+
+    By the Lyapunov equation M = -(A + B Sigma^-1), and M has the spectrum
+    of A.
+    """
+    return model.Sigma @ model.A.T @ model.Sigma_inv
+
+
+def _generator_factors(model, side, eps):
+    # Drift rows D[i, :] . x, D = A for the adjoint and forward_drift for
+    # the forward side, and the half-diffusion weights of each row.
     n = model.dim
-    rows = [MPoly.linear(n, model.A[i, :], prune_eps=eps) for i in range(n)]
+    D = model.A if side == "adjoint" else forward_drift(model)
+    rows = [MPoly.linear(n, D[i, :], prune_eps=eps) for i in range(n)]
     diffusion = [
         [(j, 0.5 * model.B[i, j]) for j in range(n) if model.B[i, j] != 0.0]
         for i in range(n)
@@ -183,27 +204,37 @@ def _adjoint_factors(model, I, eps):
     return MPoly.zero(n, eps), rows, diffusion
 
 
+def _add_gradient(out, grad, p):
+    """out + sum_i c_i dp/dx_i over the (i, c_i) of ``grad``."""
+    for i, c in grad:
+        out = out + c * p.diff(i)
+    return out
+
+
+def _apply_generator(model, side, p):
+    """(D x) . grad p + (1/2) B : grad grad p, D chosen by ``side``."""
+    out, rows, diffusion = _cached(model, _generator_factors, side, p.prune_eps)
+    for i, row in enumerate(rows):
+        pi = p.diff(i)
+        out = _add_gradient(out + row * pi, diffusion[i], pi)
+    return out
+
+
 def _raise_forward_factors(model, I, eps):
     e = model.eig.right[:, I]
     u = model.Sigma_inv @ e
-    return MPoly.linear(model.dim, u, prune_eps=eps), _grad_weights(e, 1.0)
+    return MPoly.linear(model.dim, u, prune_eps=eps), _grad_weights(e, -1.0)
 
 
 def _lower_forward_factors(model, I, eps):
-    w = model.eig.left[I, :]
-    sw = model.Sigma @ w
-    u = model.Sigma_inv @ sw
-    return (
-        MPoly.linear(model.dim, w, prune_eps=eps),
-        MPoly.linear(model.dim, u, prune_eps=eps),
-        _grad_weights(sw, 2.0),
-    )
+    sw = model.Sigma @ model.eig.left[I, :]
+    return MPoly.zero(model.dim, eps), _grad_weights(sw, 2.0)
 
 
 def _raise_adjoint_factors(model, I, eps):
     w = np.conj(model.eig.left[I, :])
     sw = model.Sigma @ w
-    return MPoly.linear(model.dim, w, prune_eps=eps), _grad_weights(sw, 2.0)
+    return MPoly.linear(model.dim, w, prune_eps=eps), _grad_weights(sw, -2.0)
 
 
 def _lower_adjoint_factors(model, I, eps):
@@ -211,72 +242,22 @@ def _lower_adjoint_factors(model, I, eps):
     return MPoly.zero(model.dim, eps), _grad_weights(e, 1.0)
 
 
-def _op_ingredients(model):
-    """Cached polynomials entering the forward-operator reduction."""
-    got = model._op_cache.get("forward")
-    if got is not None:
-        return got
-    n = model.dim
-    eps = model.prune_eps
-    Sinv = model.Sigma_inv
-    drift = model.A + model.B @ Sinv
-    # Quadratic form x^T Q x with Q = A^T Sinv + (1/2) Sinv B Sinv.  Its
-    # antisymmetric part cancels against the trace terms; building it
-    # literally keeps the reduction honest and lets pruning eat the dust.
-    Q = model.A.T @ Sinv + 0.5 * Sinv @ model.B @ Sinv
-    quad_terms = {}
-    for i in range(n):
-        for j in range(n):
-            if Q[i, j] == 0.0:
-                continue
-            exps = tuple(
-                (1 if k == i else 0) + (1 if k == j else 0) for k in range(n)
-            )
-            quad_terms[exps] = quad_terms.get(exps, 0.0) + Q[i, j]
-    quad = MPoly(n, quad_terms, eps)
-    const = -float(np.trace(model.A)) - 0.5 * float(np.trace(model.B @ Sinv))
-    drift_rows = [
-        MPoly.linear(n, drift[i, :], prune_eps=eps) for i in range(n)
-    ]
-    out = (quad, const, drift_rows)
-    model._op_cache["forward"] = out
-    return out
-
-
 def apply_forward(model, f):
     """Apply the Fokker-Planck operator L to a forward function.
 
-    For f = p * f0 the result is again polynomial times f0; only the
-    polynomial factor changes.
+    For f = p * f0 the result is again polynomial times f0, with the
+    factor (M x) . grad p + (1/2) B : grad grad p, M = ``forward_drift``:
+    the adjoint's generator with drift M in place of A.
     """
     _check_forward(model, f)
-    p = f.poly
-    n = model.dim
-    quad, const, drift_rows = _op_ingredients(model)
-    out = quad * p + const * p
-    for i in range(n):
-        di = p.diff(i)
-        out = out - drift_rows[i] * di
-        for j in range(n):
-            bij = model.B[i, j]
-            if bij != 0.0:
-                out = out + (0.5 * bij) * di.diff(j)
-    return ForwardFunction(out, f.base)
+    return ForwardFunction(_apply_generator(model, "forward", f.poly), f.base)
 
 
 def apply_adjoint(model, g):
-    """Apply the adjoint (backward) operator to a plain polynomial.
-
-    The drift rows ``A[i, :] . x`` are cached ``MPoly.linear`` factors.
-    """
+    """Apply the adjoint (backward) operator to a plain polynomial:
+    (A x) . grad g + (1/2) B : grad grad g."""
     _check_adjoint(model, g)
-    out, rows, diffusion = _cached(model, _adjoint_factors, None, g.prune_eps)
-    for i, row in enumerate(rows):
-        gi = g.diff(i)
-        out = out + row * gi
-        for j, half_bij in diffusion[i]:
-            out = out + half_bij * gi.diff(j)
-    return out
+    return _apply_generator(model, "adjoint", g)
 
 
 def raise_forward(model, I, f):
@@ -290,28 +271,21 @@ def raise_forward(model, I, f):
     _check_forward(model, f)
     p = f.poly
     lin, grad = _cached(model, _raise_forward_factors, I, p.prune_eps)
-    out = lin * p
-    for i, ei in grad:
-        out = out - ei * p.diff(i)
-    return ForwardFunction(out, f.base)
+    return ForwardFunction(_add_gradient(lin * p, grad, p), f.base)
 
 
 def lower_forward(model, I, f):
     """Mode-I lowering operator on the forward side.
 
-    Sends p to 2 (w_I . x) p + 2 (Sigma w_I) . grad p applied through
-    the Gaussian factor; annihilates the stationary density.  The two
-    linear factors and the entries of 2 Sigma w_I are cached per mode.
+    Acting on p * f0 it sends p to 2 (Sigma w_I) . grad p, the
+    directional-derivative form of ``lower_adjoint``; it annihilates the
+    stationary density.  The entries of 2 Sigma w_I are cached per mode.
     """
     _check_mode(model, I)
     _check_forward(model, f)
     p = f.poly
-    lin_w, lin_u, grad = _cached(model, _lower_forward_factors, I, p.prune_eps)
-    out = 2.0 * (lin_w * p)
-    out = out - 2.0 * (lin_u * p)
-    for i, swi in grad:
-        out = out + swi * p.diff(i)
-    return ForwardFunction(out, f.base)
+    zero, grad = _cached(model, _lower_forward_factors, I, p.prune_eps)
+    return ForwardFunction(_add_gradient(zero, grad, p), f.base)
 
 
 def raise_adjoint(model, I, g):
@@ -324,10 +298,7 @@ def raise_adjoint(model, I, g):
     _check_mode(model, I)
     _check_adjoint(model, g)
     lin, grad = _cached(model, _raise_adjoint_factors, I, g.prune_eps)
-    out = 2.0 * (lin * g)
-    for i, swi in grad:
-        out = out - swi * g.diff(i)
-    return out
+    return _add_gradient(2.0 * (lin * g), grad, g)
 
 
 def lower_adjoint(model, I, g):
@@ -337,10 +308,8 @@ def lower_adjoint(model, I, g):
     """
     _check_mode(model, I)
     _check_adjoint(model, g)
-    out, grad = _cached(model, _lower_adjoint_factors, I, g.prune_eps)
-    for i, ei in grad:
-        out = out + ei * g.diff(i)
-    return out
+    zero, grad = _cached(model, _lower_adjoint_factors, I, g.prune_eps)
+    return _add_gradient(zero, grad, g)
 
 
 def forward_eigenfunction(model, K):

@@ -46,6 +46,7 @@ from .ladder import (
     compositions,
     eigenvalue,
     enumerate_modes,
+    forward_drift,
     lower_adjoint,
     lower_forward,
     mode_normalization,
@@ -283,8 +284,9 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
     """Solve L P = q for a source q = (polynomial of degree d) * f0.
 
     With P = p f0, f0^-1 L(p f0) = (M x) . grad p + (1/2) B : grad grad p,
-    M = Sigma A^T Sigma^-1: the backward generator of the time-reversed
-    process.  The first term keeps the degree of a homogeneous
+    M = ``forward_drift(model)`` = Sigma A^T Sigma^-1: the backward
+    generator of the time-reversed process, which ``apply_forward``
+    applies.  The first term keeps the degree of a homogeneous
     polynomial and the second lowers it by 2, so for k = d down to 1 the
     degree-k part of p solves D_k p_k = q_k - (1/2) B : grad grad p_{k+2}.
     D_k has the eigenvalues lambda_K with |K| = k, so it is nonsingular;
@@ -327,7 +329,7 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
             f"(tolerance {solvability_tol * scale:.3e}); no solution exists"
         )
     n = model.dim
-    M = model.Sigma @ model.A.T @ model.Sigma_inv
+    M = forward_drift(model)
     levels = [_monomials(n, k) for k in range(d + 1)]
     rhs = [np.zeros((len(monos), 2)) for monos, _ in levels]
     for a, c in q.poly.terms.items():

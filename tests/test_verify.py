@@ -3,15 +3,17 @@
 The suites share one set of ladder images per battery polynomial.  The
 reference below applies every operator in place, with no reuse, so the
 two must agree bit for bit; a call-count guard checks the reuse itself.
+A model whose Sigma misses the Lyapunov equation must fail ``run_all``.
 """
 
+import dataclasses
 import pathlib
 
 import numpy as np
 import pytest
 
-from ou_spectral import cli, ladder, spectral, verify
-from ou_spectral.gaussian import ForwardFunction
+from ou_spectral import cli, errors, ladder, linalg, spectral, verify
+from ou_spectral.gaussian import ForwardFunction, stationary_density
 from ou_spectral.ladder import (
     apply_adjoint,
     apply_forward,
@@ -243,3 +245,33 @@ def test_nan_residual_reaches_the_cli_as_non_finite(monkeypatch, tmp_path, capsy
     assert rc == 2
     assert "NonFiniteResultError" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _with_sigma(model, Sigma):
+    """``model`` with ``Sigma`` in place of its stationary covariance, the
+    inverse and f0 rebuilt from it, and empty caches."""
+    return dataclasses.replace(
+        model,
+        Sigma=Sigma,
+        Sigma_inv=linalg.inverse(Sigma),
+        f0=stationary_density(Sigma),
+        _forward_cache={},
+        _adjoint_cache={},
+        _op_cache={},
+    )
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_inexact_sigma_fails_verify(name):
+    # A covariance off by a relative 1e-9 no longer solves the Lyapunov
+    # equation.  L is applied in the frame of f0, so the eigen-residual
+    # suite reads only 4e-9 to 8e-9 here, under its 1e-8 tolerance; the
+    # Hermite closed form reads above 1e-7.  At 1e-6 the model is too far
+    # from canonical for the Hermite suite to run at all.
+    model, max_order = _config_model(name)
+    report = verify.run_all(_with_sigma(model, model.Sigma * (1.0 + 1e-9)), max_order)
+    assert not report.passed
+    hermite = next(s for s in report.suites if s.name == "hermite-form")
+    assert not hermite.passed
+    with pytest.raises(errors.NotCanonicalError):
+        verify.run_all(_with_sigma(model, model.Sigma * (1.0 + 1e-6)), max_order)
