@@ -9,6 +9,7 @@ inner products; the least recently used tables are evicted once more
 than ``MOMENT_CACHE_SIZE`` covariances have been seen.
 """
 
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -165,6 +166,30 @@ def wick_moment(exponents, Sigma):
     if any(k < 0 for k in counts):
         raise ValueError(f"negative exponent in {counts}")
     return _moment_rec(counts, Sigma, _memo_for(Sigma))
+
+
+def moment_matrix(monomials, Sigma):
+    """H[a, b] = E[x^(monomials[a] + monomials[b])] under the centered
+    Gaussian with covariance Sigma.
+
+    The moments come from the memoized pair-counting tables
+    ``wick_moment`` uses; H is symmetric, so each unordered pair is looked
+    up once.  With H, E[conj(g) f] for polynomials with coefficient rows
+    g, f over ``monomials`` is conj(g) H f^T.
+    """
+    Sigma = _as_square(Sigma, "Sigma")
+    n = Sigma.shape[0]
+    if any(len(a) != n for a in monomials):
+        raise DimensionMismatchError(
+            f"monomials must have {n} exponents for a {n}-dimensional Gaussian"
+        )
+    memo = _memo_for(Sigma)
+    H = np.empty((len(monomials), len(monomials)))
+    for i, a in enumerate(monomials):
+        for j in range(i, len(monomials)):
+            counts = tuple(map(operator.add, a, monomials[j]))
+            H[i, j] = H[j, i] = _moment_rec(counts, Sigma, memo)
+    return H
 
 
 def expectation(p, g):

@@ -39,7 +39,7 @@ from .errors import (
     UnstableDriftError,
 )
 from .gaussian import ForwardFunction, GaussianDensity, stationary_density
-from .mpoly import DEFAULT_PRUNE_EPS, MPoly
+from .mpoly import DEFAULT_PRUNE_EPS, MPoly, _add_gradient
 
 
 @dataclass
@@ -66,9 +66,11 @@ class OUModel:
     conj_partner: np.ndarray
     tol: float
     prune_eps: float
-    _forward_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _adjoint_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _op_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # Not init fields: a model made by dataclasses.replace starts empty
+    # instead of sharing the memo of the model it was made from.
+    _forward_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _adjoint_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _op_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -202,13 +204,6 @@ def _generator_factors(model, side, eps):
         for i in range(n)
     ]
     return MPoly.zero(n, eps), rows, diffusion
-
-
-def _add_gradient(out, grad, p):
-    """out + sum_i c_i dp/dx_i over the (i, c_i) of ``grad``."""
-    for i, c in grad:
-        out = out + c * p.diff(i)
-    return out
 
 
 def _apply_generator(model, side, p):

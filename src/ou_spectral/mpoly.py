@@ -18,7 +18,9 @@ accumulates, runs only where a coefficient can have shrunk:
   both operands hold, since every other coefficient is copied unchanged;
 * negation, conjugation and ``diff`` scan nothing (``MPoly._wrap``):
   the first two keep every ``|c|`` and ``diff`` multiplies each
-  coefficient by an integer exponent of at least 1 without merging keys.
+  coefficient by an integer exponent of at least 1 without merging keys;
+* ``_add_gradient`` checks each scaled derivative coefficient and each
+  key it sums into, in the order the sums it stands for would.
 
 Results keep the key order of the dict arithmetic that built them;
 later products accumulate in that order.
@@ -409,6 +411,49 @@ def fold_worst(worst, d):
     maximum folded with it drops every NaN that does not come first.
     """
     return d if d > worst or d != d else worst
+
+
+def _add_gradient(out, grad, p):
+    """``out + c_i * p.diff(i)`` summed over the (i, c_i) of ``grad`` in
+    turn, built in one dict with no intermediate polynomial.
+
+    Equal to that sequence of sums bit for bit and in key order.  Each
+    axis in turn walks p's terms in order: a term is lowered along the
+    axis and scaled as ``diff`` and the scalar ``__mul__`` do,
+    ``(0.0 + c * e) * c_i``; a scaled coefficient that is zero or below
+    ``prune_eps`` is dropped, as that product's prune pass drops it; a key
+    ``out`` already holds is summed into and dropped if the sum is zero or
+    below ``prune_eps``, as ``__add__`` checks its merged keys; a new key
+    gets ``0.0 + v`` at the end.  When ``out`` and ``p`` differ in
+    ``prune_eps`` the sums run as written.
+    """
+    if out.prune_eps != p.prune_eps or out.nvars != p.nvars:
+        for i, c in grad:
+            out = out + c * p.diff(i)
+        return out
+    eps = out.prune_eps
+    terms = dict(out.terms)
+    items = p.terms.items()
+    for i, c in grad:
+        c = complex(c)
+        for exps, v in items:
+            e = exps[i]
+            if e == 0:
+                continue
+            v = (0.0 + v * e) * c
+            if v == 0.0 or abs(v) < eps:
+                continue
+            key = exps[:i] + (e - 1,) + exps[i + 1 :]
+            old = terms.get(key)
+            if old is None:
+                terms[key] = 0.0 + v
+                continue
+            v = old + v
+            if v == 0.0 or abs(v) < eps:
+                del terms[key]
+            else:
+                terms[key] = v
+    return MPoly._wrap(out.nvars, terms, eps)
 
 
 _HERMITE_CACHE = None

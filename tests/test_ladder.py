@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -235,3 +237,25 @@ def test_prune_eps_propagates_through_model():
     model = ou.build_model(A_SPIRAL, np.eye(2), prune_eps=1e-10)
     f = ou.forward_eigenfunction(model, (2, 1))
     assert f.poly.prune_eps == 1e-10
+
+
+def test_replaced_model_starts_with_empty_caches():
+    # A model rebuilt with dataclasses.replace must not see the eigenfunctions
+    # and operator factors memoized on the model it was built from.
+    model = ou.build_model([[-1.0]], [[1.0]])
+    ou.forward_eigenfunction(model, (2,))
+    ou.adjoint_eigenfunction(model, (2,))
+    assert model._forward_cache and model._adjoint_cache and model._op_cache
+    Sigma = 4.0 * model.Sigma
+    m2 = dataclasses.replace(
+        model,
+        B=4.0 * model.B,
+        Sigma=Sigma,
+        Sigma_inv=np.linalg.inv(Sigma),
+        f0=ou.stationary_density(Sigma),
+    )
+    assert not m2._forward_cache and not m2._adjoint_cache and not m2._op_cache
+    f = ou.forward_eigenfunction(m2, (2,))
+    assert f.base is m2.f0
+    npt.assert_array_equal(f.base.cov, [[2.0]])
+    assert f.poly != ou.forward_eigenfunction(model, (2,)).poly

@@ -5,6 +5,7 @@ import pytest
 from ou_spectral import errors
 from ou_spectral.mpoly import (
     MPoly,
+    _add_gradient,
     coeff_distance,
     hermite,
     hermite_in_var,
@@ -373,3 +374,71 @@ def test_add_and_diff_match_the_full_prune_pass():
             _assert_canonical(r)
             assert r.prune_eps == p.prune_eps
             assert _bits(r.terms) == _bits(_dict_diff(p, axis))
+
+
+def _gradient_by_sums(out, grad, p):
+    # The sequence of sums that _add_gradient builds in one pass.
+    for i, c in grad:
+        out = out + c * p.diff(i)
+    return out
+
+
+def _random_gradient_case(rng, eps):
+    n = int(rng.integers(1, 4))
+
+    def coeff():
+        kind = rng.integers(0, 4)
+        if kind == 0:  # within a factor of 2 of eps
+            return complex(eps * rng.uniform(0.5, 2.0), 0.0) * rng.choice([1, -1, 1j, -1j])
+        if kind == 1:  # real, with a signed zero imaginary part
+            return complex(rng.normal(), rng.choice([0.0, -0.0]))
+        return complex(rng.normal(), rng.normal())
+
+    def terms(k):
+        return {tuple(int(e) for e in rng.integers(0, 4, size=n)): coeff() for _ in range(k)}
+
+    p = MPoly(n, terms(8))
+    grad = [
+        (int(i), rng.choice([coeff(), np.float64(rng.uniform(0.5, 1.0)), 0.6]))
+        for i in rng.permutation(n)[: int(rng.integers(1, n + 1))]
+    ]
+    # out shares keys with the derivatives; some of them cancel the first
+    # contribution exactly, so a later axis adds that key back at the end.
+    out = terms(4)
+    for i, c in grad:
+        for exps, v in p.terms.items():
+            e = exps[i]
+            if e and rng.uniform() < 0.5:
+                key = exps[:i] + (e - 1,) + exps[i + 1 :]
+                out[key] = -((0.0 + v * e) * complex(c)) if rng.uniform() < 0.5 else coeff()
+    return MPoly(n, out), grad, p
+
+
+def test_add_gradient_matches_the_sequence_of_sums():
+    eps = 1e-13
+    rng = np.random.default_rng(2026)
+    cases = [_random_gradient_case(rng, eps) for _ in range(200)]
+    nan = float("nan")
+    p = MPoly(2, {(1, 0): 1.0, (0, 1): 2.0, (1, 1): complex(nan, 0.0), (2, 0): -0.0 + 3j})
+    cases += [
+        # two axes onto one key in the opposite order of p's terms
+        (MPoly(2, {(0, 0): 1.0}), [(0, 0.1), (1, 0.7)], MPoly(2, {(0, 1): 0.3, (1, 0): 0.2})),
+        # exact cancellation, then the key comes back from the next axis
+        (MPoly(2, {(0, 0): -2.0, (1, 0): 5.0}), [(0, 2.0), (1, 1.0)], p),
+        # NaN in p, in out and as a weight
+        (MPoly(2, {(0, 0): nan, (1, 0): 1.0}), [(1, 1.0), (0, nan)], p),
+        # prune_eps differs: out's is larger, then p's
+        (MPoly(2, {(0, 0): 1.0}, prune_eps=1e-6), [(0, 1e-7), (1, 1.0)], p),
+        (MPoly(2, {(0, 0): 1.0}), [(0, 3e-14), (1, 1.0)], MPoly(2, p.terms, prune_eps=1e-20)),
+    ]
+    dropped = moved = 0
+    for out, grad, p in cases:
+        got = _add_gradient(out, grad, p)
+        want = _gradient_by_sums(out, grad, p)
+        assert _bits(got.terms) == _bits(want.terms)
+        assert got.prune_eps == want.prune_eps and got.nvars == want.nvars
+        kept = [k for k in got.terms if k in out.terms]
+        dropped += len(kept) < len(out.terms)
+        moved += kept != [k for k in out.terms if k in got.terms]
+    # Keys of out were dropped, and keys dropped by one axis came back.
+    assert dropped and moved

@@ -1,8 +1,11 @@
-"""The commutator and reconstruction suites against a direct evaluation.
+"""The verify suites against a direct evaluation.
 
-The suites share one set of ladder images per battery polynomial.  The
-reference below applies every operator in place, with no reuse, so the
-two must agree bit for bit; a call-count guard checks the reuse itself.
+The commutator and reconstruction suites share one set of ladder images
+per battery polynomial.  The reference below applies every operator in
+place, with no reuse, so the two must agree bit for bit; a call-count
+guard checks the reuse itself.  The bi-orthogonality suite takes every
+pairing from one Gram matrix; each entry must match its own
+``inner_product``, and a perturbed pair above order 4 must fail it.
 A model whose Sigma misses the Lyapunov equation must fail ``run_all``.
 """
 
@@ -13,13 +16,22 @@ import numpy as np
 import pytest
 
 from ou_spectral import cli, errors, ladder, linalg, spectral, verify
-from ou_spectral.gaussian import ForwardFunction, stationary_density
+from ou_spectral.gaussian import (
+    ForwardFunction,
+    inner_product,
+    stationary_density,
+    wick_moment,
+)
 from ou_spectral.ladder import (
+    adjoint_eigenfunction,
     apply_adjoint,
     apply_forward,
     build_model,
+    enumerate_modes,
+    forward_eigenfunction,
     lower_adjoint,
     lower_forward,
+    mode_normalization,
     raise_adjoint,
     raise_forward,
 )
@@ -35,11 +47,11 @@ def _config_model(name):
     return cli._build(cfg), cfg.max_order
 
 
-def _random_model_3d(seed=20261018):
+def _random_model(seed=20261018, n=3):
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((3, 3)) - 2.5 * np.eye(3)
-    L = rng.standard_normal((3, 3))
-    B = L @ L.T + 0.2 * np.eye(3)
+    A = rng.standard_normal((n, n)) - 2.5 * np.eye(n)
+    L = rng.standard_normal((n, n))
+    B = L @ L.T + 0.2 * np.eye(n)
     return build_model(A, B)
 
 
@@ -131,7 +143,7 @@ def _reference_reconstruction(model):
 @pytest.mark.parametrize("name", CONFIG_NAMES + ("random_3d_seeded",))
 def test_shared_images_match_direct_evaluation(name):
     if name == "random_3d_seeded":
-        model = _random_model_3d()
+        model = _random_model()
     else:
         model, _ = _config_model(name)
     want_comm = _reference_commutators(model)
@@ -199,19 +211,122 @@ def test_run_all_applies_each_ladder_operator_once_per_input(monkeypatch):
         assert sum(1 for g in raised if g == p) == 1
 
 
-def _nan_on_call(original, k, nan):
-    """``original`` with its ``k``-th call answered by ``nan``."""
+def _reference_pairings(model, modes):
+    """<g_M, f_K> for every M, K in ``modes``, one ``inner_product`` each,
+    and the sum of the magnitudes of the terms each of them adds up."""
+    gs = [adjoint_eigenfunction(model, M) for M in modes]
+    fs = [forward_eigenfunction(model, K) for K in modes]
+    pairs = np.array([[inner_product(g, f) for f in fs] for g in gs])
+
+    def size(p):
+        return MPoly(p.nvars, {e: abs(c) for e, c in p.terms.items()})
+
+    def magnitude(g, f):
+        prod = size(g) * size(f.poly)
+        return sum(c.real * abs(wick_moment(e, model.Sigma)) for e, c in prod.terms.items())
+
+    return pairs, np.array([[magnitude(g, f) for f in fs] for g in gs])
+
+
+GRAM_CASES = [(name, None) for name in CONFIG_NAMES]
+GRAM_CASES += [("random", (seed, 2, 6)) for seed in (0, 1, 2, 3, 4)]
+GRAM_CASES += [("random", (seed, 3, 4)) for seed in (0, 1)]
+GRAM_IDS = [name if r is None else "seed{}-n{}-order{}".format(*r) for name, r in GRAM_CASES]
+
+
+@pytest.mark.parametrize("name, random", GRAM_CASES, ids=GRAM_IDS)
+def test_pairing_matrix_matches_per_pair_inner_products(name, random):
+    if random is None:
+        model, order = _config_model(name)
+    else:
+        seed, n, order = random
+        model = _random_model(seed, n)
+    modes = enumerate_modes(model.dim, order)
+    got = verify._pairing_matrix(model, modes)
+    want, magnitude = _reference_pairings(model, modes)
+    norms = np.array([mode_normalization(K) for K in modes])
+    assert got.shape == (len(modes), len(modes))
+    # Both routes round sums whose terms can be far larger than the
+    # pairing: on seed 4, n=2 the terms reach 1e10 times the normalization
+    # and the two routes differ by 1.6e-7 of it, each about as far from
+    # delta times the normalization.  Relative to the terms they agree to
+    # 2e-16; on the configs, also relative to the normalization.
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(norms, magnitude))
+    if random is None:
+        assert np.all(np.abs(got - want) <= 1e-12 * norms)
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_biorthogonality_worst_on_configs(name):
+    model, max_order = _config_model(name)
+    result = verify.biorthogonality_suite(model, max_order)
+    assert result.worst <= 1e-13
+    assert len(result.lines) == len(enumerate_modes(model.dim, max_order))
+
+
+def test_order_five_adjoint_perturbation_fails_the_suite(monkeypatch):
+    # g_(4,1) has terms of degree 5 and 3.  Scale one of degree 3 by
+    # 1 + 1e-6: f_(4,1) is orthogonal to every polynomial of lower degree,
+    # so the diagonal pairing does not move, but the pairings of g_(4,1)
+    # with the order-3 forward eigenfunctions do.  The pairs up to order 4
+    # and the diagonal beyond, which the suite checked before it took
+    # every pair up to max_order, do not see it.
+    model, max_order = _config_model("spiral_2d")
+    M = (4, 1)
+    g = adjoint_eigenfunction(model, M)
+    key = min(g.terms, key=sum)
+    bad = MPoly(model.dim, {**g.terms, key: g.terms[key] * (1.0 + 1e-6)}, g.prune_eps)
+    original = verify.adjoint_eigenfunction
+
+    def adjoint(model, K):
+        return bad if tuple(K) == M else original(model, K)
+
+    monkeypatch.setattr(verify, "adjoint_eigenfunction", adjoint)
+    result = verify.biorthogonality_suite(model, max_order)
+    assert not result.passed
+
+    low = enumerate_modes(model.dim, 4)
+    worst = 0.0
+    for K in enumerate_modes(model.dim, max_order):
+        f = forward_eigenfunction(model, K)
+        norm = mode_normalization(K)
+        worst = max(worst, abs(inner_product(adjoint(model, K), f) - norm) / norm)
+        if K in low:
+            for L in low:
+                if L != K:
+                    worst = max(worst, abs(inner_product(adjoint(model, L), f)) / norm)
+    assert worst <= result.tol
+
+
+def _nan_on_call(original, k, poison):
+    """``original`` with its ``k``-th result replaced by ``poison(result)``."""
     calls = [0]
 
     def wrapped(*args):
         calls[0] += 1
-        return nan if calls[0] == k else original(*args)
+        out = original(*args)
+        return poison(out) if calls[0] == k else out
 
     return wrapped
 
 
+def _nan(_):
+    return float("nan")
+
+
+def _with_nan_constant(f):
+    """The forward function ``f`` with a NaN added to its constant term."""
+    nan = MPoly.constant(f.dim, float("nan"), f.poly.prune_eps)
+    return ForwardFunction(f.poly + nan, f.base)
+
+
+POISONS = {"coeff_distance": _nan, "forward_eigenfunction": _with_nan_constant}
+
 NAN_CASES = {
-    "biorthogonality": ("inner_product", lambda m: verify.biorthogonality_suite(m, 2)),
+    "biorthogonality": (
+        "forward_eigenfunction",
+        lambda m: verify.biorthogonality_suite(m, 2),
+    ),
     "eigen-residuals": ("coeff_distance", lambda m: verify.eigen_residual_suite(m, 2)),
     "ladder-factorials": ("coeff_distance", lambda m: verify.ladder_suite(m, n_max=2)),
     "commutators": ("coeff_distance", verify.commutator_suite),
@@ -223,13 +338,15 @@ NAN_CASES = {
 @pytest.mark.parametrize("suite", sorted(NAN_CASES))
 def test_nan_residual_after_a_finite_one_fails_the_suite(monkeypatch, suite):
     # max(worst, nan) keeps worst: a NaN residual that does not come first
-    # must still reach the suite's verdict.
+    # must still reach the suite's verdict.  The biorthogonality suite gets
+    # its NaN as a coefficient of the second forward eigenfunction it builds.
     model, _ = _config_model("spiral_2d")
     name, run = NAN_CASES[suite]
-    nan = complex("nan") if name == "inner_product" else float("nan")
     for module in (verify, spectral):
         if hasattr(module, name):
-            monkeypatch.setattr(module, name, _nan_on_call(getattr(module, name), 2, nan))
+            monkeypatch.setattr(
+                module, name, _nan_on_call(getattr(module, name), 2, POISONS[name])
+            )
     result = run(model)
     assert result.name == suite
     assert np.isnan(result.worst)
@@ -237,9 +354,7 @@ def test_nan_residual_after_a_finite_one_fails_the_suite(monkeypatch, suite):
 
 
 def test_nan_residual_reaches_the_cli_as_non_finite(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(
-        verify, "coeff_distance", _nan_on_call(coeff_distance, 2, float("nan"))
-    )
+    monkeypatch.setattr(verify, "coeff_distance", _nan_on_call(coeff_distance, 2, _nan))
     out = tmp_path / "verify.json"
     rc = cli.main(["verify", str(CONFIGS / "canonical_1d.json"), "--json", str(out)])
     assert rc == 2
@@ -248,16 +363,13 @@ def test_nan_residual_reaches_the_cli_as_non_finite(monkeypatch, tmp_path, capsy
 
 
 def _with_sigma(model, Sigma):
-    """``model`` with ``Sigma`` in place of its stationary covariance, the
-    inverse and f0 rebuilt from it, and empty caches."""
+    """``model`` with ``Sigma`` in place of its stationary covariance, and
+    the inverse and f0 rebuilt from it; the caches start empty."""
     return dataclasses.replace(
         model,
         Sigma=Sigma,
         Sigma_inv=linalg.inverse(Sigma),
         f0=stationary_density(Sigma),
-        _forward_cache={},
-        _adjoint_cache={},
-        _op_cache={},
     )
 
 
