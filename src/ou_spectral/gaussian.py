@@ -20,13 +20,29 @@ from .linalg import _as_square, _check_symmetric
 from .mpoly import MPoly
 
 
+def check_finite_rows(points):
+    """Raise ``ValueError`` naming the first row of ``points`` that holds
+    a non-finite entry; do nothing when every row is finite."""
+    bad = np.flatnonzero(~np.all(np.isfinite(points), axis=1))
+    if bad.size:
+        raise ValueError(
+            f"points must be finite; row {bad[0]} is {points[bad[0]].tolist()}"
+        )
+
+
 @dataclass(frozen=True)
 class GaussianDensity:
-    """Normalized Gaussian density with mean vector and SPD covariance."""
+    """Normalized Gaussian density with mean vector and SPD covariance.
+
+    ``whitener`` is W = L^-T for the Cholesky factor cov = L L^T, so the
+    whitened coordinates z = W^T (x - mean) make the density
+    exp(log_norm - |z|^2 / 2).
+    """
 
     mean: np.ndarray
     cov: np.ndarray
     log_norm: float = field(init=False)
+    whitener: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
@@ -37,7 +53,7 @@ class GaussianDensity:
             )
         _check_symmetric(cov, "cov")
         try:
-            np.linalg.cholesky(cov)
+            L = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise NotSPDError("covariance is not positive definite") from None
         sign, logdet = np.linalg.slogdet(cov)
@@ -46,6 +62,7 @@ class GaussianDensity:
         object.__setattr__(
             self, "log_norm", -0.5 * (mean.shape[0] * np.log(2.0 * np.pi) + logdet)
         )
+        object.__setattr__(self, "whitener", np.ascontiguousarray(np.linalg.inv(L).T))
 
     @property
     def dim(self):
@@ -57,15 +74,38 @@ class GaussianDensity:
         return float(self.pdf_grid(point)[0])
 
     def pdf_grid(self, points):
-        """Density at many points, shape (P, dim) -> (P,)."""
+        """Density at many points, shape (P, dim) -> (P,).
+
+        Raises ``ValueError`` naming the first row that is not finite.
+        """
+        pts = np.asarray(points, dtype=float)
+        out = self.whitened(pts)[1]
+        if not np.all(np.isfinite(out)):
+            check_finite_rows(pts)
+        return out
+
+    def whitened(self, points):
+        """Whitened coordinates z = W^T (x - mean) of points (P, dim), one
+        column per point, shape (dim, P), and the density there,
+        exp(log_norm - |z|^2 / 2), shape (P,).
+
+        A row that is not finite gets density NaN, so the caller's check
+        of its output sees it; a finite point far enough out for |z|^2 to
+        overflow gets 0.
+        """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DimensionMismatchError(
                 f"points must have shape (P, {self.dim}), got {pts.shape}"
             )
-        d = pts - self.mean[None, :]
-        q = np.einsum("pi,ij,pj->p", d, np.linalg.inv(self.cov), d)
-        return np.exp(self.log_norm - 0.5 * q)
+        # A non-finite or overflowing row is handled below, not warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = self.whitener.T @ (pts - self.mean if self.mean.any() else pts).T
+            q = np.einsum("ip,ip->p", z, z)
+        density = np.exp(self.log_norm - 0.5 * q)
+        if not np.all(np.isfinite(q)):
+            density[~np.all(np.isfinite(pts), axis=1)] = np.nan
+        return z, density
 
 
 @dataclass(frozen=True)

@@ -53,8 +53,9 @@ class OUModel:
     it is applied in the frame of f0 as the generator with drift
     Sigma A^T Sigma^-1.  Caches on the instance hold eigenfunctions and
     operator factors (the generators' drift rows and the factors of every
-    ladder operator, per mode and ``prune_eps``); treat everything
-    returned from them as immutable.
+    ladder operator, per mode and ``prune_eps``, and the grid-evaluation
+    tables of ``spectral``, per order); treat everything returned from
+    them as immutable.
     """
 
     A: np.ndarray
@@ -168,13 +169,13 @@ def _check_adjoint(model, g):
         )
 
 
-def _cached(model, build, I, eps):
-    """``build(model, I, eps)``, built on first use and kept in
-    ``model._op_cache`` under (build, I, eps)."""
-    key = (build, I, eps)
+def _cached(model, build, *args):
+    """``build(model, *args)``, built on first use and kept in
+    ``model._op_cache`` under (build, *args)."""
+    key = (build, *args)
     got = model._op_cache.get(key)
     if got is None:
-        got = build(model, I, eps)
+        got = build(model, *args)
         model._op_cache[key] = got
     return got
 

@@ -18,9 +18,14 @@ generating functions and obey three-term recursions along the modes:
   ``y = x Sigma^-1 E`` and ``G = E^T Sigma^-1 E``,
   ``p_{K+e_I} = y_I p_K - sum_J G_IJ K_J p_{K-e_J}``, ``p_0 = 1``.
 
-Both cost O(modes * dim) per value and prune nothing.  The ``verify``
-suites stay on the exact ``MPoly`` ladder, which is the reference these
-recursions are tested against.
+Grid evaluation runs the second recursion once per model and order, on
+coefficient rows in the whitened coordinates z = W^T x of f0 (W = L^-T,
+Sigma = L L^T), where f0 = exp(log_norm - |z|^2 / 2) and y = z C is
+linear in z.  The expansion is then one real vector pair against the
+real monomials z^a, built one product per monomial on each block of
+points.  Neither route prunes anything.  The ``verify`` suites stay on
+the exact ``MPoly`` ladder, which is the reference these recursions are
+tested against.
 
 The inhomogeneous solve builds no eigenfunction either.  With P = p f0,
 f0^-1 L(p f0) = (M x) . grad p + (1/2) B : grad grad p, M = Sigma A^T
@@ -28,8 +33,9 @@ Sigma^-1, is block-triangular by degree, so ``solve_inhomogeneous``
 solves one small real system per degree of the source, top degree first.
 """
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -39,17 +45,16 @@ from .errors import (
     NonFiniteResultError,
     NotSolvableError,
 )
-from .gaussian import ForwardFunction, GaussianDensity, expectation
+from .gaussian import ForwardFunction, GaussianDensity, check_finite_rows, expectation
 from .ladder import (
+    _cached,
     apply_adjoint,
     apply_forward,
     compositions,
-    eigenvalue,
     enumerate_modes,
     forward_drift,
     lower_adjoint,
     lower_forward,
-    mode_normalization,
     raise_adjoint,
     raise_forward,
 )
@@ -77,33 +82,41 @@ class SpectralExpansion:
         return self.coeffs[tuple(K)]
 
 
-def _ladder_steps(modes):
-    """Recursion steps along ``modes`` (``enumerate_modes`` order).
+# (dim, max_order) pairs whose modes and recursion steps are kept.
+STEPS_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=STEPS_CACHE_SIZE)
+def _ladder_steps(dim, max_order):
+    """Modes up to ``max_order`` (``enumerate_modes`` order) and the
+    recursion steps along them, both as tuples.
 
     Mode K is reached from its parent P = K - e_I, with I the first
     nonzero axis of K, as ``forward_eigenfunction`` builds it.  Each step
-    is (index of P, I, [(J, P_J, index of P - e_J) for nonzero P_J]).
+    is (index of P, I, ((J, P_J, index of P - e_J) for nonzero P_J)).
+    The modes double as the exponents of the monomial basis, which is
+    built along the same parents: z^K = z_I z^P.
     """
+    modes = tuple(enumerate_modes(dim, max_order))
     index = {K: k for k, K in enumerate(modes)}
     steps = []
     for K in modes[1:]:
         I = next(i for i, k in enumerate(K) if k > 0)
         P = K[:I] + (K[I] - 1,) + K[I + 1 :]
-        lower = [
+        lower = tuple(
             (J, P[J], index[P[:J] + (P[J] - 1,) + P[J + 1 :]])
             for J in range(len(P))
             if P[J]
-        ]
+        )
         steps.append((index[P], I, lower))
-    return steps
+    return modes, tuple(steps)
 
 
 def _ladder_recursion(steps, shift, Q, out):
-    """Fill ``out`` mode by mode: out[K] = shift[I] out[P] + sum_J Q_IJ P_J out[P - e_J].
+    """Fill the vector ``out`` mode by mode:
+    out[K] = shift[I] out[P] + sum_J Q_IJ P_J out[P - e_J].
 
-    ``out[0]`` must hold the stationary value.  Works on scalars
-    (``out`` of shape (modes,)) and on point blocks (``out`` of shape
-    (modes, points), ``shift`` of shape (dim, points)).
+    ``out[0]`` must hold the stationary value.
     """
     for k, (p, I, lower) in enumerate(steps, 1):
         out[k] = shift[I] * out[p]
@@ -134,12 +147,12 @@ def expand_gaussian(model, F0, max_order):
     W = model.eig.left
     a = 2.0 * (W @ F0.mean)
     M = 4.0 * (W @ (F0.cov - model.Sigma) @ W.T)
-    modes = enumerate_modes(model.dim, max_order)
+    modes, steps = _ladder_steps(model.dim, max_order)
     c = np.empty(len(modes), dtype=np.complex128)
     c[0] = 1.0
     # An overflow is reported by the check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        _ladder_recursion(_ladder_steps(modes), a, M, c)
+        _ladder_recursion(steps, a, M, c)
     bad = np.flatnonzero(~np.isfinite(c))
     if bad.size:
         raise NonFiniteResultError(
@@ -173,13 +186,52 @@ def evaluate_grid(expansion, points, t):
     return evaluate_grid_complex(expansion, points, t).real
 
 
+def _grid_tables(model, max_order):
+    """(T, lam, norm): the time-independent tables of grid evaluation.
+
+    Row K of T holds the coefficients of p_K over the monomials z^a of
+    the whitened coordinates z = W^T x (W = ``model.f0.whitener``), with a
+    in ``enumerate_modes`` order.  They come from the forward recursion
+    run once on coefficient rows: y = z C with C = W^T E and G = C^T C,
+    and the factor y_I = sum_i C_iI z_i shifts each exponent a to a + e_i.
+    ``lam`` and ``norm`` hold lambda_K and ``mode_normalization(K)``.
+    """
+    n = model.dim
+    modes, steps = _ladder_steps(n, max_order)
+    index = {a: r for r, a in enumerate(modes)}
+    # Only monomials below the top degree meet a factor y_I; up[i][r] is
+    # the index of modes[r] + e_i.
+    low = len(modes) - math.comb(max_order + n - 1, n - 1)
+    up = [
+        np.array([index[a[:i] + (a[i] + 1,) + a[i + 1 :]] for a in modes[:low]], dtype=np.intp)
+        for i in range(n)
+    ]
+    C = model.f0.whitener.T @ model.eig.right
+    G = C.T @ C
+    T = np.zeros((len(modes), len(modes)), dtype=np.complex128)
+    T[0, 0] = 1.0
+    for k, (p, I, lower) in enumerate(steps, 1):
+        for i in range(n):
+            T[k, up[i]] += C[i, I] * T[p, :low]
+        for J, m, q in lower:
+            T[k] -= (G[I, J] * m) * T[q]
+    K = np.array(modes, dtype=np.intp)
+    factorial = np.array([math.factorial(k) for k in range(max_order + 1)], dtype=float)
+    norm = np.prod(2.0**K * factorial[K], axis=1)
+    return T, K @ model.eig.values, norm
+
+
 def evaluate_grid_complex(expansion, points, t):
     """Complex expansion values on a grid of points, shape (P, N) -> (P,).
 
-    Sums f0(x) c_K / mode_normalization(K) exp(lambda_K t) p_K(x) with
-    every p_K from the forward recursion, one block of at most
-    ``GRID_CHUNK`` points at a time.  Raises ``NonFiniteResultError``
-    when a value overflows or turns NaN.
+    Sums f0(x) c_K / mode_normalization(K) exp(lambda_K t) p_K(x) in the
+    whitened coordinates z of f0, where f0 = exp(log_norm - |z|^2 / 2)
+    and each p_K is a row of monomial coefficients (``_grid_tables``,
+    built once per model and order).  So the sum is one real vector pair
+    b = w(t) T, split into real and imaginary parts, against the real
+    monomials z^a, which are built one block of at most ``GRID_CHUNK``
+    points at a time.  Raises ``ValueError`` naming the first point that
+    is not finite, and ``NonFiniteResultError`` when a value overflows.
     """
     _check_time(t)
     model = expansion.model
@@ -188,28 +240,26 @@ def evaluate_grid_complex(expansion, points, t):
         raise DimensionMismatchError(
             f"points must have shape (P, {model.dim}), got {pts.shape}"
         )
-    modes = enumerate_modes(model.dim, expansion.max_order)
-    steps = _ladder_steps(modes)
-    weights = np.array(
-        [
-            expansion.coeffs[K] / mode_normalization(K) * np.exp(eigenvalue(model, K) * t)
-            for K in modes
-        ]
-    )
-    E = model.eig.right
-    S = model.Sigma_inv @ E
-    G = E.T @ S
+    modes, steps = _ladder_steps(model.dim, expansion.max_order)
+    T, lam, norm = _cached(model, _grid_tables, expansion.max_order)
+    coeffs = np.array([expansion.coeffs[K] for K in modes])
     out = np.empty(pts.shape[0], dtype=np.complex128)
-    for lo in range(0, pts.shape[0], GRID_CHUNK):
-        block = pts[lo : lo + GRID_CHUNK]
-        work = np.empty((len(modes), block.shape[0]), dtype=np.complex128)
-        work[0] = 1.0
-        # An overflow is reported by the check below, not as a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            _ladder_recursion(steps, (block @ S).T, -G, work)
-            out[lo : lo + block.shape[0]] = (weights @ work) * model.f0.pdf_grid(block)
+    # An overflow is reported by the check below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = (coeffs / norm * np.exp(lam * t)) @ T
+        B2 = np.stack([b.real, b.imag])
+        for lo in range(0, pts.shape[0], GRID_CHUNK):
+            z, f0 = model.f0.whitened(pts[lo : lo + GRID_CHUNK])
+            X = np.empty((len(modes), len(f0)))
+            X[0] = 1.0
+            for k, (p, I, _) in enumerate(steps, 1):
+                np.multiply(z[I], X[p], out=X[k])
+            re, im = B2 @ X
+            np.multiply(re, f0, out=out.real[lo : lo + len(f0)])
+            np.multiply(im, f0, out=out.imag[lo : lo + len(f0)])
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
+        check_finite_rows(pts)
         raise NonFiniteResultError(
             f"expansion value at x={pts[bad[0]].tolist()}, t={t} is {out[bad[0]]}; "
             "a mode value or weight overflowed"

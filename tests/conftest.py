@@ -1,7 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import ou_spectral as ou
+
+# The package under test must be this checkout's, never another installed
+# or neighbouring copy, so that a comparison of two checkouts compares them.
+SRC = Path(__file__).resolve().parents[1] / "src"
+assert Path(ou.__file__).resolve().is_relative_to(SRC), (
+    f"ou_spectral imported from {ou.__file__}, not from {SRC}"
+)
 
 A_SPIRAL = np.array([[-1.0, -2.0], [2.0, -1.0]])
 B_SPIRAL = np.eye(2)

@@ -6,6 +6,7 @@ plain pytest run shows the full tally.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -351,7 +352,13 @@ def test_criterion_09_stochastic_cross_check(model_spiral, capsys):
 def test_criterion_10_deterministic_verify(tmp_path, capsys):
     # Two fresh processes running verify --json on the same config must
     # write byte-identical reports.
-    config = Path(__file__).resolve().parents[1] / "configs" / "spiral_2d.json"
+    root = Path(__file__).resolve().parents[1]
+    config = root / "configs" / "spiral_2d.json"
+    # The processes import this checkout's package, as the tests do.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
     outs = []
     for name in ("a.json", "b.json"):
         out = tmp_path / name
@@ -360,6 +367,7 @@ def test_criterion_10_deterministic_verify(tmp_path, capsys):
             capture_output=True,
             text=True,
             timeout=600,
+            env=env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         outs.append(out.read_bytes())

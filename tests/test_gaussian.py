@@ -141,6 +141,39 @@ def test_density_validation():
         g.pdf([0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_density_rejects_non_finite_points(bad):
+    g = GaussianDensity(mean=[0.1, -0.2], cov=[[0.5, 0.1], [0.1, 0.4]])
+    pts = np.zeros((5, 2))
+    pts[3, 1] = bad
+    with pytest.raises(ValueError, match="row 3"):
+        g.pdf_grid(pts)
+    with pytest.raises(ValueError, match="finite"):
+        g.pdf([bad, 0.0])
+
+
+def test_density_far_finite_point_is_zero():
+    # |z|^2 overflows to inf: the density underflows to 0, not an error.
+    g = GaussianDensity(mean=[0.0, 0.0], cov=[[0.5, 0.1], [0.1, 0.4]])
+    out = g.pdf_grid([[1e200, -1e200], [0.0, 0.0]])
+    assert out[0] == 0.0 and out[1] > 0.0
+
+
+def test_density_pdf_grid_is_the_whitened_form():
+    # pdf_grid is exp(log_norm - |z|^2 / 2) with z = (x - mean) L^-T,
+    # cov = L L^T; the quadratic form through inv(cov) agrees to round-off.
+    rng = np.random.default_rng(4)
+    M = rng.normal(size=(3, 3))
+    cov = M @ M.T + 0.3 * np.eye(3)
+    g = GaussianDensity(mean=rng.normal(size=3), cov=cov)
+    pts = rng.normal(size=(50, 3))
+    L = np.linalg.cholesky(cov)
+    npt.assert_allclose(g.whitener, np.linalg.inv(L).T, rtol=1e-14, atol=1e-14)
+    d = pts - g.mean
+    q = np.einsum("pi,ij,pj->p", d, np.linalg.inv(cov), d)
+    npt.assert_allclose(g.pdf_grid(pts), np.exp(g.log_norm - 0.5 * q), rtol=1e-13)
+
+
 def test_forward_function_value():
     g = GaussianDensity(mean=[0.0], cov=[[0.5]])
     f = ForwardFunction(MPoly(1, {(2,): 4.0, (0,): -2.0}), g)

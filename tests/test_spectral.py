@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -294,6 +295,71 @@ def test_rescaled_model_matches_exact_propagator(c):
         assert err <= 1e-4, (c, t, err)
 
 
+@pytest.mark.parametrize("c", [1e-8, 10**-5.5, 10**5.5, 1e8])
+def test_grid_values_do_not_depend_on_units(c):
+    # x -> c x keeps A, scales B by c^2 and the initial density's mean by
+    # c and covariance by c^2; the density itself scales by c^-n.
+    A = np.array([[-0.9, 0.4, 0.1], [-0.5, -1.3, 0.2], [0.1, 0.3, -0.8]])
+    B = np.array([[1.0, 0.2, 0.0], [0.2, 0.7, -0.1], [0.0, -0.1, 0.5]])
+    unit = ou.build_model(A, B)
+    scaled = ou.build_model(A, c * c * B)
+    mean, cov = np.array([0.2, -0.1, 0.15]), 0.8 * unit.Sigma
+    ex1 = ou.expand_gaussian(unit, ou.GaussianDensity(mean=mean, cov=cov), 5)
+    exc = ou.expand_gaussian(scaled, ou.GaussianDensity(mean=c * mean, cov=c * c * cov), 5)
+    pts = 1.5 * np.random.default_rng(12).normal(size=(500, 3)) @ np.linalg.cholesky(
+        unit.Sigma
+    ).T
+    for t in (0.0, 0.4):
+        v1 = ou.evaluate_grid_complex(ex1, pts, t)
+        vc = c**3 * ou.evaluate_grid_complex(exc, c * pts, t)
+        assert np.max(np.abs(vc - v1)) <= 1e-13 * np.max(np.abs(v1)), (c, t)
+
+
+def test_grid_table_rows_are_the_forward_eigenfunctions(four_models):
+    # Row K of T, summed over the monomials of z = W^T x, is the ladder's
+    # p_K(x) at every point.
+    rng = np.random.default_rng(13)
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = cli.load_config(str(path))
+        model = four_models[path.stem]
+        modes, _ = spectral._ladder_steps(model.dim, cfg.max_order)
+        T, lam, norm = spectral._grid_tables(model, cfg.max_order)
+        pts = 1.5 * rng.normal(size=(40, model.dim)) @ np.linalg.cholesky(model.Sigma).T
+        z = pts @ model.f0.whitener
+        monomials = np.prod(z[:, None, :] ** np.array(modes)[None, :, :], axis=2)
+        for k, K in enumerate(modes):
+            want = np.array([complex(ou.forward_eigenfunction(model, K).poly(x)) for x in pts])
+            got = monomials @ T[k]
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (path.stem, K)
+            assert lam[k] == pytest.approx(ou.eigenvalue(model, K), rel=1e-15, abs=1e-15)
+            assert norm[k] == ou.mode_normalization(K)
+
+
+def test_grid_evaluation_memory_does_not_grow_with_points(model_3d):
+    F0 = ou.GaussianDensity(mean=[0.2, -0.1, 0.3], cov=0.7 * model_3d.Sigma)
+    ex = ou.expand_gaussian(model_3d, F0, 5)
+    rng = np.random.default_rng(14)
+    grids = [rng.normal(size=(n, 3)) for n in (20000, 200000)]
+    transient = []
+    tracemalloc.start()
+    try:
+        # A first call builds the model's tables and fills numpy's caches
+        # of small blocks, which stay.
+        ou.evaluate_grid_complex(ex, grids[1], 0.5)
+        for pts in grids:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = ou.evaluate_grid_complex(ex, pts, 0.5)
+            transient.append(tracemalloc.get_traced_memory()[1] - before - out.nbytes)
+            del out
+    finally:
+        tracemalloc.stop()
+    # One block of 56 monomials is 1.8 MB; a whole-grid work array would
+    # add about 450 B per point, 81 MB between the two grids.
+    assert abs(transient[1] - transient[0]) <= 1024
+    assert max(transient) <= 4 * 2**20
+
+
 def test_grid_chunks_are_invisible(model_3d):
     F0 = ou.GaussianDensity(mean=[0.2, -0.1, 0.3], cov=0.7 * model_3d.Sigma)
     ex = ou.expand_gaussian(model_3d, F0, 3)
@@ -313,6 +379,21 @@ def test_empty_grid_gives_empty_values(model_spiral):
     out = ou.evaluate_grid_complex(ex, np.zeros((0, 2)), 0.5)
     assert out.shape == (0,) and out.dtype == np.complex128
     assert ou.evaluate_grid(ex, np.zeros((0, 2)), 0.5).shape == (0,)
+
+
+@pytest.mark.parametrize("order", [0, 3])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_evaluate_rejects_non_finite_points(model_spiral, bad, order):
+    # The point is at fault, not a mode value or weight: a ValueError
+    # naming its row in the whole grid, past the first block.
+    F0 = ou.GaussianDensity(mean=[0.3, 0.0], cov=0.5 * np.eye(2))
+    ex = ou.expand_gaussian(model_spiral, F0, order)
+    pts = np.zeros((GRID_CHUNK + 5, 2))
+    pts[GRID_CHUNK + 2, 1] = bad
+    with pytest.raises(ValueError, match=f"row {GRID_CHUNK + 2} "):
+        ou.evaluate_grid_complex(ex, pts, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        ou.evaluate(ex, [bad, 0.0], 0.5)
 
 
 def test_order_zero_is_the_stationary_mode(model_3d):
@@ -514,15 +595,28 @@ def test_solve_overflow_raises_typed_error(model_spiral):
             ou.solve_inhomogeneous(model_spiral, q, 5)
 
 
-def test_solve_builds_no_eigenfunction(monkeypatch):
+@pytest.fixture
+def no_eigenfunctions(monkeypatch):
     def refuse(model, K):
-        raise AssertionError("solve_inhomogeneous built an eigenfunction")
+        raise AssertionError("an eigenfunction was built")
 
     for name in ("forward_eigenfunction", "adjoint_eigenfunction"):
         monkeypatch.setattr(ladder, name, refuse)
         monkeypatch.setattr(spectral, name, refuse, raising=False)
+
+
+def test_solve_builds_no_eigenfunction(no_eigenfunctions):
     model = _random_model(203, 3)
     q = _odd_source(np.random.default_rng(2), model, 5)
     P = ou.solve_inhomogeneous(model, q, 5)
     assert _relative_residual(model, P, q) <= 1e-12
+    assert not model._forward_cache and not model._adjoint_cache
+
+
+def test_expand_and_evaluate_build_no_eigenfunction(no_eigenfunctions):
+    model = _random_model(203, 3)
+    F0 = ou.GaussianDensity(mean=[0.2, -0.1, 0.3], cov=0.7 * model.Sigma)
+    ex = ou.expand_gaussian(model, F0, 5)
+    pts = np.random.default_rng(3).normal(size=(50, 3))
+    assert np.all(np.isfinite(ou.evaluate_grid_complex(ex, pts, 0.5)))
     assert not model._forward_cache and not model._adjoint_cache
