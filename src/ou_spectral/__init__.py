@@ -44,7 +44,6 @@ from .ladder import (
     apply_forward,
     build_model,
     eigenvalue,
-    enumerate_modes,
     forward_eigenfunction,
     lower_adjoint,
     lower_forward,
@@ -60,6 +59,7 @@ from .linalg import (
     solve_lyapunov,
     sym_sqrt,
 )
+from .monomials import enumerate_modes
 from .mpoly import MPoly, coeff_distance, hermite, hermite_in_var, render
 from .sde_oracle import MomentReport, SimConfig, simulate
 from .spectral import (

@@ -21,10 +21,10 @@ from .ladder import (
     apply_forward,
     build_model,
     eigenvalue,
-    enumerate_modes,
     forward_eigenfunction,
     mode_normalization,
 )
+from .monomials import enumerate_modes
 from .mpoly import MPoly, coeff_distance, render
 from .sde_oracle import SimConfig, simulate
 from .spectral import (
@@ -360,14 +360,11 @@ def cmd_propagate(cfg, args):
     expansion = expand_gaussian(model, F0, cfg.max_order)
     points = _grid_points(cfg)
     results = []
-    csv_rows = []
-    worst_imag = 0.0
     for t in cfg.times:
         vals = evaluate_grid_complex(expansion, points, t)
         exact_density = exact_gaussian_propagate(model, F0, t)
         exact = exact_density.pdf_grid(points)
         err = np.abs(vals.real - exact)
-        worst_imag = max(worst_imag, float(np.max(np.abs(vals.imag))))
         results.append(
             {
                 "t": t,
@@ -382,12 +379,6 @@ def cmd_propagate(cfg, args):
             f"t={t:g}: max |expansion - exact| = {err.max():.6e}, "
             f"max imaginary residue = {np.max(np.abs(vals.imag)):.3e}"
         )
-        for p, v, e in zip(points, vals, exact):
-            csv_rows.append(
-                [float(t)]
-                + [float(c) for c in p]
-                + [float(v.real), float(e), float(abs(v.real - e))]
-            )
     if args.json:
         _write_json(
             args.json,
@@ -399,9 +390,7 @@ def cmd_propagate(cfg, args):
                     "hi": cfg.grid_hi,
                     "points_per_axis": cfg.grid_points,
                 },
-                "results": [
-                    {k: v for k, v in r.items()} for r in results
-                ],
+                "results": results,
             },
         )
     if args.csv:
@@ -410,7 +399,12 @@ def cmd_propagate(cfg, args):
             + [f"x{i + 1}" for i in range(cfg.dimension)]
             + ["expansion", "exact", "abs_error"]
         )
-        _write_csv(args.csv, header, csv_rows)
+        rows = [
+            [float(r["t"])] + [float(c) for c in p] + [float(v), float(e), float(abs(v - e))]
+            for r in results
+            for p, v, e in zip(points, r["expansion"], r["exact"])
+        ]
+        _write_csv(args.csv, header, rows)
     return 0
 
 

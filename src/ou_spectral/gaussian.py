@@ -30,19 +30,19 @@ def check_finite_rows(points):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianDensity:
     """Normalized Gaussian density with mean vector and SPD covariance.
 
-    ``whitener`` is W = L^-T for the Cholesky factor cov = L L^T, so the
-    whitened coordinates z = W^T (x - mean) make the density
-    exp(log_norm - |z|^2 / 2).
+    Compares and hashes by identity.  ``whitener`` is W = L^-T for the
+    Cholesky factor cov = L L^T, so the whitened coordinates
+    z = W^T (x - mean) make the density exp(log_norm - |z|^2 / 2).
     """
 
     mean: np.ndarray
     cov: np.ndarray
     log_norm: float = field(init=False)
-    whitener: np.ndarray = field(init=False, repr=False, compare=False)
+    whitener: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
@@ -108,9 +108,9 @@ class GaussianDensity:
         return z, density
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForwardFunction:
-    """Polynomial multiple of a Gaussian: value(x) = poly(x) * base.pdf(x)."""
+    """poly(x) * base.pdf(x); compares and hashes by identity."""
 
     poly: MPoly
     base: GaussianDensity

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import linalg
 from .errors import NotCanonicalError
-from .ladder import OUModel, _check_multi_index, build_model, compositions
+from .ladder import OUModel, _check_multi_index, build_model
+from .monomials import compositions
 from .mpoly import MPoly, hermite_in_var, multinomial
 
 

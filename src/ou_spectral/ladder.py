@@ -17,12 +17,12 @@ routine applies both.  The lowering operators are directional
 derivatives on either side, and the raising operators add one linear
 factor to a directional derivative.
 
-Eigenfunctions are memoized on the model, keyed by their multi-index.
-The polynomial factors and gradient weights of each operator (the
-generator's drift rows, the ``MPoly.linear`` factors, the scaled
-eigenvector entries) depend only on the model, the mode and the
-``prune_eps`` of the input, so each is built once per model and kept in
-``model._op_cache``.  Concurrent builds may race to insert a cache
+Eigenfunction K is raised from its ``monomials.parent`` and memoized on
+the model, keyed by K.  The polynomial factors and gradient weights of
+each operator (the generator's drift rows, the ``MPoly.linear`` factors,
+the scaled eigenvector entries) depend only on the model, the mode and
+the ``prune_eps`` of the input, so each is built once per model and kept
+in ``model._op_cache``.  Concurrent builds may race to insert a cache
 entry; both compute the same value, so last write wins harmlessly.
 """
 
@@ -39,6 +39,7 @@ from .errors import (
     UnstableDriftError,
 )
 from .gaussian import ForwardFunction, GaussianDensity, stationary_density
+from .monomials import parent
 from .mpoly import DEFAULT_PRUNE_EPS, MPoly, _add_gradient
 
 
@@ -76,10 +77,6 @@ class OUModel:
     @property
     def dim(self):
         return self.A.shape[0]
-
-    def eigenvalue_of_mode(self, I):
-        _check_mode(self, I)
-        return complex(self.eig.values[I])
 
 
 def build_model(A, B, tol=1e-9, prune_eps=DEFAULT_PRUNE_EPS):
@@ -323,8 +320,7 @@ def forward_eigenfunction(model, K):
             MPoly.constant(model.dim, 1.0, model.prune_eps), model.f0
         )
     else:
-        I = next(i for i, k in enumerate(K) if k > 0)
-        prev = K[:I] + (K[I] - 1,) + K[I + 1 :]
+        I, prev = parent(K)
         out = raise_forward(model, I, forward_eigenfunction(model, prev))
     model._forward_cache[K] = out
     return out
@@ -339,8 +335,7 @@ def adjoint_eigenfunction(model, K):
     if sum(K) == 0:
         out = MPoly.constant(model.dim, 1.0, model.prune_eps)
     else:
-        I = next(i for i, k in enumerate(K) if k > 0)
-        prev = K[:I] + (K[I] - 1,) + K[I + 1 :]
+        I, prev = parent(K)
         out = raise_adjoint(model, I, adjoint_eigenfunction(model, prev))
     model._adjoint_cache[K] = out
     return out
@@ -360,32 +355,4 @@ def mode_normalization(K):
         if k < 0:
             raise ModeIndexMismatchError(f"multi-index {tuple(K)} has a negative entry")
         out *= float(2**k) * float(math.factorial(k))
-    return out
-
-
-def compositions(total, parts):
-    """All tuples of ``parts`` nonnegative ints summing to ``total``.
-
-    The first entry runs from ``total`` down to 0, recursively, so the
-    tuples come out in reverse lexicographic order.
-    """
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def enumerate_modes(dim, max_order):
-    """All multi-indices with total order up to max_order, graded-lex."""
-    dim = int(dim)
-    max_order = int(max_order)
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    if max_order < 0:
-        raise ValueError("max_order must be nonnegative")
-    out = []
-    for deg in range(max_order + 1):
-        out.extend(compositions(deg, dim))
     return out

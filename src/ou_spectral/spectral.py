@@ -9,7 +9,8 @@ independent oracle for convergence tests.
 
 Expansion and evaluation never build a polynomial.  The raising
 operators of each family commute, so the eigenfunctions have Gaussian
-generating functions and obey three-term recursions along the modes:
+generating functions and obey three-term recursions along the parents
+of the modes (``monomials.graded_index``):
 
 * coefficients: with ``W`` the left eigenvectors, ``a = 2 W mu`` and
   ``M = 4 W (C - Sigma) W^T`` for ``F0 = N(mu, C)``,
@@ -29,13 +30,14 @@ tested against.
 
 The inhomogeneous solve builds no eigenfunction either.  With P = p f0,
 f0^-1 L(p f0) = (M x) . grad p + (1/2) B : grad grad p, M = Sigma A^T
-Sigma^-1, is block-triangular by degree, so ``solve_inhomogeneous``
-solves one small real system per degree of the source, top degree first.
+Sigma^-1, is one matrix on the graded monomials, block-triangular by
+degree, so ``solve_inhomogeneous`` solves one small real system per
+degree of the source, top degree first, on slices of that matrix.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -50,14 +52,13 @@ from .ladder import (
     _cached,
     apply_adjoint,
     apply_forward,
-    compositions,
-    enumerate_modes,
     forward_drift,
     lower_adjoint,
     lower_forward,
     raise_adjoint,
     raise_forward,
 )
+from .monomials import enumerate_modes, graded_index
 from .mpoly import MPoly, coeff_distance, fold_worst
 
 # Points per block of grid evaluation; the work array holds every mode
@@ -82,39 +83,9 @@ class SpectralExpansion:
         return self.coeffs[tuple(K)]
 
 
-# (dim, max_order) pairs whose modes and recursion steps are kept.
-STEPS_CACHE_SIZE = 32
-
-
-@lru_cache(maxsize=STEPS_CACHE_SIZE)
-def _ladder_steps(dim, max_order):
-    """Modes up to ``max_order`` (``enumerate_modes`` order) and the
-    recursion steps along them, both as tuples.
-
-    Mode K is reached from its parent P = K - e_I, with I the first
-    nonzero axis of K, as ``forward_eigenfunction`` builds it.  Each step
-    is (index of P, I, ((J, P_J, index of P - e_J) for nonzero P_J)).
-    The modes double as the exponents of the monomial basis, which is
-    built along the same parents: z^K = z_I z^P.
-    """
-    modes = tuple(enumerate_modes(dim, max_order))
-    index = {K: k for k, K in enumerate(modes)}
-    steps = []
-    for K in modes[1:]:
-        I = next(i for i, k in enumerate(K) if k > 0)
-        P = K[:I] + (K[I] - 1,) + K[I + 1 :]
-        lower = tuple(
-            (J, P[J], index[P[:J] + (P[J] - 1,) + P[J + 1 :]])
-            for J in range(len(P))
-            if P[J]
-        )
-        steps.append((index[P], I, lower))
-    return modes, tuple(steps)
-
-
 def _ladder_recursion(steps, shift, Q, out):
-    """Fill the vector ``out`` mode by mode:
-    out[K] = shift[I] out[P] + sum_J Q_IJ P_J out[P - e_J].
+    """Fill the vector ``out`` mode by mode along the ``steps`` of a
+    ``GradedIndex``: out[K] = shift[I] out[P] + sum_J Q_IJ P_J out[P - e_J].
 
     ``out[0]`` must hold the stationary value.
     """
@@ -147,12 +118,13 @@ def expand_gaussian(model, F0, max_order):
     W = model.eig.left
     a = 2.0 * (W @ F0.mean)
     M = 4.0 * (W @ (F0.cov - model.Sigma) @ W.T)
-    modes, steps = _ladder_steps(model.dim, max_order)
+    idx = graded_index(model.dim, max_order)
+    modes = idx.modes
     c = np.empty(len(modes), dtype=np.complex128)
     c[0] = 1.0
     # An overflow is reported by the check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        _ladder_recursion(steps, a, M, c)
+        _ladder_recursion(idx.steps, a, M, c)
     bad = np.flatnonzero(~np.isfinite(c))
     if bad.size:
         raise NonFiniteResultError(
@@ -190,32 +162,27 @@ def _grid_tables(model, max_order):
     """(T, lam, norm): the time-independent tables of grid evaluation.
 
     Row K of T holds the coefficients of p_K over the monomials z^a of
-    the whitened coordinates z = W^T x (W = ``model.f0.whitener``), with a
-    in ``enumerate_modes`` order.  They come from the forward recursion
-    run once on coefficient rows: y = z C with C = W^T E and G = C^T C,
-    and the factor y_I = sum_i C_iI z_i shifts each exponent a to a + e_i.
+    the whitened coordinates z = W^T x (W = ``model.f0.whitener``), both
+    in ``graded_index`` rows.  They come from the forward recursion run
+    once on coefficient rows: y = z C with C = W^T E and G = C^T C, and
+    the factor y_I = sum_i C_iI z_i shifts each exponent a to a + e_i.
     ``lam`` and ``norm`` hold lambda_K and ``mode_normalization(K)``.
     """
     n = model.dim
-    modes, steps = _ladder_steps(n, max_order)
-    index = {a: r for r, a in enumerate(modes)}
-    # Only monomials below the top degree meet a factor y_I; up[i][r] is
-    # the index of modes[r] + e_i.
-    low = len(modes) - math.comb(max_order + n - 1, n - 1)
-    up = [
-        np.array([index[a[:i] + (a[i] + 1,) + a[i + 1 :]] for a in modes[:low]], dtype=np.intp)
-        for i in range(n)
-    ]
+    idx = graded_index(n, max_order)
+    # Only monomials below the top degree meet a factor y_I.
+    low = idx.degree(max_order).start
+    up = idx.up[:, :low]
     C = model.f0.whitener.T @ model.eig.right
     G = C.T @ C
-    T = np.zeros((len(modes), len(modes)), dtype=np.complex128)
+    T = np.zeros((len(idx.modes), len(idx.modes)), dtype=np.complex128)
     T[0, 0] = 1.0
-    for k, (p, I, lower) in enumerate(steps, 1):
+    for k, (p, I, lower) in enumerate(idx.steps, 1):
         for i in range(n):
             T[k, up[i]] += C[i, I] * T[p, :low]
         for J, m, q in lower:
             T[k] -= (G[I, J] * m) * T[q]
-    K = np.array(modes, dtype=np.intp)
+    K = idx.exponents
     factorial = np.array([math.factorial(k) for k in range(max_order + 1)], dtype=float)
     norm = np.prod(2.0**K * factorial[K], axis=1)
     return T, K @ model.eig.values, norm
@@ -240,9 +207,9 @@ def evaluate_grid_complex(expansion, points, t):
         raise DimensionMismatchError(
             f"points must have shape (P, {model.dim}), got {pts.shape}"
         )
-    modes, steps = _ladder_steps(model.dim, expansion.max_order)
+    idx = graded_index(model.dim, expansion.max_order)
     T, lam, norm = _cached(model, _grid_tables, expansion.max_order)
-    coeffs = np.array([expansion.coeffs[K] for K in modes])
+    coeffs = np.array([expansion.coeffs[K] for K in idx.modes])
     out = np.empty(pts.shape[0], dtype=np.complex128)
     # An overflow is reported by the check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -250,9 +217,9 @@ def evaluate_grid_complex(expansion, points, t):
         B2 = np.stack([b.real, b.imag])
         for lo in range(0, pts.shape[0], GRID_CHUNK):
             z, f0 = model.f0.whitened(pts[lo : lo + GRID_CHUNK])
-            X = np.empty((len(modes), len(f0)))
+            X = np.empty((len(idx.modes), len(f0)))
             X[0] = 1.0
-            for k, (p, I, _) in enumerate(steps, 1):
+            for k, (p, I, _) in enumerate(idx.steps, 1):
                 np.multiply(z[I], X[p], out=X[k])
             re, im = B2 @ X
             np.multiply(re, f0, out=out.real[lo : lo + len(f0)])
@@ -287,47 +254,26 @@ def exact_gaussian_propagate(model, F0, t):
     return GaussianDensity(mean=mean, cov=0.5 * (cov + cov.T))
 
 
-def _monomials(n, k):
-    """Degree-k monomials in n variables and their row index."""
-    monos = list(compositions(k, n))
-    return monos, {a: r for r, a in enumerate(monos)}
+def _generator_matrix(M, B, idx):
+    """G[b, a]: the coefficient of x^b in (M x) . grad x^a
+    + (1/2) B : grad grad x^a, over the monomials of the ``GradedIndex``.
 
-
-def _drift_block(M, monos, index):
-    """D_k: the matrix of p -> (M x) . grad p on the degree-k ``monos``.
-
-    Column a holds the image of x^a, sum_ij M_ij a_i x^(a - e_i + e_j),
-    which is again of degree k.
+    The drift part, sum_ij M_ij a_i x^(a - e_i + e_j), keeps the degree k
+    of x^a; the diffusion part, sum_ij (1/2) B_ij a_i (a - e_i)_j
+    x^(a - e_i - e_j), lowers it by 2.  So per degree G holds D_k and,
+    from degree k + 2 to k, the Hessian block.
     """
     n = M.shape[0]
-    D = np.zeros((len(monos), len(monos)))
-    for col, a in enumerate(monos):
-        for i in range(n):
-            if a[i] == 0:
-                continue
-            lowered = a[:i] + (a[i] - 1,) + a[i + 1 :]
-            for j in range(n):
-                b = lowered[:j] + (lowered[j] + 1,) + lowered[j + 1 :]
-                D[index[b], col] += a[i] * M[i, j]
-    return D
-
-
-def _hessian_block(B, monos, index):
-    """The matrix of p -> (1/2) B : grad grad p from the degree-(k+2)
-    ``monos`` to the degree-k monomials of ``index``."""
-    n = B.shape[0]
-    H = np.zeros((len(index), len(monos)))
-    for col, a in enumerate(monos):
-        for i in range(n):
-            if a[i] == 0:
-                continue
-            lowered = a[:i] + (a[i] - 1,) + a[i + 1 :]
-            for j in range(n):
-                if lowered[j] == 0:
-                    continue
-                b = lowered[:j] + (lowered[j] - 1,) + lowered[j + 1 :]
-                H[index[b], col] += 0.5 * B[i, j] * a[i] * lowered[j]
-    return H
+    a = idx.exponents
+    G = np.zeros((len(idx.modes), len(idx.modes)))
+    for i in range(n):
+        cols = np.flatnonzero(a[:, i])
+        lowered = idx.down[i, cols]
+        for j in range(n):
+            G[idx.up[j, lowered], cols] += a[cols, i] * M[i, j]
+            nz = a[lowered, j] > 0
+            G[idx.down[j, lowered[nz]], cols[nz]] += 0.5 * B[i, j] * a[cols[nz], i] * a[lowered[nz], j]
+    return G
 
 
 def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
@@ -338,7 +284,8 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
     generator of the time-reversed process, which ``apply_forward``
     applies.  The first term keeps the degree of a homogeneous
     polynomial and the second lowers it by 2, so for k = d down to 1 the
-    degree-k part of p solves D_k p_k = q_k - (1/2) B : grad grad p_{k+2}.
+    degree-k part of p solves D_k p_k = q_k - (1/2) B : grad grad p_{k+2},
+    where D_k and the Hessian block are slices of ``_generator_matrix``.
     D_k has the eigenvalues lambda_K with |K| = k, so it is nonsingular;
     the real and imaginary parts of q solve as two real right-hand sides.
     The solution is exact, of degree d, and real for a real source.
@@ -378,28 +325,25 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
             f"source has stationary component {abs(c0):.3e} "
             f"(tolerance {solvability_tol * scale:.3e}); no solution exists"
         )
-    n = model.dim
-    M = forward_drift(model)
-    levels = [_monomials(n, k) for k in range(d + 1)]
-    rhs = [np.zeros((len(monos), 2)) for monos, _ in levels]
+    idx = graded_index(model.dim, max(d, 0))
+    G = _generator_matrix(forward_drift(model), model.B, idx)
+    x = np.zeros((len(idx.modes), 2))  # q, overwritten by p degree by degree
     for a, c in q.poly.terms.items():
-        k = sum(a)
-        rhs[k][levels[k][1][a]] = (c.real, c.imag)
+        x[idx.row[a]] = (c.real, c.imag)
     terms = {}
-    sol = {}
     for k in range(d, 0, -1):
-        monos, index = levels[k]
-        b = rhs[k]
+        s = idx.degree(k)
+        b = x[s]
         if k + 2 <= d:
-            b = b - _hessian_block(model.B, levels[k + 2][0], index) @ sol[k + 2]
-        sol[k] = np.linalg.solve(_drift_block(M, monos, index), b)
-        if not np.all(np.isfinite(sol[k])):
+            b = b - G[s, idx.degree(k + 2)] @ x[idx.degree(k + 2)]
+        x[s] = np.linalg.solve(G[s, s], b)
+        if not np.all(np.isfinite(x[s])):
             raise NonFiniteResultError(
                 f"the degree-{k} part of the solution is not finite; "
                 "the source is too large or not finite"
             )
-        terms.update((a, complex(re, im)) for a, (re, im) in zip(monos, sol[k]))
-    p = MPoly(n, terms, model.prune_eps)
+        terms.update((a, complex(re, im)) for a, (re, im) in zip(idx.modes[s], x[s]))
+    p = MPoly(model.dim, terms, model.prune_eps)
     return ForwardFunction(p - expectation(p, model.f0), model.f0)
 
 

@@ -5,6 +5,7 @@ worst residual against a tolerance.  The CLI renders these; they are
 plain library code so they can also be driven programmatically.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,6 @@ from .ladder import (
     apply_adjoint,
     apply_forward,
     eigenvalue,
-    enumerate_modes,
     forward_eigenfunction,
     lower_adjoint,
     lower_forward,
@@ -24,6 +24,7 @@ from .ladder import (
     raise_adjoint,
     raise_forward,
 )
+from .monomials import enumerate_modes, graded_index
 from .mpoly import coeff_distance, fold_worst
 from .spectral import BatteryImages, reconstruct_operators_check
 
@@ -49,23 +50,23 @@ class VerifyReport:
         return all(s.passed for s in self.suites)
 
 
-def _pairing_matrix(model, modes):
-    """P[M, K] = <g_M, f_K> for every M and K in ``modes``, which must be
-    ``enumerate_modes(model.dim, order)`` for some order.
+def _pairing_matrix(model, max_order):
+    """P[M, K] = <g_M, f_K> for every M and K up to ``max_order``, both
+    indexed by the rows of ``graded_index(model.dim, max_order)``.
 
     The forward and adjoint eigenfunctions fill coefficient matrices F and
-    G (modes x monomials, the monomials indexed by ``modes`` too), and
+    G (modes x monomials, the monomials indexed by the same rows), and
     with the moment matrix H_ab = E_f0[x^(a+b)], P = conj(G) H F^T.
     """
-    column = {a: j for j, a in enumerate(modes)}
-    F = np.zeros((len(modes), len(modes)), dtype=complex)
+    idx = graded_index(model.dim, max_order)
+    F = np.zeros((len(idx.modes), len(idx.modes)), dtype=complex)
     G = np.zeros_like(F)
-    for k, K in enumerate(modes):
+    for k, K in enumerate(idx.modes):
         for a, c in forward_eigenfunction(model, K).poly.terms.items():
-            F[k, column[a]] = c
+            F[k, idx.row[a]] = c
         for a, c in adjoint_eigenfunction(model, K).terms.items():
-            G[k, column[a]] = c
-    return np.conj(G) @ moment_matrix(modes, model.f0.cov) @ F.T
+            G[k, idx.row[a]] = c
+    return np.conj(G) @ moment_matrix(idx.modes, model.f0.cov) @ F.T
 
 
 def biorthogonality_suite(model, max_order, tol=1e-8):
@@ -76,8 +77,8 @@ def biorthogonality_suite(model, max_order, tol=1e-8):
     coefficient matrices and one moment matrix (``_pairing_matrix``).
     Residuals are relative to the normalization of the forward index.
     """
-    modes = enumerate_modes(model.dim, max_order)
-    pairings = _pairing_matrix(model, modes)
+    modes = graded_index(model.dim, max_order).modes
+    pairings = _pairing_matrix(model, max_order)
     norms = np.array([mode_normalization(K) for K in modes])
     resid = np.abs(pairings - np.diag(norms)) / norms
     worst = 0.0
@@ -116,8 +117,6 @@ def ladder_suite(model, n_max=6, tol=1e-10):
     2^k n!/(n-k)! times the order-(n-k) one, and one step past the
     bottom must annihilate.
     """
-    import math
-
     worst = 0.0
     for I in range(model.dim):
         for n in range(1, n_max + 1):

@@ -183,6 +183,19 @@ def test_forward_function_value():
         ForwardFunction(MPoly(2, {(1, 0): 1.0}), g)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_density_and_forward_function_compare_by_identity(n):
+    # A field-wise __eq__ compares the mean and cov arrays as tuple members,
+    # which raises for n >= 2; equality and hashing are by identity.
+    a = GaussianDensity(mean=np.zeros(n), cov=np.eye(n))
+    b = GaussianDensity(mean=np.zeros(n), cov=np.eye(n))
+    fa = ForwardFunction(MPoly.constant(n, 1.0), a)
+    fb = ForwardFunction(MPoly.constant(n, 1.0), a)
+    assert a == a and a != b
+    assert fa == fa and fa != fb
+    assert len({a, b, fa, fb}) == 4
+
+
 def test_inner_product_conjugates_first_argument():
     g0 = GaussianDensity(mean=[0.0], cov=[[0.5]])
     f = ForwardFunction(MPoly(1, {(2,): 1.0}), g0)

@@ -1,0 +1,116 @@
+import math
+
+import numpy as np
+import pytest
+
+import ou_spectral as ou
+from ou_spectral import monomials
+from ou_spectral.monomials import (
+    INDEX_CACHE_SIZE,
+    compositions,
+    enumerate_modes,
+    graded_index,
+    parent,
+)
+
+SHAPES = [(1, 0), (1, 5), (2, 0), (2, 6), (3, 4), (4, 3), (5, 2)]
+
+
+def _shift(K, i, step):
+    return K[:i] + (K[i] + step,) + K[i + 1 :]
+
+
+@pytest.mark.parametrize("dim, degree", SHAPES)
+def test_rows_are_enumerate_modes(dim, degree):
+    idx = graded_index(dim, degree)
+    assert idx.modes == tuple(enumerate_modes(dim, degree))
+    assert len(idx.modes) == math.comb(dim + degree, dim)
+    assert all(idx.row[K] == r for r, K in enumerate(idx.modes))
+    assert len(idx.row) == len(idx.modes)
+    assert idx.exponents.shape == (len(idx.modes), dim)
+    assert [tuple(a) for a in idx.exponents.tolist()] == list(idx.modes)
+
+
+@pytest.mark.parametrize("dim, degree", SHAPES)
+def test_degree_slices(dim, degree):
+    idx = graded_index(dim, degree)
+    stop = 0
+    for k in range(degree + 1):
+        s = idx.degree(k)
+        assert s.start == stop
+        assert idx.modes[s] == tuple(compositions(k, dim))
+        stop = s.stop
+    assert stop == len(idx.modes)
+
+
+@pytest.mark.parametrize("dim, degree", SHAPES)
+def test_shift_tables_match_exponent_arithmetic(dim, degree):
+    idx = graded_index(dim, degree)
+    assert idx.up.shape == idx.down.shape == (dim, len(idx.modes))
+    for r, K in enumerate(idx.modes):
+        for i in range(dim):
+            if sum(K) < degree:
+                assert idx.modes[idx.up[i, r]] == _shift(K, i, 1)
+            else:
+                assert idx.up[i, r] == -1
+            if K[i]:
+                assert idx.modes[idx.down[i, r]] == _shift(K, i, -1)
+            else:
+                assert idx.down[i, r] == -1
+
+
+@pytest.mark.parametrize("dim, degree", SHAPES)
+def test_steps_follow_the_ladder_parent(dim, degree):
+    idx = graded_index(dim, degree)
+    assert len(idx.steps) == len(idx.modes) - 1
+    for K, (p, I, lower) in zip(idx.modes[1:], idx.steps):
+        # forward_eigenfunction raises K from K - e_I, I its first nonzero axis.
+        first = next(i for i, k in enumerate(K) if k)
+        P = _shift(K, first, -1)
+        assert parent(K) == (first, P)
+        assert (I, idx.modes[p]) == (first, P)
+        want = [(J, P[J], _shift(P, J, -1)) for J in range(dim) if P[J]]
+        assert [(J, m, idx.modes[q]) for J, m, q in lower] == want
+
+
+def test_parent_is_the_step_of_the_eigenfunction_builders(model_3d):
+    K = (0, 2, 1)
+    I, P = parent(K)
+    assert (I, P) == (1, (0, 1, 1))
+    f = ou.raise_forward(model_3d, I, ou.forward_eigenfunction(model_3d, P))
+    g = ou.raise_adjoint(model_3d, I, ou.adjoint_eigenfunction(model_3d, P))
+    assert ou.coeff_distance(f.poly, ou.forward_eigenfunction(model_3d, K).poly) == 0.0
+    assert ou.coeff_distance(g, ou.adjoint_eigenfunction(model_3d, K)) == 0.0
+
+
+def test_cached_arrays_are_read_only():
+    idx = graded_index(3, 3)
+    for a in (idx.exponents, idx.up, idx.down):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 7
+    with pytest.raises(TypeError):
+        idx.row[(9, 9, 9)] = 0
+    assert isinstance(idx.modes, tuple) and isinstance(idx.steps, tuple)
+
+
+def test_cache_is_bounded_and_rebuilds_equal():
+    first = graded_index(2, 3)
+    assert graded_index(2, 3) is first
+    for degree in range(INDEX_CACHE_SIZE + 4):
+        graded_index(1, degree)
+    info = graded_index.cache_info()
+    assert info.maxsize == INDEX_CACHE_SIZE
+    assert info.currsize <= INDEX_CACHE_SIZE
+    again = graded_index(2, 3)
+    assert again is not first
+    assert again.modes == first.modes and again.steps == first.steps
+    assert np.array_equal(again.up, first.up) and np.array_equal(again.down, first.down)
+
+
+def test_index_validation():
+    with pytest.raises(ValueError):
+        graded_index(0, 2)
+    with pytest.raises(ValueError):
+        graded_index(2, -1)
+    assert monomials.enumerate_modes is ou.enumerate_modes

@@ -10,7 +10,7 @@ import pytest
 import ou_spectral as ou
 from ou_spectral import cli, errors, ladder, linalg, spectral
 from ou_spectral.kernels import eval_poly_grid
-from ou_spectral.ladder import compositions
+from ou_spectral.monomials import graded_index
 from ou_spectral.mpoly import MPoly
 from ou_spectral.spectral import GRID_CHUNK, battery_polynomials
 
@@ -322,7 +322,7 @@ def test_grid_table_rows_are_the_forward_eigenfunctions(four_models):
     for path in sorted(CONFIGS.glob("*.json")):
         cfg = cli.load_config(str(path))
         model = four_models[path.stem]
-        modes, _ = spectral._ladder_steps(model.dim, cfg.max_order)
+        modes = graded_index(model.dim, cfg.max_order).modes
         T, lam, norm = spectral._grid_tables(model, cfg.max_order)
         pts = 1.5 * rng.normal(size=(40, model.dim)) @ np.linalg.cholesky(model.Sigma).T
         z = pts @ model.f0.whitener
@@ -496,29 +496,47 @@ def test_solve_residual_gate_on_unseen_seeds(seed):
         assert _relative_residual(model, P, q) <= 1e-12, (seed, n, order)
 
 
+def _generator_matrix_loops(M, B, idx):
+    # Reference fill by exponent-tuple arithmetic, in the same (column,
+    # i, j) order, so each entry sums the same terms in the same order.
+    n = M.shape[0]
+    G = np.zeros((len(idx.modes), len(idx.modes)))
+    for col, a in enumerate(idx.modes):
+        for i in range(n):
+            if a[i] == 0:
+                continue
+            low = a[:i] + (a[i] - 1,) + a[i + 1 :]
+            for j in range(n):
+                G[idx.row[low[:j] + (low[j] + 1,) + low[j + 1 :]], col] += a[i] * M[i, j]
+                if low[j]:
+                    b = low[:j] + (low[j] - 1,) + low[j + 1 :]
+                    G[idx.row[b], col] += 0.5 * B[i, j] * a[i] * low[j]
+    return G
+
+
 def test_solve_blocks_are_the_forward_operator(four_models):
-    # f0^-1 L(x^a f0) is D_k x^a in degree k = |a|, the Hessian block in
-    # degree k - 2, and nothing else; D_k has the eigenvalues lambda_K, |K| = k.
+    # Column a of the generator matrix is f0^-1 L(x^a f0) over the
+    # monomials up to degree 4; its degree-k block D_k has the eigenvalues
+    # lambda_K, |K| = k.  The table fill equals the tuple-arithmetic one.
     models = list(four_models.values()) + [_random_model(104, 4)]
     for model in models:
         n = model.dim
+        idx = graded_index(n, 4)
         M = ladder.forward_drift(model)
+        G = spectral._generator_matrix(M, model.B, idx)
+        assert np.array_equal(G, _generator_matrix_loops(M, model.B, idx)), n
         for k in range(1, 5):
-            monos, index = spectral._monomials(n, k)
-            D = spectral._drift_block(M, monos, index)
-            lams = [ou.eigenvalue(model, K) for K in compositions(k, n)]
-            gap = np.abs(np.subtract.outer(np.linalg.eigvals(D), lams))
+            s = idx.degree(k)
+            lams = [ou.eigenvalue(model, K) for K in idx.modes[s]]
+            gap = np.abs(np.subtract.outer(np.linalg.eigvals(G[s, s]), lams))
             worst = max(gap.min(axis=0).max(), gap.min(axis=1).max())
             assert worst <= 1e-9 * max(abs(lam) for lam in lams), (n, k)
-            lower, lower_index = spectral._monomials(n, k - 2) if k >= 2 else ([], {})
-            H = spectral._hessian_block(model.B, monos, lower_index)
-            for col, a in enumerate(monos):
-                f = ou.ForwardFunction(MPoly(n, {a: 1.0}, model.prune_eps), model.f0)
-                img = ou.apply_forward(model, f).poly
-                want = {b: D[r, col] for b, r in index.items()}
-                want.update({b: H[r, col] for b, r in lower_index.items()})
-                for b in set(img.terms) | set(want):
-                    assert abs(img.terms.get(b, 0.0) - want.get(b, 0.0)) <= 1e-12, (n, a, b)
+        for col, a in enumerate(idx.modes):
+            f = ou.ForwardFunction(MPoly(n, {a: 1.0}, model.prune_eps), model.f0)
+            img = ou.apply_forward(model, f).poly
+            assert set(img.terms) <= set(idx.row), (n, a)
+            for r, b in enumerate(idx.modes):
+                assert abs(img.terms.get(b, 0.0) - G[r, col]) <= 1e-12, (n, a, b)
 
 
 def test_solve_closed_form_at_high_diffusion():
