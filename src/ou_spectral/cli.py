@@ -9,6 +9,7 @@ inputs give byte-identical files.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -59,8 +60,11 @@ def _fail(field, msg):
 
 
 def _number(x, field):
+    # json.loads reads the bare tokens NaN and Infinity as floats.
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         _fail(field, f"expected a number, got {type(x).__name__}")
+    if not math.isfinite(x):
+        _fail(field, f"must be finite, got {x}")
     return float(x)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotSPDError
 from .linalg import _as_square, _check_symmetric
+from .monomials import graded_index
 from .mpoly import MPoly
 
 
@@ -242,15 +243,19 @@ def expectation(p, g):
         )
     if np.any(g.mean != 0.0):
         p = p.affine(np.eye(g.dim), g.mean)
-    # Sigma is checked once per call.  MPoly exponent keys are already
-    # tuples of nonnegative ints of the right length, so the per-moment
-    # checks of wick_moment are skipped.
+    # Sigma is checked once per call; the rows of the index are tuples of
+    # nonnegative ints of the right length, so the per-moment checks of
+    # wick_moment are skipped.
     Sigma = _as_square(g.cov, "Sigma")
     memo = _memo_for(Sigma)
-    total = 0.0 + 0.0j
-    for exps, c in p.items():
-        total += c * _moment_rec(exps, Sigma, memo)
-    return complex(total)
+    if p.is_zero():
+        return 0j
+    modes = graded_index(p.nvars, p.degree()).modes
+    nz = np.flatnonzero(p.coeffs)
+    return sum(
+        (c * _moment_rec(modes[r], Sigma, memo) for r, c in zip(nz, p.coeffs[nz].tolist())),
+        0j,
+    )
 
 
 def inner_product(gp, f):

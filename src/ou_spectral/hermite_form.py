@@ -10,6 +10,7 @@ independent route to the eigenfunctions that never touches the ladder
 recursion.
 """
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -114,10 +115,11 @@ def _hermite_sum(model, K, mode_weights):
                 key = tuple(a + b for a, b in zip(oa, ob))
                 merged[key] = merged.get(key, 0.0) + ca * cb
         orders = merged
-    out = MPoly.zero(n, model.prune_eps)
+    out = np.zeros(math.comb(sum(K) + n, n), dtype=complex)
     for m, c in sorted(orders.items()):
-        out = out + c * _hermite_product(m, n, model.prune_eps)
-    return out
+        h = _hermite_product(m, n, model.prune_eps).coeffs
+        out[: h.size] += c * h
+    return MPoly.from_coeffs(n, out, model.prune_eps)
 
 
 def forward_hermite(model, K):

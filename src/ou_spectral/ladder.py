@@ -12,18 +12,20 @@ those polynomials.
 
 In that frame both operators are generators of the same form,
 (D x) . grad p + (1/2) B : grad grad p: the adjoint with D = A, and
-f0^-1 L (p f0) with D = ``forward_drift`` = Sigma A^T Sigma^-1.  One
-routine applies both.  The lowering operators are directional
-derivatives on either side, and the raising operators add one linear
-factor to a directional derivative.
+f0^-1 L (p f0) with D = ``forward_drift`` = Sigma A^T Sigma^-1.  The
+lowering operators are directional derivatives on either side, and the
+raising operators add one linear factor to a directional derivative.
 
-Eigenfunction K is raised from its ``monomials.parent`` and memoized on
-the model, keyed by K.  The polynomial factors and gradient weights of
-each operator (the generator's drift rows, the ``MPoly.linear`` factors,
-the scaled eigenvector entries) depend only on the model, the mode and
-the ``prune_eps`` of the input, so each is built once per model and kept
-in ``model._op_cache``.  Concurrent builds may race to insert a cache
-entry; both compute the same value, so last write wins harmlessly.
+Every operator here acts on the coefficient vector of p (``MPoly``) as
+one gather: row r of the image sums weighted coefficients of p read
+through the shift tables of ``monomials.graded_index``.  Its table
+(``generator_table`` for L and its adjoint, which the solve of
+``spectral`` reads too) depends only on the model, the mode, the
+``prune_eps`` and the degree of the input, so each is built once per
+model and kept in ``model._op_cache``.  Eigenfunction K is raised from
+its ``monomials.parent`` and memoized on the model, keyed by K.
+Concurrent builds may race to insert a cache entry; both compute the
+same value, so last write wins harmlessly.
 """
 
 import math
@@ -39,8 +41,8 @@ from .errors import (
     UnstableDriftError,
 )
 from .gaussian import ForwardFunction, GaussianDensity, stationary_density
-from .monomials import parent
-from .mpoly import DEFAULT_PRUNE_EPS, MPoly, _add_gradient
+from .monomials import graded_index, parent
+from .mpoly import DEFAULT_PRUNE_EPS, MPoly
 
 
 @dataclass
@@ -53,10 +55,10 @@ class OUModel:
     A Sigma + Sigma A^T + B = 0; the forward operator relies on it, since
     it is applied in the frame of f0 as the generator with drift
     Sigma A^T Sigma^-1.  Caches on the instance hold eigenfunctions and
-    operator factors (the generators' drift rows and the factors of every
-    ladder operator, per mode and ``prune_eps``, and the grid-evaluation
-    tables of ``spectral``, per order); treat everything returned from
-    them as immutable.
+    operator tables (the gather table of every operator, per mode,
+    ``prune_eps`` and input degree, and the grid-evaluation tables of
+    ``spectral``, per order); treat everything returned from them as
+    immutable.
     """
 
     A: np.ndarray
@@ -177,11 +179,6 @@ def _cached(model, build, *args):
     return got
 
 
-def _grad_weights(v, scale):
-    """(axis, scale * v[axis]) for each nonzero entry of ``v``."""
-    return [(i, complex(scale * v[i])) for i in range(len(v)) if v[i] != 0.0]
-
-
 def forward_drift(model):
     """M = Sigma A^T Sigma^-1: the drift of f0^-1 L (p f0) as a generator of p.
 
@@ -191,48 +188,93 @@ def forward_drift(model):
     return model.Sigma @ model.A.T @ model.Sigma_inv
 
 
-def _generator_factors(model, side, eps):
-    # Drift rows D[i, :] . x, D = A for the adjoint and forward_drift for
-    # the forward side, and the half-diffusion weights of each row.
-    n = model.dim
+def _masked(src, weight):
+    """A gather table: weight 0 where src is -1, and src -1 where the
+    weight is 0, so that a zero weight never meets a NaN."""
+    weight[src < 0] = 0.0
+    src[weight == 0.0] = -1
+    return src, weight
+
+
+def generator_table(idx, D, B, rows=slice(None)):
+    """(src, weight), each of shape (2 n^2, m), for m ``rows`` of the
+    ``GradedIndex`` ``idx``: the generator (D x) . grad p
+    + (1/2) B : grad grad p has coefficient sum_s weight[s, r] p[src[s, r]]
+    at row r, and src is -1 wherever the weight is 0.
+
+    Slot (i, j) of the first n^2 is the drift term D_ij x_j d_i p, which
+    keeps the degree: it reads row r - e_j + e_i, with exponents a, by
+    D_ij a_i.  Slot (i, j) of the last n^2 is the diffusion term
+    (1/2) B_ij d_i d_j p, which lowers the degree by 2: it reads row
+    r + e_i + e_j by (1/2) B_ij a_i (r_j + 1).
+    """
+    n = D.shape[0]
+    r = np.arange(len(idx.modes))[rows]
+    E = idx.exponents.T
+    axis = np.arange(n)[:, None, None]
+    # [i, j] reads up[i, down[j, r]] and up[i, up[j, r]].
+    lowered, raised = idx.down[:, r], idx.up[:, r]
+    drift = np.where(lowered >= 0, idx.up[:, lowered], -1)
+    diffusion = np.where(raised >= 0, idx.up[:, raised], -1)
+    src = np.concatenate([drift, diffusion]).reshape(2 * n * n, -1)
+    weight = np.concatenate(
+        [
+            D[:, :, None] * E[axis, drift],
+            (0.5 * B)[:, :, None] * E[axis, diffusion] * (E[:, r] + 1),
+        ]
+    ).reshape(src.shape)
+    return _masked(src, weight)
+
+
+def _generator_table(model, side, degree):
     D = model.A if side == "adjoint" else forward_drift(model)
-    rows = [MPoly.linear(n, D[i, :], prune_eps=eps) for i in range(n)]
-    diffusion = [
-        [(j, 0.5 * model.B[i, j]) for j in range(n) if model.B[i, j] != 0.0]
-        for i in range(n)
-    ]
-    return MPoly.zero(n, eps), rows, diffusion
+    return generator_table(graded_index(model.dim, degree), D, model.B)
 
 
-def _apply_generator(model, side, p):
-    """(D x) . grad p + (1/2) B : grad grad p, D chosen by ``side``."""
-    out, rows, diffusion = _cached(model, _generator_factors, side, p.prune_eps)
-    for i, row in enumerate(rows):
-        pi = p.diff(i)
-        out = _add_gradient(out + row * pi, diffusion[i], pi)
-    return out
+def _ladder_weights(model, op, I, eps):
+    """(a, w) of the mode-I ladder operator ``op``, which sends p to
+    (a . x) p + w . grad p.  An entry of a below ``eps`` is dropped, as
+    ``MPoly.linear`` drops it."""
+    e, w = model.eig.right[:, I], model.eig.left[I, :]
+    a, w = {
+        "raise_forward": (model.Sigma_inv @ e, -e),
+        "lower_forward": (0.0 * e, 2.0 * (model.Sigma @ w)),
+        "raise_adjoint": (2.0 * np.conj(w), -2.0 * (model.Sigma @ np.conj(w))),
+        "lower_adjoint": (0.0 * e, np.conj(e)),
+    }[op]
+    return np.where(np.abs(a) < eps, 0.0, a), w
 
 
-def _raise_forward_factors(model, I, eps):
-    e = model.eig.right[:, I]
-    u = model.Sigma_inv @ e
-    return MPoly.linear(model.dim, u, prune_eps=eps), _grad_weights(e, -1.0)
+def _ladder_table(model, op, I, eps, degree):
+    """The gather table of the ladder operator ``op`` of mode I on
+    polynomials of ``degree``: slot j of the first n reads row r - e_j by
+    a_j, and slot i of the last n reads row r + e_i by w_i (r_i + 1)."""
+    a, w = _ladder_weights(model, op, I, eps)
+    n = model.dim
+    idx = graded_index(n, degree + 1)
+    top = degree + 1 if a.any() else degree - 1
+    size = math.comb(top + n, n) if top >= 0 else 0
+    src = np.concatenate([idx.down[:, :size], idx.up[:, :size]])
+    src[src >= math.comb(degree + n, n)] = -1
+    weight = np.concatenate(
+        [np.repeat(a[:, None], size, axis=1), w[:, None] * (idx.exponents[:size].T + 1)]
+    )
+    return _masked(src, weight)
 
 
-def _lower_forward_factors(model, I, eps):
-    sw = model.Sigma @ model.eig.left[I, :]
-    return MPoly.zero(model.dim, eps), _grad_weights(sw, 2.0)
+def _apply_table(model, build, args, p):
+    """p's image under the gather table ``build(model, *args, degree of
+    p)``, cached on the model: sum_s weight[s, r] p[src[s, r]] at row r,
+    where src -1 reads a zero."""
+    if p.is_zero():
+        return p
+    src, weight = _cached(model, build, *args, p.degree())
+    image = (weight * np.concatenate((p.coeffs, [0.0]))[src]).sum(axis=0)
+    return MPoly.from_coeffs(model.dim, image, p.prune_eps)
 
 
-def _raise_adjoint_factors(model, I, eps):
-    w = np.conj(model.eig.left[I, :])
-    sw = model.Sigma @ w
-    return MPoly.linear(model.dim, w, prune_eps=eps), _grad_weights(sw, -2.0)
-
-
-def _lower_adjoint_factors(model, I, eps):
-    e = np.conj(model.eig.right[:, I])
-    return MPoly.zero(model.dim, eps), _grad_weights(e, 1.0)
+def _ladder(model, op, I, p):
+    return _apply_table(model, _ladder_table, (op, I, p.prune_eps), p)
 
 
 def apply_forward(model, f):
@@ -243,28 +285,25 @@ def apply_forward(model, f):
     the adjoint's generator with drift M in place of A.
     """
     _check_forward(model, f)
-    return ForwardFunction(_apply_generator(model, "forward", f.poly), f.base)
+    return ForwardFunction(_apply_table(model, _generator_table, ("forward",), f.poly), f.base)
 
 
 def apply_adjoint(model, g):
     """Apply the adjoint (backward) operator to a plain polynomial:
     (A x) . grad g + (1/2) B : grad grad g."""
     _check_adjoint(model, g)
-    return _apply_generator(model, "adjoint", g)
+    return _apply_table(model, _generator_table, ("adjoint",), g)
 
 
 def raise_forward(model, I, f):
     """Mode-I raising operator on the forward side: -e_I . grad.
 
     Acting on p * f0 this sends p to -e_I . grad p + (e_I^T Sigma^-1 x) p,
-    stepping the eigenvalue by lambda_I.  The linear factor and the
-    entries of e_I are cached per mode.
+    stepping the eigenvalue by lambda_I.
     """
     _check_mode(model, I)
     _check_forward(model, f)
-    p = f.poly
-    lin, grad = _cached(model, _raise_forward_factors, I, p.prune_eps)
-    return ForwardFunction(_add_gradient(lin * p, grad, p), f.base)
+    return ForwardFunction(_ladder(model, "raise_forward", I, f.poly), f.base)
 
 
 def lower_forward(model, I, f):
@@ -272,37 +311,29 @@ def lower_forward(model, I, f):
 
     Acting on p * f0 it sends p to 2 (Sigma w_I) . grad p, the
     directional-derivative form of ``lower_adjoint``; it annihilates the
-    stationary density.  The entries of 2 Sigma w_I are cached per mode.
+    stationary density.
     """
     _check_mode(model, I)
     _check_forward(model, f)
-    p = f.poly
-    zero, grad = _cached(model, _lower_forward_factors, I, p.prune_eps)
-    return ForwardFunction(_add_gradient(zero, grad, p), f.base)
+    return ForwardFunction(_ladder(model, "lower_forward", I, f.poly), f.base)
 
 
 def raise_adjoint(model, I, g):
     """Mode-I raising operator on the adjoint side.
 
     g -> 2 conj(w_I) . x g - 2 (Sigma conj(w_I)) . grad g, stepping the
-    adjoint eigenvalue by conj(lambda_I).  The linear factor and the
-    entries of 2 Sigma conj(w_I) are cached per mode.
+    adjoint eigenvalue by conj(lambda_I).
     """
     _check_mode(model, I)
     _check_adjoint(model, g)
-    lin, grad = _cached(model, _raise_adjoint_factors, I, g.prune_eps)
-    return _add_gradient(2.0 * (lin * g), grad, g)
+    return _ladder(model, "raise_adjoint", I, g)
 
 
 def lower_adjoint(model, I, g):
-    """Mode-I lowering operator on the adjoint side: conj(e_I) . grad.
-
-    The entries of conj(e_I) are cached per mode.
-    """
+    """Mode-I lowering operator on the adjoint side: conj(e_I) . grad."""
     _check_mode(model, I)
     _check_adjoint(model, g)
-    zero, grad = _cached(model, _lower_adjoint_factors, I, g.prune_eps)
-    return _add_gradient(zero, grad, g)
+    return _ladder(model, "lower_adjoint", I, g)
 
 
 def forward_eigenfunction(model, K):

@@ -10,7 +10,6 @@ and platforms.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DefectiveMatrixError,
@@ -219,7 +218,13 @@ def sym_sqrt(S):
 
 
 def expm(A, t):
-    """Matrix exponential exp(t A)."""
+    """Matrix exponential exp(t A).
+
+    scipy is imported here, its only use, so that importing the package
+    does not load it.
+    """
+    import scipy.linalg
+
     A = _as_square(A, "A")
     if not np.isfinite(t):
         raise ValueError("t must be finite")

@@ -1,54 +1,77 @@
-"""Sparse multivariate polynomials with complex coefficients.
+"""Multivariate polynomials with complex coefficients on the graded index.
 
-Terms live in a dict mapping exponent tuples to coefficients.  Every
-instance keeps one invariant: each key is a tuple of ``nvars``
-nonnegative Python ints and each value a nonzero Python ``complex``
-whose magnitude is not below ``prune_eps``.  Only finite coefficients
-can be small, so NaN is kept: an overflow never reads as an exact zero.
-The public constructor validates and converts its input to establish
-it.  Arithmetic results are built from operands that already hold it,
-using only int addition on exponents and complex arithmetic on
-coefficients, so they skip validation.  Pruning, which drops
-coefficients below the threshold so cancellation dust never
-accumulates, runs only where a coefficient can have shrunk:
+A polynomial of degree d in n variables stores one complex coefficient
+per row of ``monomials.graded_index(n, d)``: the monomials of total
+degree up to d, by degree, and within a degree in reverse lexicographic
+order, which is the graded lexicographic order printing uses.  The
+vector is trimmed to the degree, so its top degree holds a nonzero
+entry; the zero polynomial has an empty vector and degree -1.  The index
+of a lower degree is a prefix of the index of a higher one, so operands
+of different degrees line up once the shorter vector is padded with
+zeros.
 
-* ``__mul__``, ``affine`` and ``__add__`` of operands with different
-  ``prune_eps`` scan every result coefficient (``MPoly._trusted``);
-* ``__add__`` of operands with equal ``prune_eps`` checks only the keys
-  both operands hold, since every other coefficient is copied unchanged;
-* negation, conjugation and ``diff`` scan nothing (``MPoly._wrap``):
-  the first two keep every ``|c|`` and ``diff`` multiplies each
-  coefficient by an integer exponent of at least 1 without merging keys;
-* ``_add_gradient`` checks each scaled derivative coefficient and each
-  key it sums into, in the order the sums it stands for would.
+Every result passes through one prune mask: a coefficient whose
+magnitude is below ``prune_eps`` becomes an exact zero, so cancellation
+dust never accumulates.  Only finite coefficients can be small, so NaN
+is kept: an overflow never reads as an exact zero.  Arithmetic on two
+polynomials carries the larger of their ``prune_eps``.
 
-Results keep the key order of the dict arithmetic that built them;
-later products accumulate in that order.
-Instances are treated as immutable; no method mutates its receiver.
-
-Printing and ``items()`` use graded lexicographic order (total degree
-first, then lexicographic on exponents), which makes every rendered
-polynomial canonical.
+Arithmetic is gathers through the shift tables of the index.  A partial
+derivative gathers through ``up``, a linear factor times p through
+``down``, and a general product sums shifted copies of one operand along
+the ``steps`` of the index.  Zero weights take no part, so a NaN
+coefficient reaches only the terms it contributes to.  Instances and
+their coefficient vectors are immutable.
 """
 
+import cmath
 import math
-import operator
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import AxisOutOfRangeError, DimensionMismatchError
+from .monomials import graded_index
 
 DEFAULT_PRUNE_EPS = 1e-13
 
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
 
-def _grlex_key(exps):
-    return (sum(exps), tuple(-e for e in exps))
+def _rows(nvars, degree):
+    """Number of monomials of total degree up to ``degree``; 0 below 0."""
+    return math.comb(degree + nvars, nvars) if degree >= 0 else 0
+
+
+def _degree_of_row(nvars, r):
+    d = 0
+    while math.comb(d + nvars, nvars) <= r:
+        d += 1
+    return d
+
+
+def _padded(c, size):
+    out = np.zeros(size, dtype=np.complex128)
+    out[: c.size] = c
+    return out
+
+
+def _times_linear(c, const, a, down):
+    """Coefficients of (const + a . x) p over the rows of ``down``, a
+    ``GradedIndex.down`` table cut to those rows; p has coefficients ``c``
+    and ``down`` sends every row into them or to -1.  One gather reads p
+    at row - e_j for each nonzero a_j, and -1 reads a zero."""
+    pe = _padded(c, down.shape[1] + 1)
+    out = const * pe[:-1] if const != 0.0 else np.zeros(down.shape[1], dtype=np.complex128)
+    nz = a.nonzero()[0]
+    if nz.size:
+        out += a[nz] @ pe[down[nz]]
+    return out
 
 
 class MPoly:
-    """Polynomial in ``nvars`` variables, stored sparsely.
+    """Polynomial in ``nvars`` variables: a coefficient vector over the
+    graded index.
 
     Parameters
     ----------
@@ -56,59 +79,61 @@ class MPoly:
         Number of variables, at least 1.
     terms : dict, optional
         Map from exponent tuple (length ``nvars``, nonnegative ints) to
-        coefficient.  Zero coefficients and those with magnitude below
-        ``prune_eps`` are dropped; NaN is kept.
+        coefficient.  Coefficients with magnitude below ``prune_eps`` are
+        dropped; NaN is kept.
     prune_eps : float, optional
         Prune threshold carried onto results of arithmetic with this
         polynomial.  Defaults to ``DEFAULT_PRUNE_EPS``.
     """
 
-    __slots__ = ("nvars", "terms", "prune_eps")
+    __slots__ = ("nvars", "coeffs", "prune_eps", "_degree")
 
     def __init__(self, nvars, terms=None, prune_eps=None):
         nvars = int(nvars)
+        clean = {}
+        for exps, c in (terms or {}).items():
+            key = tuple(int(e) for e in exps)
+            if len(key) != nvars:
+                raise DimensionMismatchError(
+                    f"exponent tuple {key} has length {len(key)}, expected {nvars}"
+                )
+            if any(e < 0 for e in key):
+                raise ValueError(f"negative exponent in {key}")
+            clean[key] = complex(c)
+        degree = max(map(sum, clean), default=-1)
+        coeffs = np.zeros(_rows(nvars, degree), dtype=np.complex128)
+        if clean:
+            row = graded_index(nvars, degree).row
+            for key, c in clean.items():
+                coeffs[row[key]] = c
+        self._store(nvars, coeffs, prune_eps)
+
+    @classmethod
+    def from_coeffs(cls, nvars, coeffs, prune_eps=None):
+        """The polynomial with coefficients ``coeffs`` on the first rows of
+        the graded index of ``nvars`` variables, the rows after them zero;
+        pruned and trimmed to its degree, and never sharing ``coeffs``."""
+        self = object.__new__(cls)
+        self._store(int(nvars), coeffs, prune_eps)
+        return self
+
+    def _store(self, nvars, coeffs, prune_eps):
         if nvars < 1:
             raise ValueError("nvars must be at least 1")
         eps = DEFAULT_PRUNE_EPS if prune_eps is None else float(prune_eps)
         if eps < 0.0:
             raise ValueError("prune_eps must be nonnegative")
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                key = tuple(int(e) for e in exps)
-                if len(key) != nvars:
-                    raise DimensionMismatchError(
-                        f"exponent tuple {key} has length {len(key)}, expected {nvars}"
-                    )
-                if any(e < 0 for e in key):
-                    raise ValueError(f"negative exponent in {key}")
-                c = complex(c)
-                if c != 0.0 and not abs(c) < eps:
-                    clean[key] = c
+        c = np.array(coeffs, dtype=np.complex128)
+        c[np.abs(c) < eps] = 0.0
+        nz = c.nonzero()[0]
+        degree = _degree_of_row(nvars, nz[-1]) if nz.size else -1
+        size = _rows(nvars, degree)
+        c = c[:size] if c.size >= size else _padded(c, size)
+        c.setflags(write=False)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "prune_eps", eps)
-
-    @classmethod
-    def _trusted(cls, nvars, terms, eps):
-        """Wrap terms that already satisfy the module invariant except for
-        pruning, which runs here over every coefficient, in key order.
-        The caller guarantees the keys and value types."""
-        return cls._wrap(
-            nvars, {e: c for e, c in terms.items() if c != 0.0 and not abs(c) < eps}, eps
-        )
-
-    @classmethod
-    def _wrap(cls, nvars, terms, eps):
-        """Wrap terms that satisfy the whole invariant, pruning included;
-        nothing is scanned.  For maps under which no ``|c|`` can fall below
-        ``eps``: negation, conjugation, ``diff``, and ``__add__`` of
-        operands with equal ``prune_eps`` once its merged keys are checked."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "prune_eps", eps)
-        return self
+        object.__setattr__(self, "_degree", degree)
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -117,58 +142,62 @@ class MPoly:
 
     @classmethod
     def zero(cls, nvars, prune_eps=None):
-        return cls(nvars, {}, prune_eps)
+        return cls.from_coeffs(nvars, (), prune_eps)
 
     @classmethod
     def constant(cls, nvars, c, prune_eps=None):
-        return cls(nvars, {(0,) * nvars: c}, prune_eps)
+        return cls.from_coeffs(nvars, (complex(c),), prune_eps)
 
     @classmethod
     def variable(cls, nvars, axis, prune_eps=None):
         if not 0 <= axis < nvars:
             raise AxisOutOfRangeError(f"axis {axis} outside 0..{nvars - 1}")
-        exps = tuple(1 if i == axis else 0 for i in range(nvars))
-        return cls(nvars, {exps: 1.0}, prune_eps)
+        return cls.linear(nvars, np.eye(nvars)[axis], prune_eps=prune_eps)
 
     @classmethod
     def linear(cls, nvars, coeffs, const=0.0, prune_eps=None):
-        """Build ``sum_i coeffs[i] * x_i + const``."""
+        """Build ``sum_i coeffs[i] * x_i + const``: rows 0..nvars of the
+        index are 1, x_1, ..., x_nvars."""
         coeffs = list(coeffs)
         if len(coeffs) != nvars:
             raise DimensionMismatchError(
                 f"got {len(coeffs)} linear coefficients for {nvars} variables"
             )
-        terms = {(0,) * nvars: const}
-        for i, c in enumerate(coeffs):
-            exps = tuple(1 if j == i else 0 for j in range(nvars))
-            terms[exps] = c
-        return cls(nvars, terms, prune_eps)
+        return cls.from_coeffs(nvars, [const, *coeffs], prune_eps)
 
     # ---- basic queries ----
 
     def is_zero(self):
-        return not self.terms
+        return not self.coeffs.size
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return self._degree
 
     def max_coeff(self):
         """Largest coefficient magnitude; 0 for the zero polynomial."""
-        if not self.terms:
+        if not self.coeffs.size:
             return 0.0
-        return max(abs(c) for c in self.terms.values())
+        return float(np.abs(self.coeffs).max())
+
+    @property
+    def terms(self):
+        """Read-only map from exponent tuple to coefficient over the
+        nonzero rows, in graded lexicographic order."""
+        nz = self.coeffs.nonzero()[0]
+        if not nz.size:
+            return MappingProxyType({})
+        modes = graded_index(self.nvars, self._degree).modes
+        return MappingProxyType(dict(zip([modes[r] for r in nz], self.coeffs[nz].tolist())))
 
     def items(self):
         """Terms in graded lexicographic order."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]))
+        return list(self.terms.items())
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and np.array_equal(self.coeffs, other.coeffs)
 
     __hash__ = None
 
@@ -181,44 +210,27 @@ class MPoly:
             )
         return max(self.prune_eps, other.prune_eps)
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         if isinstance(other, _SCALARS):
             other = MPoly.constant(self.nvars, other, self.prune_eps)
         if not isinstance(other, MPoly):
             return NotImplemented
         eps = self._check_compat(other)
-        out = dict(self.terms)
-        if self.prune_eps != other.prune_eps:
-            # The operand with the smaller eps may hold terms below eps.
-            for exps, c in other.terms.items():
-                out[exps] = out.get(exps, 0.0) + c
-            return MPoly._trusted(self.nvars, out, eps)
-        merged = []
-        for exps, c in other.terms.items():
-            if exps in out:
-                out[exps] = out[exps] + c
-                merged.append(exps)
-            else:
-                # 0.0 + c, not c: a sum onto the missing key turns a -0.0
-                # part into +0.0, and later products see that sign.
-                out[exps] = 0.0 + c
-        for exps in merged:
-            c = out[exps]
-            if c == 0.0 or abs(c) < eps:
-                del out[exps]
-        return MPoly._wrap(self.nvars, out, eps)
+        b = other.coeffs
+        out = _padded(self.coeffs, max(self.coeffs.size, b.size))
+        op(out[: b.size], b, out=out[: b.size])
+        return MPoly.from_coeffs(self.nvars, out, eps)
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly._wrap(self.nvars, {e: -c for e, c in self.terms.items()}, self.prune_eps)
+        return MPoly.from_coeffs(self.nvars, -self.coeffs, self.prune_eps)
 
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            other = MPoly.constant(self.nvars, other, self.prune_eps)
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self.__add__(-other)
+        return self._combine(other, np.subtract)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -226,20 +238,30 @@ class MPoly:
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             c = complex(other)
-            return MPoly._trusted(
-                self.nvars, {e: v * c for e, v in self.terms.items()}, self.prune_eps
-            )
+            out = self.coeffs * c
+            if not cmath.isfinite(c):
+                # An absent term stays absent, even times NaN.
+                out[self.coeffs == 0.0] = 0.0
+            return MPoly.from_coeffs(self.nvars, out, self.prune_eps)
         if not isinstance(other, MPoly):
             return NotImplemented
         eps = self._check_compat(other)
-        out = {}
-        add = operator.add
-        other_items = other.terms.items()
-        for ea, ca in self.terms.items():
-            for eb, cb in other_items:
-                key = tuple(map(add, ea, eb))
-                out[key] = out.get(key, 0.0) + ca * cb
-        return MPoly._trusted(self.nvars, out, eps)
+        p, q = (self, other) if self.coeffs.size >= other.coeffs.size else (other, self)
+        if q.is_zero():
+            return MPoly.zero(self.nvars, eps)
+        dq = q._degree
+        idx = graded_index(self.nvars, p._degree + dq)
+        if dq <= 1:
+            out = _times_linear(p.coeffs, q.coeffs[0], q.coeffs[1:], idx.down)
+        else:
+            # shift[k] sends the rows of p to those of p times monomial k.
+            out = np.zeros(len(idx.modes), dtype=np.complex128)
+            shift = [np.arange(p.coeffs.size)]
+            for parent, I, _ in idx.steps[: q.coeffs.size - 1]:
+                shift.append(idx.up[I, shift[parent]])
+            for k in q.coeffs.nonzero()[0]:
+                out[shift[k]] += q.coeffs[k] * p.coeffs
+        return MPoly.from_coeffs(self.nvars, out, eps)
 
     __rmul__ = __mul__
 
@@ -251,34 +273,25 @@ class MPoly:
     # ---- calculus and substitution ----
 
     def diff(self, axis):
-        """Partial derivative along one variable.
-
-        Lowering one exponent maps distinct keys to distinct keys, and an
-        integer factor of at least 1 never lowers ``|c|``, so the result
-        needs no prune pass.  (A coefficient with both parts infinite, an
-        overflow already, turns into NaN and is kept.)
-        """
+        """Partial derivative along one variable: one gather through ``up``."""
         if not 0 <= axis < self.nvars:
             raise AxisOutOfRangeError(f"axis {axis} outside 0..{self.nvars - 1}")
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[axis]
-            if e == 0:
-                continue
-            # 0.0 + c * e keeps the signed zeros of a sum onto a new key.
-            out[exps[:axis] + (e - 1,) + exps[axis + 1 :]] = 0.0 + c * e
-        return MPoly._wrap(self.nvars, out, self.prune_eps)
+        d = self._degree
+        idx = graded_index(self.nvars, max(d, 0))
+        size = _rows(self.nvars, d - 1)
+        out = self.coeffs[idx.up[axis, :size]] * (idx.exponents[:size, axis] + 1)
+        return MPoly.from_coeffs(self.nvars, out, self.prune_eps)
 
     def conj(self):
-        return MPoly._wrap(
-            self.nvars, {e: c.conjugate() for e, c in self.terms.items()}, self.prune_eps
-        )
+        return MPoly.from_coeffs(self.nvars, np.conj(self.coeffs), self.prune_eps)
 
     def affine(self, M, b):
         """Substitute x_i -> b_i + sum_j M[i, j] y_j.
 
         ``M`` may change the number of variables: with shape (nvars, m)
-        the result lives in m variables.
+        the result lives in m variables.  Row k of a power table holds
+        (M y + b)^K for the k-th monomial K, its parent's power times one
+        linear factor; the result is the coefficient vector times it.
         """
         M = np.asarray(M, dtype=complex)
         b = np.asarray(b, dtype=complex).reshape(-1)
@@ -287,23 +300,16 @@ class MPoly:
                 f"affine map shapes {M.shape}, {b.shape} do not fit {self.nvars} variables"
             )
         m = M.shape[1]
-        subs = [
-            MPoly.linear(m, M[i, :], const=b[i], prune_eps=self.prune_eps)
-            for i in range(self.nvars)
-        ]
-        # Power tables, filled lazily up to the largest exponent used.
-        pows = [[MPoly.constant(m, 1.0, self.prune_eps), subs[i]] for i in range(self.nvars)]
-        result = MPoly.zero(m, self.prune_eps)
-        one = (0,) * m
-        for exps, c in self.items():
-            term = MPoly._trusted(m, {one: c}, self.prune_eps)
-            for i, e in enumerate(exps):
-                while len(pows[i]) <= e:
-                    pows[i].append(pows[i][-1] * subs[i])
-                if e:
-                    term = term * pows[i][e]
-            result = result + term
-        return result
+        d = self._degree
+        if d < 0:
+            return MPoly.zero(m, self.prune_eps)
+        down = graded_index(m, d).down
+        powers = np.zeros((self.coeffs.size, down.shape[1]), dtype=np.complex128)
+        powers[0, 0] = 1.0
+        for k, (parent, I, _) in enumerate(graded_index(self.nvars, d).steps, 1):
+            powers[k] = _times_linear(powers[parent], b[I], M[I], down)
+        nz = self.coeffs.nonzero()[0]
+        return MPoly.from_coeffs(m, self.coeffs[nz] @ powers[nz], self.prune_eps)
 
     def __call__(self, x):
         """Evaluate at a point (sequence of ``nvars`` numbers)."""
@@ -312,26 +318,20 @@ class MPoly:
             raise DimensionMismatchError(
                 f"point has {x.shape[0]} coordinates, expected {self.nvars}"
             )
-        total = 0.0 + 0.0j
-        for exps, c in self.items():
-            v = c
-            for xi, e in zip(x, exps):
-                if e:
-                    v = v * xi**e
-            total += v
-        return total
+        exps, coeffs = self.to_arrays()
+        return complex(coeffs @ np.prod(x**exps, axis=1))
 
     def to_arrays(self):
-        """Exponent matrix and coefficient vector in graded-lex order."""
-        items = self.items()
-        if not items:
+        """Exponent matrix and coefficient vector of the nonzero terms in
+        graded-lex order."""
+        nz = self.coeffs.nonzero()[0]
+        if not nz.size:
             return (
                 np.zeros((0, self.nvars), dtype=np.int64),
                 np.zeros(0, dtype=np.complex128),
             )
-        exps = np.array([e for e, _ in items], dtype=np.int64)
-        coeffs = np.array([c for _, c in items], dtype=np.complex128)
-        return exps, coeffs
+        exps = graded_index(self.nvars, self._degree).exponents[nz]
+        return exps.astype(np.int64), self.coeffs[nz]
 
     # ---- rendering ----
 
@@ -339,7 +339,10 @@ class MPoly:
         return render(self)
 
     def __repr__(self):
-        return f"MPoly(nvars={self.nvars}, nterms={len(self.terms)}, degree={self.degree()})"
+        return (
+            f"MPoly(nvars={self.nvars}, nterms={np.count_nonzero(self.coeffs)}, "
+            f"degree={self.degree()})"
+        )
 
 
 def _fmt_real(v):
@@ -394,14 +397,10 @@ def coeff_distance(p, q):
         raise DimensionMismatchError(
             f"operands have {p.nvars} and {q.nvars} variables"
         )
-    worst = 0.0
-    for exps in set(p.terms) | set(q.terms):
-        d = abs(p.terms.get(exps, 0.0) - q.terms.get(exps, 0.0))
-        if d > worst:
-            worst = d
-        elif d != d:
-            return d
-    return worst
+    size = max(p.coeffs.size, q.coeffs.size)
+    if not size:
+        return 0.0
+    return float(np.abs(_padded(p.coeffs, size) - _padded(q.coeffs, size)).max())
 
 
 def fold_worst(worst, d):
@@ -411,49 +410,6 @@ def fold_worst(worst, d):
     maximum folded with it drops every NaN that does not come first.
     """
     return d if d > worst or d != d else worst
-
-
-def _add_gradient(out, grad, p):
-    """``out + c_i * p.diff(i)`` summed over the (i, c_i) of ``grad`` in
-    turn, built in one dict with no intermediate polynomial.
-
-    Equal to that sequence of sums bit for bit and in key order.  Each
-    axis in turn walks p's terms in order: a term is lowered along the
-    axis and scaled as ``diff`` and the scalar ``__mul__`` do,
-    ``(0.0 + c * e) * c_i``; a scaled coefficient that is zero or below
-    ``prune_eps`` is dropped, as that product's prune pass drops it; a key
-    ``out`` already holds is summed into and dropped if the sum is zero or
-    below ``prune_eps``, as ``__add__`` checks its merged keys; a new key
-    gets ``0.0 + v`` at the end.  When ``out`` and ``p`` differ in
-    ``prune_eps`` the sums run as written.
-    """
-    if out.prune_eps != p.prune_eps or out.nvars != p.nvars:
-        for i, c in grad:
-            out = out + c * p.diff(i)
-        return out
-    eps = out.prune_eps
-    terms = dict(out.terms)
-    items = p.terms.items()
-    for i, c in grad:
-        c = complex(c)
-        for exps, v in items:
-            e = exps[i]
-            if e == 0:
-                continue
-            v = (0.0 + v * e) * c
-            if v == 0.0 or abs(v) < eps:
-                continue
-            key = exps[:i] + (e - 1,) + exps[i + 1 :]
-            old = terms.get(key)
-            if old is None:
-                terms[key] = 0.0 + v
-                continue
-            v = old + v
-            if v == 0.0 or abs(v) < eps:
-                del terms[key]
-            else:
-                terms[key] = v
-    return MPoly._wrap(out.nvars, terms, eps)
 
 
 _HERMITE_CACHE = None

@@ -30,14 +30,16 @@ tested against.
 
 The inhomogeneous solve builds no eigenfunction either.  With P = p f0,
 f0^-1 L(p f0) = (M x) . grad p + (1/2) B : grad grad p, M = Sigma A^T
-Sigma^-1, is one matrix on the graded monomials, block-triangular by
-degree, so ``solve_inhomogeneous`` solves one small real system per
-degree of the source, top degree first, on slices of that matrix.
+Sigma^-1, is block-triangular by degree on the graded monomials, so
+``solve_inhomogeneous`` solves one small real system per degree of the
+source, top degree first, on blocks read from the generator table that
+``apply_forward`` gathers through.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from operator import mul
 
 import numpy as np
 
@@ -53,6 +55,7 @@ from .ladder import (
     apply_adjoint,
     apply_forward,
     forward_drift,
+    generator_table,
     lower_adjoint,
     lower_forward,
     raise_adjoint,
@@ -254,26 +257,14 @@ def exact_gaussian_propagate(model, F0, t):
     return GaussianDensity(mean=mean, cov=0.5 * (cov + cov.T))
 
 
-def _generator_matrix(M, B, idx):
-    """G[b, a]: the coefficient of x^b in (M x) . grad x^a
-    + (1/2) B : grad grad x^a, over the monomials of the ``GradedIndex``.
-
-    The drift part, sum_ij M_ij a_i x^(a - e_i + e_j), keeps the degree k
-    of x^a; the diffusion part, sum_ij (1/2) B_ij a_i (a - e_i)_j
-    x^(a - e_i - e_j), lowers it by 2.  So per degree G holds D_k and,
-    from degree k + 2 to k, the Hessian block.
-    """
-    n = M.shape[0]
-    a = idx.exponents
-    G = np.zeros((len(idx.modes), len(idx.modes)))
-    for i in range(n):
-        cols = np.flatnonzero(a[:, i])
-        lowered = idx.down[i, cols]
-        for j in range(n):
-            G[idx.up[j, lowered], cols] += a[cols, i] * M[i, j]
-            nz = a[lowered, j] > 0
-            G[idx.down[j, lowered[nz]], cols[nz]] += 0.5 * B[i, j] * a[cols[nz], i] * a[lowered[nz], j]
-    return G
+def _block(src, weight, cols):
+    """The matrix of the gathers (src, weight) of ``generator_table`` on
+    the source rows ``cols``, a slice holding every src they read.  Each
+    entry sums its terms in slot order."""
+    out = np.zeros((src.shape[1], cols.stop - cols.start))
+    slot, row = np.nonzero(src >= 0)
+    np.add.at(out, (row, src[slot, row] - cols.start), weight[slot, row])
+    return out
 
 
 def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
@@ -285,7 +276,9 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
     applies.  The first term keeps the degree of a homogeneous
     polynomial and the second lowers it by 2, so for k = d down to 1 the
     degree-k part of p solves D_k p_k = q_k - (1/2) B : grad grad p_{k+2},
-    where D_k and the Hessian block are slices of ``_generator_matrix``.
+    where D_k and the Hessian block are the matrices of the gathers of
+    ``ladder.generator_table`` on the rows of degree k; the dense matrix
+    over every degree is never built.
     D_k has the eigenvalues lambda_K with |K| = k, so it is nonsingular;
     the real and imaginary parts of q solve as two real right-hand sides.
     The solution is exact, of degree d, and real for a real source.
@@ -326,24 +319,27 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
             f"(tolerance {solvability_tol * scale:.3e}); no solution exists"
         )
     idx = graded_index(model.dim, max(d, 0))
-    G = _generator_matrix(forward_drift(model), model.B, idx)
-    x = np.zeros((len(idx.modes), 2))  # q, overwritten by p degree by degree
-    for a, c in q.poly.terms.items():
-        x[idx.row[a]] = (c.real, c.imag)
-    terms = {}
+    M = forward_drift(model)
+    # q, overwritten by p degree by degree; z views each row as complex.
+    x = np.zeros((len(idx.modes), 2))
+    z = x.view(np.complex128)[:, 0]
+    z[: q.poly.coeffs.size] = q.poly.coeffs
     for k in range(d, 0, -1):
         s = idx.degree(k)
+        src, weight = generator_table(idx, M, model.B, s)
+        half = len(src) // 2
         b = x[s]
         if k + 2 <= d:
-            b = b - G[s, idx.degree(k + 2)] @ x[idx.degree(k + 2)]
-        x[s] = np.linalg.solve(G[s, s], b)
+            s2 = idx.degree(k + 2)
+            b = b - _block(src[half:], weight[half:], s2) @ x[s2]
+        x[s] = np.linalg.solve(_block(src[:half], weight[:half], s), b)
         if not np.all(np.isfinite(x[s])):
             raise NonFiniteResultError(
                 f"the degree-{k} part of the solution is not finite; "
                 "the source is too large or not finite"
             )
-        terms.update((a, complex(re, im)) for a, (re, im) in zip(idx.modes[s], x[s]))
-    p = MPoly(model.dim, terms, model.prune_eps)
+    z[0] = 0.0  # still q's constant; p's is fixed by E_f0[p] = 0 below
+    p = MPoly.from_coeffs(model.dim, z, model.prune_eps)
     return ForwardFunction(p - expectation(p, model.f0), model.f0)
 
 
@@ -469,48 +465,25 @@ def reconstruct_operators_check(model, tol=1e-9, images=None):
 
     worst = {"gradient": 0.0, "position": 0.0, "forward": 0.0, "adjoint": 0.0}
 
-    def rel(d, *scales):
-        return d / max(1.0, *scales)
+    def fold(name, lhs, rhs, *scales):
+        d = coeff_distance(lhs, rhs) / max(1.0, lhs.max_coeff(), rhs.max_coeff(), *scales)
+        worst[name] = fold_worst(worst[name], d)
 
     for img in images.records:
         p = img.poly
+        zero = MPoly.zero(n, p.prune_eps)
         lows = img.lower_adjoint
         # Raising terms of the position identity with their lowering
         # correction; neither depends on the axis i.
-        shifted = []
-        for I in range(n):
-            corr = MPoly.zero(n, p.prune_eps)
-            for J in range(n):
-                corr = corr + (2.0 * G[I, J]) * lows[J]
-            shifted.append(img.raise_adjoint[I] + corr)
+        shifted = [img.raise_adjoint[I] + sum(map(mul, 2.0 * G[I], lows), zero) for I in range(n)]
         for i in range(n):
-            lhs = p.diff(i)
-            rhs = MPoly.zero(n, p.prune_eps)
-            for I in range(n):
-                rhs = rhs + Wc[I, i] * lows[I]
-            d = rel(coeff_distance(lhs, rhs), lhs.max_coeff(), rhs.max_coeff())
-            worst["gradient"] = fold_worst(worst["gradient"], d)
-
-            lhs = MPoly.variable(n, i, p.prune_eps) * p
-            rhs = MPoly.zero(n, p.prune_eps)
-            for I in range(n):
-                rhs = rhs + 0.5 * Ec[i, I] * shifted[I]
-            d = rel(coeff_distance(lhs, rhs), lhs.max_coeff(), rhs.max_coeff())
-            worst["position"] = fold_worst(worst["position"], d)
-
-        lhs = img.apply_adjoint
-        rhs = MPoly.zero(n, p.prune_eps)
-        for I in range(n):
-            rhs = rhs + (0.5 * np.conj(lams[I])) * img.raise_lower_adjoint[I]
-        d = rel(coeff_distance(lhs, rhs), lhs.max_coeff(), rhs.max_coeff(), p.max_coeff())
-        worst["adjoint"] = fold_worst(worst["adjoint"], d)
-
-        lhs = img.apply_forward.poly
-        rhs = MPoly.zero(n, p.prune_eps)
-        for I in range(n):
-            rhs = rhs + (0.5 * lams[I]) * img.raise_lower_forward[I].poly
-        d = rel(coeff_distance(lhs, rhs), lhs.max_coeff(), rhs.max_coeff(), p.max_coeff())
-        worst["forward"] = fold_worst(worst["forward"], d)
+            fold("gradient", p.diff(i), sum(map(mul, Wc[:, i], lows), zero))
+            x_p = MPoly.variable(n, i, p.prune_eps) * p
+            fold("position", x_p, sum(map(mul, 0.5 * Ec[i], shifted), zero))
+        raised = [f.poly for f in img.raise_lower_forward]
+        fold("forward", img.apply_forward.poly, sum(map(mul, 0.5 * lams, raised), zero), p.max_coeff())
+        adj = sum(map(mul, 0.5 * np.conj(lams), img.raise_lower_adjoint), zero)
+        fold("adjoint", img.apply_adjoint, adj, p.max_coeff())
 
     return OperatorIdentityReport(
         residuals=worst, tol=tol, battery_size=len(images.records)

@@ -54,18 +54,19 @@ def _pairing_matrix(model, max_order):
     """P[M, K] = <g_M, f_K> for every M and K up to ``max_order``, both
     indexed by the rows of ``graded_index(model.dim, max_order)``.
 
-    The forward and adjoint eigenfunctions fill coefficient matrices F and
-    G (modes x monomials, the monomials indexed by the same rows), and
-    with the moment matrix H_ab = E_f0[x^(a+b)], P = conj(G) H F^T.
+    Row k of the matrices F and G (modes x monomials) holds the
+    coefficient vector of the forward and the adjoint eigenfunction of
+    mode k, whose monomials are the same rows.  With the moment matrix
+    H_ab = E_f0[x^(a+b)], P = conj(G) H F^T.
     """
     idx = graded_index(model.dim, max_order)
     F = np.zeros((len(idx.modes), len(idx.modes)), dtype=complex)
     G = np.zeros_like(F)
     for k, K in enumerate(idx.modes):
-        for a, c in forward_eigenfunction(model, K).poly.terms.items():
-            F[k, idx.row[a]] = c
-        for a, c in adjoint_eigenfunction(model, K).terms.items():
-            G[k, idx.row[a]] = c
+        f = forward_eigenfunction(model, K).poly.coeffs
+        g = adjoint_eigenfunction(model, K).coeffs
+        F[k, : f.size] = f
+        G[k, : g.size] = g
     return np.conj(G) @ moment_matrix(idx.modes, model.f0.cov) @ F.T
 
 

@@ -119,6 +119,25 @@ def test_main_config_error_exits_2(tmp_path, capsys):
     assert "config field 'B'" in err
 
 
+@pytest.mark.parametrize(
+    "command, overrides, field",
+    [
+        ("verify", {"A": [[float("nan")]]}, "A[0]"),
+        ("propagate", {"initial": {"mean": [float("inf")], "cov": [[0.5]]}}, "initial.mean"),
+        ("verify", {"tolerances": {"residual_tol": float("nan")}}, "tolerances.residual_tol"),
+        ("solve", {"source": {"terms": [[[1], [float("-inf"), 0.0]]]}}, "source.terms[0]"),
+    ],
+)
+def test_main_non_finite_config_number_exits_2(tmp_path, capsys, command, overrides, field):
+    # json.loads reads the bare tokens NaN and Infinity as floats.
+    path = write_config(tmp_path, **overrides)
+    assert "NaN" in open(path).read() or "Infinity" in open(path).read()
+    assert cli.main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert f"config field '{field}': must be finite" in err
+
+
 def test_main_defective_drift_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, dimension=2, A=[[-1.0, 1.0], [0.0, -1.0]], B=[[1.0, 0.0], [0.0, 1.0]])
     assert cli.main(["eigensystem", path]) == 2

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -170,3 +175,30 @@ def test_expm_semigroup():
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
         linalg.biorthogonal_eig([[np.nan, 0.0], [0.0, -1.0]])
+
+
+def test_package_import_and_cli_leave_scipy_unloaded():
+    # expm imports scipy itself, and verify, eigensystem and solve never
+    # call it, so neither the import nor those commands load scipy.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    code = (
+        "import sys\n"
+        "import ou_spectral.cli as cli\n"
+        "loaded = 'scipy' in sys.modules\n"
+        "for command in ('verify', 'eigensystem', 'solve'):\n"
+        "    assert cli.main([command, sys.argv[1]]) == 0\n"
+        "print(loaded, 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "configs" / "canonical_1d.json")],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False False"

@@ -1,11 +1,22 @@
+from fractions import Fraction
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from ou_spectral import errors
+from ou_spectral.gaussian import ForwardFunction
+from ou_spectral.ladder import (
+    apply_adjoint,
+    apply_forward,
+    build_model,
+    lower_adjoint,
+    lower_forward,
+    raise_adjoint,
+    raise_forward,
+)
 from ou_spectral.mpoly import (
     MPoly,
-    _add_gradient,
     coeff_distance,
     hermite,
     hermite_in_var,
@@ -248,7 +259,7 @@ def _assert_canonical(r):
         assert abs(c) >= r.prune_eps and c != 0.0
 
 
-def _trusted_path_cases():
+def _arithmetic_cases():
     polys = battery_polynomials(2, count=8, max_degree=3)
     polys.append(MPoly(2, {(1, 2): 1 - 2j, (0, 0): 0.5j, (3, 0): -4.0}))
     polys.append(MPoly.constant(2, 2.5))
@@ -257,7 +268,7 @@ def _trusted_path_cases():
 
 
 def test_arithmetic_results_match_validating_constructor():
-    polys = _trusted_path_cases()
+    polys = _arithmetic_cases()
     M = np.array([[0.5, -1.0], [2.0, 0.25j]])
     b = np.array([0.3, -0.7])
     for i, p in enumerate(polys):
@@ -270,12 +281,12 @@ def test_arithmetic_results_match_validating_constructor():
 
 
 def test_negation_and_conjugation_keep_every_term():
-    # Both keep |c| exactly, so their results skip the prune pass; they
-    # must still be what the validating constructor builds.
+    # Both keep |c| exactly, so they keep every term; they must still be
+    # what the validating constructor builds.
     eps = 1e-13
     edge = MPoly(2, {(0, 0): eps, (1, 0): complex(-0.0, eps), (0, 1): complex(eps, -0.0)})
     wide = MPoly(2, {(2, 1): 1e-6 - 1e-6j, (0, 3): -2e-6}, prune_eps=1e-6)
-    for p in _trusted_path_cases() + [edge, wide]:
+    for p in _arithmetic_cases() + [edge, wide]:
         for r in (-p, p.conj(), -(p.conj()), (-p).conj()):
             _assert_canonical(r)
             assert set(r.terms) == set(p.terms)
@@ -321,18 +332,13 @@ def _dict_diff(p, axis):
     return {e: c for e, c in out.items() if c != 0.0 and not abs(c) < p.prune_eps}
 
 
-def _bits(terms):
-    # Keys in order and both parts of each value bit for bit (signed zeros too).
-    return [(e, c.real.hex(), c.imag.hex()) for e, c in terms.items()]
-
-
 def test_add_and_diff_match_the_full_prune_pass():
     eps = 1e-13
     base = MPoly(2, {(1, 0): 1 + 2j, (0, 1): 3.0, (2, 2): complex(1.0, -0.0), (0, 0): 2e-13})
     equal_eps = [
         # a merged key cancelling to exactly 0, another ending below eps
         MPoly(2, {(1, 0): -1 - 2j, (2, 0): 0.5, (0, 1): -3.0 + 1e-14}),
-        # a merged key landing exactly on eps; signed zeros, merged and new
+        # a merged key landing exactly on eps; signed zeros
         MPoly(2, {(0, 0): -1e-13, (2, 2): complex(1.0, -0.0), (3, 0): complex(-0.0, 2.0)}),
         MPoly(2, {(0, 3): complex(eps, -0.0), (1, 0): complex(-0.0, -1.0)}),
     ]
@@ -350,10 +356,10 @@ def test_add_and_diff_match_the_full_prune_pass():
         for r, want in ((a + b, _dict_add(a, b)), (a - b, _dict_add(a, -b))):
             _assert_canonical(r)
             assert r.prune_eps == max(a.prune_eps, b.prune_eps)
-            assert _bits(r.terms) == _bits(want)
+            assert r.terms == want
     for c in (0.0, 1.5, complex(-0.0, 1.0), -2e-13):
         const = MPoly.constant(2, c)
-        assert _bits((base + c).terms) == _bits(_dict_add(base, const))
+        assert (base + c).terms == _dict_add(base, const)
 
     # diff: coefficients at exactly eps, signed zero parts, a wide eps.
     edge = MPoly(
@@ -368,77 +374,165 @@ def test_add_and_diff_match_the_full_prune_pass():
         },
     )
     wide = MPoly(2, {(2, 1): 1e-6 - 1e-6j, (0, 3): -2e-6, (1, 0): complex(1e-6, -0.0)}, prune_eps=1e-6)
-    for p in _trusted_path_cases() + [base, edge, wide] + equal_eps + mixed_eps:
+    for p in _arithmetic_cases() + [base, edge, wide] + equal_eps + mixed_eps:
         for axis in range(2):
             r = p.diff(axis)
             _assert_canonical(r)
             assert r.prune_eps == p.prune_eps
-            assert _bits(r.terms) == _bits(_dict_diff(p, axis))
+            assert r.terms == _dict_diff(p, axis)
 
 
-def _gradient_by_sums(out, grad, p):
-    # The sequence of sums that _add_gradient builds in one pass.
-    for i, c in grad:
-        out = out + c * p.diff(i)
+# ---- an exact reference: Fraction coefficients in a dict ----
+
+
+def _exact(p):
+    """The terms of an MPoly with integer coefficients, as Fractions."""
+    out = {}
+    for e, c in p.terms.items():
+        assert c.imag == 0.0 and c.real == int(c.real)
+        out[e] = Fraction(int(c.real))
     return out
 
 
-def _random_gradient_case(rng, eps):
-    n = int(rng.integers(1, 4))
-
-    def coeff():
-        kind = rng.integers(0, 4)
-        if kind == 0:  # within a factor of 2 of eps
-            return complex(eps * rng.uniform(0.5, 2.0), 0.0) * rng.choice([1, -1, 1j, -1j])
-        if kind == 1:  # real, with a signed zero imaginary part
-            return complex(rng.normal(), rng.choice([0.0, -0.0]))
-        return complex(rng.normal(), rng.normal())
-
-    def terms(k):
-        return {tuple(int(e) for e in rng.integers(0, 4, size=n)): coeff() for _ in range(k)}
-
-    p = MPoly(n, terms(8))
-    grad = [
-        (int(i), rng.choice([coeff(), np.float64(rng.uniform(0.5, 1.0)), 0.6]))
-        for i in rng.permutation(n)[: int(rng.integers(1, n + 1))]
-    ]
-    # out shares keys with the derivatives; some of them cancel the first
-    # contribution exactly, so a later axis adds that key back at the end.
-    out = terms(4)
-    for i, c in grad:
-        for exps, v in p.terms.items():
-            e = exps[i]
-            if e and rng.uniform() < 0.5:
-                key = exps[:i] + (e - 1,) + exps[i + 1 :]
-                out[key] = -((0.0 + v * e) * complex(c)) if rng.uniform() < 0.5 else coeff()
-    return MPoly(n, out), grad, p
+def _clean(terms):
+    return {e: c for e, c in terms.items() if c != 0}
 
 
-def test_add_gradient_matches_the_sequence_of_sums():
-    eps = 1e-13
-    rng = np.random.default_rng(2026)
-    cases = [_random_gradient_case(rng, eps) for _ in range(200)]
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return _clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(i + j for i, j in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return _clean(out)
+
+
+def _ref_diff(a, axis):
+    out = {}
+    for e, c in a.items():
+        if e[axis]:
+            key = e[:axis] + (e[axis] - 1,) + e[axis + 1 :]
+            out[key] = out.get(key, 0) + c * e[axis]
+    return _clean(out)
+
+
+def _ref_ladder_step(a, lin, grad):
+    """(lin . x) a + grad . grad a, the form of every ladder operator."""
+    n = len(lin)
+    out = {}
+    for i in range(n):
+        unit = tuple(int(j == i) for j in range(n))
+        out = _ref_add(out, _ref_mul({unit: Fraction(lin[i])}, a))
+        out = _ref_add(out, _ref_mul({(0,) * n: Fraction(grad[i])}, _ref_diff(a, i)))
+    return out
+
+
+def _ref_affine(a, M, b):
+    """x_i -> b_i + sum_j M[i][j] y_j by expanding every power."""
+    m = len(M[0])
+    out = {}
+    for e, c in a.items():
+        term = {(0,) * m: c}
+        for i, k in enumerate(e):
+            sub = {(0,) * m: Fraction(b[i])}
+            for j in range(m):
+                sub = _ref_add(sub, {tuple(int(l == j) for l in range(m)): Fraction(M[i][j])})
+            for _ in range(k):
+                term = _ref_mul(term, sub)
+        out = _ref_add(out, term)
+    return out
+
+
+def _random_exact_poly(rng, nvars, degree):
+    terms = {}
+    for _ in range(int(rng.integers(0, 10))):
+        exps = tuple(int(e) for e in rng.integers(0, degree + 1, size=nvars))
+        if sum(exps) <= degree:
+            terms[exps] = float(rng.integers(-9, 10))
+    return MPoly(nvars, terms)
+
+
+def test_arithmetic_is_exact_against_a_fraction_reference():
+    # Integer coefficients stay far below 2^53, so every float operation
+    # is exact and the coefficient-vector arithmetic must agree with the
+    # exact dict arithmetic term for term, pruning of zeros included.
+    rng = np.random.default_rng(44)
+    for _ in range(150):
+        n = int(rng.integers(1, 4))
+        p = _random_exact_poly(rng, n, int(rng.integers(0, 6)))
+        q = _random_exact_poly(rng, n, int(rng.integers(0, 6)))
+        P, Q = _exact(p), _exact(q)
+        assert _exact(p + q) == _ref_add(P, Q)
+        assert _exact(p - q) == _ref_add(P, Q, -1)
+        assert _exact(p - p) == {}
+        assert _exact(p * q) == _ref_mul(P, Q)
+        for axis in range(n):
+            assert _exact(p.diff(axis)) == _ref_diff(P, axis)
+        m = int(rng.integers(1, 4))
+        M = rng.integers(-2, 3, size=(n, m)).tolist()
+        b = rng.integers(-2, 3, size=n).tolist()
+        assert _exact(p.affine(M, b)) == _ref_affine(P, M, b)
+
+
+def test_ladder_gathers_are_exact_against_a_fraction_reference():
+    # With A = -I and B = 2I the eigenvectors are unit vectors and Sigma is
+    # I, exactly, so every ladder operator and L itself has integer weights:
+    # raising forward is x_I - d_I, lowering forward 2 d_I, raising adjoint
+    # 2 x_I - 2 d_I, lowering adjoint d_I, and L and its adjoint are both
+    # -x . grad + (grad . grad).
+    rng = np.random.default_rng(45)
+    for n in (1, 2, 3):
+        model = build_model(-np.eye(n), 2.0 * np.eye(n))
+        assert np.array_equal(model.eig.right, np.eye(n))
+        assert np.array_equal(model.Sigma, np.eye(n))
+        for _ in range(30):
+            p = _random_exact_poly(rng, n, int(rng.integers(0, 6)))
+            P = _exact(p)
+            f = ForwardFunction(p, model.f0)
+            for I in range(n):
+                unit = [int(j == I) for j in range(n)]
+                zero = [0] * n
+                assert _exact(raise_forward(model, I, f).poly) == _ref_ladder_step(
+                    P, unit, [-u for u in unit]
+                )
+                assert _exact(lower_forward(model, I, f).poly) == _ref_ladder_step(
+                    P, zero, [2 * u for u in unit]
+                )
+                assert _exact(raise_adjoint(model, I, p)) == _ref_ladder_step(
+                    P, [2 * u for u in unit], [-2 * u for u in unit]
+                )
+                assert _exact(lower_adjoint(model, I, p)) == _ref_ladder_step(P, zero, unit)
+            want = {}
+            for i in range(n):
+                unit = tuple(int(j == i) for j in range(n))
+                want = _ref_add(want, _ref_mul({unit: Fraction(-1)}, _ref_diff(P, i)))
+                want = _ref_add(want, _ref_diff(_ref_diff(P, i), i))
+            assert _exact(apply_adjoint(model, p)) == want
+            assert _exact(apply_forward(model, f).poly) == want
+
+
+def test_coefficient_vector_keeps_nan_and_prunes_dust():
     nan = float("nan")
-    p = MPoly(2, {(1, 0): 1.0, (0, 1): 2.0, (1, 1): complex(nan, 0.0), (2, 0): -0.0 + 3j})
-    cases += [
-        # two axes onto one key in the opposite order of p's terms
-        (MPoly(2, {(0, 0): 1.0}), [(0, 0.1), (1, 0.7)], MPoly(2, {(0, 1): 0.3, (1, 0): 0.2})),
-        # exact cancellation, then the key comes back from the next axis
-        (MPoly(2, {(0, 0): -2.0, (1, 0): 5.0}), [(0, 2.0), (1, 1.0)], p),
-        # NaN in p, in out and as a weight
-        (MPoly(2, {(0, 0): nan, (1, 0): 1.0}), [(1, 1.0), (0, nan)], p),
-        # prune_eps differs: out's is larger, then p's
-        (MPoly(2, {(0, 0): 1.0}, prune_eps=1e-6), [(0, 1e-7), (1, 1.0)], p),
-        (MPoly(2, {(0, 0): 1.0}), [(0, 3e-14), (1, 1.0)], MPoly(2, p.terms, prune_eps=1e-20)),
-    ]
-    dropped = moved = 0
-    for out, grad, p in cases:
-        got = _add_gradient(out, grad, p)
-        want = _gradient_by_sums(out, grad, p)
-        assert _bits(got.terms) == _bits(want.terms)
-        assert got.prune_eps == want.prune_eps and got.nvars == want.nvars
-        kept = [k for k in got.terms if k in out.terms]
-        dropped += len(kept) < len(out.terms)
-        moved += kept != [k for k in out.terms if k in got.terms]
-    # Keys of out were dropped, and keys dropped by one axis came back.
-    assert dropped and moved
+    p = MPoly(2, {(0, 0): 1.0, (1, 0): nan, (0, 2): 2.0})
+    # The NaN survives every operation that reaches it, and only there.
+    for r in (p + p, p - p, 3.0 * p, p * MPoly.variable(2, 1), p.diff(0)):
+        assert any(np.isnan(c) for c in r.terms.values())
+    assert np.isnan((p - p).terms[(1, 0)]) and set((p - p).terms) == {(1, 0)}
+    assert set((p * MPoly.variable(2, 1)).terms) == {(0, 1), (1, 1), (0, 3)}
+    assert set(p.diff(1).terms) == {(0, 1)}
+    # An entry below prune_eps is pruned, and the vector is trimmed to the
+    # degree that is left.
+    dust = MPoly(2, {(0, 0): 1.0, (1, 0): 1.0, (0, 3): 1.0})
+    r = dust - MPoly(2, {(0, 3): 1.0 - 5e-14})
+    assert r.terms == {(0, 0): 1.0, (1, 0): 1.0}
+    assert r.degree() == 1 and r.coeffs.size == 3
+    assert (dust * 1e-14).is_zero() and (dust * 1e-14).coeffs.size == 0
+    wide = MPoly(2, {(0, 0): 1.0}, prune_eps=1e-6)
+    assert (wide + MPoly(2, {(2, 0): 5e-7})).coeffs.size == 1

@@ -496,6 +496,24 @@ def test_solve_residual_gate_on_unseen_seeds(seed):
         assert _relative_residual(model, P, q) <= 1e-12, (seed, n, order)
 
 
+def test_solve_memory_stays_below_one_dense_generator_matrix():
+    # n = 5 up to degree 7 has R = 792 monomials: a dense R x R generator
+    # matrix alone takes 4.79 MiB.  The solve builds the blocks of one
+    # degree at a time, from the generator table of that degree.
+    rng = np.random.default_rng(2027)
+    model = _pool_model(rng, 5, "complex")
+    q = _odd_source(rng, model, 7)
+    assert len(graded_index(5, 7).modes) == 792
+    tracemalloc.start()
+    try:
+        P = ou.solve_inhomogeneous(model, q, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20, peak
+    assert _relative_residual(model, P, q) <= 1e-12
+
+
 def _generator_matrix_loops(M, B, idx):
     # Reference fill by exponent-tuple arithmetic, in the same (column,
     # i, j) order, so each entry sums the same terms in the same order.
@@ -517,13 +535,15 @@ def _generator_matrix_loops(M, B, idx):
 def test_solve_blocks_are_the_forward_operator(four_models):
     # Column a of the generator matrix is f0^-1 L(x^a f0) over the
     # monomials up to degree 4; its degree-k block D_k has the eigenvalues
-    # lambda_K, |K| = k.  The table fill equals the tuple-arithmetic one.
+    # lambda_K, |K| = k.  The matrix of the generator table, which the
+    # solve reads block by block, equals the tuple-arithmetic fill.
     models = list(four_models.values()) + [_random_model(104, 4)]
     for model in models:
         n = model.dim
         idx = graded_index(n, 4)
         M = ladder.forward_drift(model)
-        G = spectral._generator_matrix(M, model.B, idx)
+        src, weight = ladder.generator_table(idx, M, model.B)
+        G = spectral._block(src, weight, slice(0, len(idx.modes)))
         assert np.array_equal(G, _generator_matrix_loops(M, model.B, idx)), n
         for k in range(1, 5):
             s = idx.degree(k)
