@@ -1,16 +1,17 @@
-"""Gaussian densities and exact moment arithmetic.
+"""Gaussian densities and their exact moments.
 
-Moments of centered Gaussians are computed by recursive pair counting
-(Isserlis), so every expectation of a polynomial reduces to sums of
-products of covariance entries.  Means are handled by shifting the
-polynomial, not the density.  Results are memoized per covariance
-matrix because the same small set of moments recurs constantly in
-inner products; the least recently used tables are evicted once more
-than ``MOMENT_CACHE_SIZE`` covariances have been seen.
+Every moment comes from one recursion, Stein's identity for
+x ~ N(mean, cov) on the graded index (``moments``): E[x^a] for every
+monomial up to a degree, with no pair counting and no pruning.  An
+expectation is a polynomial's coefficient vector against that vector, so
+the mean enters through the recursion and no polynomial is shifted.  A
+density keeps its own moment vector and recomputes it only when a higher
+degree is asked for; nothing is cached at module level.  The expansion
+coefficients c_K of ``spectral.expand_gaussian`` are the moments of
+N(a, M) by the same routine.
 """
 
-import operator
-from collections import OrderedDict
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,9 @@ def check_finite_rows(points):
 class GaussianDensity:
     """Normalized Gaussian density with mean vector and SPD covariance.
 
-    Compares and hashes by identity.  ``whitener`` is W = L^-T for the
+    Compares and hashes by identity.  ``mean`` and ``cov`` are read-only
+    copies of the arguments, and a non-finite mean raises ``ValueError``,
+    as a non-finite cov does.  ``whitener`` is W = L^-T for the
     Cholesky factor cov = L L^T, so the whitened coordinates
     z = W^T (x - mean) make the density exp(log_norm - |z|^2 / 2).
     """
@@ -44,9 +47,12 @@ class GaussianDensity:
     cov: np.ndarray
     log_norm: float = field(init=False)
     whitener: np.ndarray = field(init=False, repr=False)
+    _moments: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
+        mean = np.array(self.mean, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("mean must have finite entries")
         cov = _as_square(self.cov, "cov")
         if mean.shape[0] != cov.shape[0]:
             raise DimensionMismatchError(
@@ -58,16 +64,32 @@ class GaussianDensity:
         except np.linalg.LinAlgError:
             raise NotSPDError("covariance is not positive definite") from None
         sign, logdet = np.linalg.slogdet(cov)
+        mean.setflags(write=False)
+        cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(
             self, "log_norm", -0.5 * (mean.shape[0] * np.log(2.0 * np.pi) + logdet)
         )
         object.__setattr__(self, "whitener", np.ascontiguousarray(np.linalg.inv(L).T))
+        object.__setattr__(self, "_moments", np.empty(0))
 
     @property
     def dim(self):
         return self.mean.shape[0]
+
+    def moments(self, degree):
+        """Read-only E[x^a] for every row a of ``graded_index(dim, degree)``.
+
+        A lower degree reads a prefix of the vector kept on the density,
+        which is recomputed only when a higher degree is asked for.
+        """
+        size = math.comb(degree + self.dim, self.dim)
+        if self._moments.size < size:
+            m = moments(self.mean, self.cov, degree)
+            m.setflags(write=False)
+            object.__setattr__(self, "_moments", m)
+        return self._moments[:size]
 
     def pdf(self, x):
         """Density at one point."""
@@ -137,125 +159,66 @@ def stationary_density(Sigma):
     return GaussianDensity(mean=np.zeros(Sigma.shape[0]), cov=Sigma)
 
 
-MOMENT_CACHE_SIZE = 64
+def moments(mean, cov, degree):
+    """E[x^a] under N(mean, cov) for every row a of
+    ``graded_index(len(mean), degree)``, as a new vector.
 
-_MOMENT_CACHE = OrderedDict()
-
-
-def _moment_rec(counts, Sigma, memo):
-    total = sum(counts)
-    if total == 0:
-        return 1.0
-    if total % 2 == 1:
-        return 0.0
-    got = memo.get(counts)
-    if got is not None:
-        return got
-    a = next(i for i, c in enumerate(counts) if c > 0)
-    val = 0.0
-    # Pair one slot of variable a with every remaining slot; multiplicity
-    # counts how many identical slots that partner stands for.
-    if counts[a] >= 2:
-        rest = counts[:a] + (counts[a] - 2,) + counts[a + 1 :]
-        val += (counts[a] - 1) * Sigma[a, a] * _moment_rec(rest, Sigma, memo)
-    for b in range(a + 1, len(counts)):
-        if counts[b] == 0:
-            continue
-        rest = list(counts)
-        rest[a] -= 1
-        rest[b] -= 1
-        val += counts[b] * Sigma[a, b] * _moment_rec(tuple(rest), Sigma, memo)
-    memo[counts] = val
-    return val
-
-
-def _memo_for(Sigma):
-    """Moment memo table of a finite square float covariance.
-
-    Sigma is checked to be symmetric positive definite the first time it
-    is seen; a table already cached is only marked as recently used.
+    Stein's identity, E[x^(P+e_I)] = mean_I E[x^P]
+    + sum_J cov_IJ P_J E[x^(P-e_J)], fills the rows along the ``steps``
+    of the index.  Only the recursion is used, so ``cov`` may be complex
+    or indefinite: the entries are then the Taylor coefficients of
+    exp(mean . s + s^T cov s / 2) times a!.
     """
-    key = Sigma.tobytes()
-    memo = _MOMENT_CACHE.get(key)
-    if memo is not None:
-        _MOMENT_CACHE.move_to_end(key)
-        return memo
-    _check_symmetric(Sigma, "Sigma")
-    try:
-        np.linalg.cholesky(Sigma)
-    except np.linalg.LinAlgError:
-        raise NotSPDError("Sigma is not positive definite") from None
-    memo = {}
-    _MOMENT_CACHE[key] = memo
-    if len(_MOMENT_CACHE) > MOMENT_CACHE_SIZE:
-        _MOMENT_CACHE.popitem(last=False)
-    return memo
+    idx = graded_index(len(mean), degree)
+    m = np.empty(len(idx.modes), dtype=np.result_type(mean, cov, float))
+    m[0] = 1.0
+    for k, (p, I, lower) in enumerate(idx.steps, 1):
+        m[k] = mean[I] * m[p]
+        for J, c, q in lower:
+            m[k] += (cov[I, J] * c) * m[q]
+    return m
 
 
 def wick_moment(exponents, Sigma):
-    """E[prod_i x_i^k_i] under the centered Gaussian with covariance Sigma.
-
-    Exact pair-counting recursion; odd total degree gives 0.  Memoized
-    per covariance matrix (keyed by its bytes).
-    """
-    Sigma = _as_square(Sigma, "Sigma")
+    """E[prod_i x_i^k_i] under the centered Gaussian with covariance Sigma:
+    one entry of ``moments``.  Odd total degree gives 0."""
+    g = stationary_density(Sigma)
     counts = tuple(int(k) for k in exponents)
-    if len(counts) != Sigma.shape[0]:
+    if len(counts) != g.dim:
         raise DimensionMismatchError(
-            f"{len(counts)} exponents for a {Sigma.shape[0]}-dimensional Gaussian"
+            f"{len(counts)} exponents for a {g.dim}-dimensional Gaussian"
         )
     if any(k < 0 for k in counts):
         raise ValueError(f"negative exponent in {counts}")
-    return _moment_rec(counts, Sigma, _memo_for(Sigma))
+    d = sum(counts)
+    return float(g.moments(d)[graded_index(g.dim, d).row[counts]])
 
 
-def moment_matrix(monomials, Sigma):
-    """H[a, b] = E[x^(monomials[a] + monomials[b])] under the centered
-    Gaussian with covariance Sigma.
+def moment_matrix(g, degree):
+    """H[a, b] = E[x^(a + b)] under the Gaussian g for every pair of rows
+    a, b of ``graded_index(g.dim, degree)``.
 
-    The moments come from the memoized pair-counting tables
-    ``wick_moment`` uses; H is symmetric, so each unordered pair is looked
-    up once.  With H, E[conj(g) f] for polynomials with coefficient rows
-    g, f over ``monomials`` is conj(g) H f^T.
+    One gather of ``g.moments(2 * degree)`` through the sum table of the
+    index.  With H, E[conj(q) p] for polynomials with coefficient rows
+    q, p over those rows is conj(q) H p^T.
     """
-    Sigma = _as_square(Sigma, "Sigma")
-    n = Sigma.shape[0]
-    if any(len(a) != n for a in monomials):
-        raise DimensionMismatchError(
-            f"monomials must have {n} exponents for a {n}-dimensional Gaussian"
-        )
-    memo = _memo_for(Sigma)
-    H = np.empty((len(monomials), len(monomials)))
-    for i, a in enumerate(monomials):
-        for j in range(i, len(monomials)):
-            counts = tuple(map(operator.add, a, monomials[j]))
-            H[i, j] = H[j, i] = _moment_rec(counts, Sigma, memo)
-    return H
+    rows = math.comb(degree + g.dim, g.dim)
+    return g.moments(2 * degree)[graded_index(g.dim, 2 * degree).sum_table(rows, rows)]
 
 
 def expectation(p, g):
-    """E[p(x)] for x distributed as the Gaussian g.  Exact in moments."""
+    """E[p(x)] for x distributed as the Gaussian g: the coefficient vector
+    of p against the moments of g.  Exact in moments; nothing is pruned."""
     if not isinstance(p, MPoly):
         raise TypeError("expectation takes an MPoly")
     if p.nvars != g.dim:
         raise DimensionMismatchError(
             f"polynomial in {p.nvars} variables, Gaussian of dimension {g.dim}"
         )
-    if np.any(g.mean != 0.0):
-        p = p.affine(np.eye(g.dim), g.mean)
-    # Sigma is checked once per call; the rows of the index are tuples of
-    # nonnegative ints of the right length, so the per-moment checks of
-    # wick_moment are skipped.
-    Sigma = _as_square(g.cov, "Sigma")
-    memo = _memo_for(Sigma)
-    if p.is_zero():
-        return 0j
-    modes = graded_index(p.nvars, p.degree()).modes
-    nz = np.flatnonzero(p.coeffs)
-    return sum(
-        (c * _moment_rec(modes[r], Sigma, memo) for r, c in zip(nz, p.coeffs[nz].tolist())),
-        0j,
-    )
+    # An infinite coefficient against a zero moment gives NaN, which the
+    # result keeps, as MPoly does.
+    with np.errstate(invalid="ignore"):
+        return complex(p.coeffs @ g.moments(p.degree()))
 
 
 def inner_product(gp, f):

@@ -5,8 +5,8 @@ lambda_I and the monomial x^K.  Up to a total order they come by order,
 and within one order in reverse lexicographic order (``enumerate_modes``).
 Mode K is raised from its ``parent`` K - e_I, I the first nonzero axis
 of K.  The ladder builds its eigenfunctions along these parents; the
-expansion and grid recursions, the solve and the pairing matrix of
-``verify`` read their rows from ``graded_index``.
+Gaussian moments, the grid recursion, the solve, polynomial products and
+the pairing matrix of ``verify`` read their rows from ``graded_index``.
 """
 
 import math
@@ -66,6 +66,17 @@ class GradedIndex:
         """Slice of the rows of total order k."""
         n = self.exponents.shape[1]
         return slice(math.comb(k + n - 1, n), math.comb(k + n, n))
+
+    def sum_table(self, rows_a, rows_b):
+        """Table S of shape (rows_a, rows_b): S[k, r] is the row of
+        modes[k] + modes[r], each row reached from its parent's by one
+        gather through ``up``.  The two degrees must add up to at most the
+        degree of the index."""
+        S = np.empty((rows_a, rows_b), dtype=np.intp)
+        S[0] = np.arange(rows_b)
+        for k, (p, I, _) in enumerate(self.steps[: rows_a - 1], 1):
+            S[k] = self.up[I, S[p]]
+        return S
 
 
 @lru_cache(maxsize=INDEX_CACHE_SIZE)

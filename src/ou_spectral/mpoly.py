@@ -218,7 +218,9 @@ class MPoly:
         eps = self._check_compat(other)
         b = other.coeffs
         out = _padded(self.coeffs, max(self.coeffs.size, b.size))
-        op(out[: b.size], b, out=out[: b.size])
+        # inf - inf is NaN, which the result keeps.
+        with np.errstate(invalid="ignore"):
+            op(out[: b.size], b, out=out[: b.size])
         return MPoly.from_coeffs(self.nvars, out, eps)
 
     def __add__(self, other):
@@ -256,9 +258,7 @@ class MPoly:
         else:
             # shift[k] sends the rows of p to those of p times monomial k.
             out = np.zeros(len(idx.modes), dtype=np.complex128)
-            shift = [np.arange(p.coeffs.size)]
-            for parent, I, _ in idx.steps[: q.coeffs.size - 1]:
-                shift.append(idx.up[I, shift[parent]])
+            shift = idx.sum_table(q.coeffs.size, p.coeffs.size)
             for k in q.coeffs.nonzero()[0]:
                 out[shift[k]] += q.coeffs[k] * p.coeffs
         return MPoly.from_coeffs(self.nvars, out, eps)
@@ -400,7 +400,8 @@ def coeff_distance(p, q):
     size = max(p.coeffs.size, q.coeffs.size)
     if not size:
         return 0.0
-    return float(np.abs(_padded(p.coeffs, size) - _padded(q.coeffs, size)).max())
+    with np.errstate(invalid="ignore"):
+        return float(np.abs(_padded(p.coeffs, size) - _padded(q.coeffs, size)).max())
 
 
 def fold_worst(worst, d):

@@ -14,7 +14,10 @@ of the modes (``monomials.graded_index``):
 
 * coefficients: with ``W`` the left eigenvectors, ``a = 2 W mu`` and
   ``M = 4 W (C - Sigma) W^T`` for ``F0 = N(mu, C)``,
-  ``c_{K+e_I} = a_I c_K + sum_J M_IJ K_J c_{K-e_J}``, ``c_0 = 1``;
+  ``c_{K+e_I} = a_I c_K + sum_J M_IJ K_J c_{K-e_J}``, ``c_0 = 1``: Stein's
+  identity, so c_K are the moments E[y^K] of y ~ N(a, M), formally since
+  M is complex and need not be definite, and ``gaussian.moments``
+  computes them;
 * forward polynomial factors: with ``E`` the right eigenvectors,
   ``y = x Sigma^-1 E`` and ``G = E^T Sigma^-1 E``,
   ``p_{K+e_I} = y_I p_K - sum_J G_IJ K_J p_{K-e_J}``, ``p_0 = 1``.
@@ -49,7 +52,13 @@ from .errors import (
     NonFiniteResultError,
     NotSolvableError,
 )
-from .gaussian import ForwardFunction, GaussianDensity, check_finite_rows, expectation
+from .gaussian import (
+    ForwardFunction,
+    GaussianDensity,
+    check_finite_rows,
+    expectation,
+    moments,
+)
 from .ladder import (
     _cached,
     apply_adjoint,
@@ -86,19 +95,6 @@ class SpectralExpansion:
         return self.coeffs[tuple(K)]
 
 
-def _ladder_recursion(steps, shift, Q, out):
-    """Fill the vector ``out`` mode by mode along the ``steps`` of a
-    ``GradedIndex``: out[K] = shift[I] out[P] + sum_J Q_IJ P_J out[P - e_J].
-
-    ``out[0]`` must hold the stationary value.
-    """
-    for k, (p, I, lower) in enumerate(steps, 1):
-        out[k] = shift[I] * out[p]
-        for J, m, q in lower:
-            out[k] += (Q[I, J] * m) * out[q]
-    return out
-
-
 def expand_gaussian(model, F0, max_order):
     """Project a Gaussian density onto the adjoint eigenbasis.
 
@@ -121,13 +117,10 @@ def expand_gaussian(model, F0, max_order):
     W = model.eig.left
     a = 2.0 * (W @ F0.mean)
     M = 4.0 * (W @ (F0.cov - model.Sigma) @ W.T)
-    idx = graded_index(model.dim, max_order)
-    modes = idx.modes
-    c = np.empty(len(modes), dtype=np.complex128)
-    c[0] = 1.0
+    modes = graded_index(model.dim, max_order).modes
     # An overflow is reported by the check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        _ladder_recursion(idx.steps, a, M, c)
+        c = moments(a, M, max_order)
     bad = np.flatnonzero(~np.isfinite(c))
     if bad.size:
         raise NonFiniteResultError(

@@ -67,7 +67,7 @@ def _pairing_matrix(model, max_order):
         g = adjoint_eigenfunction(model, K).coeffs
         F[k, : f.size] = f
         G[k, : g.size] = g
-    return np.conj(G) @ moment_matrix(idx.modes, model.f0.cov) @ F.T
+    return np.conj(G) @ moment_matrix(model.f0, max_order) @ F.T
 
 
 def biorthogonality_suite(model, max_order, tol=1e-8):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,7 +132,8 @@ def test_main_config_error_exits_2(tmp_path, capsys):
 def test_main_non_finite_config_number_exits_2(tmp_path, capsys, command, overrides, field):
     # json.loads reads the bare tokens NaN and Infinity as floats.
     path = write_config(tmp_path, **overrides)
-    assert "NaN" in open(path).read() or "Infinity" in open(path).read()
+    text = Path(path).read_text()
+    assert "NaN" in text or "Infinity" in text
     assert cli.main([command, path]) == 2
     err = capsys.readouterr().err
     assert "error[config]" in err

@@ -1,3 +1,10 @@
+import functools
+import gc
+import itertools
+import math
+import weakref
+from fractions import Fraction
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,6 +20,7 @@ from ou_spectral.gaussian import (
     stationary_density,
     wick_moment,
 )
+from ou_spectral.monomials import graded_index
 from ou_spectral.mpoly import MPoly
 
 
@@ -214,43 +222,134 @@ def test_expectation_type_checks():
         expectation(MPoly(2, {(1, 1): 1.0}), g)
 
 
-def test_moment_cache_is_bounded_and_exact_after_eviction():
-    gaussian._MOMENT_CACHE.clear()
-    size = gaussian.MOMENT_CACHE_SIZE
-
-    def cov(k):
-        s = 1.0 + k / 64.0
-        return np.array([[s, 0.25], [0.25, s]])
-
-    def want(k):
-        s = cov(k)[0, 0]
-        # Isserlis: E[x^2 y^2] = s^2 + 2 r^2 with off-diagonal entry r.
-        return s * s + 2.0 * 0.25 * 0.25
-
-    first = wick_moment((2, 2), cov(0))
-    assert first == want(0)
-    for k in range(1, size + 50):
-        assert wick_moment((2, 2), cov(k)) == pytest.approx(want(k), rel=1e-15)
-        # Keep the first table in use: least-recently-used eviction spares it.
-        wick_moment((4, 0), cov(0))
-        assert len(gaussian._MOMENT_CACHE) <= size
-    assert len(gaussian._MOMENT_CACHE) == size
-    assert cov(0).tobytes() in gaussian._MOMENT_CACHE
-    assert cov(1).tobytes() not in gaussian._MOMENT_CACHE
-    # An evicted covariance is recomputed from scratch, with the same value.
-    assert wick_moment((2, 2), cov(1)) == pytest.approx(want(1), rel=1e-15)
-    x2y2 = MPoly(2, {(2, 2): 1.0})
-    for k in range(size + 10):
-        g = GaussianDensity(mean=[0.0, 0.0], cov=cov(k))
-        assert expectation(x2y2, g) == pytest.approx(want(k), rel=1e-15)
-        assert len(gaussian._MOMENT_CACHE) <= size
+@functools.cache
+def _isserlis(counts, S):
+    """E[y^counts] for y ~ N(0, S) by pair counting, in Fractions: one
+    slot of the first variable pairs with each remaining slot."""
+    if sum(counts) % 2:
+        return Fraction(0)
+    if not any(counts):
+        return Fraction(1)
+    a = next(i for i, c in enumerate(counts) if c)
+    rest = counts[:a] + (counts[a] - 1,) + counts[a + 1 :]
+    val = Fraction(0)
+    for b, c in enumerate(rest):
+        if c:
+            pair = rest[:b] + (c - 1,) + rest[b + 1 :]
+            val += c * S[a][b] * _isserlis(pair, S)
+    return val
 
 
-def test_expectation_and_wick_moment_share_memo_tables():
-    g = GaussianDensity(mean=[0.0], cov=[[2.0]])
-    p = MPoly(1, {(2,): 1.0, (4,): 1.0})
-    assert expectation(p, g) == pytest.approx(2.0 + 12.0)
-    # A table cached by expectation is the one wick_moment reads.
-    key = np.array([[2.0]]).tobytes()
-    assert gaussian._MOMENT_CACHE[key][(4,)] == 12.0
-    assert wick_moment((4,), [[2.0]]) == 12.0
+def _reference_moment(K, mean, S):
+    """E[x^K] for x = mean + y, y ~ N(0, S): the binomial expansion of
+    prod_i (mean_i + y_i)^K_i over the centered moments."""
+    total = Fraction(0)
+    for B in itertools.product(*(range(k + 1) for k in K)):
+        term = _isserlis(B, S)
+        for k, b, mu in zip(K, B, mean):
+            term *= math.comb(k, b) * mu ** (k - b)
+        total += term
+    return total
+
+
+# Dyadic means and Cholesky factors: every moment up to degree 8 and every
+# step of the recursion is exact in floating point, so the two routes
+# must agree exactly.
+MOMENT_CASES = [
+    ([Fraction(3, 4)], [[Fraction(3, 2)]]),
+    ([Fraction(-1, 2), Fraction(5, 4)], [[Fraction(1), 0], [Fraction(-1, 2), Fraction(3, 4)]]),
+    (
+        [Fraction(1, 4), 0, Fraction(-3, 2)],
+        [
+            [Fraction(5, 4), 0, 0],
+            [Fraction(1, 2), Fraction(1), 0],
+            [Fraction(-1, 4), Fraction(3, 8), Fraction(1, 2)],
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("mean, L", MOMENT_CASES, ids=["n1", "n2", "n3"])
+def test_moments_match_isserlis_exactly(mean, L):
+    n = len(mean)
+    S = tuple(
+        tuple(sum(L[i][k] * L[j][k] for k in range(n)) for j in range(n)) for i in range(n)
+    )
+    mean_f = np.array([float(m) for m in mean])
+    cov_f = np.array([[float(v) for v in row] for row in S])
+    got = gaussian.moments(mean_f, cov_f, 8)
+    modes = graded_index(n, 8).modes
+    assert got.shape == (len(modes),)
+    for K, v in zip(modes, got.tolist()):
+        assert v == _reference_moment(K, mean, S), K
+    npt.assert_array_equal(GaussianDensity(mean_f, cov_f).moments(8), got)
+    zero = [Fraction(0)] * n
+    npt.assert_array_equal(
+        [wick_moment(K, cov_f) for K in modes], [_reference_moment(K, zero, S) for K in modes]
+    )
+
+
+def test_density_moments_are_a_read_only_prefix():
+    g = GaussianDensity(mean=[0.3, -0.6], cov=[[0.5, 0.1], [0.1, 0.4]])
+    full = gaussian.moments(g.mean, g.cov, 7)
+    low = g.moments(3)
+    assert low.size == math.comb(3 + 2, 2) and not low.flags.writeable
+    npt.assert_array_equal(low, full[: low.size])
+    # Growth recomputes one longer vector; lower degrees read its prefix.
+    high = g.moments(7)
+    npt.assert_array_equal(high, full)
+    assert g.moments(5).base is high.base
+    assert g.moments(0).tolist() == [1.0]
+    assert g.moments(-1).size == 0
+
+
+def test_dropped_density_frees_its_moments():
+    g = GaussianDensity(mean=[0.2], cov=[[0.7]])
+    ref = weakref.ref(g.moments(6).base)
+    assert ref() is not None
+    del g
+    gc.collect()
+    assert ref() is None
+    # No moment state lives at module level.
+    state = [
+        name
+        for name, v in vars(gaussian).items()
+        if not name.startswith("__") and isinstance(v, (dict, list, set, np.ndarray))
+    ]
+    assert not state
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "-inf", "edit"])
+def test_density_mean_is_a_finite_read_only_copy(case):
+    cov = np.array([[0.5, 0.1], [0.1, 0.4]])
+    if case != "edit":
+        with pytest.raises(ValueError, match="mean"):
+            GaussianDensity(mean=[float(case), 0.0], cov=cov)
+        return
+    mean = np.array([0.5, -0.25])
+    g = GaussianDensity(mean=mean, cov=cov)
+    mean[0] = 9.0
+    cov[0, 0] = 9.0
+    assert g.mean.tolist() == [0.5, -0.25] and g.cov[0, 0] == 0.5
+    for a in (g.mean, g.cov):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    assert expectation(MPoly(2, {(1, 0): 1.0}), g) == 0.5
+
+
+def test_expectation_does_not_depend_on_units():
+    # The mean used to enter through a pruned shift of the polynomial,
+    # which dropped mean^2 = 1e-14 here and returned 1e-14.
+    g = GaussianDensity(mean=[1e-7], cov=[[1e-14]])
+    assert expectation(MPoly(1, {(2,): 1.0}), g) == pytest.approx(2e-14, rel=1e-15, abs=0.0)
+    rng = np.random.default_rng(5)
+    idx = graded_index(2, 4)
+    coeffs = rng.standard_normal(len(idx.modes)) + 1j * rng.standard_normal(len(idx.modes))
+    mean = np.array([0.7, -0.4])
+    cov = np.array([[0.5, 0.1], [0.1, 0.3]])
+    want = expectation(MPoly.from_coeffs(2, coeffs, prune_eps=0.0), GaussianDensity(mean, cov))
+    for c in (1e-8, 1.0, 1e8):
+        # E[p(x / c)] under the law of c x.
+        scaled = MPoly.from_coeffs(2, coeffs * c ** -idx.exponents.sum(axis=1), prune_eps=0.0)
+        got = expectation(scaled, GaussianDensity(c * mean, c * c * cov))
+        assert abs(got - want) <= 1e-14 * abs(want), c

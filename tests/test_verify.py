@@ -16,12 +16,7 @@ import numpy as np
 import pytest
 
 from ou_spectral import cli, errors, ladder, linalg, spectral, verify
-from ou_spectral.gaussian import (
-    ForwardFunction,
-    inner_product,
-    stationary_density,
-    wick_moment,
-)
+from ou_spectral.gaussian import ForwardFunction, inner_product, stationary_density
 from ou_spectral.ladder import (
     adjoint_eigenfunction,
     apply_adjoint,
@@ -217,13 +212,14 @@ def _reference_pairings(model, modes):
     gs = [adjoint_eigenfunction(model, M) for M in modes]
     fs = [forward_eigenfunction(model, K) for K in modes]
     pairs = np.array([[inner_product(g, f) for f in fs] for g in gs])
+    moments = np.abs(model.f0.moments(2 * max(map(sum, modes))))
 
     def size(p):
         return MPoly(p.nvars, {e: abs(c) for e, c in p.terms.items()})
 
     def magnitude(g, f):
         prod = size(g) * size(f.poly)
-        return sum(c.real * abs(wick_moment(e, model.Sigma)) for e, c in prod.terms.items())
+        return prod.coeffs.real @ moments[: prod.coeffs.size]
 
     return pairs, np.array([[magnitude(g, f) for f in fs] for g in gs])
 
