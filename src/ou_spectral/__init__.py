@@ -60,7 +60,7 @@ from .linalg import (
     sym_sqrt,
 )
 from .monomials import enumerate_modes
-from .mpoly import MPoly, coeff_distance, hermite, hermite_in_var, render
+from .mpoly import MPoly, coeff_distance, hermite, render
 from .sde_oracle import MomentReport, SimConfig, simulate
 from .spectral import (
     OperatorIdentityReport,

@@ -8,19 +8,24 @@ a finite multinomial combination of products of physicists' Hermite
 polynomials, weighted by eigenvector components.  This gives a second,
 independent route to the eigenfunctions that never touches the ladder
 recursion.
+
+The closed forms of the eigenfunctions on one side up to one order are
+the rows of one table: the ``mpoly.power_table`` of the eigenvectors,
+whose row K expands prod_I (v_I . u)^{K_I}, times the Hermite map that
+sends the monomial u^a to prod_i H_{a_i}(y_i).  The table is built once
+per model, side and order and kept in ``model._op_cache``; nothing is
+cached at module level.
 """
 
-import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import NotCanonicalError
-from .ladder import OUModel, _check_multi_index, build_model
-from .monomials import compositions
-from .mpoly import MPoly, hermite_in_var, multinomial
+from .ladder import OUModel, _cached, _check_multi_index, build_model
+from .monomials import graded_index
+from .mpoly import MPoly, hermite_table, power_table
 
 
 @dataclass(frozen=True)
@@ -67,59 +72,32 @@ def _require_canonical(model):
         )
 
 
-HPROD_CACHE_SIZE = 1024
+def _hermite_table(model, side, degree):
+    """Row K holds the Hermite closed form of eigenfunction K on
+    ``side``, for every K up to order ``degree``.
 
-_HPROD_CACHE = OrderedDict()
-
-
-def _hermite_product(orders, nvars, eps):
-    """prod_axis H_{orders[axis]}(x_axis), memoized per (nvars, orders, eps).
-
-    The least recently used products are evicted once more than
-    ``HPROD_CACHE_SIZE`` are held, so a process that sees many models
-    or prune thresholds keeps a bounded table.
+    Row K of the power table is the coefficient vector of
+    prod_I (v_I . u)^{K_I}, v_I the forward or adjoint eigenvector of
+    mode I; the Hermite map sends u^a to prod_i H_{a_i}(y_i), so its
+    entry at (a, b) is prod_i h[a_i, b_i].
     """
-    key = (nvars, orders, eps)
-    got = _HPROD_CACHE.get(key)
-    if got is not None:
-        _HPROD_CACHE.move_to_end(key)
-        return got
-    got = MPoly.constant(nvars, 1.0, eps)
-    for axis, m in enumerate(orders):
-        if m:
-            got = got * hermite_in_var(m, axis, nvars, eps)
-    _HPROD_CACHE[key] = got
-    if len(_HPROD_CACHE) > HPROD_CACHE_SIZE:
-        _HPROD_CACHE.popitem(last=False)
-    return got
+    V = model.eig.right.T if side == "forward" else np.conj(model.eig.left)
+    E = graded_index(model.dim, degree).exponents
+    h = hermite_table(degree)
+    hmap = np.ones((len(E), len(E)))
+    for a in E.T:
+        hmap *= h[a[:, None], a]
+    table = power_table(V, np.zeros(model.dim), degree) @ hmap
+    table.setflags(write=False)
+    return table
 
 
-def _hermite_sum(model, K, mode_weights):
-    n = model.dim
-    orders = {(0,) * n: 1.0 + 0.0j}
-    for I, kI in enumerate(K):
-        if kI == 0:
-            continue
-        v = mode_weights(I)
-        contrib = {}
-        for comp in compositions(kI, n):
-            c = complex(multinomial(kI, comp))
-            for vk, ek in zip(v, comp):
-                if ek:
-                    c *= vk**ek
-            if c != 0.0:
-                contrib[comp] = c
-        merged = {}
-        for oa, ca in orders.items():
-            for ob, cb in contrib.items():
-                key = tuple(a + b for a, b in zip(oa, ob))
-                merged[key] = merged.get(key, 0.0) + ca * cb
-        orders = merged
-    out = np.zeros(math.comb(sum(K) + n, n), dtype=complex)
-    for m, c in sorted(orders.items()):
-        h = _hermite_product(m, n, model.prune_eps).coeffs
-        out[: h.size] += c * h
-    return MPoly.from_coeffs(n, out, model.prune_eps)
+def _hermite(model, side, K):
+    _require_canonical(model)
+    K = _check_multi_index(model, K)
+    table = _cached(model, _hermite_table, side, sum(K))
+    row = graded_index(model.dim, sum(K)).row[K]
+    return MPoly.from_coeffs(model.dim, table[row], model.prune_eps)
 
 
 def forward_hermite(model, K):
@@ -128,13 +106,9 @@ def forward_hermite(model, K):
     Requires a canonical model.  Multi-index semantics match the ladder
     construction exactly, term for term.
     """
-    _require_canonical(model)
-    K = _check_multi_index(model, K)
-    return _hermite_sum(model, K, lambda I: model.eig.right[:, I])
+    return _hermite(model, "forward", K)
 
 
 def adjoint_hermite(model, K):
     """Adjoint eigenfunction as a Hermite combination.  Canonical only."""
-    _require_canonical(model)
-    K = _check_multi_index(model, K)
-    return _hermite_sum(model, K, lambda I: np.conj(model.eig.left[I, :]))
+    return _hermite(model, "adjoint", K)

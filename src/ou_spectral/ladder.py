@@ -23,7 +23,7 @@ through the shift tables of ``monomials.graded_index``.  Its table
 ``spectral`` reads too) depends only on the model, the mode, the
 ``prune_eps`` and the degree of the input, so each is built once per
 model and kept in ``model._op_cache``.  Eigenfunction K is raised from
-its ``monomials.parent`` and memoized on the model, keyed by K.
+its ``monomials.parent`` and memoized in the same cache, keyed by K.
 Concurrent builds may race to insert a cache entry; both compute the
 same value, so last write wins harmlessly.
 """
@@ -54,11 +54,12 @@ class OUModel:
     mutually bi-orthogonal.  ``Sigma`` solves the Lyapunov equation
     A Sigma + Sigma A^T + B = 0; the forward operator relies on it, since
     it is applied in the frame of f0 as the generator with drift
-    Sigma A^T Sigma^-1.  Caches on the instance hold eigenfunctions and
-    operator tables (the gather table of every operator, per mode,
-    ``prune_eps`` and input degree, and the grid-evaluation tables of
-    ``spectral``, per order); treat everything returned from them as
-    immutable.
+    Sigma A^T Sigma^-1.  One cache on the instance, ``_op_cache``, holds
+    the eigenfunctions, per side and K, and the tables (the gather table
+    of every operator, per mode, ``prune_eps`` and input degree, the
+    grid-evaluation tables of ``spectral``, per order, and the Hermite
+    closed forms of ``hermite_form``, per side and order); treat
+    everything returned from it as immutable.
     """
 
     A: np.ndarray
@@ -70,10 +71,8 @@ class OUModel:
     conj_partner: np.ndarray
     tol: float
     prune_eps: float
-    # Not init fields: a model made by dataclasses.replace starts empty
+    # Not an init field: a model made by dataclasses.replace starts empty
     # instead of sharing the memo of the model it was made from.
-    _forward_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _adjoint_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _op_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -336,40 +335,32 @@ def lower_adjoint(model, I, g):
     return _ladder(model, "lower_adjoint", I, g)
 
 
+def _forward_eigenfunction(model, K):
+    if not any(K):
+        return ForwardFunction(MPoly.constant(model.dim, 1.0, model.prune_eps), model.f0)
+    I, prev = parent(K)
+    return raise_forward(model, I, forward_eigenfunction(model, prev))
+
+
 def forward_eigenfunction(model, K):
     """Eigenfunction of L with multi-index K, built by repeated raising.
 
     The mode-0 raising operator is applied last, so the operator product
     runs in increasing mode order from the outside in.  Memoized.
     """
-    K = _check_multi_index(model, K)
-    got = model._forward_cache.get(K)
-    if got is not None:
-        return got
-    if sum(K) == 0:
-        out = ForwardFunction(
-            MPoly.constant(model.dim, 1.0, model.prune_eps), model.f0
-        )
-    else:
-        I, prev = parent(K)
-        out = raise_forward(model, I, forward_eigenfunction(model, prev))
-    model._forward_cache[K] = out
-    return out
+    return _cached(model, _forward_eigenfunction, _check_multi_index(model, K))
+
+
+def _adjoint_eigenfunction(model, K):
+    if not any(K):
+        return MPoly.constant(model.dim, 1.0, model.prune_eps)
+    I, prev = parent(K)
+    return raise_adjoint(model, I, adjoint_eigenfunction(model, prev))
 
 
 def adjoint_eigenfunction(model, K):
     """Eigenfunction of the adjoint operator with multi-index K.  Memoized."""
-    K = _check_multi_index(model, K)
-    got = model._adjoint_cache.get(K)
-    if got is not None:
-        return got
-    if sum(K) == 0:
-        out = MPoly.constant(model.dim, 1.0, model.prune_eps)
-    else:
-        I, prev = parent(K)
-        out = raise_adjoint(model, I, adjoint_eigenfunction(model, prev))
-    model._adjoint_cache[K] = out
-    return out
+    return _cached(model, _adjoint_eigenfunction, _check_multi_index(model, K))
 
 
 def eigenvalue(model, K):

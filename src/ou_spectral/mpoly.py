@@ -289,9 +289,8 @@ class MPoly:
         """Substitute x_i -> b_i + sum_j M[i, j] y_j.
 
         ``M`` may change the number of variables: with shape (nvars, m)
-        the result lives in m variables.  Row k of a power table holds
-        (M y + b)^K for the k-th monomial K, its parent's power times one
-        linear factor; the result is the coefficient vector times it.
+        the result lives in m variables.  The result is the coefficient
+        vector times the ``power_table`` of the map.
         """
         M = np.asarray(M, dtype=complex)
         b = np.asarray(b, dtype=complex).reshape(-1)
@@ -299,17 +298,11 @@ class MPoly:
             raise DimensionMismatchError(
                 f"affine map shapes {M.shape}, {b.shape} do not fit {self.nvars} variables"
             )
-        m = M.shape[1]
-        d = self._degree
-        if d < 0:
-            return MPoly.zero(m, self.prune_eps)
-        down = graded_index(m, d).down
-        powers = np.zeros((self.coeffs.size, down.shape[1]), dtype=np.complex128)
-        powers[0, 0] = 1.0
-        for k, (parent, I, _) in enumerate(graded_index(self.nvars, d).steps, 1):
-            powers[k] = _times_linear(powers[parent], b[I], M[I], down)
+        if self._degree < 0:
+            return MPoly.zero(M.shape[1], self.prune_eps)
+        powers = power_table(M, b, self._degree)
         nz = self.coeffs.nonzero()[0]
-        return MPoly.from_coeffs(m, self.coeffs[nz] @ powers[nz], self.prune_eps)
+        return MPoly.from_coeffs(M.shape[1], self.coeffs[nz] @ powers[nz], self.prune_eps)
 
     def __call__(self, x):
         """Evaluate at a point (sequence of ``nvars`` numbers)."""
@@ -413,45 +406,40 @@ def fold_worst(worst, d):
     return d if d > worst or d != d else worst
 
 
-_HERMITE_CACHE = None
+def power_table(M, b, degree):
+    """Powers of the affine map y -> M y + b, M of shape (n, m).
+
+    Row k holds the coefficients of prod_i (M y + b)_i^{K_i}, K the k-th
+    row of ``graded_index(n, degree)``, on the graded index of m
+    variables up to ``degree``: its parent's row times one linear factor.
+    """
+    down = graded_index(M.shape[1], degree).down
+    powers = np.zeros((_rows(M.shape[0], degree), down.shape[1]), dtype=np.complex128)
+    powers[0, 0] = 1.0
+    for k, (parent, I, _) in enumerate(graded_index(M.shape[0], degree).steps, 1):
+        powers[k] = _times_linear(powers[parent], b[I], M[I], down)
+    return powers
+
+
+def hermite_table(degree):
+    """Table h of shape (degree + 1, degree + 1): h[m, j] is the
+    coefficient of x^j in the physicists' Hermite polynomial H_m.
+
+    Built by H_{m+1} = 2 x H_m - 2 m H_{m-1}, which keeps every
+    coefficient an exact integer.
+    """
+    if degree < 0:
+        raise ValueError("Hermite order must be nonnegative")
+    h = np.zeros((degree + 1, degree + 1))
+    h[0, 0] = 1.0
+    for m in range(degree):
+        # At m = 0 the second term reads the zero last row.
+        h[m + 1, 1:] = 2.0 * h[m, :-1]
+        h[m + 1] -= 2.0 * m * h[m - 1]
+    return h
 
 
 def hermite(n):
-    """Physicists' Hermite polynomial H_n as a one-variable MPoly.
-
-    Built by the derivative recurrence H_{n+1} = 2 x H_n - H_n', which
-    keeps every coefficient an exact integer.
-    """
-    global _HERMITE_CACHE
-    n = int(n)
-    if n < 0:
-        raise ValueError("Hermite order must be nonnegative")
-    if _HERMITE_CACHE is None:
-        _HERMITE_CACHE = [MPoly.constant(1, 1.0)]
-    two_x = MPoly(1, {(1,): 2.0})
-    while len(_HERMITE_CACHE) <= n:
-        h = _HERMITE_CACHE[-1]
-        _HERMITE_CACHE.append(two_x * h - h.diff(0))
-    return _HERMITE_CACHE[n]
-
-
-def hermite_in_var(n, axis, nvars, prune_eps=None):
-    """H_n in variable ``axis`` of an ``nvars``-variable polynomial ring."""
-    if not 0 <= axis < nvars:
-        raise AxisOutOfRangeError(f"axis {axis} outside 0..{nvars - 1}")
-    h = hermite(n)
-    terms = {}
-    for (e,), c in h.terms.items():
-        key = tuple(e if i == axis else 0 for i in range(nvars))
-        terms[key] = c
-    return MPoly(nvars, terms, prune_eps)
-
-
-def multinomial(n, parts):
-    """Exact multinomial coefficient n! / prod(parts_i!)."""
-    if sum(parts) != n:
-        raise ValueError(f"parts {parts} do not sum to {n}")
-    out = math.factorial(n)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
+    """Physicists' Hermite polynomial H_n as a one-variable MPoly: row n
+    of ``hermite_table``."""
+    return MPoly.from_coeffs(1, hermite_table(int(n))[int(n)])

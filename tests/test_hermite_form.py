@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import ou_spectral as ou
-from ou_spectral import errors, hermite_form
+from ou_spectral import errors
 from ou_spectral.mpoly import hermite
 
 
@@ -50,44 +50,52 @@ def test_one_dimensional_hermite_form_is_hermite(model_1d):
         assert ou.coeff_distance(ou.adjoint_hermite(model_1d, (n,)), hermite(n)) <= 1e-12
 
 
-def test_hermite_form_matches_ladder_on_spiral(model_spiral):
-    for K in ou.enumerate_modes(2, 5):
-        d = ou.coeff_distance(
-            ou.forward_hermite(model_spiral, K),
-            ou.forward_eigenfunction(model_spiral, K).poly,
-        )
-        assert d <= 1e-9, f"forward mismatch at K={K}: {d:.3e}"
-        d = ou.coeff_distance(
-            ou.adjoint_hermite(model_spiral, K),
-            ou.adjoint_eigenfunction(model_spiral, K),
-        )
-        assert d <= 1e-9, f"adjoint mismatch at K={K}: {d:.3e}"
-
-
-def test_hermite_form_matches_ladder_after_transform(model_3d):
-    model_c, _ = ou.to_canonical(model_3d)
-    for K in [(1, 0, 0), (0, 1, 1), (2, 1, 0), (1, 1, 1)]:
+def _assert_matches_ladder(model_c, modes):
+    for K in modes:
         d = ou.coeff_distance(
             ou.forward_hermite(model_c, K),
             ou.forward_eigenfunction(model_c, K).poly,
         )
-        assert d <= 1e-9
+        assert d <= 1e-9, f"forward mismatch at K={K}: {d:.3e}"
         d = ou.coeff_distance(
             ou.adjoint_hermite(model_c, K),
             ou.adjoint_eigenfunction(model_c, K),
         )
-        assert d <= 1e-9
+        assert d <= 1e-9, f"adjoint mismatch at K={K}: {d:.3e}"
+
+
+def test_hermite_form_matches_ladder_on_spiral(model_spiral):
+    _assert_matches_ladder(model_spiral, ou.enumerate_modes(2, 5))
+
+
+def test_hermite_form_matches_ladder_after_transform(model_3d):
+    model_c, _ = ou.to_canonical(model_3d)
+    _assert_matches_ladder(model_c, [(1, 0, 0), (0, 1, 1), (2, 1, 0), (1, 1, 1)])
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_hermite_form_matches_ladder_in_higher_dimensions(n):
+    # A fixed random stable model (the recipe of tests/test_verify.py's
+    # _random_model), taken to canonical coordinates.
+    rng = np.random.default_rng(20261018)
+    A = rng.standard_normal((n, n)) - 2.5 * np.eye(n)
+    L = rng.standard_normal((n, n))
+    model_c, _ = ou.to_canonical(ou.build_model(A, L @ L.T + 0.2 * np.eye(n)))
+    _assert_matches_ladder(model_c, ou.enumerate_modes(n, 5))
 
 
 def test_single_mode_multinomial_expansion_by_hand(model_spiral):
-    # (sum_k e_k a_k)^2 applied to 1: coefficients e1^2, 2 e1 e2, e2^2
+    # (sum_k e_k a_k)^2 applied to 1: coefficients e1^2, 2 e1 e2, e2^2 on
+    # H_2(y1) = 4 y1^2 - 2, H_1(y1) H_1(y2) = 4 y1 y2 and H_2(y2) = 4 y2^2 - 2.
     e = model_spiral.eig.right[:, 0]
-    from ou_spectral.mpoly import MPoly, hermite_in_var
-
-    want = (
-        complex(e[0] ** 2) * hermite_in_var(2, 0, 2)
-        + complex(2 * e[0] * e[1]) * hermite_in_var(1, 0, 2) * hermite_in_var(1, 1, 2)
-        + complex(e[1] ** 2) * hermite_in_var(2, 1, 2)
+    want = ou.MPoly(
+        2,
+        {
+            (0, 0): -2 * e[0] ** 2 - 2 * e[1] ** 2,
+            (2, 0): 4 * e[0] ** 2,
+            (1, 1): 4 * (2 * e[0] * e[1]),
+            (0, 2): 4 * e[1] ** 2,
+        },
     )
     got = ou.forward_hermite(model_spiral, (2, 0))
     assert ou.coeff_distance(got, want) <= 1e-12
@@ -119,38 +127,5 @@ def test_hermite_form_keeps_the_model_prune_eps(model_spiral):
     for K in ((1, 1), (2, 0), (0, 3)):
         assert ou.forward_hermite(fine, K).prune_eps == 1e-20
         assert ou.adjoint_hermite(fine, K).prune_eps == 1e-20
-        # the products cached for the fine model do not leak into others
+        # the table cached on the fine model does not leak into others
         assert ou.forward_hermite(model_spiral, K).prune_eps == model_spiral.prune_eps
-
-
-def test_hermite_product_cache_is_bounded_over_many_prune_eps(model_spiral, monkeypatch):
-    size = hermite_form.HPROD_CACHE_SIZE
-    hermite_form._HPROD_CACHE.clear()
-    for k in range(size + 50):
-        hermite_form._hermite_product((2, 1), 2, 1e-13 * (1.0 + k / 4096.0))
-        assert len(hermite_form._HPROD_CACHE) <= size
-    assert len(hermite_form._HPROD_CACHE) == size
-    # The same bound holds through the public route, one model per eps.
-    monkeypatch.setattr(hermite_form, "HPROD_CACHE_SIZE", 16)
-    hermite_form._HPROD_CACHE.clear()
-    for k in range(40):
-        model = ou.build_model(model_spiral.A, model_spiral.B, prune_eps=1e-14 * (1.0 + k))
-        ou.forward_hermite(model, (2, 1))
-        ou.adjoint_hermite(model, (1, 2))
-        assert len(hermite_form._HPROD_CACHE) <= 16
-
-
-def test_hermite_product_rebuilt_after_eviction_equals_original(monkeypatch):
-    monkeypatch.setattr(hermite_form, "HPROD_CACHE_SIZE", 4)
-    hermite_form._HPROD_CACHE.clear()
-    first = hermite_form._hermite_product((3, 2), 2, 1e-13)
-    kept = hermite_form._hermite_product((1, 1), 2, 1e-13)
-    for m in range(6):
-        hermite_form._hermite_product((m, 0), 2, 1e-13)
-        # Keep one entry in use: least-recently-used eviction spares it.
-        assert hermite_form._hermite_product((1, 1), 2, 1e-13) is kept
-    assert (2, (3, 2), 1e-13) not in hermite_form._HPROD_CACHE
-    rebuilt = hermite_form._hermite_product((3, 2), 2, 1e-13)
-    assert rebuilt is not first
-    assert rebuilt == first and rebuilt.prune_eps == first.prune_eps
-    assert list(rebuilt.terms.items()) == list(first.terms.items())

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import ou_spectral as ou
-from ou_spectral import errors
+from ou_spectral import errors, ladder
 from ou_spectral.mpoly import MPoly, hermite
 
 from conftest import A_SPIRAL
@@ -245,7 +245,10 @@ def test_replaced_model_starts_with_empty_caches():
     model = ou.build_model([[-1.0]], [[1.0]])
     ou.forward_eigenfunction(model, (2,))
     ou.adjoint_eigenfunction(model, (2,))
-    assert model._forward_cache and model._adjoint_cache and model._op_cache
+    # One cache holds both eigenfunctions and the raising tables.
+    assert (ladder._forward_eigenfunction, (2,)) in model._op_cache
+    assert (ladder._adjoint_eigenfunction, (2,)) in model._op_cache
+    assert any(key[0] is ladder._ladder_table for key in model._op_cache)
     Sigma = 4.0 * model.Sigma
     m2 = dataclasses.replace(
         model,
@@ -254,7 +257,7 @@ def test_replaced_model_starts_with_empty_caches():
         Sigma_inv=np.linalg.inv(Sigma),
         f0=ou.stationary_density(Sigma),
     )
-    assert not m2._forward_cache and not m2._adjoint_cache and not m2._op_cache
+    assert not m2._op_cache
     f = ou.forward_eigenfunction(m2, (2,))
     assert f.base is m2.f0
     npt.assert_array_equal(f.base.cov, [[2.0]])

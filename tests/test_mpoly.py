@@ -19,8 +19,7 @@ from ou_spectral.mpoly import (
     MPoly,
     coeff_distance,
     hermite,
-    hermite_in_var,
-    multinomial,
+    hermite_table,
     render,
 )
 from ou_spectral.spectral import battery_polynomials
@@ -159,9 +158,14 @@ def test_hermite_parity_and_leading_coefficient():
             assert (e - n) % 2 == 0
 
 
-def test_hermite_in_var_embedding():
-    h = hermite_in_var(2, 1, 3)
-    assert h.terms == {(0, 0, 0): complex(-2), (0, 2, 0): complex(4)}
+def test_hermite_table_matches_numpy_herm2poly():
+    # numpy's Hermite series module is an independent implementation.
+    h = hermite_table(20)
+    for m in range(21):
+        want = np.polynomial.hermite.herm2poly([0.0] * m + [1.0])
+        npt.assert_array_equal(h[m, : m + 1], want)
+        npt.assert_array_equal(h[m, m + 1 :], 0.0)
+        npt.assert_array_equal(hermite(m).coeffs, want)
 
 
 def test_render_canonical_forms():
@@ -212,14 +216,6 @@ def test_overflow_is_not_an_exact_match():
     q = MPoly(1, {(1,): 1.0})
     assert np.isnan(coeff_distance(p, q)) and np.isnan(coeff_distance(q, p))
     assert coeff_distance(a, MPoly(1, {(1,): 1.0})) == inf
-
-
-def test_multinomial_values():
-    assert multinomial(4, (2, 2)) == 6
-    assert multinomial(5, (5, 0, 0)) == 1
-    assert multinomial(6, (1, 2, 3)) == 60
-    with pytest.raises(ValueError):
-        multinomial(3, (1, 1))
 
 
 def test_dimension_mismatch_and_axis_errors():

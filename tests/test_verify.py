@@ -10,11 +10,14 @@ A model whose Sigma misses the Lyapunov equation must fail ``run_all``.
 """
 
 import dataclasses
+import importlib
 import pathlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import ou_spectral
 from ou_spectral import cli, errors, ladder, linalg, spectral, verify
 from ou_spectral.gaussian import ForwardFunction, inner_product, stationary_density
 from ou_spectral.ladder import (
@@ -29,7 +32,7 @@ from ou_spectral.ladder import (
     raise_adjoint,
     raise_forward,
 )
-from ou_spectral.monomials import enumerate_modes
+from ou_spectral.monomials import enumerate_modes, graded_index
 from ou_spectral.mpoly import MPoly, coeff_distance
 from ou_spectral.spectral import battery_polynomials
 
@@ -383,3 +386,34 @@ def test_inexact_sigma_fails_verify(name):
     assert not hermite.passed
     with pytest.raises(errors.NotCanonicalError):
         verify.run_all(_with_sigma(model, model.Sigma * (1.0 + 1e-6)), max_order)
+
+
+def _module_state():
+    """(type, length) of every module-level dict, list and set of the
+    package and each of its modules, by (module, name)."""
+    modules = [ou_spectral] + [
+        importlib.import_module(f"ou_spectral.{info.name}")
+        for info in pkgutil.iter_modules(ou_spectral.__path__)
+    ]
+    return {
+        (mod.__name__, name): (type(value), len(value))
+        for mod in modules
+        for name, value in vars(mod).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    }
+
+
+def test_module_level_state_stays_bounded_over_many_models():
+    # Memos live on the model, so a process that verifies many models,
+    # each with its own prune_eps, grows no module-level container.
+    before = _module_state()
+    rng = np.random.default_rng(20261018)
+    for n in (1, 2, 3):
+        for eps in (1e-13, 3e-14, 1e-14, 3e-15):
+            A = 0.3 * rng.standard_normal((n, n)) - 2.5 * np.eye(n)
+            L = rng.standard_normal((n, n))
+            model = build_model(A, L @ L.T + 0.2 * np.eye(n), prune_eps=eps)
+            verify.run_all(model, max_order=3)
+    assert _module_state() == before
+    info = graded_index.cache_info()
+    assert info.currsize <= info.maxsize
