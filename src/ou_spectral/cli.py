@@ -8,6 +8,7 @@ inputs give byte-identical files.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -506,7 +507,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built on first use and kept: each
+    ``parse_args`` returns a new namespace, so calls share nothing."""
     ap = argparse.ArgumentParser(
         prog="ou-spectral",
         description="Eigensystem, verification, and propagation tools for "

@@ -16,8 +16,8 @@ f0^-1 L (p f0) with D = ``forward_drift`` = Sigma A^T Sigma^-1.  The
 lowering operators are directional derivatives on either side, and the
 raising operators add one linear factor to a directional derivative.
 
-Every operator here acts on the coefficient vector of p (``MPoly``) as
-one gather: row r of the image sums weighted coefficients of p read
+Every operator here acts on the coefficient vector of p (``MPoly``), or
+on every row of an ``MPolyStack`` at once, as one gather: row r of the image sums weighted coefficients of p read
 through the shift tables of ``monomials.graded_index``.  Its table
 (``generator_table`` for L and its adjoint, which the solve of
 ``spectral`` reads too) depends only on the model, the mode, the
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .gaussian import ForwardFunction, GaussianDensity, stationary_density
 from .monomials import graded_index, parent
-from .mpoly import DEFAULT_PRUNE_EPS, MPoly
+from .mpoly import DEFAULT_PRUNE_EPS, MPoly, _padded
 
 
 @dataclass
@@ -235,12 +235,14 @@ def _ladder_weights(model, op, I, eps):
     (a . x) p + w . grad p.  An entry of a below ``eps`` is dropped, as
     ``MPoly.linear`` drops it."""
     e, w = model.eig.right[:, I], model.eig.left[I, :]
-    a, w = {
-        "raise_forward": (model.Sigma_inv @ e, -e),
-        "lower_forward": (0.0 * e, 2.0 * (model.Sigma @ w)),
-        "raise_adjoint": (2.0 * np.conj(w), -2.0 * (model.Sigma @ np.conj(w))),
-        "lower_adjoint": (0.0 * e, np.conj(e)),
-    }[op]
+    if op == "raise_forward":
+        a, w = model.Sigma_inv @ e, -e
+    elif op == "lower_forward":
+        a, w = 0.0 * e, 2.0 * (model.Sigma @ w)
+    elif op == "raise_adjoint":
+        a, w = 2.0 * np.conj(w), -2.0 * (model.Sigma @ np.conj(w))
+    else:
+        a, w = 0.0 * e, np.conj(e)
     return np.where(np.abs(a) < eps, 0.0, a), w
 
 
@@ -264,16 +266,34 @@ def _ladder_table(model, op, I, eps, degree):
 def _apply_table(model, build, args, p):
     """p's image under the gather table ``build(model, *args, degree of
     p)``, cached on the model: sum_s weight[s, r] p[src[s, r]] at row r,
-    where src -1 reads a zero."""
+    where src -1 reads a zero.
+
+    p is an ``MPoly`` or an ``MPolyStack``, whose rows all read the table
+    of its top degree; a row of lower degree reads zeros from its padding
+    wherever its own table would read src -1, so each row of the image
+    equals, bit for bit, the image of its polynomial.  That needs the
+    slots summed in slot order at every table width: numpy sums the slots
+    of a table with one image row pairwise.
+    """
     if p.is_zero():
         return p
     src, weight = _cached(model, build, *args, p.degree())
-    image = (weight * np.concatenate((p.coeffs, [0.0]))[src]).sum(axis=0)
-    return MPoly.from_coeffs(model.dim, image, p.prune_eps)
+    terms = weight * _padded(p.coeffs, p.coeffs.shape[-1] + 1).take(src, axis=-1)
+    if src.shape[1] > 1:
+        image = np.add.reduce(terms, axis=-2)
+    else:
+        image = np.add.accumulate(terms, axis=-2)[..., -1, :]
+    return type(p).from_coeffs(model.dim, image, p.prune_eps)
 
 
 def _ladder(model, op, I, p):
+    """The mode-I ladder operator ``op`` on the polynomial or stack p."""
     return _apply_table(model, _ladder_table, (op, I, p.prune_eps), p)
+
+
+def _generator(model, side, p):
+    """L on the factor p of p f0 (side "forward") or the adjoint on p."""
+    return _apply_table(model, _generator_table, (side,), p)
 
 
 def apply_forward(model, f):
@@ -284,14 +304,14 @@ def apply_forward(model, f):
     the adjoint's generator with drift M in place of A.
     """
     _check_forward(model, f)
-    return ForwardFunction(_apply_table(model, _generator_table, ("forward",), f.poly), f.base)
+    return ForwardFunction(_generator(model, "forward", f.poly), f.base)
 
 
 def apply_adjoint(model, g):
     """Apply the adjoint (backward) operator to a plain polynomial:
     (A x) . grad g + (1/2) B : grad grad g."""
     _check_adjoint(model, g)
-    return _apply_table(model, _generator_table, ("adjoint",), g)
+    return _generator(model, "adjoint", g)
 
 
 def raise_forward(model, I, f):

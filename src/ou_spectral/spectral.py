@@ -59,19 +59,9 @@ from .gaussian import (
     expectation,
     moments,
 )
-from .ladder import (
-    _cached,
-    apply_adjoint,
-    apply_forward,
-    forward_drift,
-    generator_table,
-    lower_adjoint,
-    lower_forward,
-    raise_adjoint,
-    raise_forward,
-)
+from .ladder import _cached, _generator, _ladder, forward_drift, generator_table
 from .monomials import enumerate_modes, graded_index
-from .mpoly import MPoly, coeff_distance, fold_worst
+from .mpoly import MPoly, MPolyStack, coeff_distance, fold_worst
 
 # Points per block of grid evaluation; the work array holds every mode
 # over one block, never over the whole grid.
@@ -355,62 +345,64 @@ def battery_polynomials(nvars, count=20, max_degree=5, seed=20240817):
     return out
 
 
-@dataclass(frozen=True)
-class BatteryImage:
-    """Ladder images of one battery polynomial p, each computed once.
-
-    Forward images act on p f0 and adjoint images on p; list entries are
-    indexed by mode.  ``raise_lower_*[I]`` raises the mode-I lowering
-    image by mode I: the commutator suite's J = I cross term, which the
-    operator reconstruction sums.
-    """
-
-    poly: MPoly
-    apply_forward: ForwardFunction
-    apply_adjoint: MPoly
-    raise_forward: list
-    raise_adjoint: list
-    lower_forward: list
-    lower_adjoint: list
-    raise_lower_forward: list
-    raise_lower_adjoint: list
-
-
-def _battery_image(model, p):
-    n = model.dim
-    fwd = ForwardFunction(p, model.f0)
-    lower_f = [lower_forward(model, J, fwd) for J in range(n)]
-    lower_a = [lower_adjoint(model, J, p) for J in range(n)]
-    return BatteryImage(
-        poly=p,
-        apply_forward=apply_forward(model, fwd),
-        apply_adjoint=apply_adjoint(model, p),
-        raise_forward=[raise_forward(model, I, fwd) for I in range(n)],
-        raise_adjoint=[raise_adjoint(model, I, p) for I in range(n)],
-        lower_forward=lower_f,
-        lower_adjoint=lower_a,
-        raise_lower_forward=[raise_forward(model, I, lower_f[I]) for I in range(n)],
-        raise_lower_adjoint=[raise_adjoint(model, I, lower_a[I]) for I in range(n)],
-    )
-
-
 class BatteryImages:
-    """The ``BatteryImage`` of every battery polynomial on one model.
+    """The polynomial battery of one model and its ladder images, each
+    an ``MPolyStack`` with one row per polynomial.
 
-    Built on first use of ``records``, so the cost shows under the first
-    suite that reads them; the commutator suite and the operator
-    reconstruction share one instance per ``verify`` run, so the images
-    live as long as that run.
+    ``poly`` stacks ``battery_polynomials``; every other attribute is its
+    image under L, its adjoint or a raising or lowering operator, one
+    gather of the whole stack.  Forward images act on p f0 and hold the
+    polynomial factor of the result, and adjoint images act on p; list
+    entries are indexed by mode.
+    ``raise_lower_*[I]`` raises the mode-I lowering image by mode I: the
+    commutator suite's J = I cross term, which the operator
+    reconstruction sums.  Each image is built on first use, so its cost
+    shows under the first suite that reads it; the commutator suite and
+    the operator reconstruction share one instance per ``verify`` run, so
+    the images live as long as that run.
     """
 
     def __init__(self, model):
         self.model = model
 
+    def _per_mode(self, op, stacks):
+        return [_ladder(self.model, op, I, p) for I, p in enumerate(stacks)]
+
     @cached_property
-    def records(self):
-        return [
-            _battery_image(self.model, p) for p in battery_polynomials(self.model.dim)
-        ]
+    def poly(self):
+        return MPolyStack.of(battery_polynomials(self.model.dim))
+
+    @cached_property
+    def apply_forward(self):
+        return _generator(self.model, "forward", self.poly)
+
+    @cached_property
+    def apply_adjoint(self):
+        return _generator(self.model, "adjoint", self.poly)
+
+    @cached_property
+    def raise_forward(self):
+        return self._per_mode("raise_forward", [self.poly] * self.model.dim)
+
+    @cached_property
+    def raise_adjoint(self):
+        return self._per_mode("raise_adjoint", [self.poly] * self.model.dim)
+
+    @cached_property
+    def lower_forward(self):
+        return self._per_mode("lower_forward", [self.poly] * self.model.dim)
+
+    @cached_property
+    def lower_adjoint(self):
+        return self._per_mode("lower_adjoint", [self.poly] * self.model.dim)
+
+    @cached_property
+    def raise_lower_forward(self):
+        return self._per_mode("raise_forward", self.lower_forward)
+
+    @cached_property
+    def raise_lower_adjoint(self):
+        return self._per_mode("raise_adjoint", self.lower_adjoint)
 
 
 @dataclass(frozen=True)
@@ -442,8 +434,9 @@ def reconstruct_operators_check(model, tol=1e-9, images=None):
     * forward   as half the eigenvalue-weighted sum of raise(lower(.))
     * adjoint   as the conjugate-weighted mirror of the same sum
 
-    ``images`` (a ``BatteryImages`` of this model) supplies the ladder
-    images; without it they are built here.
+    Each identity is checked on the whole battery stack at once, one
+    residual per row.  ``images`` (a ``BatteryImages`` of this model)
+    supplies the ladder images; without it they are built here.
     """
     if images is None:
         images = BatteryImages(model)
@@ -459,25 +452,24 @@ def reconstruct_operators_check(model, tol=1e-9, images=None):
     worst = {"gradient": 0.0, "position": 0.0, "forward": 0.0, "adjoint": 0.0}
 
     def fold(name, lhs, rhs, *scales):
-        d = coeff_distance(lhs, rhs) / max(1.0, lhs.max_coeff(), rhs.max_coeff(), *scales)
-        worst[name] = fold_worst(worst[name], d)
+        scale = reduce(np.fmax, (lhs.max_coeff(), rhs.max_coeff(), *scales), 1.0)
+        worst[name] = fold_worst(worst[name], float(np.max(coeff_distance(lhs, rhs) / scale)))
 
-    for img in images.records:
-        p = img.poly
-        zero = MPoly.zero(n, p.prune_eps)
-        lows = img.lower_adjoint
+    p = images.poly
+    zero = MPolyStack.zero(n, len(p.coeffs), p.prune_eps)
+    lows = images.lower_adjoint
+    # One errstate for all the stacked arithmetic: inf - inf is NaN,
+    # which the fold keeps.
+    with np.errstate(invalid="ignore"):
         # Raising terms of the position identity with their lowering
         # correction; neither depends on the axis i.
-        shifted = [img.raise_adjoint[I] + sum(map(mul, 2.0 * G[I], lows), zero) for I in range(n)]
+        shifted = [images.raise_adjoint[I] + sum(map(mul, 2.0 * G[I], lows), zero) for I in range(n)]
         for i in range(n):
             fold("gradient", p.diff(i), sum(map(mul, Wc[:, i], lows), zero))
-            x_p = MPoly.variable(n, i, p.prune_eps) * p
-            fold("position", x_p, sum(map(mul, 0.5 * Ec[i], shifted), zero))
-        raised = [f.poly for f in img.raise_lower_forward]
-        fold("forward", img.apply_forward.poly, sum(map(mul, 0.5 * lams, raised), zero), p.max_coeff())
-        adj = sum(map(mul, 0.5 * np.conj(lams), img.raise_lower_adjoint), zero)
-        fold("adjoint", img.apply_adjoint, adj, p.max_coeff())
+            fold("position", p.times_variable(i), sum(map(mul, 0.5 * Ec[i], shifted), zero))
+        fwd = sum(map(mul, 0.5 * lams, images.raise_lower_forward), zero)
+        fold("forward", images.apply_forward, fwd, p.max_coeff())
+        adj = sum(map(mul, 0.5 * np.conj(lams), images.raise_lower_adjoint), zero)
+        fold("adjoint", images.apply_adjoint, adj, p.max_coeff())
 
-    return OperatorIdentityReport(
-        residuals=worst, tol=tol, battery_size=len(images.records)
-    )
+    return OperatorIdentityReport(residuals=worst, tol=tol, battery_size=len(p.coeffs))

@@ -13,6 +13,8 @@ import numpy as np
 from .gaussian import moment_matrix
 from .hermite_form import adjoint_hermite, forward_hermite, is_canonical, to_canonical
 from .ladder import (
+    _generator,
+    _ladder,
     adjoint_eigenfunction,
     apply_adjoint,
     apply_forward,
@@ -21,8 +23,6 @@ from .ladder import (
     lower_adjoint,
     lower_forward,
     mode_normalization,
-    raise_adjoint,
-    raise_forward,
 )
 from .monomials import enumerate_modes, graded_index
 from .mpoly import coeff_distance, fold_worst
@@ -150,50 +150,57 @@ def commutator_suite(model, tol=1e-9, images=None):
     on the adjoint side, and the cross relations between opposite
     lowering and raising families equal to twice the identity.
 
-    ``images`` (a ``BatteryImages`` of this model) holds each battery
-    polynomial's images under L, its adjoint and every raising and
-    lowering operator, computed once and reused for every mode pair;
-    without it they are built here.
+    Each relation is checked for one mode pair on the whole battery stack
+    at once, one residual per row, so the loops run over modes only.
+    ``images`` (a ``BatteryImages`` of this model) holds the battery's
+    images under L, its adjoint and every raising and lowering operator,
+    computed once and reused for every mode pair; without it they are
+    built here.
     """
     if images is None:
         images = BatteryImages(model)
     n = model.dim
+    p = images.poly
+    scale = p.max_coeff()
+    zero_p, two_p = 0.0 * p, 2.0 * p
     worst = 0.0
-    for img in images.records:
-        p = img.poly
-        scale = max(1.0, p.max_coeff())
-        zero_p, two_p = 0.0 * p, 2.0 * p
+
+    def fold(lhs, rhs, size):
+        # Row by row: coeff_distance(lhs, rhs) / max(1, size), folded.
+        nonlocal worst
+        d = coeff_distance(lhs, rhs) / np.fmax(1.0, size)
+        worst = fold_worst(worst, float(np.max(d)))
+
+    # One errstate for all the stacked arithmetic: inf - inf is NaN,
+    # which the fold keeps.
+    with np.errstate(invalid="ignore"):
         for I in range(n):
             lam = model.eig.values[I]
 
-            c = img.raise_forward[I]
-            a = apply_forward(model, c).poly
-            b = raise_forward(model, I, img.apply_forward).poly
-            d = coeff_distance(a - b, lam * c.poly)
-            worst = fold_worst(worst, d / max(1.0, c.poly.max_coeff()))
+            c = images.raise_forward[I]
+            a = _generator(model, "forward", c)
+            b = _ladder(model, "raise_forward", I, images.apply_forward)
+            fold(a - b, lam * c, c.max_coeff())
 
-            c = img.raise_adjoint[I]
-            a = apply_adjoint(model, c)
-            b = raise_adjoint(model, I, img.apply_adjoint)
-            d = coeff_distance(a - b, np.conj(lam) * c)
-            worst = fold_worst(worst, d / max(1.0, c.max_coeff()))
+            c = images.raise_adjoint[I]
+            a = _generator(model, "adjoint", c)
+            b = _ladder(model, "raise_adjoint", I, images.apply_adjoint)
+            fold(a - b, np.conj(lam) * c, c.max_coeff())
 
             for J in range(n):
                 if I == J:
                     target = two_p
-                    b_adj = img.raise_lower_adjoint[I]
-                    b_fwd = img.raise_lower_forward[I]
+                    b_adj = images.raise_lower_adjoint[I]
+                    b_fwd = images.raise_lower_forward[I]
                 else:
                     target = zero_p
-                    b_adj = raise_adjoint(model, I, img.lower_adjoint[J])
-                    b_fwd = raise_forward(model, I, img.lower_forward[J])
-                a = lower_adjoint(model, J, img.raise_adjoint[I])
-                d = coeff_distance(a - b_adj, target)
-                worst = fold_worst(worst, d / scale)
+                    b_adj = _ladder(model, "raise_adjoint", I, images.lower_adjoint[J])
+                    b_fwd = _ladder(model, "raise_forward", I, images.lower_forward[J])
+                a = _ladder(model, "lower_adjoint", J, images.raise_adjoint[I])
+                fold(a - b_adj, target, scale)
 
-                a = lower_forward(model, J, img.raise_forward[I])
-                d = coeff_distance(a.poly - b_fwd.poly, target)
-                worst = fold_worst(worst, d / scale)
+                a = _ladder(model, "lower_forward", J, images.raise_forward[I])
+                fold(a - b_fwd, target, scale)
     return SuiteResult("commutators", worst, tol)
 
 
@@ -229,8 +236,10 @@ def run_all(model, max_order, residual_tol=1e-8):
     """Every suite at its standard tolerance; shared residual_tol where
     a suite has no tighter inherent requirement.
 
-    The commutator and reconstruction suites share one ``BatteryImages``,
-    built inside the commutator suite and dropped when this call returns.
+    The commutator and reconstruction suites share one ``BatteryImages``:
+    the battery as one ``MPolyStack`` and its ladder images, one gather
+    each, built inside the commutator suite and dropped when this call
+    returns.
     """
     images = BatteryImages(model)
     suites = [

@@ -229,6 +229,36 @@ def test_propagate_outputs(tmp_path, capsys):
     assert float(first[1]) == -3.0
 
 
+def test_main_calls_parse_independently(tmp_path, capsys):
+    # One parser serves every call; each call's subcommand, config and
+    # output paths are its own, and no option carries over to the next.
+    first = write_config(tmp_path, name="first.json", max_order=2)
+    second = write_config(
+        tmp_path,
+        name="second.json",
+        initial={"mean": [0.0], "cov": [[0.5]]},
+        propagate={"times": [0.5], "grid": {"points": 5}},
+    )
+    eig_json, prop_json = tmp_path / "eig.json", tmp_path / "prop.json"
+    prop_csv = tmp_path / "prop.csv"
+    assert cli._parser() is cli._parser()
+    assert cli.main(["eigensystem", first, "--json", str(eig_json)]) == 0
+    rc = cli.main(["propagate", second, "--json", str(prop_json), "--csv", str(prop_csv)])
+    assert rc == 0
+    assert json.loads(eig_json.read_text())["max_order"] == 2
+    assert [r["t"] for r in json.loads(prop_json.read_text())["results"]] == [0.5]
+    prop_csv.unlink()
+    again = tmp_path / "again.json"
+    assert cli.main(["propagate", second, "--json", str(again)]) == 0
+    assert not prop_csv.exists()
+    assert again.read_bytes() == prop_json.read_bytes()
+    verify_json = tmp_path / "verify.json"
+    assert cli.main(["verify", first, "--json", str(verify_json)]) == 0
+    assert json.loads(verify_json.read_text())["max_order"] == 2
+    assert json.loads(eig_json.read_text())["max_order"] == 2
+    capsys.readouterr()
+
+
 def test_propagate_tracks_moving_gaussian(tmp_path):
     path = write_config(
         tmp_path,

@@ -6,7 +6,7 @@ import pytest
 
 import ou_spectral as ou
 from ou_spectral import errors, ladder
-from ou_spectral.mpoly import MPoly, hermite
+from ou_spectral.mpoly import MPoly, MPolyStack, hermite
 
 from conftest import A_SPIRAL
 
@@ -262,3 +262,31 @@ def test_replaced_model_starts_with_empty_caches():
     assert f.base is m2.f0
     npt.assert_array_equal(f.base.cov, [[2.0]])
     assert f.poly != ou.forward_eigenfunction(model, (2,)).poly
+
+
+LADDER_OPS = ("raise_forward", "raise_adjoint", "lower_forward", "lower_adjoint")
+TABLE_KINDS = {side: (ladder._generator_table, (side,)) for side in ("forward", "adjoint")}
+TABLE_KINDS.update({op: (ladder._ladder_table, (op, 0, 1e-13)) for op in LADDER_OPS})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_stacked_gather_equals_one_polynomial_gathers(n, kind):
+    # Rows of degrees 0 to 4 and a zero row read the table of the top
+    # degree; each must equal, bit for bit, its polynomial's own gather.
+    # Degree-1 rows lowered to constants cover a lone polynomial whose
+    # table has one image row, whose slots numpy would sum in another
+    # order than a wider table's from n = 4 on.
+    build, args = TABLE_KINDS[kind]
+    rng = np.random.default_rng(n)
+    A = 0.5 * rng.standard_normal((n, n)) - 3.0 * np.eye(n)
+    L = rng.standard_normal((n, n))
+    model = ou.build_model(A, L @ L.T + 0.2 * np.eye(n))
+    polys = ou.battery_polynomials(n, count=9, max_degree=4)
+    polys.insert(3, MPoly.zero(n))
+    stack = ladder._apply_table(model, build, args, MPolyStack.of(polys))
+    assert stack.coeffs.shape[0] == len(polys)
+    for row, p in zip(stack.coeffs, polys):
+        want = ladder._apply_table(model, build, args, p).coeffs
+        npt.assert_array_equal(row[: want.size], want, strict=True)
+        assert not row[want.size :].any()

@@ -1,11 +1,12 @@
 """The verify suites against a direct evaluation.
 
-The commutator and reconstruction suites share one set of ladder images
-per battery polynomial.  The reference below applies every operator in
-place, with no reuse, so the two must agree bit for bit; a call-count
-guard checks the reuse itself.  The bi-orthogonality suite takes every
-pairing from one Gram matrix; each entry must match its own
-``inner_product``, and a perturbed pair above order 4 must fail it.
+The commutator and reconstruction suites run on the whole battery as one
+stack and share its ladder images.  The reference below applies every
+public operator to one polynomial at a time, with no reuse, so the two
+must agree bit for bit; a call-count guard checks the reuse itself.  The
+bi-orthogonality suite takes every pairing from one Gram matrix; each
+entry must match its own ``inner_product``, and a perturbed pair above
+order 4 must fail it.
 A model whose Sigma misses the Lyapunov equation must fail ``run_all``.
 """
 
@@ -33,7 +34,7 @@ from ou_spectral.ladder import (
     raise_forward,
 )
 from ou_spectral.monomials import enumerate_modes, graded_index
-from ou_spectral.mpoly import MPoly, coeff_distance
+from ou_spectral.mpoly import MPoly, MPolyStack, coeff_distance
 from ou_spectral.spectral import battery_polynomials
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -138,10 +139,26 @@ def _reference_reconstruction(model):
     return worst
 
 
-@pytest.mark.parametrize("name", CONFIG_NAMES + ("random_3d_seeded",))
+def _rescaled_config_model(name, c):
+    """The config's model under x -> c x: A kept, B times c^2."""
+    model, _ = _config_model(name)
+    return build_model(model.A, model.B * c**2)
+
+
+# Inputs where the absolute prune of the battery (1e-13) decides which
+# coefficients survive: rescaled units and a stiff drift.
+IMAGE_MODELS = {
+    "random_3d_seeded": _random_model,
+    "random_3d_c1e-4": lambda: _rescaled_config_model("random_3d", 1e-4),
+    "random_3d_c1e4": lambda: _rescaled_config_model("random_3d", 1e4),
+    "stiff_2d": lambda: build_model(np.diag([-(10**3.5), -0.3]), np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES + tuple(IMAGE_MODELS))
 def test_shared_images_match_direct_evaluation(name):
-    if name == "random_3d_seeded":
-        model = _random_model()
+    if name in IMAGE_MODELS:
+        model = IMAGE_MODELS[name]()
     else:
         model, _ = _config_model(name)
     want_comm = _reference_commutators(model)
@@ -192,21 +209,42 @@ def test_run_all_applies_each_ladder_operator_once_per_input(monkeypatch):
         for module in (ladder, spectral, verify):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapped)
+    # The battery goes through the gather itself, as one stack:
+    # (table, args, id of stack) -> [stack, calls].
+    gathers = {}
+    apply_table = ladder._apply_table
+
+    def gather(model, build, args, p):
+        if isinstance(p, MPolyStack):
+            entry = gathers.setdefault((build, args, id(p)), [p, 0])
+            entry[1] += 1
+        return apply_table(model, build, args, p)
+
+    monkeypatch.setattr(ladder, "_apply_table", gather)
 
     report = verify.run_all(model, max_order)
     assert report.passed
     repeats = {key: calls for key, (_, calls) in seen.items() if calls > 1}
     assert not repeats
-    # The battery went through the shared images: every battery polynomial
-    # was raised by every mode, once.
-    battery = battery_polynomials(model.dim)
-    raised = [
-        target
-        for (name, _, mode), (target, _) in seen.items()
-        if name == "raise_adjoint" and mode == (0,)
+    assert not any(isinstance(target, MPolyStack) for target, _ in seen.values())
+    repeats = {key: calls for key, (_, calls) in gathers.items() if calls > 1}
+    assert not repeats
+    # Every battery image is one gather of the battery stack: L, its
+    # adjoint and the four ladder operators of each mode, once each.
+    battery = MPolyStack.of(battery_polynomials(model.dim))
+    first = [
+        (build, args)
+        for (build, args, _), (stack, _) in gathers.items()
+        if np.array_equal(stack.coeffs, battery.coeffs)
     ]
-    for p in battery:
-        assert sum(1 for g in raised if g == p) == 1
+    eps = battery.prune_eps
+    want = [(ladder._generator_table, (side,)) for side in ("forward", "adjoint")]
+    want += [
+        (ladder._ladder_table, (op, I, eps))
+        for op in ("raise_forward", "raise_adjoint", "lower_forward", "lower_adjoint")
+        for I in range(model.dim)
+    ]
+    assert sorted(first, key=repr) == sorted(want, key=repr)
 
 
 def _reference_pairings(model, modes):
