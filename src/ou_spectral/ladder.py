@@ -16,14 +16,17 @@ f0^-1 L (p f0) with D = ``forward_drift`` = Sigma A^T Sigma^-1.  The
 lowering operators are directional derivatives on either side, and the
 raising operators add one linear factor to a directional derivative.
 
-Every operator here acts on the coefficient vector of p (``MPoly``), or
-on every row of an ``MPolyStack`` at once, as one gather: row r of the image sums weighted coefficients of p read
+Every operator here acts on the coefficient vector of p (``MPoly``) as
+one gather: row r of the image sums weighted coefficients of p read
 through the shift tables of ``monomials.graded_index``.  Its table
 (``generator_table`` for L and its adjoint, which the solve of
 ``spectral`` reads too) depends only on the model, the mode, the
 ``prune_eps`` and the degree of the input, so each is built once per
-model and kept in ``model._op_cache``.  Eigenfunction K is raised from
-its ``monomials.parent`` and memoized in the same cache, keyed by K.
+model and kept in ``model._op_cache``.  Scattered into a matrix
+(``_block``, ``_matrix``), a table is the operator on every polynomial
+of its degree at once, as the solve of ``spectral`` and the ``verify``
+identities read it.  Eigenfunction K is raised from its
+``monomials.parent`` and memoized in the same cache, keyed by K.
 Concurrent builds may race to insert a cache entry; both compute the
 same value, so last write wins harmlessly.
 """
@@ -267,27 +270,39 @@ def _apply_table(model, build, args, p):
     """p's image under the gather table ``build(model, *args, degree of
     p)``, cached on the model: sum_s weight[s, r] p[src[s, r]] at row r,
     where src -1 reads a zero.
-
-    p is an ``MPoly`` or an ``MPolyStack``, whose rows all read the table
-    of its top degree; a row of lower degree reads zeros from its padding
-    wherever its own table would read src -1, so each row of the image
-    equals, bit for bit, the image of its polynomial.  That needs the
-    slots summed in slot order at every table width: numpy sums the slots
-    of a table with one image row pairwise.
     """
     if p.is_zero():
         return p
     src, weight = _cached(model, build, *args, p.degree())
-    terms = weight * _padded(p.coeffs, p.coeffs.shape[-1] + 1).take(src, axis=-1)
-    if src.shape[1] > 1:
-        image = np.add.reduce(terms, axis=-2)
-    else:
-        image = np.add.accumulate(terms, axis=-2)[..., -1, :]
-    return type(p).from_coeffs(model.dim, image, p.prune_eps)
+    terms = weight * _padded(p.coeffs, p.coeffs.size + 1)[src]
+    return MPoly.from_coeffs(model.dim, terms.sum(axis=0), p.prune_eps)
+
+
+def _block(src, weight, cols):
+    """The matrix of the gathers (src, weight) of a table on the source
+    rows ``cols``, a slice holding every src they read.  Each entry sums
+    its terms in slot order."""
+    out = np.zeros((src.shape[1], cols.stop - cols.start), dtype=weight.dtype)
+    slot, row = np.nonzero(src >= 0)
+    np.add.at(out, (row, src[slot, row] - cols.start), weight[slot, row])
+    return out
+
+
+def _matrix(model, build, args, degree, rows):
+    """The matrix of the table ``build(model, *args, degree)``, cached on
+    the model, padded with zero rows to ``rows``: the operator on every
+    polynomial of ``degree`` or less, column j acting on the j-th
+    monomial of ``graded_index``.  A raising table whose linear weights
+    are all dropped has the rows of ``degree - 1`` only."""
+    src, weight = _cached(model, build, *args, degree)
+    cols = math.comb(degree + model.dim, model.dim)
+    out = np.zeros((rows, cols), dtype=weight.dtype)
+    out[: src.shape[1]] = _block(src, weight, slice(0, cols))
+    return out
 
 
 def _ladder(model, op, I, p):
-    """The mode-I ladder operator ``op`` on the polynomial or stack p."""
+    """The mode-I ladder operator ``op`` on the polynomial p."""
     return _apply_table(model, _ladder_table, (op, I, p.prune_eps), p)
 
 

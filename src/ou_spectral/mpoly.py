@@ -16,10 +16,6 @@ dust never accumulates.  Only finite coefficients can be small, so NaN
 is kept: an overflow never reads as an exact zero.  Arithmetic on two
 polynomials carries the larger of their ``prune_eps``.
 
-``MPolyStack`` holds many polynomials as the rows of one coefficient
-matrix; its operations act row by row through the same prune mask, so
-the ``verify`` suites check a whole battery in one pass per operation.
-
 Arithmetic is gathers through the shift tables of the index.  A partial
 derivative gathers through ``up``, a linear factor times p through
 ``down``, and a general product sums shifted copies of one operand along
@@ -55,10 +51,9 @@ def _degree_of_row(nvars, r):
 
 
 def _padded(c, size):
-    """c, a vector or a matrix of rows, padded with zeros to ``size``
-    entries along its last axis."""
-    out = np.zeros(c.shape[:-1] + (size,), dtype=np.complex128)
-    out[..., : c.shape[-1]] = c
+    """The vector c padded with zeros to ``size`` entries."""
+    out = np.zeros(size, dtype=np.complex128)
+    out[: c.size] = c
     return out
 
 
@@ -261,9 +256,12 @@ class MPoly:
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             c = complex(other)
-            out = self.coeffs * c
-            if not cmath.isfinite(c):
-                # An absent term stays absent, even times NaN.
+            if cmath.isfinite(c):
+                out = self.coeffs * c
+            else:
+                # 0 * inf is NaN on the absent terms, which stay absent.
+                with np.errstate(invalid="ignore"):
+                    out = self.coeffs * c
                 out[self.coeffs == 0.0] = 0.0
             return MPoly.from_coeffs(self.nvars, out, self.prune_eps)
         if not isinstance(other, MPoly):
@@ -356,103 +354,6 @@ class MPoly:
         )
 
 
-class MPolyStack:
-    """A stack of polynomials in ``nvars`` variables with one
-    ``prune_eps``: one coefficient row per polynomial over the graded
-    index, every row padded with zeros to the top degree of the stack.
-
-    Each operation acts on every row as the ``MPoly`` operation acts on
-    the polynomial of that row, elementwise and through the same
-    ``prune`` mask, so row k of a result holds, bit for bit, the
-    coefficients of the same operation on the polynomial of row k.
-    ``max_coeff`` and ``coeff_distance`` give one value per row.  No
-    operation enters ``np.errstate``: a caller whose coefficients may be
-    non-finite holds one around all of its stacked work.
-    """
-
-    __slots__ = ("nvars", "coeffs", "prune_eps", "_degree")
-
-    @classmethod
-    def of(cls, polys):
-        """The stack of ``polys``, which share ``nvars`` and ``prune_eps``."""
-        size = max(p.coeffs.size for p in polys)
-        rows = [_padded(p.coeffs, size) for p in polys]
-        return cls.from_coeffs(polys[0].nvars, rows, polys[0].prune_eps)
-
-    @classmethod
-    def from_coeffs(cls, nvars, coeffs, prune_eps):
-        """The stack of the rows of the matrix ``coeffs``, pruned and trimmed
-        to its top degree, and never sharing ``coeffs``."""
-        self = object.__new__(cls)
-        c = prune(np.array(coeffs, dtype=np.complex128), prune_eps)
-        nz = np.flatnonzero(c.any(axis=0))
-        degree = _degree_of_row(nvars, nz[-1]) if nz.size else -1
-        c = c[:, : _rows(nvars, degree)]
-        c.setflags(write=False)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "prune_eps", prune_eps)
-        object.__setattr__(self, "_degree", degree)
-        return self
-
-    @classmethod
-    def zero(cls, nvars, height, prune_eps):
-        return cls.from_coeffs(nvars, np.zeros((height, 0)), prune_eps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MPolyStack is immutable")
-
-    def is_zero(self):
-        """True when every row is the zero polynomial."""
-        return not self.coeffs.shape[1]
-
-    def degree(self):
-        """Top degree of the rows; -1 when every row is zero."""
-        return self._degree
-
-    def max_coeff(self):
-        """Largest coefficient magnitude of each row."""
-        return np.abs(self.coeffs).max(axis=1, initial=0.0)
-
-    def _combine(self, other, op):
-        if not isinstance(other, MPolyStack):
-            return NotImplemented
-        size = max(self.coeffs.shape[1], other.coeffs.shape[1])
-        out = op(_padded(self.coeffs, size), _padded(other.coeffs, size))
-        return MPolyStack.from_coeffs(self.nvars, out, max(self.prune_eps, other.prune_eps))
-
-    def __add__(self, other):
-        return self._combine(other, np.add)
-
-    def __sub__(self, other):
-        return self._combine(other, np.subtract)
-
-    def __mul__(self, other):
-        """Every row times one scalar, as ``MPoly`` times a scalar."""
-        if not isinstance(other, _SCALARS):
-            return NotImplemented
-        c = complex(other)
-        out = self.coeffs * c
-        if not cmath.isfinite(c):
-            out[self.coeffs == 0.0] = 0.0
-        return MPolyStack.from_coeffs(self.nvars, out, self.prune_eps)
-
-    __rmul__ = __mul__
-
-    def diff(self, axis):
-        """Partial derivative of every row along one variable."""
-        out = _diff(self.coeffs, self.nvars, self._degree, axis)
-        return MPolyStack.from_coeffs(self.nvars, out, self.prune_eps)
-
-    def times_variable(self, axis):
-        """Every row times x_axis: one gather through ``down``.  On finite
-        rows it is ``MPoly.variable(nvars, axis)`` times the row's
-        polynomial, bit for bit."""
-        down = graded_index(self.nvars, self._degree + 1).down[axis]
-        out = _padded(self.coeffs, self.coeffs.shape[1] + 1)[:, down]
-        return MPolyStack.from_coeffs(self.nvars, out, self.prune_eps)
-
-
 def _fmt_real(v):
     return f"{v:.12g}"
 
@@ -496,9 +397,7 @@ def render(p):
 
 
 def coeff_distance(p, q):
-    """Largest coefficient difference between two polynomials, or between
-    the rows of two ``MPolyStack``, one value per row (with no
-    ``np.errstate`` of its own, like every stacked operation).
+    """Largest coefficient difference between two polynomials.
 
     NaN when some difference is NaN (an overflow on either side), so a
     non-finite mismatch never hides behind a finite one.
@@ -507,10 +406,7 @@ def coeff_distance(p, q):
         raise DimensionMismatchError(
             f"operands have {p.nvars} and {q.nvars} variables"
         )
-    size = max(p.coeffs.shape[-1], q.coeffs.shape[-1])
-    if isinstance(p, MPolyStack):
-        diff = _padded(p.coeffs, size) - _padded(q.coeffs, size)
-        return np.abs(diff).max(axis=1, initial=0.0)
+    size = max(p.coeffs.size, q.coeffs.size)
     if not size:
         return 0.0
     with np.errstate(invalid="ignore"):

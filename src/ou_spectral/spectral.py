@@ -27,9 +27,9 @@ coefficient rows in the whitened coordinates z = W^T x of f0 (W = L^-T,
 Sigma = L L^T), where f0 = exp(log_norm - |z|^2 / 2) and y = z C is
 linear in z.  The expansion is then one real vector pair against the
 real monomials z^a, built one product per monomial on each block of
-points.  Neither route prunes anything.  The ``verify`` suites stay on
-the exact ``MPoly`` ladder, which is the reference these recursions are
-tested against.
+points.  Neither route prunes anything.  The exact ``MPoly`` ladder,
+whose gather tables the ``verify`` suites check, is the reference these
+recursions are tested against.
 
 The inhomogeneous solve builds no eigenfunction either.  With P = p f0,
 f0^-1 L(p f0) = (M x) . grad p + (1/2) B : grad grad p, M = Sigma A^T
@@ -41,8 +41,7 @@ source, top degree first, on blocks read from the generator table that
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from operator import mul
+from functools import reduce
 
 import numpy as np
 
@@ -59,9 +58,17 @@ from .gaussian import (
     expectation,
     moments,
 )
-from .ladder import _cached, _generator, _ladder, forward_drift, generator_table
+from .ladder import (
+    _block,
+    _cached,
+    _generator_table,
+    _ladder_table,
+    _matrix,
+    forward_drift,
+    generator_table,
+)
 from .monomials import enumerate_modes, graded_index
-from .mpoly import MPoly, MPolyStack, coeff_distance, fold_worst
+from .mpoly import MPoly, _diff, fold_worst
 
 # Points per block of grid evaluation; the work array holds every mode
 # over one block, never over the whole grid.
@@ -240,16 +247,6 @@ def exact_gaussian_propagate(model, F0, t):
     return GaussianDensity(mean=mean, cov=0.5 * (cov + cov.T))
 
 
-def _block(src, weight, cols):
-    """The matrix of the gathers (src, weight) of ``generator_table`` on
-    the source rows ``cols``, a slice holding every src they read.  Each
-    entry sums its terms in slot order."""
-    out = np.zeros((src.shape[1], cols.stop - cols.start))
-    slot, row = np.nonzero(src >= 0)
-    np.add.at(out, (row, src[slot, row] - cols.start), weight[slot, row])
-    return out
-
-
 def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
     """Solve L P = q for a source q = (polynomial of degree d) * f0.
 
@@ -326,6 +323,11 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
     return ForwardFunction(p - expectation(p, model.f0), model.f0)
 
 
+# Degree up to which the commutator and reconstruction identities are
+# checked, on every polynomial: C(n + 5, n) basis polynomials.
+CHECK_DEGREE = 5
+
+
 def battery_polynomials(nvars, count=20, max_degree=5, seed=20240817):
     """Deterministic battery of dense random polynomials for operator checks.
 
@@ -345,73 +347,13 @@ def battery_polynomials(nvars, count=20, max_degree=5, seed=20240817):
     return out
 
 
-class BatteryImages:
-    """The polynomial battery of one model and its ladder images, each
-    an ``MPolyStack`` with one row per polynomial.
-
-    ``poly`` stacks ``battery_polynomials``; every other attribute is its
-    image under L, its adjoint or a raising or lowering operator, one
-    gather of the whole stack.  Forward images act on p f0 and hold the
-    polynomial factor of the result, and adjoint images act on p; list
-    entries are indexed by mode.
-    ``raise_lower_*[I]`` raises the mode-I lowering image by mode I: the
-    commutator suite's J = I cross term, which the operator
-    reconstruction sums.  Each image is built on first use, so its cost
-    shows under the first suite that reads it; the commutator suite and
-    the operator reconstruction share one instance per ``verify`` run, so
-    the images live as long as that run.
-    """
-
-    def __init__(self, model):
-        self.model = model
-
-    def _per_mode(self, op, stacks):
-        return [_ladder(self.model, op, I, p) for I, p in enumerate(stacks)]
-
-    @cached_property
-    def poly(self):
-        return MPolyStack.of(battery_polynomials(self.model.dim))
-
-    @cached_property
-    def apply_forward(self):
-        return _generator(self.model, "forward", self.poly)
-
-    @cached_property
-    def apply_adjoint(self):
-        return _generator(self.model, "adjoint", self.poly)
-
-    @cached_property
-    def raise_forward(self):
-        return self._per_mode("raise_forward", [self.poly] * self.model.dim)
-
-    @cached_property
-    def raise_adjoint(self):
-        return self._per_mode("raise_adjoint", [self.poly] * self.model.dim)
-
-    @cached_property
-    def lower_forward(self):
-        return self._per_mode("lower_forward", [self.poly] * self.model.dim)
-
-    @cached_property
-    def lower_adjoint(self):
-        return self._per_mode("lower_adjoint", [self.poly] * self.model.dim)
-
-    @cached_property
-    def raise_lower_forward(self):
-        return self._per_mode("raise_forward", self.lower_forward)
-
-    @cached_property
-    def raise_lower_adjoint(self):
-        return self._per_mode("raise_adjoint", self.lower_adjoint)
-
-
 @dataclass(frozen=True)
 class OperatorIdentityReport:
     """Worst relative residuals of the four operator reconstructions."""
 
     residuals: dict
     tol: float
-    battery_size: int
+    basis_size: int
 
     @property
     def passed(self):
@@ -422,25 +364,39 @@ class OperatorIdentityReport:
         return reduce(fold_worst, self.residuals.values(), 0.0)
 
 
-def reconstruct_operators_check(model, tol=1e-9, images=None):
+def _ladder_matrices(model, op, degree, rows):
+    """The matrices (``ladder._matrix``) of the ladder operator ``op`` of
+    every mode on ``degree``, padded to ``rows``."""
+    args = [(op, I, model.prune_eps) for I in range(model.dim)]
+    return [_matrix(model, _ladder_table, a, degree, rows) for a in args]
+
+
+def _column_worst(lhs, rhs, scale):
+    """Largest over the columns of max |lhs - rhs| / scale, ``scale``
+    one value per column: the coefficient distance on each basis
+    polynomial, relative.  NaN when any entry is NaN."""
+    return float(np.max(np.abs(lhs - rhs).max(axis=0) / scale))
+
+
+def reconstruct_operators_check(model, tol=1e-9):
     """Verify gradient, position, and both evolution operators rebuild
     from the ladder families alone.
 
-    Identities checked on the battery, with W the left and E the right
-    eigenvector basis:
+    Identities checked, with W the left and E the right eigenvector
+    basis:
 
     * grad      from the adjoint lowering family weighted by conj(W)
     * position  from adjoint raising plus a lowering correction
     * forward   as half the eigenvalue-weighted sum of raise(lower(.))
     * adjoint   as the conjugate-weighted mirror of the same sum
 
-    Each identity is checked on the whole battery stack at once, one
-    residual per row.  ``images`` (a ``BatteryImages`` of this model)
-    supplies the ladder images; without it they are built here.
+    Each identity is one between operator matrices on the polynomials of
+    degree up to ``CHECK_DEGREE`` (``ladder._matrix``), so it holds on
+    every basis polynomial; column j, the residual on the j-th, is
+    relative to the larger column maximum of its two sides and 1.
     """
-    if images is None:
-        images = BatteryImages(model)
-    n = model.dim
+    n, d = model.dim, CHECK_DEGREE
+    rows = [math.comb(k + n, n) for k in (d - 1, d, d + 1)]
     E = model.eig.right
     W = model.eig.left
     lams = model.eig.values
@@ -451,25 +407,30 @@ def reconstruct_operators_check(model, tol=1e-9, images=None):
 
     worst = {"gradient": 0.0, "position": 0.0, "forward": 0.0, "adjoint": 0.0}
 
-    def fold(name, lhs, rhs, *scales):
-        scale = reduce(np.fmax, (lhs.max_coeff(), rhs.max_coeff(), *scales), 1.0)
-        worst[name] = fold_worst(worst[name], float(np.max(coeff_distance(lhs, rhs) / scale)))
+    def fold(name, lhs, rhs):
+        colmax = np.fmax(np.abs(lhs).max(axis=0), np.abs(rhs).max(axis=0))
+        worst[name] = fold_worst(worst[name], _column_worst(lhs, rhs, np.fmax(colmax, 1.0)))
 
-    p = images.poly
-    zero = MPolyStack.zero(n, len(p.coeffs), p.prune_eps)
-    lows = images.lower_adjoint
-    # One errstate for all the stacked arithmetic: inf - inf is NaN,
-    # which the fold keeps.
+    lows = _ladder_matrices(model, "lower_adjoint", d, rows[0])
+    idx = graded_index(n, d + 1)
+    cols = np.arange(rows[1])
+    # inf - inf is NaN, which the fold keeps.
     with np.errstate(invalid="ignore"):
         # Raising terms of the position identity with their lowering
         # correction; neither depends on the axis i.
-        shifted = [images.raise_adjoint[I] + sum(map(mul, 2.0 * G[I], lows), zero) for I in range(n)]
+        shifted = _ladder_matrices(model, "raise_adjoint", d, rows[2])
+        for I in range(n):
+            shifted[I][: rows[0]] += sum(2.0 * G[I, J] * lows[J] for J in range(n))
         for i in range(n):
-            fold("gradient", p.diff(i), sum(map(mul, Wc[:, i], lows), zero))
-            fold("position", p.times_variable(i), sum(map(mul, 0.5 * Ec[i], shifted), zero))
-        fwd = sum(map(mul, 0.5 * lams, images.raise_lower_forward), zero)
-        fold("forward", images.apply_forward, fwd, p.max_coeff())
-        adj = sum(map(mul, 0.5 * np.conj(lams), images.raise_lower_adjoint), zero)
-        fold("adjoint", images.apply_adjoint, adj, p.max_coeff())
+            grad = _diff(np.eye(rows[1]), n, d, i).T
+            fold("gradient", grad, sum(Wc[I, i] * lows[I] for I in range(n)))
+            times_x = np.zeros((rows[2], rows[1]))
+            times_x[idx.up[i, cols], cols] = 1.0
+            fold("position", times_x, sum(0.5 * Ec[i, I] * shifted[I] for I in range(n)))
+        for side, lam in (("forward", lams), ("adjoint", np.conj(lams))):
+            raised = _ladder_matrices(model, f"raise_{side}", d - 1, rows[1])
+            lowered = _ladder_matrices(model, f"lower_{side}", d, rows[0])
+            rhs = sum(0.5 * lam[I] * (raised[I] @ lowered[I]) for I in range(n))
+            fold(side, _matrix(model, _generator_table, (side,), d, rows[1]), rhs)
 
-    return OperatorIdentityReport(residuals=worst, tol=tol, battery_size=len(p.coeffs))
+    return OperatorIdentityReport(residuals=worst, tol=tol, basis_size=rows[1])

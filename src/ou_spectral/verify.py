@@ -13,8 +13,8 @@ import numpy as np
 from .gaussian import moment_matrix
 from .hermite_form import adjoint_hermite, forward_hermite, is_canonical, to_canonical
 from .ladder import (
-    _generator,
-    _ladder,
+    _generator_table,
+    _matrix,
     adjoint_eigenfunction,
     apply_adjoint,
     apply_forward,
@@ -26,7 +26,12 @@ from .ladder import (
 )
 from .monomials import enumerate_modes, graded_index
 from .mpoly import coeff_distance, fold_worst
-from .spectral import BatteryImages, reconstruct_operators_check
+from .spectral import (
+    CHECK_DEGREE,
+    _column_worst,
+    _ladder_matrices,
+    reconstruct_operators_check,
+)
 
 
 @dataclass
@@ -143,64 +148,42 @@ def ladder_suite(model, n_max=6, tol=1e-10):
     return SuiteResult("ladder-factorials", worst, tol)
 
 
-def commutator_suite(model, tol=1e-9, images=None):
-    """Ladder commutation relations on the polynomial battery.
+def commutator_suite(model, tol=1e-9):
+    """Ladder commutation relations as identities between operator
+    matrices.
 
     [L, V_I] = lambda_I V_I on the forward side, the conjugate relation
     on the adjoint side, and the cross relations between opposite
-    lowering and raising families equal to twice the identity.
-
-    Each relation is checked for one mode pair on the whole battery stack
-    at once, one residual per row, so the loops run over modes only.
-    ``images`` (a ``BatteryImages`` of this model) holds the battery's
-    images under L, its adjoint and every raising and lowering operator,
-    computed once and reused for every mode pair; without it they are
-    built here.
+    lowering and raising families equal to twice the identity, on the
+    polynomials of degree up to ``CHECK_DEGREE``.  An operator on degree
+    k is the matrix of its gather table at degree k (``ladder._matrix``),
+    and products compose with ``@``, so each relation holds on every
+    basis polynomial.  Column j of a residual acts on the j-th; it is
+    relative to the column maximum of V_I e_j and 1 for the commutators,
+    and absolute for the cross relations, as e_j has coefficients of 1.
     """
-    if images is None:
-        images = BatteryImages(model)
-    n = model.dim
-    p = images.poly
-    scale = p.max_coeff()
-    zero_p, two_p = 0.0 * p, 2.0 * p
+    n, d = model.dim, CHECK_DEGREE
+    rows = [math.comb(k + n, n) for k in (d - 1, d, d + 1)]
     worst = 0.0
 
-    def fold(lhs, rhs, size):
-        # Row by row: coeff_distance(lhs, rhs) / max(1, size), folded.
-        nonlocal worst
-        d = coeff_distance(lhs, rhs) / np.fmax(1.0, size)
-        worst = fold_worst(worst, float(np.max(d)))
-
-    # One errstate for all the stacked arithmetic: inf - inf is NaN,
-    # which the fold keeps.
+    # inf - inf is NaN, which the fold keeps.
     with np.errstate(invalid="ignore"):
-        for I in range(n):
-            lam = model.eig.values[I]
-
-            c = images.raise_forward[I]
-            a = _generator(model, "forward", c)
-            b = _ladder(model, "raise_forward", I, images.apply_forward)
-            fold(a - b, lam * c, c.max_coeff())
-
-            c = images.raise_adjoint[I]
-            a = _generator(model, "adjoint", c)
-            b = _ladder(model, "raise_adjoint", I, images.apply_adjoint)
-            fold(a - b, np.conj(lam) * c, c.max_coeff())
-
-            for J in range(n):
-                if I == J:
-                    target = two_p
-                    b_adj = images.raise_lower_adjoint[I]
-                    b_fwd = images.raise_lower_forward[I]
-                else:
-                    target = zero_p
-                    b_adj = _ladder(model, "raise_adjoint", I, images.lower_adjoint[J])
-                    b_fwd = _ladder(model, "raise_forward", I, images.lower_forward[J])
-                a = _ladder(model, "lower_adjoint", J, images.raise_adjoint[I])
-                fold(a - b_adj, target, scale)
-
-                a = _ladder(model, "lower_forward", J, images.raise_forward[I])
-                fold(a - b_fwd, target, scale)
+        for side, lams in (("forward", model.eig.values), ("adjoint", np.conj(model.eig.values))):
+            gen = _matrix(model, _generator_table, (side,), d, rows[1])
+            gen_up = _matrix(model, _generator_table, (side,), d + 1, rows[2])
+            raised = _ladder_matrices(model, f"raise_{side}", d, rows[2])
+            raised_down = _ladder_matrices(model, f"raise_{side}", d - 1, rows[1])
+            lowered = _ladder_matrices(model, f"lower_{side}", d, rows[0])
+            lowered_up = _ladder_matrices(model, f"lower_{side}", d + 1, rows[1])
+            for I in range(n):
+                R = raised[I]
+                scale = np.fmax(np.abs(R).max(axis=0), 1.0)
+                lhs = gen_up @ R - R @ gen
+                worst = fold_worst(worst, _column_worst(lhs, lams[I] * R, scale))
+                for J in range(n):
+                    lhs = lowered_up[J] @ R - raised_down[I] @ lowered[J]
+                    target = 2.0 * np.eye(rows[1]) if I == J else 0.0
+                    worst = fold_worst(worst, _column_worst(lhs, target, 1.0))
     return SuiteResult("commutators", worst, tol)
 
 
@@ -226,28 +209,21 @@ def hermite_suite(model, max_order=5, tol=1e-9):
     return SuiteResult("hermite-form", worst, tol)
 
 
-def reconstruction_suite(model, tol=1e-9, images=None):
-    report = reconstruct_operators_check(model, tol=tol, images=images)
+def reconstruction_suite(model, tol=1e-9):
+    report = reconstruct_operators_check(model, tol=tol)
     lines = [f"{name}: {val:.3e}" for name, val in sorted(report.residuals.items())]
     return SuiteResult("operator-reconstruction", report.worst, tol, lines)
 
 
 def run_all(model, max_order, residual_tol=1e-8):
     """Every suite at its standard tolerance; shared residual_tol where
-    a suite has no tighter inherent requirement.
-
-    The commutator and reconstruction suites share one ``BatteryImages``:
-    the battery as one ``MPolyStack`` and its ladder images, one gather
-    each, built inside the commutator suite and dropped when this call
-    returns.
-    """
-    images = BatteryImages(model)
+    a suite has no tighter inherent requirement."""
     suites = [
         biorthogonality_suite(model, max_order, tol=residual_tol),
         eigen_residual_suite(model, min(max_order, 6), tol=residual_tol),
         ladder_suite(model, n_max=min(max_order, 6)),
-        commutator_suite(model, images=images),
+        commutator_suite(model),
         hermite_suite(model, max_order=min(max_order, 5)),
-        reconstruction_suite(model, images=images),
+        reconstruction_suite(model),
     ]
     return VerifyReport(suites=suites)

@@ -6,7 +6,8 @@ import pytest
 
 import ou_spectral as ou
 from ou_spectral import errors, ladder
-from ou_spectral.mpoly import MPoly, MPolyStack, hermite
+from ou_spectral.monomials import graded_index
+from ou_spectral.mpoly import MPoly, hermite
 
 from conftest import A_SPIRAL
 
@@ -272,21 +273,21 @@ TABLE_KINDS.update({op: (ladder._ladder_table, (op, 0, 1e-13)) for op in LADDER_
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", TABLE_KINDS)
 def test_stacked_gather_equals_one_polynomial_gathers(n, kind):
-    # Rows of degrees 0 to 4 and a zero row read the table of the top
-    # degree; each must equal, bit for bit, its polynomial's own gather.
-    # Degree-1 rows lowered to constants cover a lone polynomial whose
-    # table has one image row, whose slots numpy would sum in another
-    # order than a wider table's from n = 4 on.
+    # One matrix of a table at the top degree acts on a stack of
+    # polynomials of every degree up to it, each of which gathers through
+    # the table of its own degree: cut to the columns of degree k, the
+    # matrix is bit for bit the matrix of the degree-k table, padded with
+    # zero rows.  That its product with a coefficient vector is the
+    # gather itself is checked in test_verify.
     build, args = TABLE_KINDS[kind]
     rng = np.random.default_rng(n)
     A = 0.5 * rng.standard_normal((n, n)) - 3.0 * np.eye(n)
     L = rng.standard_normal((n, n))
     model = ou.build_model(A, L @ L.T + 0.2 * np.eye(n))
-    polys = ou.battery_polynomials(n, count=9, max_degree=4)
-    polys.insert(3, MPoly.zero(n))
-    stack = ladder._apply_table(model, build, args, MPolyStack.of(polys))
-    assert stack.coeffs.shape[0] == len(polys)
-    for row, p in zip(stack.coeffs, polys):
-        want = ladder._apply_table(model, build, args, p).coeffs
-        npt.assert_array_equal(row[: want.size], want, strict=True)
-        assert not row[want.size :].any()
+    top = 4
+    rows = [len(graded_index(n, k).modes) for k in range(top + 2)]
+    M = ladder._matrix(model, build, args, top, rows[top + 1])
+    for k in range(top + 1):
+        want = ladder._matrix(model, build, args, k, rows[k + 1])
+        npt.assert_array_equal(M[: rows[k + 1], : rows[k]], want, strict=True)
+        assert not M[rows[k + 1] :, : rows[k]].any()

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,13 +18,11 @@ from ou_spectral.ladder import (
 )
 from ou_spectral.mpoly import (
     MPoly,
-    MPolyStack,
     coeff_distance,
     hermite,
     hermite_table,
     render,
 )
-from ou_spectral.monomials import graded_index
 from ou_spectral.spectral import battery_polynomials
 
 
@@ -218,6 +217,23 @@ def test_overflow_is_not_an_exact_match():
     q = MPoly(1, {(1,): 1.0})
     assert np.isnan(coeff_distance(p, q)) and np.isnan(coeff_distance(q, p))
     assert coeff_distance(a, MPoly(1, {(1,): 1.0})) == inf
+
+
+def test_non_finite_scalar_multiple_keeps_absent_terms_absent():
+    # 0 * inf is NaN on every absent term: it must stay absent, with no
+    # RuntimeWarning, and only the present term takes the non-finite value.
+    inf, nan = float("inf"), float("nan")
+    p = MPoly(2, {(1, 0): 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = p * inf
+        assert got.terms.keys() == {(1, 0)}
+        value = got.terms[(1, 0)]
+        assert value.real == inf and np.isnan(value.imag)
+        for c in (nan, complex(0.0, -inf), np.float64(inf)):
+            for r in (p * c, c * p):
+                assert r.terms.keys() == {(1, 0)}
+                assert not np.isfinite(r.terms[(1, 0)])
 
 
 def test_dimension_mismatch_and_axis_errors():
@@ -534,69 +550,3 @@ def test_coefficient_vector_keeps_nan_and_prunes_dust():
     assert (dust * 1e-14).is_zero() and (dust * 1e-14).coeffs.size == 0
     wide = MPoly(2, {(0, 0): 1.0}, prune_eps=1e-6)
     assert (wide + MPoly(2, {(2, 0): 5e-7})).coeffs.size == 1
-
-
-def _stack_cases():
-    """Rows of several degrees for ``MPolyStack``: battery rows, a zero
-    row, rows with dust at the prune threshold, and non-finite rows."""
-    inf, nan = float("inf"), float("nan")
-    polys = battery_polynomials(2, count=7, max_degree=3)
-    polys += [
-        MPoly.zero(2),
-        MPoly(2, {(0, 0): 1.0, (1, 0): 1e-13, (0, 1): complex(2e-13, -1e-13)}),
-        MPoly(2, {(1, 1): -1.0 + 1e-15, (0, 4): 3e-13j}),
-        MPoly(2, {(1, 0): inf, (2, 1): 0.5}),
-        MPoly(2, {(0, 0): nan, (0, 2): 2.0}),
-    ]
-    return polys
-
-
-def _assert_rows(stack, polys):
-    """Row k of ``stack`` holds, bit for bit, the coefficients of polys[k]."""
-    assert stack.coeffs.shape[0] == len(polys)
-    top = max(p.degree() for p in polys)
-    assert stack.degree() == top
-    assert stack.coeffs.shape[1] == (len(graded_index(2, top).modes) if top >= 0 else 0)
-    for row, p in zip(stack.coeffs, polys):
-        npt.assert_array_equal(row[: p.coeffs.size], p.coeffs, strict=True)
-        assert not row[p.coeffs.size :].any()
-
-
-def test_stack_arithmetic_matches_each_row():
-    polys = _stack_cases()
-    others = polys[3:] + polys[:3]
-    a, b = MPolyStack.of(polys), MPolyStack.of(others)
-    _assert_rows(a, polys)
-    scalars = (2.5, 1 - 1j, np.complex128(0.5j), 0.0, float("inf"), float("nan"))
-    # The stack leaves np.errstate to its caller.
-    with np.errstate(invalid="ignore"):
-        _assert_rows(a + b, [p + q for p, q in zip(polys, others)])
-        _assert_rows(a - b, [p - q for p, q in zip(polys, others)])
-        for c in scalars:
-            _assert_rows(c * a, [c * p for p in polys])
-            _assert_rows(a * c, [p * c for p in polys])
-        for axis in range(2):
-            _assert_rows(a.diff(axis), [p.diff(axis) for p in polys])
-        npt.assert_array_equal(a.max_coeff(), [p.max_coeff() for p in polys])
-        npt.assert_array_equal(
-            coeff_distance(a, b), [coeff_distance(p, q) for p, q in zip(polys, others)]
-        )
-    finite = polys[:-2]
-    for axis in range(2):
-        want = [MPoly.variable(2, axis) * p for p in finite]
-        _assert_rows(MPolyStack.of(finite).times_variable(axis), want)
-
-
-def test_stack_zero_and_errors():
-    zero = MPolyStack.zero(2, 3, 1e-13)
-    assert zero.is_zero() and zero.degree() == -1 and zero.coeffs.shape == (3, 0)
-    npt.assert_array_equal(zero.max_coeff(), [0.0, 0.0, 0.0])
-    a = MPolyStack.of(battery_polynomials(2, count=3))
-    _assert_rows(zero + a, battery_polynomials(2, count=3))
-    npt.assert_array_equal(coeff_distance(zero, zero), [0.0, 0.0, 0.0])
-    with pytest.raises(errors.DimensionMismatchError):
-        coeff_distance(a, MPolyStack.of(battery_polynomials(3, count=3)))
-    with pytest.raises(AttributeError):
-        a.nvars = 3
-    with pytest.raises(ValueError):
-        a.coeffs[0, 0] = 1.0

@@ -197,7 +197,7 @@ def test_reconstruction_report(four_models):
         report = ou.reconstruct_operators_check(model)
         assert report.passed, f"{name}: {report.residuals}"
         assert set(report.residuals) == {"gradient", "position", "forward", "adjoint"}
-        assert report.battery_size == 20
+        assert report.basis_size == len(graded_index(model.dim, 5).modes)
 
 
 def test_expand_validates_inputs(model_1d):
@@ -543,7 +543,7 @@ def test_solve_blocks_are_the_forward_operator(four_models):
         idx = graded_index(n, 4)
         M = ladder.forward_drift(model)
         src, weight = ladder.generator_table(idx, M, model.B)
-        G = spectral._block(src, weight, slice(0, len(idx.modes)))
+        G = ladder._block(src, weight, slice(0, len(idx.modes)))
         assert np.array_equal(G, _generator_matrix_loops(M, model.B, idx)), n
         for k in range(1, 5):
             s = idx.degree(k)

@@ -1,12 +1,14 @@
 """The verify suites against a direct evaluation.
 
-The commutator and reconstruction suites run on the whole battery as one
-stack and share its ladder images.  The reference below applies every
-public operator to one polynomial at a time, with no reuse, so the two
-must agree bit for bit; a call-count guard checks the reuse itself.  The
-bi-orthogonality suite takes every pairing from one Gram matrix; each
-entry must match its own ``inner_product``, and a perturbed pair above
-order 4 must fail it.
+The commutator and reconstruction suites check their identities as
+products of operator matrices, the gather tables of the ladder scattered
+into matrices.  Each matrix times a polynomial's coefficient vector must
+be the polynomial's own gather, a perturbed table weight must fail the
+suite that reads it, and the references below, which apply every public
+operator to one battery polynomial at a time, must read no more than the
+matrix check under the same perturbation.  The bi-orthogonality suite
+takes every pairing from one Gram matrix; each entry must match its own
+``inner_product``, and a perturbed pair above order 4 must fail it.
 A model whose Sigma misses the Lyapunov equation must fail ``run_all``.
 """
 
@@ -34,7 +36,7 @@ from ou_spectral.ladder import (
     raise_forward,
 )
 from ou_spectral.monomials import enumerate_modes, graded_index
-from ou_spectral.mpoly import MPoly, MPolyStack, coeff_distance
+from ou_spectral.mpoly import MPoly, coeff_distance
 from ou_spectral.spectral import battery_polynomials
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -145,8 +147,8 @@ def _rescaled_config_model(name, c):
     return build_model(model.A, model.B * c**2)
 
 
-# Inputs where the absolute prune of the battery (1e-13) decides which
-# coefficients survive: rescaled units and a stiff drift.
+# Inputs where the absolute prune (1e-13) decides which coefficients of
+# a gather survive: rescaled units and a stiff drift.
 IMAGE_MODELS = {
     "random_3d_seeded": _random_model,
     "random_3d_c1e-4": lambda: _rescaled_config_model("random_3d", 1e-4),
@@ -155,27 +157,94 @@ IMAGE_MODELS = {
 }
 
 
+def _rows(n, degree):
+    return len(graded_index(n, degree).modes)
+
+
+def _tables(model):
+    """(build, args) of every gather table the two matrix suites read."""
+    eps = model.prune_eps
+    out = [(ladder._generator_table, (side,)) for side in ("forward", "adjoint")]
+    out += [
+        (ladder._ladder_table, (op, I, eps))
+        for op in ("raise_forward", "raise_adjoint", "lower_forward", "lower_adjoint")
+        for I in range(model.dim)
+    ]
+    return out
+
+
 @pytest.mark.parametrize("name", CONFIG_NAMES + tuple(IMAGE_MODELS))
 def test_shared_images_match_direct_evaluation(name):
+    # The matrix of each table at the check degree, times the coefficient
+    # vector of a battery polynomial of that degree or less, is the
+    # polynomial's own gather, which reads the table of its own degree
+    # and prunes: the matrix identities check the operators that the
+    # public per-polynomial API applies.
     if name in IMAGE_MODELS:
         model = IMAGE_MODELS[name]()
     else:
         model, _ = _config_model(name)
-    want_comm = _reference_commutators(model)
-    want_rec = _reference_reconstruction(model)
+    n, d = model.dim, spectral.CHECK_DEGREE
+    polys = battery_polynomials(n)
+    vectors = np.zeros((_rows(n, d), len(polys)), dtype=complex)
+    for j, p in enumerate(polys):
+        vectors[: p.coeffs.size, j] = p.coeffs
+    for build, args in _tables(model):
+        images = ladder._matrix(model, build, args, d, _rows(n, d + 1)) @ vectors
+        for image, p in zip(images.T, polys):
+            want = ladder._apply_table(model, build, args, p).coeffs
+            gap = np.abs(image[: want.size] - want).max(initial=0.0)
+            assert gap <= 1e-15 * np.abs(image).max(), (build.__name__, args, p.degree())
+            assert np.abs(image[want.size :]).max(initial=0.0) < p.prune_eps
 
-    images = spectral.BatteryImages(model)
-    comm = verify.commutator_suite(model, images=images)
-    report = verify.reconstruction_suite(model, images=images)
-    assert comm.worst == want_comm
-    assert report.worst == max(want_rec.values())
-    rec = spectral.reconstruct_operators_check(model)
-    assert rec.residuals == want_rec
-    assert rec.worst == max(want_rec.values())
-    assert rec.battery_size == len(battery_polynomials(model.dim))
-    # Without shared images each suite builds its own, with equal results.
-    assert verify.commutator_suite(model).worst == want_comm
-    assert spectral.reconstruct_operators_check(model, images=images).residuals == want_rec
+
+def _perturb_largest(model, build, args, degrees, factor):
+    """Scale the largest weight of the cached table of each degree by
+    ``factor``."""
+    for degree in degrees:
+        _, weight = ladder._cached(model, build, *args, degree)
+        weight[np.unravel_index(np.argmax(np.abs(weight)), weight.shape)] *= factor
+
+
+@pytest.mark.parametrize("name", ["spiral_2d", "random_3d"])
+def test_perturbed_raising_weight_fails_the_commutators(name):
+    # Each table read by the matrices and by the battery's gathers is
+    # perturbed; the matrix check reads at least what the battery reads.
+    model, _ = _config_model(name)
+    args = ("raise_forward", 0, model.prune_eps)
+    degrees = range(spectral.CHECK_DEGREE + 2)
+    _perturb_largest(model, ladder._ladder_table, args, degrees, 1.0 + 1e-9)
+    result = verify.commutator_suite(model)
+    assert not result.passed
+    assert result.worst >= _reference_commutators(model)
+
+
+@pytest.mark.parametrize("name", ["spiral_2d", "random_3d"])
+def test_perturbed_generator_weight_fails_the_reconstruction(name):
+    # At 1 + 1e-9 the forward residual reads the tolerance itself.
+    model, _ = _config_model(name)
+    degrees = [spectral.CHECK_DEGREE]
+    _perturb_largest(model, ladder._generator_table, ("forward",), degrees, 1.0 + 1e-8)
+    result = verify.reconstruction_suite(model)
+    assert not result.passed
+    assert result.worst >= max(_reference_reconstruction(model).values())
+
+
+@pytest.mark.parametrize("name", ["canonical_1d", "spiral_2d", "random_3d"])
+def test_ladder_identities_pass_in_small_units(name):
+    # Under x -> 1e-8 x the lowering weights are about 1e-16.  No
+    # intermediate image is pruned, so none of them is lost as dust.
+    model = _rescaled_config_model(name, 1e-8)
+    assert verify.commutator_suite(model).passed
+    assert verify.reconstruction_suite(model).passed
+
+
+def test_run_all_checks_at_the_model_prune_eps():
+    model, max_order = _config_model("spiral_2d")
+    model = build_model(model.A, model.B, prune_eps=1e-10)
+    verify.run_all(model, max_order)
+    eps = {key[3] for key in model._op_cache if key[0] is ladder._ladder_table}
+    assert eps == {1e-10}
 
 
 LADDER_OPS = (
@@ -209,42 +278,11 @@ def test_run_all_applies_each_ladder_operator_once_per_input(monkeypatch):
         for module in (ladder, spectral, verify):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapped)
-    # The battery goes through the gather itself, as one stack:
-    # (table, args, id of stack) -> [stack, calls].
-    gathers = {}
-    apply_table = ladder._apply_table
-
-    def gather(model, build, args, p):
-        if isinstance(p, MPolyStack):
-            entry = gathers.setdefault((build, args, id(p)), [p, 0])
-            entry[1] += 1
-        return apply_table(model, build, args, p)
-
-    monkeypatch.setattr(ladder, "_apply_table", gather)
 
     report = verify.run_all(model, max_order)
     assert report.passed
     repeats = {key: calls for key, (_, calls) in seen.items() if calls > 1}
     assert not repeats
-    assert not any(isinstance(target, MPolyStack) for target, _ in seen.values())
-    repeats = {key: calls for key, (_, calls) in gathers.items() if calls > 1}
-    assert not repeats
-    # Every battery image is one gather of the battery stack: L, its
-    # adjoint and the four ladder operators of each mode, once each.
-    battery = MPolyStack.of(battery_polynomials(model.dim))
-    first = [
-        (build, args)
-        for (build, args, _), (stack, _) in gathers.items()
-        if np.array_equal(stack.coeffs, battery.coeffs)
-    ]
-    eps = battery.prune_eps
-    want = [(ladder._generator_table, (side,)) for side in ("forward", "adjoint")]
-    want += [
-        (ladder._ladder_table, (op, I, eps))
-        for op in ("raise_forward", "raise_adjoint", "lower_forward", "lower_adjoint")
-        for I in range(model.dim)
-    ]
-    assert sorted(first, key=repr) == sorted(want, key=repr)
 
 
 def _reference_pairings(model, modes):
@@ -357,18 +395,61 @@ def _with_nan_constant(f):
     return ForwardFunction(f.poly + nan, f.base)
 
 
+def _poison_calls(name):
+    """Replace the second result of the function ``name`` in ``verify``
+    and ``spectral`` by a NaN-bearing one."""
+
+    def poison(monkeypatch, model):
+        for module in (verify, spectral):
+            if hasattr(module, name):
+                wrapped = _nan_on_call(getattr(module, name), 2, POISONS[name])
+                monkeypatch.setattr(module, name, wrapped)
+
+    return poison
+
+
+def _poison_table(build, *args):
+    """Write a NaN into the first live weight of the model's cached table
+    ``build(model, *args, CHECK_DEGREE)``."""
+
+    def poison(monkeypatch, model):
+        args_ = [model.prune_eps if a is None else a for a in args]
+        src, weight = ladder._cached(model, build, *args_, spectral.CHECK_DEGREE)
+        weight[tuple(np.argwhere(src >= 0)[-1])] = np.nan
+
+    return poison
+
+
 POISONS = {"coeff_distance": _nan, "forward_eigenfunction": _with_nan_constant}
 
+# The matrix suites read their NaN from one weight of a table that a later
+# identity reads: the mode-1 raising table, after mode 0's commutators, and
+# the forward generator, after the gradient and position identities.
 NAN_CASES = {
     "biorthogonality": (
-        "forward_eigenfunction",
+        _poison_calls("forward_eigenfunction"),
         lambda m: verify.biorthogonality_suite(m, 2),
     ),
-    "eigen-residuals": ("coeff_distance", lambda m: verify.eigen_residual_suite(m, 2)),
-    "ladder-factorials": ("coeff_distance", lambda m: verify.ladder_suite(m, n_max=2)),
-    "commutators": ("coeff_distance", verify.commutator_suite),
-    "hermite-form": ("coeff_distance", lambda m: verify.hermite_suite(m, max_order=2)),
-    "operator-reconstruction": ("coeff_distance", verify.reconstruction_suite),
+    "eigen-residuals": (
+        _poison_calls("coeff_distance"),
+        lambda m: verify.eigen_residual_suite(m, 2),
+    ),
+    "ladder-factorials": (
+        _poison_calls("coeff_distance"),
+        lambda m: verify.ladder_suite(m, n_max=2),
+    ),
+    "commutators": (
+        _poison_table(ladder._ladder_table, "raise_forward", 1, None),
+        verify.commutator_suite,
+    ),
+    "hermite-form": (
+        _poison_calls("coeff_distance"),
+        lambda m: verify.hermite_suite(m, max_order=2),
+    ),
+    "operator-reconstruction": (
+        _poison_table(ladder._generator_table, "forward"),
+        verify.reconstruction_suite,
+    ),
 }
 
 
@@ -378,12 +459,8 @@ def test_nan_residual_after_a_finite_one_fails_the_suite(monkeypatch, suite):
     # must still reach the suite's verdict.  The biorthogonality suite gets
     # its NaN as a coefficient of the second forward eigenfunction it builds.
     model, _ = _config_model("spiral_2d")
-    name, run = NAN_CASES[suite]
-    for module in (verify, spectral):
-        if hasattr(module, name):
-            monkeypatch.setattr(
-                module, name, _nan_on_call(getattr(module, name), 2, POISONS[name])
-            )
+    poison, run = NAN_CASES[suite]
+    poison(monkeypatch, model)
     result = run(model)
     assert result.name == suite
     assert np.isnan(result.worst)
