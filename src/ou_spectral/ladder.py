@@ -25,8 +25,9 @@ through the shift tables of ``monomials.graded_index``.  Its table
 model and kept in ``model._op_cache``.  Scattered into a matrix
 (``_block``, ``_matrix``), a table is the operator on every polynomial
 of its degree at once, as the solve of ``spectral`` and the ``verify``
-identities read it.  Eigenfunction K is raised from its
-``monomials.parent`` and memoized in the same cache, keyed by K.
+identities read it.  The eigenfunctions of one side and order are one
+block of rows in the same cache (``_eigenblock``), each raised from its
+``monomials.parent`` row by the gather that raises one polynomial.
 Concurrent builds may race to insert a cache entry; both compute the
 same value, so last write wins harmlessly.
 """
@@ -44,8 +45,8 @@ from .errors import (
     UnstableDriftError,
 )
 from .gaussian import ForwardFunction, GaussianDensity, stationary_density
-from .monomials import graded_index, parent
-from .mpoly import DEFAULT_PRUNE_EPS, MPoly, _padded
+from .monomials import graded_index
+from .mpoly import DEFAULT_PRUNE_EPS, MPoly, _padded, prune
 
 
 @dataclass
@@ -58,11 +59,11 @@ class OUModel:
     A Sigma + Sigma A^T + B = 0; the forward operator relies on it, since
     it is applied in the frame of f0 as the generator with drift
     Sigma A^T Sigma^-1.  One cache on the instance, ``_op_cache``, holds
-    the eigenfunctions, per side and K, and the tables (the gather table
-    of every operator, per mode, ``prune_eps`` and input degree, the
-    grid-evaluation tables of ``spectral``, per order, and the Hermite
-    closed forms of ``hermite_form``, per side and order); treat
-    everything returned from it as immutable.
+    the eigenfunction blocks, per side and order, and the tables (the
+    gather table of every operator, per mode, ``prune_eps`` and input
+    degree, the grid-evaluation tables of ``spectral``, per order, and
+    the Hermite closed forms of ``hermite_form``, per side and order);
+    treat everything returned from it as immutable.
     """
 
     A: np.ndarray
@@ -266,16 +267,25 @@ def _ladder_table(model, op, I, eps, degree):
     return _masked(src, weight)
 
 
+def _gather(src, weight, c):
+    """The gathers (src, weight) of a table on each coefficient vector
+    along the last axis of c: sum_s weight[s, r] c[..., src[s, r]] at row
+    r, where src -1 reads a zero.  The slots are summed one after another
+    in slot order, so a vector has the same image alone or in a stack."""
+    c = _padded(c, c.shape[-1] + 1)
+    out = weight[0] * c[..., src[0]]
+    for s in range(1, len(src)):
+        out += weight[s] * c[..., src[s]]
+    return out
+
+
 def _apply_table(model, build, args, p):
     """p's image under the gather table ``build(model, *args, degree of
-    p)``, cached on the model: sum_s weight[s, r] p[src[s, r]] at row r,
-    where src -1 reads a zero.
-    """
+    p)``, cached on the model."""
     if p.is_zero():
         return p
-    src, weight = _cached(model, build, *args, p.degree())
-    terms = weight * _padded(p.coeffs, p.coeffs.size + 1)[src]
-    return MPoly.from_coeffs(model.dim, terms.sum(axis=0), p.prune_eps)
+    image = _gather(*_cached(model, build, *args, p.degree()), p.coeffs)
+    return MPoly.from_coeffs(model.dim, image, p.prune_eps)
 
 
 def _block(src, weight, cols):
@@ -370,32 +380,55 @@ def lower_adjoint(model, I, g):
     return _ladder(model, "lower_adjoint", I, g)
 
 
-def _forward_eigenfunction(model, K):
-    if not any(K):
-        return ForwardFunction(MPoly.constant(model.dim, 1.0, model.prune_eps), model.f0)
-    I, prev = parent(K)
-    return raise_forward(model, I, forward_eigenfunction(model, prev))
+def _eigenblock(model, side, order):
+    """The eigenfunctions of ``side`` and ``order``, read-only: row k holds
+    the coefficients of the k-th mode of the order in ``graded_index``.
+
+    Row K is its parent's row raised by mode I (``monomials.parent``).
+    The rows of one mode are raised by one gather of its table and pruned
+    as ``MPoly`` prunes, so each is bit for bit its parent's own raise.
+    """
+    eps = model.prune_eps
+    if order == 0:
+        block = np.ones((1, 1), dtype=np.complex128)
+    else:
+        idx = graded_index(model.dim, order)
+        rows, below = idx.degree(order), idx.degree(order - 1).start
+        prev = _cached(model, _eigenblock, side, order - 1)
+        steps = idx.steps[rows.start - 1 : rows.stop - 1]
+        parents, modes = np.array([step[:2] for step in steps]).T
+        block = np.zeros((len(modes), rows.stop), dtype=np.complex128)
+        for I in range(model.dim):
+            table = _cached(model, _ladder_table, f"raise_{side}", I, eps, order - 1)
+            image = _gather(*table, prev[parents[modes == I] - below])
+            block[modes == I, : image.shape[1]] = image
+        prune(block, eps)
+    block.setflags(write=False)
+    return block
+
+
+def _eigenfunction(model, side, K):
+    """Row K of its ``_eigenblock``, as an ``MPoly``."""
+    K = _check_multi_index(model, K)
+    idx = graded_index(model.dim, sum(K))
+    row = _cached(model, _eigenblock, side, sum(K))[idx.row[K] - idx.degree(sum(K)).start]
+    return MPoly.from_coeffs(model.dim, row, model.prune_eps)
 
 
 def forward_eigenfunction(model, K):
     """Eigenfunction of L with multi-index K, built by repeated raising.
 
     The mode-0 raising operator is applied last, so the operator product
-    runs in increasing mode order from the outside in.  Memoized.
+    runs in increasing mode order from the outside in.  Memoized per
+    order, as a block.
     """
-    return _cached(model, _forward_eigenfunction, _check_multi_index(model, K))
-
-
-def _adjoint_eigenfunction(model, K):
-    if not any(K):
-        return MPoly.constant(model.dim, 1.0, model.prune_eps)
-    I, prev = parent(K)
-    return raise_adjoint(model, I, adjoint_eigenfunction(model, prev))
+    return ForwardFunction(_eigenfunction(model, "forward", K), model.f0)
 
 
 def adjoint_eigenfunction(model, K):
-    """Eigenfunction of the adjoint operator with multi-index K.  Memoized."""
-    return _cached(model, _adjoint_eigenfunction, _check_multi_index(model, K))
+    """Eigenfunction of the adjoint operator with multi-index K.  Memoized
+    per order, as a block."""
+    return _eigenfunction(model, "adjoint", K)
 
 
 def eigenvalue(model, K):

@@ -51,9 +51,10 @@ def _degree_of_row(nvars, r):
 
 
 def _padded(c, size):
-    """The vector c padded with zeros to ``size`` entries."""
-    out = np.zeros(size, dtype=np.complex128)
-    out[: c.size] = c
+    """The vectors along the last axis of c padded with zeros to ``size``
+    entries."""
+    out = np.zeros(c.shape[:-1] + (size,), dtype=np.complex128)
+    out[..., : c.shape[-1]] = c
     return out
 
 

@@ -272,7 +272,8 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
 
     Raises ``ValueError`` when ``q`` is not a polynomial times the
     model's stationary density, or when its degree exceeds ``max_order``,
-    and ``NonFiniteResultError`` when a coefficient of P overflows.
+    and ``NonFiniteResultError`` when a coefficient of q is not finite or
+    one of P overflows.
     """
     if not isinstance(q, ForwardFunction):
         raise TypeError("solve_inhomogeneous takes a ForwardFunction")
@@ -291,6 +292,10 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
     d = q.poly.degree()
     if d > max_order:
         raise ValueError(f"source of degree {d} exceeds max_order {max_order}")
+    # Checked first: the solvability test below is False for a NaN or
+    # infinite stationary component.
+    if not np.all(np.isfinite(q.poly.coeffs)):
+        raise NonFiniteResultError("the source has a coefficient that is not finite")
     scale = max(1.0, q.poly.max_coeff())
     c0 = expectation(q.poly, q.base)
     if abs(c0) > solvability_tol * scale:

@@ -7,25 +7,23 @@ plain library code so they can also be driven programmatically.
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .gaussian import moment_matrix
-from .hermite_form import adjoint_hermite, forward_hermite, is_canonical, to_canonical
+from .hermite_form import _hermite_table, _require_canonical, is_canonical, to_canonical
 from .ladder import (
+    _cached,
+    _eigenblock,
+    _gather,
     _generator_table,
+    _ladder_table,
     _matrix,
-    adjoint_eigenfunction,
-    apply_adjoint,
-    apply_forward,
-    eigenvalue,
-    forward_eigenfunction,
-    lower_adjoint,
-    lower_forward,
     mode_normalization,
 )
-from .monomials import enumerate_modes, graded_index
-from .mpoly import coeff_distance, fold_worst
+from .monomials import graded_index
+from .mpoly import fold_worst, prune
 from .spectral import (
     CHECK_DEGREE,
     _column_worst,
@@ -55,96 +53,96 @@ class VerifyReport:
         return all(s.passed for s in self.suites)
 
 
-def _pairing_matrix(model, max_order):
-    """P[M, K] = <g_M, f_K> for every M and K up to ``max_order``, both
-    indexed by the rows of ``graded_index(model.dim, max_order)``.
-
-    Row k of the matrices F and G (modes x monomials) holds the
-    coefficient vector of the forward and the adjoint eigenfunction of
-    mode k, whose monomials are the same rows.  With the moment matrix
-    H_ab = E_f0[x^(a+b)], P = conj(G) H F^T.
-    """
+def _stacked(model, side, max_order):
+    """The eigenfunction blocks (``ladder._eigenblock``) of ``side`` up to
+    ``max_order`` as one matrix: row k holds the coefficients of mode k,
+    both indexed by ``graded_index(model.dim, max_order)``."""
     idx = graded_index(model.dim, max_order)
-    F = np.zeros((len(idx.modes), len(idx.modes)), dtype=complex)
-    G = np.zeros_like(F)
-    for k, K in enumerate(idx.modes):
-        f = forward_eigenfunction(model, K).poly.coeffs
-        g = adjoint_eigenfunction(model, K).coeffs
-        F[k, : f.size] = f
-        G[k, : g.size] = g
-    return np.conj(G) @ moment_matrix(model.f0, max_order) @ F.T
+    out = np.zeros((len(idx.modes),) * 2, dtype=np.complex128)
+    for k in range(max_order + 1):
+        out[idx.degree(k), : idx.degree(k).stop] = _cached(model, _eigenblock, side, k)
+    return out
 
 
 def biorthogonality_suite(model, max_order, tol=1e-8):
     """Every pairing <g_M, f_K> with M and K up to max_order against
     delta_MK times the duality normalization of K.
 
-    All pairings come at once as conj(G) H F^T from the eigenfunction
-    coefficient matrices and one moment matrix (``_pairing_matrix``).
-    Residuals are relative to the normalization of the forward index.
+    All pairings come at once as conj(G) H F^T, from the stacked forward
+    and adjoint eigenfunctions F and G (``_stacked``) and the moment
+    matrix H_ab = E_f0[x^(a+b)].  Residuals are relative to the
+    normalization of the forward index.
     """
     modes = graded_index(model.dim, max_order).modes
-    pairings = _pairing_matrix(model, max_order)
+    F = _stacked(model, "forward", max_order)
+    G = _stacked(model, "adjoint", max_order)
+    pairings = np.conj(G) @ moment_matrix(model.f0, max_order) @ F.T
     norms = np.array([mode_normalization(K) for K in modes])
+    diag = np.diag(pairings)
+    lines = [
+        f"K={K} pairing/normalization = {re:.6f}" + (f" {im:+.2e}i" if abs(im) > 0 else "")
+        for K, re, im in zip(modes, diag.real / norms, diag.imag / norms)
+    ]
+    # Column k pairs f_K with every adjoint eigenfunction; its max is NaN
+    # when any entry is.
     resid = np.abs(pairings - np.diag(norms)) / norms
-    worst = 0.0
-    lines = []
-    for k, K in enumerate(modes):
-        diag = complex(pairings[k, k])
-        norm = norms[k]
-        lines.append(
-            f"K={K} pairing/normalization = {diag.real / norm:.6f}"
-            + (f" {diag.imag / norm:+.2e}i" if abs(diag.imag) > 0 else "")
-        )
-        # Column k pairs f_K with every adjoint eigenfunction; its max is
-        # NaN when any entry is.
-        worst = fold_worst(worst, float(resid[:, k].max()))
+    worst = reduce(fold_worst, resid.max(axis=0).tolist(), 0.0)
     return SuiteResult("biorthogonality", worst, tol, lines)
 
 
 def eigen_residual_suite(model, max_order, tol=1e-8):
-    """Forward and adjoint eigen-equations, relative coefficient residuals."""
+    """Forward and adjoint eigen-equations, relative coefficient residuals.
+
+    Each order is one gather of the generator table over its block,
+    against lambda_K times row K; each row's residual is relative to its
+    largest coefficient and 1.
+    """
+    idx = graded_index(model.dim, max_order)
+    eps = model.prune_eps
     worst = 0.0
-    for K in enumerate_modes(model.dim, max_order):
-        lam = eigenvalue(model, K)
-        f = forward_eigenfunction(model, K)
-        resid = coeff_distance(apply_forward(model, f).poly, lam * f.poly)
-        worst = fold_worst(worst, resid / max(1.0, f.poly.max_coeff()))
-        g = adjoint_eigenfunction(model, K)
-        resid = coeff_distance(apply_adjoint(model, g), np.conj(lam) * g)
-        worst = fold_worst(worst, resid / max(1.0, g.max_coeff()))
+    # inf - inf is NaN, which the fold keeps.
+    with np.errstate(invalid="ignore"):
+        for side, lams in (("forward", model.eig.values), ("adjoint", np.conj(model.eig.values))):
+            for k in range(max_order + 1):
+                block = _cached(model, _eigenblock, side, k)
+                lam = (idx.exponents[idx.degree(k)] * lams).sum(axis=1)
+                image = _gather(*_cached(model, _generator_table, side, k), block)
+                resid = np.abs(prune(image, eps) - prune(block * lam[:, None], eps))
+                scale = np.fmax(np.abs(block).max(axis=1), 1.0)
+                worst = fold_worst(worst, float(np.max(resid.max(axis=1) / scale)))
     return SuiteResult("eigen-residuals", worst, tol)
 
 
 def ladder_suite(model, n_max=6, tol=1e-10):
     """Repeated lowering against the exact factorial ladder factors.
 
-    k-fold lowering of the order-n single-mode eigenfunction must equal
-    2^k n!/(n-k)! times the order-(n-k) one, and one step past the
-    bottom must annihilate.
+    k-fold lowering of the order-m single-mode eigenfunction must equal
+    2^k m!/(m-k)! times the order-(m-k) one, and annihilate it for k > m.
+    The single-mode rows of one axis are lowered together, one gather of
+    its lowering table per step, pruned after each step as ``MPoly``
+    prunes.  A row's residual is relative to its factor times the largest
+    coefficient of its reference and 1, and past the bottom to 2^m m!.
     """
+    exps, eps = graded_index(model.dim, n_max).exponents, model.prune_eps
+    norms = np.array([mode_normalization((m,)) for m in range(n_max + 1)])
     worst = 0.0
-    for I in range(model.dim):
-        for n in range(1, n_max + 1):
-            K = tuple(n if i == I else 0 for i in range(model.dim))
-            f = forward_eigenfunction(model, K)
-            g = adjoint_eigenfunction(model, K)
-            for k in range(1, n + 1):
-                factor = float(2**k) * math.factorial(n) / math.factorial(n - k)
-                Kref = tuple(n - k if i == I else 0 for i in range(model.dim))
-                fref = forward_eigenfunction(model, Kref)
-                gref = adjoint_eigenfunction(model, Kref)
-                f = lower_forward(model, I, f)
-                g = lower_adjoint(model, I, g)
-                d = coeff_distance(f.poly, factor * fref.poly)
-                worst = fold_worst(worst, d / (factor * max(1.0, fref.poly.max_coeff())))
-                d = coeff_distance(g, factor * gref)
-                worst = fold_worst(worst, d / (factor * max(1.0, gref.max_coeff())))
-            f = lower_forward(model, I, f)
-            g = lower_adjoint(model, I, g)
-            scale = float(2**n) * math.factorial(n)
-            worst = fold_worst(worst, f.poly.max_coeff() / scale)
-            worst = fold_worst(worst, g.max_coeff() / scale)
+    # inf - inf is NaN, which the fold keeps.
+    with np.errstate(invalid="ignore"):
+        for side in ("forward", "adjoint"):
+            stacked = _stacked(model, side, n_max)
+            for I in range(model.dim):
+                # Row m holds the eigenfunction of m e_I, m = 0..n_max.
+                rows = single = stacked[exps[:, I] == exps.sum(axis=1)]
+                for k in range(1, n_max + 2):
+                    table = _cached(model, _ladder_table, f"lower_{side}", I, eps, n_max + 1 - k)
+                    rows = prune(_gather(*table, rows), eps)
+                    factor = norms[k:] / norms[: n_max + 1 - k]
+                    ref = single[: n_max + 1 - k, : rows.shape[1]]
+                    target = prune(ref * factor[:, None], eps)
+                    scale = factor * np.fmax(np.abs(ref).max(axis=1, initial=0.0), 1.0)
+                    d = np.abs(rows[k:] - target).max(axis=1, initial=0.0) / scale
+                    bottom = np.abs(rows[:k]).max(axis=1, initial=0.0) / norms[:k]
+                    worst = fold_worst(worst, float(np.max(np.concatenate([d, bottom]))))
     return SuiteResult("ladder-factorials", worst, tol)
 
 
@@ -192,20 +190,16 @@ def hermite_suite(model, max_order=5, tol=1e-9):
 
     Transforms to canonical coordinates first when needed.
     """
-    if is_canonical(model):
-        model_c = model
-    else:
-        model_c, _ = to_canonical(model)
+    model_c = model if is_canonical(model) else to_canonical(model)[0]
+    _require_canonical(model_c)
     worst = 0.0
-    for K in enumerate_modes(model_c.dim, max_order):
-        d = coeff_distance(
-            forward_eigenfunction(model_c, K).poly, forward_hermite(model_c, K)
-        )
-        worst = fold_worst(worst, d)
-        d = coeff_distance(
-            adjoint_eigenfunction(model_c, K), adjoint_hermite(model_c, K)
-        )
-        worst = fold_worst(worst, d)
+    # inf - inf is NaN, which the fold keeps.
+    with np.errstate(invalid="ignore"):
+        for side in ("forward", "adjoint"):
+            closed = _cached(model_c, _hermite_table, side, max_order)
+            closed = prune(closed.copy(), model_c.prune_eps)
+            d = np.abs(_stacked(model_c, side, max_order) - closed).max()
+            worst = fold_worst(worst, float(d))
     return SuiteResult("hermite-form", worst, tol)
 
 

@@ -181,10 +181,21 @@ def test_eigenfunction_conjugate_pair_symmetry(model_spiral):
     assert ou.coeff_distance(gc, g.conj()) <= 1e-12
 
 
-def test_eigenfunction_memoized(model_spiral):
+def test_eigenfunction_memoized(model_spiral, monkeypatch):
+    # The block of each order is built once and kept on the model: a
+    # second read of a row builds nothing and gathers nothing.
     a = ou.forward_eigenfunction(model_spiral, (2, 2))
+    cache = dict(model_spiral._op_cache)
+    assert (ladder._eigenblock, "forward", 4) in cache
+
+    def refuse(*args):
+        raise AssertionError("a block was built again")
+
+    monkeypatch.setattr(ladder, "_gather", refuse)
     b = ou.forward_eigenfunction(model_spiral, (2, 2))
-    assert a is b
+    assert b.poly == a.poly
+    assert model_spiral._op_cache.keys() == cache.keys()
+    assert all(model_spiral._op_cache[key] is value for key, value in cache.items())
 
 
 def test_eigenfunction_polynomial_degree(model_diag):
@@ -241,14 +252,14 @@ def test_prune_eps_propagates_through_model():
 
 
 def test_replaced_model_starts_with_empty_caches():
-    # A model rebuilt with dataclasses.replace must not see the eigenfunctions
-    # and operator factors memoized on the model it was built from.
+    # A model rebuilt with dataclasses.replace must not see the eigenfunction
+    # blocks and operator tables memoized on the model it was built from.
     model = ou.build_model([[-1.0]], [[1.0]])
     ou.forward_eigenfunction(model, (2,))
     ou.adjoint_eigenfunction(model, (2,))
-    # One cache holds both eigenfunctions and the raising tables.
-    assert (ladder._forward_eigenfunction, (2,)) in model._op_cache
-    assert (ladder._adjoint_eigenfunction, (2,)) in model._op_cache
+    # One cache holds the blocks of both sides and the raising tables.
+    assert (ladder._eigenblock, "forward", 2) in model._op_cache
+    assert (ladder._eigenblock, "adjoint", 2) in model._op_cache
     assert any(key[0] is ladder._ladder_table for key in model._op_cache)
     Sigma = 4.0 * model.Sigma
     m2 = dataclasses.replace(

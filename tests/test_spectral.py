@@ -633,10 +633,28 @@ def test_solve_overflow_raises_typed_error(model_spiral):
             ou.solve_inhomogeneous(model_spiral, q, 5)
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(0, 0): float("nan")},
+        {(0, 0): float("nan"), (1, 0): 1.0},
+        {(0, 0): float("inf"), (1, 0): 1.0},
+    ],
+    ids=["nan", "nan+x1", "inf+x1"],
+)
+def test_solve_rejects_a_non_finite_source(model_spiral, terms):
+    # The solvability check compares |c0| with a bound that is False for a
+    # NaN c0, and infinite with an infinite one, so such a constant term
+    # was dropped: the first source gave P = 0, the others a finite P.
+    q = ou.ForwardFunction(MPoly(2, terms), model_spiral.f0)
+    with pytest.raises(errors.NonFiniteResultError, match="not finite"):
+        ou.solve_inhomogeneous(model_spiral, q, 3)
+
+
 def _eigenfunctions_memoized(model):
-    """The keys of the eigenfunctions memoized on ``model``, either side."""
-    builders = (ladder._forward_eigenfunction, ladder._adjoint_eigenfunction)
-    return [key for key in model._op_cache if key[0] in builders]
+    """The keys of the eigenfunction blocks memoized on ``model``, either
+    side."""
+    return [key for key in model._op_cache if key[0] is ladder._eigenblock]
 
 
 @pytest.fixture

@@ -6,10 +6,14 @@ into matrices.  Each matrix times a polynomial's coefficient vector must
 be the polynomial's own gather, a perturbed table weight must fail the
 suite that reads it, and the references below, which apply every public
 operator to one battery polynomial at a time, must read no more than the
-matrix check under the same perturbation.  The bi-orthogonality suite
-takes every pairing from one Gram matrix; each entry must match its own
-``inner_product``, and a perturbed pair above order 4 must fail it.
-A model whose Sigma misses the Lyapunov equation must fail ``run_all``.
+matrix check under the same perturbation.  The other suites read the
+eigenfunction blocks, one per side and order; each block row must be its
+parent's row raised by the public per-polynomial operator, bit for bit,
+and ``run_all`` must call none of those operators.  The bi-orthogonality
+suite takes every pairing from one Gram matrix; each entry must match
+its own ``inner_product``, and a perturbed pair above order 4 must fail
+it.  A model whose Sigma misses the Lyapunov equation must fail
+``run_all``.
 """
 
 import dataclasses
@@ -18,11 +22,17 @@ import pathlib
 import pkgutil
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 import ou_spectral
-from ou_spectral import cli, errors, ladder, linalg, spectral, verify
-from ou_spectral.gaussian import ForwardFunction, inner_product, stationary_density
+from ou_spectral import cli, errors, hermite_form, ladder, linalg, spectral, verify
+from ou_spectral.gaussian import (
+    ForwardFunction,
+    inner_product,
+    moment_matrix,
+    stationary_density,
+)
 from ou_spectral.ladder import (
     adjoint_eigenfunction,
     apply_adjoint,
@@ -239,6 +249,25 @@ def test_ladder_identities_pass_in_small_units(name):
     assert verify.reconstruction_suite(model).passed
 
 
+# Known failures, pinned so that a fix shows as an unexpected pass.  At
+# c = 1e4 the lowering weights grow as c^2 and the raising weights shrink
+# as c^-2, so the cross relations subtract terms of about c^2 to leave 2;
+# the residuals read 1.2e-7 to 2.5e-7 (commutators) and 4.2e-8 to 6.1e-8
+# (reconstruction) against 1e-9.
+@pytest.mark.xfail(strict=True, reason="cancellation at large units")
+@pytest.mark.parametrize("suite", ["commutator_suite", "reconstruction_suite"])
+@pytest.mark.parametrize("name", ["spiral_2d", "random_3d"])
+def test_ladder_identities_pass_in_large_units(name, suite):
+    assert getattr(verify, suite)(_rescaled_config_model(name, 1e4)).passed
+
+
+@pytest.mark.xfail(strict=True, reason="pairing sums cancel at close drift eigenvalues")
+def test_close_drift_eigenvalues_pass_verify_at_order_six():
+    # Eigenvalues -2.87 and -2.12: the pairing sums cancel terms up to 1.3e10
+    # times the normalization, and bi-orthogonality reads 1.1e-7 against 1e-8.
+    assert verify.run_all(_random_model(4, 2), 6).passed
+
+
 def test_run_all_checks_at_the_model_prune_eps():
     model, max_order = _config_model("spiral_2d")
     model = build_model(model.A, model.B, prune_eps=1e-10)
@@ -247,42 +276,73 @@ def test_run_all_checks_at_the_model_prune_eps():
     assert eps == {1e-10}
 
 
-LADDER_OPS = (
-    "raise_adjoint",
-    "raise_forward",
-    "lower_adjoint",
-    "lower_forward",
-    "apply_adjoint",
+def _any_model(name):
+    """(model, max_order) of a config, or of an image model at order 6."""
+    if name in IMAGE_MODELS:
+        return IMAGE_MODELS[name](), 6
+    return _config_model(name)
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES + tuple(IMAGE_MODELS))
+def test_eigenblock_rows_are_their_parents_raised(name):
+    # Row K of a block is bit for bit raise_<side>(model, I, parent row),
+    # the gather and prune that the public operator applies to one
+    # polynomial; on the image models the prune decides which terms of a
+    # row survive.
+    model, _ = _any_model(name)
+    n, eps = model.dim, model.prune_eps
+    idx = graded_index(n, 6)
+    raise_ = {
+        "forward": lambda I, p: raise_forward(model, I, ForwardFunction(p, model.f0)).poly,
+        "adjoint": lambda I, p: raise_adjoint(model, I, p),
+    }
+    for side in ("forward", "adjoint"):
+        npt.assert_array_equal(ladder._cached(model, ladder._eigenblock, side, 0), [[1.0]])
+        for k in range(1, 7):
+            block = ladder._cached(model, ladder._eigenblock, side, k)
+            prev = ladder._cached(model, ladder._eigenblock, side, k - 1)
+            rows, prev_rows = idx.degree(k), idx.degree(k - 1)
+            for r in range(rows.start, rows.stop):
+                p, I, _ = idx.steps[r - 1]
+                parent = MPoly.from_coeffs(n, prev[p - prev_rows.start], eps)
+                want = raise_[side](I, parent).coeffs
+                got = block[r - rows.start]
+                npt.assert_array_equal(got[: want.size], want)
+                assert not got[want.size :].any()
+
+
+# The per-polynomial API, the reference the acceptance criteria run on.
+PER_POLYNOMIAL = (
+    "forward_eigenfunction",
+    "adjoint_eigenfunction",
     "apply_forward",
+    "apply_adjoint",
+    "raise_forward",
+    "raise_adjoint",
+    "lower_forward",
+    "lower_adjoint",
+    "forward_hermite",
+    "adjoint_hermite",
+    "coeff_distance",
 )
 
 
-def test_run_all_applies_each_ladder_operator_once_per_input(monkeypatch):
-    model, max_order = _config_model("spiral_2d")
-    # (op, id of input, mode) -> [input, calls]; holding the input keeps
-    # its id from being reused by a later object.
-    seen = {}
+@pytest.mark.parametrize("name", CONFIG_NAMES + tuple(IMAGE_MODELS))
+def test_run_all_calls_no_per_polynomial_operator(monkeypatch, name):
+    model, max_order = _any_model(name)
 
-    def counted(name, original):
-        def op(model, *args):
-            *mode, target = args
-            entry = seen.setdefault((name, id(target), tuple(mode)), [target, 0])
-            entry[1] += 1
-            return original(model, *args)
+    def refuse(*args):
+        raise AssertionError("verify called a per-polynomial operator")
 
-        return op
-
-    for name in LADDER_OPS:
-        original = getattr(ladder, name)
-        wrapped = counted(name, original)
-        for module in (ladder, spectral, verify):
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, wrapped)
-
+    for op in PER_POLYNOMIAL:
+        for module in (ou_spectral, ladder, hermite_form, spectral, verify):
+            monkeypatch.setattr(module, op, refuse, raising=False)
     report = verify.run_all(model, max_order)
-    assert report.passed
-    repeats = {key: calls for key, (_, calls) in seen.items() if calls > 1}
-    assert not repeats
+    assert len(report.suites) == 6
+    # The cache holds blocks per side and order, and nothing per mode.
+    blocks = {key for key in model._op_cache if key[0] is ladder._eigenblock}
+    sides = ("forward", "adjoint")
+    assert blocks == {(ladder._eigenblock, s, k) for s in sides for k in range(max_order + 1)}
 
 
 def _reference_pairings(model, modes):
@@ -317,10 +377,15 @@ def test_pairing_matrix_matches_per_pair_inner_products(name, random):
         seed, n, order = random
         model = _random_model(seed, n)
     modes = enumerate_modes(model.dim, order)
-    got = verify._pairing_matrix(model, order)
+    F = verify._stacked(model, "forward", order)
+    G = verify._stacked(model, "adjoint", order)
+    got = np.conj(G) @ moment_matrix(model.f0, order) @ F.T
     want, magnitude = _reference_pairings(model, modes)
     norms = np.array([mode_normalization(K) for K in modes])
     assert got.shape == (len(modes), len(modes))
+    # The suite reads these pairings.
+    resid = np.abs(got - np.diag(norms)) / norms
+    assert verify.biorthogonality_suite(model, order).worst == resid.max()
     # Both routes round sums whose terms can be far larger than the
     # pairing: on seed 4, n=2 the terms reach 1e10 times the normalization
     # and the two routes differ by 1.6e-7 of it, each about as far from
@@ -339,24 +404,26 @@ def test_biorthogonality_worst_on_configs(name):
     assert len(result.lines) == len(enumerate_modes(model.dim, max_order))
 
 
-def test_order_five_adjoint_perturbation_fails_the_suite(monkeypatch):
+def test_order_five_adjoint_perturbation_fails_the_suite():
     # g_(4,1) has terms of degree 5 and 3.  Scale one of degree 3 by
     # 1 + 1e-6: f_(4,1) is orthogonal to every polynomial of lower degree,
     # so the diagonal pairing does not move, but the pairings of g_(4,1)
     # with the order-3 forward eigenfunctions do.  The pairs up to order 4
     # and the diagonal beyond, which the suite checked before it took
-    # every pair up to max_order, do not see it.
+    # every pair up to max_order, do not see it.  The entry is written into
+    # the block of order 5 after every block is built, so g_(4,1) alone
+    # carries it.
     model, max_order = _config_model("spiral_2d")
+    assert verify.biorthogonality_suite(model, max_order).passed
     M = (4, 1)
-    g = adjoint_eigenfunction(model, M)
-    key = min(g.terms, key=sum)
-    bad = MPoly(model.dim, {**g.terms, key: g.terms[key] * (1.0 + 1e-6)}, g.prune_eps)
-    original = verify.adjoint_eigenfunction
-
-    def adjoint(model, K):
-        return bad if tuple(K) == M else original(model, K)
-
-    monkeypatch.setattr(verify, "adjoint_eigenfunction", adjoint)
+    key = (ladder._eigenblock, "adjoint", sum(M))
+    block = model._op_cache[key].copy()
+    idx = graded_index(model.dim, sum(M))
+    row = block[idx.row[M] - idx.degree(sum(M)).start]
+    lowest = np.flatnonzero(row)[0]
+    assert sum(idx.modes[lowest]) == 3
+    row[lowest] *= 1.0 + 1e-6
+    model._op_cache[key] = block
     result = verify.biorthogonality_suite(model, max_order)
     assert not result.passed
 
@@ -365,45 +432,26 @@ def test_order_five_adjoint_perturbation_fails_the_suite(monkeypatch):
     for K in enumerate_modes(model.dim, max_order):
         f = forward_eigenfunction(model, K)
         norm = mode_normalization(K)
-        worst = max(worst, abs(inner_product(adjoint(model, K), f) - norm) / norm)
+        g = adjoint_eigenfunction(model, K)
+        worst = max(worst, abs(inner_product(g, f) - norm) / norm)
         if K in low:
             for L in low:
                 if L != K:
-                    worst = max(worst, abs(inner_product(adjoint(model, L), f)) / norm)
+                    g = adjoint_eigenfunction(model, L)
+                    worst = max(worst, abs(inner_product(g, f)) / norm)
     assert worst <= result.tol
 
 
-def _nan_on_call(original, k, poison):
-    """``original`` with its ``k``-th result replaced by ``poison(result)``."""
-    calls = [0]
-
-    def wrapped(*args):
-        calls[0] += 1
-        out = original(*args)
-        return poison(out) if calls[0] == k else out
-
-    return wrapped
-
-
-def _nan(_):
-    return float("nan")
-
-
-def _with_nan_constant(f):
-    """The forward function ``f`` with a NaN added to its constant term."""
-    nan = MPoly.constant(f.dim, float("nan"), f.poly.prune_eps)
-    return ForwardFunction(f.poly + nan, f.base)
-
-
-def _poison_calls(name):
-    """Replace the second result of the function ``name`` in ``verify``
-    and ``spectral`` by a NaN-bearing one."""
+def _poison_entry(build, *args):
+    """Replace the model's cached array ``build(model, *args)`` (an
+    eigenfunction block or a Hermite table) by a copy with a NaN in place
+    of its last nonzero entry."""
 
     def poison(monkeypatch, model):
-        for module in (verify, spectral):
-            if hasattr(module, name):
-                wrapped = _nan_on_call(getattr(module, name), 2, POISONS[name])
-                monkeypatch.setattr(module, name, wrapped)
+        key = (build, *args)
+        out = ladder._cached(model, *key).copy()
+        out.flat[np.flatnonzero(out)[-1]] = np.nan
+        model._op_cache[key] = out
 
     return poison
 
@@ -420,22 +468,26 @@ def _poison_table(build, *args):
     return poison
 
 
-POISONS = {"coeff_distance": _nan, "forward_eigenfunction": _with_nan_constant}
-
-# The matrix suites read their NaN from one weight of a table that a later
-# identity reads: the mode-1 raising table, after mode 0's commutators, and
-# the forward generator, after the gradient and position identities.
+# Each suite reads its NaN after a finite residual.  The eigenfunction
+# suites read it from the order-1 forward block, in the row of (0, 1): after
+# the pairings of (0, 0) and (1, 0), after the order-0 residual, after the
+# rows of axis 0.  The Hermite suite reads it from the adjoint closed form,
+# after the forward side; spiral_2d is canonical, so the suite runs on the
+# model itself.  The matrix suites read theirs from one weight of a table
+# that a later identity reads: the mode-1 raising table, after mode 0's
+# commutators, and the forward generator, after the gradient and position
+# identities.
 NAN_CASES = {
     "biorthogonality": (
-        _poison_calls("forward_eigenfunction"),
+        _poison_entry(ladder._eigenblock, "forward", 1),
         lambda m: verify.biorthogonality_suite(m, 2),
     ),
     "eigen-residuals": (
-        _poison_calls("coeff_distance"),
+        _poison_entry(ladder._eigenblock, "forward", 1),
         lambda m: verify.eigen_residual_suite(m, 2),
     ),
     "ladder-factorials": (
-        _poison_calls("coeff_distance"),
+        _poison_entry(ladder._eigenblock, "forward", 1),
         lambda m: verify.ladder_suite(m, n_max=2),
     ),
     "commutators": (
@@ -443,7 +495,7 @@ NAN_CASES = {
         verify.commutator_suite,
     ),
     "hermite-form": (
-        _poison_calls("coeff_distance"),
+        _poison_entry(hermite_form._hermite_table, "adjoint", 2),
         lambda m: verify.hermite_suite(m, max_order=2),
     ),
     "operator-reconstruction": (
@@ -456,8 +508,7 @@ NAN_CASES = {
 @pytest.mark.parametrize("suite", sorted(NAN_CASES))
 def test_nan_residual_after_a_finite_one_fails_the_suite(monkeypatch, suite):
     # max(worst, nan) keeps worst: a NaN residual that does not come first
-    # must still reach the suite's verdict.  The biorthogonality suite gets
-    # its NaN as a coefficient of the second forward eigenfunction it builds.
+    # must still reach the suite's verdict.
     model, _ = _config_model("spiral_2d")
     poison, run = NAN_CASES[suite]
     poison(monkeypatch, model)
@@ -468,7 +519,14 @@ def test_nan_residual_after_a_finite_one_fails_the_suite(monkeypatch, suite):
 
 
 def test_nan_residual_reaches_the_cli_as_non_finite(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(verify, "coeff_distance", _nan_on_call(coeff_distance, 2, _nan))
+    build = cli._build
+
+    def poisoned(cfg):
+        model = build(cfg)
+        _poison_entry(ladder._eigenblock, "forward", 1)(monkeypatch, model)
+        return model
+
+    monkeypatch.setattr(cli, "_build", poisoned)
     out = tmp_path / "verify.json"
     rc = cli.main(["verify", str(CONFIGS / "canonical_1d.json"), "--json", str(out)])
     assert rc == 2
