@@ -57,21 +57,18 @@ from .linalg import (
     expm,
     inverse,
     solve_lyapunov,
-    sym_sqrt,
 )
 from .monomials import enumerate_modes
 from .mpoly import MPoly, coeff_distance, hermite, render
 from .sde_oracle import MomentReport, SimConfig, simulate
 from .spectral import (
-    OperatorIdentityReport,
     SpectralExpansion,
-    battery_polynomials,
     evaluate,
     evaluate_complex,
     evaluate_grid,
     evaluate_grid_complex,
     exact_gaussian_propagate,
     expand_gaussian,
-    reconstruct_operators_check,
     solve_inhomogeneous,
 )
+from .verify import OperatorIdentityReport, battery_polynomials, reconstruct_operators_check

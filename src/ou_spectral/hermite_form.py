@@ -1,8 +1,10 @@
 """Canonical coordinates and Hermite closed forms for eigenfunctions.
 
-A linear change of variables x = T y with T the symmetric square root
-of twice the stationary covariance makes the stationary covariance
-equal to I/2.  In those coordinates both raising families decompose
+A linear change of variables x = T y with T = sqrt(2) L, L the Cholesky
+factor of the stationary covariance Sigma = L L^T that whitens f0, makes
+the stationary covariance equal to I/2.  So y = z / sqrt(2) in the
+whitened coordinates z = L^-1 x of f0, the frame in which ``spectral``
+evaluates on grids.  In those coordinates both raising families decompose
 over commuting per-axis Hermite raising maps, so each eigenfunction is
 a finite multinomial combination of products of physicists' Hermite
 polynomials, weighted by eigenvector components.  This gives a second,
@@ -10,22 +12,21 @@ independent route to the eigenfunctions that never touches the ladder
 recursion.
 
 The closed forms of the eigenfunctions on one side up to one order are
-the rows of one table: the ``mpoly.power_table`` of the eigenvectors,
-whose row K expands prod_I (v_I . u)^{K_I}, times the Hermite map that
-sends the monomial u^a to prod_i H_{a_i}(y_i).  The table is built once
-per model, side and order and kept in ``model._op_cache``; nothing is
-cached at module level.
+the rows of one table (``mpoly.hermite_products``): the power table of
+the eigenvectors, whose row K expands prod_I (v_I . u)^{K_I}, times the
+Hermite map that sends the monomial u^a to prod_i H_{a_i}(y_i).  The
+table is built once per model, side and order and kept in
+``model._op_cache``; nothing is cached at module level.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import NotCanonicalError
 from .ladder import OUModel, _cached, _check_multi_index, build_model
 from .monomials import graded_index
-from .mpoly import MPoly, hermite_table, power_table
+from .mpoly import MPoly, hermite_products
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,11 @@ class CanonicalTransform:
 
 
 def canonical_transform(model):
-    """Transform whose pullback sends the stationary covariance to I/2."""
-    T = linalg.sym_sqrt(2.0 * model.Sigma)
-    T_inv = linalg.inverse(T)
+    """Transform whose pullback sends the stationary covariance to I/2:
+    T = sqrt(2) L and T^-1 = W^T / sqrt(2) for f0's Cholesky factor L
+    and whitener W = L^-T."""
+    T = np.sqrt(2.0) * np.linalg.cholesky(model.f0.cov)
+    T_inv = model.f0.whitener.T / np.sqrt(2.0)
     return CanonicalTransform(T=T, T_inv=T_inv, jac=float(np.linalg.det(T)))
 
 
@@ -74,20 +77,11 @@ def _require_canonical(model):
 
 def _hermite_table(model, side, degree):
     """Row K holds the Hermite closed form of eigenfunction K on
-    ``side``, for every K up to order ``degree``.
-
-    Row K of the power table is the coefficient vector of
-    prod_I (v_I . u)^{K_I}, v_I the forward or adjoint eigenvector of
-    mode I; the Hermite map sends u^a to prod_i H_{a_i}(y_i), so its
-    entry at (a, b) is prod_i h[a_i, b_i].
+    ``side``, for every K up to order ``degree``: the
+    ``mpoly.hermite_products`` of the forward or adjoint eigenvectors.
     """
     V = model.eig.right.T if side == "forward" else np.conj(model.eig.left)
-    E = graded_index(model.dim, degree).exponents
-    h = hermite_table(degree)
-    hmap = np.ones((len(E), len(E)))
-    for a in E.T:
-        hmap *= h[a[:, None], a]
-    table = power_table(V, np.zeros(model.dim), degree) @ hmap
+    table = hermite_products(V, degree)
     table.setflags(write=False)
     return table
 

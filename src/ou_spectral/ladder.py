@@ -23,8 +23,8 @@ through the shift tables of ``monomials.graded_index``.  Its table
 ``spectral`` reads too) depends only on the model, the mode, the
 ``prune_eps`` and the degree of the input, so each is built once per
 model and kept in ``model._op_cache``.  Scattered into a matrix
-(``_block``, ``_matrix``), a table is the operator on every polynomial
-of its degree at once, as the solve of ``spectral`` and the ``verify``
+(``_block``), a table is the operator on every polynomial of its
+degree at once, as the solve of ``spectral`` and the ``verify``
 identities read it.  The eigenfunctions of one side and order are one
 block of rows in the same cache (``_eigenblock``), each raised from its
 ``monomials.parent`` row by the gather that raises one polynomial.
@@ -96,15 +96,17 @@ def build_model(A, B, tol=1e-9, prune_eps=DEFAULT_PRUNE_EPS):
         SPD diffusion matrix.
     tol : float
         Stability margin and defectiveness threshold for the drift
-        eigenbasis.
+        eigenbasis; finite and positive.
     prune_eps : float
         Coefficient prune threshold used by all polynomials this model
-        produces.
+        produces; finite and nonnegative.
 
     Returns
     -------
     OUModel
     """
+    if not 0.0 <= prune_eps < np.inf:
+        raise ValueError(f"prune_eps must be finite and nonnegative, got {prune_eps}")
     A = linalg._as_square(A, "A")
     B = linalg._as_square(B, "B")
     if B.shape[0] != A.shape[0]:
@@ -295,19 +297,6 @@ def _block(src, weight, cols):
     out = np.zeros((src.shape[1], cols.stop - cols.start), dtype=weight.dtype)
     slot, row = np.nonzero(src >= 0)
     np.add.at(out, (row, src[slot, row] - cols.start), weight[slot, row])
-    return out
-
-
-def _matrix(model, build, args, degree, rows):
-    """The matrix of the table ``build(model, *args, degree)``, cached on
-    the model, padded with zero rows to ``rows``: the operator on every
-    polynomial of ``degree`` or less, column j acting on the j-th
-    monomial of ``graded_index``.  A raising table whose linear weights
-    are all dropped has the rows of ``degree - 1`` only."""
-    src, weight = _cached(model, build, *args, degree)
-    cols = math.comb(degree + model.dim, model.dim)
-    out = np.zeros((rows, cols), dtype=weight.dtype)
-    out[: src.shape[1]] = _block(src, weight, slice(0, cols))
     return out
 
 

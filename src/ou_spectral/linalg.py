@@ -93,8 +93,8 @@ def biorthogonal_eig(A, tol=1e-9):
         Real matrix.  May have complex eigenvalues; these come out in
         conjugate pairs with the positive imaginary part listed first.
     tol : float
-        Defectiveness threshold.  The right eigenvector matrix must have
-        condition number below ``1/tol``.
+        Defectiveness threshold, finite and positive.  The right
+        eigenvector matrix must have condition number below ``1/tol``.
 
     Returns
     -------
@@ -104,9 +104,13 @@ def biorthogonal_eig(A, tol=1e-9):
     ------
     NotSquareError
         If ``A`` is not square.
+    ValueError
+        If ``tol`` is not finite and positive: NaN would pass every basis.
     DefectiveMatrixError
         If the eigenvector basis is numerically incomplete.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     A = _as_square(A, "A")
     values, vecs = np.linalg.eig(A)
     order = _ordered_indices(values)
@@ -200,21 +204,6 @@ def inverse(S):
             f"matrix is singular to working precision (residual {resid:.3e})"
         )
     return X
-
-
-def sym_sqrt(S):
-    """Symmetric square root of an SPD matrix via eigendecomposition.
-
-    The smallest eigenvalue must exceed 1e-14 times the largest, so the
-    test does not depend on the units of S; a NaN eigenvalue fails it too.
-    """
-    S = _as_square(S, "S")
-    _check_symmetric(S, "S")
-    w, V = np.linalg.eigh(S)
-    if not w[0] > 1e-14 * w[-1]:
-        raise NotSPDError(f"matrix has non-positive eigenvalue {w[0]:.3e}")
-    T = (V * np.sqrt(w)) @ V.T
-    return 0.5 * (T + T.T)
 
 
 def expm(A, t):

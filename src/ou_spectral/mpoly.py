@@ -139,8 +139,8 @@ class MPoly:
         if nvars < 1:
             raise ValueError("nvars must be at least 1")
         eps = DEFAULT_PRUNE_EPS if prune_eps is None else float(prune_eps)
-        if eps < 0.0:
-            raise ValueError("prune_eps must be nonnegative")
+        if not 0.0 <= eps < math.inf:
+            raise ValueError(f"prune_eps must be finite and nonnegative, got {eps}")
         c = prune(np.array(coeffs, dtype=np.complex128), eps)
         nz = c.nonzero()[0]
         degree = _degree_of_row(nvars, nz[-1]) if nz.size else -1
@@ -454,6 +454,32 @@ def hermite_table(degree):
         h[m + 1, 1:] = 2.0 * h[m, :-1]
         h[m + 1] -= 2.0 * m * h[m - 1]
     return h
+
+
+def hermite_products(V, degree):
+    """Hermite closed forms along the rows of V, shape (n, m).
+
+    Row k holds, on the graded index of m variables up to ``degree``, the
+    coefficients of prod_I (V_I . u)^{K_I}, K the k-th row of
+    ``graded_index(n, degree)``, once each monomial u^a is replaced by
+    prod_i H_{a_i}(y_i).  That power table (``power_table``) is
+    homogeneous, so its rows of degree k read only the u^a of degree k,
+    and H_a has degree |a|: each degree is one product of its diagonal
+    block with the Hermite map of its monomials, entry (a, b)
+    prod_i h[a_i, b_i] of ``hermite_table``.
+    """
+    table = power_table(V, np.zeros(V.shape[0]), degree)
+    rows, cols = graded_index(V.shape[0], degree), graded_index(V.shape[1], degree)
+    h = hermite_table(degree)
+    for k in range(degree + 1):
+        a, b = cols.exponents[cols.degree(k)], cols.exponents[: cols.degree(k).stop]
+        hmap = np.ones((len(a), len(b)))
+        for i in range(V.shape[1]):
+            hmap *= h[a[:, i, None], b[:, i]]
+        # A view: degree k's rows are overwritten in place.
+        block = table[rows.degree(k)]
+        block[:, : len(b)] = block[:, cols.degree(k)] @ hmap
+    return table
 
 
 def hermite(n):

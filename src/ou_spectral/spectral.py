@@ -9,8 +9,7 @@ independent oracle for convergence tests.
 
 Expansion and evaluation never build a polynomial.  The raising
 operators of each family commute, so the eigenfunctions have Gaussian
-generating functions and obey three-term recursions along the parents
-of the modes (``monomials.graded_index``):
+generating functions:
 
 * coefficients: with ``W`` the left eigenvectors, ``a = 2 W mu`` and
   ``M = 4 W (C - Sigma) W^T`` for ``F0 = N(mu, C)``,
@@ -18,18 +17,18 @@ of the modes (``monomials.graded_index``):
   identity, so c_K are the moments E[y^K] of y ~ N(a, M), formally since
   M is complex and need not be definite, and ``gaussian.moments``
   computes them;
-* forward polynomial factors: with ``E`` the right eigenvectors,
-  ``y = x Sigma^-1 E`` and ``G = E^T Sigma^-1 E``,
-  ``p_{K+e_I} = y_I p_K - sum_J G_IJ K_J p_{K-e_J}``, ``p_0 = 1``.
+* forward polynomial factors: in the whitened coordinates z = L^-1 x of
+  f0 (Sigma = L L^T), where f0 = exp(log_norm - |z|^2 / 2), the
+  canonical coordinates of ``hermite_form`` are y = z / sqrt(2)
+  (T = sqrt(2) L), and p_K is the Hermite closed form of the
+  eigenvectors there (``mpoly.hermite_products``).
 
-Grid evaluation runs the second recursion once per model and order, on
-coefficient rows in the whitened coordinates z = W^T x of f0 (W = L^-T,
-Sigma = L L^T), where f0 = exp(log_norm - |z|^2 / 2) and y = z C is
-linear in z.  The expansion is then one real vector pair against the
-real monomials z^a, built one product per monomial on each block of
-points.  Neither route prunes anything.  The exact ``MPoly`` ladder,
-whose gather tables the ``verify`` suites check, is the reference these
-recursions are tested against.
+Grid evaluation reads that closed form once per model and order as
+coefficient rows over the monomials z^a.  The expansion is then one
+real vector pair against the real monomials z^a, built one product per
+monomial on each block of points.  Neither route prunes anything.  The
+exact ``MPoly`` ladder, whose gather tables the ``verify`` suites check,
+is the reference both are tested against.
 
 The inhomogeneous solve builds no eigenfunction either.  With P = p f0,
 f0^-1 L(p f0) = (M x) . grad p + (1/2) B : grad grad p, M = Sigma A^T
@@ -41,7 +40,6 @@ source, top degree first, on blocks read from the generator table that
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -58,17 +56,10 @@ from .gaussian import (
     expectation,
     moments,
 )
-from .ladder import (
-    _block,
-    _cached,
-    _generator_table,
-    _ladder_table,
-    _matrix,
-    forward_drift,
-    generator_table,
-)
-from .monomials import enumerate_modes, graded_index
-from .mpoly import MPoly, _diff, fold_worst
+from .ladder import _block, _cached, forward_drift, generator_table
+from .monomials import graded_index
+from .mpoly import MPoly, hermite_products
+from .verify import reconstruct_operators_check  # noqa: F401, the name perfbench/layers.py binds
 
 # Points per block of grid evaluation; the work array holds every mode
 # over one block, never over the whole grid.
@@ -156,26 +147,17 @@ def _grid_tables(model, max_order):
 
     Row K of T holds the coefficients of p_K over the monomials z^a of
     the whitened coordinates z = W^T x (W = ``model.f0.whitener``), both
-    in ``graded_index`` rows.  They come from the forward recursion run
-    once on coefficient rows: y = z C with C = W^T E and G = C^T C, and
-    the factor y_I = sum_i C_iI z_i shifts each exponent a to a + e_i.
-    ``lam`` and ``norm`` hold lambda_K and ``mode_normalization(K)``.
+    in ``graded_index`` rows: the Hermite closed form
+    (``mpoly.hermite_products``) of the eigenvectors C / sqrt(2),
+    C = W^T E, in the canonical coordinates y = z / sqrt(2) of
+    ``hermite_form``, with column a scaled by 2^(-|a|/2) to turn y^a
+    into z^a.  ``lam`` and ``norm`` hold lambda_K and
+    ``mode_normalization(K)``.
     """
-    n = model.dim
-    idx = graded_index(n, max_order)
-    # Only monomials below the top degree meet a factor y_I.
-    low = idx.degree(max_order).start
-    up = idx.up[:, :low]
+    K = graded_index(model.dim, max_order).exponents
     C = model.f0.whitener.T @ model.eig.right
-    G = C.T @ C
-    T = np.zeros((len(idx.modes), len(idx.modes)), dtype=np.complex128)
-    T[0, 0] = 1.0
-    for k, (p, I, lower) in enumerate(idx.steps, 1):
-        for i in range(n):
-            T[k, up[i]] += C[i, I] * T[p, :low]
-        for J, m, q in lower:
-            T[k] -= (G[I, J] * m) * T[q]
-    K = idx.exponents
+    T = hermite_products(C.T / np.sqrt(2.0), max_order)
+    T *= 2.0 ** (-0.5 * K.sum(axis=1))
     factorial = np.array([math.factorial(k) for k in range(max_order + 1)], dtype=float)
     norm = np.prod(2.0**K * factorial[K], axis=1)
     return T, K @ model.eig.values, norm
@@ -326,116 +308,3 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
     z[0] = 0.0  # still q's constant; p's is fixed by E_f0[p] = 0 below
     p = MPoly.from_coeffs(model.dim, z, model.prune_eps)
     return ForwardFunction(p - expectation(p, model.f0), model.f0)
-
-
-# Degree up to which the commutator and reconstruction identities are
-# checked, on every polynomial: C(n + 5, n) basis polynomials.
-CHECK_DEGREE = 5
-
-
-def battery_polynomials(nvars, count=20, max_degree=5, seed=20240817):
-    """Deterministic battery of dense random polynomials for operator checks.
-
-    Degrees cycle through 0..max_degree; coefficients are complex
-    standard normals from a fixed generator, so the battery is identical
-    on every run.
-    """
-    rng = np.random.default_rng(seed)
-    out = []
-    for i in range(count):
-        deg = i % (max_degree + 1)
-        terms = {}
-        for K in enumerate_modes(nvars, deg):
-            c = complex(rng.standard_normal(), rng.standard_normal())
-            terms[K] = c
-        out.append(MPoly(nvars, terms))
-    return out
-
-
-@dataclass(frozen=True)
-class OperatorIdentityReport:
-    """Worst relative residuals of the four operator reconstructions."""
-
-    residuals: dict
-    tol: float
-    basis_size: int
-
-    @property
-    def passed(self):
-        return all(r <= self.tol for r in self.residuals.values())
-
-    @property
-    def worst(self):
-        return reduce(fold_worst, self.residuals.values(), 0.0)
-
-
-def _ladder_matrices(model, op, degree, rows):
-    """The matrices (``ladder._matrix``) of the ladder operator ``op`` of
-    every mode on ``degree``, padded to ``rows``."""
-    args = [(op, I, model.prune_eps) for I in range(model.dim)]
-    return [_matrix(model, _ladder_table, a, degree, rows) for a in args]
-
-
-def _column_worst(lhs, rhs, scale):
-    """Largest over the columns of max |lhs - rhs| / scale, ``scale``
-    one value per column: the coefficient distance on each basis
-    polynomial, relative.  NaN when any entry is NaN."""
-    return float(np.max(np.abs(lhs - rhs).max(axis=0) / scale))
-
-
-def reconstruct_operators_check(model, tol=1e-9):
-    """Verify gradient, position, and both evolution operators rebuild
-    from the ladder families alone.
-
-    Identities checked, with W the left and E the right eigenvector
-    basis:
-
-    * grad      from the adjoint lowering family weighted by conj(W)
-    * position  from adjoint raising plus a lowering correction
-    * forward   as half the eigenvalue-weighted sum of raise(lower(.))
-    * adjoint   as the conjugate-weighted mirror of the same sum
-
-    Each identity is one between operator matrices on the polynomials of
-    degree up to ``CHECK_DEGREE`` (``ladder._matrix``), so it holds on
-    every basis polynomial; column j, the residual on the j-th, is
-    relative to the larger column maximum of its two sides and 1.
-    """
-    n, d = model.dim, CHECK_DEGREE
-    rows = [math.comb(k + n, n) for k in (d - 1, d, d + 1)]
-    E = model.eig.right
-    W = model.eig.left
-    lams = model.eig.values
-    Wc = np.conj(W)
-    Ec = np.conj(E)
-    # Gram matrix conj(w_I)^T Sigma conj(w_J) entering the position identity.
-    G = Wc @ model.Sigma @ Wc.T
-
-    worst = {"gradient": 0.0, "position": 0.0, "forward": 0.0, "adjoint": 0.0}
-
-    def fold(name, lhs, rhs):
-        colmax = np.fmax(np.abs(lhs).max(axis=0), np.abs(rhs).max(axis=0))
-        worst[name] = fold_worst(worst[name], _column_worst(lhs, rhs, np.fmax(colmax, 1.0)))
-
-    lows = _ladder_matrices(model, "lower_adjoint", d, rows[0])
-    idx = graded_index(n, d + 1)
-    cols = np.arange(rows[1])
-    # inf - inf is NaN, which the fold keeps.
-    with np.errstate(invalid="ignore"):
-        # Raising terms of the position identity with their lowering
-        # correction; neither depends on the axis i.
-        shifted = _ladder_matrices(model, "raise_adjoint", d, rows[2])
-        for I in range(n):
-            shifted[I][: rows[0]] += sum(2.0 * G[I, J] * lows[J] for J in range(n))
-        for i in range(n):
-            grad = _diff(np.eye(rows[1]), n, d, i).T
-            fold("gradient", grad, sum(Wc[I, i] * lows[I] for I in range(n)))
-            times_x = np.zeros((rows[2], rows[1]))
-            times_x[idx.up[i, cols], cols] = 1.0
-            fold("position", times_x, sum(0.5 * Ec[i, I] * shifted[I] for I in range(n)))
-        for side, lam in (("forward", lams), ("adjoint", np.conj(lams))):
-            raised = _ladder_matrices(model, f"raise_{side}", d - 1, rows[1])
-            lowered = _ladder_matrices(model, f"lower_{side}", d, rows[0])
-            rhs = sum(0.5 * lam[I] * (raised[I] @ lowered[I]) for I in range(n))
-            fold(side, _matrix(model, _generator_table, (side,), d, rows[1]), rhs)
-
-    return OperatorIdentityReport(residuals=worst, tol=tol, basis_size=rows[1])

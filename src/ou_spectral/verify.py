@@ -2,7 +2,10 @@
 
 Each suite exercises one family of exact identities and reports its
 worst residual against a tolerance.  The CLI renders these; they are
-plain library code so they can also be driven programmatically.
+plain library code so they can also be driven programmatically.  Every
+check lives here, and no production module imports this one: the
+operator identities read the ladder's gather tables as matrices
+(``_matrix``), and the eigenfunction suites read its blocks.
 """
 
 import math
@@ -14,22 +17,16 @@ import numpy as np
 from .gaussian import moment_matrix
 from .hermite_form import _hermite_table, _require_canonical, is_canonical, to_canonical
 from .ladder import (
+    _block,
     _cached,
     _eigenblock,
     _gather,
     _generator_table,
     _ladder_table,
-    _matrix,
     mode_normalization,
 )
-from .monomials import graded_index
-from .mpoly import fold_worst, prune
-from .spectral import (
-    CHECK_DEGREE,
-    _column_worst,
-    _ladder_matrices,
-    reconstruct_operators_check,
-)
+from .monomials import enumerate_modes, graded_index
+from .mpoly import MPoly, _diff, fold_worst, prune
 
 
 @dataclass
@@ -51,6 +48,129 @@ class VerifyReport:
     @property
     def passed(self):
         return all(s.passed for s in self.suites)
+
+
+# Degree up to which the commutator and reconstruction identities are
+# checked, on every polynomial: C(n + 5, n) basis polynomials.
+CHECK_DEGREE = 5
+
+
+def battery_polynomials(nvars, count=20, max_degree=5, seed=20240817):
+    """Deterministic battery of dense random polynomials for operator checks.
+
+    Degrees cycle through 0..max_degree; coefficients are complex
+    standard normals from a fixed generator, so the battery is identical
+    on every run.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        modes = enumerate_modes(nvars, i % (max_degree + 1))
+        terms = {K: complex(rng.standard_normal(), rng.standard_normal()) for K in modes}
+        out.append(MPoly(nvars, terms))
+    return out
+
+
+@dataclass(frozen=True)
+class OperatorIdentityReport:
+    """Worst relative residuals of the four operator reconstructions."""
+
+    residuals: dict
+    tol: float
+    basis_size: int
+
+    @property
+    def passed(self):
+        return all(r <= self.tol for r in self.residuals.values())
+
+    @property
+    def worst(self):
+        return reduce(fold_worst, self.residuals.values(), 0.0)
+
+
+def _matrix(model, build, args, degree, rows):
+    """The matrix of the table ``build(model, *args, degree)``, cached on
+    the model, padded with zero rows to ``rows``: the operator on every
+    polynomial of ``degree`` or less, column j acting on the j-th
+    monomial of ``graded_index``.  A raising table whose linear weights
+    are all dropped has the rows of ``degree - 1`` only."""
+    src, weight = _cached(model, build, *args, degree)
+    cols = math.comb(degree + model.dim, model.dim)
+    out = np.zeros((rows, cols), dtype=weight.dtype)
+    out[: src.shape[1]] = _block(src, weight, slice(0, cols))
+    return out
+
+
+def _ladder_matrices(model, op, degree, rows):
+    """The matrices (``_matrix``) of the ladder operator ``op`` of
+    every mode on ``degree``, padded to ``rows``."""
+    args = [(op, I, model.prune_eps) for I in range(model.dim)]
+    return [_matrix(model, _ladder_table, a, degree, rows) for a in args]
+
+
+def _column_worst(lhs, rhs, scale):
+    """Largest over the columns of max |lhs - rhs| / scale, ``scale``
+    one value per column: the coefficient distance on each basis
+    polynomial, relative.  NaN when any entry is NaN."""
+    return float(np.max(np.abs(lhs - rhs).max(axis=0) / scale))
+
+
+def reconstruct_operators_check(model, tol=1e-9):
+    """Verify gradient, position, and both evolution operators rebuild
+    from the ladder families alone.
+
+    Identities checked, with W the left and E the right eigenvector
+    basis:
+
+    * grad      from the adjoint lowering family weighted by conj(W)
+    * position  from adjoint raising plus a lowering correction
+    * forward   as half the eigenvalue-weighted sum of raise(lower(.))
+    * adjoint   as the conjugate-weighted mirror of the same sum
+
+    Each identity is one between operator matrices on the polynomials of
+    degree up to ``CHECK_DEGREE`` (``_matrix``), so it holds on
+    every basis polynomial; column j, the residual on the j-th, is
+    relative to the larger column maximum of its two sides and 1.
+    """
+    n, d = model.dim, CHECK_DEGREE
+    rows = [math.comb(k + n, n) for k in (d - 1, d, d + 1)]
+    E = model.eig.right
+    W = model.eig.left
+    lams = model.eig.values
+    Wc = np.conj(W)
+    Ec = np.conj(E)
+    # Gram matrix conj(w_I)^T Sigma conj(w_J) entering the position identity.
+    G = Wc @ model.Sigma @ Wc.T
+
+    worst = {"gradient": 0.0, "position": 0.0, "forward": 0.0, "adjoint": 0.0}
+
+    def fold(name, lhs, rhs):
+        colmax = np.fmax(np.abs(lhs).max(axis=0), np.abs(rhs).max(axis=0))
+        worst[name] = fold_worst(worst[name], _column_worst(lhs, rhs, np.fmax(colmax, 1.0)))
+
+    lows = _ladder_matrices(model, "lower_adjoint", d, rows[0])
+    idx = graded_index(n, d + 1)
+    cols = np.arange(rows[1])
+    # inf - inf is NaN, which the fold keeps.
+    with np.errstate(invalid="ignore"):
+        # Raising terms of the position identity with their lowering
+        # correction; neither depends on the axis i.
+        shifted = _ladder_matrices(model, "raise_adjoint", d, rows[2])
+        for I in range(n):
+            shifted[I][: rows[0]] += sum(2.0 * G[I, J] * lows[J] for J in range(n))
+        for i in range(n):
+            grad = _diff(np.eye(rows[1]), n, d, i).T
+            fold("gradient", grad, sum(Wc[I, i] * lows[I] for I in range(n)))
+            times_x = np.zeros((rows[2], rows[1]))
+            times_x[idx.up[i, cols], cols] = 1.0
+            fold("position", times_x, sum(0.5 * Ec[i, I] * shifted[I] for I in range(n)))
+        for side, lam in (("forward", lams), ("adjoint", np.conj(lams))):
+            raised = _ladder_matrices(model, f"raise_{side}", d - 1, rows[1])
+            lowered = _ladder_matrices(model, f"lower_{side}", d, rows[0])
+            rhs = sum(0.5 * lam[I] * (raised[I] @ lowered[I]) for I in range(n))
+            fold(side, _matrix(model, _generator_table, (side,), d, rows[1]), rhs)
+
+    return OperatorIdentityReport(residuals=worst, tol=tol, basis_size=rows[1])
 
 
 def _stacked(model, side, max_order):
@@ -154,7 +274,7 @@ def commutator_suite(model, tol=1e-9):
     on the adjoint side, and the cross relations between opposite
     lowering and raising families equal to twice the identity, on the
     polynomials of degree up to ``CHECK_DEGREE``.  An operator on degree
-    k is the matrix of its gather table at degree k (``ladder._matrix``),
+    k is the matrix of its gather table at degree k (``_matrix``),
     and products compose with ``@``, so each relation holds on every
     basis polynomial.  Column j of a residual acts on the j-th; it is
     relative to the column maximum of V_I e_j and 1 for the commutators,

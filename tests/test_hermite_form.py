@@ -1,18 +1,47 @@
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import ou_spectral as ou
-from ou_spectral import errors
+from ou_spectral import cli, errors, verify
 from ou_spectral.mpoly import hermite
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_canonical_transform_squares_to_twice_covariance(model_3d):
+    # T is sqrt(2) times f0's Cholesky factor, lower triangular.
     tr = ou.canonical_transform(model_3d)
-    npt.assert_allclose(tr.T, tr.T.T)
-    npt.assert_allclose(tr.T @ tr.T, 2.0 * model_3d.Sigma, atol=1e-12)
+    npt.assert_allclose(tr.T @ tr.T.T, 2.0 * model_3d.Sigma, atol=1e-12)
     npt.assert_allclose(tr.T @ tr.T_inv, np.eye(3), atol=1e-12)
+    npt.assert_array_equal(np.triu(tr.T, 1), 0.0)
     npt.assert_allclose(tr.jac, np.linalg.det(tr.T))
+
+
+def test_canonical_frame_is_the_whitened_frame_of_f0(four_models):
+    # y = T^-1 x is z / sqrt(2) for the whitened coordinates z of f0, the
+    # frame of grid evaluation: there is one whitening route.
+    rng = np.random.default_rng(8)
+    for name, model in four_models.items():
+        tr = ou.canonical_transform(model)
+        pts = rng.normal(size=(6, model.dim))
+        z = model.f0.whitened(pts)[0]
+        npt.assert_allclose(tr.T_inv @ pts.T, z / np.sqrt(2.0), rtol=1e-14, atol=1e-15, err_msg=name)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("name", ["canonical_1d", "diag_2d", "spiral_2d", "random_3d"])
+def test_canonical_frame_holds_in_any_units(name, c):
+    # Under x -> c x (B times c^2) the rebuilt model is canonical and its
+    # ladder eigenfunctions match the Hermite closed form.
+    cfg = cli.load_config(str(CONFIGS / f"{name}.json"))
+    model = ou.build_model(cfg.A, cfg.B * c**2)
+    model_c, tr = ou.to_canonical(model)
+    assert ou.is_canonical(model_c)
+    npt.assert_allclose(tr.T @ tr.T.T, 2.0 * model.Sigma, rtol=1e-12, atol=0.0)
+    assert verify.hermite_suite(model).passed
 
 
 def test_to_canonical_produces_half_identity_covariance(model_diag, model_3d):

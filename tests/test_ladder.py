@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import ou_spectral as ou
-from ou_spectral import errors, ladder
+from ou_spectral import errors, ladder, verify
 from ou_spectral.monomials import graded_index
 from ou_spectral.mpoly import MPoly, hermite
 
@@ -27,6 +27,34 @@ def test_build_model_rejects_bad_inputs():
         ou.build_model([[-1.0, 1.0], [0.0, -1.0]], np.eye(2))
     with pytest.raises(errors.DimensionMismatchError):
         ou.build_model([[-1.0]], np.eye(2))
+
+
+# The Jordan block's eigenvector basis has condition number 9.0e15, so
+# only a tolerance that switches the checks off accepts it.
+JORDAN = [[-1.0, 1.0], [0.0, -1.0]]
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_build_model_rejects_a_tol_that_switches_its_checks_off(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        ou.build_model(JORDAN, np.eye(2), tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        ou.biorthogonal_eig(A_SPIRAL, tol=tol)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), -1.0, float("inf")])
+def test_build_model_rejects_a_prune_eps_that_is_not_a_threshold(eps):
+    with pytest.raises(ValueError, match="prune_eps must be finite and nonnegative"):
+        ou.build_model(A_SPIRAL, np.eye(2), prune_eps=eps)
+    with pytest.raises(ValueError, match="prune_eps must be finite and nonnegative"):
+        MPoly(2, {(1, 0): 1.0}, prune_eps=eps)
+    with pytest.raises(ValueError, match="prune_eps must be finite and nonnegative"):
+        MPoly.from_coeffs(2, [1.0], prune_eps=eps)
+
+
+def test_build_model_accepts_a_zero_prune_eps():
+    model = ou.build_model(A_SPIRAL, np.eye(2), prune_eps=0.0)
+    assert ou.forward_eigenfunction(model, (1, 1)).poly.prune_eps == 0.0
 
 
 def test_one_dimensional_eigenfunctions_are_hermite(model_1d):
@@ -297,8 +325,8 @@ def test_stacked_gather_equals_one_polynomial_gathers(n, kind):
     model = ou.build_model(A, L @ L.T + 0.2 * np.eye(n))
     top = 4
     rows = [len(graded_index(n, k).modes) for k in range(top + 2)]
-    M = ladder._matrix(model, build, args, top, rows[top + 1])
+    M = verify._matrix(model, build, args, top, rows[top + 1])
     for k in range(top + 1):
-        want = ladder._matrix(model, build, args, k, rows[k + 1])
+        want = verify._matrix(model, build, args, k, rows[k + 1])
         npt.assert_array_equal(M[: rows[k + 1], : rows[k]], want, strict=True)
         assert not M[rows[k + 1] :, : rows[k]].any()

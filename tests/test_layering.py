@@ -1,0 +1,70 @@
+"""Import layering of the package, read from the source with ``ast``.
+
+``verify`` holds every check and reads the production modules; none of
+them reads it.  The one exception is a commented line of ``spectral``
+that re-exports ``reconstruct_operators_check`` under the name the
+benchmark binds (``perfbench/layers.py``).
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ou_spectral"
+
+PRODUCTION = (
+    "spectral",
+    "ladder",
+    "gaussian",
+    "mpoly",
+    "monomials",
+    "linalg",
+    "kernels",
+    "sde_oracle",
+    "hermite_form",
+)
+
+
+def _imports(module):
+    """(package module imported, names, source line) for each import of
+    ``module`` that reads another module of the package."""
+    path = PACKAGE / f"{module}.py"
+    lines = path.read_text().splitlines()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("ou_spectral."):
+                    yield alias.name.split(".")[1], (), lines[node.lineno - 1]
+        elif isinstance(node, ast.ImportFrom):
+            names = tuple(alias.name for alias in node.names)
+            name = node.module or ""
+            if node.level == 0 and not name.startswith("ou_spectral"):
+                continue
+            if name in ("", "ou_spectral"):
+                # from . import verify
+                for sub in names:
+                    yield sub, (), lines[node.lineno - 1]
+            else:
+                yield name.split(".")[-1], names, lines[node.lineno - 1]
+
+
+def test_reader_sees_relative_and_absolute_imports():
+    found = {target for target, _, _ in _imports("spectral")}
+    assert {"linalg", "ladder", "mpoly"} <= found
+
+
+def test_verify_imports_nothing_from_spectral():
+    assert [line for target, _, line in _imports("verify") if target == "spectral"] == []
+
+
+@pytest.mark.parametrize("module", PRODUCTION)
+def test_no_production_module_imports_verify(module):
+    bad = []
+    for target, names, line in _imports(module):
+        if target != "verify":
+            continue
+        binding = module == "spectral" and names == ("reconstruct_operators_check",)
+        if not (binding and "#" in line):
+            bad.append(line)
+    assert bad == []

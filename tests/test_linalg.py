@@ -124,38 +124,6 @@ def test_inverse_singular_raises():
         linalg.inverse([[1.0, 2.0], [2.0, 4.0]])
 
 
-def test_sym_sqrt_roundtrip():
-    S = B_3D
-    T = linalg.sym_sqrt(S)
-    npt.assert_allclose(T, T.T)
-    npt.assert_allclose(T @ T, S, atol=1e-12)
-
-
-def test_sym_sqrt_rejects_indefinite():
-    with pytest.raises(errors.NotSPDError):
-        linalg.sym_sqrt([[1.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(errors.NotSPDError):
-        linalg.sym_sqrt([[1.0, 0.3], [0.0, 1.0]])
-
-
-def test_sym_sqrt_floor_is_relative_to_the_scale():
-    # Units must not matter: a tiny SPD matrix has a square root, and the
-    # floor still rejects singular, indefinite and negative ones.
-    npt.assert_allclose(linalg.sym_sqrt([[1e-300]]), [[1e-150]], rtol=1e-15)
-    T = linalg.sym_sqrt(np.diag([1e-20, 2e-20]))
-    npt.assert_allclose(T, np.diag([1e-10, np.sqrt(2e-20)]), rtol=1e-15)
-    for S in (
-        [[1.0, 0.0], [0.0, 0.0]],
-        [[1e-20, 0.0], [0.0, 0.0]],
-        [[0.0, 0.0], [0.0, 0.0]],
-        [[1e-20, 0.0], [0.0, -1e-20]],
-        [[-1.0, 0.0], [0.0, -2.0]],
-        [[1.0, 0.0], [0.0, 1e-16]],
-    ):
-        with pytest.raises(errors.NotSPDError):
-            linalg.sym_sqrt(S)
-
-
 def test_expm_rotation_quarter_turn():
     # exp(t [[0,-1],[1,0]]) is rotation by t
     R = linalg.expm(np.array([[0.0, -1.0], [1.0, 0.0]]), np.pi / 2)

@@ -23,7 +23,7 @@ from ou_spectral.mpoly import (
     hermite_table,
     render,
 )
-from ou_spectral.spectral import battery_polynomials
+from ou_spectral.verify import battery_polynomials
 
 
 def random_int_poly(rng, nvars, degree, lo=-6, hi=7):

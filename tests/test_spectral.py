@@ -12,7 +12,8 @@ from ou_spectral import cli, errors, ladder, linalg, spectral
 from ou_spectral.kernels import eval_poly_grid
 from ou_spectral.monomials import graded_index
 from ou_spectral.mpoly import MPoly
-from ou_spectral.spectral import GRID_CHUNK, battery_polynomials
+from ou_spectral.spectral import GRID_CHUNK
+from ou_spectral.verify import battery_polynomials
 
 
 def test_expansion_coefficients_1d_closed_form(model_1d):

@@ -47,7 +47,7 @@ from ou_spectral.ladder import (
 )
 from ou_spectral.monomials import enumerate_modes, graded_index
 from ou_spectral.mpoly import MPoly, coeff_distance
-from ou_spectral.spectral import battery_polynomials
+from ou_spectral.verify import battery_polynomials
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 CONFIG_NAMES = ("canonical_1d", "diag_2d", "random_3d", "spiral_2d")
@@ -194,13 +194,13 @@ def test_shared_images_match_direct_evaluation(name):
         model = IMAGE_MODELS[name]()
     else:
         model, _ = _config_model(name)
-    n, d = model.dim, spectral.CHECK_DEGREE
+    n, d = model.dim, verify.CHECK_DEGREE
     polys = battery_polynomials(n)
     vectors = np.zeros((_rows(n, d), len(polys)), dtype=complex)
     for j, p in enumerate(polys):
         vectors[: p.coeffs.size, j] = p.coeffs
     for build, args in _tables(model):
-        images = ladder._matrix(model, build, args, d, _rows(n, d + 1)) @ vectors
+        images = verify._matrix(model, build, args, d, _rows(n, d + 1)) @ vectors
         for image, p in zip(images.T, polys):
             want = ladder._apply_table(model, build, args, p).coeffs
             gap = np.abs(image[: want.size] - want).max(initial=0.0)
@@ -222,7 +222,7 @@ def test_perturbed_raising_weight_fails_the_commutators(name):
     # perturbed; the matrix check reads at least what the battery reads.
     model, _ = _config_model(name)
     args = ("raise_forward", 0, model.prune_eps)
-    degrees = range(spectral.CHECK_DEGREE + 2)
+    degrees = range(verify.CHECK_DEGREE + 2)
     _perturb_largest(model, ladder._ladder_table, args, degrees, 1.0 + 1e-9)
     result = verify.commutator_suite(model)
     assert not result.passed
@@ -233,7 +233,7 @@ def test_perturbed_raising_weight_fails_the_commutators(name):
 def test_perturbed_generator_weight_fails_the_reconstruction(name):
     # At 1 + 1e-9 the forward residual reads the tolerance itself.
     model, _ = _config_model(name)
-    degrees = [spectral.CHECK_DEGREE]
+    degrees = [verify.CHECK_DEGREE]
     _perturb_largest(model, ladder._generator_table, ("forward",), degrees, 1.0 + 1e-8)
     result = verify.reconstruction_suite(model)
     assert not result.passed
@@ -462,7 +462,7 @@ def _poison_table(build, *args):
 
     def poison(monkeypatch, model):
         args_ = [model.prune_eps if a is None else a for a in args]
-        src, weight = ladder._cached(model, build, *args_, spectral.CHECK_DEGREE)
+        src, weight = ladder._cached(model, build, *args_, verify.CHECK_DEGREE)
         weight[tuple(np.argwhere(src >= 0)[-1])] = np.nan
 
     return poison
