@@ -121,14 +121,29 @@ class GaussianDensity:
             raise DimensionMismatchError(
                 f"points must have shape (P, {self.dim}), got {pts.shape}"
             )
+        z = np.empty((self.dim, pts.shape[0]))
+        density = np.empty(pts.shape[0])
+        self._whiten_into(pts, z, density)
+        return z, density
+
+    def _whiten_into(self, pts, z, density):
+        """``whitened`` of the float rows ``pts`` (P, dim), written into the
+        caller's C-contiguous buffers ``z`` (dim, P) and ``density`` (P,).
+
+        Only a non-zero mean allocates, for x - mean.  The NaN rule tests
+        |z|^2, held in ``density`` before the exponential overwrites it,
+        because the exponential turns an infinite |z|^2 into a density of 0.
+        """
         # A non-finite or overflowing row is handled below, not warned about.
         with np.errstate(over="ignore", invalid="ignore"):
-            z = self.whitener.T @ (pts - self.mean if self.mean.any() else pts).T
-            q = np.einsum("ip,ip->p", z, z)
-        density = np.exp(self.log_norm - 0.5 * q)
-        if not np.all(np.isfinite(q)):
+            np.matmul(self.whitener.T, (pts - self.mean if self.mean.any() else pts).T, out=z)
+            np.einsum("ip,ip->p", z, z, out=density)
+        finite = np.isfinite(density).all()
+        np.multiply(density, 0.5, out=density)
+        np.subtract(self.log_norm, density, out=density)
+        np.exp(density, out=density)
+        if not finite:
             density[~np.all(np.isfinite(pts), axis=1)] = np.nan
-        return z, density
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,11 +1,12 @@
 """Hot numeric kernels: Euler-Maruyama stepping and polynomial grid evaluation.
 
 Both kernels are vectorized numpy: ``em_paths`` over paths and
-``eval_poly_grid`` over grid points.  Spectral propagation no longer
-calls ``eval_poly_grid``: ``spectral`` evaluates every mode on the grid
-by its three-term recursion.  The kernel stays as the term-array
-evaluator that the tests use as a reference and that the ``perfbench``
-trace binds by name.
+``eval_poly_grid`` over grid points.  Spectral propagation does not call
+``eval_poly_grid``: ``spectral`` evaluates the Hermite closed form of the
+eigenfunctions in the whitened coordinates of f0, as real monomials
+built block by block.  The kernel stays as the term-array evaluator that
+the tests use as a reference and that the ``perfbench`` trace binds by
+name.
 
 Randomness is a counter-style splitmix64 generator with one stream per
 path.  Path ``p`` (counting from 0) has the base state

@@ -397,11 +397,12 @@ def _eigenblock(model, side, order):
 
 
 def _eigenfunction(model, side, K):
-    """Row K of its ``_eigenblock``, as an ``MPoly``."""
+    """Row K of its ``_eigenblock``, as an ``MPoly`` that views the row:
+    the block is read-only and already pruned at ``model.prune_eps``."""
     K = _check_multi_index(model, K)
     idx = graded_index(model.dim, sum(K))
     row = _cached(model, _eigenblock, side, sum(K))[idx.row[K] - idx.degree(sum(K)).start]
-    return MPoly.from_coeffs(model.dim, row, model.prune_eps)
+    return MPoly._pruned(model.dim, row, model.prune_eps)
 
 
 def forward_eigenfunction(model, K):

@@ -141,7 +141,18 @@ class MPoly:
         eps = DEFAULT_PRUNE_EPS if prune_eps is None else float(prune_eps)
         if not 0.0 <= eps < math.inf:
             raise ValueError(f"prune_eps must be finite and nonnegative, got {eps}")
-        c = prune(np.array(coeffs, dtype=np.complex128), eps)
+        self._trim(nvars, prune(np.array(coeffs, dtype=np.complex128), eps), eps)
+
+    @classmethod
+    def _pruned(cls, nvars, coeffs, prune_eps):
+        """``from_coeffs`` of a complex vector already pruned at the valid
+        threshold ``prune_eps``, without the copy and the second prune: the
+        polynomial keeps a view of ``coeffs``, which must stay unchanged."""
+        self = object.__new__(cls)
+        self._trim(nvars, coeffs, prune_eps)
+        return self
+
+    def _trim(self, nvars, c, eps):
         nz = c.nonzero()[0]
         degree = _degree_of_row(nvars, nz[-1]) if nz.size else -1
         size = _rows(nvars, degree)

@@ -61,8 +61,8 @@ from .monomials import graded_index
 from .mpoly import MPoly, hermite_products
 from .verify import reconstruct_operators_check  # noqa: F401, the name perfbench/layers.py binds
 
-# Points per block of grid evaluation; the work array holds every mode
-# over one block, never over the whole grid.
+# Points per block of grid evaluation; the work buffers hold every
+# monomial over one block, never over the whole grid.
 GRID_CHUNK = 4096
 
 
@@ -171,9 +171,10 @@ def evaluate_grid_complex(expansion, points, t):
     and each p_K is a row of monomial coefficients (``_grid_tables``,
     built once per model and order).  So the sum is one real vector pair
     b = w(t) T, split into real and imaginary parts, against the real
-    monomials z^a, which are built one block of at most ``GRID_CHUNK``
-    points at a time.  Raises ``ValueError`` naming the first point that
-    is not finite, and ``NonFiniteResultError`` when a value overflows.
+    monomials z^a, which ``_fill_grid`` builds one block of at most
+    ``GRID_CHUNK`` points at a time in buffers allocated once per call.
+    Raises ``ValueError`` naming the first point that is not finite, and
+    ``NonFiniteResultError`` when a value overflows.
     """
     _check_time(t)
     model = expansion.model
@@ -189,16 +190,7 @@ def evaluate_grid_complex(expansion, points, t):
     # An overflow is reported by the check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         b = (coeffs / norm * np.exp(lam * t)) @ T
-        B2 = np.stack([b.real, b.imag])
-        for lo in range(0, pts.shape[0], GRID_CHUNK):
-            z, f0 = model.f0.whitened(pts[lo : lo + GRID_CHUNK])
-            X = np.empty((len(idx.modes), len(f0)))
-            X[0] = 1.0
-            for k, (p, I, _) in enumerate(idx.steps, 1):
-                np.multiply(z[I], X[p], out=X[k])
-            re, im = B2 @ X
-            np.multiply(re, f0, out=out.real[lo : lo + len(f0)])
-            np.multiply(im, f0, out=out.imag[lo : lo + len(f0)])
+        _fill_grid(model.f0, idx.steps, np.stack([b.real, b.imag]), pts, out)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         check_finite_rows(pts)
@@ -207,6 +199,35 @@ def evaluate_grid_complex(expansion, points, t):
             "a mode value or weight overflowed"
         )
     return out
+
+
+def _fill_grid(f0, steps, B2, pts, out):
+    """Write f0(x) (B2[0] + i B2[1]) . z^a into ``out`` for each row x of
+    ``pts``, with z^a the monomials of the whitened coordinates of f0 in
+    ``graded_index`` rows, built along the index's ``steps``.
+
+    Each block of at most ``GRID_CHUNK`` points fills the same three
+    buffers, sized to one block: the monomials, z and the density.  A
+    short last block fills a contiguous prefix of each, so every product
+    has the shapes and memory layout it has on a full block.  The buffers
+    die on return, so they are not held through the caller's pass over
+    the whole of ``out``.
+    """
+    n, R = f0.dim, B2.shape[1]
+    size = min(pts.shape[0], GRID_CHUNK)
+    X_buf, z_buf, f_buf = np.empty(R * size), np.empty(n * size), np.empty(size)
+    for lo in range(0, pts.shape[0], GRID_CHUNK):
+        block = pts[lo : lo + GRID_CHUNK]
+        m = block.shape[0]
+        z, f = z_buf[: n * m].reshape(n, m), f_buf[:m]
+        f0._whiten_into(block, z, f)
+        X = X_buf[: R * m].reshape(R, m)
+        X[0] = 1.0
+        for k, (p, I, _) in enumerate(steps, 1):
+            np.multiply(z[I], X[p], out=X[k])
+        re, im = B2 @ X
+        np.multiply(re, f, out=out.real[lo : lo + m])
+        np.multiply(im, f, out=out.imag[lo : lo + m])
 
 
 def exact_gaussian_propagate(model, F0, t):

@@ -226,6 +226,27 @@ def test_eigenfunction_memoized(model_spiral, monkeypatch):
     assert all(model_spiral._op_cache[key] is value for key, value in cache.items())
 
 
+@pytest.mark.parametrize("c", [1.0, 1e4])
+def test_eigenfunction_read_is_from_coeffs_of_its_row(four_models, c):
+    # A read views its row of the pruned block; it must be the polynomial
+    # that from_coeffs builds from the row, trimmed to the same degree.
+    # At c = 1e4 (B times c^2) the top degrees prune away and trim.
+    for name, model in four_models.items():
+        model = ou.build_model(model.A, model.B * c**2)
+        idx = graded_index(model.dim, 6)
+        for side in ("forward", "adjoint"):
+            for K in idx.modes:
+                k = sum(K)
+                block = ladder._cached(model, ladder._eigenblock, side, k)
+                row = block[idx.row[K] - idx.degree(k).start]
+                got = ladder._eigenfunction(model, side, K)
+                want = MPoly.from_coeffs(model.dim, row, model.prune_eps)
+                assert np.array_equal(got.coeffs, want.coeffs), (name, side, K)
+                assert got.degree() == want.degree(), (name, side, K)
+                assert got.prune_eps == want.prune_eps
+                assert not got.coeffs.flags.writeable
+
+
 def test_eigenfunction_polynomial_degree(model_diag):
     for K in [(1, 0), (2, 1), (3, 3)]:
         f = ou.forward_eigenfunction(model_diag, K)

@@ -336,11 +336,21 @@ def test_grid_table_rows_are_the_forward_eigenfunctions(four_models):
             assert norm[k] == ou.mode_normalization(K)
 
 
-def test_grid_evaluation_memory_does_not_grow_with_points(model_3d):
-    F0 = ou.GaussianDensity(mean=[0.2, -0.1, 0.3], cov=0.7 * model_3d.Sigma)
-    ex = ou.expand_gaussian(model_3d, F0, 5)
+A_4D = np.diag([-1.0, -1.4, -1.8, -2.2]) + 0.3 * np.array(
+    [[0, 1, 0, -1], [-1, 0, 1, 0], [0, -1, 0, 1], [1, 0, -1, 0]]
+)
+B_4D = np.eye(4) + 0.2 * np.ones((4, 4))
+
+
+@pytest.mark.parametrize(
+    "n, order", [(3, 5), (4, 4)], ids=["n3-order5-R56", "n4-order4-R70"]
+)
+def test_grid_evaluation_memory_does_not_grow_with_points(model_3d, n, order):
+    model = model_3d if n == 3 else ou.build_model(A_4D, B_4D)
+    F0 = ou.GaussianDensity(mean=[0.2, -0.1, 0.3, 0.1][:n], cov=0.7 * model.Sigma)
+    ex = ou.expand_gaussian(model, F0, order)
     rng = np.random.default_rng(14)
-    grids = [rng.normal(size=(n, 3)) for n in (20000, 200000)]
+    grids = [rng.normal(size=(P, n)) for P in (20000, 200000)]
     transient = []
     tracemalloc.start()
     try:
@@ -355,10 +365,54 @@ def test_grid_evaluation_memory_does_not_grow_with_points(model_3d):
             del out
     finally:
         tracemalloc.stop()
-    # One block of 56 monomials is 1.8 MB; a whole-grid work array would
-    # add about 450 B per point, 81 MB between the two grids.
+    # One block of 56 or 70 monomials is 1.8 or 2.3 MB; a whole-grid work
+    # array would add at least 450 B per point, 81 MB between the grids.
     assert abs(transient[1] - transient[0]) <= 1024
     assert max(transient) <= 4 * 2**20
+
+
+def _reference_grid(expansion, pts, t):
+    """The block loop of grid evaluation with ``f0.whitened`` and a fresh
+    monomial array per block: the reference the buffered loop must equal
+    bit for bit."""
+    model = expansion.model
+    idx = graded_index(model.dim, expansion.max_order)
+    T, lam, norm = spectral._grid_tables(model, expansion.max_order)
+    coeffs = np.array([expansion.coeffs[K] for K in idx.modes])
+    out = np.empty(pts.shape[0], dtype=np.complex128)
+    b = (coeffs / norm * np.exp(lam * t)) @ T
+    B2 = np.stack([b.real, b.imag])
+    for lo in range(0, pts.shape[0], GRID_CHUNK):
+        z, f0 = model.f0.whitened(pts[lo : lo + GRID_CHUNK])
+        X = np.empty((len(idx.modes), len(f0)))
+        X[0] = 1.0
+        for k, (p, I, _) in enumerate(idx.steps, 1):
+            np.multiply(z[I], X[p], out=X[k])
+        re, im = B2 @ X
+        np.multiply(re, f0, out=out.real[lo : lo + len(f0)])
+        np.multiply(im, f0, out=out.imag[lo : lo + len(f0)])
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, c",
+    [(name, 1.0) for name in ("canonical_1d", "diag_2d", "spiral_2d", "random_3d")]
+    + [("random_3d", 1e-4), ("random_3d", 1e4)],
+)
+def test_buffered_grid_evaluation_is_the_reference_loop(name, c):
+    # The buffers are reused across blocks and a short block fills their
+    # prefix; neither may change a bit of any value.
+    cfg = cli.load_config(str(CONFIGS / f"{name}.json"))
+    model = ou.build_model(cfg.A, cfg.B * c**2)
+    root = np.linalg.cholesky(model.Sigma)
+    rng = np.random.default_rng(21)
+    F0 = ou.GaussianDensity(mean=0.3 * root @ rng.normal(size=model.dim), cov=0.7 * model.Sigma)
+    ex = ou.expand_gaussian(model, F0, cfg.max_order)
+    for P in (1, GRID_CHUNK - 1, GRID_CHUNK, GRID_CHUNK + 1, 3 * GRID_CHUNK + 17):
+        pts = 1.5 * rng.normal(size=(P, model.dim)) @ root.T
+        for t in (0.0, 0.4):
+            got = ou.evaluate_grid_complex(ex, pts, t)
+            assert np.array_equal(got, _reference_grid(ex, pts, t)), (P, t)
 
 
 def test_grid_chunks_are_invisible(model_3d):
