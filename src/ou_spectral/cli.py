@@ -83,6 +83,11 @@ def _vector(x, field, n):
     return np.array([_number(v, field) for v in x], dtype=float)
 
 
+def _check_grid(points, n):
+    if points**n > 200_000:
+        _fail("propagate.grid.points", f"{points}^{n} grid points is too many")
+
+
 def _matrix(x, field, n):
     if not isinstance(x, list) or len(x) != n:
         _fail(field, f"expected a {n}x{n} matrix as {n} row arrays")
@@ -178,8 +183,7 @@ class ModelConfig:
             )
             if self.grid_lo >= self.grid_hi:
                 _fail("propagate.grid", "lo must be below hi")
-            if self.grid_points**n > 200_000:
-                _fail("propagate.grid.points", f"{self.grid_points}^{n} grid points is too many")
+            _check_grid(self.grid_points, n)
 
         self.source = None
         if raw.get("source") is not None:
@@ -278,6 +282,9 @@ def _write_csv(path, header, rows):
 
 
 def _grid_points(cfg):
+    # The default grid is checked here, as the grid of a propagate block is
+    # at load: other commands never build it.
+    _check_grid(cfg.grid_points, cfg.dimension)
     axes = [np.linspace(cfg.grid_lo, cfg.grid_hi, cfg.grid_points)] * cfg.dimension
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
@@ -360,10 +367,10 @@ def cmd_verify(cfg, args):
 
 
 def cmd_propagate(cfg, args):
+    points = _grid_points(cfg)
     model = _build(cfg)
     F0 = _initial_density(cfg, model)
     expansion = expand_gaussian(model, F0, cfg.max_order)
-    points = _grid_points(cfg)
     results = []
     for t in cfg.times:
         vals = evaluate_grid_complex(expansion, points, t)

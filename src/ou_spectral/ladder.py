@@ -21,8 +21,12 @@ one gather: row r of the image sums weighted coefficients of p read
 through the shift tables of ``monomials.graded_index``.  Its table
 (``generator_table`` for L and its adjoint, which the solve of
 ``spectral`` reads too) depends only on the model, the mode, the
-``prune_eps`` and the degree of the input, so each is built once per
-model and kept in ``model._op_cache``.  Scattered into a matrix
+``prune_eps`` and a degree, so each is built once per model and kept in
+``model._op_cache``.  The operators on one polynomial and the raising
+of the eigenfunctions read the table of the input's degree.  The table
+of a lower degree is the first rows of a higher one, with the reads
+above its degree masked, so ``verify`` reads one table per operator and
+takes each degree from its first rows.  Scattered into a matrix
 (``_block``), a table is the operator on every polynomial of its
 degree at once, as the solve of ``spectral`` and the ``verify``
 identities read it.  The eigenfunctions of one side and order are one
@@ -60,8 +64,8 @@ class OUModel:
     it is applied in the frame of f0 as the generator with drift
     Sigma A^T Sigma^-1.  One cache on the instance, ``_op_cache``, holds
     the eigenfunction blocks, per side and order, and the tables (the
-    gather table of every operator, per mode, ``prune_eps`` and input
-    degree, the grid-evaluation tables of ``spectral``, per order, and
+    gather table of every operator, per mode, ``prune_eps`` and degree,
+    the grid-evaluation tables of ``spectral``, per order, and
     the Hermite closed forms of ``hermite_form``, per side and order);
     treat everything returned from it as immutable.
     """
@@ -292,10 +296,10 @@ def _apply_table(model, build, args, p):
 
 def _block(src, weight, cols):
     """The matrix of the gathers (src, weight) of a table on the source
-    rows ``cols``, a slice holding every src they read.  Each entry sums
-    its terms in slot order."""
+    rows ``cols``, a slice; the reads of other rows are dropped.  Each
+    entry sums its terms in slot order."""
     out = np.zeros((src.shape[1], cols.stop - cols.start), dtype=weight.dtype)
-    slot, row = np.nonzero(src >= 0)
+    slot, row = np.nonzero((src >= cols.start) & (src < cols.stop))
     np.add.at(out, (row, src[slot, row] - cols.start), weight[slot, row])
     return out
 
@@ -398,11 +402,13 @@ def _eigenblock(model, side, order):
 
 def _eigenfunction(model, side, K):
     """Row K of its ``_eigenblock``, as an ``MPoly`` that views the row:
-    the block is read-only and already pruned at ``model.prune_eps``."""
+    the block is read-only and already pruned at ``model.prune_eps``, and
+    the row's degree is its order unless pruning emptied its top."""
     K = _check_multi_index(model, K)
-    idx = graded_index(model.dim, sum(K))
-    row = _cached(model, _eigenblock, side, sum(K))[idx.row[K] - idx.degree(sum(K)).start]
-    return MPoly._pruned(model.dim, row, model.prune_eps)
+    k = sum(K)
+    idx = graded_index(model.dim, k)
+    row = _cached(model, _eigenblock, side, k)[idx.row[K] - idx.degree(k).start]
+    return MPoly._pruned(model.dim, row, model.prune_eps, k)
 
 
 def forward_eigenfunction(model, K):

@@ -144,19 +144,28 @@ class MPoly:
         self._trim(nvars, prune(np.array(coeffs, dtype=np.complex128), eps), eps)
 
     @classmethod
-    def _pruned(cls, nvars, coeffs, prune_eps):
-        """``from_coeffs`` of a complex vector already pruned at the valid
-        threshold ``prune_eps``, without the copy and the second prune: the
-        polynomial keeps a view of ``coeffs``, which must stay unchanged."""
+    def _pruned(cls, nvars, coeffs, prune_eps, degree):
+        """``from_coeffs`` of a complex vector over the rows of ``degree``
+        or less, already pruned at the valid threshold ``prune_eps``,
+        without the copy and the second prune: the polynomial keeps a view
+        of ``coeffs``, which must stay unchanged.  Its degree is the highest
+        whose slice of ``coeffs`` holds a nonzero, tested from ``degree``
+        down, so a row that keeps its top degree costs one test."""
+        while degree >= 0:
+            if np.count_nonzero(coeffs[_rows(nvars, degree - 1) : _rows(nvars, degree)]):
+                break
+            degree -= 1
         self = object.__new__(cls)
-        self._trim(nvars, coeffs, prune_eps)
+        self._set(nvars, coeffs[: _rows(nvars, degree)], prune_eps, degree)
         return self
 
     def _trim(self, nvars, c, eps):
         nz = c.nonzero()[0]
         degree = _degree_of_row(nvars, nz[-1]) if nz.size else -1
         size = _rows(nvars, degree)
-        c = c[:size] if c.size >= size else _padded(c, size)
+        self._set(nvars, c[:size] if c.size >= size else _padded(c, size), eps, degree)
+
+    def _set(self, nvars, c, eps, degree):
         c.setflags(write=False)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "coeffs", c)

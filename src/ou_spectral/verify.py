@@ -3,12 +3,14 @@
 Each suite exercises one family of exact identities and reports its
 worst residual against a tolerance.  The CLI renders these; they are
 plain library code so they can also be driven programmatically.  Every
-check lives here, and no production module imports this one: the
-operator identities read the ladder's gather tables as matrices
-(``_matrix``), and the eigenfunction suites read its blocks.
+check lives here, and no production module imports this one.  The
+eigenfunction suites read the ladder's blocks.  The operator suites read
+one gather table per operator, at ``TABLE_DEGREE``: on a lower degree an
+operator is the first rows of that table (``_prefix``), which gather a
+stack of polynomials (``_image``) or scatter into its matrix once
+(``_operator``).
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -26,7 +28,7 @@ from .ladder import (
     mode_normalization,
 )
 from .monomials import enumerate_modes, graded_index
-from .mpoly import MPoly, _diff, fold_worst, prune
+from .mpoly import MPoly, _diff, _padded, _rows, fold_worst, prune
 
 
 @dataclass
@@ -53,6 +55,12 @@ class VerifyReport:
 # Degree up to which the commutator and reconstruction identities are
 # checked, on every polynomial: C(n + 5, n) basis polynomials.
 CHECK_DEGREE = 5
+# The one degree of the gather table that verify reads for each operator:
+# the commutators apply L and the lowering operators one degree above
+# CHECK_DEGREE, and the eigen-residual and ladder suites check orders up
+# to it.  An operator on a lower degree is read from the first rows of
+# that table (``_prefix``).
+TABLE_DEGREE = CHECK_DEGREE + 1
 
 
 def battery_polynomials(nvars, count=20, max_degree=5, seed=20240817):
@@ -88,24 +96,52 @@ class OperatorIdentityReport:
         return reduce(fold_worst, self.residuals.values(), 0.0)
 
 
-def _matrix(model, build, args, degree, rows):
-    """The matrix of the table ``build(model, *args, degree)``, cached on
-    the model, padded with zero rows to ``rows``: the operator on every
-    polynomial of ``degree`` or less, column j acting on the j-th
-    monomial of ``graded_index``.  A raising table whose linear weights
-    are all dropped has the rows of ``degree - 1`` only."""
-    src, weight = _cached(model, build, *args, degree)
-    cols = math.comb(degree + model.dim, model.dim)
-    out = np.zeros((rows, cols), dtype=weight.dtype)
-    out[: src.shape[1]] = _block(src, weight, slice(0, cols))
+def _prefix(model, build, args, degree):
+    """The gather table ``build(model, *args, degree)`` as the first rows
+    of the one table of the operator that verify reads, at
+    ``TABLE_DEGREE`` and cached on the model.
+
+    The rows may read coefficients above ``degree``, which the table of
+    ``degree`` masks; on an input that is zero there, w 0 in place of
+    0 0 changes only the sign of an exact zero."""
+    if degree > TABLE_DEGREE:
+        raise ValueError(f"verify reads operators up to degree {TABLE_DEGREE}, not {degree}")
+    n = model.dim
+    src, weight = _cached(model, build, *args, TABLE_DEGREE)
+    # L keeps the degree and a lowering lowers it; a raising raises it,
+    # or lowers it when its linear weights are all dropped.
+    shift = next(s for s in (-1, 0, 1) if src.shape[1] == _rows(n, TABLE_DEGREE + s))
+    size = _rows(n, degree + shift)
+    return src[:, :size], weight[:, :size]
+
+
+def _image(model, build, args, degree, c):
+    """The gathers (``ladder._gather``) of the operator on the
+    polynomials of ``degree`` or less (``_prefix``) on each coefficient
+    vector along the last axis of c, zero-padded to the table's source
+    length."""
+    src, weight = _prefix(model, build, args, degree)
+    return _gather(src, weight, _padded(c, _rows(model.dim, TABLE_DEGREE)))
+
+
+def _operator(model, build, args, degree, rows):
+    """The matrix of the operator on every polynomial of ``degree`` or
+    less, column j acting on the j-th monomial of ``graded_index``,
+    padded with zero rows to ``rows``: its ``_prefix`` scattered once
+    (``ladder._block``), the reads above ``degree`` dropped.  On a lower
+    degree the operator is a leading sub-block of this matrix."""
+    src, weight = _prefix(model, build, args, degree)
+    out = _block(src, weight, slice(0, _rows(model.dim, degree)))
+    if len(out) < rows:
+        out = np.concatenate([out, np.zeros((rows - len(out), out.shape[1]), out.dtype)])
     return out
 
 
-def _ladder_matrices(model, op, degree, rows):
-    """The matrices (``_matrix``) of the ladder operator ``op`` of
+def _ladders(model, op, degree, rows):
+    """The matrices (``_operator``) of the ladder operator ``op`` of
     every mode on ``degree``, padded to ``rows``."""
     args = [(op, I, model.prune_eps) for I in range(model.dim)]
-    return [_matrix(model, _ladder_table, a, degree, rows) for a in args]
+    return [_operator(model, _ladder_table, a, degree, rows) for a in args]
 
 
 def _column_worst(lhs, rhs, scale):
@@ -128,12 +164,13 @@ def reconstruct_operators_check(model, tol=1e-9):
     * adjoint   as the conjugate-weighted mirror of the same sum
 
     Each identity is one between operator matrices on the polynomials of
-    degree up to ``CHECK_DEGREE`` (``_matrix``), so it holds on
+    degree up to ``CHECK_DEGREE`` (``_operator``), so it holds on
     every basis polynomial; column j, the residual on the j-th, is
-    relative to the larger column maximum of its two sides and 1.
+    relative to the larger column maximum of its two sides and 1.  Each
+    operator is scattered once, on that degree.
     """
     n, d = model.dim, CHECK_DEGREE
-    rows = [math.comb(k + n, n) for k in (d - 1, d, d + 1)]
+    rows = [_rows(n, k) for k in (d - 1, d, d + 1)]
     E = model.eig.right
     W = model.eig.left
     lams = model.eig.values
@@ -148,14 +185,22 @@ def reconstruct_operators_check(model, tol=1e-9):
         colmax = np.fmax(np.abs(lhs).max(axis=0), np.abs(rhs).max(axis=0))
         worst[name] = fold_worst(worst[name], _column_worst(lhs, rhs, np.fmax(colmax, 1.0)))
 
-    lows = _ladder_matrices(model, "lower_adjoint", d, rows[0])
+    def evolution(side, lam):
+        # Raising on degree d - 1 is a leading sub-block of raising on d.
+        raised = _ladders(model, f"raise_{side}", d, rows[2])
+        lowered = _ladders(model, f"lower_{side}", d, rows[0])
+        rhs = sum(0.5 * lam[I] * (raised[I][: rows[1], : rows[0]] @ lowered[I]) for I in range(n))
+        fold(side, _operator(model, _generator_table, (side,), d, rows[1]), rhs)
+        return raised, lowered
+
     idx = graded_index(n, d + 1)
     cols = np.arange(rows[1])
     # inf - inf is NaN, which the fold keeps.
     with np.errstate(invalid="ignore"):
+        evolution("forward", lams)
+        shifted, lows = evolution("adjoint", np.conj(lams))
         # Raising terms of the position identity with their lowering
-        # correction; neither depends on the axis i.
-        shifted = _ladder_matrices(model, "raise_adjoint", d, rows[2])
+        # correction, added in place; neither depends on the axis i.
         for I in range(n):
             shifted[I][: rows[0]] += sum(2.0 * G[I, J] * lows[J] for J in range(n))
         for i in range(n):
@@ -164,11 +209,6 @@ def reconstruct_operators_check(model, tol=1e-9):
             times_x = np.zeros((rows[2], rows[1]))
             times_x[idx.up[i, cols], cols] = 1.0
             fold("position", times_x, sum(0.5 * Ec[i, I] * shifted[I] for I in range(n)))
-        for side, lam in (("forward", lams), ("adjoint", np.conj(lams))):
-            raised = _ladder_matrices(model, f"raise_{side}", d - 1, rows[1])
-            lowered = _ladder_matrices(model, f"lower_{side}", d, rows[0])
-            rhs = sum(0.5 * lam[I] * (raised[I] @ lowered[I]) for I in range(n))
-            fold(side, _matrix(model, _generator_table, (side,), d, rows[1]), rhs)
 
     return OperatorIdentityReport(residuals=worst, tol=tol, basis_size=rows[1])
 
@@ -213,9 +253,9 @@ def biorthogonality_suite(model, max_order, tol=1e-8):
 def eigen_residual_suite(model, max_order, tol=1e-8):
     """Forward and adjoint eigen-equations, relative coefficient residuals.
 
-    Each order is one gather of the generator table over its block,
-    against lambda_K times row K; each row's residual is relative to its
-    largest coefficient and 1.
+    Each side is one gather of the generator (``_image``) over its
+    stacked eigenfunctions (``_stacked``), against lambda_K times row K;
+    each row's residual is relative to its largest coefficient and 1.
     """
     idx = graded_index(model.dim, max_order)
     eps = model.prune_eps
@@ -223,25 +263,25 @@ def eigen_residual_suite(model, max_order, tol=1e-8):
     # inf - inf is NaN, which the fold keeps.
     with np.errstate(invalid="ignore"):
         for side, lams in (("forward", model.eig.values), ("adjoint", np.conj(model.eig.values))):
-            for k in range(max_order + 1):
-                block = _cached(model, _eigenblock, side, k)
-                lam = (idx.exponents[idx.degree(k)] * lams).sum(axis=1)
-                image = _gather(*_cached(model, _generator_table, side, k), block)
-                resid = np.abs(prune(image, eps) - prune(block * lam[:, None], eps))
-                scale = np.fmax(np.abs(block).max(axis=1), 1.0)
-                worst = fold_worst(worst, float(np.max(resid.max(axis=1) / scale)))
+            stacked = _stacked(model, side, max_order)
+            lam = (idx.exponents * lams).sum(axis=1)
+            image = _image(model, _generator_table, (side,), max_order, stacked)
+            resid = np.abs(prune(image, eps) - prune(stacked * lam[:, None], eps))
+            scale = np.fmax(np.abs(stacked).max(axis=1), 1.0)
+            worst = fold_worst(worst, float(np.max(resid.max(axis=1) / scale)))
     return SuiteResult("eigen-residuals", worst, tol)
 
 
-def ladder_suite(model, n_max=6, tol=1e-10):
+def ladder_suite(model, n_max=TABLE_DEGREE, tol=1e-10):
     """Repeated lowering against the exact factorial ladder factors.
 
     k-fold lowering of the order-m single-mode eigenfunction must equal
     2^k m!/(m-k)! times the order-(m-k) one, and annihilate it for k > m.
     The single-mode rows of one axis are lowered together, one gather of
-    its lowering table per step, pruned after each step as ``MPoly``
-    prunes.  A row's residual is relative to its factor times the largest
-    coefficient of its reference and 1, and past the bottom to 2^m m!.
+    its lowering operator per step (``_image``), pruned after each step
+    as ``MPoly`` prunes.  A row's residual is relative to its factor
+    times the largest coefficient of its reference and 1, and past the
+    bottom to 2^m m!.
     """
     exps, eps = graded_index(model.dim, n_max).exponents, model.prune_eps
     norms = np.array([mode_normalization((m,)) for m in range(n_max + 1)])
@@ -253,9 +293,9 @@ def ladder_suite(model, n_max=6, tol=1e-10):
             for I in range(model.dim):
                 # Row m holds the eigenfunction of m e_I, m = 0..n_max.
                 rows = single = stacked[exps[:, I] == exps.sum(axis=1)]
+                args = (f"lower_{side}", I, eps)
                 for k in range(1, n_max + 2):
-                    table = _cached(model, _ladder_table, f"lower_{side}", I, eps, n_max + 1 - k)
-                    rows = prune(_gather(*table, rows), eps)
+                    rows = prune(_image(model, _ladder_table, args, n_max + 1 - k, rows), eps)
                     factor = norms[k:] / norms[: n_max + 1 - k]
                     ref = single[: n_max + 1 - k, : rows.shape[1]]
                     target = prune(ref * factor[:, None], eps)
@@ -273,33 +313,34 @@ def commutator_suite(model, tol=1e-9):
     [L, V_I] = lambda_I V_I on the forward side, the conjugate relation
     on the adjoint side, and the cross relations between opposite
     lowering and raising families equal to twice the identity, on the
-    polynomials of degree up to ``CHECK_DEGREE``.  An operator on degree
-    k is the matrix of its gather table at degree k (``_matrix``),
-    and products compose with ``@``, so each relation holds on every
-    basis polynomial.  Column j of a residual acts on the j-th; it is
-    relative to the column maximum of V_I e_j and 1 for the commutators,
-    and absolute for the cross relations, as e_j has coefficients of 1.
+    polynomials of degree up to ``CHECK_DEGREE``.  Each operator is the
+    matrix of its gather table (``_operator``), scattered once on the
+    highest degree it acts on, one above the check degree for L and the
+    lowering operators; on a lower degree it is a leading sub-block.
+    Products compose with ``@``, so each relation holds on every basis
+    polynomial.  Column j of a residual acts on the j-th; it is relative
+    to the column maximum of V_I e_j and 1 for the commutators, and
+    absolute for the cross relations, as e_j has coefficients of 1.
     """
     n, d = model.dim, CHECK_DEGREE
-    rows = [math.comb(k + n, n) for k in (d - 1, d, d + 1)]
+    rows = [_rows(n, k) for k in (d - 1, d, d + 1)]
     worst = 0.0
 
     # inf - inf is NaN, which the fold keeps.
     with np.errstate(invalid="ignore"):
         for side, lams in (("forward", model.eig.values), ("adjoint", np.conj(model.eig.values))):
-            gen = _matrix(model, _generator_table, (side,), d, rows[1])
-            gen_up = _matrix(model, _generator_table, (side,), d + 1, rows[2])
-            raised = _ladder_matrices(model, f"raise_{side}", d, rows[2])
-            raised_down = _ladder_matrices(model, f"raise_{side}", d - 1, rows[1])
-            lowered = _ladder_matrices(model, f"lower_{side}", d, rows[0])
-            lowered_up = _ladder_matrices(model, f"lower_{side}", d + 1, rows[1])
+            gen_up = _operator(model, _generator_table, (side,), d + 1, rows[2])
+            gen = gen_up[: rows[1], : rows[1]]
+            raised = _ladders(model, f"raise_{side}", d, rows[2])
+            lowered_up = _ladders(model, f"lower_{side}", d + 1, rows[1])
             for I in range(n):
                 R = raised[I]
                 scale = np.fmax(np.abs(R).max(axis=0), 1.0)
                 lhs = gen_up @ R - R @ gen
                 worst = fold_worst(worst, _column_worst(lhs, lams[I] * R, scale))
                 for J in range(n):
-                    lhs = lowered_up[J] @ R - raised_down[I] @ lowered[J]
+                    lowered = lowered_up[J][: rows[0], : rows[1]]
+                    lhs = lowered_up[J] @ R - R[: rows[1], : rows[0]] @ lowered
                     target = 2.0 * np.eye(rows[1]) if I == J else 0.0
                     worst = fold_worst(worst, _column_worst(lhs, target, 1.0))
     return SuiteResult("commutators", worst, tol)
@@ -334,8 +375,8 @@ def run_all(model, max_order, residual_tol=1e-8):
     a suite has no tighter inherent requirement."""
     suites = [
         biorthogonality_suite(model, max_order, tol=residual_tol),
-        eigen_residual_suite(model, min(max_order, 6), tol=residual_tol),
-        ladder_suite(model, n_max=min(max_order, 6)),
+        eigen_residual_suite(model, min(max_order, TABLE_DEGREE), tol=residual_tol),
+        ladder_suite(model, n_max=min(max_order, TABLE_DEGREE)),
         commutator_suite(model),
         hermite_suite(model, max_order=min(max_order, 5)),
         reconstruction_suite(model),

@@ -109,6 +109,57 @@ def test_grid_size_cap(tmp_path):
         cli.load_config(path)
 
 
+def _five_dim_config(tmp_path, **overrides):
+    eye = np.eye(5).tolist()
+    return write_config(
+        tmp_path,
+        dimension=5,
+        A=(-np.diag([1.0, 1.5, 2.0, 2.5, 3.0])).tolist(),
+        B=eye,
+        max_order=2,
+        **overrides,
+    )
+
+
+def test_default_grid_over_the_cap_fails_propagate_without_building_it(
+    tmp_path, capsys, monkeypatch
+):
+    # Without a propagate block, a 5-D config takes the default 21 points
+    # per axis: 21^5 = 4 084 101 points, over the cap that a block with the
+    # same grid meets at load.
+    path = _five_dim_config(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(cli.np, "meshgrid", refuse)
+    out_json = tmp_path / "prop.json"
+    assert cli.main(["propagate", path, "--json", str(out_json)]) == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err and "propagate.grid.points" in err and "too many" in err
+    assert not out_json.exists()
+
+
+def test_default_grid_over_the_cap_leaves_the_other_commands(tmp_path, capsys):
+    path = _five_dim_config(
+        tmp_path,
+        sim={"paths": 50, "dt": 0.05, "t_final": 0.2, "seed": 3},
+        source={"terms": [[[1, 0, 0, 0, 0], [1.0, 0.0]]]},
+    )
+    for command in ("verify", "eigensystem", "solve", "mc-check"):
+        assert cli.main([command, path]) == 0, command
+    capsys.readouterr()
+
+
+def test_default_grid_of_four_dimensions_is_unchanged(tmp_path):
+    # 21^4 = 194 481 points, under the cap.
+    eye = np.eye(4).tolist()
+    path = write_config(tmp_path, dimension=4, A=(-np.eye(4)).tolist(), B=eye)
+    cfg = cli.load_config(path)
+    assert cfg.grid_points == 21
+    assert cli._grid_points(cfg).shape == (21**4, 4)
+
+
 # ---- exit codes ----
 
 

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import ou_spectral as ou
-from ou_spectral import errors, ladder, verify
+from ou_spectral import errors, ladder, mpoly, verify
 from ou_spectral.monomials import graded_index
 from ou_spectral.mpoly import MPoly, hermite
 
@@ -247,6 +247,34 @@ def test_eigenfunction_read_is_from_coeffs_of_its_row(four_models, c):
                 assert not got.coeffs.flags.writeable
 
 
+@pytest.mark.parametrize("c", [1.0, 1e4])
+def test_warm_eigenfunction_read_does_not_rescan_its_row(four_models, c, monkeypatch):
+    # A warm read finds the degree of its row from the row's degree
+    # slices, top first, without mpoly._degree_of_row.  At c = 1e4 (B
+    # times c^2) the top degrees of some rows prune away.
+    reads = []
+    for name, model in four_models.items():
+        model = ou.build_model(model.A, model.B * c**2)
+        idx = graded_index(model.dim, 6)
+        for side in ("forward", "adjoint"):
+            for K in idx.modes:
+                k = sum(K)
+                block = ladder._cached(model, ladder._eigenblock, side, k)
+                row = block[idx.row[K] - idx.degree(k).start]
+                reads.append((model, side, K, MPoly.from_coeffs(model.dim, row, model.prune_eps)))
+
+    def refuse(*args):
+        raise AssertionError("a warm read rescanned its row")
+
+    monkeypatch.setattr(mpoly, "_degree_of_row", refuse)
+    for model, side, K, want in reads:
+        got = ladder._eigenfunction(model, side, K)
+        assert np.array_equal(got.coeffs, want.coeffs), (side, K)
+        assert got.degree() == want.degree(), (side, K)
+        assert got.prune_eps == want.prune_eps
+        assert not got.coeffs.flags.writeable
+
+
 def test_eigenfunction_polynomial_degree(model_diag):
     for K in [(1, 0), (2, 1), (3, 3)]:
         f = ou.forward_eigenfunction(model_diag, K)
@@ -328,6 +356,27 @@ def test_replaced_model_starts_with_empty_caches():
 LADDER_OPS = ("raise_forward", "raise_adjoint", "lower_forward", "lower_adjoint")
 TABLE_KINDS = {side: (ladder._generator_table, (side,)) for side in ("forward", "adjoint")}
 TABLE_KINDS.update({op: (ladder._ladder_table, (op, 0, 1e-13)) for op in LADDER_OPS})
+# At prune_eps 1e3 every linear weight of the raising is dropped, and its
+# table lowers the degree.
+TABLE_KINDS["raise_forward_dropped"] = (ladder._ladder_table, ("raise_forward", 0, 1e3))
+
+
+def _table_model(n):
+    rng = np.random.default_rng(n)
+    A = 0.5 * rng.standard_normal((n, n)) - 3.0 * np.eye(n)
+    L = rng.standard_normal((n, n))
+    return ou.build_model(A, L @ L.T + 0.2 * np.eye(n))
+
+
+def _matrix(model, build, args, degree, rows):
+    """The matrix of the table ``build(model, *args, degree)``, padded
+    with zero rows to ``rows``: the operator on every polynomial of
+    ``degree`` or less, read from the table of that degree."""
+    src, weight = ladder._cached(model, build, *args, degree)
+    cols = len(graded_index(model.dim, degree).modes)
+    out = np.zeros((rows, cols), dtype=weight.dtype)
+    out[: src.shape[1]] = ladder._block(src, weight, slice(0, cols))
+    return out
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -340,14 +389,33 @@ def test_stacked_gather_equals_one_polynomial_gathers(n, kind):
     # zero rows.  That its product with a coefficient vector is the
     # gather itself is checked in test_verify.
     build, args = TABLE_KINDS[kind]
-    rng = np.random.default_rng(n)
-    A = 0.5 * rng.standard_normal((n, n)) - 3.0 * np.eye(n)
-    L = rng.standard_normal((n, n))
-    model = ou.build_model(A, L @ L.T + 0.2 * np.eye(n))
+    model = _table_model(n)
     top = 4
     rows = [len(graded_index(n, k).modes) for k in range(top + 2)]
-    M = verify._matrix(model, build, args, top, rows[top + 1])
+    M = _matrix(model, build, args, top, rows[top + 1])
     for k in range(top + 1):
-        want = verify._matrix(model, build, args, k, rows[k + 1])
+        want = _matrix(model, build, args, k, rows[k + 1])
         npt.assert_array_equal(M[: rows[k + 1], : rows[k]], want, strict=True)
         assert not M[rows[k + 1] :, : rows[k]].any()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_gather_through_the_top_table_prefix_equals_the_degree_table(n, kind):
+    # verify reads every degree k from the first rows of one table at
+    # TABLE_DEGREE, on an input zero-padded to its source length: the
+    # gather of a random degree-k stack must equal, value for value, its
+    # gather through the table of degree k.  Only the sign of an exact
+    # zero may differ, which np.array_equal does not see.
+    build, args = TABLE_KINDS[kind]
+    model = _table_model(n)
+    rng = np.random.default_rng(100 + n)
+    for k in range(verify.TABLE_DEGREE + 1):
+        size = len(graded_index(n, k).modes)
+        stack = rng.standard_normal((5, size)) + 1j * rng.standard_normal((5, size))
+        src, weight = ladder._cached(model, build, *args, k)
+        assert verify._prefix(model, build, args, k)[0].shape == src.shape
+        want = ladder._gather(src, weight, stack)
+        got = verify._image(model, build, args, k, stack)
+        assert got.shape == want.shape, k
+        assert np.array_equal(got, want), k

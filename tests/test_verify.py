@@ -13,10 +13,13 @@ and ``run_all`` must call none of those operators.  The bi-orthogonality
 suite takes every pairing from one Gram matrix; each entry must match
 its own ``inner_product``, and a perturbed pair above order 4 must fail
 it.  A model whose Sigma misses the Lyapunov equation must fail
-``run_all``.
+``run_all``.  The operator suites read each operator from one table at
+``TABLE_DEGREE``; a test-local copy of the suites that read one table
+per input degree must give the same worst residuals and lines.
 """
 
 import dataclasses
+import functools
 import importlib
 import pathlib
 import pkgutil
@@ -46,7 +49,7 @@ from ou_spectral.ladder import (
     raise_forward,
 )
 from ou_spectral.monomials import enumerate_modes, graded_index
-from ou_spectral.mpoly import MPoly, coeff_distance
+from ou_spectral.mpoly import MPoly, _diff, coeff_distance, fold_worst, prune
 from ou_spectral.verify import battery_polynomials
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -200,7 +203,7 @@ def test_shared_images_match_direct_evaluation(name):
     for j, p in enumerate(polys):
         vectors[: p.coeffs.size, j] = p.coeffs
     for build, args in _tables(model):
-        images = verify._matrix(model, build, args, d, _rows(n, d + 1)) @ vectors
+        images = verify._operator(model, build, args, d, _rows(n, d + 1)) @ vectors
         for image, p in zip(images.T, polys):
             want = ladder._apply_table(model, build, args, p).coeffs
             gap = np.abs(image[: want.size] - want).max(initial=0.0)
@@ -208,22 +211,27 @@ def test_shared_images_match_direct_evaluation(name):
             assert np.abs(image[want.size :]).max(initial=0.0) < p.prune_eps
 
 
-def _perturb_largest(model, build, args, degrees, factor):
-    """Scale the largest weight of the cached table of each degree by
-    ``factor``."""
-    for degree in degrees:
-        _, weight = ladder._cached(model, build, *args, degree)
-        weight[np.unravel_index(np.argmax(np.abs(weight)), weight.shape)] *= factor
+def _perturb_largest(model, build, args, factor):
+    """Scale by ``factor`` the largest weight of the operator on degree
+    ``CHECK_DEGREE``, in every cached table that holds it: the table at
+    ``TABLE_DEGREE``, which the suites read, and the tables of lower
+    degree, which the per-polynomial references read."""
+    src, weight = ladder._cached(model, build, *args, verify.CHECK_DEGREE)
+    s, r = np.unravel_index(np.argmax(np.abs(weight)), weight.shape)
+    for degree in range(verify.TABLE_DEGREE + 1):
+        src_k, weight_k = ladder._cached(model, build, *args, degree)
+        if r < src_k.shape[1] and src_k[s, r] == src[s, r]:
+            weight_k[s, r] *= factor
 
 
 @pytest.mark.parametrize("name", ["spiral_2d", "random_3d"])
 def test_perturbed_raising_weight_fails_the_commutators(name):
-    # Each table read by the matrices and by the battery's gathers is
-    # perturbed; the matrix check reads at least what the battery reads.
+    # The one weight is perturbed in the table the matrices read and in
+    # each table the battery's gathers read; the matrix check reads at
+    # least what the battery reads.
     model, _ = _config_model(name)
     args = ("raise_forward", 0, model.prune_eps)
-    degrees = range(verify.CHECK_DEGREE + 2)
-    _perturb_largest(model, ladder._ladder_table, args, degrees, 1.0 + 1e-9)
+    _perturb_largest(model, ladder._ladder_table, args, 1.0 + 1e-9)
     result = verify.commutator_suite(model)
     assert not result.passed
     assert result.worst >= _reference_commutators(model)
@@ -233,8 +241,7 @@ def test_perturbed_raising_weight_fails_the_commutators(name):
 def test_perturbed_generator_weight_fails_the_reconstruction(name):
     # At 1 + 1e-9 the forward residual reads the tolerance itself.
     model, _ = _config_model(name)
-    degrees = [verify.CHECK_DEGREE]
-    _perturb_largest(model, ladder._generator_table, ("forward",), degrees, 1.0 + 1e-8)
+    _perturb_largest(model, ladder._generator_table, ("forward",), 1.0 + 1e-8)
     result = verify.reconstruction_suite(model)
     assert not result.passed
     assert result.worst >= max(_reference_reconstruction(model).values())
@@ -274,6 +281,184 @@ def test_run_all_checks_at_the_model_prune_eps():
     verify.run_all(model, max_order)
     eps = {key[3] for key in model._op_cache if key[0] is ladder._ladder_table}
     assert eps == {1e-10}
+
+
+# The per-degree suites that read one gather table per input degree, the
+# reference for the suites that read every degree from one table at
+# TABLE_DEGREE: the eigen-residuals, ladder factorials, commutators and
+# reconstruction, with their worst residuals and lines.
+
+
+def _degree_matrix(model, build, args, degree, rows):
+    src, weight = ladder._cached(model, build, *args, degree)
+    cols = _rows(model.dim, degree)
+    out = np.zeros((rows, cols), dtype=weight.dtype)
+    out[: src.shape[1]] = ladder._block(src, weight, slice(0, cols))
+    return out
+
+
+def _degree_ladders(model, op, degree, rows):
+    args = [(op, I, model.prune_eps) for I in range(model.dim)]
+    return [_degree_matrix(model, ladder._ladder_table, a, degree, rows) for a in args]
+
+
+def _sides(model):
+    return (("forward", model.eig.values), ("adjoint", np.conj(model.eig.values)))
+
+
+def _degree_eigen_residuals(model, max_order):
+    idx = graded_index(model.dim, max_order)
+    eps = model.prune_eps
+    worst = 0.0
+    with np.errstate(invalid="ignore"):
+        for side, lams in _sides(model):
+            for k in range(max_order + 1):
+                block = ladder._cached(model, ladder._eigenblock, side, k)
+                lam = (idx.exponents[idx.degree(k)] * lams).sum(axis=1)
+                table = ladder._cached(model, ladder._generator_table, side, k)
+                image = ladder._gather(*table, block)
+                resid = np.abs(prune(image, eps) - prune(block * lam[:, None], eps))
+                scale = np.fmax(np.abs(block).max(axis=1), 1.0)
+                worst = fold_worst(worst, float(np.max(resid.max(axis=1) / scale)))
+    return worst, []
+
+
+def _degree_ladder_factorials(model, n_max):
+    exps, eps = graded_index(model.dim, n_max).exponents, model.prune_eps
+    norms = np.array([mode_normalization((m,)) for m in range(n_max + 1)])
+    worst = 0.0
+    with np.errstate(invalid="ignore"):
+        for side, _ in _sides(model):
+            stacked = verify._stacked(model, side, n_max)
+            for I in range(model.dim):
+                rows = single = stacked[exps[:, I] == exps.sum(axis=1)]
+                for k in range(1, n_max + 2):
+                    op = f"lower_{side}"
+                    table = ladder._cached(model, ladder._ladder_table, op, I, eps, n_max + 1 - k)
+                    rows = prune(ladder._gather(*table, rows), eps)
+                    factor = norms[k:] / norms[: n_max + 1 - k]
+                    ref = single[: n_max + 1 - k, : rows.shape[1]]
+                    target = prune(ref * factor[:, None], eps)
+                    scale = factor * np.fmax(np.abs(ref).max(axis=1, initial=0.0), 1.0)
+                    d = np.abs(rows[k:] - target).max(axis=1, initial=0.0) / scale
+                    bottom = np.abs(rows[:k]).max(axis=1, initial=0.0) / norms[:k]
+                    worst = fold_worst(worst, float(np.max(np.concatenate([d, bottom]))))
+    return worst, []
+
+
+def _degree_commutators(model):
+    n, d = model.dim, verify.CHECK_DEGREE
+    rows = [_rows(n, k) for k in (d - 1, d, d + 1)]
+    gen_table = ladder._generator_table
+    worst = 0.0
+    with np.errstate(invalid="ignore"):
+        for side, lams in _sides(model):
+            gen = _degree_matrix(model, gen_table, (side,), d, rows[1])
+            gen_up = _degree_matrix(model, gen_table, (side,), d + 1, rows[2])
+            raised = _degree_ladders(model, f"raise_{side}", d, rows[2])
+            raised_down = _degree_ladders(model, f"raise_{side}", d - 1, rows[1])
+            lowered = _degree_ladders(model, f"lower_{side}", d, rows[0])
+            lowered_up = _degree_ladders(model, f"lower_{side}", d + 1, rows[1])
+            for I in range(n):
+                R = raised[I]
+                scale = np.fmax(np.abs(R).max(axis=0), 1.0)
+                lhs = gen_up @ R - R @ gen
+                worst = fold_worst(worst, verify._column_worst(lhs, lams[I] * R, scale))
+                for J in range(n):
+                    lhs = lowered_up[J] @ R - raised_down[I] @ lowered[J]
+                    target = 2.0 * np.eye(rows[1]) if I == J else 0.0
+                    worst = fold_worst(worst, verify._column_worst(lhs, target, 1.0))
+    return worst, []
+
+
+def _degree_reconstruction(model):
+    n, d = model.dim, verify.CHECK_DEGREE
+    rows = [_rows(n, k) for k in (d - 1, d, d + 1)]
+    Wc, Ec = np.conj(model.eig.left), np.conj(model.eig.right)
+    G = Wc @ model.Sigma @ Wc.T
+    worst = {"gradient": 0.0, "position": 0.0, "forward": 0.0, "adjoint": 0.0}
+
+    def fold(name, lhs, rhs):
+        colmax = np.fmax(np.abs(lhs).max(axis=0), np.abs(rhs).max(axis=0))
+        d = verify._column_worst(lhs, rhs, np.fmax(colmax, 1.0))
+        worst[name] = fold_worst(worst[name], d)
+
+    lows = _degree_ladders(model, "lower_adjoint", d, rows[0])
+    idx = graded_index(n, d + 1)
+    cols = np.arange(rows[1])
+    with np.errstate(invalid="ignore"):
+        shifted = _degree_ladders(model, "raise_adjoint", d, rows[2])
+        for I in range(n):
+            shifted[I][: rows[0]] += sum(2.0 * G[I, J] * lows[J] for J in range(n))
+        for i in range(n):
+            grad = _diff(np.eye(rows[1]), n, d, i).T
+            fold("gradient", grad, sum(Wc[I, i] * lows[I] for I in range(n)))
+            times_x = np.zeros((rows[2], rows[1]))
+            times_x[idx.up[i, cols], cols] = 1.0
+            fold("position", times_x, sum(0.5 * Ec[i, I] * shifted[I] for I in range(n)))
+        for side, lam in _sides(model):
+            raised = _degree_ladders(model, f"raise_{side}", d - 1, rows[1])
+            lowered = _degree_ladders(model, f"lower_{side}", d, rows[0])
+            rhs = sum(0.5 * lam[I] * (raised[I] @ lowered[I]) for I in range(n))
+            gen = _degree_matrix(model, ladder._generator_table, (side,), d, rows[1])
+            fold(side, gen, rhs)
+    lines = [f"{name}: {val:.3e}" for name, val in sorted(worst.items())]
+    return functools.reduce(fold_worst, worst.values(), 0.0), lines
+
+
+PER_DEGREE_SUITES = {
+    "eigen-residuals": lambda m, order: _degree_eigen_residuals(m, min(order, 6)),
+    "ladder-factorials": lambda m, order: _degree_ladder_factorials(m, min(order, 6)),
+    "commutators": lambda m, order: _degree_commutators(m),
+    "operator-reconstruction": lambda m, order: _degree_reconstruction(m),
+}
+
+REFERENCE_MODELS = dict(IMAGE_MODELS)
+for _name in CONFIG_NAMES:
+    REFERENCE_MODELS[_name] = functools.partial(_config_model, _name)
+    for _c in (1e-8, 1e4):
+        REFERENCE_MODELS[f"{_name}_c{_c:g}"] = functools.partial(_rescaled_config_model, _name, _c)
+# At c = 1e8 every linear weight of the forward raising is below
+# prune_eps and dropped: its table lowers the degree.
+REFERENCE_MODELS["random_3d_c1e8"] = functools.partial(_rescaled_config_model, "random_3d", 1e8)
+# Drift eigenvalues -40 and -0.5: moderately stiff.
+REFERENCE_MODELS["stiff_moderate_2d"] = lambda: build_model(
+    [[-40.0, 3.0], [0.0, -0.5]], [[1.0, 0.2], [0.2, 0.5]]
+)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_one_table_suites_equal_the_per_degree_suites(name):
+    got = REFERENCE_MODELS[name]()
+    model, max_order = got if isinstance(got, tuple) else (got, 6)
+    report = verify.run_all(model, max_order)
+    # One generator table per side and one lowering table per side and
+    # mode, all at TABLE_DEGREE.
+    sides = ("forward", "adjoint")
+    eps, top = model.prune_eps, verify.TABLE_DEGREE
+    gens = {key for key in model._op_cache if key[0] is ladder._generator_table}
+    assert gens == {(ladder._generator_table, s, top) for s in sides}
+    lows = {
+        key
+        for key in model._op_cache
+        if key[0] is ladder._ladder_table and key[1].startswith("lower_")
+    }
+    ops = [f"lower_{s}" for s in sides]
+    assert lows == {(ladder._ladder_table, op, I, eps, top) for op in ops for I in range(model.dim)}
+    for suite in report.suites:
+        if suite.name in PER_DEGREE_SUITES:
+            worst, lines = PER_DEGREE_SUITES[suite.name](model, max_order)
+            assert suite.worst == worst, suite.name
+            assert suite.lines == lines, suite.name
+
+
+def test_suites_refuse_orders_above_the_table_degree():
+    model, _ = _config_model("spiral_2d")
+    top = verify.TABLE_DEGREE
+    with pytest.raises(ValueError, match=f"up to degree {top}"):
+        verify.eigen_residual_suite(model, top + 1)
+    with pytest.raises(ValueError, match=f"up to degree {top}"):
+        verify.ladder_suite(model, n_max=top + 1)
 
 
 def _any_model(name):
@@ -457,12 +642,14 @@ def _poison_entry(build, *args):
 
 
 def _poison_table(build, *args):
-    """Write a NaN into the first live weight of the model's cached table
-    ``build(model, *args, CHECK_DEGREE)``."""
+    """Write a NaN into the model's cached table ``build(model, *args,
+    TABLE_DEGREE)``, which the suites read, at the last live weight of
+    the operator on degree ``CHECK_DEGREE``."""
 
     def poison(monkeypatch, model):
         args_ = [model.prune_eps if a is None else a for a in args]
-        src, weight = ladder._cached(model, build, *args_, verify.CHECK_DEGREE)
+        src, _ = build(model, *args_, verify.CHECK_DEGREE)
+        _, weight = ladder._cached(model, build, *args_, verify.TABLE_DEGREE)
         weight[tuple(np.argwhere(src >= 0)[-1])] = np.nan
 
     return poison
