@@ -19,24 +19,24 @@ raising operators add one linear factor to a directional derivative.
 Every operator here acts on the coefficient vector of p (``MPoly``) as
 one gather: row r of the image sums weighted coefficients of p read
 through the shift tables of ``monomials.graded_index``.  Its table
-(``generator_table`` for L and its adjoint, which the solve of
-``spectral`` reads too) depends only on the model, the mode, the
-``prune_eps`` and a degree, so each is built once per model and kept in
-``model._op_cache``.  The operators on one polynomial and the raising
-of the eigenfunctions read the table of the input's degree.  The table
-of a lower degree is the first rows of a higher one, with the reads
-above its degree masked, so ``verify`` reads one table per operator and
-takes each degree from its first rows.  Scattered into a matrix
-(``_block``), a table is the operator on every polynomial of its
-degree at once, as the solve of ``spectral`` and the ``verify``
-identities read it.  The eigenfunctions of one side and order are one
-block of rows in the same cache (``_eigenblock``), each raised from its
-``monomials.parent`` row by the gather that raises one polynomial.
-Concurrent builds may race to insert a cache entry; both compute the
-same value, so last write wins harmlessly.
+(``generator_table`` for L and its adjoint) depends only on the model,
+the mode, the ``prune_eps`` and a degree.  ``model._op_cache`` keeps one
+table per operator, at the highest degree read so far, and ``_table``
+is its only reader: the operator on a lower degree is the table's first
+rows, gathered on an input zero-padded to the table's source length
+(``_image``).  The operators on one polynomial, the raising of the
+eigenfunctions, the solve of ``spectral`` and the ``verify`` suites all
+read it so.  Scattered into a matrix (``_block``), a table is the
+operator on every polynomial of its degree at once, as the solve and
+the ``verify`` identities read it.  The eigenfunctions of one side and
+order are one block of rows in the same cache (``_eigenblock``), each
+raised from its ``monomials.parent`` row by the gather that raises one
+polynomial.  Concurrent builds may race to insert a cache entry; each
+is a valid table or block, so last write wins harmlessly.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +50,7 @@ from .errors import (
 )
 from .gaussian import ForwardFunction, GaussianDensity, stationary_density
 from .monomials import graded_index
-from .mpoly import DEFAULT_PRUNE_EPS, MPoly, _padded, prune
+from .mpoly import DEFAULT_PRUNE_EPS, MPoly, _padded, _rows, prune
 
 
 @dataclass
@@ -63,9 +63,9 @@ class OUModel:
     A Sigma + Sigma A^T + B = 0; the forward operator relies on it, since
     it is applied in the frame of f0 as the generator with drift
     Sigma A^T Sigma^-1.  One cache on the instance, ``_op_cache``, holds
-    the eigenfunction blocks, per side and order, and the tables (the
-    gather table of every operator, per mode, ``prune_eps`` and degree,
-    the grid-evaluation tables of ``spectral``, per order, and
+    the eigenfunction blocks, per side and order, and the tables (one
+    gather table per operator, mode and ``prune_eps``, the
+    grid-evaluation tables of ``spectral``, per order, and
     the Hermite closed forms of ``hermite_form``, per side and order);
     treat everything returned from it as immutable.
     """
@@ -141,17 +141,21 @@ def build_model(A, B, tol=1e-9, prune_eps=DEFAULT_PRUNE_EPS):
 
 
 def _check_mode(model, I):
-    if not 0 <= int(I) < model.dim:
+    """Mode I as an int; ``TypeError`` when it is not integral."""
+    I = int(operator.index(I))
+    if not 0 <= I < model.dim:
         raise ModeOutOfRangeError(f"mode {I} outside 0..{model.dim - 1}")
+    return I
 
 
 def _check_multi_index(model, K):
-    K = tuple(int(k) for k in K)
+    """K as a tuple of ints; ``TypeError`` when an entry is not integral."""
+    K = tuple(map(operator.index, K))
     if len(K) != model.dim:
         raise ModeIndexMismatchError(
             f"multi-index {K} has length {len(K)}, expected {model.dim}"
         )
-    if any(k < 0 for k in K):
+    if min(K) < 0:
         raise ModeIndexMismatchError(f"multi-index {K} has a negative entry")
     return K
 
@@ -188,6 +192,27 @@ def _cached(model, build, *args):
     return got
 
 
+def _table(model, build, args, degree):
+    """(src, weight, size): the gather table ``build(model, *args,
+    degree)`` as the first rows of the model's one table of the operator,
+    and that table's source length.  ``build`` returns (shift, src,
+    weight), its image on ``degree`` being of degree ``degree + shift``.
+
+    The one table, kept under (build, *args), is the one of the highest
+    degree asked for so far; a higher degree rebuilds it.  Its first rows
+    may read coefficients above ``degree``, which the table of ``degree``
+    masks; on an input zero-padded to ``size``, w 0 in place of 0 0
+    changes only the sign of an exact zero."""
+    key = (build, *args)
+    got = model._op_cache.get(key)
+    if got is None or got[0] < degree:
+        got = (degree, *build(model, *args, degree))
+        model._op_cache[key] = got
+    top, shift, src, weight = got
+    rows = _rows(model.dim, degree + shift)
+    return src[:, :rows], weight[:, :rows], _rows(model.dim, top)
+
+
 def forward_drift(model):
     """M = Sigma A^T Sigma^-1: the drift of f0^-1 L (p f0) as a generator of p.
 
@@ -205,8 +230,8 @@ def _masked(src, weight):
     return src, weight
 
 
-def generator_table(idx, D, B, rows=slice(None)):
-    """(src, weight), each of shape (2 n^2, m), for m ``rows`` of the
+def generator_table(idx, D, B):
+    """(src, weight), each of shape (2 n^2, m), for the m rows of the
     ``GradedIndex`` ``idx``: the generator (D x) . grad p
     + (1/2) B : grad grad p has coefficient sum_s weight[s, r] p[src[s, r]]
     at row r, and src is -1 wherever the weight is 0.
@@ -218,26 +243,25 @@ def generator_table(idx, D, B, rows=slice(None)):
     r + e_i + e_j by (1/2) B_ij a_i (r_j + 1).
     """
     n = D.shape[0]
-    r = np.arange(len(idx.modes))[rows]
     E = idx.exponents.T
     axis = np.arange(n)[:, None, None]
     # [i, j] reads up[i, down[j, r]] and up[i, up[j, r]].
-    lowered, raised = idx.down[:, r], idx.up[:, r]
-    drift = np.where(lowered >= 0, idx.up[:, lowered], -1)
-    diffusion = np.where(raised >= 0, idx.up[:, raised], -1)
+    drift = np.where(idx.down >= 0, idx.up[:, idx.down], -1)
+    diffusion = np.where(idx.up >= 0, idx.up[:, idx.up], -1)
     src = np.concatenate([drift, diffusion]).reshape(2 * n * n, -1)
     weight = np.concatenate(
         [
             D[:, :, None] * E[axis, drift],
-            (0.5 * B)[:, :, None] * E[axis, diffusion] * (E[:, r] + 1),
+            (0.5 * B)[:, :, None] * E[axis, diffusion] * (E + 1),
         ]
     ).reshape(src.shape)
     return _masked(src, weight)
 
 
 def _generator_table(model, side, degree):
+    """(shift 0, *table) of L (side "forward") or its adjoint."""
     D = model.A if side == "adjoint" else forward_drift(model)
-    return generator_table(graded_index(model.dim, degree), D, model.B)
+    return 0, *generator_table(graded_index(model.dim, degree), D, model.B)
 
 
 def _ladder_weights(model, op, I, eps):
@@ -257,28 +281,32 @@ def _ladder_weights(model, op, I, eps):
 
 
 def _ladder_table(model, op, I, eps, degree):
-    """The gather table of the ladder operator ``op`` of mode I on
+    """(shift, *table) of the ladder operator ``op`` of mode I on
     polynomials of ``degree``: slot j of the first n reads row r - e_j by
-    a_j, and slot i of the last n reads row r + e_i by w_i (r_i + 1)."""
+    a_j, and slot i of the last n reads row r + e_i by w_i (r_i + 1).  The
+    shift is 1, or -1 when a is all zero."""
     a, w = _ladder_weights(model, op, I, eps)
     n = model.dim
     idx = graded_index(n, degree + 1)
-    top = degree + 1 if a.any() else degree - 1
-    size = math.comb(top + n, n) if top >= 0 else 0
+    shift = 1 if a.any() else -1
+    size = _rows(n, degree + shift)
     src = np.concatenate([idx.down[:, :size], idx.up[:, :size]])
-    src[src >= math.comb(degree + n, n)] = -1
+    src[src >= _rows(n, degree)] = -1
     weight = np.concatenate(
         [np.repeat(a[:, None], size, axis=1), w[:, None] * (idx.exponents[:size].T + 1)]
     )
-    return _masked(src, weight)
+    return shift, *_masked(src, weight)
 
 
-def _gather(src, weight, c):
-    """The gathers (src, weight) of a table on each coefficient vector
-    along the last axis of c: sum_s weight[s, r] c[..., src[s, r]] at row
-    r, where src -1 reads a zero.  The slots are summed one after another
-    in slot order, so a vector has the same image alone or in a stack."""
-    c = _padded(c, c.shape[-1] + 1)
+def _image(model, build, args, degree, c):
+    """The gathers of the operator ``build(model, *args)`` on the
+    polynomials of ``degree`` or less (``_table``) on each coefficient
+    vector along the last axis of c: sum_s weight[s, r] c[..., src[s, r]]
+    at row r, where src -1 reads a zero.  The slots are summed one after
+    another in slot order, so a vector has the same image alone or in a
+    stack."""
+    src, weight, size = _table(model, build, args, degree)
+    c = _padded(c, size + 1)
     out = weight[0] * c[..., src[0]]
     for s in range(1, len(src)):
         out += weight[s] * c[..., src[s]]
@@ -286,11 +314,10 @@ def _gather(src, weight, c):
 
 
 def _apply_table(model, build, args, p):
-    """p's image under the gather table ``build(model, *args, degree of
-    p)``, cached on the model."""
+    """p's image under the operator ``build(model, *args)``."""
     if p.is_zero():
         return p
-    image = _gather(*_cached(model, build, *args, p.degree()), p.coeffs)
+    image = _image(model, build, args, p.degree(), p.coeffs)
     return MPoly.from_coeffs(model.dim, image, p.prune_eps)
 
 
@@ -305,13 +332,9 @@ def _block(src, weight, cols):
 
 
 def _ladder(model, op, I, p):
-    """The mode-I ladder operator ``op`` on the polynomial p."""
-    return _apply_table(model, _ladder_table, (op, I, p.prune_eps), p)
-
-
-def _generator(model, side, p):
-    """L on the factor p of p f0 (side "forward") or the adjoint on p."""
-    return _apply_table(model, _generator_table, (side,), p)
+    """The mode-I ladder operator ``op`` on the polynomial p; I is checked."""
+    args = (op, _check_mode(model, I), p.prune_eps)
+    return _apply_table(model, _ladder_table, args, p)
 
 
 def apply_forward(model, f):
@@ -322,14 +345,14 @@ def apply_forward(model, f):
     the adjoint's generator with drift M in place of A.
     """
     _check_forward(model, f)
-    return ForwardFunction(_generator(model, "forward", f.poly), f.base)
+    return ForwardFunction(_apply_table(model, _generator_table, ("forward",), f.poly), f.base)
 
 
 def apply_adjoint(model, g):
     """Apply the adjoint (backward) operator to a plain polynomial:
     (A x) . grad g + (1/2) B : grad grad g."""
     _check_adjoint(model, g)
-    return _generator(model, "adjoint", g)
+    return _apply_table(model, _generator_table, ("adjoint",), g)
 
 
 def raise_forward(model, I, f):
@@ -338,7 +361,6 @@ def raise_forward(model, I, f):
     Acting on p * f0 this sends p to -e_I . grad p + (e_I^T Sigma^-1 x) p,
     stepping the eigenvalue by lambda_I.
     """
-    _check_mode(model, I)
     _check_forward(model, f)
     return ForwardFunction(_ladder(model, "raise_forward", I, f.poly), f.base)
 
@@ -350,7 +372,6 @@ def lower_forward(model, I, f):
     directional-derivative form of ``lower_adjoint``; it annihilates the
     stationary density.
     """
-    _check_mode(model, I)
     _check_forward(model, f)
     return ForwardFunction(_ladder(model, "lower_forward", I, f.poly), f.base)
 
@@ -361,14 +382,12 @@ def raise_adjoint(model, I, g):
     g -> 2 conj(w_I) . x g - 2 (Sigma conj(w_I)) . grad g, stepping the
     adjoint eigenvalue by conj(lambda_I).
     """
-    _check_mode(model, I)
     _check_adjoint(model, g)
     return _ladder(model, "raise_adjoint", I, g)
 
 
 def lower_adjoint(model, I, g):
     """Mode-I lowering operator on the adjoint side: conj(e_I) . grad."""
-    _check_mode(model, I)
     _check_adjoint(model, g)
     return _ladder(model, "lower_adjoint", I, g)
 
@@ -380,22 +399,25 @@ def _eigenblock(model, side, order):
     Row K is its parent's row raised by mode I (``monomials.parent``).
     The rows of one mode are raised by one gather of its table and pruned
     as ``MPoly`` prunes, so each is bit for bit its parent's own raise.
+    Its raising tables are read before the blocks below, which read
+    their first rows.
     """
-    eps = model.prune_eps
     if order == 0:
         block = np.ones((1, 1), dtype=np.complex128)
     else:
+        raising = [(f"raise_{side}", I, model.prune_eps) for I in range(model.dim)]
+        for args in raising:
+            _table(model, _ladder_table, args, order - 1)
         idx = graded_index(model.dim, order)
         rows, below = idx.degree(order), idx.degree(order - 1).start
         prev = _cached(model, _eigenblock, side, order - 1)
         steps = idx.steps[rows.start - 1 : rows.stop - 1]
         parents, modes = np.array([step[:2] for step in steps]).T
         block = np.zeros((len(modes), rows.stop), dtype=np.complex128)
-        for I in range(model.dim):
-            table = _cached(model, _ladder_table, f"raise_{side}", I, eps, order - 1)
-            image = _gather(*table, prev[parents[modes == I] - below])
+        for I, args in enumerate(raising):
+            image = _image(model, _ladder_table, args, order - 1, prev[parents[modes == I] - below])
             block[modes == I, : image.shape[1]] = image
-        prune(block, eps)
+        prune(block, model.prune_eps)
     block.setflags(write=False)
     return block
 
@@ -437,7 +459,7 @@ def mode_normalization(K):
     """Duality normalization prod_I 2^{K_I} K_I! of an eigenpair."""
     out = 1.0
     for k in K:
-        k = int(k)
+        k = operator.index(k)
         if k < 0:
             raise ModeIndexMismatchError(f"multi-index {tuple(K)} has a negative entry")
         out *= float(2**k) * float(math.factorial(k))

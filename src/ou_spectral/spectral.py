@@ -34,11 +34,12 @@ The inhomogeneous solve builds no eigenfunction either.  With P = p f0,
 f0^-1 L(p f0) = (M x) . grad p + (1/2) B : grad grad p, M = Sigma A^T
 Sigma^-1, is block-triangular by degree on the graded monomials, so
 ``solve_inhomogeneous`` solves one small real system per degree of the
-source, top degree first, on blocks read from the generator table that
-``apply_forward`` gathers through.
+source, top degree first, on blocks read from the rows of the model's
+one forward generator table, which ``apply_forward`` gathers through.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +57,7 @@ from .gaussian import (
     expectation,
     moments,
 )
-from .ladder import _block, _cached, forward_drift, generator_table
+from .ladder import _block, _cached, _generator_table, _table
 from .monomials import graded_index
 from .mpoly import MPoly, hermite_products
 from .verify import reconstruct_operators_check  # noqa: F401, the name perfbench/layers.py binds
@@ -99,7 +100,7 @@ def expand_gaussian(model, F0, max_order):
         raise DimensionMismatchError(
             f"density of dimension {F0.dim} for a {model.dim}-dimensional model"
         )
-    max_order = int(max_order)
+    max_order = operator.index(max_order)
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
     W = model.eig.left
@@ -254,13 +255,14 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
     """Solve L P = q for a source q = (polynomial of degree d) * f0.
 
     With P = p f0, f0^-1 L(p f0) = (M x) . grad p + (1/2) B : grad grad p,
-    M = ``forward_drift(model)`` = Sigma A^T Sigma^-1: the backward
+    M = ``ladder.forward_drift(model)`` = Sigma A^T Sigma^-1: the backward
     generator of the time-reversed process, which ``apply_forward``
     applies.  The first term keeps the degree of a homogeneous
     polynomial and the second lowers it by 2, so for k = d down to 1 the
     degree-k part of p solves D_k p_k = q_k - (1/2) B : grad grad p_{k+2},
     where D_k and the Hessian block are the matrices of the gathers of
-    ``ladder.generator_table`` on the rows of degree k; the dense matrix
+    the rows of degree k of the model's one forward generator table,
+    kept at the highest degree read so far; the dense matrix
     over every degree is never built.
     D_k has the eigenvalues lambda_K with |K| = k, so it is nonsingular;
     the real and imaginary parts of q solve as two real right-hand sides.
@@ -289,7 +291,7 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
         and np.array_equal(q.base.cov, model.f0.cov)
     ):
         raise ValueError("source is not based on the model's stationary density")
-    max_order = int(max_order)
+    max_order = operator.index(max_order)
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
     d = q.poly.degree()
@@ -307,20 +309,19 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
             f"(tolerance {solvability_tol * scale:.3e}); no solution exists"
         )
     idx = graded_index(model.dim, max(d, 0))
-    M = forward_drift(model)
     # q, overwritten by p degree by degree; z views each row as complex.
     x = np.zeros((len(idx.modes), 2))
     z = x.view(np.complex128)[:, 0]
     z[: q.poly.coeffs.size] = q.poly.coeffs
     for k in range(d, 0, -1):
         s = idx.degree(k)
-        src, weight = generator_table(idx, M, model.B, s)
+        src, weight, _ = _table(model, _generator_table, ("forward",), d)
         half = len(src) // 2
         b = x[s]
         if k + 2 <= d:
             s2 = idx.degree(k + 2)
-            b = b - _block(src[half:], weight[half:], s2) @ x[s2]
-        x[s] = np.linalg.solve(_block(src[:half], weight[:half], s), b)
+            b = b - _block(src[half:, s], weight[half:, s], s2) @ x[s2]
+        x[s] = np.linalg.solve(_block(src[:half, s], weight[:half, s], s), b)
         if not np.all(np.isfinite(x[s])):
             raise NonFiniteResultError(
                 f"the degree-{k} part of the solution is not finite; "

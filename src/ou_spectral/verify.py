@@ -5,10 +5,9 @@ worst residual against a tolerance.  The CLI renders these; they are
 plain library code so they can also be driven programmatically.  Every
 check lives here, and no production module imports this one.  The
 eigenfunction suites read the ladder's blocks.  The operator suites read
-one gather table per operator, at ``TABLE_DEGREE``: on a lower degree an
-operator is the first rows of that table (``_prefix``), which gather a
-stack of polynomials (``_image``) or scatter into its matrix once
-(``_operator``).
+each operator through the ladder's one table of it (``ladder._table``),
+which gathers a stack of polynomials (``ladder._image``) or scatters
+into the operator's matrix once (``_operator``).
 """
 
 from dataclasses import dataclass, field
@@ -22,13 +21,14 @@ from .ladder import (
     _block,
     _cached,
     _eigenblock,
-    _gather,
     _generator_table,
+    _image,
     _ladder_table,
+    _table,
     mode_normalization,
 )
 from .monomials import enumerate_modes, graded_index
-from .mpoly import MPoly, _diff, _padded, _rows, fold_worst, prune
+from .mpoly import MPoly, _diff, _rows, fold_worst, prune
 
 
 @dataclass
@@ -55,12 +55,9 @@ class VerifyReport:
 # Degree up to which the commutator and reconstruction identities are
 # checked, on every polynomial: C(n + 5, n) basis polynomials.
 CHECK_DEGREE = 5
-# The one degree of the gather table that verify reads for each operator:
-# the commutators apply L and the lowering operators one degree above
-# CHECK_DEGREE, and the eigen-residual and ladder suites check orders up
-# to it.  An operator on a lower degree is read from the first rows of
-# that table (``_prefix``).
-TABLE_DEGREE = CHECK_DEGREE + 1
+# Highest order at which ``run_all`` checks the eigen-residuals and the
+# ladder factorials.
+ORDER_CAP = 6
 
 
 def battery_polynomials(nvars, count=20, max_degree=5, seed=20240817):
@@ -96,41 +93,13 @@ class OperatorIdentityReport:
         return reduce(fold_worst, self.residuals.values(), 0.0)
 
 
-def _prefix(model, build, args, degree):
-    """The gather table ``build(model, *args, degree)`` as the first rows
-    of the one table of the operator that verify reads, at
-    ``TABLE_DEGREE`` and cached on the model.
-
-    The rows may read coefficients above ``degree``, which the table of
-    ``degree`` masks; on an input that is zero there, w 0 in place of
-    0 0 changes only the sign of an exact zero."""
-    if degree > TABLE_DEGREE:
-        raise ValueError(f"verify reads operators up to degree {TABLE_DEGREE}, not {degree}")
-    n = model.dim
-    src, weight = _cached(model, build, *args, TABLE_DEGREE)
-    # L keeps the degree and a lowering lowers it; a raising raises it,
-    # or lowers it when its linear weights are all dropped.
-    shift = next(s for s in (-1, 0, 1) if src.shape[1] == _rows(n, TABLE_DEGREE + s))
-    size = _rows(n, degree + shift)
-    return src[:, :size], weight[:, :size]
-
-
-def _image(model, build, args, degree, c):
-    """The gathers (``ladder._gather``) of the operator on the
-    polynomials of ``degree`` or less (``_prefix``) on each coefficient
-    vector along the last axis of c, zero-padded to the table's source
-    length."""
-    src, weight = _prefix(model, build, args, degree)
-    return _gather(src, weight, _padded(c, _rows(model.dim, TABLE_DEGREE)))
-
-
 def _operator(model, build, args, degree, rows):
     """The matrix of the operator on every polynomial of ``degree`` or
     less, column j acting on the j-th monomial of ``graded_index``,
-    padded with zero rows to ``rows``: its ``_prefix`` scattered once
-    (``ladder._block``), the reads above ``degree`` dropped.  On a lower
-    degree the operator is a leading sub-block of this matrix."""
-    src, weight = _prefix(model, build, args, degree)
+    padded with zero rows to ``rows``: its ``ladder._table`` scattered
+    once (``ladder._block``), the reads above ``degree`` dropped.  On a
+    lower degree the operator is a leading sub-block of this matrix."""
+    src, weight, _ = _table(model, build, args, degree)
     out = _block(src, weight, slice(0, _rows(model.dim, degree)))
     if len(out) < rows:
         out = np.concatenate([out, np.zeros((rows - len(out), out.shape[1]), out.dtype)])
@@ -216,9 +185,10 @@ def reconstruct_operators_check(model, tol=1e-9):
 def _stacked(model, side, max_order):
     """The eigenfunction blocks (``ladder._eigenblock``) of ``side`` up to
     ``max_order`` as one matrix: row k holds the coefficients of mode k,
-    both indexed by ``graded_index(model.dim, max_order)``."""
+    both indexed by ``graded_index(model.dim, max_order)``, the top first."""
     idx = graded_index(model.dim, max_order)
     out = np.zeros((len(idx.modes),) * 2, dtype=np.complex128)
+    _cached(model, _eigenblock, side, max_order)
     for k in range(max_order + 1):
         out[idx.degree(k), : idx.degree(k).stop] = _cached(model, _eigenblock, side, k)
     return out
@@ -272,7 +242,7 @@ def eigen_residual_suite(model, max_order, tol=1e-8):
     return SuiteResult("eigen-residuals", worst, tol)
 
 
-def ladder_suite(model, n_max=TABLE_DEGREE, tol=1e-10):
+def ladder_suite(model, n_max=ORDER_CAP, tol=1e-10):
     """Repeated lowering against the exact factorial ladder factors.
 
     k-fold lowering of the order-m single-mode eigenfunction must equal
@@ -372,11 +342,17 @@ def reconstruction_suite(model, tol=1e-9):
 
 def run_all(model, max_order, residual_tol=1e-8):
     """Every suite at its standard tolerance; shared residual_tol where
-    a suite has no tighter inherent requirement."""
+    a suite has no tighter inherent requirement.  Each operator's table
+    is built once, first, at the highest degree the suites read."""
+    for side in ("forward", "adjoint"):
+        _table(model, _generator_table, (side,), CHECK_DEGREE + 1)
+        for op in (f"raise_{side}", f"lower_{side}"):
+            for I in range(model.dim):
+                _table(model, _ladder_table, (op, I, model.prune_eps), CHECK_DEGREE + 1)
     suites = [
         biorthogonality_suite(model, max_order, tol=residual_tol),
-        eigen_residual_suite(model, min(max_order, TABLE_DEGREE), tol=residual_tol),
-        ladder_suite(model, n_max=min(max_order, TABLE_DEGREE)),
+        eigen_residual_suite(model, min(max_order, ORDER_CAP), tol=residual_tol),
+        ladder_suite(model, n_max=min(max_order, ORDER_CAP)),
         commutator_suite(model),
         hermite_suite(model, max_order=min(max_order, 5)),
         reconstruction_suite(model),

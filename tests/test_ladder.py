@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import ou_spectral as ou
-from ou_spectral import errors, ladder, mpoly, verify
+from ou_spectral import errors, ladder, mpoly
 from ou_spectral.monomials import graded_index
 from ou_spectral.mpoly import MPoly, hermite
 
@@ -219,7 +219,7 @@ def test_eigenfunction_memoized(model_spiral, monkeypatch):
     def refuse(*args):
         raise AssertionError("a block was built again")
 
-    monkeypatch.setattr(ladder, "_gather", refuse)
+    monkeypatch.setattr(ladder, "_image", refuse)
     b = ou.forward_eigenfunction(model_spiral, (2, 2))
     assert b.poly == a.poly
     assert model_spiral._op_cache.keys() == cache.keys()
@@ -315,6 +315,57 @@ def test_mode_index_validation(model_spiral):
         ou.eigenvalue(model_spiral, (1, 2, 3))
 
 
+@pytest.mark.parametrize("I", [0.0, 1.5, "1"])
+def test_a_mode_that_is_not_an_integer_is_refused(I):
+    # int() read 0.0 and 1.5 as modes 0 and 1 and "1" as mode 1; 0.0 also
+    # entered the table cache key as a float.
+    model = ou.build_model(A_SPIRAL, np.eye(2))
+    f = ou.forward_eigenfunction(model, (1, 0))
+    g = ou.adjoint_eigenfunction(model, (1, 0))
+    for op, arg in ((ou.raise_forward, f), (ou.lower_forward, f)):
+        with pytest.raises(TypeError):
+            op(model, I, arg)
+    for op in (ou.raise_adjoint, ou.lower_adjoint):
+        with pytest.raises(TypeError):
+            op(model, I, g)
+
+
+def test_an_integral_mode_is_passed_on_as_an_int():
+    # True is mode 1: as given, it indexed the eigenvectors as a boolean
+    # mask and failed in matmul.  A numpy integer mode entered the table
+    # cache key as given.
+    model = ou.build_model(A_SPIRAL, np.eye(2))
+    f = ou.forward_eigenfunction(model, (1, 0))
+    got = ou.raise_forward(model, True, f).poly
+    ou.lower_adjoint(model, np.int32(0), ou.adjoint_eigenfunction(model, (1, 0)))
+    keys = [key for key in model._op_cache if key[0] is ladder._ladder_table]
+    assert {key[2] for key in keys} == {0, 1}
+    assert {type(key[2]) for key in keys} == {int}
+    fresh = ou.build_model(A_SPIRAL, np.eye(2))
+    assert got == ou.raise_forward(fresh, 1, ou.forward_eigenfunction(fresh, (1, 0))).poly
+    # Integral multi-indices read their mode.
+    want = ou.forward_eigenfunction(model, (2, 1)).poly
+    for K in [(np.int64(2), np.int8(1)), np.array([2, 1]), (2, True)]:
+        assert ou.forward_eigenfunction(model, K).poly == want
+
+
+@pytest.mark.parametrize("K", [(1.5, 0), ("1", 0), (1, 0.0)])
+def test_a_multi_index_that_is_not_integral_is_refused(K):
+    # int() read (1.5, 0) as the mode (1, 0) and ("1", 0) as (1, 0).
+    model = ou.build_model(A_SPIRAL, np.eye(2))
+    with pytest.raises(TypeError):
+        ou.mode_normalization(K)
+    for read in (
+        ou.forward_eigenfunction,
+        ou.adjoint_eigenfunction,
+        ou.eigenvalue,
+        ou.forward_hermite,
+        ou.adjoint_hermite,
+    ):
+        with pytest.raises(TypeError):
+            read(model, K)
+
+
 def test_forward_function_base_is_checked(model_spiral):
     other = ou.GaussianDensity(mean=[0.1, 0.0], cov=0.5 * np.eye(2))
     f = ou.ForwardFunction(MPoly(2, {(0, 0): 1.0}), other)
@@ -334,10 +385,12 @@ def test_replaced_model_starts_with_empty_caches():
     model = ou.build_model([[-1.0]], [[1.0]])
     ou.forward_eigenfunction(model, (2,))
     ou.adjoint_eigenfunction(model, (2,))
-    # One cache holds the blocks of both sides and the raising tables.
+    # One cache holds the blocks of both sides and the raising tables,
+    # one per side and mode.
     assert (ladder._eigenblock, "forward", 2) in model._op_cache
     assert (ladder._eigenblock, "adjoint", 2) in model._op_cache
-    assert any(key[0] is ladder._ladder_table for key in model._op_cache)
+    for op in ("raise_forward", "raise_adjoint"):
+        assert (ladder._ladder_table, op, 0, model.prune_eps) in model._op_cache
     Sigma = 4.0 * model.Sigma
     m2 = dataclasses.replace(
         model,
@@ -368,11 +421,22 @@ def _table_model(n):
     return ou.build_model(A, L @ L.T + 0.2 * np.eye(n))
 
 
+def _gather(src, weight, c):
+    """The gathers (src, weight) of a table built at the degree of c on
+    each coefficient vector along the last axis of c: the gather of
+    ``ladder._image`` with no table of a higher degree."""
+    c = mpoly._padded(c, c.shape[-1] + 1)
+    out = weight[0] * c[..., src[0]]
+    for s in range(1, len(src)):
+        out += weight[s] * c[..., src[s]]
+    return out
+
+
 def _matrix(model, build, args, degree, rows):
     """The matrix of the table ``build(model, *args, degree)``, padded
     with zero rows to ``rows``: the operator on every polynomial of
     ``degree`` or less, read from the table of that degree."""
-    src, weight = ladder._cached(model, build, *args, degree)
+    _, src, weight = build(model, *args, degree)
     cols = len(graded_index(model.dim, degree).modes)
     out = np.zeros((rows, cols), dtype=weight.dtype)
     out[: src.shape[1]] = ladder._block(src, weight, slice(0, cols))
@@ -402,20 +466,125 @@ def test_stacked_gather_equals_one_polynomial_gathers(n, kind):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", TABLE_KINDS)
 def test_gather_through_the_top_table_prefix_equals_the_degree_table(n, kind):
-    # verify reads every degree k from the first rows of one table at
-    # TABLE_DEGREE, on an input zero-padded to its source length: the
-    # gather of a random degree-k stack must equal, value for value, its
-    # gather through the table of degree k.  Only the sign of an exact
-    # zero may differ, which np.array_equal does not see.
+    # The ladder reads every degree k from the first rows of the one
+    # table of an operator, here at degree 6, on an input zero-padded to
+    # its source length: the gather of a random degree-k stack must
+    # equal, value for value, its gather through the table built at
+    # degree k.  Only the sign of an exact zero may differ, which
+    # np.array_equal does not see.
     build, args = TABLE_KINDS[kind]
     model = _table_model(n)
     rng = np.random.default_rng(100 + n)
-    for k in range(verify.TABLE_DEGREE + 1):
+    top = 6
+    ladder._table(model, build, args, top)
+    for k in range(top + 1):
         size = len(graded_index(n, k).modes)
         stack = rng.standard_normal((5, size)) + 1j * rng.standard_normal((5, size))
-        src, weight = ladder._cached(model, build, *args, k)
-        assert verify._prefix(model, build, args, k)[0].shape == src.shape
-        want = ladder._gather(src, weight, stack)
-        got = verify._image(model, build, args, k, stack)
+        _, src, weight = build(model, *args, k)
+        assert ladder._table(model, build, args, k)[0].shape == src.shape
+        want = _gather(src, weight, stack)
+        got = ladder._image(model, build, args, k, stack)
         assert got.shape == want.shape, k
         assert np.array_equal(got, want), k
+    assert ladder._table(model, build, args, 0)[2] == len(graded_index(n, top).modes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_a_grown_table_reads_as_one_built_at_its_top_degree(n, kind):
+    # A table read first at degree k and then at 6 is rebuilt at 6, and
+    # reads at every degree as a table read at 6 first.
+    build, args = TABLE_KINDS[kind]
+    rng = np.random.default_rng(200 + n)
+    stacks = []
+    for j in range(7):
+        size = len(graded_index(n, j).modes)
+        stacks.append(rng.standard_normal((3, size)) + 1j * rng.standard_normal((3, size)))
+    direct = _table_model(n)
+    ladder._table(direct, build, args, 6)
+    want = [ladder._image(direct, build, args, j, stacks[j]) for j in range(7)]
+    for k in range(7):
+        model = _table_model(n)
+        ladder._table(model, build, args, k)
+        ladder._table(model, build, args, 6)
+        assert [key for key in model._op_cache] == [(build, *args)]
+        for j in range(7):
+            got = ladder._image(model, build, args, j, stacks[j])
+            assert np.array_equal(got, want[j]), (k, j)
+
+
+def _random_poly(rng, n, degree):
+    size = len(graded_index(n, degree).modes)
+    return MPoly.from_coeffs(n, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+
+
+def _reads(model, rng):
+    """(name, read) of the operators on one polynomial: every public
+    operator and mode on a random polynomial of each degree 0-6, and a
+    solve of each source degree 1-5.  Each read takes a model and returns
+    coefficients."""
+    n, out = model.dim, []
+    for d in range(7):
+        p = _random_poly(rng, n, d)
+        out.append((("apply_adjoint", d), lambda m, p=p: ou.apply_adjoint(m, p).coeffs))
+        out.append(
+            (
+                ("apply_forward", d),
+                lambda m, p=p: ou.apply_forward(m, ou.ForwardFunction(p, m.f0)).poly.coeffs,
+            )
+        )
+        for I in range(n):
+            for name in ("raise_adjoint", "lower_adjoint"):
+                op = getattr(ou, name)
+                out.append(((name, I, d), lambda m, op=op, I=I, p=p: op(m, I, p).coeffs))
+            for name in ("raise_forward", "lower_forward"):
+                op = getattr(ou, name)
+                out.append(
+                    (
+                        (name, I, d),
+                        lambda m, op=op, I=I, p=p: op(m, I, ou.ForwardFunction(p, m.f0)).poly.coeffs,
+                    )
+                )
+    for d in range(1, 6):
+        p = _random_poly(rng, n, d)
+        # No stationary component: E_f0[q] = 0.
+        q = p - ou.expectation(p, model.f0)
+
+        def solve(m, q=q, d=d):
+            return ou.solve_inhomogeneous(m, ou.ForwardFunction(q, m.f0), d).poly.coeffs
+
+        out.append((("solve", d), solve))
+    return out
+
+
+def test_reads_in_any_order_equal_a_fresh_model(four_models):
+    # Eigenfunctions read in ascending or in descending order, and the
+    # operators and solves on random polynomials in a shuffled order,
+    # read tables grown in an order that depends on the reads; each
+    # result must equal the one on a fresh model.  Every table key is
+    # (build, *args), with no degree.
+    for name, config in four_models.items():
+        model = ou.build_model(config.A, config.B)
+        rng = np.random.default_rng(7)
+        modes = graded_index(model.dim, 6).modes
+        eigen = [
+            ((side, K), lambda m, f=f, K=K: f(m, K))
+            for K in modes
+            for side, f in (
+                ("forward", lambda m, K: ou.forward_eigenfunction(m, K).poly.coeffs),
+                ("adjoint", lambda m, K: ou.adjoint_eigenfunction(m, K).coeffs),
+            )
+        ]
+        reads = _reads(model, rng)
+        want = {key: read(ou.build_model(model.A, model.B)) for key, read in eigen + reads}
+        for ascending in (True, False):
+            shared = ou.build_model(model.A, model.B)
+            order = eigen if ascending else eigen[::-1]
+            shuffled = [reads[i] for i in rng.permutation(len(reads))]
+            for key, read in order + shuffled:
+                assert np.array_equal(read(shared), want[key]), (name, ascending, key)
+            for key in shared._op_cache:
+                if key[0] is ladder._generator_table:
+                    assert key[1:] in {("forward",), ("adjoint",)}, key
+                elif key[0] is ladder._ladder_table:
+                    assert len(key) == 4 and key[3] == shared.prune_eps, key

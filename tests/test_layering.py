@@ -3,7 +3,9 @@
 ``verify`` holds every check and reads the production modules; none of
 them reads it.  The one exception is a commented line of ``spectral``
 that re-exports ``reconstruct_operators_check`` under the name the
-benchmark binds (``perfbench/layers.py``).
+benchmark binds (``perfbench/layers.py``).  ``ladder`` alone builds and
+reads the gather tables of its operators; every other module reads them
+through it.
 """
 
 import ast
@@ -68,3 +70,53 @@ def test_no_production_module_imports_verify(module):
         if not (binding and "#" in line):
             bad.append(line)
     assert bad == []
+
+
+# The builders of the operator gather tables, which only ``ladder._table``
+# calls and keeps.
+TABLE_BUILDERS = {"generator_table", "_generator_table", "_ladder_table"}
+
+
+def _name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _table_builds(source):
+    """Source lines that call a table builder, or pass one to
+    ``_cached``."""
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        called = _name(node.func)
+        if called in TABLE_BUILDERS or (
+            called == "_cached" and any(_name(arg) in TABLE_BUILDERS for arg in node.args)
+        ):
+            yield lines[node.lineno - 1].strip()
+
+
+def test_table_build_reader_sees_calls_and_cached_builds():
+    source = """
+from .ladder import _cached, _ladder_table, generator_table
+from . import ladder
+a = generator_table(idx, D, B)
+b = ladder._generator_table(model, "forward", 3)
+c = _cached(model, _ladder_table, "raise_forward", 0, eps, 3)
+d = _table(model, _ladder_table, args, 3)
+"""
+    assert list(_table_builds(source)) == [
+        "a = generator_table(idx, D, B)",
+        'b = ladder._generator_table(model, "forward", 3)',
+        'c = _cached(model, _ladder_table, "raise_forward", 0, eps, 3)',
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "ladder")
+)
+def test_only_ladder_builds_operator_tables(module):
+    assert list(_table_builds((PACKAGE / f"{module}.py").read_text())) == []

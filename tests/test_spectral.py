@@ -209,6 +209,17 @@ def test_expand_validates_inputs(model_1d):
         ou.expand_gaussian(model_1d, F0, 3)
 
 
+@pytest.mark.parametrize("order", [2.7, 3.0, "3"])
+def test_an_order_that_is_not_an_integer_is_refused(model_spiral, order):
+    # int() read max_order 2.7 as 2 and "3" as 3.
+    F0 = ou.GaussianDensity(mean=[0.1, 0.0], cov=np.eye(2))
+    with pytest.raises(TypeError):
+        ou.expand_gaussian(model_spiral, F0, order)
+    q = ou.ForwardFunction(MPoly(2, {(1, 0): 1.0}), model_spiral.f0)
+    with pytest.raises(TypeError):
+        ou.solve_inhomogeneous(model_spiral, q, order)
+
+
 # ---- the ladder recursions against the exact MPoly route ----
 
 
@@ -704,6 +715,25 @@ def test_solve_rejects_a_non_finite_source(model_spiral, terms):
     q = ou.ForwardFunction(MPoly(2, terms), model_spiral.f0)
     with pytest.raises(errors.NonFiniteResultError, match="not finite"):
         ou.solve_inhomogeneous(model_spiral, q, 3)
+
+
+def test_a_warm_solve_builds_no_table(monkeypatch):
+    # Every solve reads the rows of the model's one forward generator
+    # table, built by the first solve: a second solve, at the same or a
+    # lower degree, builds nothing.
+    model = _random_model(205, 3)
+    rng = np.random.default_rng(5)
+    q5, q3 = _odd_source(rng, model, 5), _odd_source(rng, model, 3)
+    want5 = ou.solve_inhomogeneous(model, q5, 5).poly
+    want3 = ou.solve_inhomogeneous(_random_model(205, 3), q3, 3).poly
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm solve built a table")
+
+    for module in (ladder, spectral):
+        monkeypatch.setattr(module, "generator_table", refuse, raising=False)
+    assert ou.solve_inhomogeneous(model, q5, 5).poly == want5
+    assert ou.solve_inhomogeneous(model, q3, 3).poly == want3
 
 
 def _eigenfunctions_memoized(model):

@@ -13,9 +13,10 @@ and ``run_all`` must call none of those operators.  The bi-orthogonality
 suite takes every pairing from one Gram matrix; each entry must match
 its own ``inner_product``, and a perturbed pair above order 4 must fail
 it.  A model whose Sigma misses the Lyapunov equation must fail
-``run_all``.  The operator suites read each operator from one table at
-``TABLE_DEGREE``; a test-local copy of the suites that read one table
-per input degree must give the same worst residuals and lines.
+``run_all``.  The operator suites read each operator from the ladder's
+one table of it, at the highest degree read; a test-local copy of the
+suites that read one table per input degree must give the same worst
+residuals and lines.
 """
 
 import dataclasses
@@ -213,15 +214,15 @@ def test_shared_images_match_direct_evaluation(name):
 
 def _perturb_largest(model, build, args, factor):
     """Scale by ``factor`` the largest weight of the operator on degree
-    ``CHECK_DEGREE``, in every cached table that holds it: the table at
-    ``TABLE_DEGREE``, which the suites read, and the tables of lower
-    degree, which the per-polynomial references read."""
-    src, weight = ladder._cached(model, build, *args, verify.CHECK_DEGREE)
+    ``CHECK_DEGREE`` in the model's one table of it, grown first to the
+    degree above, the highest the suites read; the suites and the
+    per-polynomial references both read that table."""
+    _, src, weight = build(model, *args, verify.CHECK_DEGREE)
     s, r = np.unravel_index(np.argmax(np.abs(weight)), weight.shape)
-    for degree in range(verify.TABLE_DEGREE + 1):
-        src_k, weight_k = ladder._cached(model, build, *args, degree)
-        if r < src_k.shape[1] and src_k[s, r] == src[s, r]:
-            weight_k[s, r] *= factor
+    ladder._table(model, build, args, verify.CHECK_DEGREE + 1)
+    src_top, weight_top, _ = ladder._table(model, build, args, verify.CHECK_DEGREE)
+    assert src_top[s, r] == src[s, r]
+    weight_top[s, r] *= factor
 
 
 @pytest.mark.parametrize("name", ["spiral_2d", "random_3d"])
@@ -279,18 +280,30 @@ def test_run_all_checks_at_the_model_prune_eps():
     model, max_order = _config_model("spiral_2d")
     model = build_model(model.A, model.B, prune_eps=1e-10)
     verify.run_all(model, max_order)
-    eps = {key[3] for key in model._op_cache if key[0] is ladder._ladder_table}
-    assert eps == {1e-10}
+    eps = {key[3:] for key in model._op_cache if key[0] is ladder._ladder_table}
+    assert eps == {(1e-10,)}
 
 
-# The per-degree suites that read one gather table per input degree, the
-# reference for the suites that read every degree from one table at
-# TABLE_DEGREE: the eigen-residuals, ladder factorials, commutators and
-# reconstruction, with their worst residuals and lines.
+# The per-degree suites that read one gather table per input degree, each
+# built for the read and not kept, the reference for the suites that read
+# every degree from the one table of an operator: the eigen-residuals,
+# ladder factorials, commutators and reconstruction, with their worst
+# residuals and lines.
+
+
+def _degree_image(model, build, args, degree, c):
+    """The gathers of the table ``build(model, *args, degree)`` on the
+    coefficient vectors along the last axis of c, each of ``degree``."""
+    _, src, weight = build(model, *args, degree)
+    c = np.concatenate([c, np.zeros(c.shape[:-1] + (1,))], axis=-1)
+    out = weight[0] * c[..., src[0]]
+    for s in range(1, len(src)):
+        out += weight[s] * c[..., src[s]]
+    return out
 
 
 def _degree_matrix(model, build, args, degree, rows):
-    src, weight = ladder._cached(model, build, *args, degree)
+    _, src, weight = build(model, *args, degree)
     cols = _rows(model.dim, degree)
     out = np.zeros((rows, cols), dtype=weight.dtype)
     out[: src.shape[1]] = ladder._block(src, weight, slice(0, cols))
@@ -315,8 +328,7 @@ def _degree_eigen_residuals(model, max_order):
             for k in range(max_order + 1):
                 block = ladder._cached(model, ladder._eigenblock, side, k)
                 lam = (idx.exponents[idx.degree(k)] * lams).sum(axis=1)
-                table = ladder._cached(model, ladder._generator_table, side, k)
-                image = ladder._gather(*table, block)
+                image = _degree_image(model, ladder._generator_table, (side,), k, block)
                 resid = np.abs(prune(image, eps) - prune(block * lam[:, None], eps))
                 scale = np.fmax(np.abs(block).max(axis=1), 1.0)
                 worst = fold_worst(worst, float(np.max(resid.max(axis=1) / scale)))
@@ -332,10 +344,10 @@ def _degree_ladder_factorials(model, n_max):
             stacked = verify._stacked(model, side, n_max)
             for I in range(model.dim):
                 rows = single = stacked[exps[:, I] == exps.sum(axis=1)]
+                args = (f"lower_{side}", I, eps)
                 for k in range(1, n_max + 2):
-                    op = f"lower_{side}"
-                    table = ladder._cached(model, ladder._ladder_table, op, I, eps, n_max + 1 - k)
-                    rows = prune(ladder._gather(*table, rows), eps)
+                    image = _degree_image(model, ladder._ladder_table, args, n_max + 1 - k, rows)
+                    rows = prune(image, eps)
                     factor = norms[k:] / norms[: n_max + 1 - k]
                     ref = single[: n_max + 1 - k, : rows.shape[1]]
                     target = prune(ref * factor[:, None], eps)
@@ -407,8 +419,8 @@ def _degree_reconstruction(model):
 
 
 PER_DEGREE_SUITES = {
-    "eigen-residuals": lambda m, order: _degree_eigen_residuals(m, min(order, 6)),
-    "ladder-factorials": lambda m, order: _degree_ladder_factorials(m, min(order, 6)),
+    "eigen-residuals": lambda m, order: _degree_eigen_residuals(m, min(order, verify.ORDER_CAP)),
+    "ladder-factorials": lambda m, order: _degree_ladder_factorials(m, min(order, verify.ORDER_CAP)),
     "commutators": lambda m, order: _degree_commutators(m),
     "operator-reconstruction": lambda m, order: _degree_reconstruction(m),
 }
@@ -432,19 +444,18 @@ def test_one_table_suites_equal_the_per_degree_suites(name):
     got = REFERENCE_MODELS[name]()
     model, max_order = got if isinstance(got, tuple) else (got, 6)
     report = verify.run_all(model, max_order)
-    # One generator table per side and one lowering table per side and
-    # mode, all at TABLE_DEGREE.
+    # One table per operator, side and mode, each at degree 6, the
+    # highest the suites read: the generators and the raising and lowering
+    # operators.
     sides = ("forward", "adjoint")
-    eps, top = model.prune_eps, verify.TABLE_DEGREE
+    eps, top = model.prune_eps, _rows(model.dim, 6)
     gens = {key for key in model._op_cache if key[0] is ladder._generator_table}
-    assert gens == {(ladder._generator_table, s, top) for s in sides}
-    lows = {
-        key
-        for key in model._op_cache
-        if key[0] is ladder._ladder_table and key[1].startswith("lower_")
-    }
-    ops = [f"lower_{s}" for s in sides]
-    assert lows == {(ladder._ladder_table, op, I, eps, top) for op in ops for I in range(model.dim)}
+    assert gens == {(ladder._generator_table, s) for s in sides}
+    ladders = {key for key in model._op_cache if key[0] is ladder._ladder_table}
+    ops = [f"{step}_{s}" for step in ("raise", "lower") for s in sides]
+    assert ladders == {(ladder._ladder_table, op, I, eps) for op in ops for I in range(model.dim)}
+    for key in gens | ladders:
+        assert ladder._table(model, key[0], key[1:], 0)[2] == top, key
     for suite in report.suites:
         if suite.name in PER_DEGREE_SUITES:
             worst, lines = PER_DEGREE_SUITES[suite.name](model, max_order)
@@ -452,13 +463,16 @@ def test_one_table_suites_equal_the_per_degree_suites(name):
             assert suite.lines == lines, suite.name
 
 
-def test_suites_refuse_orders_above_the_table_degree():
-    model, _ = _config_model("spiral_2d")
-    top = verify.TABLE_DEGREE
-    with pytest.raises(ValueError, match=f"up to degree {top}"):
-        verify.eigen_residual_suite(model, top + 1)
-    with pytest.raises(ValueError, match=f"up to degree {top}"):
-        verify.ladder_suite(model, n_max=top + 1)
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_suites_at_order_seven_equal_the_per_degree_suites(name):
+    # Above the order cap of run_all the tables grow past degree 6.
+    model, _ = _config_model(name)
+    got = verify.eigen_residual_suite(model, 7)
+    assert got.passed
+    assert got.worst == _degree_eigen_residuals(model, 7)[0]
+    got = verify.ladder_suite(model, n_max=7)
+    assert got.passed
+    assert got.worst == _degree_ladder_factorials(model, 7)[0]
 
 
 def _any_model(name):
@@ -642,14 +656,16 @@ def _poison_entry(build, *args):
 
 
 def _poison_table(build, *args):
-    """Write a NaN into the model's cached table ``build(model, *args,
-    TABLE_DEGREE)``, which the suites read, at the last live weight of
-    the operator on degree ``CHECK_DEGREE``."""
+    """Write a NaN into the model's one table of the operator
+    ``build(model, *args)``, grown first to the degree above
+    ``CHECK_DEGREE``, the highest the suites read, at the last live
+    weight of the operator on degree ``CHECK_DEGREE``."""
 
     def poison(monkeypatch, model):
-        args_ = [model.prune_eps if a is None else a for a in args]
-        src, _ = build(model, *args_, verify.CHECK_DEGREE)
-        _, weight = ladder._cached(model, build, *args_, verify.TABLE_DEGREE)
+        args_ = tuple(model.prune_eps if a is None else a for a in args)
+        _, src, _ = build(model, *args_, verify.CHECK_DEGREE)
+        ladder._table(model, build, args_, verify.CHECK_DEGREE + 1)
+        _, weight, _ = ladder._table(model, build, args_, verify.CHECK_DEGREE)
         weight[tuple(np.argwhere(src >= 0)[-1])] = np.nan
 
     return poison
