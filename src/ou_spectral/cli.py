@@ -83,6 +83,17 @@ def _vector(x, field, n):
     return np.array([_number(v, field) for v in x], dtype=float)
 
 
+# Most modes C(dimension + max_order, dimension) of eigensystem, verify and
+# propagate, which build square complex tables of as many rows: 16 MB each.
+MAX_MODES = 1000
+
+
+def _check_order(cfg):
+    modes = math.comb(cfg.dimension + cfg.max_order, cfg.dimension)
+    if modes > MAX_MODES:
+        _fail("max_order", f"{cfg.max_order} gives {modes} modes, more than {MAX_MODES}")
+
+
 def _check_grid(points, n):
     if points**n > 200_000:
         _fail("propagate.grid.points", f"{points}^{n} grid points is too many")
@@ -298,6 +309,7 @@ def _fmt_c(z):
 
 
 def cmd_eigensystem(cfg, args):
+    _check_order(cfg)
     model = _build(cfg)
     modes = enumerate_modes(model.dim, cfg.max_order)
     print(f"dimension {model.dim}, {len(modes)} modes up to order {cfg.max_order}")
@@ -334,6 +346,7 @@ def cmd_eigensystem(cfg, args):
 
 
 def cmd_verify(cfg, args):
+    _check_order(cfg)
     model = _build(cfg)
     report = verify_mod.run_all(
         model, cfg.max_order, residual_tol=cfg.tolerances["residual_tol"]
@@ -367,6 +380,7 @@ def cmd_verify(cfg, args):
 
 
 def cmd_propagate(cfg, args):
+    _check_order(cfg)
     points = _grid_points(cfg)
     model = _build(cfg)
     F0 = _initial_density(cfg, model)

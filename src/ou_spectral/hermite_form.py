@@ -15,8 +15,9 @@ The closed forms of the eigenfunctions on one side up to one order are
 the rows of one table (``mpoly.hermite_products``): the power table of
 the eigenvectors, whose row K expands prod_I (v_I . u)^{K_I}, times the
 Hermite map that sends the monomial u^a to prod_i H_{a_i}(y_i).  The
-table is built once per model, side and order and kept in
-``model._op_cache``; nothing is cached at module level.
+model keeps one table per side (``ladder._grown``), at the highest order
+read so far, and a lower order reads its leading block; nothing is
+cached at module level.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCanonicalError
-from .ladder import OUModel, _cached, _check_multi_index, build_model
+from .ladder import OUModel, _check_multi_index, _grown, build_model
 from .monomials import graded_index
 from .mpoly import MPoly, hermite_products
 
@@ -76,20 +77,20 @@ def _require_canonical(model):
 
 
 def _hermite_table(model, side, degree):
-    """Row K holds the Hermite closed form of eigenfunction K on
-    ``side``, for every K up to order ``degree``: the
+    """(table,): row K holds the Hermite closed form of eigenfunction K
+    on ``side``, for every K up to order ``degree``: the
     ``mpoly.hermite_products`` of the forward or adjoint eigenvectors.
     """
     V = model.eig.right.T if side == "forward" else np.conj(model.eig.left)
     table = hermite_products(V, degree)
     table.setflags(write=False)
-    return table
+    return (table,)
 
 
 def _hermite(model, side, K):
     _require_canonical(model)
     K = _check_multi_index(model, K)
-    table = _cached(model, _hermite_table, side, sum(K))
+    table = _grown(model, _hermite_table, (side,), sum(K))[1]
     row = graded_index(model.dim, sum(K)).row[K]
     return MPoly.from_coeffs(model.dim, table[row], model.prune_eps)
 

@@ -20,19 +20,18 @@ Every operator here acts on the coefficient vector of p (``MPoly``) as
 one gather: row r of the image sums weighted coefficients of p read
 through the shift tables of ``monomials.graded_index``.  Its table
 (``generator_table`` for L and its adjoint) depends only on the model,
-the mode, the ``prune_eps`` and a degree.  ``model._op_cache`` keeps one
-table per operator, at the highest degree read so far, and ``_table``
-is its only reader: the operator on a lower degree is the table's first
-rows, gathered on an input zero-padded to the table's source length
-(``_image``).  The operators on one polynomial, the raising of the
-eigenfunctions, the solve of ``spectral`` and the ``verify`` suites all
-read it so.  Scattered into a matrix (``_block``), a table is the
-operator on every polynomial of its degree at once, as the solve and
-the ``verify`` identities read it.  The eigenfunctions of one side and
-order are one block of rows in the same cache (``_eigenblock``), each
-raised from its ``monomials.parent`` row by the gather that raises one
-polynomial.  Concurrent builds may race to insert a cache entry; each
-is a valid table or block, so last write wins harmlessly.
+the mode, the ``prune_eps`` and a degree.  Scattered into a matrix
+(``_block``), it is the operator on every polynomial of its degree.
+
+``model._op_cache`` keeps one entry per builder and arguments, at the
+highest degree asked so far, and ``_grown`` is its one reader: a lower
+degree is the entry's leading rows or block.  So the operator on a lower
+degree gathers its table's first rows on a zero-padded input
+(``_table``, ``_image``), and the eigenfunctions of a lower order are the
+leading block of their side's one table (``_eigenfunctions``), whose
+rows are raised from their ``monomials.parent`` rows and never again.
+Concurrent builds may race to insert an entry; each is valid, so last
+write wins harmlessly.
 """
 
 import math
@@ -63,11 +62,11 @@ class OUModel:
     A Sigma + Sigma A^T + B = 0; the forward operator relies on it, since
     it is applied in the frame of f0 as the generator with drift
     Sigma A^T Sigma^-1.  One cache on the instance, ``_op_cache``, holds
-    the eigenfunction blocks, per side and order, and the tables (one
-    gather table per operator, mode and ``prune_eps``, the
-    grid-evaluation tables of ``spectral``, per order, and
-    the Hermite closed forms of ``hermite_form``, per side and order);
-    treat everything returned from it as immutable.
+    one entry each (``_grown``), at the highest degree asked so far: the
+    eigenfunction table of each side, the gather table of each operator,
+    mode and ``prune_eps``, the grid tables of ``spectral`` and the
+    Hermite closed forms of ``hermite_form``, per side; treat everything
+    returned from it as immutable.
     """
 
     A: np.ndarray
@@ -181,34 +180,28 @@ def _check_adjoint(model, g):
         )
 
 
-def _cached(model, build, *args):
-    """``build(model, *args)``, built on first use and kept in
-    ``model._op_cache`` under (build, *args)."""
+def _grown(model, build, args, degree):
+    """(top, *entry): the model's one entry ``build(model, *args, top)``,
+    kept under (build, *args), top the highest degree asked so far; a
+    higher degree rebuilds it.  A lower degree is its leading rows."""
     key = (build, *args)
     got = model._op_cache.get(key)
-    if got is None:
-        got = build(model, *args)
+    if got is None or got[0] < degree:
+        got = (degree, *build(model, *args, degree))
         model._op_cache[key] = got
     return got
 
 
 def _table(model, build, args, degree):
     """(src, weight, size): the gather table ``build(model, *args,
-    degree)`` as the first rows of the model's one table of the operator,
-    and that table's source length.  ``build`` returns (shift, src,
-    weight), its image on ``degree`` being of degree ``degree + shift``.
-
-    The one table, kept under (build, *args), is the one of the highest
-    degree asked for so far; a higher degree rebuilds it.  Its first rows
-    may read coefficients above ``degree``, which the table of ``degree``
-    masks; on an input zero-padded to ``size``, w 0 in place of 0 0
-    changes only the sign of an exact zero."""
-    key = (build, *args)
-    got = model._op_cache.get(key)
-    if got is None or got[0] < degree:
-        got = (degree, *build(model, *args, degree))
-        model._op_cache[key] = got
-    top, shift, src, weight = got
+    degree)`` as the first rows of the model's one table of the operator
+    (``_grown``), and that table's source length.  ``build`` returns
+    (shift, src, weight), its image on ``degree`` being of degree
+    ``degree + shift``.  The first rows may read coefficients above
+    ``degree``, which the table of ``degree`` masks; on an input
+    zero-padded to ``size``, w 0 in place of 0 0 changes only the sign of
+    an exact zero."""
+    top, shift, src, weight = _grown(model, build, args, degree)
     rows = _rows(model.dim, degree + shift)
     return src[:, :rows], weight[:, :rows], _rows(model.dim, top)
 
@@ -321,11 +314,11 @@ def _apply_table(model, build, args, p):
     return MPoly.from_coeffs(model.dim, image, p.prune_eps)
 
 
-def _block(src, weight, cols):
+def _block(src, weight, cols, rows=0):
     """The matrix of the gathers (src, weight) of a table on the source
-    rows ``cols``, a slice; the reads of other rows are dropped.  Each
-    entry sums its terms in slot order."""
-    out = np.zeros((src.shape[1], cols.stop - cols.start), dtype=weight.dtype)
+    rows ``cols``, a slice, padded with zero rows to ``rows``; the reads
+    of other rows are dropped.  Each entry sums its terms in slot order."""
+    out = np.zeros((max(rows, src.shape[1]), cols.stop - cols.start), dtype=weight.dtype)
     slot, row = np.nonzero((src >= cols.start) & (src < cols.stop))
     np.add.at(out, (row, src[slot, row] - cols.start), weight[slot, row])
     return out
@@ -392,44 +385,55 @@ def lower_adjoint(model, I, g):
     return _ladder(model, "lower_adjoint", I, g)
 
 
-def _eigenblock(model, side, order):
-    """The eigenfunctions of ``side`` and ``order``, read-only: row k holds
-    the coefficients of the k-th mode of the order in ``graded_index``.
+def _eigentable(model, side, order):
+    """(table,): row r holds the coefficients of the r-th mode of
+    ``graded_index(model.dim, order)`` over the same rows, read-only.
 
-    Row K is its parent's row raised by mode I (``monomials.parent``).
-    The rows of one mode are raised by one gather of its table and pruned
-    as ``MPoly`` prunes, so each is bit for bit its parent's own raise.
-    Its raising tables are read before the blocks below, which read
-    their first rows.
+    The side's table of a lower order is copied, and each higher order
+    raised from it: row K is its parent's row raised by mode I
+    (``monomials.parent``), the rows of one mode by one gather of its
+    table read at ``order - 1``, pruned as ``MPoly`` prunes, so each is
+    bit for bit its parent's own raise.
     """
-    if order == 0:
-        block = np.ones((1, 1), dtype=np.complex128)
-    else:
+    R = _rows(model.dim, order)
+    table = np.zeros((R, R), dtype=np.complex128)
+    table[0, 0] = 1.0
+    if order:
         raising = [(f"raise_{side}", I, model.prune_eps) for I in range(model.dim)]
         for args in raising:
             _table(model, _ladder_table, args, order - 1)
+        top, held = _grown(model, _eigentable, (side,), 0)
+        top = min(top, order - 1)
+        S = _rows(model.dim, top)
+        table[:S, :S] = held[:S, :S]
         idx = graded_index(model.dim, order)
-        rows, below = idx.degree(order), idx.degree(order - 1).start
-        prev = _cached(model, _eigenblock, side, order - 1)
-        steps = idx.steps[rows.start - 1 : rows.stop - 1]
-        parents, modes = np.array([step[:2] for step in steps]).T
-        block = np.zeros((len(modes), rows.stop), dtype=np.complex128)
-        for I, args in enumerate(raising):
-            image = _image(model, _ladder_table, args, order - 1, prev[parents[modes == I] - below])
-            block[modes == I, : image.shape[1]] = image
-        prune(block, model.prune_eps)
-    block.setflags(write=False)
-    return block
+        for k in range(top + 1, order + 1):
+            rows = idx.degree(k)
+            parents, modes = np.array([s[:2] for s in idx.steps[rows.start - 1 : rows.stop - 1]]).T
+            block = table[rows]
+            for I, args in enumerate(raising):
+                parent_rows = table[parents[modes == I], : rows.start]
+                image = _image(model, _ladder_table, args, k - 1, parent_rows)
+                block[modes == I, : image.shape[1]] = image
+            prune(block, model.prune_eps)
+    table.setflags(write=False)
+    return (table,)
+
+
+def _eigenfunctions(model, side, order):
+    """The eigenfunctions of ``side`` up to ``order``: the leading block
+    of the side's one table (``_eigentable``)."""
+    R = _rows(model.dim, order)
+    return _grown(model, _eigentable, (side,), order)[1][:R, :R]
 
 
 def _eigenfunction(model, side, K):
-    """Row K of its ``_eigenblock``, as an ``MPoly`` that views the row:
-    the block is read-only and already pruned at ``model.prune_eps``, and
+    """Row K of ``_eigenfunctions``, as an ``MPoly`` that views the row:
+    the table is read-only and already pruned at ``model.prune_eps``, and
     the row's degree is its order unless pruning emptied its top."""
     K = _check_multi_index(model, K)
     k = sum(K)
-    idx = graded_index(model.dim, k)
-    row = _cached(model, _eigenblock, side, k)[idx.row[K] - idx.degree(k).start]
+    row = _eigenfunctions(model, side, k)[graded_index(model.dim, k).row[K]]
     return MPoly._pruned(model.dim, row, model.prune_eps, k)
 
 
@@ -437,15 +441,15 @@ def forward_eigenfunction(model, K):
     """Eigenfunction of L with multi-index K, built by repeated raising.
 
     The mode-0 raising operator is applied last, so the operator product
-    runs in increasing mode order from the outside in.  Memoized per
-    order, as a block.
+    runs in increasing mode order from the outside in.  Memoized as a
+    row of the side's one table.
     """
     return ForwardFunction(_eigenfunction(model, "forward", K), model.f0)
 
 
 def adjoint_eigenfunction(model, K):
     """Eigenfunction of the adjoint operator with multi-index K.  Memoized
-    per order, as a block."""
+    as a row of the side's one table."""
     return _eigenfunction(model, "adjoint", K)
 
 

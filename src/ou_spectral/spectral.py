@@ -23,8 +23,8 @@ generating functions:
   (T = sqrt(2) L), and p_K is the Hermite closed form of the
   eigenvectors there (``mpoly.hermite_products``).
 
-Grid evaluation reads that closed form once per model and order as
-coefficient rows over the monomials z^a.  The expansion is then one
+Grid evaluation reads that closed form from the model's one grid table
+as coefficient rows over the monomials z^a.  The expansion is then one
 real vector pair against the real monomials z^a, built one product per
 monomial on each block of points.  Neither route prunes anything.  The
 exact ``MPoly`` ladder, whose gather tables the ``verify`` suites check,
@@ -57,7 +57,7 @@ from .gaussian import (
     expectation,
     moments,
 )
-from .ladder import _block, _cached, _generator_table, _table
+from .ladder import _block, _check_forward, _generator_table, _grown, _table
 from .monomials import graded_index
 from .mpoly import MPoly, hermite_products
 from .verify import reconstruct_operators_check  # noqa: F401, the name perfbench/layers.py binds
@@ -144,7 +144,9 @@ def evaluate_grid(expansion, points, t):
 
 
 def _grid_tables(model, max_order):
-    """(T, lam, norm): the time-independent tables of grid evaluation.
+    """(T, lam, norm): the time-independent tables of grid evaluation,
+    one per model (``ladder._grown``), read at a lower order as leading
+    blocks.
 
     Row K of T holds the coefficients of p_K over the monomials z^a of
     the whitened coordinates z = W^T x (W = ``model.f0.whitener``), both
@@ -169,11 +171,11 @@ def evaluate_grid_complex(expansion, points, t):
 
     Sums f0(x) c_K / mode_normalization(K) exp(lambda_K t) p_K(x) in the
     whitened coordinates z of f0, where f0 = exp(log_norm - |z|^2 / 2)
-    and each p_K is a row of monomial coefficients (``_grid_tables``,
-    built once per model and order).  So the sum is one real vector pair
-    b = w(t) T, split into real and imaginary parts, against the real
-    monomials z^a, which ``_fill_grid`` builds one block of at most
-    ``GRID_CHUNK`` points at a time in buffers allocated once per call.
+    and each p_K is a row of monomial coefficients (``_grid_tables``, a
+    leading block of the model's one table).  So the sum is one real
+    vector pair b = w(t) T, split into real and imaginary parts, against
+    the real monomials z^a, which ``_fill_grid`` builds in blocks of at
+    most ``GRID_CHUNK`` points, in buffers allocated once per call.
     Raises ``ValueError`` naming the first point that is not finite, and
     ``NonFiniteResultError`` when a value overflows.
     """
@@ -185,12 +187,13 @@ def evaluate_grid_complex(expansion, points, t):
             f"points must have shape (P, {model.dim}), got {pts.shape}"
         )
     idx = graded_index(model.dim, expansion.max_order)
-    T, lam, norm = _cached(model, _grid_tables, expansion.max_order)
+    R = len(idx.modes)
+    _, T, lam, norm = _grown(model, _grid_tables, (), expansion.max_order)
     coeffs = np.array([expansion.coeffs[K] for K in idx.modes])
     out = np.empty(pts.shape[0], dtype=np.complex128)
     # An overflow is reported by the check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        b = (coeffs / norm * np.exp(lam * t)) @ T
+        b = (coeffs / norm[:R] * np.exp(lam[:R] * t)) @ T[:R, :R]
         _fill_grid(model.f0, idx.steps, np.stack([b.real, b.imag]), pts, out)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
@@ -275,22 +278,12 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
     p, which L does not see, is fixed by E_f0[p] = 0: P has no
     stationary component either.
 
-    Raises ``ValueError`` when ``q`` is not a polynomial times the
-    model's stationary density, or when its degree exceeds ``max_order``,
-    and ``NonFiniteResultError`` when a coefficient of q is not finite or
-    one of P overflows.
+    Raises ``DimensionMismatchError`` when ``q`` is not a polynomial times
+    the model's stationary density, ``ValueError`` when its degree exceeds
+    ``max_order``, and ``NonFiniteResultError`` when a coefficient of q is
+    not finite or one of P overflows.
     """
-    if not isinstance(q, ForwardFunction):
-        raise TypeError("solve_inhomogeneous takes a ForwardFunction")
-    if q.dim != model.dim:
-        raise DimensionMismatchError(
-            f"source of dimension {q.dim} for a {model.dim}-dimensional model"
-        )
-    if q.base is not model.f0 and not (
-        np.array_equal(q.base.mean, model.f0.mean)
-        and np.array_equal(q.base.cov, model.f0.cov)
-    ):
-        raise ValueError("source is not based on the model's stationary density")
+    _check_forward(model, q)
     max_order = operator.index(max_order)
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")

@@ -4,10 +4,11 @@ Each suite exercises one family of exact identities and reports its
 worst residual against a tolerance.  The CLI renders these; they are
 plain library code so they can also be driven programmatically.  Every
 check lives here, and no production module imports this one.  The
-eigenfunction suites read the ladder's blocks.  The operator suites read
-each operator through the ladder's one table of it (``ladder._table``),
-which gathers a stack of polynomials (``ladder._image``) or scatters
-into the operator's matrix once (``_operator``).
+eigenfunction suites read each side's one table of them in place
+(``ladder._eigenfunctions``), and the operator suites each operator's
+one table (``ladder._table``), which gathers a stack of polynomials
+(``ladder._image``) or scatters into the operator's matrix once
+(``_operator``).
 """
 
 from dataclasses import dataclass, field
@@ -19,9 +20,9 @@ from .gaussian import moment_matrix
 from .hermite_form import _hermite_table, _require_canonical, is_canonical, to_canonical
 from .ladder import (
     _block,
-    _cached,
-    _eigenblock,
+    _eigenfunctions,
     _generator_table,
+    _grown,
     _image,
     _ladder_table,
     _table,
@@ -100,10 +101,7 @@ def _operator(model, build, args, degree, rows):
     once (``ladder._block``), the reads above ``degree`` dropped.  On a
     lower degree the operator is a leading sub-block of this matrix."""
     src, weight, _ = _table(model, build, args, degree)
-    out = _block(src, weight, slice(0, _rows(model.dim, degree)))
-    if len(out) < rows:
-        out = np.concatenate([out, np.zeros((rows - len(out), out.shape[1]), out.dtype)])
-    return out
+    return _block(src, weight, slice(0, _rows(model.dim, degree)), rows)
 
 
 def _ladders(model, op, degree, rows):
@@ -182,30 +180,18 @@ def reconstruct_operators_check(model, tol=1e-9):
     return OperatorIdentityReport(residuals=worst, tol=tol, basis_size=rows[1])
 
 
-def _stacked(model, side, max_order):
-    """The eigenfunction blocks (``ladder._eigenblock``) of ``side`` up to
-    ``max_order`` as one matrix: row k holds the coefficients of mode k,
-    both indexed by ``graded_index(model.dim, max_order)``, the top first."""
-    idx = graded_index(model.dim, max_order)
-    out = np.zeros((len(idx.modes),) * 2, dtype=np.complex128)
-    _cached(model, _eigenblock, side, max_order)
-    for k in range(max_order + 1):
-        out[idx.degree(k), : idx.degree(k).stop] = _cached(model, _eigenblock, side, k)
-    return out
-
-
 def biorthogonality_suite(model, max_order, tol=1e-8):
     """Every pairing <g_M, f_K> with M and K up to max_order against
     delta_MK times the duality normalization of K.
 
-    All pairings come at once as conj(G) H F^T, from the stacked forward
-    and adjoint eigenfunctions F and G (``_stacked``) and the moment
-    matrix H_ab = E_f0[x^(a+b)].  Residuals are relative to the
+    All pairings come at once as conj(G) H F^T, from the forward and
+    adjoint eigenfunctions F and G (``ladder._eigenfunctions``) and the
+    moment matrix H_ab = E_f0[x^(a+b)].  Residuals are relative to the
     normalization of the forward index.
     """
     modes = graded_index(model.dim, max_order).modes
-    F = _stacked(model, "forward", max_order)
-    G = _stacked(model, "adjoint", max_order)
+    F = _eigenfunctions(model, "forward", max_order)
+    G = _eigenfunctions(model, "adjoint", max_order)
     pairings = np.conj(G) @ moment_matrix(model.f0, max_order) @ F.T
     norms = np.array([mode_normalization(K) for K in modes])
     diag = np.diag(pairings)
@@ -224,8 +210,8 @@ def eigen_residual_suite(model, max_order, tol=1e-8):
     """Forward and adjoint eigen-equations, relative coefficient residuals.
 
     Each side is one gather of the generator (``_image``) over its
-    stacked eigenfunctions (``_stacked``), against lambda_K times row K;
-    each row's residual is relative to its largest coefficient and 1.
+    eigenfunctions (``ladder._eigenfunctions``) against lambda_K times
+    row K, a row's residual relative to its largest coefficient and 1.
     """
     idx = graded_index(model.dim, max_order)
     eps = model.prune_eps
@@ -233,11 +219,11 @@ def eigen_residual_suite(model, max_order, tol=1e-8):
     # inf - inf is NaN, which the fold keeps.
     with np.errstate(invalid="ignore"):
         for side, lams in (("forward", model.eig.values), ("adjoint", np.conj(model.eig.values))):
-            stacked = _stacked(model, side, max_order)
+            table = _eigenfunctions(model, side, max_order)
             lam = (idx.exponents * lams).sum(axis=1)
-            image = _image(model, _generator_table, (side,), max_order, stacked)
-            resid = np.abs(prune(image, eps) - prune(stacked * lam[:, None], eps))
-            scale = np.fmax(np.abs(stacked).max(axis=1), 1.0)
+            image = _image(model, _generator_table, (side,), max_order, table)
+            resid = np.abs(prune(image, eps) - prune(table * lam[:, None], eps))
+            scale = np.fmax(np.abs(table).max(axis=1), 1.0)
             worst = fold_worst(worst, float(np.max(resid.max(axis=1) / scale)))
     return SuiteResult("eigen-residuals", worst, tol)
 
@@ -259,10 +245,10 @@ def ladder_suite(model, n_max=ORDER_CAP, tol=1e-10):
     # inf - inf is NaN, which the fold keeps.
     with np.errstate(invalid="ignore"):
         for side in ("forward", "adjoint"):
-            stacked = _stacked(model, side, n_max)
+            table = _eigenfunctions(model, side, n_max)
             for I in range(model.dim):
                 # Row m holds the eigenfunction of m e_I, m = 0..n_max.
-                rows = single = stacked[exps[:, I] == exps.sum(axis=1)]
+                rows = single = table[exps[:, I] == exps.sum(axis=1)]
                 args = (f"lower_{side}", I, eps)
                 for k in range(1, n_max + 2):
                     rows = prune(_image(model, _ladder_table, args, n_max + 1 - k, rows), eps)
@@ -327,9 +313,10 @@ def hermite_suite(model, max_order=5, tol=1e-9):
     # inf - inf is NaN, which the fold keeps.
     with np.errstate(invalid="ignore"):
         for side in ("forward", "adjoint"):
-            closed = _cached(model_c, _hermite_table, side, max_order)
-            closed = prune(closed.copy(), model_c.prune_eps)
-            d = np.abs(_stacked(model_c, side, max_order) - closed).max()
+            table = _eigenfunctions(model_c, side, max_order)
+            closed = _grown(model_c, _hermite_table, (side,), max_order)[1]
+            closed = prune(closed[: len(table), : len(table)].copy(), model_c.prune_eps)
+            d = np.abs(table - closed).max()
             worst = fold_worst(worst, float(d))
     return SuiteResult("hermite-form", worst, tol)
 

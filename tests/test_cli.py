@@ -151,6 +151,65 @@ def test_default_grid_over_the_cap_leaves_the_other_commands(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _three_dim_config(tmp_path, max_order, **overrides):
+    return write_config(
+        tmp_path,
+        dimension=3,
+        A=(-np.diag([1.0, 2.0, 3.0])).tolist(),
+        B=np.eye(3).tolist(),
+        max_order=max_order,
+        **overrides,
+    )
+
+
+@pytest.mark.parametrize("command", ["verify", "eigensystem", "propagate"])
+def test_max_order_over_the_bound_fails_without_building_a_model(
+    tmp_path, capsys, monkeypatch, command
+):
+    # n = 3, max_order = 30: C(33, 3) = 5456 modes, whose square complex
+    # eigenfunction tables take 476 MB each.  The command must refuse the
+    # config before it builds the model.
+    path = _three_dim_config(tmp_path, 30)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(cli, "build_model", refuse)
+    out_json = tmp_path / "out.json"
+    assert cli.main([command, path, "--json", str(out_json)]) == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err and "'max_order'" in err and "5456 modes" in err
+    assert not out_json.exists()
+
+
+def test_max_order_over_the_bound_leaves_solve_and_mc_check(tmp_path, capsys):
+    path = _three_dim_config(
+        tmp_path,
+        30,
+        sim={"paths": 50, "dt": 0.05, "t_final": 0.2, "seed": 3},
+        source={"terms": [[[1, 0, 0], [1.0, 0.0]]]},
+    )
+    for command in ("solve", "mc-check"):
+        assert cli.main([command, path]) == 0, command
+    capsys.readouterr()
+
+
+def test_max_order_bound_admits_the_measured_sizes(tmp_path):
+    # Every shipped config, and the largest sizes measured so far: n = 5 at
+    # order 7 (792 modes) and n = 6 at order 6 (924 modes).
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    paths = sorted(str(path) for path in configs.glob("*.json"))
+    for n, order in ((1, 40), (5, 7), (6, 6), (6, 7)):
+        eye = np.eye(n).tolist()
+        name, A = f"n{n}-{order}.json", (-np.eye(n)).tolist()
+        paths.append(write_config(tmp_path, name, dimension=n, A=A, B=eye, max_order=order))
+    for path in paths[:-1]:
+        cli._check_order(cli.load_config(path))
+    # C(13, 6) = 1716 modes.
+    with pytest.raises(ConfigError, match="max_order"):
+        cli._check_order(cli.load_config(paths[-1]))
+
+
 def test_default_grid_of_four_dimensions_is_unchanged(tmp_path):
     # 21^4 = 194 481 points, under the cap.
     eye = np.eye(4).tolist()

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 import ou_spectral as ou
-from ou_spectral import cli, errors, verify
+from ou_spectral import cli, errors, hermite_form, verify
 from ou_spectral.mpoly import hermite
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -158,3 +159,51 @@ def test_hermite_form_keeps_the_model_prune_eps(model_spiral):
         assert ou.adjoint_hermite(fine, K).prune_eps == 1e-20
         # the table cached on the fine model does not leak into others
         assert ou.forward_hermite(model_spiral, K).prune_eps == model_spiral.prune_eps
+
+
+def _canonical_models():
+    """The four configs and random models of n = 2-4, canonical."""
+    models = {}
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = cli.load_config(str(path))
+        models[path.stem] = ou.build_model(cfg.A, cfg.B)
+    for n in (2, 3, 4):
+        rng = np.random.default_rng(77 + n)
+        A = rng.standard_normal((n, n)) - 2.5 * np.eye(n)
+        L = rng.standard_normal((n, n))
+        models[f"random_n{n}"] = ou.build_model(A, L @ L.T + 0.2 * np.eye(n))
+    return {
+        name: model if ou.is_canonical(model) else ou.to_canonical(model)[0]
+        for name, model in models.items()
+    }
+
+
+def test_closed_forms_read_below_their_top_order_match_a_direct_build(capsys):
+    # One table per side, read at order 6 first: each lower order reads its
+    # leading block, which must stay within 1e-12 of the table built at that
+    # order, and each closed form of the public route within 1e-12 of the
+    # one a fresh model builds, relative to the largest coefficient and 1.
+    # The random models reach coefficients of 7e8.  The largest difference
+    # is printed.
+    worst = 0.0
+    for name, model in _canonical_models().items():
+        for side, public in (("forward", ou.forward_hermite), ("adjoint", ou.adjoint_hermite)):
+            top = hermite_form._grown(model, hermite_form._hermite_table, (side,), 6)[1]
+            for k in range(6, -1, -1):
+                fresh = dataclasses.replace(model)
+                direct = hermite_form._hermite_table(fresh, side, k)[0]
+                rows = len(direct)
+                scale = max(1.0, float(np.max(np.abs(direct))))
+                d = float(np.max(np.abs(top[:rows, :rows] - direct))) / scale
+                assert d <= 1e-12, (name, side, k, d)
+                worst = max(worst, d)
+                for K in ou.enumerate_modes(model.dim, k):
+                    if sum(K) == k:
+                        want = public(dataclasses.replace(model), K)
+                        d = ou.coeff_distance(public(model, K), want)
+                        d /= max(1.0, want.max_coeff())
+                        assert d <= 1e-12, (name, side, K, d)
+                        worst = max(worst, d)
+            assert model._op_cache[(hermite_form._hermite_table, side)][0] == 6
+    with capsys.disabled():
+        print(f"\nclosed forms below their top order: largest difference {worst:.2e}")

@@ -210,11 +210,11 @@ def test_eigenfunction_conjugate_pair_symmetry(model_spiral):
 
 
 def test_eigenfunction_memoized(model_spiral, monkeypatch):
-    # The block of each order is built once and kept on the model: a
-    # second read of a row builds nothing and gathers nothing.
+    # The side's table is built once and kept on the model: a second read
+    # of a row builds nothing and gathers nothing.
     a = ou.forward_eigenfunction(model_spiral, (2, 2))
     cache = dict(model_spiral._op_cache)
-    assert (ladder._eigenblock, "forward", 4) in cache
+    assert cache[(ladder._eigentable, "forward")][0] >= 4
 
     def refuse(*args):
         raise AssertionError("a block was built again")
@@ -237,8 +237,7 @@ def test_eigenfunction_read_is_from_coeffs_of_its_row(four_models, c):
         for side in ("forward", "adjoint"):
             for K in idx.modes:
                 k = sum(K)
-                block = ladder._cached(model, ladder._eigenblock, side, k)
-                row = block[idx.row[K] - idx.degree(k).start]
+                row = ladder._eigenfunctions(model, side, k)[idx.row[K]]
                 got = ladder._eigenfunction(model, side, K)
                 want = MPoly.from_coeffs(model.dim, row, model.prune_eps)
                 assert np.array_equal(got.coeffs, want.coeffs), (name, side, K)
@@ -259,8 +258,7 @@ def test_warm_eigenfunction_read_does_not_rescan_its_row(four_models, c, monkeyp
         for side in ("forward", "adjoint"):
             for K in idx.modes:
                 k = sum(K)
-                block = ladder._cached(model, ladder._eigenblock, side, k)
-                row = block[idx.row[K] - idx.degree(k).start]
+                row = ladder._eigenfunctions(model, side, k)[idx.row[K]]
                 reads.append((model, side, K, MPoly.from_coeffs(model.dim, row, model.prune_eps)))
 
     def refuse(*args):
@@ -381,14 +379,14 @@ def test_prune_eps_propagates_through_model():
 
 def test_replaced_model_starts_with_empty_caches():
     # A model rebuilt with dataclasses.replace must not see the eigenfunction
-    # blocks and operator tables memoized on the model it was built from.
+    # tables and operator tables memoized on the model it was built from.
     model = ou.build_model([[-1.0]], [[1.0]])
     ou.forward_eigenfunction(model, (2,))
     ou.adjoint_eigenfunction(model, (2,))
-    # One cache holds the blocks of both sides and the raising tables,
-    # one per side and mode.
-    assert (ladder._eigenblock, "forward", 2) in model._op_cache
-    assert (ladder._eigenblock, "adjoint", 2) in model._op_cache
+    # One cache holds the eigenfunction tables of both sides and the
+    # raising tables, one per side and mode.
+    assert (ladder._eigentable, "forward") in model._op_cache
+    assert (ladder._eigentable, "adjoint") in model._op_cache
     for op in ("raise_forward", "raise_adjoint"):
         assert (ladder._ladder_table, op, 0, model.prune_eps) in model._op_cache
     Sigma = 4.0 * model.Sigma
@@ -588,3 +586,67 @@ def test_reads_in_any_order_equal_a_fresh_model(four_models):
                     assert key[1:] in {("forward",), ("adjoint",)}, key
                 elif key[0] is ladder._ladder_table:
                     assert len(key) == 4 and key[3] == shared.prune_eps, key
+                else:
+                    assert key[0] is ladder._eigentable, key
+                    assert key[1:] in {("forward",), ("adjoint",)}, key
+
+
+EIGEN_SEQUENCES = {
+    "ascending": list(range(7)),
+    "descending": list(range(6, -1, -1)),
+    "shuffled": [3, 0, 5, 1, 6, 2, 4],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("sequence", sorted(EIGEN_SEQUENCES))
+def test_eigen_tables_read_in_any_order_equal_a_fresh_model(n, sequence):
+    # Each side keeps one table, grown to the highest order read; every
+    # order read from it, before or after it grows, is bit for bit the
+    # table a fresh model builds at that order.
+    model = _table_model(n)
+    for side in ("forward", "adjoint"):
+        for k in EIGEN_SEQUENCES[sequence]:
+            got = ladder._eigenfunctions(model, side, k)
+            want = ladder._eigenfunctions(_table_model(n), side, k)
+            assert got.shape == want.shape == (len(graded_index(n, k).modes),) * 2
+            assert np.array_equal(got, want), (side, k)
+            assert not got.flags.writeable
+        top, table = model._op_cache[(ladder._eigentable, side)]
+        assert top == 6 and table.shape == (len(graded_index(n, 6).modes),) * 2
+    assert len([key for key in model._op_cache if key[0] is ladder._eigentable]) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_an_ascending_build_raises_each_row_once(n, monkeypatch):
+    # The table of a higher order extends the one it holds: read at orders
+    # 0-6 in turn, it runs the same raising gathers, on the same rows, as
+    # one read at order 6 on a fresh model, one gather per mode and order.
+    # The read at order 6 builds each raising table once, at degree 5.
+    gathers, builds = [], []
+    image, build_table = ladder._image, ladder._ladder_table
+
+    def counted(model, build, args, degree, c):
+        if build is ladder._ladder_table:
+            gathers.append((args[0], args[1], degree, c.shape[0]))
+        return image(model, build, args, degree, c)
+
+    def built(model, op, I, eps, degree):
+        builds.append((op, I, degree))
+        return build_table(model, op, I, eps, degree)
+
+    monkeypatch.setattr(ladder, "_image", counted)
+    monkeypatch.setattr(ladder, "_ladder_table", built)
+    model = _table_model(n)
+    for k in range(7):
+        ladder._eigenfunctions(model, "forward", k)
+        ladder._eigenfunctions(model, "adjoint", k)
+    ascending, gathers[:], builds[:] = sorted(gathers), [], []
+    top_first = _table_model(n)
+    ladder._eigenfunctions(top_first, "forward", 6)
+    ladder._eigenfunctions(top_first, "adjoint", 6)
+    assert ascending == sorted(gathers)
+    assert len(ascending) == 2 * n * 6
+    assert sum(rows for *_, rows in ascending) == 2 * (len(graded_index(n, 6).modes) - 1)
+    ops = ("raise_forward", "raise_adjoint")
+    assert sorted(builds) == sorted((op, I, 5) for op in ops for I in range(n))

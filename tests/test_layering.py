@@ -4,8 +4,8 @@
 them reads it.  The one exception is a commented line of ``spectral``
 that re-exports ``reconstruct_operators_check`` under the name the
 benchmark binds (``perfbench/layers.py``).  ``ladder`` alone builds and
-reads the gather tables of its operators; every other module reads them
-through it.
+reads the gather tables of its operators, and alone reads and writes the
+model's cache; every other module reads them through it.
 """
 
 import ast
@@ -87,31 +87,31 @@ def _name(node):
 
 def _table_builds(source):
     """Source lines that call a table builder, or pass one to
-    ``_cached``."""
+    ``_grown``."""
     lines = source.splitlines()
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
         called = _name(node.func)
         if called in TABLE_BUILDERS or (
-            called == "_cached" and any(_name(arg) in TABLE_BUILDERS for arg in node.args)
+            called == "_grown" and any(_name(arg) in TABLE_BUILDERS for arg in node.args)
         ):
             yield lines[node.lineno - 1].strip()
 
 
 def test_table_build_reader_sees_calls_and_cached_builds():
     source = """
-from .ladder import _cached, _ladder_table, generator_table
+from .ladder import _grown, _ladder_table, generator_table
 from . import ladder
 a = generator_table(idx, D, B)
 b = ladder._generator_table(model, "forward", 3)
-c = _cached(model, _ladder_table, "raise_forward", 0, eps, 3)
+c = _grown(model, _ladder_table, ("raise_forward", 0, eps), 3)
 d = _table(model, _ladder_table, args, 3)
 """
     assert list(_table_builds(source)) == [
         "a = generator_table(idx, D, B)",
         'b = ladder._generator_table(model, "forward", 3)',
-        'c = _cached(model, _ladder_table, "raise_forward", 0, eps, 3)',
+        'c = _grown(model, _ladder_table, ("raise_forward", 0, eps), 3)',
     ]
 
 
@@ -120,3 +120,32 @@ d = _table(model, _ladder_table, args, 3)
 )
 def test_only_ladder_builds_operator_tables(module):
     assert list(_table_builds((PACKAGE / f"{module}.py").read_text())) == []
+
+
+def _cache_uses(source):
+    """Source lines that read or write an attribute ``_op_cache``."""
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "_op_cache":
+            yield lines[node.lineno - 1].strip()
+
+
+def test_cache_reader_sees_reads_and_writes():
+    source = """
+got = model._op_cache.get(key)
+model._op_cache[key] = got
+keys = list(getattr(model, "_op_cache"))
+"""
+    assert sorted(_cache_uses(source)) == [
+        "got = model._op_cache.get(key)",
+        "model._op_cache[key] = got",
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "ladder")
+)
+def test_only_ladder_reads_the_model_cache(module):
+    # ``ladder._grown`` is the one reader of the cache, with one rule for
+    # every entry: kept at the highest degree asked, read as leading rows.
+    assert list(_cache_uses((PACKAGE / f"{module}.py").read_text())) == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -682,12 +683,24 @@ def test_solve_defines_its_inputs(model_spiral):
     with pytest.raises(ValueError, match="max_order"):
         ou.solve_inhomogeneous(model, q, 2)
     other = ou.GaussianDensity(mean=np.zeros(2), cov=2.0 * model.Sigma)
-    with pytest.raises(ValueError, match="stationary density"):
+    with pytest.raises(errors.DimensionMismatchError, match="stationary density"):
         ou.solve_inhomogeneous(model, ou.ForwardFunction(q.poly, other), 3)
     # A copy of f0 is the same density.
     same = ou.GaussianDensity(mean=model.f0.mean.copy(), cov=model.f0.cov.copy())
     P = ou.solve_inhomogeneous(model, ou.ForwardFunction(q.poly, same), 3)
     assert P.poly == ou.solve_inhomogeneous(model, q, 3).poly
+
+
+def test_a_source_on_another_base_fails_solve_as_apply_forward(model_spiral):
+    # The solve repeated the base check of apply_forward and raised
+    # ValueError where apply_forward raises DimensionMismatchError.
+    other = ou.GaussianDensity(mean=np.zeros(2), cov=2.0 * model_spiral.Sigma)
+    q = ou.ForwardFunction(MPoly(2, {(1, 0): 1.0}), other)
+    with pytest.raises(Exception) as solve:
+        ou.solve_inhomogeneous(model_spiral, q, 3)
+    with pytest.raises(Exception) as apply:
+        ou.apply_forward(model_spiral, q)
+    assert type(solve.value) is type(apply.value) is errors.DimensionMismatchError
 
 
 def test_solve_overflow_raises_typed_error(model_spiral):
@@ -737,9 +750,9 @@ def test_a_warm_solve_builds_no_table(monkeypatch):
 
 
 def _eigenfunctions_memoized(model):
-    """The keys of the eigenfunction blocks memoized on ``model``, either
+    """The keys of the eigenfunction tables memoized on ``model``, either
     side."""
-    return [key for key in model._op_cache if key[0] is ladder._eigenblock]
+    return [key for key in model._op_cache if key[0] is ladder._eigentable]
 
 
 @pytest.fixture
@@ -767,3 +780,42 @@ def test_expand_and_evaluate_build_no_eigenfunction(no_eigenfunctions):
     pts = np.random.default_rng(3).normal(size=(50, 3))
     assert np.all(np.isfinite(ou.evaluate_grid_complex(ex, pts, 0.5)))
     assert not _eigenfunctions_memoized(model)
+
+
+def test_grid_tables_read_below_their_top_order_match_a_direct_build(four_models, capsys):
+    # The model keeps one grid table, at the highest order read: a lower
+    # order reads its leading block, which must stay within 1e-12 of the
+    # table built at that order relative to its largest entry, with the
+    # eigenvalues and normalizations unchanged; so must grid values read
+    # after an evaluation at the top order.  The largest difference is
+    # printed.
+    models = dict(four_models)
+    models.update({f"random_n{n}": _random_model(77 + n, n) for n in (2, 3, 4)})
+    rng = np.random.default_rng(77)
+    worst = 0.0
+    for name, model in models.items():
+        model = dataclasses.replace(model)
+        F0 = ou.GaussianDensity(mean=0.1 * np.ones(model.dim), cov=0.8 * model.Sigma)
+        pts = rng.normal(size=(60, model.dim)) @ np.linalg.cholesky(model.Sigma).T
+        ou.evaluate_grid_complex(ou.expand_gaussian(model, F0, 6), pts, 0.3)
+        top, T, lam, norm = model._op_cache[(spectral._grid_tables,)]
+        assert top == 6
+        for k in range(6, -1, -1):
+            T_k, lam_k, norm_k = spectral._grid_tables(model, k)
+            rows = len(T_k)
+            d = float(np.max(np.abs(T[:rows, :rows] - T_k))) / np.max(np.abs(T_k))
+            assert d <= 1e-12, (name, k, d)
+            worst = max(worst, d)
+            assert np.array_equal(lam[:rows], lam_k) and np.array_equal(norm[:rows], norm_k)
+            ex = ou.expand_gaussian(model, F0, k)
+            fresh = dataclasses.replace(ex, model=dataclasses.replace(model))
+            want = ou.evaluate_grid_complex(fresh, pts, 0.3)
+            got = ou.evaluate_grid_complex(ex, pts, 0.3)
+            d = float(np.max(np.abs(got - want))) / np.max(np.abs(want))
+            assert d <= 1e-12, (name, k, d)
+            worst = max(worst, d)
+        assert [key for key in model._op_cache if key[0] is spectral._grid_tables] == [
+            (spectral._grid_tables,)
+        ]
+    with capsys.disabled():
+        print(f"\ngrid tables below their top order: largest difference {worst:.2e}")

@@ -7,7 +7,7 @@ be the polynomial's own gather, a perturbed table weight must fail the
 suite that reads it, and the references below, which apply every public
 operator to one battery polynomial at a time, must read no more than the
 matrix check under the same perturbation.  The other suites read the
-eigenfunction blocks, one per side and order; each block row must be its
+eigenfunction tables, one per side; each table row must be its
 parent's row raised by the public per-polynomial operator, bit for bit,
 and ``run_all`` must call none of those operators.  The bi-orthogonality
 suite takes every pairing from one Gram matrix; each entry must match
@@ -325,8 +325,9 @@ def _degree_eigen_residuals(model, max_order):
     worst = 0.0
     with np.errstate(invalid="ignore"):
         for side, lams in _sides(model):
+            table = ladder._eigenfunctions(model, side, max_order)
             for k in range(max_order + 1):
-                block = ladder._cached(model, ladder._eigenblock, side, k)
+                block = table[idx.degree(k), : idx.degree(k).stop]
                 lam = (idx.exponents[idx.degree(k)] * lams).sum(axis=1)
                 image = _degree_image(model, ladder._generator_table, (side,), k, block)
                 resid = np.abs(prune(image, eps) - prune(block * lam[:, None], eps))
@@ -341,7 +342,7 @@ def _degree_ladder_factorials(model, n_max):
     worst = 0.0
     with np.errstate(invalid="ignore"):
         for side, _ in _sides(model):
-            stacked = verify._stacked(model, side, n_max)
+            stacked = ladder._eigenfunctions(model, side, n_max)
             for I in range(model.dim):
                 rows = single = stacked[exps[:, I] == exps.sum(axis=1)]
                 args = (f"lower_{side}", I, eps)
@@ -484,10 +485,10 @@ def _any_model(name):
 
 @pytest.mark.parametrize("name", CONFIG_NAMES + tuple(IMAGE_MODELS))
 def test_eigenblock_rows_are_their_parents_raised(name):
-    # Row K of a block is bit for bit raise_<side>(model, I, parent row),
-    # the gather and prune that the public operator applies to one
-    # polynomial; on the image models the prune decides which terms of a
-    # row survive.
+    # Row K of a side's eigenfunction table is bit for bit
+    # raise_<side>(model, I, parent row), the gather and prune that the
+    # public operator applies to one polynomial; on the image models the
+    # prune decides which terms of a row survive.
     model, _ = _any_model(name)
     n, eps = model.dim, model.prune_eps
     idx = graded_index(n, 6)
@@ -496,18 +497,14 @@ def test_eigenblock_rows_are_their_parents_raised(name):
         "adjoint": lambda I, p: raise_adjoint(model, I, p),
     }
     for side in ("forward", "adjoint"):
-        npt.assert_array_equal(ladder._cached(model, ladder._eigenblock, side, 0), [[1.0]])
-        for k in range(1, 7):
-            block = ladder._cached(model, ladder._eigenblock, side, k)
-            prev = ladder._cached(model, ladder._eigenblock, side, k - 1)
-            rows, prev_rows = idx.degree(k), idx.degree(k - 1)
-            for r in range(rows.start, rows.stop):
-                p, I, _ = idx.steps[r - 1]
-                parent = MPoly.from_coeffs(n, prev[p - prev_rows.start], eps)
-                want = raise_[side](I, parent).coeffs
-                got = block[r - rows.start]
-                npt.assert_array_equal(got[: want.size], want)
-                assert not got[want.size :].any()
+        table = ladder._eigenfunctions(model, side, 6)
+        npt.assert_array_equal(table[0], np.eye(len(idx.modes))[0])
+        for r in range(1, len(idx.modes)):
+            p, I, _ = idx.steps[r - 1]
+            parent = MPoly.from_coeffs(n, table[p], eps)
+            want = raise_[side](I, parent).coeffs
+            npt.assert_array_equal(table[r, : want.size], want)
+            assert not table[r, want.size :].any()
 
 
 # The per-polynomial API, the reference the acceptance criteria run on.
@@ -538,10 +535,11 @@ def test_run_all_calls_no_per_polynomial_operator(monkeypatch, name):
             monkeypatch.setattr(module, op, refuse, raising=False)
     report = verify.run_all(model, max_order)
     assert len(report.suites) == 6
-    # The cache holds blocks per side and order, and nothing per mode.
-    blocks = {key for key in model._op_cache if key[0] is ladder._eigenblock}
-    sides = ("forward", "adjoint")
-    assert blocks == {(ladder._eigenblock, s, k) for s in sides for k in range(max_order + 1)}
+    # The cache holds one eigenfunction table per side, at max_order, and
+    # nothing per mode.
+    tables = {key for key in model._op_cache if key[0] is ladder._eigentable}
+    assert tables == {(ladder._eigentable, s) for s in ("forward", "adjoint")}
+    assert {model._op_cache[key][0] for key in tables} == {max_order}
 
 
 def _reference_pairings(model, modes):
@@ -576,8 +574,8 @@ def test_pairing_matrix_matches_per_pair_inner_products(name, random):
         seed, n, order = random
         model = _random_model(seed, n)
     modes = enumerate_modes(model.dim, order)
-    F = verify._stacked(model, "forward", order)
-    G = verify._stacked(model, "adjoint", order)
+    F = ladder._eigenfunctions(model, "forward", order)
+    G = ladder._eigenfunctions(model, "adjoint", order)
     got = np.conj(G) @ moment_matrix(model.f0, order) @ F.T
     want, magnitude = _reference_pairings(model, modes)
     norms = np.array([mode_normalization(K) for K in modes])
@@ -610,19 +608,21 @@ def test_order_five_adjoint_perturbation_fails_the_suite():
     # with the order-3 forward eigenfunctions do.  The pairs up to order 4
     # and the diagonal beyond, which the suite checked before it took
     # every pair up to max_order, do not see it.  The entry is written into
-    # the block of order 5 after every block is built, so g_(4,1) alone
-    # carries it.
+    # the adjoint table after every row is raised, so g_(4,1) alone carries
+    # it.
     model, max_order = _config_model("spiral_2d")
     assert verify.biorthogonality_suite(model, max_order).passed
     M = (4, 1)
-    key = (ladder._eigenblock, "adjoint", sum(M))
-    block = model._op_cache[key].copy()
-    idx = graded_index(model.dim, sum(M))
-    row = block[idx.row[M] - idx.degree(sum(M)).start]
+    key = (ladder._eigentable, "adjoint")
+    top, table = model._op_cache[key]
+    assert top == max_order
+    table = table.copy()
+    idx = graded_index(model.dim, max_order)
+    row = table[idx.row[M]]
     lowest = np.flatnonzero(row)[0]
     assert sum(idx.modes[lowest]) == 3
     row[lowest] *= 1.0 + 1e-6
-    model._op_cache[key] = block
+    model._op_cache[key] = (top, table)
     result = verify.biorthogonality_suite(model, max_order)
     assert not result.passed
 
@@ -641,16 +641,18 @@ def test_order_five_adjoint_perturbation_fails_the_suite():
     assert worst <= result.tol
 
 
-def _poison_entry(build, *args):
-    """Replace the model's cached array ``build(model, *args)`` (an
-    eigenfunction block or a Hermite table) by a copy with a NaN in place
-    of its last nonzero entry."""
+def _poison_entry(build, side, degree):
+    """Replace the model's one table ``build(model, side, degree)`` (an
+    eigenfunction table or a Hermite table), read first at ``degree``, by
+    a copy with a NaN in place of its last nonzero entry, which lies in
+    the rows of that degree."""
 
     def poison(monkeypatch, model):
-        key = (build, *args)
-        out = ladder._cached(model, *key).copy()
+        top, out = ladder._grown(model, build, (side,), degree)
+        assert top == degree
+        out = out.copy()
         out.flat[np.flatnonzero(out)[-1]] = np.nan
-        model._op_cache[key] = out
+        model._op_cache[(build, side)] = (top, out)
 
     return poison
 
@@ -672,7 +674,7 @@ def _poison_table(build, *args):
 
 
 # Each suite reads its NaN after a finite residual.  The eigenfunction
-# suites read it from the order-1 forward block, in the row of (0, 1): after
+# suites read it from the order-1 forward rows, in the row of (0, 1): after
 # the pairings of (0, 0) and (1, 0), after the order-0 residual, after the
 # rows of axis 0.  The Hermite suite reads it from the adjoint closed form,
 # after the forward side; spiral_2d is canonical, so the suite runs on the
@@ -682,15 +684,15 @@ def _poison_table(build, *args):
 # identities.
 NAN_CASES = {
     "biorthogonality": (
-        _poison_entry(ladder._eigenblock, "forward", 1),
+        _poison_entry(ladder._eigentable, "forward", 1),
         lambda m: verify.biorthogonality_suite(m, 2),
     ),
     "eigen-residuals": (
-        _poison_entry(ladder._eigenblock, "forward", 1),
+        _poison_entry(ladder._eigentable, "forward", 1),
         lambda m: verify.eigen_residual_suite(m, 2),
     ),
     "ladder-factorials": (
-        _poison_entry(ladder._eigenblock, "forward", 1),
+        _poison_entry(ladder._eigentable, "forward", 1),
         lambda m: verify.ladder_suite(m, n_max=2),
     ),
     "commutators": (
@@ -726,7 +728,7 @@ def test_nan_residual_reaches_the_cli_as_non_finite(monkeypatch, tmp_path, capsy
 
     def poisoned(cfg):
         model = build(cfg)
-        _poison_entry(ladder._eigenblock, "forward", 1)(monkeypatch, model)
+        _poison_entry(ladder._eigentable, "forward", 1)(monkeypatch, model)
         return model
 
     monkeypatch.setattr(cli, "_build", poisoned)
@@ -793,3 +795,49 @@ def test_module_level_state_stays_bounded_over_many_models():
     assert _module_state() == before
     info = graded_index.cache_info()
     assert info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_every_cache_key_is_a_builder_and_its_arguments(monkeypatch, name):
+    # One rule for everything the model caches: one entry per builder and
+    # arguments, with no degree in the key, kept at the highest degree
+    # read.  run_all, then an expansion evaluated on a grid and the
+    # closed forms of the Hermite route, each read at several orders.
+    model, max_order = _config_model(name)
+    canonical = []
+    to_canonical = verify.to_canonical
+
+    def keep(m):
+        canonical.append(to_canonical(m)[0])
+        return canonical[-1], None
+
+    monkeypatch.setattr(verify, "to_canonical", keep)
+    verify.run_all(model, max_order)
+    model_c = canonical[0] if canonical else model
+    n, eps, sides = model.dim, model.prune_eps, ("forward", "adjoint")
+    gens = {(ladder._generator_table, s) for s in sides}
+    eigen = {(ladder._eigentable, s) for s in sides}
+    closed = {(hermite_form._hermite_table, s) for s in sides}
+    ops = [f"{step}_{s}" for step in ("raise", "lower") for s in sides]
+    ladders = {(ladder._ladder_table, op, I, eps) for op in ops for I in range(n)}
+    raising = {key for key in ladders if key[1].startswith("raise")}
+    # 14 entries on spiral_2d; 16 on random_3d and 10 on its canonical model.
+    want = gens | ladders | eigen | (closed if model_c is model else set())
+    assert set(model._op_cache) == want
+    if model_c is not model:
+        assert set(model_c._op_cache) == raising | eigen | closed
+
+    pts = np.random.default_rng(5).normal(size=(30, n))
+    for k in (max_order, 2, max_order - 1):
+        ex = spectral.expand_gaussian(model, model.f0, k)
+        spectral.evaluate_grid_complex(ex, pts, 0.5)
+    for K in enumerate_modes(n, 3)[::-1]:
+        hermite_form.forward_hermite(model_c, K)
+        hermite_form.adjoint_hermite(model_c, K)
+    assert set(model._op_cache) == want | {(spectral._grid_tables,)}
+    tops = {key: entry[0] for key, entry in model._op_cache.items()}
+    assert {tops[key] for key in eigen} == {max_order}
+    assert {tops[key] for key in gens | ladders} == {verify.CHECK_DEGREE + 1}
+    assert tops[(spectral._grid_tables,)] == max_order
+    closed_tops = {model_c._op_cache[key][0] for key in closed}
+    assert closed_tops == {min(max_order, 5)}
