@@ -435,9 +435,9 @@ def cmd_propagate(cfg, args):
 
 
 def cmd_solve(cfg, args):
-    model = _build(cfg)
     if cfg.source is None:
         _fail("source", "missing (required for solve)")
+    model = _build(cfg)
     q = ForwardFunction(
         MPoly(model.dim, cfg.source, model.prune_eps), model.f0
     )
@@ -473,9 +473,9 @@ def cmd_solve(cfg, args):
 
 
 def cmd_mc_check(cfg, args):
-    model = _build(cfg)
     if cfg.sim is None:
         _fail("sim", "missing (required for mc-check)")
+    model = _build(cfg)
     F0 = _initial_density(cfg, model)
     report = simulate(model, F0, cfg.sim)
     exact = exact_gaussian_propagate(model, F0, cfg.sim.t_final)

@@ -18,10 +18,12 @@ raising operators add one linear factor to a directional derivative.
 
 Every operator here acts on the coefficient vector of p (``MPoly``) as
 one gather: row r of the image sums weighted coefficients of p read
-through the shift tables of ``monomials.graded_index``.  Its table
-(``generator_table`` for L and its adjoint) depends only on the model,
-the mode, the ``prune_eps`` and a degree.  Scattered into a matrix
-(``_block``), it is the operator on every polynomial of its degree.
+through the shift tables of ``monomials.graded_index``.  One builder,
+``operator_table``, lays out the table of every operator, L, its adjoint
+and the ladder operators alike, from the operator's exact weights; it
+depends only on the operator and a degree, never on a ``prune_eps``,
+which prunes images only.  Scattered into a matrix (``_block``), it is
+the operator on every polynomial of its degree.
 
 ``model._op_cache`` keeps one entry per builder and arguments, at the
 highest degree asked so far, and ``_grown`` is its one reader: a lower
@@ -63,10 +65,11 @@ class OUModel:
     it is applied in the frame of f0 as the generator with drift
     Sigma A^T Sigma^-1.  One cache on the instance, ``_op_cache``, holds
     one entry each (``_grown``), at the highest degree asked so far: the
-    eigenfunction table of each side, the gather table of each operator,
-    mode and ``prune_eps``, the grid tables of ``spectral`` and the
-    Hermite closed forms of ``hermite_form``, per side; treat everything
-    returned from it as immutable.
+    eigenfunction table of each side, the gather table of each operator
+    (the generator of each side, each ladder operator of each mode), the
+    grid tables of ``spectral`` and the Hermite closed forms of
+    ``hermite_form``, per side; treat everything returned from it as
+    immutable.
     """
 
     A: np.ndarray
@@ -195,7 +198,8 @@ def _grown(model, build, args, degree):
 def _table(model, build, args, degree):
     """(src, weight, size): the gather table ``build(model, *args,
     degree)`` as the first rows of the model's one table of the operator
-    (``_grown``), and that table's source length.  ``build`` returns
+    (``_grown``), and that table's source length.  (build, *args) names
+    the operator alone, and ``build`` returns its ``operator_table``:
     (shift, src, weight), its image on ``degree`` being of degree
     ``degree + shift``.  The first rows may read coefficients above
     ``degree``, which the table of ``degree`` masks; on an input
@@ -215,80 +219,71 @@ def forward_drift(model):
     return model.Sigma @ model.A.T @ model.Sigma_inv
 
 
-def _masked(src, weight):
-    """A gather table: weight 0 where src is -1, and src -1 where the
-    weight is 0, so that a zero weight never meets a NaN."""
-    weight[src < 0] = 0.0
-    src[weight == 0.0] = -1
-    return src, weight
+def operator_table(n, degree, a=None, w=None, D=None, B=None):
+    """(shift, src, weight): the gather table of the operator
+    p -> (a . x) p + (w + D x) . grad p + (1/2) B : grad grad p on the
+    polynomials in n variables of ``degree`` or less.  Its image has degree
+    ``degree + shift``, the shift the largest of its terms': 1 for a, 0
+    for D, -1 for w and -2 for B.  Row r of the image sums
+    weight[s, r] p[src[s, r]], and src is -1 wherever the weight is 0 and
+    wherever it would read a row above ``degree``.
 
-
-def generator_table(idx, D, B):
-    """(src, weight), each of shape (2 n^2, m), for the m rows of the
-    ``GradedIndex`` ``idx``: the generator (D x) . grad p
-    + (1/2) B : grad grad p has coefficient sum_s weight[s, r] p[src[s, r]]
-    at row r, and src is -1 wherever the weight is 0.
-
-    Slot (i, j) of the first n^2 is the drift term D_ij x_j d_i p, which
-    keeps the degree: it reads row r - e_j + e_i, with exponents a, by
-    D_ij a_i.  Slot (i, j) of the last n^2 is the diffusion term
-    (1/2) B_ij d_i d_j p, which lowers the degree by 2: it reads row
-    r + e_i + e_j by (1/2) B_ij a_i (r_j + 1).
+    The slots come in term order, and an absent term has none.  Slot j of
+    the n of a reads row r - e_j by a_j.  Slot i of the n of w reads row
+    r + e_i by w_i (r_i + 1).  Slot (i, j) of the n^2 of D reads row
+    r - e_j + e_i, with exponents s, by D_ij s_i.  Slot (i, j) of the n^2
+    of B reads row r + e_i + e_j by (1/2) B_ij s_i (r_j + 1).
     """
-    n = D.shape[0]
+    terms = ((1, a), (-1, w), (0, D), (-2, B))
+    shift = max(step for step, term in terms if term is not None)
+    idx = graded_index(n, degree + max(shift, 0))
+    size = _rows(n, degree + shift)
     E = idx.exponents.T
     axis = np.arange(n)[:, None, None]
+    src, weight = [], []
+    if a is not None:
+        src.append(idx.down[:, :size])
+        weight.append(np.repeat(a[:, None], size, axis=1))
+    if w is not None:
+        src.append(idx.up[:, :size])
+        weight.append(w[:, None] * (E[:, :size] + 1))
     # [i, j] reads up[i, down[j, r]] and up[i, up[j, r]].
-    drift = np.where(idx.down >= 0, idx.up[:, idx.down], -1)
-    diffusion = np.where(idx.up >= 0, idx.up[:, idx.up], -1)
-    src = np.concatenate([drift, diffusion]).reshape(2 * n * n, -1)
-    weight = np.concatenate(
-        [
-            D[:, :, None] * E[axis, drift],
-            (0.5 * B)[:, :, None] * E[axis, diffusion] * (E + 1),
-        ]
-    ).reshape(src.shape)
-    return _masked(src, weight)
+    if D is not None:
+        drift = np.where(idx.down >= 0, idx.up[:, idx.down], -1)[..., :size]
+        src.append(drift.reshape(n * n, size))
+        weight.append((D[:, :, None] * E[axis, drift]).reshape(n * n, size))
+    if B is not None:
+        diffusion = np.where(idx.up >= 0, idx.up[:, idx.up], -1)[..., :size]
+        src.append(diffusion.reshape(n * n, size))
+        half = (0.5 * B)[:, :, None] * E[axis, diffusion] * (E[:, :size] + 1)
+        weight.append(half.reshape(n * n, size))
+    src, weight = np.concatenate(src), np.concatenate(weight)
+    src[src >= _rows(n, degree)] = -1
+    weight[src < 0] = 0.0
+    src[weight == 0.0] = -1
+    return shift, src, weight
 
 
 def _generator_table(model, side, degree):
-    """(shift 0, *table) of L (side "forward") or its adjoint."""
+    """The table (``operator_table``) of L (side "forward") or its adjoint."""
     D = model.A if side == "adjoint" else forward_drift(model)
-    return 0, *generator_table(graded_index(model.dim, degree), D, model.B)
+    return operator_table(model.dim, degree, D=D, B=model.B)
 
 
-def _ladder_weights(model, op, I, eps):
-    """(a, w) of the mode-I ladder operator ``op``, which sends p to
-    (a . x) p + w . grad p.  An entry of a below ``eps`` is dropped, as
-    ``MPoly.linear`` drops it."""
+def _ladder_table(model, op, I, degree):
+    """The table (``operator_table``) of the mode-I ladder operator
+    ``op``, which sends p to (a . x) p + w . grad p; a lowering operator
+    has no a."""
     e, w = model.eig.right[:, I], model.eig.left[I, :]
     if op == "raise_forward":
         a, w = model.Sigma_inv @ e, -e
     elif op == "lower_forward":
-        a, w = 0.0 * e, 2.0 * (model.Sigma @ w)
+        a, w = None, 2.0 * (model.Sigma @ w)
     elif op == "raise_adjoint":
         a, w = 2.0 * np.conj(w), -2.0 * (model.Sigma @ np.conj(w))
     else:
-        a, w = 0.0 * e, np.conj(e)
-    return np.where(np.abs(a) < eps, 0.0, a), w
-
-
-def _ladder_table(model, op, I, eps, degree):
-    """(shift, *table) of the ladder operator ``op`` of mode I on
-    polynomials of ``degree``: slot j of the first n reads row r - e_j by
-    a_j, and slot i of the last n reads row r + e_i by w_i (r_i + 1).  The
-    shift is 1, or -1 when a is all zero."""
-    a, w = _ladder_weights(model, op, I, eps)
-    n = model.dim
-    idx = graded_index(n, degree + 1)
-    shift = 1 if a.any() else -1
-    size = _rows(n, degree + shift)
-    src = np.concatenate([idx.down[:, :size], idx.up[:, :size]])
-    src[src >= _rows(n, degree)] = -1
-    weight = np.concatenate(
-        [np.repeat(a[:, None], size, axis=1), w[:, None] * (idx.exponents[:size].T + 1)]
-    )
-    return shift, *_masked(src, weight)
+        a, w = None, np.conj(e)
+    return operator_table(model.dim, degree, a=a, w=w)
 
 
 def _image(model, build, args, degree, c):
@@ -326,8 +321,7 @@ def _block(src, weight, cols, rows=0):
 
 def _ladder(model, op, I, p):
     """The mode-I ladder operator ``op`` on the polynomial p; I is checked."""
-    args = (op, _check_mode(model, I), p.prune_eps)
-    return _apply_table(model, _ladder_table, args, p)
+    return _apply_table(model, _ladder_table, (op, _check_mode(model, I)), p)
 
 
 def apply_forward(model, f):
@@ -399,7 +393,7 @@ def _eigentable(model, side, order):
     table = np.zeros((R, R), dtype=np.complex128)
     table[0, 0] = 1.0
     if order:
-        raising = [(f"raise_{side}", I, model.prune_eps) for I in range(model.dim)]
+        raising = [(f"raise_{side}", I) for I in range(model.dim)]
         for args in raising:
             _table(model, _ladder_table, args, order - 1)
         top, held = _grown(model, _eigentable, (side,), 0)

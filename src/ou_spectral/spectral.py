@@ -306,10 +306,10 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
     x = np.zeros((len(idx.modes), 2))
     z = x.view(np.complex128)[:, 0]
     z[: q.poly.coeffs.size] = q.poly.coeffs
+    src, weight, _ = _table(model, _generator_table, ("forward",), max(d, 0))
+    half = len(src) // 2
     for k in range(d, 0, -1):
         s = idx.degree(k)
-        src, weight, _ = _table(model, _generator_table, ("forward",), d)
-        half = len(src) // 2
         b = x[s]
         if k + 2 <= d:
             s2 = idx.degree(k + 2)

@@ -107,8 +107,7 @@ def _operator(model, build, args, degree, rows):
 def _ladders(model, op, degree, rows):
     """The matrices (``_operator``) of the ladder operator ``op`` of
     every mode on ``degree``, padded to ``rows``."""
-    args = [(op, I, model.prune_eps) for I in range(model.dim)]
-    return [_operator(model, _ladder_table, a, degree, rows) for a in args]
+    return [_operator(model, _ladder_table, (op, I), degree, rows) for I in range(model.dim)]
 
 
 def _column_worst(lhs, rhs, scale):
@@ -249,7 +248,7 @@ def ladder_suite(model, n_max=ORDER_CAP, tol=1e-10):
             for I in range(model.dim):
                 # Row m holds the eigenfunction of m e_I, m = 0..n_max.
                 rows = single = table[exps[:, I] == exps.sum(axis=1)]
-                args = (f"lower_{side}", I, eps)
+                args = (f"lower_{side}", I)
                 for k in range(1, n_max + 2):
                     rows = prune(_image(model, _ladder_table, args, n_max + 1 - k, rows), eps)
                     factor = norms[k:] / norms[: n_max + 1 - k]
@@ -329,13 +328,9 @@ def reconstruction_suite(model, tol=1e-9):
 
 def run_all(model, max_order, residual_tol=1e-8):
     """Every suite at its standard tolerance; shared residual_tol where
-    a suite has no tighter inherent requirement.  Each operator's table
-    is built once, first, at the highest degree the suites read."""
-    for side in ("forward", "adjoint"):
-        _table(model, _generator_table, (side,), CHECK_DEGREE + 1)
-        for op in (f"raise_{side}", f"lower_{side}"):
-            for I in range(model.dim):
-                _table(model, _ladder_table, (op, I, model.prune_eps), CHECK_DEGREE + 1)
+    a suite has no tighter inherent requirement.  Each suite reads each
+    operator's one table at the degree it needs, which grows the table
+    when that degree is above every earlier read."""
     suites = [
         biorthogonality_suite(model, max_order, tol=residual_tol),
         eigen_residual_suite(model, min(max_order, ORDER_CAP), tol=residual_tol),

@@ -194,6 +194,26 @@ def test_max_order_over_the_bound_leaves_solve_and_mc_check(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, field", [("solve", "source"), ("mc-check", "sim")])
+def test_a_missing_block_fails_before_the_model_is_built(
+    tmp_path, capsys, monkeypatch, command, field
+):
+    # The drift diag(1, -1) is unstable, so a model built first fails with
+    # UnstableDriftError and hides the missing block.
+    path = write_config(tmp_path, dimension=2, A=[[1.0, 0.0], [0.0, -1.0]], B=np.eye(2).tolist())
+    assert cli.main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert f"error[config]: config field '{field}': missing" in err
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(cli, "build_model", refuse)
+    path = write_config(tmp_path, "stable.json")
+    assert cli.main([command, path]) == 2
+    assert f"config field '{field}': missing" in capsys.readouterr().err
+
+
 def test_max_order_bound_admits_the_measured_sizes(tmp_path):
     # Every shipped config, and the largest sizes measured so far: n = 5 at
     # order 7 (792 modes) and n = 6 at order 6 (924 modes).

@@ -9,7 +9,7 @@ from ou_spectral import errors, ladder, mpoly
 from ou_spectral.monomials import graded_index
 from ou_spectral.mpoly import MPoly, hermite
 
-from conftest import A_SPIRAL
+from conftest import A_3D, A_SPIRAL, B_3D
 
 
 def test_build_model_solves_lyapunov(model_3d):
@@ -388,7 +388,7 @@ def test_replaced_model_starts_with_empty_caches():
     assert (ladder._eigentable, "forward") in model._op_cache
     assert (ladder._eigentable, "adjoint") in model._op_cache
     for op in ("raise_forward", "raise_adjoint"):
-        assert (ladder._ladder_table, op, 0, model.prune_eps) in model._op_cache
+        assert (ladder._ladder_table, op, 0) in model._op_cache
     Sigma = 4.0 * model.Sigma
     m2 = dataclasses.replace(
         model,
@@ -404,19 +404,72 @@ def test_replaced_model_starts_with_empty_caches():
     assert f.poly != ou.forward_eigenfunction(model, (2,)).poly
 
 
+def test_raising_tables_keep_every_linear_weight_in_large_units():
+    # Under x -> 1e8 x every weight of Sigma^-1 e_I is about 1e-16, below
+    # prune_eps.  A prune of the weights at prune_eps dropped all of them,
+    # so the table lost its linear part and lowered the degree.
+    model = ou.build_model(A_3D, B_3D * 1e16)
+    n = model.dim
+    ladder._eigenfunctions(model, "forward", 2)
+    tables = {key[2]: entry for key, entry in model._op_cache.items() if key[1] == "raise_forward"}
+    assert sorted(tables) == list(range(n))
+    for I, (top, shift, src, weight) in tables.items():
+        assert shift == 1
+        assert len(src) == 2 * n
+        assert (src[:n] >= 0).any(axis=1).all(), I
+        assert 0.0 < np.abs(weight[:n]).max() < model.prune_eps
+
+
+def test_raising_keeps_products_above_prune_eps_of_a_weight_below_it():
+    # spiral_2d under x -> 1e3 x: Sigma = 5e5 I, so a = Sigma^-1 e_I has
+    # entries of 1.4e-6, below the polynomial's prune_eps 1e-4, while
+    # (a . x) p has coefficients of 1.4e-3 for p = 1e3 x_1.
+    model = ou.build_model(A_SPIRAL, np.eye(2) * 1e6)
+    eps = 1e-4
+    p = MPoly(2, {(1, 0): 1e3}, prune_eps=eps)
+    for I in range(2):
+        e = model.eig.right[:, I]
+        a, w = model.Sigma_inv @ e, -e
+        assert np.abs(a).max() < eps
+        want = MPoly.zero(2, eps)
+        for j in range(2):
+            want = want + a[j] * (MPoly.variable(2, j, eps) * p) + w[j] * p.diff(j)
+        got = ou.raise_forward(model, I, ou.ForwardFunction(p, model.f0)).poly
+        assert want.degree() == got.degree() == 2
+        assert got.prune_eps == eps
+        assert ou.coeff_distance(got, want) <= 1e-15 * want.max_coeff(), I
+
+
+def test_polynomials_of_two_prune_eps_share_one_raising_table():
+    # A table holds the operator's exact weights; the polynomial's
+    # prune_eps prunes only the image.
+    model = ou.build_model(A_SPIRAL, np.eye(2))
+    for eps in (1e-13, 1e-4):
+        p = MPoly(2, {(1, 0): 1.0, (0, 2): 0.5}, prune_eps=eps)
+        for I in range(2):
+            ou.raise_forward(model, I, ou.ForwardFunction(p, model.f0))
+            ou.raise_adjoint(model, I, p)
+    keys = [key[1:] for key in model._op_cache if key[0] is ladder._ladder_table]
+    assert sorted(keys) == [(op, I) for op in ("raise_adjoint", "raise_forward") for I in range(2)]
+
+
 LADDER_OPS = ("raise_forward", "raise_adjoint", "lower_forward", "lower_adjoint")
-TABLE_KINDS = {side: (ladder._generator_table, (side,)) for side in ("forward", "adjoint")}
-TABLE_KINDS.update({op: (ladder._ladder_table, (op, 0, 1e-13)) for op in LADDER_OPS})
-# At prune_eps 1e3 every linear weight of the raising is dropped, and its
-# table lowers the degree.
-TABLE_KINDS["raise_forward_dropped"] = (ladder._ladder_table, ("raise_forward", 0, 1e3))
+# (build, args, c): the table of the operator build(model, *args) on
+# _table_model(n, c).
+TABLE_KINDS = {side: (ladder._generator_table, (side,), 1.0) for side in ("forward", "adjoint")}
+TABLE_KINDS.update({op: (ladder._ladder_table, (op, 0), 1.0) for op in LADDER_OPS})
+# Under x -> 1e8 x every linear weight of the forward raising is below the
+# default prune_eps, where a prune of the weights once dropped them and
+# the table lowered the degree; the table keeps them.
+TABLE_KINDS["raise_forward_dropped"] = (ladder._ladder_table, ("raise_forward", 0), 1e8)
 
 
-def _table_model(n):
+def _table_model(n, c=1.0):
+    """A random n-dimensional model under x -> c x: B times c^2."""
     rng = np.random.default_rng(n)
     A = 0.5 * rng.standard_normal((n, n)) - 3.0 * np.eye(n)
     L = rng.standard_normal((n, n))
-    return ou.build_model(A, L @ L.T + 0.2 * np.eye(n))
+    return ou.build_model(A, (L @ L.T + 0.2 * np.eye(n)) * c**2)
 
 
 def _gather(src, weight, c):
@@ -450,8 +503,8 @@ def test_stacked_gather_equals_one_polynomial_gathers(n, kind):
     # matrix is bit for bit the matrix of the degree-k table, padded with
     # zero rows.  That its product with a coefficient vector is the
     # gather itself is checked in test_verify.
-    build, args = TABLE_KINDS[kind]
-    model = _table_model(n)
+    build, args, c = TABLE_KINDS[kind]
+    model = _table_model(n, c)
     top = 4
     rows = [len(graded_index(n, k).modes) for k in range(top + 2)]
     M = _matrix(model, build, args, top, rows[top + 1])
@@ -470,8 +523,8 @@ def test_gather_through_the_top_table_prefix_equals_the_degree_table(n, kind):
     # equal, value for value, its gather through the table built at
     # degree k.  Only the sign of an exact zero may differ, which
     # np.array_equal does not see.
-    build, args = TABLE_KINDS[kind]
-    model = _table_model(n)
+    build, args, c = TABLE_KINDS[kind]
+    model = _table_model(n, c)
     rng = np.random.default_rng(100 + n)
     top = 6
     ladder._table(model, build, args, top)
@@ -492,17 +545,17 @@ def test_gather_through_the_top_table_prefix_equals_the_degree_table(n, kind):
 def test_a_grown_table_reads_as_one_built_at_its_top_degree(n, kind):
     # A table read first at degree k and then at 6 is rebuilt at 6, and
     # reads at every degree as a table read at 6 first.
-    build, args = TABLE_KINDS[kind]
+    build, args, c = TABLE_KINDS[kind]
     rng = np.random.default_rng(200 + n)
     stacks = []
     for j in range(7):
         size = len(graded_index(n, j).modes)
         stacks.append(rng.standard_normal((3, size)) + 1j * rng.standard_normal((3, size)))
-    direct = _table_model(n)
+    direct = _table_model(n, c)
     ladder._table(direct, build, args, 6)
     want = [ladder._image(direct, build, args, j, stacks[j]) for j in range(7)]
     for k in range(7):
-        model = _table_model(n)
+        model = _table_model(n, c)
         ladder._table(model, build, args, k)
         ladder._table(model, build, args, 6)
         assert [key for key in model._op_cache] == [(build, *args)]
@@ -585,7 +638,7 @@ def test_reads_in_any_order_equal_a_fresh_model(four_models):
                 if key[0] is ladder._generator_table:
                     assert key[1:] in {("forward",), ("adjoint",)}, key
                 elif key[0] is ladder._ladder_table:
-                    assert len(key) == 4 and key[3] == shared.prune_eps, key
+                    assert key[1:] in {(op, I) for op in LADDER_OPS for I in range(shared.dim)}, key
                 else:
                     assert key[0] is ladder._eigentable, key
                     assert key[1:] in {("forward",), ("adjoint",)}, key
@@ -631,9 +684,9 @@ def test_an_ascending_build_raises_each_row_once(n, monkeypatch):
             gathers.append((args[0], args[1], degree, c.shape[0]))
         return image(model, build, args, degree, c)
 
-    def built(model, op, I, eps, degree):
+    def built(model, op, I, degree):
         builds.append((op, I, degree))
-        return build_table(model, op, I, eps, degree)
+        return build_table(model, op, I, degree)
 
     monkeypatch.setattr(ladder, "_image", counted)
     monkeypatch.setattr(ladder, "_ladder_table", built)

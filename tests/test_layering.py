@@ -3,8 +3,9 @@
 ``verify`` holds every check and reads the production modules; none of
 them reads it.  The one exception is a commented line of ``spectral``
 that re-exports ``reconstruct_operators_check`` under the name the
-benchmark binds (``perfbench/layers.py``).  ``ladder`` alone builds and
-reads the gather tables of its operators, and alone reads and writes the
+benchmark binds (``perfbench/layers.py``).  ``ladder`` alone builds the
+gather tables of its operators, each through its one builder
+``operator_table``, and reads them, and alone reads and writes the
 model's cache; every other module reads them through it.
 """
 
@@ -72,9 +73,10 @@ def test_no_production_module_imports_verify(module):
     assert bad == []
 
 
-# The builders of the operator gather tables, which only ``ladder._table``
+# The one builder of the operator gather tables, ``operator_table``, and
+# the model-level builders that call it and that only ``ladder._table``
 # calls and keeps.
-TABLE_BUILDERS = {"generator_table", "_generator_table", "_ladder_table"}
+TABLE_BUILDERS = {"operator_table", "_generator_table", "_ladder_table"}
 
 
 def _name(node):
@@ -101,17 +103,19 @@ def _table_builds(source):
 
 def test_table_build_reader_sees_calls_and_cached_builds():
     source = """
-from .ladder import _grown, _ladder_table, generator_table
+from .ladder import _grown, _ladder_table, operator_table
 from . import ladder
-a = generator_table(idx, D, B)
+a = operator_table(n, 3, D=D, B=B)
 b = ladder._generator_table(model, "forward", 3)
-c = _grown(model, _ladder_table, ("raise_forward", 0, eps), 3)
+c = _grown(model, _ladder_table, ("raise_forward", 0), 3)
 d = _table(model, _ladder_table, args, 3)
+e = ladder.operator_table(n, 3, a=a, w=w)
 """
     assert list(_table_builds(source)) == [
-        "a = generator_table(idx, D, B)",
+        "a = operator_table(n, 3, D=D, B=B)",
         'b = ladder._generator_table(model, "forward", 3)',
-        'c = _grown(model, _ladder_table, ("raise_forward", 0, eps), 3)',
+        'c = _grown(model, _ladder_table, ("raise_forward", 0), 3)',
+        "e = ladder.operator_table(n, 3, a=a, w=w)",
     ]
 
 

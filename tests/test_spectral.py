@@ -609,7 +609,7 @@ def test_solve_blocks_are_the_forward_operator(four_models):
         n = model.dim
         idx = graded_index(n, 4)
         M = ladder.forward_drift(model)
-        src, weight = ladder.generator_table(idx, M, model.B)
+        _, src, weight = ladder.operator_table(n, 4, D=M, B=model.B)
         G = ladder._block(src, weight, slice(0, len(idx.modes)))
         assert np.array_equal(G, _generator_matrix_loops(M, model.B, idx)), n
         for k in range(1, 5):
@@ -744,7 +744,7 @@ def test_a_warm_solve_builds_no_table(monkeypatch):
         raise AssertionError("a warm solve built a table")
 
     for module in (ladder, spectral):
-        monkeypatch.setattr(module, "generator_table", refuse, raising=False)
+        monkeypatch.setattr(module, "operator_table", refuse, raising=False)
     assert ou.solve_inhomogeneous(model, q5, 5).poly == want5
     assert ou.solve_inhomogeneous(model, q3, 3).poly == want3
 

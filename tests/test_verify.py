@@ -177,10 +177,9 @@ def _rows(n, degree):
 
 def _tables(model):
     """(build, args) of every gather table the two matrix suites read."""
-    eps = model.prune_eps
     out = [(ladder._generator_table, (side,)) for side in ("forward", "adjoint")]
     out += [
-        (ladder._ladder_table, (op, I, eps))
+        (ladder._ladder_table, (op, I))
         for op in ("raise_forward", "raise_adjoint", "lower_forward", "lower_adjoint")
         for I in range(model.dim)
     ]
@@ -215,8 +214,8 @@ def test_shared_images_match_direct_evaluation(name):
 def _perturb_largest(model, build, args, factor):
     """Scale by ``factor`` the largest weight of the operator on degree
     ``CHECK_DEGREE`` in the model's one table of it, grown first to the
-    degree above, the highest the suites read; the suites and the
-    per-polynomial references both read that table."""
+    degree above, the highest any suite reads, so no suite rebuilds it;
+    the suites and the per-polynomial references both read that table."""
     _, src, weight = build(model, *args, verify.CHECK_DEGREE)
     s, r = np.unravel_index(np.argmax(np.abs(weight)), weight.shape)
     ladder._table(model, build, args, verify.CHECK_DEGREE + 1)
@@ -231,8 +230,7 @@ def test_perturbed_raising_weight_fails_the_commutators(name):
     # each table the battery's gathers read; the matrix check reads at
     # least what the battery reads.
     model, _ = _config_model(name)
-    args = ("raise_forward", 0, model.prune_eps)
-    _perturb_largest(model, ladder._ladder_table, args, 1.0 + 1e-9)
+    _perturb_largest(model, ladder._ladder_table, ("raise_forward", 0), 1.0 + 1e-9)
     result = verify.commutator_suite(model)
     assert not result.passed
     assert result.worst >= _reference_commutators(model)
@@ -280,8 +278,15 @@ def test_run_all_checks_at_the_model_prune_eps():
     model, max_order = _config_model("spiral_2d")
     model = build_model(model.A, model.B, prune_eps=1e-10)
     verify.run_all(model, max_order)
-    eps = {key[3:] for key in model._op_cache if key[0] is ladder._ladder_table}
-    assert eps == {(1e-10,)}
+    # The prune_eps prunes the eigenfunctions and the suites' images; at 0
+    # both tables hold entries below 1e-10.  The operator tables hold exact
+    # weights, one per operator.
+    for side in ("forward", "adjoint"):
+        table = np.abs(ladder._eigenfunctions(model, side, max_order))
+        assert table[table > 0].min() >= 1e-10
+    ladders = {key[1:] for key in model._op_cache if key[0] is ladder._ladder_table}
+    ops = [f"{step}_{s}" for step in ("raise", "lower") for s in ("forward", "adjoint")]
+    assert ladders == {(op, I) for op in ops for I in range(model.dim)}
 
 
 # The per-degree suites that read one gather table per input degree, each
@@ -311,8 +316,8 @@ def _degree_matrix(model, build, args, degree, rows):
 
 
 def _degree_ladders(model, op, degree, rows):
-    args = [(op, I, model.prune_eps) for I in range(model.dim)]
-    return [_degree_matrix(model, ladder._ladder_table, a, degree, rows) for a in args]
+    table = ladder._ladder_table
+    return [_degree_matrix(model, table, (op, I), degree, rows) for I in range(model.dim)]
 
 
 def _sides(model):
@@ -345,7 +350,7 @@ def _degree_ladder_factorials(model, n_max):
             stacked = ladder._eigenfunctions(model, side, n_max)
             for I in range(model.dim):
                 rows = single = stacked[exps[:, I] == exps.sum(axis=1)]
-                args = (f"lower_{side}", I, eps)
+                args = (f"lower_{side}", I)
                 for k in range(1, n_max + 2):
                     image = _degree_image(model, ladder._ladder_table, args, n_max + 1 - k, rows)
                     rows = prune(image, eps)
@@ -432,7 +437,8 @@ for _name in CONFIG_NAMES:
     for _c in (1e-8, 1e4):
         REFERENCE_MODELS[f"{_name}_c{_c:g}"] = functools.partial(_rescaled_config_model, _name, _c)
 # At c = 1e8 every linear weight of the forward raising is below
-# prune_eps and dropped: its table lowers the degree.
+# prune_eps, where a prune of the weights once dropped them; the table
+# keeps them exact.
 REFERENCE_MODELS["random_3d_c1e8"] = functools.partial(_rescaled_config_model, "random_3d", 1e8)
 # Drift eigenvalues -40 and -0.5: moderately stiff.
 REFERENCE_MODELS["stiff_moderate_2d"] = lambda: build_model(
@@ -445,18 +451,19 @@ def test_one_table_suites_equal_the_per_degree_suites(name):
     got = REFERENCE_MODELS[name]()
     model, max_order = got if isinstance(got, tuple) else (got, 6)
     report = verify.run_all(model, max_order)
-    # One table per operator, side and mode, each at degree 6, the
-    # highest the suites read: the generators and the raising and lowering
-    # operators.
-    sides = ("forward", "adjoint")
-    eps, top = model.prune_eps, _rows(model.dim, 6)
+    # One table per operator, side and mode, each at the highest degree
+    # the suites read: one above the check degree for the generators and
+    # the lowering operators, and the check degree for the raising
+    # operators, which the eigenfunction tables read at max_order - 1.
+    sides, d = ("forward", "adjoint"), verify.CHECK_DEGREE
     gens = {key for key in model._op_cache if key[0] is ladder._generator_table}
     assert gens == {(ladder._generator_table, s) for s in sides}
     ladders = {key for key in model._op_cache if key[0] is ladder._ladder_table}
     ops = [f"{step}_{s}" for step in ("raise", "lower") for s in sides]
-    assert ladders == {(ladder._ladder_table, op, I, eps) for op in ops for I in range(model.dim)}
+    assert ladders == {(ladder._ladder_table, op, I) for op in ops for I in range(model.dim)}
     for key in gens | ladders:
-        assert ladder._table(model, key[0], key[1:], 0)[2] == top, key
+        top = max(d, max_order - 1) if key[1].startswith("raise") else d + 1
+        assert ladder._table(model, key[0], key[1:], 0)[2] == _rows(model.dim, top), key
     for suite in report.suites:
         if suite.name in PER_DEGREE_SUITES:
             worst, lines = PER_DEGREE_SUITES[suite.name](model, max_order)
@@ -660,14 +667,13 @@ def _poison_entry(build, side, degree):
 def _poison_table(build, *args):
     """Write a NaN into the model's one table of the operator
     ``build(model, *args)``, grown first to the degree above
-    ``CHECK_DEGREE``, the highest the suites read, at the last live
+    ``CHECK_DEGREE``, the highest any suite reads, at the last live
     weight of the operator on degree ``CHECK_DEGREE``."""
 
     def poison(monkeypatch, model):
-        args_ = tuple(model.prune_eps if a is None else a for a in args)
-        _, src, _ = build(model, *args_, verify.CHECK_DEGREE)
-        ladder._table(model, build, args_, verify.CHECK_DEGREE + 1)
-        _, weight, _ = ladder._table(model, build, args_, verify.CHECK_DEGREE)
+        _, src, _ = build(model, *args, verify.CHECK_DEGREE)
+        ladder._table(model, build, args, verify.CHECK_DEGREE + 1)
+        _, weight, _ = ladder._table(model, build, args, verify.CHECK_DEGREE)
         weight[tuple(np.argwhere(src >= 0)[-1])] = np.nan
 
     return poison
@@ -696,7 +702,7 @@ NAN_CASES = {
         lambda m: verify.ladder_suite(m, n_max=2),
     ),
     "commutators": (
-        _poison_table(ladder._ladder_table, "raise_forward", 1, None),
+        _poison_table(ladder._ladder_table, "raise_forward", 1),
         verify.commutator_suite,
     ),
     "hermite-form": (
@@ -797,13 +803,9 @@ def test_module_level_state_stays_bounded_over_many_models():
     assert info.currsize <= info.maxsize
 
 
-@pytest.mark.parametrize("name", CONFIG_NAMES)
-def test_every_cache_key_is_a_builder_and_its_arguments(monkeypatch, name):
-    # One rule for everything the model caches: one entry per builder and
-    # arguments, with no degree in the key, kept at the highest degree
-    # read.  run_all, then an expansion evaluated on a grid and the
-    # closed forms of the Hermite route, each read at several orders.
-    model, max_order = _config_model(name)
+def _run_all_keeping_canonical(monkeypatch, model, max_order):
+    """Run ``run_all`` on the model and return the model the Hermite
+    suite ran on: its canonical model, or the model itself."""
     canonical = []
     to_canonical = verify.to_canonical
 
@@ -813,13 +815,34 @@ def test_every_cache_key_is_a_builder_and_its_arguments(monkeypatch, name):
 
     monkeypatch.setattr(verify, "to_canonical", keep)
     verify.run_all(model, max_order)
-    model_c = canonical[0] if canonical else model
-    n, eps, sides = model.dim, model.prune_eps, ("forward", "adjoint")
+    return canonical[0] if canonical else model
+
+
+def _grid_and_closed_reads(model, model_c, max_order):
+    """An expansion evaluated on a grid, and the closed forms of the
+    Hermite route, each read at several orders."""
+    pts = np.random.default_rng(5).normal(size=(30, model.dim))
+    for k in (max_order, 2, max_order - 1):
+        ex = spectral.expand_gaussian(model, model.f0, k)
+        spectral.evaluate_grid_complex(ex, pts, 0.5)
+    for K in enumerate_modes(model.dim, 3)[::-1]:
+        hermite_form.forward_hermite(model_c, K)
+        hermite_form.adjoint_hermite(model_c, K)
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_every_cache_key_is_a_builder_and_its_arguments(monkeypatch, name):
+    # One rule for everything the model caches: one entry per builder and
+    # arguments, with no degree in the key, kept at the highest degree
+    # read.  run_all, then the grid and closed-form reads.
+    model, max_order = _config_model(name)
+    model_c = _run_all_keeping_canonical(monkeypatch, model, max_order)
+    n, sides = model.dim, ("forward", "adjoint")
     gens = {(ladder._generator_table, s) for s in sides}
     eigen = {(ladder._eigentable, s) for s in sides}
     closed = {(hermite_form._hermite_table, s) for s in sides}
     ops = [f"{step}_{s}" for step in ("raise", "lower") for s in sides]
-    ladders = {(ladder._ladder_table, op, I, eps) for op in ops for I in range(n)}
+    ladders = {(ladder._ladder_table, op, I) for op in ops for I in range(n)}
     raising = {key for key in ladders if key[1].startswith("raise")}
     # 14 entries on spiral_2d; 16 on random_3d and 10 on its canonical model.
     want = gens | ladders | eigen | (closed if model_c is model else set())
@@ -827,17 +850,28 @@ def test_every_cache_key_is_a_builder_and_its_arguments(monkeypatch, name):
     if model_c is not model:
         assert set(model_c._op_cache) == raising | eigen | closed
 
-    pts = np.random.default_rng(5).normal(size=(30, n))
-    for k in (max_order, 2, max_order - 1):
-        ex = spectral.expand_gaussian(model, model.f0, k)
-        spectral.evaluate_grid_complex(ex, pts, 0.5)
-    for K in enumerate_modes(n, 3)[::-1]:
-        hermite_form.forward_hermite(model_c, K)
-        hermite_form.adjoint_hermite(model_c, K)
+    _grid_and_closed_reads(model, model_c, max_order)
     assert set(model._op_cache) == want | {(spectral._grid_tables,)}
     tops = {key: entry[0] for key, entry in model._op_cache.items()}
     assert {tops[key] for key in eigen} == {max_order}
-    assert {tops[key] for key in gens | ladders} == {verify.CHECK_DEGREE + 1}
+    # Each suite reads an operator at the degree it needs: the commutators
+    # read L and the lowering operators one above the check degree, and
+    # the raising operators at it; the eigen tables read the raising
+    # operators at max_order - 1.
+    assert {tops[key] for key in gens | ladders - raising} == {verify.CHECK_DEGREE + 1}
+    assert {tops[key] for key in raising} == {max(verify.CHECK_DEGREE, max_order - 1)}
     assert tops[(spectral._grid_tables,)] == max_order
     closed_tops = {model_c._op_cache[key][0] for key in closed}
     assert closed_tops == {min(max_order, 5)}
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_no_cache_key_holds_a_float(monkeypatch, name):
+    # A key names a builder and its side, operator or mode: no prune_eps,
+    # or any other threshold, selects a table.
+    model, max_order = _config_model(name)
+    model_c = _run_all_keeping_canonical(monkeypatch, model, max_order)
+    _grid_and_closed_reads(model, model_c, max_order)
+    for m in (model, model_c):
+        for key in m._op_cache:
+            assert not any(isinstance(part, float) for part in key), key
