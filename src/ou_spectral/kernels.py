@@ -182,11 +182,13 @@ def _em_block(first, P, seed, mean0, L0, step_x, step_z, n_steps):
     return x
 
 
-def em_paths(A, LB, mean0, L0, n_paths, n_steps, dt, seed):
+def em_paths(A, LB, mean0, L0, n_paths, n_steps, dt, seed, first=0):
     """Terminal states of Euler-Maruyama paths, shape (n_paths, N).
 
     ``LB`` and ``L0`` are Cholesky factors of the diffusion matrix and
     the initial covariance.  Each step is x <- (I + dt A) x + (sqrt(dt) LB) z.
+    Row ``i`` is path ``first + i``; every path has its own stream, so
+    the rows equal those of one call that starts at path 0.
     Bit-reproducible for a fixed seed.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
@@ -194,16 +196,16 @@ def em_paths(A, LB, mean0, L0, n_paths, n_steps, dt, seed):
     mean0 = np.ascontiguousarray(mean0, dtype=np.float64)
     L0 = np.ascontiguousarray(L0, dtype=np.float64)
     seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    n_paths, n_steps, dt = int(n_paths), int(n_steps), float(dt)
+    n_paths, n_steps, dt, first = int(n_paths), int(n_steps), float(dt), int(first)
     n = A.shape[0]
     step_x = np.eye(n) + dt * A
     step_z = np.sqrt(dt) * LB
     out = np.empty((n_paths, n), dtype=np.float64)
     with np.errstate(over="ignore"):
-        for first in range(0, n_paths, PATH_CHUNK):
-            P = min(PATH_CHUNK, n_paths - first)
-            out[first : first + P] = _em_block(
-                first, P, seed, mean0, L0, step_x, step_z, n_steps
+        for lo in range(0, n_paths, PATH_CHUNK):
+            P = min(PATH_CHUNK, n_paths - lo)
+            out[lo : lo + P] = _em_block(
+                first + lo, P, seed, mean0, L0, step_x, step_z, n_steps
             ).T
     return out
 

@@ -542,6 +542,16 @@ def test_mc_check_three_paths_writes_strict_json(tmp_path):
     assert np.all(np.asarray(data["cov_stderr"]) > 0.0)
 
 
+def test_mc_check_rejects_t_final_off_the_step_grid(tmp_path, capsys):
+    # Three steps of 0.3 stop at t = 0.9; the exact law would be taken at 1.
+    sim = {"paths": 100, "dt": 0.3, "t_final": 1.0, "seed": 77}
+    path = write_config(tmp_path, initial={"mean": [0.8], "cov": [[0.4]]}, sim=sim)
+    out_json = tmp_path / "mc.json"
+    assert cli.main(["mc-check", path, "--json", str(out_json)]) == 2
+    assert "config field 'sim': t_final must be an integer multiple of dt" in capsys.readouterr().err
+    assert not out_json.exists()
+
+
 def test_mc_check_requires_sim(tmp_path, capsys):
     path = write_config(tmp_path)
     assert cli.main(["mc-check", path]) == 2

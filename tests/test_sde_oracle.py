@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,6 +13,7 @@ from ou_spectral import (
     expm,
     simulate,
 )
+from ou_spectral import kernels
 from ou_spectral.kernels import active_backend
 
 from conftest import A_SPIRAL
@@ -96,6 +100,113 @@ def test_simconfig_validation():
         SimConfig(paths=10, dt=-0.1, t_final=1.0, seed=1)
     with pytest.raises(ValueError):
         SimConfig(paths=10, dt=0.5, t_final=0.2, seed=1)
+
+
+@pytest.mark.parametrize("field, value", [("paths", 1000.7), ("paths", 1000.0), ("seed", 1.9)])
+def test_simconfig_refuses_non_integer_counts(field, value):
+    # paths=1000.7 ran 1000 paths but reported 1000.7 and divided the
+    # standard errors by its root; seed=1.9 ran seed 1's stream.
+    kwargs = dict(paths=1000, dt=0.01, t_final=1.0, seed=1)
+    kwargs[field] = value
+    with pytest.raises(TypeError):
+        SimConfig(**kwargs)
+
+
+def test_simconfig_keeps_integer_counts_as_int():
+    cfg = SimConfig(paths=np.int64(1000), dt=0.01, t_final=1.0, seed=np.uint64(7))
+    assert type(cfg.paths) is int and cfg.paths == 1000
+    assert type(cfg.seed) is int and cfg.seed == 7
+
+
+@pytest.mark.parametrize("t_final", [math.inf, math.nan])
+def test_simconfig_refuses_non_finite_t_final(t_final):
+    with pytest.raises(ValueError, match="t_final must be finite"):
+        SimConfig(paths=10, dt=0.01, t_final=t_final, seed=1)
+
+
+def test_simconfig_refuses_t_final_off_the_step_grid():
+    # round(1.0 / 0.3) = 3 steps stop the paths at t = 0.9, while the
+    # exact law would be taken at t = 1.
+    with pytest.raises(ValueError, match="integer multiple of dt"):
+        SimConfig(paths=10, dt=0.3, t_final=1.0, seed=1)
+    with pytest.raises(ValueError, match="integer multiple of dt"):
+        SimConfig(paths=10, dt=0.01, t_final=1.0 + 1e-6, seed=1)
+    # Multiples up to the rounding of t_final / dt are accepted.
+    for dt, t_final, steps in ((0.005, 1.0, 200), (0.1, 0.3, 3), (0.01, 0.03, 3), (0.3, 0.9, 3)):
+        assert SimConfig(paths=10, dt=dt, t_final=t_final, seed=1).steps == steps
+
+
+def test_em_paths_first_selects_rows_of_one_long_call():
+    # simulate asks for one block of paths at a time; each block must be
+    # the same rows of a single call, bit for bit.
+    A = np.array([[-1.0, -2.0], [2.0, -1.0]])
+    LB = np.linalg.cholesky(np.array([[1.0, 0.3], [0.3, 0.5]]))
+    mean0 = np.array([0.3, -0.1])
+    L0 = np.linalg.cholesky(0.5 * np.eye(2))
+    whole = kernels.em_paths(A, LB, mean0, L0, 9000, 5, 0.01, 42)
+    for first, count in ((0, 50), (17, 4096), (4000, 200), (4095, 2), (4096, 4096), (100, 8900)):
+        part = kernels.em_paths(A, LB, mean0, L0, count, 5, 0.01, 42, first=first)
+        npt.assert_array_equal(part, whole[first : first + count])
+
+
+def _two_pass_moments(X):
+    """The moments of the rows of X by the two-pass formulas, as one array."""
+    N = X.shape[0]
+    mean = X.mean(axis=0)
+    d = X - mean[None, :]
+    cov = (d.T @ d) / (N - 1)
+    mean_stderr = d.std(axis=0, ddof=1) / np.sqrt(N)
+    prod = d[:, :, None] * d[:, None, :]
+    cov_stderr = prod.std(axis=0, ddof=1) / np.sqrt(N)
+    return mean, cov, mean_stderr, cov_stderr
+
+
+@pytest.mark.parametrize("paths", [3, 4095, 4096, 4097, 8197])
+def test_simulate_matches_two_pass_reference(four_models, paths):
+    # The initial mean sits far from zero, so moments summed about the
+    # origin would lose most of their digits.
+    for name in ("canonical_1d", "spiral_2d", "random_3d"):
+        model = four_models[name]
+        n = model.dim
+        F0 = GaussianDensity(np.linspace(3.0, -2.0, n), 0.5 * np.eye(n) + 0.1)
+        cfg = SimConfig(paths=paths, dt=0.05, t_final=0.1, seed=1234)
+        rep = simulate(model, F0, cfg)
+        X = kernels.em_paths(
+            model.A,
+            np.linalg.cholesky(model.B),
+            F0.mean,
+            np.linalg.cholesky(F0.cov),
+            paths,
+            cfg.steps,
+            cfg.dt,
+            cfg.seed,
+        )
+        got = (rep.mean, rep.cov, rep.mean_stderr, rep.cov_stderr)
+        for g, want in zip(got, _two_pass_moments(X)):
+            assert g.shape == want.shape
+            assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), name
+        assert rep.paths == paths
+
+
+def test_simulate_transient_memory_does_not_grow_with_paths(model_spiral):
+    cfg = dict(dt=0.01, t_final=0.03, seed=5)
+    transient = []
+    tracemalloc.start()
+    try:
+        # A first call fills numpy's caches of small blocks, which stay.
+        simulate(model_spiral, model_spiral.f0, SimConfig(paths=200000, **cfg))
+        for paths in (20000, 200000):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rep = simulate(model_spiral, model_spiral.f0, SimConfig(paths=paths, **cfg))
+            transient.append(tracemalloc.get_traced_memory()[1] - before)
+            del rep
+    finally:
+        tracemalloc.stop()
+    # Holding every terminal state and its centred copies took about
+    # 48 B per path, 9.6 MB at 2e5 paths.
+    assert abs(transient[1] - transient[0]) <= 1024
+    assert max(transient) <= 2 * 2**20
 
 
 def test_input_checks(model_spiral, model_1d):
