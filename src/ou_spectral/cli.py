@@ -26,21 +26,24 @@ from .ladder import (
     forward_eigenfunction,
     mode_normalization,
 )
+from .linalg import DEFAULT_DEFECT_TOL
 from .monomials import enumerate_modes
-from .mpoly import MPoly, coeff_distance, render
+from .mpoly import DEFAULT_PRUNE_EPS, MPoly, coeff_distance, render
 from .sde_oracle import SimConfig, simulate
 from .spectral import (
+    DEFAULT_SOLVABILITY_TOL,
     evaluate_grid_complex,
     exact_gaussian_propagate,
     expand_gaussian,
     solve_inhomogeneous,
 )
 
+# The library's defaults: a config without tolerances runs as a call without.
 _TOL_DEFAULTS = {
-    "defect_tol": 1e-9,
-    "residual_tol": 1e-8,
-    "prune_eps": 1e-13,
-    "solvability_tol": 1e-10,
+    "defect_tol": DEFAULT_DEFECT_TOL,
+    "residual_tol": verify_mod.DEFAULT_RESIDUAL_TOL,
+    "prune_eps": DEFAULT_PRUNE_EPS,
+    "solvability_tol": DEFAULT_SOLVABILITY_TOL,
 }
 
 _TOP_KEYS = {
@@ -254,30 +257,20 @@ def _initial_density(cfg, model):
     return GaussianDensity(mean=mean, cov=cov)
 
 
-def _jsonify(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonify(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonify(v) for v in x]
-    if isinstance(x, complex):
+def _json_default(x):
+    """A complex number as [real, imag], an array as nested lists and a
+    numpy scalar as its Python value: what ``json`` cannot encode."""
+    if isinstance(x, (complex, np.complexfloating)):
         return [float(x.real), float(x.imag)]
-    if isinstance(x, (np.complexfloating,)):
-        return [float(x.real), float(x.imag)]
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, np.ndarray):
-        return [_jsonify(v) for v in x.tolist()]
-    if isinstance(x, (bool, int, float, str)) or x is None:
-        return x
-    return str(x)
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _write_json(path, obj):
     # Bare NaN and Infinity are not JSON: refuse them before the file opens.
     try:
-        text = json.dumps(_jsonify(obj), indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
     except ValueError as e:
         raise NonFiniteResultError(f"cannot write {path}: {e}") from None
     with open(path, "w", encoding="utf-8") as fh:

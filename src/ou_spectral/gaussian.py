@@ -38,14 +38,16 @@ class GaussianDensity:
 
     Compares and hashes by identity.  ``mean`` and ``cov`` are read-only
     copies of the arguments, and a non-finite mean raises ``ValueError``,
-    as a non-finite cov does.  ``whitener`` is W = L^-T for the
-    Cholesky factor cov = L L^T, so the whitened coordinates
-    z = W^T (x - mean) make the density exp(log_norm - |z|^2 / 2).
+    as a non-finite cov does.  ``factor`` is the Cholesky factor L of
+    cov = L L^T, the one factoring of cov, and ``whitener`` W = L^-T, so
+    the whitened coordinates z = W^T (x - mean) make the density
+    exp(log_norm - |z|^2 / 2).
     """
 
     mean: np.ndarray
     cov: np.ndarray
     log_norm: float = field(init=False)
+    factor: np.ndarray = field(init=False, repr=False)
     whitener: np.ndarray = field(init=False, repr=False)
     _moments: np.ndarray = field(init=False, repr=False)
 
@@ -64,13 +66,14 @@ class GaussianDensity:
         except np.linalg.LinAlgError:
             raise NotSPDError("covariance is not positive definite") from None
         sign, logdet = np.linalg.slogdet(cov)
-        mean.setflags(write=False)
-        cov.setflags(write=False)
+        for a in (mean, cov, L):
+            a.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(
             self, "log_norm", -0.5 * (mean.shape[0] * np.log(2.0 * np.pi) + logdet)
         )
+        object.__setattr__(self, "factor", L)
         object.__setattr__(self, "whitener", np.ascontiguousarray(np.linalg.inv(L).T))
         object.__setattr__(self, "_moments", np.empty(0))
 

@@ -42,8 +42,8 @@ class CanonicalTransform:
 def canonical_transform(model):
     """Transform whose pullback sends the stationary covariance to I/2:
     T = sqrt(2) L and T^-1 = W^T / sqrt(2) for f0's Cholesky factor L
-    and whitener W = L^-T."""
-    T = np.sqrt(2.0) * np.linalg.cholesky(model.f0.cov)
+    (``GaussianDensity.factor``) and whitener W = L^-T."""
+    T = np.sqrt(2.0) * model.f0.factor
     T_inv = model.f0.whitener.T / np.sqrt(2.0)
     return CanonicalTransform(T=T, T_inv=T_inv, jac=float(np.linalg.det(T)))
 

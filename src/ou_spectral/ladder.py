@@ -22,8 +22,9 @@ through the shift tables of ``monomials.graded_index``.  One builder,
 ``operator_table``, lays out the table of every operator, L, its adjoint
 and the ladder operators alike, from the operator's exact weights; it
 depends only on the operator and a degree, never on a ``prune_eps``,
-which prunes images only.  Scattered into a matrix (``_block``), it is
-the operator on every polynomial of its degree.
+which prunes images only.  Only this module reads the slots of a table:
+``_image`` gathers coefficient vectors through it, and ``_matrix``
+scatters it into the operator's matrix, or one block of that matrix.
 
 ``model._op_cache`` keeps one entry per builder and arguments, at the
 highest degree asked so far, and ``_grown`` is its one reader: a lower
@@ -90,7 +91,7 @@ class OUModel:
         return self.A.shape[0]
 
 
-def build_model(A, B, tol=1e-9, prune_eps=DEFAULT_PRUNE_EPS):
+def build_model(A, B, tol=linalg.DEFAULT_DEFECT_TOL, prune_eps=DEFAULT_PRUNE_EPS):
     """Assemble an OU model from drift and diffusion matrices.
 
     Parameters
@@ -197,14 +198,12 @@ def _grown(model, build, args, degree):
 
 def _table(model, build, args, degree):
     """(src, weight, size): the gather table ``build(model, *args,
-    degree)`` as the first rows of the model's one table of the operator
-    (``_grown``), and that table's source length.  (build, *args) names
-    the operator alone, and ``build`` returns its ``operator_table``:
-    (shift, src, weight), its image on ``degree`` being of degree
-    ``degree + shift``.  The first rows may read coefficients above
-    ``degree``, which the table of ``degree`` masks; on an input
-    zero-padded to ``size``, w 0 in place of 0 0 changes only the sign of
-    an exact zero."""
+    degree)``, an ``operator_table`` of shift ``shift``, as the rows up to
+    degree ``degree + shift`` of the model's one table of the operator
+    (``_grown``), and that table's source length.  They may read
+    coefficients above ``degree``, which the table of ``degree`` masks; on
+    an input zero-padded to ``size``, w 0 in place of 0 0 changes only the
+    sign of an exact zero."""
     top, shift, src, weight = _grown(model, build, args, degree)
     rows = _rows(model.dim, degree + shift)
     return src[:, :rows], weight[:, :rows], _rows(model.dim, top)
@@ -309,11 +308,18 @@ def _apply_table(model, build, args, p):
     return MPoly.from_coeffs(model.dim, image, p.prune_eps)
 
 
-def _block(src, weight, cols, rows=0):
-    """The matrix of the gathers (src, weight) of a table on the source
-    rows ``cols``, a slice, padded with zero rows to ``rows``; the reads
-    of other rows are dropped.  Each entry sums its terms in slot order."""
-    out = np.zeros((max(rows, src.shape[1]), cols.stop - cols.start), dtype=weight.dtype)
+def _matrix(model, build, args, degree, rows=slice(None), cols=None):
+    """The matrix of the operator ``build(model, *args)`` on the
+    polynomials of ``degree`` or less, column j its image of the j-th
+    monomial of ``graded_index``, or the block of it on the image rows
+    ``rows`` and the columns ``cols``, slices: its table (``_table``)
+    scattered once, the reads outside ``cols`` dropped and each entry
+    summed in slot order, so a block, or the matrix on a lower degree, is
+    bit for bit that block of the whole."""
+    src, weight, _ = _table(model, build, args, degree)
+    cols = slice(0, _rows(model.dim, degree)) if cols is None else cols
+    src, weight = src[:, rows], weight[:, rows]
+    out = np.zeros((src.shape[1], cols.stop - cols.start), dtype=weight.dtype)
     slot, row = np.nonzero((src >= cols.start) & (src < cols.stop))
     np.add.at(out, (row, src[slot, row] - cols.start), weight[slot, row])
     return out
@@ -456,8 +462,7 @@ def eigenvalue(model, K):
 def mode_normalization(K):
     """Duality normalization prod_I 2^{K_I} K_I! of an eigenpair."""
     out = 1.0
-    for k in K:
-        k = operator.index(k)
+    for k in map(operator.index, K):
         if k < 0:
             raise ModeIndexMismatchError(f"multi-index {tuple(K)} has a negative entry")
         out *= float(2**k) * float(math.factorial(k))

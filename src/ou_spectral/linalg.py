@@ -20,6 +20,9 @@ from .errors import (
     UnstableDriftError,
 )
 
+# Default defectiveness threshold, also ``build_model``'s stability margin.
+DEFAULT_DEFECT_TOL = 1e-9
+
 
 def _as_square(M, name="matrix"):
     out = np.asarray(M, dtype=float)
@@ -84,7 +87,7 @@ def _ordered_indices(values):
     return out
 
 
-def biorthogonal_eig(A, tol=1e-9):
+def biorthogonal_eig(A, tol=DEFAULT_DEFECT_TOL):
     """Eigenvalues with matched right and left eigenvector bases.
 
     Parameters

@@ -10,6 +10,7 @@ the pairing matrix of ``verify`` read their rows from ``graded_index``.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -36,7 +37,7 @@ def compositions(total, parts):
 
 def enumerate_modes(dim, max_order):
     """All multi-indices with total order up to max_order, graded-lex."""
-    return list(graded_index(int(dim), int(max_order)).modes)
+    return list(graded_index(operator.index(dim), operator.index(max_order)).modes)
 
 
 def parent(K):

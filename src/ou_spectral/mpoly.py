@@ -26,6 +26,7 @@ their coefficient vectors are immutable.
 
 import cmath
 import math
+import operator
 from types import MappingProxyType
 
 import numpy as np
@@ -94,7 +95,8 @@ class MPoly:
     Parameters
     ----------
     nvars : int
-        Number of variables, at least 1.
+        Number of variables, at least 1.  A count, axis or exponent that
+        is not integral raises ``TypeError`` here and below.
     terms : dict, optional
         Map from exponent tuple (length ``nvars``, nonnegative ints) to
         coefficient.  Coefficients with magnitude below ``prune_eps`` are
@@ -107,10 +109,10 @@ class MPoly:
     __slots__ = ("nvars", "coeffs", "prune_eps", "_degree")
 
     def __init__(self, nvars, terms=None, prune_eps=None):
-        nvars = int(nvars)
+        nvars = operator.index(nvars)
         clean = {}
         for exps, c in (terms or {}).items():
-            key = tuple(int(e) for e in exps)
+            key = tuple(map(operator.index, exps))
             if len(key) != nvars:
                 raise DimensionMismatchError(
                     f"exponent tuple {key} has length {len(key)}, expected {nvars}"
@@ -132,7 +134,7 @@ class MPoly:
         the graded index of ``nvars`` variables, the rows after them zero;
         pruned and trimmed to its degree, and never sharing ``coeffs``."""
         self = object.__new__(cls)
-        self._store(int(nvars), coeffs, prune_eps)
+        self._store(operator.index(nvars), coeffs, prune_eps)
         return self
 
     def _store(self, nvars, coeffs, prune_eps):
@@ -187,6 +189,7 @@ class MPoly:
 
     @classmethod
     def variable(cls, nvars, axis, prune_eps=None):
+        nvars, axis = operator.index(nvars), operator.index(axis)
         if not 0 <= axis < nvars:
             raise AxisOutOfRangeError(f"axis {axis} outside 0..{nvars - 1}")
         return cls.linear(nvars, np.eye(nvars)[axis], prune_eps=prune_eps)
@@ -314,6 +317,7 @@ class MPoly:
 
     def diff(self, axis):
         """Partial derivative along one variable: one gather through ``up``."""
+        axis = operator.index(axis)
         if not 0 <= axis < self.nvars:
             raise AxisOutOfRangeError(f"axis {axis} outside 0..{self.nvars - 1}")
         out = _diff(self.coeffs, self.nvars, self._degree, axis)
@@ -505,4 +509,5 @@ def hermite_products(V, degree):
 def hermite(n):
     """Physicists' Hermite polynomial H_n as a one-variable MPoly: row n
     of ``hermite_table``."""
-    return MPoly.from_coeffs(1, hermite_table(int(n))[int(n)])
+    n = operator.index(n)
+    return MPoly.from_coeffs(1, hermite_table(n)[n])

@@ -98,9 +98,8 @@ def simulate(model, F0, cfg):
         )
     try:
         LB = np.linalg.cholesky(model.B)
-        L0 = np.linalg.cholesky(F0.cov)
     except np.linalg.LinAlgError:
-        raise NotSPDError("diffusion or initial covariance is not SPD") from None
+        raise NotSPDError("diffusion is not SPD") from None
 
     N, n = cfg.paths, model.dim
     # Sums about the first block's mean c, so that no digits are lost to a
@@ -110,7 +109,7 @@ def simulate(model, F0, cfg):
         P = min(PATH_CHUNK, N - first)
         # n_paths and n_steps stay positional: the benchmark's trace reads
         # them as the fifth and sixth arguments.
-        X = em_paths(model.A, LB, F0.mean, L0, P, cfg.steps, cfg.dt, cfg.seed, first=first)
+        X = em_paths(model.A, LB, F0.mean, F0.factor, P, cfg.steps, cfg.dt, cfg.seed, first=first)
         if first == 0:
             c = X.mean(axis=0)
         G += _power_sums(X, c)

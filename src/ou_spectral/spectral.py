@@ -34,11 +34,11 @@ The inhomogeneous solve builds no eigenfunction either.  With P = p f0,
 f0^-1 L(p f0) = (M x) . grad p + (1/2) B : grad grad p, M = Sigma A^T
 Sigma^-1, is block-triangular by degree on the graded monomials, so
 ``solve_inhomogeneous`` solves one small real system per degree of the
-source, top degree first, on blocks read from the rows of the model's
-one forward generator table, which ``apply_forward`` gathers through.
+source, top degree first, on blocks of the generator's matrix that
+``ladder._matrix`` scatters from the model's one forward generator
+table, the table that ``apply_forward`` gathers through.
 """
 
-import math
 import operator
 from dataclasses import dataclass, field
 
@@ -57,7 +57,7 @@ from .gaussian import (
     expectation,
     moments,
 )
-from .ladder import _block, _check_forward, _generator_table, _grown, _table
+from .ladder import _check_forward, _generator_table, _grown, _matrix, mode_normalization
 from .monomials import graded_index
 from .mpoly import MPoly, hermite_products
 from .verify import reconstruct_operators_check  # noqa: F401, the name perfbench/layers.py binds
@@ -65,6 +65,8 @@ from .verify import reconstruct_operators_check  # noqa: F401, the name perfbenc
 # Points per block of grid evaluation; the work buffers hold every
 # monomial over one block, never over the whole grid.
 GRID_CHUNK = 4096
+# Default bound on a solve source's stationary component, relative.
+DEFAULT_SOLVABILITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -155,15 +157,14 @@ def _grid_tables(model, max_order):
     C = W^T E, in the canonical coordinates y = z / sqrt(2) of
     ``hermite_form``, with column a scaled by 2^(-|a|/2) to turn y^a
     into z^a.  ``lam`` and ``norm`` hold lambda_K and
-    ``mode_normalization(K)``.
+    ``ladder.mode_normalization(K)``, the one formula of 2^|K| K!.
     """
-    K = graded_index(model.dim, max_order).exponents
+    idx = graded_index(model.dim, max_order)
     C = model.f0.whitener.T @ model.eig.right
     T = hermite_products(C.T / np.sqrt(2.0), max_order)
-    T *= 2.0 ** (-0.5 * K.sum(axis=1))
-    factorial = np.array([math.factorial(k) for k in range(max_order + 1)], dtype=float)
-    norm = np.prod(2.0**K * factorial[K], axis=1)
-    return T, K @ model.eig.values, norm
+    T *= 2.0 ** (-0.5 * idx.exponents.sum(axis=1))
+    norm = np.array([mode_normalization(K) for K in idx.modes])
+    return T, idx.exponents @ model.eig.values, norm
 
 
 def evaluate_grid_complex(expansion, points, t):
@@ -254,7 +255,7 @@ def exact_gaussian_propagate(model, F0, t):
     return GaussianDensity(mean=mean, cov=0.5 * (cov + cov.T))
 
 
-def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
+def solve_inhomogeneous(model, q, max_order, solvability_tol=DEFAULT_SOLVABILITY_TOL):
     """Solve L P = q for a source q = (polynomial of degree d) * f0.
 
     With P = p f0, f0^-1 L(p f0) = (M x) . grad p + (1/2) B : grad grad p,
@@ -263,10 +264,10 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
     applies.  The first term keeps the degree of a homogeneous
     polynomial and the second lowers it by 2, so for k = d down to 1 the
     degree-k part of p solves D_k p_k = q_k - (1/2) B : grad grad p_{k+2},
-    where D_k and the Hessian block are the matrices of the gathers of
-    the rows of degree k of the model's one forward generator table,
-    kept at the highest degree read so far; the dense matrix
-    over every degree is never built.
+    where D_k and the Hessian block are the blocks of the generator's
+    matrix (``ladder._matrix``) from the coefficients of degree k and
+    k + 2 to the image rows of degree k; the dense matrix over every
+    degree is never built.
     D_k has the eigenvalues lambda_K with |K| = k, so it is nonsingular;
     the real and imaginary parts of q solve as two real right-hand sides.
     The solution is exact, of degree d, and real for a real source.
@@ -306,15 +307,14 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=1e-10):
     x = np.zeros((len(idx.modes), 2))
     z = x.view(np.complex128)[:, 0]
     z[: q.poly.coeffs.size] = q.poly.coeffs
-    src, weight, _ = _table(model, _generator_table, ("forward",), max(d, 0))
-    half = len(src) // 2
+    generator = (model, _generator_table, ("forward",), d)
     for k in range(d, 0, -1):
         s = idx.degree(k)
         b = x[s]
         if k + 2 <= d:
             s2 = idx.degree(k + 2)
-            b = b - _block(src[half:, s], weight[half:, s], s2) @ x[s2]
-        x[s] = np.linalg.solve(_block(src[:half, s], weight[:half, s], s), b)
+            b = b - _matrix(*generator, rows=s, cols=s2) @ x[s2]
+        x[s] = np.linalg.solve(_matrix(*generator, rows=s, cols=s), b)
         if not np.all(np.isfinite(x[s])):
             raise NonFiniteResultError(
                 f"the degree-{k} part of the solution is not finite; "

@@ -6,9 +6,9 @@ plain library code so they can also be driven programmatically.  Every
 check lives here, and no production module imports this one.  The
 eigenfunction suites read each side's one table of them in place
 (``ladder._eigenfunctions``), and the operator suites each operator's
-one table (``ladder._table``), which gathers a stack of polynomials
-(``ladder._image``) or scatters into the operator's matrix once
-(``_operator``).
+one gather table through the two readers of ``ladder``: ``_image``
+gathers a stack of polynomials through it, and ``_matrix`` scatters it
+into the operator's matrix once.  No suite reads the slots of a table.
 """
 
 from dataclasses import dataclass, field
@@ -19,13 +19,12 @@ import numpy as np
 from .gaussian import moment_matrix
 from .hermite_form import _hermite_table, _require_canonical, is_canonical, to_canonical
 from .ladder import (
-    _block,
     _eigenfunctions,
     _generator_table,
     _grown,
     _image,
     _ladder_table,
-    _table,
+    _matrix,
     mode_normalization,
 )
 from .monomials import enumerate_modes, graded_index
@@ -59,6 +58,8 @@ CHECK_DEGREE = 5
 # Highest order at which ``run_all`` checks the eigen-residuals and the
 # ladder factorials.
 ORDER_CAP = 6
+# Default tolerance of bi-orthogonality and the eigen-residuals.
+DEFAULT_RESIDUAL_TOL = 1e-8
 
 
 def battery_polynomials(nvars, count=20, max_degree=5, seed=20240817):
@@ -94,20 +95,9 @@ class OperatorIdentityReport:
         return reduce(fold_worst, self.residuals.values(), 0.0)
 
 
-def _operator(model, build, args, degree, rows):
-    """The matrix of the operator on every polynomial of ``degree`` or
-    less, column j acting on the j-th monomial of ``graded_index``,
-    padded with zero rows to ``rows``: its ``ladder._table`` scattered
-    once (``ladder._block``), the reads above ``degree`` dropped.  On a
-    lower degree the operator is a leading sub-block of this matrix."""
-    src, weight, _ = _table(model, build, args, degree)
-    return _block(src, weight, slice(0, _rows(model.dim, degree)), rows)
-
-
-def _ladders(model, op, degree, rows):
-    """The matrices (``_operator``) of the ladder operator ``op`` of
-    every mode on ``degree``, padded to ``rows``."""
-    return [_operator(model, _ladder_table, (op, I), degree, rows) for I in range(model.dim)]
+def _ladders(model, op, degree):
+    """The matrices (``ladder._matrix``) of ``op`` of every mode on ``degree``."""
+    return [_matrix(model, _ladder_table, (op, I), degree) for I in range(model.dim)]
 
 
 def _column_worst(lhs, rhs, scale):
@@ -130,7 +120,7 @@ def reconstruct_operators_check(model, tol=1e-9):
     * adjoint   as the conjugate-weighted mirror of the same sum
 
     Each identity is one between operator matrices on the polynomials of
-    degree up to ``CHECK_DEGREE`` (``_operator``), so it holds on
+    degree up to ``CHECK_DEGREE`` (``ladder._matrix``), so it holds on
     every basis polynomial; column j, the residual on the j-th, is
     relative to the larger column maximum of its two sides and 1.  Each
     operator is scattered once, on that degree.
@@ -153,10 +143,10 @@ def reconstruct_operators_check(model, tol=1e-9):
 
     def evolution(side, lam):
         # Raising on degree d - 1 is a leading sub-block of raising on d.
-        raised = _ladders(model, f"raise_{side}", d, rows[2])
-        lowered = _ladders(model, f"lower_{side}", d, rows[0])
+        raised = _ladders(model, f"raise_{side}", d)
+        lowered = _ladders(model, f"lower_{side}", d)
         rhs = sum(0.5 * lam[I] * (raised[I][: rows[1], : rows[0]] @ lowered[I]) for I in range(n))
-        fold(side, _operator(model, _generator_table, (side,), d, rows[1]), rhs)
+        fold(side, _matrix(model, _generator_table, (side,), d), rhs)
         return raised, lowered
 
     idx = graded_index(n, d + 1)
@@ -179,7 +169,7 @@ def reconstruct_operators_check(model, tol=1e-9):
     return OperatorIdentityReport(residuals=worst, tol=tol, basis_size=rows[1])
 
 
-def biorthogonality_suite(model, max_order, tol=1e-8):
+def biorthogonality_suite(model, max_order, tol=DEFAULT_RESIDUAL_TOL):
     """Every pairing <g_M, f_K> with M and K up to max_order against
     delta_MK times the duality normalization of K.
 
@@ -205,7 +195,7 @@ def biorthogonality_suite(model, max_order, tol=1e-8):
     return SuiteResult("biorthogonality", worst, tol, lines)
 
 
-def eigen_residual_suite(model, max_order, tol=1e-8):
+def eigen_residual_suite(model, max_order, tol=DEFAULT_RESIDUAL_TOL):
     """Forward and adjoint eigen-equations, relative coefficient residuals.
 
     Each side is one gather of the generator (``_image``) over its
@@ -269,7 +259,7 @@ def commutator_suite(model, tol=1e-9):
     on the adjoint side, and the cross relations between opposite
     lowering and raising families equal to twice the identity, on the
     polynomials of degree up to ``CHECK_DEGREE``.  Each operator is the
-    matrix of its gather table (``_operator``), scattered once on the
+    matrix of its gather table (``ladder._matrix``), scattered once on the
     highest degree it acts on, one above the check degree for L and the
     lowering operators; on a lower degree it is a leading sub-block.
     Products compose with ``@``, so each relation holds on every basis
@@ -284,10 +274,10 @@ def commutator_suite(model, tol=1e-9):
     # inf - inf is NaN, which the fold keeps.
     with np.errstate(invalid="ignore"):
         for side, lams in (("forward", model.eig.values), ("adjoint", np.conj(model.eig.values))):
-            gen_up = _operator(model, _generator_table, (side,), d + 1, rows[2])
+            gen_up = _matrix(model, _generator_table, (side,), d + 1)
             gen = gen_up[: rows[1], : rows[1]]
-            raised = _ladders(model, f"raise_{side}", d, rows[2])
-            lowered_up = _ladders(model, f"lower_{side}", d + 1, rows[1])
+            raised = _ladders(model, f"raise_{side}", d)
+            lowered_up = _ladders(model, f"lower_{side}", d + 1)
             for I in range(n):
                 R = raised[I]
                 scale = np.fmax(np.abs(R).max(axis=0), 1.0)
@@ -326,7 +316,7 @@ def reconstruction_suite(model, tol=1e-9):
     return SuiteResult("operator-reconstruction", report.worst, tol, lines)
 
 
-def run_all(model, max_order, residual_tol=1e-8):
+def run_all(model, max_order, residual_tol=DEFAULT_RESIDUAL_TOL):
     """Every suite at its standard tolerance; shared residual_tol where
     a suite has no tighter inherent requirement.  Each suite reads each
     operator's one table at the degree it needs, which grows the table

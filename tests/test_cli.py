@@ -1,10 +1,13 @@
+import inspect
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ou_spectral import ConfigError, cli, errors
+from ou_spectral import ConfigError, cli, errors, linalg, verify
+from ou_spectral.ladder import build_model
+from ou_spectral.spectral import solve_inhomogeneous
 
 
 def write_config(tmp_path, name="model.json", **overrides):
@@ -44,6 +47,27 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.times == [0.2, 0.9]
     assert cfg.grid_points == 11
     assert cfg.source == {(1,): 1.0 + 0.0j}
+
+
+@pytest.mark.parametrize(
+    "key, function, parameter",
+    [
+        ("defect_tol", build_model, "tol"),
+        ("defect_tol", linalg.biorthogonal_eig, "tol"),
+        ("prune_eps", build_model, "prune_eps"),
+        ("residual_tol", verify.run_all, "residual_tol"),
+        ("residual_tol", verify.biorthogonality_suite, "tol"),
+        ("residual_tol", verify.eigen_residual_suite, "tol"),
+        ("solvability_tol", solve_inhomogeneous, "solvability_tol"),
+    ],
+)
+def test_config_tolerance_defaults_are_the_library_defaults(tmp_path, key, function, parameter):
+    # A config that sets no tolerance runs as the library call that
+    # passes none.
+    cfg = cli.load_config(write_config(tmp_path))
+    default = inspect.signature(function).parameters[parameter].default
+    assert cfg.tolerances[key] == default
+    assert cli._TOL_DEFAULTS[key] is default
 
 
 @pytest.mark.parametrize(
@@ -437,6 +461,29 @@ def test_write_json_refuses_non_finite(tmp_path):
     assert json.loads(out_json.read_text(), parse_constant=_reject_constant) == {
         "value": [1.0, [0.0, 2.0]]
     }
+
+
+def test_write_json_encodes_numpy_values_as_python_ones(tmp_path):
+    # json encodes the Python values; the writer hands it complex numbers,
+    # arrays and numpy scalars in Python form, with the float repr json
+    # uses for a float.
+    out_json = tmp_path / "out.json"
+    obj = {
+        "b": np.array([[0.1, 1e-300], [2.5, -0.0]]),
+        "a": [np.complex128(0.1 - 3j), np.float32(0.5), np.int64(3), (1, 2)],
+        "c": np.array([1 + 0.2j]),
+        "d": {"x": np.float64(1 / 3), "y": True, "z": None},
+    }
+    cli._write_json(str(out_json), obj)
+    want = {
+        "a": [[0.1, -3.0], 0.5, 3, [1, 2]],
+        "b": [[0.1, 1e-300], [2.5, -0.0]],
+        "c": [[1.0, 0.2]],
+        "d": {"x": 1 / 3, "y": True, "z": None},
+    }
+    assert out_json.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    with pytest.raises(TypeError):
+        cli._write_json(str(out_json), {"value": object()})
 
 
 def test_solve_roundtrip(tmp_path, capsys):

@@ -484,13 +484,13 @@ def _gather(src, weight, c):
 
 
 def _matrix(model, build, args, degree, rows):
-    """The matrix of the table ``build(model, *args, degree)``, padded
-    with zero rows to ``rows``: the operator on every polynomial of
-    ``degree`` or less, read from the table of that degree."""
-    _, src, weight = build(model, *args, degree)
-    cols = len(graded_index(model.dim, degree).modes)
-    out = np.zeros((rows, cols), dtype=weight.dtype)
-    out[: src.shape[1]] = ladder._block(src, weight, slice(0, cols))
+    """The matrix (``ladder._matrix``) of the operator on every polynomial
+    of ``degree`` or less, padded with zero rows to ``rows``, read from a
+    table built at that degree: a copy of the model starts with an empty
+    cache."""
+    M = ladder._matrix(dataclasses.replace(model), build, args, degree)
+    out = np.zeros((rows, M.shape[1]), dtype=M.dtype)
+    out[: M.shape[0]] = M
     return out
 
 
@@ -501,17 +501,21 @@ def test_stacked_gather_equals_one_polynomial_gathers(n, kind):
     # polynomials of every degree up to it, each of which gathers through
     # the table of its own degree: cut to the columns of degree k, the
     # matrix is bit for bit the matrix of the degree-k table, padded with
-    # zero rows.  That its product with a coefficient vector is the
-    # gather itself is checked in test_verify.
+    # zero rows, and so is the matrix that the reader cuts from the table
+    # grown to the top degree.  That its product with a coefficient vector
+    # is the gather itself is checked in test_verify.
     build, args, c = TABLE_KINDS[kind]
     model = _table_model(n, c)
     top = 4
     rows = [len(graded_index(n, k).modes) for k in range(top + 2)]
     M = _matrix(model, build, args, top, rows[top + 1])
+    ladder._table(model, build, args, top)
     for k in range(top + 1):
         want = _matrix(model, build, args, k, rows[k + 1])
         npt.assert_array_equal(M[: rows[k + 1], : rows[k]], want, strict=True)
         assert not M[rows[k + 1] :, : rows[k]].any()
+        got = ladder._matrix(model, build, args, k)
+        npt.assert_array_equal(got, want[: len(got)], strict=True)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -6,7 +6,11 @@ that re-exports ``reconstruct_operators_check`` under the name the
 benchmark binds (``perfbench/layers.py``).  ``ladder`` alone builds the
 gather tables of its operators, each through its one builder
 ``operator_table``, and reads them, and alone reads and writes the
-model's cache; every other module reads them through it.
+model's cache; every other module reads them through it.  Outside
+``ladder`` no module imports ``_table`` or ``_block``, so none knows the
+slot layout of a table, and outside ``gaussian`` no module
+Cholesky-factors a ``cov``: each Gaussian is factored once, and keeps its
+factor.
 """
 
 import ast
@@ -153,3 +157,77 @@ def test_only_ladder_reads_the_model_cache(module):
     # ``ladder._grown`` is the one reader of the cache, with one rule for
     # every entry: kept at the highest degree asked, read as leading rows.
     assert list(_cache_uses((PACKAGE / f"{module}.py").read_text())) == []
+
+
+# Names that expose the slot layout of a gather table: its rows
+# (``_table``) and a bare scatter of its slots (``_block``).  Every other
+# module reads a table through ``ladder._image`` and ``ladder._matrix``.
+SLOT_READERS = {"_table", "_block"}
+
+
+def _slot_reads(source):
+    """Source lines that import a slot reader from ``ladder``, or read one
+    as an attribute of it."""
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("ladder"):
+            found = SLOT_READERS & {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            found = node.attr in SLOT_READERS and _name(node.value) == "ladder"
+        else:
+            continue
+        if found:
+            yield lines[node.lineno - 1].strip()
+
+
+def test_slot_read_finder_sees_imports_and_attributes():
+    source = """
+from .ladder import _image, _table
+from ou_spectral.ladder import _block
+from . import ladder
+src = ladder._block(a, b, c)
+ok = ladder._matrix(model, build, args, 3)
+"""
+    assert list(_slot_reads(source)) == [
+        "from .ladder import _image, _table",
+        "from ou_spectral.ladder import _block",
+        "src = ladder._block(a, b, c)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "ladder")
+)
+def test_only_ladder_reads_the_slots_of_a_table(module):
+    assert list(_slot_reads((PACKAGE / f"{module}.py").read_text())) == []
+
+
+def _cov_factorings(source):
+    """Source lines that Cholesky-factor an attribute ``cov``:
+    ``cholesky(g.cov)`` under any module path."""
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _name(node.func) == "cholesky" and node.args:
+            if isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "cov":
+                yield lines[node.lineno - 1].strip()
+
+
+def test_cov_factoring_finder_sees_every_spelling():
+    source = """
+L = np.linalg.cholesky(model.f0.cov)
+L0 = cholesky(F0.cov)
+LB = np.linalg.cholesky(model.B)
+L = np.linalg.cholesky(cov)
+"""
+    assert list(_cov_factorings(source)) == [
+        "L = np.linalg.cholesky(model.f0.cov)",
+        "L0 = cholesky(F0.cov)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "gaussian")
+)
+def test_only_gaussian_factors_a_covariance(module):
+    # ``GaussianDensity`` factors its cov once and keeps L as ``factor``.
+    assert list(_cov_factorings((PACKAGE / f"{module}.py").read_text())) == []

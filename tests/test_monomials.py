@@ -114,3 +114,17 @@ def test_index_validation():
     with pytest.raises(ValueError):
         graded_index(2, -1)
     assert monomials.enumerate_modes is ou.enumerate_modes
+
+
+@pytest.mark.parametrize("dim, order", [(2, 2.5), (2.0, 2), (2, "2")])
+def test_enumerate_modes_refuses_a_count_that_is_not_integral(dim, order):
+    # int() read the order 2.5 as 2 and listed the 6 modes of order 2.
+    with pytest.raises(TypeError):
+        enumerate_modes(dim, order)
+
+
+def test_enumerate_modes_reads_integral_counts_as_before():
+    want = enumerate_modes(2, 2)
+    assert len(want) == 6
+    assert enumerate_modes(np.int64(2), np.int8(2)) == want
+    assert enumerate_modes(2, True) == enumerate_modes(2, 1)

@@ -251,6 +251,49 @@ def test_dimension_mismatch_and_axis_errors():
         MPoly.variable(2, 5)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        # int() read the exponent 1.7 as 1, so this was 1*x1.
+        lambda: MPoly(2, {(1.7, 0): 1.0}),
+        # int() read 2.5 variables as 2.
+        lambda: MPoly(2.5, {(1, 0): 1.0}),
+        lambda: MPoly.from_coeffs(2.5, [1.0]),
+        # int() read 2.7 as 2, so this was H_2.
+        lambda: hermite(2.7),
+        # The axis reached an index and raised an untyped IndexError.
+        lambda: MPoly(2, {(1, 1): 1.0}).diff(0.5),
+        lambda: MPoly.variable(2, 1.0),
+        lambda: MPoly.variable(2.0, 1),
+        lambda: MPoly(2, {("1", 0): 1.0}),
+    ],
+    ids=[
+        "exponent-1.7",
+        "nvars-2.5",
+        "from_coeffs-nvars-2.5",
+        "hermite-2.7",
+        "diff-axis-0.5",
+        "variable-axis-1.0",
+        "variable-nvars-2.0",
+        "exponent-str",
+    ],
+)
+def test_a_count_that_is_not_integral_is_refused(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_integral_counts_read_as_before():
+    want = MPoly(2, {(1, 0): 2.0, (0, 3): 1.0})
+    got = MPoly(np.int64(2), {(np.int64(1), False): 2.0, (np.int8(0), 3): 1.0})
+    assert got == want and got.terms == {(1, 0): 2.0, (0, 3): 1.0}
+    assert type(got.nvars) is int
+    assert MPoly.from_coeffs(np.int64(2), want.coeffs) == want
+    assert hermite(np.int64(3)) == hermite(3)
+    assert want.diff(np.int64(1)) == want.diff(1)
+    assert MPoly.variable(np.int64(2), np.int8(1)) == MPoly(2, {(0, 1): 1.0})
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         MPoly(1, {(-1,): 1.0})

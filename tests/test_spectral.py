@@ -602,18 +602,22 @@ def _generator_matrix_loops(M, B, idx):
 def test_solve_blocks_are_the_forward_operator(four_models):
     # Column a of the generator matrix is f0^-1 L(x^a f0) over the
     # monomials up to degree 4; its degree-k block D_k has the eigenvalues
-    # lambda_K, |K| = k.  The matrix of the generator table, which the
-    # solve reads block by block, equals the tuple-arithmetic fill.
+    # lambda_K, |K| = k.  The matrix of the generator table equals the
+    # tuple-arithmetic fill, and each block that the solve reads, D_k and
+    # the Hessian block, is bit for bit the same block of that matrix.
     models = list(four_models.values()) + [_random_model(104, 4)]
+    generator = (ladder._generator_table, ("forward",), 4)
     for model in models:
         n = model.dim
         idx = graded_index(n, 4)
         M = ladder.forward_drift(model)
-        _, src, weight = ladder.operator_table(n, 4, D=M, B=model.B)
-        G = ladder._block(src, weight, slice(0, len(idx.modes)))
+        G = ladder._matrix(model, *generator)
         assert np.array_equal(G, _generator_matrix_loops(M, model.B, idx)), n
         for k in range(1, 5):
             s = idx.degree(k)
+            for cols in [idx.degree(j) for j in (k, k + 2) if j <= 4]:
+                block = ladder._matrix(model, *generator, rows=s, cols=cols)
+                npt.assert_array_equal(block, G[s, cols], strict=True)
             lams = [ou.eigenvalue(model, K) for K in idx.modes[s]]
             gap = np.abs(np.subtract.outer(np.linalg.eigvals(G[s, s]), lams))
             worst = max(gap.min(axis=0).max(), gap.min(axis=1).max())

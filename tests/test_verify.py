@@ -203,7 +203,7 @@ def test_shared_images_match_direct_evaluation(name):
     for j, p in enumerate(polys):
         vectors[: p.coeffs.size, j] = p.coeffs
     for build, args in _tables(model):
-        images = verify._operator(model, build, args, d, _rows(n, d + 1)) @ vectors
+        images = ladder._matrix(model, build, args, d) @ vectors
         for image, p in zip(images.T, polys):
             want = ladder._apply_table(model, build, args, p).coeffs
             gap = np.abs(image[: want.size] - want).max(initial=0.0)
@@ -308,10 +308,11 @@ def _degree_image(model, build, args, degree, c):
 
 
 def _degree_matrix(model, build, args, degree, rows):
-    _, src, weight = build(model, *args, degree)
-    cols = _rows(model.dim, degree)
-    out = np.zeros((rows, cols), dtype=weight.dtype)
-    out[: src.shape[1]] = ladder._block(src, weight, slice(0, cols))
+    # A copy of the model starts with an empty cache, so the matrix is
+    # read from a table built at ``degree``.
+    M = ladder._matrix(dataclasses.replace(model), build, args, degree)
+    out = np.zeros((rows, M.shape[1]), dtype=M.dtype)
+    out[: M.shape[0]] = M
     return out
 
 
