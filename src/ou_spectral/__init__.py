@@ -55,7 +55,6 @@ from .linalg import (
     EigenSystem,
     biorthogonal_eig,
     expm,
-    inverse,
     solve_lyapunov,
 )
 from .monomials import enumerate_modes
@@ -71,4 +70,4 @@ from .spectral import (
     expand_gaussian,
     solve_inhomogeneous,
 )
-from .verify import OperatorIdentityReport, battery_polynomials, reconstruct_operators_check
+from .verify import battery_polynomials, reconstruct_operators_check

@@ -88,6 +88,8 @@ def _vector(x, field, n):
 
 # Most modes C(dimension + max_order, dimension) of eigensystem, verify and
 # propagate, which build square complex tables of as many rows: 16 MB each.
+# The solve, whose blocks grow with its source's degree, holds the source
+# to as many coefficients, C(dimension + degree, dimension).
 MAX_MODES = 1000
 
 
@@ -430,6 +432,9 @@ def cmd_propagate(cfg, args):
 def cmd_solve(cfg, args):
     if cfg.source is None:
         _fail("source", "missing (required for solve)")
+    degree = max(map(sum, cfg.source), default=0)
+    if math.comb(cfg.dimension + degree, cfg.dimension) > MAX_MODES:
+        _fail("source", f"degree {degree} has more than {MAX_MODES} coefficients")
     model = _build(cfg)
     q = ForwardFunction(
         MPoly(model.dim, cfg.source, model.prune_eps), model.f0

@@ -62,9 +62,13 @@ def to_canonical(model):
     return model_c, tr
 
 
-def is_canonical(model, tol=1e-9):
+# Largest entry of Sigma - I/2 in a model that counts as canonical.
+CANONICAL_TOL = 1e-9
+
+
+def is_canonical(model):
     half_eye = 0.5 * np.eye(model.dim)
-    return float(np.max(np.abs(model.Sigma - half_eye))) <= tol
+    return float(np.max(np.abs(model.Sigma - half_eye))) <= CANONICAL_TOL
 
 
 def _require_canonical(model):

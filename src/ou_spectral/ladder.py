@@ -48,6 +48,7 @@ from .errors import (
     DimensionMismatchError,
     ModeIndexMismatchError,
     ModeOutOfRangeError,
+    NonFiniteResultError,
     UnstableDriftError,
 )
 from .gaussian import ForwardFunction, GaussianDensity, stationary_density
@@ -79,7 +80,6 @@ class OUModel:
     Sigma_inv: np.ndarray
     eig: linalg.EigenSystem
     f0: GaussianDensity
-    conj_partner: np.ndarray
     tol: float
     prune_eps: float
     # Not an init field: a model made by dataclasses.replace starts empty
@@ -128,16 +128,14 @@ def build_model(A, B, tol=linalg.DEFAULT_DEFECT_TOL, prune_eps=DEFAULT_PRUNE_EPS
             f"drift eigenvalue with real part {worst:.6e} is not below {margin:.3e}"
         )
     Sigma = linalg.solve_lyapunov(A, B)
-    Sigma_inv = linalg.inverse(Sigma)
-    partner = linalg.conjugate_partner(eig)
+    f0 = stationary_density(Sigma)  # its Cholesky factoring checks Sigma is SPD
     return OUModel(
         A=A,
         B=B,
         Sigma=Sigma,
-        Sigma_inv=Sigma_inv,
+        Sigma_inv=np.linalg.inv(Sigma),
         eig=eig,
-        f0=stationary_density(Sigma),
-        conj_partner=partner,
+        f0=f0,
         tol=float(tol),
         prune_eps=float(prune_eps),
     )
@@ -460,10 +458,16 @@ def eigenvalue(model, K):
 
 
 def mode_normalization(K):
-    """Duality normalization prod_I 2^{K_I} K_I! of an eigenpair."""
+    """Duality normalization prod_I 2^{K_I} K_I! of an eigenpair;
+    ``NonFiniteResultError`` names K when it is not a finite float."""
     out = 1.0
     for k in map(operator.index, K):
         if k < 0:
             raise ModeIndexMismatchError(f"multi-index {tuple(K)} has a negative entry")
-        out *= float(2**k) * float(math.factorial(k))
+        try:
+            out *= float(2**k) * float(math.factorial(k))
+        except OverflowError:
+            out = math.inf
+    if not math.isfinite(out):
+        raise NonFiniteResultError(f"normalization 2^|K| K! of K={tuple(K)} is not a finite float")
     return out

@@ -15,7 +15,6 @@ from .errors import (
     DefectiveMatrixError,
     NotSPDError,
     NotSquareError,
-    SingularMatrixError,
     SingularSystemError,
     UnstableDriftError,
 )
@@ -52,10 +51,6 @@ class EigenSystem:
     values: np.ndarray
     right: np.ndarray
     left: np.ndarray
-
-    @property
-    def dim(self):
-        return self.values.shape[0]
 
 
 def _ordered_indices(values):
@@ -140,26 +135,6 @@ def biorthogonal_eig(A, tol=DEFAULT_DEFECT_TOL):
     return EigenSystem(values=values, right=vecs, left=left)
 
 
-def conjugate_partner(eig):
-    """Index map sending each mode to its complex-conjugate partner.
-
-    Real eigenvalues map to themselves.  Raises ``SingularSystemError``
-    if some complex eigenvalue has no conjugate partner in the spectrum.
-    """
-    values = eig.values
-    partner = np.empty(len(values), dtype=int)
-    for i, lam in enumerate(values):
-        if lam.imag == 0.0:
-            partner[i] = i
-            continue
-        dists = np.abs(values - np.conj(lam))
-        j = int(np.argmin(dists))
-        if dists[j] > 1e-9 * max(1.0, abs(lam)):
-            raise SingularSystemError("spectrum is not closed under conjugation")
-        partner[i] = j
-    return partner
-
-
 def solve_lyapunov(A, B):
     """Stationary covariance: the SPD solution of A S + S A^T = -B.
 
@@ -190,23 +165,6 @@ def solve_lyapunov(A, B):
         raise SingularSystemError("Lyapunov system is singular") from None
     S = vec.reshape(n, n)
     return 0.5 * (S + S.T)
-
-
-def inverse(S):
-    """Matrix inverse with an explicit residual check."""
-    S = _as_square(S, "S")
-    n = S.shape[0]
-    try:
-        X = np.linalg.solve(S, np.eye(n))
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("matrix is singular") from None
-    resid = np.max(np.abs(S @ X - np.eye(n)))
-    scale = max(1.0, float(np.max(np.abs(S))) * float(np.max(np.abs(X))))
-    if resid > 1e-9 * scale:
-        raise SingularMatrixError(
-            f"matrix is singular to working precision (residual {resid:.3e})"
-        )
-    return X
 
 
 def expm(A, t):

@@ -192,18 +192,8 @@ class MPoly:
         nvars, axis = operator.index(nvars), operator.index(axis)
         if not 0 <= axis < nvars:
             raise AxisOutOfRangeError(f"axis {axis} outside 0..{nvars - 1}")
-        return cls.linear(nvars, np.eye(nvars)[axis], prune_eps=prune_eps)
-
-    @classmethod
-    def linear(cls, nvars, coeffs, const=0.0, prune_eps=None):
-        """Build ``sum_i coeffs[i] * x_i + const``: rows 0..nvars of the
-        index are 1, x_1, ..., x_nvars."""
-        coeffs = list(coeffs)
-        if len(coeffs) != nvars:
-            raise DimensionMismatchError(
-                f"got {len(coeffs)} linear coefficients for {nvars} variables"
-            )
-        return cls.from_coeffs(nvars, [const, *coeffs], prune_eps)
+        # Rows 0..nvars of the index are 1, x_1, ..., x_nvars.
+        return cls.from_coeffs(nvars, np.eye(nvars + 1)[axis + 1], prune_eps)
 
     # ---- basic queries ----
 

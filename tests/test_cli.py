@@ -254,6 +254,48 @@ def test_max_order_bound_admits_the_measured_sizes(tmp_path):
         cli._check_order(cli.load_config(paths[-1]))
 
 
+@pytest.mark.parametrize("order", [151, 172])
+@pytest.mark.parametrize("command", ["eigensystem", "verify", "propagate"])
+def test_an_order_whose_normalization_overflows_exits_2(tmp_path, capsys, command, order):
+    # 2^151 151! overflows a float.  From order 171, float(171!) raised an
+    # untyped OverflowError (exit 1, a traceback); below it, propagate
+    # divided by inf, zeroed those modes and exited 0.
+    path = write_config(tmp_path, max_order=order)
+    out = tmp_path / "out.json"
+    assert cli.main([command, path, "--json", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[NonFiniteResultError]" in err and "K=(151,)" in err
+    assert not out.exists()
+
+
+class _Built(Exception):
+    pass
+
+
+def test_solve_refuses_a_source_beyond_max_modes_before_building(tmp_path, capsys, monkeypatch):
+    # n = 6 and a source of degree 20: a 230230-row index, and a degree-20
+    # block of 53130 x 53130 floats.  Only the refusal runs here: a model
+    # that is built raises _Built.
+    def built(cfg):
+        raise _Built
+
+    monkeypatch.setattr(cli, "_build", built)
+    eye = np.eye(6).tolist()
+    for degree, refused in ((20, True), (7, True), (6, False)):
+        term = [[degree, 0, 0, 0, 0, 0], [1.0, 0.0]]
+        path = write_config(
+            tmp_path, dimension=6, A=(-np.eye(6)).tolist(), B=eye, max_order=degree,
+            source={"terms": [[[1, 0, 0, 0, 0, 0], [1.0, 0.0]], term]},
+        )
+        if refused:
+            # C(6 + 7, 6) = 1716 coefficients; C(12, 6) = 924 pass.
+            assert cli.main(["solve", path]) == 2
+            assert f"config field 'source': degree {degree} has more" in capsys.readouterr().err
+        else:
+            with pytest.raises(_Built):
+                cli.main(["solve", path])
+
+
 def test_default_grid_of_four_dimensions_is_unchanged(tmp_path):
     # 21^4 = 194 481 points, under the cap.
     eye = np.eye(4).tolist()

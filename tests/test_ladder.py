@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -285,6 +287,25 @@ def test_mode_normalization_values():
     assert ou.mode_normalization((3,)) == 48.0
     assert ou.mode_normalization((6,)) == 46080.0
     assert ou.mode_normalization((1, 2, 1)) == 32.0
+
+
+def test_mode_normalization_keeps_the_float_product_of_its_factors():
+    # Every finite normalization keeps its bits: the product, in axis
+    # order, of float(2**k) * float(k!).
+    rng = np.random.default_rng(5)
+    for K in [(150,), (0, 150), (75, 40), *map(tuple, rng.integers(0, 60, size=(50, 3)))]:
+        want = 1.0
+        for k in K:
+            want *= float(2**k) * float(math.factorial(k))
+        assert ou.mode_normalization(K) == want
+
+
+@pytest.mark.parametrize("K", [(151,), (170,), (171,), (172,), (1100,), (100, 100), (0, 0, 171)])
+def test_a_normalization_that_is_not_a_finite_float_is_refused(K):
+    # float(171!) raised OverflowError, and from a single-axis order of 151
+    # to 170 the product read inf, which expansion weights divided by to 0.
+    with pytest.raises(errors.NonFiniteResultError, match=re.escape(f"K={K}")):
+        ou.mode_normalization(K)
 
 
 def test_enumerate_modes_graded_lex():

@@ -80,12 +80,6 @@ def test_eig_not_square():
         linalg.biorthogonal_eig(np.zeros((2, 3)))
 
 
-def test_conjugate_partner_maps():
-    eig = linalg.biorthogonal_eig(A_3D)
-    part = linalg.conjugate_partner(eig)
-    npt.assert_array_equal(part, [0, 2, 1])
-
-
 def test_lyapunov_1d_and_diag():
     npt.assert_allclose(linalg.solve_lyapunov([[-1.0]], [[1.0]]), [[0.5]], atol=1e-14)
     S = linalg.solve_lyapunov(np.diag([-1.0, -2.0]), np.diag([1.0, 4.0]))
@@ -112,16 +106,6 @@ def test_lyapunov_rejects_unstable_and_nonspd():
         linalg.solve_lyapunov(A_SPIRAL, [[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(errors.NotSPDError):
         linalg.solve_lyapunov(A_SPIRAL, [[1.0, 0.5], [0.0, 1.0]])
-
-
-def test_inverse_known_matrix():
-    X = linalg.inverse([[2.0, 1.0], [1.0, 1.0]])
-    npt.assert_allclose(X, [[1.0, -1.0], [-1.0, 2.0]], atol=1e-14)
-
-
-def test_inverse_singular_raises():
-    with pytest.raises(errors.SingularMatrixError):
-        linalg.inverse([[1.0, 2.0], [2.0, 4.0]])
 
 
 def test_expm_rotation_quarter_turn():

@@ -22,6 +22,7 @@ residuals and lines.
 import dataclasses
 import functools
 import importlib
+import json
 import pathlib
 import pkgutil
 
@@ -30,7 +31,7 @@ import numpy.testing as npt
 import pytest
 
 import ou_spectral
-from ou_spectral import cli, errors, hermite_form, ladder, linalg, spectral, verify
+from ou_spectral import cli, errors, hermite_form, ladder, spectral, verify
 from ou_spectral.gaussian import (
     ForwardFunction,
     inner_product,
@@ -272,6 +273,45 @@ def test_close_drift_eigenvalues_pass_verify_at_order_six():
     # Eigenvalues -2.87 and -2.12: the pairing sums cancel terms up to 1.3e10
     # times the normalization, and bi-orthogonality reads 1.1e-7 against 1e-8.
     assert verify.run_all(_random_model(4, 2), 6).passed
+
+
+# Known failures at high order (ROADMAP item 8): only bi-orthogonality
+# fails, because the monomial moment matrix E[x^(a+b)] loses the digits;
+# every other suite passes.
+@pytest.mark.parametrize(
+    "order",
+    [
+        pytest.param(order, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason=f"bi-orthogonality reads {worst}"
+        ))
+        for order, worst in ((16, "1.56e-7"), (22, "1.86e-2"))
+    ],
+)
+def test_spiral_passes_verify_at_high_order(order):
+    model, _ = _config_model("spiral_2d")
+    failing = {s.name: s.worst for s in verify.run_all(model, order).suites if not s.passed}
+    if set(failing) - {"biorthogonality"}:
+        pytest.fail(f"suites other than bi-orthogonality fail: {failing}")
+    assert not failing, failing
+
+
+def test_verify_json_reports_the_named_tolerances(tmp_path):
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", str(CONFIGS / "spiral_2d.json"), "--json", str(out)]) == 0
+    suites = json.loads(out.read_text())["suites"]
+    assert {name: suite["tol"] for name, suite in suites.items()} == {
+        "biorthogonality": verify.DEFAULT_RESIDUAL_TOL,
+        "eigen-residuals": verify.DEFAULT_RESIDUAL_TOL,
+        "ladder-factorials": verify.LADDER_TOL,
+        "commutators": verify.IDENTITY_TOL,
+        "hermite-form": verify.IDENTITY_TOL,
+        "operator-reconstruction": verify.IDENTITY_TOL,
+    }
+    assert (verify.LADDER_TOL, verify.IDENTITY_TOL, hermite_form.CANONICAL_TOL) == (
+        1e-10,
+        1e-9,
+        1e-9,
+    )
 
 
 def test_run_all_checks_at_the_model_prune_eps():
@@ -752,7 +792,7 @@ def _with_sigma(model, Sigma):
     return dataclasses.replace(
         model,
         Sigma=Sigma,
-        Sigma_inv=linalg.inverse(Sigma),
+        Sigma_inv=np.linalg.inv(Sigma),
         f0=stationary_density(Sigma),
     )
 
