@@ -346,6 +346,9 @@ def cmd_verify(cfg, args):
     report = verify_mod.run_all(
         model, cfg.max_order, residual_tol=cfg.tolerances["residual_tol"]
     )
+    bad = [s.name for s in report.suites if not math.isfinite(s.worst)]
+    if bad:
+        raise NonFiniteResultError(f"the worst residual of {', '.join(bad)} is not finite")
     for suite in report.suites:
         status = "PASS" if suite.passed else "FAIL"
         print(f"suite {suite.name}: {status} (worst {suite.worst:.3e}, tol {suite.tol:.1e})")

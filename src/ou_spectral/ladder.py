@@ -22,7 +22,7 @@ through the shift tables of ``monomials.graded_index``.  One builder,
 ``operator_table``, lays out the table of every operator, L, its adjoint
 and the ladder operators alike, from the operator's exact weights; it
 depends only on the operator and a degree, never on a ``prune_eps``,
-which prunes images only.  Only this module reads the slots of a table:
+which only ``MPoly`` applies.  Only this module reads the slots of a table:
 ``_image`` gathers coefficient vectors through it, and ``_matrix``
 scatters it into the operator's matrix, or one block of that matrix.
 
@@ -32,7 +32,7 @@ degree is the entry's leading rows or block.  So the operator on a lower
 degree gathers its table's first rows on a zero-padded input
 (``_table``, ``_image``), and the eigenfunctions of a lower order are the
 leading block of their side's one table (``_eigenfunctions``), whose
-rows are raised from their ``monomials.parent`` rows and never again.
+rows are raised, unpruned, from their ``monomials.parent`` rows once.
 Concurrent builds may race to insert an entry; each is valid, so last
 write wins harmlessly.
 """
@@ -53,7 +53,7 @@ from .errors import (
 )
 from .gaussian import ForwardFunction, GaussianDensity, stationary_density
 from .monomials import graded_index
-from .mpoly import DEFAULT_PRUNE_EPS, MPoly, _padded, _rows, prune
+from .mpoly import DEFAULT_PRUNE_EPS, MPoly, _padded, _rows
 
 
 @dataclass
@@ -390,8 +390,8 @@ def _eigentable(model, side, order):
     The side's table of a lower order is copied, and each higher order
     raised from it: row K is its parent's row raised by mode I
     (``monomials.parent``), the rows of one mode by one gather of its
-    table read at ``order - 1``, pruned as ``MPoly`` prunes, so each is
-    bit for bit its parent's own raise.
+    table read at ``order - 1`` and kept as gathered, so each is bit for
+    bit its parent's own raise at ``prune_eps`` 0.
     """
     R = _rows(model.dim, order)
     table = np.zeros((R, R), dtype=np.complex128)
@@ -413,7 +413,6 @@ def _eigentable(model, side, order):
                 parent_rows = table[parents[modes == I], : rows.start]
                 image = _image(model, _ladder_table, args, k - 1, parent_rows)
                 block[modes == I, : image.shape[1]] = image
-            prune(block, model.prune_eps)
     table.setflags(write=False)
     return (table,)
 
@@ -426,13 +425,13 @@ def _eigenfunctions(model, side, order):
 
 
 def _eigenfunction(model, side, K):
-    """Row K of ``_eigenfunctions``, as an ``MPoly`` that views the row:
-    the table is read-only and already pruned at ``model.prune_eps``, and
-    the row's degree is its order unless pruning emptied its top."""
+    """Row K of ``_eigenfunctions`` as the ``MPoly`` that ``from_coeffs``
+    builds from it: pruned at ``model.prune_eps`` and trimmed, where the
+    table keeps every entry."""
     K = _check_multi_index(model, K)
     k = sum(K)
     row = _eigenfunctions(model, side, k)[graded_index(model.dim, k).row[K]]
-    return MPoly._pruned(model.dim, row, model.prune_eps, k)
+    return MPoly.from_coeffs(model.dim, row, model.prune_eps)
 
 
 def forward_eigenfunction(model, K):

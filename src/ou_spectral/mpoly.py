@@ -10,11 +10,12 @@ of a lower degree is a prefix of the index of a higher one, so operands
 of different degrees line up once the shorter vector is padded with
 zeros.
 
-Every result passes through one prune mask: a coefficient whose
-magnitude is below ``prune_eps`` becomes an exact zero, so cancellation
-dust never accumulates.  Only finite coefficients can be small, so NaN
-is kept: an overflow never reads as an exact zero.  Arithmetic on two
-polynomials carries the larger of their ``prune_eps``.
+Each polynomial passes through one prune mask as it is built, the
+package's only prune (``MPoly._store``): a coefficient whose magnitude is
+below ``prune_eps`` becomes an exact zero, so no polynomial that leaves
+the package carries cancellation dust.  Only finite coefficients can be
+small, so NaN is kept: an overflow never reads as an exact zero.
+Arithmetic on two polynomials carries the larger of their ``prune_eps``.
 
 Arithmetic is gathers through the shift tables of the index.  A partial
 derivative gathers through ``up``, a linear factor times p through
@@ -138,36 +139,18 @@ class MPoly:
         return self
 
     def _store(self, nvars, coeffs, prune_eps):
+        """Set the fields from a pruned copy of ``coeffs``, trimmed to its
+        degree: the one place in the package that prunes."""
         if nvars < 1:
             raise ValueError("nvars must be at least 1")
         eps = DEFAULT_PRUNE_EPS if prune_eps is None else float(prune_eps)
         if not 0.0 <= eps < math.inf:
             raise ValueError(f"prune_eps must be finite and nonnegative, got {eps}")
-        self._trim(nvars, prune(np.array(coeffs, dtype=np.complex128), eps), eps)
-
-    @classmethod
-    def _pruned(cls, nvars, coeffs, prune_eps, degree):
-        """``from_coeffs`` of a complex vector over the rows of ``degree``
-        or less, already pruned at the valid threshold ``prune_eps``,
-        without the copy and the second prune: the polynomial keeps a view
-        of ``coeffs``, which must stay unchanged.  Its degree is the highest
-        whose slice of ``coeffs`` holds a nonzero, tested from ``degree``
-        down, so a row that keeps its top degree costs one test."""
-        while degree >= 0:
-            if np.count_nonzero(coeffs[_rows(nvars, degree - 1) : _rows(nvars, degree)]):
-                break
-            degree -= 1
-        self = object.__new__(cls)
-        self._set(nvars, coeffs[: _rows(nvars, degree)], prune_eps, degree)
-        return self
-
-    def _trim(self, nvars, c, eps):
+        c = prune(np.array(coeffs, dtype=np.complex128), eps)
         nz = c.nonzero()[0]
         degree = _degree_of_row(nvars, nz[-1]) if nz.size else -1
         size = _rows(nvars, degree)
-        self._set(nvars, c[:size] if c.size >= size else _padded(c, size), eps, degree)
-
-    def _set(self, nvars, c, eps, degree):
+        c = c[:size] if c.size >= size else _padded(c, size)
         c.setflags(write=False)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "coeffs", c)

@@ -10,7 +10,7 @@ side's one table of them in place (``ladder._eigenfunctions``), and the
 operator suites each operator's one gather table through the two readers
 of ``ladder``: ``_image`` gathers a stack of polynomials through it, and
 ``_matrix`` scatters it into the operator's matrix once.  No suite reads
-the slots of a table.
+the slots of a table, and none prunes.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +30,7 @@ from .ladder import (
     mode_normalization,
 )
 from .monomials import enumerate_modes, graded_index
-from .mpoly import MPoly, _diff, _rows, fold_worst, prune
+from .mpoly import MPoly, _diff, _rows, fold_worst
 
 
 @dataclass
@@ -180,7 +180,9 @@ def biorthogonality_suite(model, max_order, tol=DEFAULT_RESIDUAL_TOL):
     norms = np.array([mode_normalization(K) for K in modes])
     F = _eigenfunctions(model, "forward", max_order)
     G = _eigenfunctions(model, "adjoint", max_order)
-    pairings = np.conj(G) @ moment_matrix(model.f0, max_order) @ F.T
+    # Moments that overflow give inf and NaN, which the fold keeps.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairings = np.conj(G) @ moment_matrix(model.f0, max_order) @ F.T
     diag = np.diag(pairings)
     lines = [
         f"K={K} pairing/normalization = {re:.6f}" + (f" {im:+.2e}i" if abs(im) > 0 else "")
@@ -201,7 +203,6 @@ def eigen_residual_suite(model, max_order, tol=DEFAULT_RESIDUAL_TOL):
     row K, a row's residual relative to its largest coefficient and 1.
     """
     idx = graded_index(model.dim, max_order)
-    eps = model.prune_eps
     worst = 0.0
     # inf - inf is NaN, which the fold keeps.
     with np.errstate(invalid="ignore"):
@@ -209,7 +210,7 @@ def eigen_residual_suite(model, max_order, tol=DEFAULT_RESIDUAL_TOL):
             table = _eigenfunctions(model, side, max_order)
             lam = (idx.exponents * lams).sum(axis=1)
             image = _image(model, _generator_table, (side,), max_order, table)
-            resid = np.abs(prune(image, eps) - prune(table * lam[:, None], eps))
+            resid = np.abs(image - table * lam[:, None])
             scale = np.fmax(np.abs(table).max(axis=1), 1.0)
             worst = fold_worst(worst, float(np.max(resid.max(axis=1) / scale)))
     return SuiteResult("eigen-residuals", worst, tol)
@@ -221,12 +222,11 @@ def ladder_suite(model, n_max=ORDER_CAP):
     k-fold lowering of the order-m single-mode eigenfunction must equal
     2^k m!/(m-k)! times the order-(m-k) one, and annihilate it for k > m.
     The single-mode rows of one axis are lowered together, one gather of
-    its lowering operator per step (``_image``), pruned after each step
-    as ``MPoly`` prunes.  A row's residual is relative to its factor
-    times the largest coefficient of its reference and 1, and past the
-    bottom to 2^m m!.
+    its lowering operator per step (``_image``), none of them pruned.  A
+    row's residual is relative to its factor times the largest
+    coefficient of its reference and 1, and past the bottom to 2^m m!.
     """
-    exps, eps = graded_index(model.dim, n_max).exponents, model.prune_eps
+    exps = graded_index(model.dim, n_max).exponents
     norms = np.array([mode_normalization((m,)) for m in range(n_max + 1)])
     worst = 0.0
     # inf - inf is NaN, which the fold keeps.
@@ -238,10 +238,10 @@ def ladder_suite(model, n_max=ORDER_CAP):
                 rows = single = table[exps[:, I] == exps.sum(axis=1)]
                 args = (f"lower_{side}", I)
                 for k in range(1, n_max + 2):
-                    rows = prune(_image(model, _ladder_table, args, n_max + 1 - k, rows), eps)
+                    rows = _image(model, _ladder_table, args, n_max + 1 - k, rows)
                     factor = norms[k:] / norms[: n_max + 1 - k]
                     ref = single[: n_max + 1 - k, : rows.shape[1]]
-                    target = prune(ref * factor[:, None], eps)
+                    target = ref * factor[:, None]
                     scale = factor * np.fmax(np.abs(ref).max(axis=1, initial=0.0), 1.0)
                     d = np.abs(rows[k:] - target).max(axis=1, initial=0.0) / scale
                     bottom = np.abs(rows[:k]).max(axis=1, initial=0.0) / norms[:k]
@@ -302,8 +302,7 @@ def hermite_suite(model, max_order=5):
         for side in ("forward", "adjoint"):
             table = _eigenfunctions(model_c, side, max_order)
             closed = _grown(model_c, _hermite_table, (side,), max_order)[1]
-            closed = prune(closed[: len(table), : len(table)].copy(), model_c.prune_eps)
-            d = np.abs(table - closed).max()
+            d = np.abs(table - closed[: len(table), : len(table)]).max()
             worst = fold_worst(worst, float(d))
     return SuiteResult("hermite-form", worst, IDENTITY_TOL)
 

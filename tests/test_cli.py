@@ -398,6 +398,27 @@ def test_verify_passes_and_is_deterministic(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("json_flag", [False, True])
+@pytest.mark.parametrize("order", [140, 150])
+def test_verify_refuses_a_worst_that_is_not_finite(tmp_path, capsys, order, json_flag):
+    # The monomial moments of order 2 * max_order overflow, so the pairing
+    # product reads inf or NaN: a typed error, with or without --json, and
+    # no numpy warning on the way.
+    path = write_config(tmp_path, max_order=order)
+    flags = ["--json", str(tmp_path / "v.json")] if json_flag else []
+    assert cli.main(["verify", path, *flags]) == 2
+    err = capsys.readouterr().err
+    assert "error[NonFiniteResultError]" in err and "biorthogonality" in err
+    assert "RuntimeWarning" not in err
+
+
+def test_verify_fails_on_a_large_finite_worst(tmp_path, capsys):
+    # At order 100 the pairing sums lose every digit but stay finite.
+    path = write_config(tmp_path, max_order=100)
+    assert cli.main(["verify", path]) == 1
+    assert "suite biorthogonality: FAIL (worst 2.759e+93, tol 1.0e-08)" in capsys.readouterr().out
+
+
 def test_propagate_outputs(tmp_path, capsys):
     path = write_config(
         tmp_path,

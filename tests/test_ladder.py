@@ -230,9 +230,9 @@ def test_eigenfunction_memoized(model_spiral, monkeypatch):
 
 @pytest.mark.parametrize("c", [1.0, 1e4])
 def test_eigenfunction_read_is_from_coeffs_of_its_row(four_models, c):
-    # A read views its row of the pruned block; it must be the polynomial
-    # that from_coeffs builds from the row, trimmed to the same degree.
-    # At c = 1e4 (B times c^2) the top degrees prune away and trim.
+    # A read is the polynomial that from_coeffs builds from its row of the
+    # unpruned table.  At c = 1e4 (B times c^2) the top degrees of some
+    # forward rows prune away and trim.
     for name, model in four_models.items():
         model = ou.build_model(model.A, model.B * c**2)
         idx = graded_index(model.dim, 6)
@@ -246,33 +246,6 @@ def test_eigenfunction_read_is_from_coeffs_of_its_row(four_models, c):
                 assert got.degree() == want.degree(), (name, side, K)
                 assert got.prune_eps == want.prune_eps
                 assert not got.coeffs.flags.writeable
-
-
-@pytest.mark.parametrize("c", [1.0, 1e4])
-def test_warm_eigenfunction_read_does_not_rescan_its_row(four_models, c, monkeypatch):
-    # A warm read finds the degree of its row from the row's degree
-    # slices, top first, without mpoly._degree_of_row.  At c = 1e4 (B
-    # times c^2) the top degrees of some rows prune away.
-    reads = []
-    for name, model in four_models.items():
-        model = ou.build_model(model.A, model.B * c**2)
-        idx = graded_index(model.dim, 6)
-        for side in ("forward", "adjoint"):
-            for K in idx.modes:
-                k = sum(K)
-                row = ladder._eigenfunctions(model, side, k)[idx.row[K]]
-                reads.append((model, side, K, MPoly.from_coeffs(model.dim, row, model.prune_eps)))
-
-    def refuse(*args):
-        raise AssertionError("a warm read rescanned its row")
-
-    monkeypatch.setattr(mpoly, "_degree_of_row", refuse)
-    for model, side, K, want in reads:
-        got = ladder._eigenfunction(model, side, K)
-        assert np.array_equal(got.coeffs, want.coeffs), (side, K)
-        assert got.degree() == want.degree(), (side, K)
-        assert got.prune_eps == want.prune_eps
-        assert not got.coeffs.flags.writeable
 
 
 def test_eigenfunction_polynomial_degree(model_diag):

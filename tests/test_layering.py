@@ -10,7 +10,8 @@ model's cache; every other module reads them through it.  Outside
 ``ladder`` no module imports ``_table`` or ``_block``, so none knows the
 slot layout of a table, and outside ``gaussian`` no module
 Cholesky-factors a ``cov``: each Gaussian is factored once, and keeps its
-factor.
+factor.  ``MPoly._store`` alone calls ``prune``: ``prune_eps`` acts on the
+polynomials that leave the package, and on no table or check.
 """
 
 import ast
@@ -231,3 +232,45 @@ L = np.linalg.cholesky(cov)
 def test_only_gaussian_factors_a_covariance(module):
     # ``GaussianDensity`` factors its cov once and keeps L as ``factor``.
     assert list(_cov_factorings((PACKAGE / f"{module}.py").read_text())) == []
+
+
+def _prune_calls(source):
+    """(dotted name of the enclosing classes and functions, source line) of
+    each call of a function named ``prune``, bare or as an attribute."""
+    lines = source.splitlines()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and _name(child.func) == "prune":
+                yield ".".join(scope), lines[child.lineno - 1].strip()
+            yield from visit(child, scope)
+
+    yield from visit(ast.parse(source), ())
+
+
+def test_prune_call_finder_sees_scopes_and_spellings():
+    source = """
+x = prune(c, eps)
+class MPoly:
+    def _store(self, c, eps):
+        return f(mpoly.prune(c, eps))
+def g(c):
+    def h():
+        return prune(c, 0.0)
+    return pruned(c)
+"""
+    assert list(_prune_calls(source)) == [
+        ("", "x = prune(c, eps)"),
+        ("MPoly._store", "return f(mpoly.prune(c, eps))"),
+        ("g.h", "return prune(c, 0.0)"),
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_only_mpoly_store_prunes(module):
+    calls = list(_prune_calls((PACKAGE / f"{module}.py").read_text()))
+    want = ["MPoly._store"] if module == "mpoly" else []
+    assert [scope for scope, _ in calls] == want, calls

@@ -151,20 +151,10 @@ def test_oracle_pairings_are_exactly_the_normalization():
             assert pairing == norm, (M, K)
 
 
-@pytest.mark.parametrize(
-    "c",
-    [
-        1.0,
-        1e-4,
-        # prune_eps (1e-13) is absolute.  At c = 1e4 the largest coefficient
-        # of forward row K scales as c^-(|K| + |K| mod 2), so every row of
-        # order 3 and up is pruned to zero (ROADMAP item 1).
-        pytest.param(
-            1e4,
-            marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="forward error 1.0"),
-        ),
-    ],
-)
+# At c = 1e4 the largest coefficient of forward row K scales as
+# c^-(|K| + |K| mod 2), below the absolute prune_eps (1e-13) from order 3
+# on; the tables are not pruned, so they keep those rows.
+@pytest.mark.parametrize("c", [1.0, 1e-4, 1e4])
 def test_eigenfunction_tables_match_the_exact_oracle(c):
     errors = _forward_error(c)
     assert max(errors.values()) <= 1e-12, errors

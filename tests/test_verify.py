@@ -51,7 +51,7 @@ from ou_spectral.ladder import (
     raise_forward,
 )
 from ou_spectral.monomials import enumerate_modes, graded_index
-from ou_spectral.mpoly import MPoly, _diff, coeff_distance, fold_worst, prune
+from ou_spectral.mpoly import MPoly, _diff, coeff_distance, fold_worst
 from ou_spectral.verify import battery_polynomials
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -318,12 +318,20 @@ def test_run_all_checks_at_the_model_prune_eps():
     model, max_order = _config_model("spiral_2d")
     model = build_model(model.A, model.B, prune_eps=1e-10)
     verify.run_all(model, max_order)
-    # The prune_eps prunes the eigenfunctions and the suites' images; at 0
-    # both tables hold entries below 1e-10.  The operator tables hold exact
-    # weights, one per operator.
+    # The prune_eps prunes the eigenfunctions that leave the package, and
+    # no table the suites read: both eigenfunction tables hold dust below
+    # 1e-10, and no public eigenfunction does.  The operator tables hold
+    # exact weights, one per operator.
+    read = {
+        "forward": lambda K: forward_eigenfunction(model, K).poly,
+        "adjoint": lambda K: adjoint_eigenfunction(model, K),
+    }
     for side in ("forward", "adjoint"):
         table = np.abs(ladder._eigenfunctions(model, side, max_order))
-        assert table[table > 0].min() >= 1e-10
+        assert table[table > 0].min() < 1e-10
+        for K in enumerate_modes(model.dim, max_order):
+            c = np.abs(read[side](K).coeffs)
+            assert c[c > 0].min() >= 1e-10, (side, K)
     ladders = {key[1:] for key in model._op_cache if key[0] is ladder._ladder_table}
     ops = [f"{step}_{s}" for step in ("raise", "lower") for s in ("forward", "adjoint")]
     assert ladders == {(op, I) for op in ops for I in range(model.dim)}
@@ -367,7 +375,6 @@ def _sides(model):
 
 def _degree_eigen_residuals(model, max_order):
     idx = graded_index(model.dim, max_order)
-    eps = model.prune_eps
     worst = 0.0
     with np.errstate(invalid="ignore"):
         for side, lams in _sides(model):
@@ -376,14 +383,14 @@ def _degree_eigen_residuals(model, max_order):
                 block = table[idx.degree(k), : idx.degree(k).stop]
                 lam = (idx.exponents[idx.degree(k)] * lams).sum(axis=1)
                 image = _degree_image(model, ladder._generator_table, (side,), k, block)
-                resid = np.abs(prune(image, eps) - prune(block * lam[:, None], eps))
+                resid = np.abs(image - block * lam[:, None])
                 scale = np.fmax(np.abs(block).max(axis=1), 1.0)
                 worst = fold_worst(worst, float(np.max(resid.max(axis=1) / scale)))
     return worst, []
 
 
 def _degree_ladder_factorials(model, n_max):
-    exps, eps = graded_index(model.dim, n_max).exponents, model.prune_eps
+    exps = graded_index(model.dim, n_max).exponents
     norms = np.array([mode_normalization((m,)) for m in range(n_max + 1)])
     worst = 0.0
     with np.errstate(invalid="ignore"):
@@ -393,11 +400,10 @@ def _degree_ladder_factorials(model, n_max):
                 rows = single = stacked[exps[:, I] == exps.sum(axis=1)]
                 args = (f"lower_{side}", I)
                 for k in range(1, n_max + 2):
-                    image = _degree_image(model, ladder._ladder_table, args, n_max + 1 - k, rows)
-                    rows = prune(image, eps)
+                    rows = _degree_image(model, ladder._ladder_table, args, n_max + 1 - k, rows)
                     factor = norms[k:] / norms[: n_max + 1 - k]
                     ref = single[: n_max + 1 - k, : rows.shape[1]]
-                    target = prune(ref * factor[:, None], eps)
+                    target = ref * factor[:, None]
                     scale = factor * np.fmax(np.abs(ref).max(axis=1, initial=0.0), 1.0)
                     d = np.abs(rows[k:] - target).max(axis=1, initial=0.0) / scale
                     bottom = np.abs(rows[:k]).max(axis=1, initial=0.0) / norms[:k]
@@ -534,11 +540,11 @@ def _any_model(name):
 @pytest.mark.parametrize("name", CONFIG_NAMES + tuple(IMAGE_MODELS))
 def test_eigenblock_rows_are_their_parents_raised(name):
     # Row K of a side's eigenfunction table is bit for bit
-    # raise_<side>(model, I, parent row), the gather and prune that the
-    # public operator applies to one polynomial; on the image models the
-    # prune decides which terms of a row survive.
+    # raise_<side>(model, I, parent row) with prune_eps 0, the gather that
+    # the public operator applies to one polynomial, unpruned; on the
+    # image models the model's prune_eps would drop terms of a row.
     model, _ = _any_model(name)
-    n, eps = model.dim, model.prune_eps
+    n = model.dim
     idx = graded_index(n, 6)
     raise_ = {
         "forward": lambda I, p: raise_forward(model, I, ForwardFunction(p, model.f0)).poly,
@@ -549,7 +555,7 @@ def test_eigenblock_rows_are_their_parents_raised(name):
         npt.assert_array_equal(table[0], np.eye(len(idx.modes))[0])
         for r in range(1, len(idx.modes)):
             p, I, _ = idx.steps[r - 1]
-            parent = MPoly.from_coeffs(n, table[p], eps)
+            parent = MPoly.from_coeffs(n, table[p], 0.0)
             want = raise_[side](I, parent).coeffs
             npt.assert_array_equal(table[r, : want.size], want)
             assert not table[r, want.size :].any()
@@ -650,14 +656,14 @@ def test_biorthogonality_worst_on_configs(name):
 
 
 def test_order_five_adjoint_perturbation_fails_the_suite():
-    # g_(4,1) has terms of degree 5 and 3.  Scale one of degree 3 by
-    # 1 + 1e-6: f_(4,1) is orthogonal to every polynomial of lower degree,
-    # so the diagonal pairing does not move, but the pairings of g_(4,1)
-    # with the order-3 forward eigenfunctions do.  The pairs up to order 4
-    # and the diagonal beyond, which the suite checked before it took
-    # every pair up to max_order, do not see it.  The entry is written into
-    # the adjoint table after every row is raised, so g_(4,1) alone carries
-    # it.
+    # g_(4,1) has terms of degree 5 and 3, and dust of about 1e-14 at
+    # degree 1.  Scale the largest of degree 3 by 1 + 1e-6: f_(4,1) is
+    # orthogonal to every polynomial of lower degree, so the diagonal
+    # pairing does not move, but the pairings of g_(4,1) with the order-3
+    # forward eigenfunctions do.  The pairs up to order 4 and the diagonal
+    # beyond, which the suite checked before it took every pair up to
+    # max_order, do not see it.  The entry is written into the adjoint
+    # table after every row is raised, so g_(4,1) alone carries it.
     model, max_order = _config_model("spiral_2d")
     assert verify.biorthogonality_suite(model, max_order).passed
     M = (4, 1)
@@ -667,9 +673,8 @@ def test_order_five_adjoint_perturbation_fails_the_suite():
     table = table.copy()
     idx = graded_index(model.dim, max_order)
     row = table[idx.row[M]]
-    lowest = np.flatnonzero(row)[0]
-    assert sum(idx.modes[lowest]) == 3
-    row[lowest] *= 1.0 + 1e-6
+    cubic = idx.degree(3)
+    row[cubic.start + np.argmax(np.abs(row[cubic]))] *= 1.0 + 1e-6
     model._op_cache[key] = (top, table)
     result = verify.biorthogonality_suite(model, max_order)
     assert not result.passed
