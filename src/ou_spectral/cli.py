@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import verify as verify_mod
+from . import kernels, verify as verify_mod
 from .errors import ConfigError, NonFiniteResultError, OUSpectralError
 from .gaussian import ForwardFunction, GaussianDensity
 from .ladder import (
@@ -484,7 +484,7 @@ def cmd_mc_check(cfg, args):
     cov_sig = np.abs(report.cov - exact.cov) / report.cov_stderr
     worst = float(max(mean_sig.max(), cov_sig.max()))
     ok = worst <= 4.0
-    print(f"paths={report.paths}, t_final={report.t_final:g}, backend={report.backend}")
+    print(f"paths={report.paths}, t_final={report.t_final:g}, backend={kernels.active_backend()}")
     for i in range(model.dim):
         print(
             f"mean[{i}] = {report.mean[i]:+.6f}  exact {exact.mean[i]:+.6f}  "
@@ -506,7 +506,7 @@ def cmd_mc_check(cfg, args):
                 "dt": cfg.sim.dt,
                 "t_final": report.t_final,
                 "seed": cfg.sim.seed,
-                "backend": report.backend,
+                "backend": kernels.active_backend(),
                 "mean": report.mean,
                 "mean_exact": exact.mean,
                 "mean_stderr": report.mean_stderr,

@@ -450,10 +450,16 @@ def adjoint_eigenfunction(model, K):
     return _eigenfunction(model, "adjoint", K)
 
 
+def _eigenvalues(model, side, exponents):
+    """lambda_K = sum_I K_I lambda_I of each row K of ``exponents``, the
+    one formula, added in mode order; conjugated on the adjoint side."""
+    lam = sum(exponents[:, I] * value for I, value in enumerate(model.eig.values))
+    return lam if side == "forward" else np.conj(lam)
+
+
 def eigenvalue(model, K):
     """Forward eigenvalue sum_I K_I lambda_I.  Conjugate for the adjoint."""
-    K = _check_multi_index(model, K)
-    return complex(sum(k * lam for k, lam in zip(K, model.eig.values)))
+    return complex(_eigenvalues(model, "forward", np.array([_check_multi_index(model, K)]))[0])
 
 
 def mode_normalization(K):

@@ -18,11 +18,11 @@ small, so NaN is kept: an overflow never reads as an exact zero.
 Arithmetic on two polynomials carries the larger of their ``prune_eps``.
 
 Arithmetic is gathers through the shift tables of the index.  A partial
-derivative gathers through ``up``, a linear factor times p through
-``down``, and a general product sums shifted copies of one operand along
-the ``steps`` of the index.  Zero weights take no part, so a NaN
-coefficient reaches only the terms it contributes to.  Instances and
-their coefficient vectors are immutable.
+derivative gathers through ``up``, a product sums shifted copies of one
+operand along the ``steps`` of the index, and a row of a power table is
+its parent row times a linear factor, gathered through ``down``.  Zero
+weights take no part, so a NaN coefficient reaches only the terms it
+contributes to.  Instances and their coefficient vectors are immutable.
 """
 
 import cmath
@@ -74,19 +74,6 @@ def _diff(c, nvars, degree, axis):
     idx = graded_index(nvars, max(degree, 0))
     size = _rows(nvars, degree - 1)
     return c[..., idx.up[axis, :size]] * (idx.exponents[:size, axis] + 1)
-
-
-def _times_linear(c, const, a, down):
-    """Coefficients of (const + a . x) p over the rows of ``down``, a
-    ``GradedIndex.down`` table cut to those rows; p has coefficients ``c``
-    and ``down`` sends every row into them or to -1.  One gather reads p
-    at row - e_j for each nonzero a_j, and -1 reads a zero."""
-    pe = _padded(c, down.shape[1] + 1)
-    out = const * pe[:-1] if const != 0.0 else np.zeros(down.shape[1], dtype=np.complex128)
-    nz = a.nonzero()[0]
-    if nz.size:
-        out += a[nz] @ pe[down[nz]]
-    return out
 
 
 class MPoly:
@@ -267,16 +254,12 @@ class MPoly:
         p, q = (self, other) if self.coeffs.size >= other.coeffs.size else (other, self)
         if q.is_zero():
             return MPoly.zero(self.nvars, eps)
-        dq = q._degree
-        idx = graded_index(self.nvars, p._degree + dq)
-        if dq <= 1:
-            out = _times_linear(p.coeffs, q.coeffs[0], q.coeffs[1:], idx.down)
-        else:
-            # shift[k] sends the rows of p to those of p times monomial k.
-            out = np.zeros(len(idx.modes), dtype=np.complex128)
-            shift = idx.sum_table(q.coeffs.size, p.coeffs.size)
-            for k in q.coeffs.nonzero()[0]:
-                out[shift[k]] += q.coeffs[k] * p.coeffs
+        idx = graded_index(self.nvars, p._degree + q._degree)
+        # shift[k] sends the rows of p to those of p times monomial k.
+        out = np.zeros(len(idx.modes), dtype=np.complex128)
+        shift = idx.sum_table(q.coeffs.size, p.coeffs.size)
+        for k in q.coeffs.nonzero()[0]:
+            out[shift[k]] += q.coeffs[k] * p.coeffs
         return MPoly.from_coeffs(self.nvars, out, eps)
 
     __rmul__ = __mul__
@@ -425,13 +408,24 @@ def power_table(M, b, degree):
 
     Row k holds the coefficients of prod_i (M y + b)_i^{K_i}, K the k-th
     row of ``graded_index(n, degree)``, on the graded index of m
-    variables up to ``degree``: its parent's row times one linear factor.
+    variables up to ``degree``: its parent's row p times b_I + M_I . y,
+    the rows of one degree and one I together, summed term by term (b_I p,
+    then M_Ij p read at row - e_j) in elementwise products, so a lower
+    degree's table is the leading block of this one, bit for bit.
     """
-    down = graded_index(M.shape[1], degree).down
-    powers = np.zeros((_rows(M.shape[0], degree), down.shape[1]), dtype=np.complex128)
+    rows, cols = graded_index(M.shape[0], degree), graded_index(M.shape[1], degree)
+    powers = np.zeros((len(rows.modes), len(cols.modes)), dtype=np.complex128)
     powers[0, 0] = 1.0
-    for k, (parent, I, _) in enumerate(graded_index(M.shape[0], degree).steps, 1):
-        powers[k] = _times_linear(powers[parent], b[I], M[I], down)
+    for k in range(1, degree + 1):
+        block, width = rows.degree(k), _rows(M.shape[1], k)
+        parents, axes = np.array([s[:2] for s in rows.steps[block.start - 1 : block.stop - 1]]).T
+        for I in range(M.shape[0]):
+            # -1 in ``down`` reads the last column, where parent rows are zero.
+            p = powers[parents[axes == I], :width]
+            out = b[I] * p if b[I] != 0.0 else np.zeros_like(p)
+            for j in M[I].nonzero()[0]:
+                out += M[I, j] * p[:, cols.down[j, :width]]
+            powers[block.start + np.flatnonzero(axes == I), :width] = out
     return powers
 
 
@@ -463,7 +457,7 @@ def hermite_products(V, degree):
     homogeneous, so its rows of degree k read only the u^a of degree k,
     and H_a has degree |a|: each degree is one product of its diagonal
     block with the Hermite map of its monomials, entry (a, b)
-    prod_i h[a_i, b_i] of ``hermite_table``.
+    prod_i h[a_i, b_i] of ``hermite_table``; a lower degree is its leading block.
     """
     table = power_table(V, np.zeros(V.shape[0]), degree)
     rows, cols = graded_index(V.shape[0], degree), graded_index(V.shape[1], degree)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotSPDError
 from .gaussian import GaussianDensity
-from .kernels import PATH_CHUNK, active_backend, em_paths
+from .kernels import PATH_CHUNK, em_paths
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Terminal sample moments with standard errors."""
+    """Terminal sample moments, with standard errors, of ``paths`` paths at ``t_final``."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -70,7 +70,6 @@ class MomentReport:
     cov_stderr: np.ndarray
     paths: int
     t_final: float
-    backend: str
 
 
 def simulate(model, F0, cfg):
@@ -128,7 +127,6 @@ def simulate(model, F0, cfg):
         cov_stderr=np.sqrt((sum_dd2 - sum_dd**2 / N) / ((N - 1) * N)),
         paths=N,
         t_final=cfg.t_final,
-        backend=active_backend(),
     )
 
 

@@ -57,7 +57,8 @@ from .gaussian import (
     expectation,
     moments,
 )
-from .ladder import _check_forward, _generator_table, _grown, _matrix, mode_normalization
+from .ladder import _check_forward, _eigenvalues, _generator_table, _grown, _matrix
+from .ladder import mode_normalization
 from .monomials import graded_index
 from .mpoly import MPoly, hermite_products
 from .verify import reconstruct_operators_check  # noqa: F401, the name perfbench/layers.py binds
@@ -69,21 +70,21 @@ GRID_CHUNK = 4096
 DEFAULT_SOLVABILITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralExpansion:
     """Raw projection coefficients of a density onto the adjoint basis.
 
-    ``coeffs[K]`` is the duality pairing of the mode-K adjoint
-    eigenfunction with the expanded density; the stationary mode is
-    always present with coefficient 1 for a normalized density.
+    ``coeffs`` is a read-only complex vector over ``graded_index(model.dim,
+    max_order)``: row K pairs the mode-K adjoint eigenfunction with the
+    density, 1 at K = 0 for a normalized one.  Compared by identity.
     """
 
     model: object
     max_order: int
-    coeffs: dict = field(repr=False)
+    coeffs: np.ndarray = field(repr=False)
 
     def coefficient(self, K):
-        return self.coeffs[tuple(K)]
+        return complex(self.coeffs[graded_index(self.model.dim, self.max_order).row[tuple(K)]])
 
 
 def expand_gaussian(model, F0, max_order):
@@ -118,8 +119,9 @@ def expand_gaussian(model, F0, max_order):
             f"expansion coefficient of mode {modes[bad[0]]} is {c[bad[0]]}; "
             f"the expansion overflows at order {sum(modes[bad[0]])}"
         )
-    coeffs = {K: complex(v) for K, v in zip(modes, c)}
-    return SpectralExpansion(model=model, max_order=max_order, coeffs=coeffs)
+    c = np.asarray(c, dtype=np.complex128)
+    c.setflags(write=False)
+    return SpectralExpansion(model=model, max_order=max_order, coeffs=c)
 
 
 def _check_time(t):
@@ -156,15 +158,15 @@ def _grid_tables(model, max_order):
     (``mpoly.hermite_products``) of the eigenvectors C / sqrt(2),
     C = W^T E, in the canonical coordinates y = z / sqrt(2) of
     ``hermite_form``, with column a scaled by 2^(-|a|/2) to turn y^a
-    into z^a.  ``lam`` and ``norm`` hold lambda_K and
-    ``ladder.mode_normalization(K)``, the one formula of 2^|K| K!.
+    into z^a.  ``lam`` and ``norm`` hold lambda_K (``ladder._eigenvalues``)
+    and ``ladder.mode_normalization(K)``, the one formula of each.
     """
     idx = graded_index(model.dim, max_order)
     C = model.f0.whitener.T @ model.eig.right
     T = hermite_products(C.T / np.sqrt(2.0), max_order)
     T *= 2.0 ** (-0.5 * idx.exponents.sum(axis=1))
     norm = np.array([mode_normalization(K) for K in idx.modes])
-    return T, idx.exponents @ model.eig.values, norm
+    return T, _eigenvalues(model, "forward", idx.exponents), norm
 
 
 def evaluate_grid_complex(expansion, points, t):
@@ -190,11 +192,10 @@ def evaluate_grid_complex(expansion, points, t):
     idx = graded_index(model.dim, expansion.max_order)
     R = len(idx.modes)
     _, T, lam, norm = _grown(model, _grid_tables, (), expansion.max_order)
-    coeffs = np.array([expansion.coeffs[K] for K in idx.modes])
     out = np.empty(pts.shape[0], dtype=np.complex128)
     # An overflow is reported by the check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        b = (coeffs / norm[:R] * np.exp(lam[:R] * t)) @ T[:R, :R]
+        b = (expansion.coeffs / norm[:R] * np.exp(lam[:R] * t)) @ T[:R, :R]
         _fill_grid(model.f0, idx.steps, np.stack([b.real, b.imag]), pts, out)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:

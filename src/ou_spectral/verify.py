@@ -22,6 +22,7 @@ from .gaussian import moment_matrix
 from .hermite_form import _hermite_table, _require_canonical, is_canonical, to_canonical
 from .ladder import (
     _eigenfunctions,
+    _eigenvalues,
     _generator_table,
     _grown,
     _image,
@@ -199,16 +200,16 @@ def eigen_residual_suite(model, max_order, tol=DEFAULT_RESIDUAL_TOL):
     """Forward and adjoint eigen-equations, relative coefficient residuals.
 
     Each side is one gather of the generator (``_image``) over its
-    eigenfunctions (``ladder._eigenfunctions``) against lambda_K times
-    row K, a row's residual relative to its largest coefficient and 1.
+    eigenfunctions (``ladder._eigenfunctions``) against lambda_K
+    (``ladder._eigenvalues``) times row K, a row's residual relative to
+    its largest coefficient and 1.
     """
-    idx = graded_index(model.dim, max_order)
     worst = 0.0
     # inf - inf is NaN, which the fold keeps.
     with np.errstate(invalid="ignore"):
-        for side, lams in (("forward", model.eig.values), ("adjoint", np.conj(model.eig.values))):
+        for side in ("forward", "adjoint"):
             table = _eigenfunctions(model, side, max_order)
-            lam = (idx.exponents * lams).sum(axis=1)
+            lam = _eigenvalues(model, side, graded_index(model.dim, max_order).exponents)
             image = _image(model, _generator_table, (side,), max_order, table)
             resid = np.abs(image - table * lam[:, None])
             scale = np.fmax(np.abs(table).max(axis=1), 1.0)

@@ -12,6 +12,8 @@ slot layout of a table, and outside ``gaussian`` no module
 Cholesky-factors a ``cov``: each Gaussian is factored once, and keeps its
 factor.  ``MPoly._store`` alone calls ``prune``: ``prune_eps`` acts on the
 polynomials that leave the package, and on no table or check.
+``ladder._eigenvalues`` alone sums K_I lambda_I over a multi-index, so
+lambda_K has one formula.
 """
 
 import ast
@@ -274,3 +276,50 @@ def test_only_mpoly_store_prunes(module):
     calls = list(_prune_calls((PACKAGE / f"{module}.py").read_text()))
     want = ["MPoly._store"] if module == "mpoly" else []
     assert [scope for scope, _ in calls] == want, calls
+
+
+def _eigenvalue_sums(source):
+    """Names of the functions that may form the sum sum_I K_I lambda_I:
+    each reads the drift eigenvalues (an attribute ``values`` of one
+    ``eig``) together with rows of multi-indices (an attribute
+    ``exponents`` or ``modes``), or zips the eigenvalues with something."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        values, rows, zipped = False, False, False
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute):
+                values |= sub.attr == "values" and _name(sub.value) == "eig"
+                rows |= sub.attr in ("exponents", "modes")
+            elif isinstance(sub, ast.Call) and _name(sub.func) == "zip":
+                zipped |= any(
+                    isinstance(arg, ast.Attribute) and arg.attr == "values"
+                    and _name(arg.value) == "eig"
+                    for arg in sub.args
+                )
+        if (values and rows) or zipped:
+            yield node.name
+
+
+def test_eigenvalue_sum_finder_sees_every_spelling():
+    source = """
+def matmul(model, idx):
+    return idx.exponents @ model.eig.values
+def summed(model, idx):
+    lams = model.eig.values
+    return (idx.exponents * lams).sum(axis=1)
+def python_sum(model, K):
+    return sum(k * lam for k, lam in zip(K, model.eig.values))
+def one_mode(model, I, R):
+    return model.eig.values[I] * R
+"""
+    assert list(_eigenvalue_sums(source)) == ["matmul", "summed", "python_sum"]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "ladder")
+)
+def test_only_ladder_sums_eigenvalues_over_a_multi_index(module):
+    # lambda_K has one formula, ``ladder._eigenvalues``; every other module
+    # reads its vector.
+    assert list(_eigenvalue_sums((PACKAGE / f"{module}.py").read_text())) == []

@@ -14,7 +14,6 @@ from ou_spectral import (
     simulate,
 )
 from ou_spectral import kernels
-from ou_spectral.kernels import active_backend
 
 from conftest import A_SPIRAL
 
@@ -39,7 +38,6 @@ def test_report_contents(model_spiral):
     assert isinstance(rep, MomentReport)
     assert rep.paths == 400
     assert rep.t_final == 0.2
-    assert rep.backend == active_backend()
     assert rep.mean.shape == (2,)
     assert rep.cov.shape == (2, 2)
     npt.assert_allclose(rep.cov, rep.cov.T, atol=1e-15)
