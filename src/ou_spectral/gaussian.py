@@ -212,18 +212,6 @@ def wick_moment(exponents, Sigma):
     return float(g.moments(d)[graded_index(g.dim, d).row[counts]])
 
 
-def moment_matrix(g, degree):
-    """H[a, b] = E[x^(a + b)] under the Gaussian g for every pair of rows
-    a, b of ``graded_index(g.dim, degree)``.
-
-    One gather of ``g.moments(2 * degree)`` through the sum table of the
-    index.  With H, E[conj(q) p] for polynomials with coefficient rows
-    q, p over those rows is conj(q) H p^T.
-    """
-    rows = math.comb(degree + g.dim, g.dim)
-    return g.moments(2 * degree)[graded_index(g.dim, 2 * degree).sum_table(rows, rows)]
-
-
 def expectation(p, g):
     """E[p(x)] for x distributed as the Gaussian g: the coefficient vector
     of p against the moments of g.  Exact in moments; nothing is pruned."""

@@ -4,7 +4,9 @@ Everything here operates on plain numpy arrays at desk scale (N up to a
 few dozen).  The one piece with real policy content is
 ``biorthogonal_eig``: it fixes a deterministic ordering and phase for the
 eigenvectors so that downstream mode labels are reproducible across runs
-and platforms.
+and platforms.  The order is one sort of LAPACK's units for a real matrix,
+each a real eigenvalue or an adjacent conjugate pair (positive imaginary
+part first), by descending real part, then imaginary part, of the first.
 """
 
 from dataclasses import dataclass
@@ -54,32 +56,15 @@ class EigenSystem:
 
 
 def _ordered_indices(values):
-    # Primary order: descending real part, then descending imaginary part.
-    # Conjugate partners are then forced adjacent (positive imaginary first)
-    # so pair structure survives even when distinct pairs share a real part.
-    primary = sorted(range(len(values)), key=lambda i: (-values[i].real, -values[i].imag))
-    out = []
-    used = set()
-    for i in primary:
-        if i in used:
-            continue
-        used.add(i)
-        out.append(i)
-        if values[i].imag != 0.0:
-            target = np.conj(values[i])
-            best = None
-            best_dist = np.inf
-            for j in primary:
-                if j in used:
-                    continue
-                d = abs(values[j] - target)
-                if d < best_dist:
-                    best = j
-                    best_dist = d
-            if best is not None and best_dist <= 1e-9 * max(1.0, abs(values[i])):
-                used.add(best)
-                out.append(best)
-    return out
+    # dgeev lists a pair as adjacent exact conjugates, in values and vector
+    # columns alike; the sort is stable, so equal units keep LAPACK's order.
+    units, i = [], 0
+    while i < len(values):
+        width = 2 if values[i].imag != 0.0 else 1
+        units.append(range(i, i + width))
+        i += width
+    units.sort(key=lambda u: (-values[u[0]].real, -values[u[0]].imag))
+    return [i for u in units for i in u]
 
 
 def biorthogonal_eig(A, tol=DEFAULT_DEFECT_TOL):

@@ -394,15 +394,6 @@ def coeff_distance(p, q):
         return float(np.abs(_padded(p.coeffs, size) - _padded(q.coeffs, size)).max())
 
 
-def fold_worst(worst, d):
-    """The larger of two residuals, and NaN when either is NaN.
-
-    ``max(worst, d)`` keeps ``worst`` when ``d`` is NaN, so a running
-    maximum folded with it drops every NaN that does not come first.
-    """
-    return d if d > worst or d != d else worst
-
-
 def power_table(M, b, degree):
     """Powers of the affine map y -> M y + b, M of shape (n, m).
 

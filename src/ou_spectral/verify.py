@@ -10,15 +10,15 @@ side's one table of them in place (``ladder._eigenfunctions``), and the
 operator suites each operator's one gather table through the two readers
 of ``ladder``: ``_image`` gathers a stack of polynomials through it, and
 ``_matrix`` scatters it into the operator's matrix once.  No suite reads
-the slots of a table, and none prunes.
+the slots of a table, and none prunes.  A suite's worst residual is
+numpy's maximum (``np.maximum``, ``ndarray.max``), which keeps a NaN
+wherever it comes, so a non-finite residual decides the verdict.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
-from .gaussian import moment_matrix
 from .hermite_form import _hermite_table, _require_canonical, is_canonical, to_canonical
 from .ladder import (
     _eigenfunctions,
@@ -31,7 +31,7 @@ from .ladder import (
     mode_normalization,
 )
 from .monomials import enumerate_modes, graded_index
-from .mpoly import MPoly, _diff, _rows, fold_worst
+from .mpoly import MPoly, _diff, _rows
 
 
 @dataclass
@@ -130,7 +130,7 @@ def reconstruct_operators_check(model, tol=IDENTITY_TOL):
 
     def fold(name, lhs, rhs):
         colmax = np.fmax(np.abs(lhs).max(axis=0), np.abs(rhs).max(axis=0))
-        worst[name] = fold_worst(worst[name], _column_worst(lhs, rhs, np.fmax(colmax, 1.0)))
+        worst[name] = np.maximum(worst[name], _column_worst(lhs, rhs, np.fmax(colmax, 1.0)))
 
     def evolution(side, lam):
         # Raising on degree d - 1 is a leading sub-block of raising on d.
@@ -142,7 +142,7 @@ def reconstruct_operators_check(model, tol=IDENTITY_TOL):
 
     idx = graded_index(n, d + 1)
     cols = np.arange(rows[1])
-    # inf - inf is NaN, which the fold keeps.
+    # inf - inf is NaN, which the maximum keeps.
     with np.errstate(invalid="ignore"):
         evolution("forward", lams)
         shifted, lows = evolution("adjoint", np.conj(lams))
@@ -158,7 +158,7 @@ def reconstruct_operators_check(model, tol=IDENTITY_TOL):
             fold("position", times_x, sum(0.5 * Ec[i, I] * shifted[I] for I in range(n)))
 
     lines = [f"{name}: {val:.3e}" for name, val in sorted(worst.items())]
-    total = reduce(fold_worst, worst.values(), 0.0)
+    total = float(np.max(list(worst.values())))
     return SuiteResult("operator-reconstruction", total, tol, lines)
 
 
@@ -174,25 +174,25 @@ def biorthogonality_suite(model, max_order, tol=DEFAULT_RESIDUAL_TOL):
 
     All pairings come at once as conj(G) H F^T, from the forward and
     adjoint eigenfunctions F and G (``ladder._eigenfunctions``) and the
-    moment matrix H_ab = E_f0[x^(a+b)].  Residuals are relative to the
-    normalization of the forward index.
+    moment matrix H_ab = E_f0[x^(a+b)], one gather of f0's moments through
+    the index's sum table.  Residuals are relative to the normalization
+    of the forward index.
     """
     modes = graded_index(model.dim, max_order).modes
     norms = np.array([mode_normalization(K) for K in modes])
     F = _eigenfunctions(model, "forward", max_order)
     G = _eigenfunctions(model, "adjoint", max_order)
-    # Moments that overflow give inf and NaN, which the fold keeps.
+    pairs = graded_index(model.dim, 2 * max_order).sum_table(len(modes), len(modes))
+    # Moments that overflow give inf and NaN, which the maximum keeps.
     with np.errstate(over="ignore", invalid="ignore"):
-        pairings = np.conj(G) @ moment_matrix(model.f0, max_order) @ F.T
+        pairings = np.conj(G) @ model.f0.moments(2 * max_order)[pairs] @ F.T
     diag = np.diag(pairings)
     lines = [
         f"K={K} pairing/normalization = {re:.6f}" + (f" {im:+.2e}i" if abs(im) > 0 else "")
         for K, re, im in zip(modes, diag.real / norms, diag.imag / norms)
     ]
-    # Column k pairs f_K with every adjoint eigenfunction; its max is NaN
-    # when any entry is.
     resid = np.abs(pairings - np.diag(norms)) / norms
-    worst = reduce(fold_worst, resid.max(axis=0).tolist(), 0.0)
+    worst = float(resid.max())
     return SuiteResult("biorthogonality", worst, tol, lines)
 
 
@@ -205,7 +205,7 @@ def eigen_residual_suite(model, max_order, tol=DEFAULT_RESIDUAL_TOL):
     its largest coefficient and 1.
     """
     worst = 0.0
-    # inf - inf is NaN, which the fold keeps.
+    # inf - inf is NaN, which the maximum keeps.
     with np.errstate(invalid="ignore"):
         for side in ("forward", "adjoint"):
             table = _eigenfunctions(model, side, max_order)
@@ -213,8 +213,8 @@ def eigen_residual_suite(model, max_order, tol=DEFAULT_RESIDUAL_TOL):
             image = _image(model, _generator_table, (side,), max_order, table)
             resid = np.abs(image - table * lam[:, None])
             scale = np.fmax(np.abs(table).max(axis=1), 1.0)
-            worst = fold_worst(worst, float(np.max(resid.max(axis=1) / scale)))
-    return SuiteResult("eigen-residuals", worst, tol)
+            worst = np.maximum(worst, np.max(resid.max(axis=1) / scale))
+    return SuiteResult("eigen-residuals", float(worst), tol)
 
 
 def ladder_suite(model, n_max=ORDER_CAP):
@@ -230,7 +230,7 @@ def ladder_suite(model, n_max=ORDER_CAP):
     exps = graded_index(model.dim, n_max).exponents
     norms = np.array([mode_normalization((m,)) for m in range(n_max + 1)])
     worst = 0.0
-    # inf - inf is NaN, which the fold keeps.
+    # inf - inf is NaN, which the maximum keeps.
     with np.errstate(invalid="ignore"):
         for side in ("forward", "adjoint"):
             table = _eigenfunctions(model, side, n_max)
@@ -246,8 +246,8 @@ def ladder_suite(model, n_max=ORDER_CAP):
                     scale = factor * np.fmax(np.abs(ref).max(axis=1, initial=0.0), 1.0)
                     d = np.abs(rows[k:] - target).max(axis=1, initial=0.0) / scale
                     bottom = np.abs(rows[:k]).max(axis=1, initial=0.0) / norms[:k]
-                    worst = fold_worst(worst, float(np.max(np.concatenate([d, bottom]))))
-    return SuiteResult("ladder-factorials", worst, LADDER_TOL)
+                    worst = np.maximum(worst, np.max(np.concatenate([d, bottom])))
+    return SuiteResult("ladder-factorials", float(worst), LADDER_TOL)
 
 
 def commutator_suite(model):
@@ -270,7 +270,7 @@ def commutator_suite(model):
     rows = [_rows(n, k) for k in (d - 1, d, d + 1)]
     worst = 0.0
 
-    # inf - inf is NaN, which the fold keeps.
+    # inf - inf is NaN, which the maximum keeps.
     with np.errstate(invalid="ignore"):
         for side, lams in (("forward", model.eig.values), ("adjoint", np.conj(model.eig.values))):
             gen_up = _matrix(model, _generator_table, (side,), d + 1)
@@ -281,13 +281,13 @@ def commutator_suite(model):
                 R = raised[I]
                 scale = np.fmax(np.abs(R).max(axis=0), 1.0)
                 lhs = gen_up @ R - R @ gen
-                worst = fold_worst(worst, _column_worst(lhs, lams[I] * R, scale))
+                worst = np.maximum(worst, _column_worst(lhs, lams[I] * R, scale))
                 for J in range(n):
                     lowered = lowered_up[J][: rows[0], : rows[1]]
                     lhs = lowered_up[J] @ R - R[: rows[1], : rows[0]] @ lowered
                     target = 2.0 * np.eye(rows[1]) if I == J else 0.0
-                    worst = fold_worst(worst, _column_worst(lhs, target, 1.0))
-    return SuiteResult("commutators", worst, IDENTITY_TOL)
+                    worst = np.maximum(worst, _column_worst(lhs, target, 1.0))
+    return SuiteResult("commutators", float(worst), IDENTITY_TOL)
 
 
 def hermite_suite(model, max_order=5):
@@ -298,14 +298,14 @@ def hermite_suite(model, max_order=5):
     model_c = model if is_canonical(model) else to_canonical(model)[0]
     _require_canonical(model_c)
     worst = 0.0
-    # inf - inf is NaN, which the fold keeps.
+    # inf - inf is NaN, which the maximum keeps.
     with np.errstate(invalid="ignore"):
         for side in ("forward", "adjoint"):
             table = _eigenfunctions(model_c, side, max_order)
             closed = _grown(model_c, _hermite_table, (side,), max_order)[1]
             d = np.abs(table - closed[: len(table), : len(table)]).max()
-            worst = fold_worst(worst, float(d))
-    return SuiteResult("hermite-form", worst, IDENTITY_TOL)
+            worst = np.maximum(worst, d)
+    return SuiteResult("hermite-form", float(worst), IDENTITY_TOL)
 
 
 def run_all(model, max_order, residual_tol=DEFAULT_RESIDUAL_TOL):

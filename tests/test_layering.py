@@ -13,7 +13,9 @@ Cholesky-factors a ``cov``: each Gaussian is factored once, and keeps its
 factor.  ``MPoly._store`` alone calls ``prune``: ``prune_eps`` acts on the
 polynomials that leave the package, and on no table or check.
 ``ladder._eigenvalues`` alone sums K_I lambda_I over a multi-index, so
-lambda_K has one formula.
+lambda_K has one formula.  No production module defines a top-level
+function or class that only ``verify`` reads: check code lives in
+``verify``.
 """
 
 import ast
@@ -323,3 +325,64 @@ def test_only_ladder_sums_eigenvalues_over_a_multi_index(module):
     # lambda_K has one formula, ``ladder._eigenvalues``; every other module
     # reads its vector.
     assert list(_eigenvalue_sums((PACKAGE / f"{module}.py").read_text())) == []
+
+
+def _bound_names():
+    """First components of the names that ``perfbench/layers.py`` binds in
+    ``FUNCTIONS``: ``MPoly.__init__`` binds ``MPoly``, ``*simulate``
+    binds ``simulate``."""
+    path = PACKAGE.parents[1] / "perfbench" / "layers.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and _name(node.targets[0]) == "FUNCTIONS":
+            return {func.lstrip("*").split(".")[0] for _, func in ast.literal_eval(node.value)}
+    raise AssertionError("perfbench/layers.py binds no FUNCTIONS")
+
+
+def _verify_only(sources, bound=()):
+    """(module, name) of each top-level function or class of a module of
+    ``PRODUCTION`` whose only reader among ``sources`` (module name to
+    source) is ``verify``.  A module reads a name when it names it as a
+    bare name, an attribute or an import; a name in ``bound`` counts as
+    read from outside the package."""
+    readers = {name: {"outside"} for name in bound}
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            name = node.name if isinstance(node, ast.alias) else _name(node)
+            if name:
+                readers.setdefault(name, set()).add(module)
+    for module in PRODUCTION:
+        for node in ast.parse(sources.get(module, "")).body:
+            defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if defines and readers.get(node.name) == {"verify"}:
+                yield module, node.name
+
+
+def test_verify_only_finder_sees_imports_attributes_and_bindings():
+    sources = {
+        "gaussian": """
+def checked(): pass
+def inner(): pass
+def outer(): return inner()
+def exported(): pass
+def traced(): pass
+class Report: pass
+""",
+        "mpoly": "def unread(): pass",
+        "verify": """
+from .gaussian import checked, exported, inner, traced
+from . import gaussian
+r = gaussian.Report()
+""",
+        "__init__": "from .gaussian import exported",
+    }
+    assert list(_verify_only(sources, bound={"traced"})) == [
+        ("gaussian", "checked"),
+        ("gaussian", "Report"),
+    ]
+
+
+def test_no_production_module_keeps_verify_only_code():
+    # Aim 2: code that only a check reads lives in ``verify``.  A name that
+    # ``__init__`` exports, or that the benchmark binds, counts as read.
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert list(_verify_only(sources, _bound_names())) == []

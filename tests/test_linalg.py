@@ -65,6 +65,87 @@ def test_eig_same_real_part_two_pairs_stay_paired():
     assert vals[0].imag > 0 and vals[2].imag > 0
 
 
+def _rotations(rng, n):
+    """Block-diagonal real matrix of n // 2 rotation blocks a I + b J and,
+    for odd n, one real eigenvalue, with a and the real eigenvalue drawn
+    from two values and b from two, so real parts are shared, pairs
+    repeat and a real eigenvalue can equal a pair's real part; its blocks
+    permuted into place, which is exact."""
+    reals, imags = (-1.0, -0.5), (1.0, 2.0)
+    A = np.zeros((n, n))
+    for k in range(n // 2):
+        a, b = rng.choice(reals), rng.choice(imags)
+        A[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[a, -b], [b, a]]
+    if n % 2:
+        A[-1, -1] = rng.choice(reals)
+    P = np.eye(n)[rng.permutation(n)]
+    return P @ A @ P.T
+
+
+def _pair_layout_battery():
+    """Seeded real matrices with n <= 6: random ones, block-diagonal
+    rotations (``_rotations``) and similarity transforms of those."""
+    rng = np.random.default_rng(35)
+    out = []
+    for n in range(1, 7):
+        out += [rng.standard_normal((n, n)) for _ in range(40)]
+        for _ in range(30):
+            A = _rotations(rng, n)
+            S = rng.standard_normal((n, n)) + n * np.eye(n)
+            out += [A, S @ A @ np.linalg.inv(S)]
+    return out
+
+
+PAIR_LAYOUT_BATTERY = _pair_layout_battery()
+
+
+def _units(values):
+    """Start and width of each unit of ``values``: a real eigenvalue, or a
+    complex one and the entry after it."""
+    i = 0
+    while i < len(values):
+        width = 2 if values[i].imag != 0.0 else 1
+        yield i, width
+        i += width
+
+
+def test_lapack_lists_each_pair_as_adjacent_exact_conjugates():
+    # The eigen order rests on this layout of dgeev: each complex
+    # eigenvalue of a real matrix comes first with a positive imaginary
+    # part, its exact conjugate right after it, in values and vector
+    # columns.  If a numpy or LAPACK build breaks it, the mode labels would
+    # change; this test fails first.
+    pairs = 0
+    for A in PAIR_LAYOUT_BATTERY:
+        values, vecs = np.linalg.eig(A)
+        for i, width in _units(values):
+            if width == 2:
+                pairs += 1
+                assert values[i].imag > 0.0, (A, values)
+                assert values[i + 1] == np.conj(values[i]), (A, values)
+                assert np.array_equal(vecs[:, i + 1], np.conj(vecs[:, i])), A
+    assert pairs > 500
+
+
+def test_eig_order_is_sorted_units_on_the_pair_battery():
+    # Documented order: units by descending real part, then descending
+    # imaginary part, of their first value; each pair adjacent exact
+    # conjugates, positive imaginary part first, with exact conjugate
+    # right eigenvectors.
+    for A in PAIR_LAYOUT_BATTERY:
+        eig = linalg.biorthogonal_eig(A)
+        values = eig.values
+        assert sorted(map(complex, values), key=lambda v: (v.real, v.imag)) == sorted(
+            map(complex, np.linalg.eigvals(A)), key=lambda v: (v.real, v.imag)
+        )
+        keys = []
+        for i, width in _units(values):
+            keys.append((-values[i].real, -values[i].imag))
+            if width == 2:
+                assert values[i].imag > 0.0 and values[i + 1] == np.conj(values[i])
+                assert np.array_equal(eig.right[:, i + 1], np.conj(eig.right[:, i]))
+        assert keys == sorted(keys), values
+
 def test_eig_defective_raises():
     with pytest.raises(errors.DefectiveMatrixError):
         linalg.biorthogonal_eig([[-1.0, 1.0], [0.0, -1.0]])
