@@ -303,29 +303,35 @@ def _fmt_c(z):
     return f"{z.real:.9g}{sign}{abs(z.imag):.9g}i"
 
 
+def _f0_scale(model):
+    """sqrt(Sigma_ii): the units in which ``render`` measures a term."""
+    return np.sqrt(np.diag(model.Sigma))
+
+
 def cmd_eigensystem(cfg, args):
     _check_order(cfg)
     model = _build(cfg)
     modes = enumerate_modes(model.dim, cfg.max_order)
     print(f"dimension {model.dim}, {len(modes)} modes up to order {cfg.max_order}")
     print("drift eigenvalues: " + ", ".join(_fmt_c(v) for v in model.eig.values))
+    scale = _f0_scale(model)
     records = []
     for K in modes:
         lam = eigenvalue(model, K)
-        f = forward_eigenfunction(model, K)
-        g = adjoint_eigenfunction(model, K)
+        f = render(forward_eigenfunction(model, K).poly, scale)
+        g = render(adjoint_eigenfunction(model, K), scale)
         records.append(
             {
                 "index": list(K),
                 "eigenvalue": lam,
                 "normalization": mode_normalization(K),
-                "forward": render(f.poly),
-                "adjoint": render(g),
+                "forward": f,
+                "adjoint": g,
             }
         )
         print(f"K={K}  lambda={_fmt_c(lam)}")
-        print(f"  f: {render(f.poly)}")
-        print(f"  g: {render(g)}")
+        print(f"  f: {f}")
+        print(f"  g: {g}")
     if args.json:
         _write_json(
             args.json,
@@ -455,7 +461,8 @@ def cmd_solve(cfg, args):
     # must not change the verdict.
     resid = coeff_distance(resid_poly, q.poly) / max(1.0, q.poly.max_coeff())
     tol = cfg.tolerances["residual_tol"]
-    print(f"P: {render(P.poly)}")
+    solution = render(P.poly, _f0_scale(model))
+    print(f"P: {solution}")
     print(f"relative residual max|coeff(L P - q)| = {resid:.6e} (tol {tol:.1e})")
     ok = resid <= tol
     print(f"solve: {'PASS' if ok else 'FAIL'}")
@@ -464,7 +471,7 @@ def cmd_solve(cfg, args):
             args.json,
             {
                 "max_order": cfg.max_order,
-                "solution": render(P.poly),
+                "solution": solution,
                 "residual": resid,
                 "tol": tol,
                 "passed": ok,

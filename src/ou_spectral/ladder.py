@@ -21,8 +21,8 @@ one gather: row r of the image sums weighted coefficients of p read
 through the shift tables of ``monomials.graded_index``.  One builder,
 ``operator_table``, lays out the table of every operator, L, its adjoint
 and the ladder operators alike, from the operator's exact weights; it
-depends only on the operator and a degree, never on a ``prune_eps``,
-which only ``MPoly`` applies.  Only this module reads the slots of a table:
+depends only on the operator and a degree, never on ``prune_eps``,
+which only ``render`` reads.  Only this module reads the slots of a table:
 ``_image`` gathers coefficient vectors through it, and ``_matrix``
 scatters it into the operator's matrix, or one block of that matrix.
 
@@ -32,7 +32,7 @@ degree is the entry's leading rows or block.  So the operator on a lower
 degree gathers its table's first rows on a zero-padded input
 (``_table``, ``_image``), and the eigenfunctions of a lower order are the
 leading block of their side's one table (``_eigenfunctions``), whose
-rows are raised, unpruned, from their ``monomials.parent`` rows once.
+rows are raised from their ``monomials.parent`` rows once.
 Concurrent builds may race to insert an entry; each is valid, so last
 write wins harmlessly.
 """
@@ -105,8 +105,8 @@ def build_model(A, B, tol=linalg.DEFAULT_DEFECT_TOL, prune_eps=DEFAULT_PRUNE_EPS
         Stability margin and defectiveness threshold for the drift
         eigenbasis; finite and positive.
     prune_eps : float
-        Coefficient prune threshold used by all polynomials this model
-        produces; finite and nonnegative.
+        Display threshold of ``mpoly.render`` for the polynomials this
+        model produces; finite and nonnegative.
 
     Returns
     -------
@@ -390,8 +390,8 @@ def _eigentable(model, side, order):
     The side's table of a lower order is copied, and each higher order
     raised from it: row K is its parent's row raised by mode I
     (``monomials.parent``), the rows of one mode by one gather of its
-    table read at ``order - 1`` and kept as gathered, so each is bit for
-    bit its parent's own raise at ``prune_eps`` 0.
+    table read at ``order - 1``, so each is bit for bit its parent's own
+    raise.
     """
     R = _rows(model.dim, order)
     table = np.zeros((R, R), dtype=np.complex128)
@@ -425,9 +425,9 @@ def _eigenfunctions(model, side, order):
 
 
 def _eigenfunction(model, side, K):
-    """Row K of ``_eigenfunctions`` as the ``MPoly`` that ``from_coeffs``
-    builds from it: pruned at ``model.prune_eps`` and trimmed, where the
-    table keeps every entry."""
+    """Row K of ``_eigenfunctions`` as an ``MPoly``: every entry of the
+    row, trimmed to its degree, |K| or less where the top-degree block
+    underflows at extreme units."""
     K = _check_multi_index(model, K)
     k = sum(K)
     row = _eigenfunctions(model, side, k)[graded_index(model.dim, k).row[K]]

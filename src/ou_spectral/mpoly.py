@@ -10,12 +10,12 @@ of a lower degree is a prefix of the index of a higher one, so operands
 of different degrees line up once the shorter vector is padded with
 zeros.
 
-Each polynomial passes through one prune mask as it is built, the
-package's only prune (``MPoly._store``): a coefficient whose magnitude is
-below ``prune_eps`` becomes an exact zero, so no polynomial that leaves
-the package carries cancellation dust.  Only finite coefficients can be
-small, so NaN is kept: an overflow never reads as an exact zero.
-Arithmetic on two polynomials carries the larger of their ``prune_eps``.
+Nothing here prunes: arithmetic keeps every coefficient it computes, so
+none is lost for being small in the units of x.  ``prune_eps`` is the
+printer's threshold only.  ``render`` hides a term whose size is below
+``prune_eps`` times the largest finite term's, each term's size measured
+in the units given by a per-axis scale.  Arithmetic on two polynomials
+carries the larger of their ``prune_eps``.
 
 Arithmetic is gathers through the shift tables of the index.  A partial
 derivative gathers through ``up``, a product sums shifted copies of one
@@ -60,13 +60,6 @@ def _padded(c, size):
     return out
 
 
-def prune(c, eps):
-    """Zero, in place, every coefficient of ``c`` whose magnitude is below
-    ``eps``, and return ``c``.  NaN is not below anything, so it is kept."""
-    c[np.abs(c) < eps] = 0.0
-    return c
-
-
 def _diff(c, nvars, degree, axis):
     """Coefficients of the partial derivative along ``axis`` of each
     polynomial of ``degree`` with coefficients ``c`` (its last axis): one
@@ -87,11 +80,10 @@ class MPoly:
         is not integral raises ``TypeError`` here and below.
     terms : dict, optional
         Map from exponent tuple (length ``nvars``, nonnegative ints) to
-        coefficient.  Coefficients with magnitude below ``prune_eps`` are
-        dropped; NaN is kept.
+        coefficient.
     prune_eps : float, optional
-        Prune threshold carried onto results of arithmetic with this
-        polynomial.  Defaults to ``DEFAULT_PRUNE_EPS``.
+        Display threshold of ``render``, carried onto results of arithmetic
+        with this polynomial.  Defaults to ``DEFAULT_PRUNE_EPS``.
     """
 
     __slots__ = ("nvars", "coeffs", "prune_eps", "_degree")
@@ -120,20 +112,19 @@ class MPoly:
     def from_coeffs(cls, nvars, coeffs, prune_eps=None):
         """The polynomial with coefficients ``coeffs`` on the first rows of
         the graded index of ``nvars`` variables, the rows after them zero;
-        pruned and trimmed to its degree, and never sharing ``coeffs``."""
+        trimmed to its degree, and never sharing ``coeffs``."""
         self = object.__new__(cls)
         self._store(operator.index(nvars), coeffs, prune_eps)
         return self
 
     def _store(self, nvars, coeffs, prune_eps):
-        """Set the fields from a pruned copy of ``coeffs``, trimmed to its
-        degree: the one place in the package that prunes."""
+        """Set the fields from a copy of ``coeffs``, trimmed to its degree."""
         if nvars < 1:
             raise ValueError("nvars must be at least 1")
         eps = DEFAULT_PRUNE_EPS if prune_eps is None else float(prune_eps)
         if not 0.0 <= eps < math.inf:
             raise ValueError(f"prune_eps must be finite and nonnegative, got {eps}")
-        c = prune(np.array(coeffs, dtype=np.complex128), eps)
+        c = np.array(coeffs, dtype=np.complex128)
         nz = c.nonzero()[0]
         degree = _degree_of_row(nvars, nz[-1]) if nz.size else -1
         size = _rows(nvars, degree)
@@ -189,10 +180,6 @@ class MPoly:
             return MappingProxyType({})
         modes = graded_index(self.nvars, self._degree).modes
         return MappingProxyType(dict(zip([modes[r] for r in nz], self.coeffs[nz].tolist())))
-
-    def items(self):
-        """Terms in graded lexicographic order."""
-        return list(self.terms.items())
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
@@ -355,26 +342,31 @@ def _fmt_monomial(exps):
     return "*".join(parts)
 
 
-def render(p):
-    """Canonical string form: graded-lex terms, 12 significant digits."""
-    items = p.items()
-    if not items:
-        return "0"
-    pieces = []
-    for exps, c in items:
-        mono = _fmt_monomial(exps)
-        if c.imag == 0.0 and c.real < 0.0 and pieces:
-            body = _fmt_real(-c.real)
-            joiner = " - "
+def render(p, scale=None):
+    """Canonical string form: graded-lex terms, 12 significant digits.
+
+    A finite term c_a x^a is hidden when |c_a| prod_i scale_i^a_i is below
+    ``p.prune_eps`` times the largest such size over the finite terms, so
+    x -> c x with ``scale`` -> c ``scale`` hides the same terms; ``scale``
+    holds one unit per variable, all 1 when None.  A NaN or infinite
+    coefficient is always shown.
+    """
+    exps, coeffs = p.to_arrays()
+    # Logs of the sizes: a power of extreme units overflows where a size does not.
+    size = np.log(np.abs(coeffs))
+    if scale is not None:
+        size += exps @ np.log(np.asarray(scale, dtype=float))
+    finite = np.isfinite(coeffs)
+    shown = ~finite | (np.exp(size - size[finite].max(initial=-np.inf)) >= p.prune_eps)
+    text = ""
+    for a, c in zip(exps[shown].tolist(), coeffs[shown].tolist()):
+        if text and c.imag == 0.0 and c.real < 0.0:
+            text += " - " + _fmt_real(-c.real)
         else:
-            body = _fmt_coeff(c)
-            joiner = " + "
-        text = body if not mono else f"{body}*{mono}"
-        if not pieces:
-            pieces.append(text)
-        else:
-            pieces.append(joiner + text)
-    return "".join(pieces)
+            text += (" + " if text else "") + _fmt_coeff(c)
+        if any(a):
+            text += "*" + _fmt_monomial(a)
+    return text or "0"
 
 
 def coeff_distance(p, q):

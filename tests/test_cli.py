@@ -9,6 +9,8 @@ from ou_spectral import ConfigError, cli, errors, linalg, verify
 from ou_spectral.ladder import build_model
 from ou_spectral.spectral import solve_inhomogeneous
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def write_config(tmp_path, name="model.json", **overrides):
     raw = {
@@ -241,8 +243,7 @@ def test_a_missing_block_fails_before_the_model_is_built(
 def test_max_order_bound_admits_the_measured_sizes(tmp_path):
     # Every shipped config, and the largest sizes measured so far: n = 5 at
     # order 7 (792 modes) and n = 6 at order 6 (924 modes).
-    configs = Path(__file__).resolve().parents[1] / "configs"
-    paths = sorted(str(path) for path in configs.glob("*.json"))
+    paths = sorted(str(path) for path in CONFIGS.glob("*.json"))
     for n, order in ((1, 40), (5, 7), (6, 6), (6, 7)):
         eye = np.eye(n).tolist()
         name, A = f"n{n}-{order}.json", (-np.eye(n)).tolist()
@@ -375,6 +376,33 @@ def test_eigensystem_output(tmp_path, capsys):
     assert modes[(1,)]["normalization"] == 2
     assert modes[(1,)]["forward"] == "2*x1"
     assert modes[(2,)]["forward"] == "-2 + 4*x1^2"
+
+
+def _printed_terms(out):
+    """Number of terms on the f and g lines of an eigensystem report."""
+    count = 0
+    for line in out.splitlines():
+        body = line.strip()
+        if body.startswith(("f: ", "g: ")) and body[3:] != "0":
+            count += body.count(" + ") + body.count(" - ") + 1
+    return count
+
+
+@pytest.mark.parametrize("c", [1e4, 1e8])
+def test_eigensystem_prints_every_term_in_large_units(tmp_path, capsys, c):
+    # x -> c x scales the coefficient of x^a by c^-|a|.  The printer
+    # measures each term in f0's units, so random_3d with B times c^2
+    # prints the terms it prints at c = 1, and no eigenfunction as 0.
+    raw = json.loads((CONFIGS / "random_3d.json").read_text())
+    counts = []
+    for scale in (1.0, c):
+        B = (scale * scale * np.array(raw["B"])).tolist()
+        path = write_config(tmp_path, **{**raw, "B": B})
+        assert cli.main(["eigensystem", path]) == 0
+        out = capsys.readouterr().out
+        assert "f: 0\n" not in out and "g: 0\n" not in out
+        counts.append(_printed_terms(out))
+    assert counts == [1024, 1024]
 
 
 def test_verify_passes_and_is_deterministic(tmp_path, capsys):
@@ -669,16 +697,13 @@ def test_mc_check_requires_sim(tmp_path, capsys):
 
 
 def test_shipped_configs_load():
-    import pathlib
-
-    cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
-    names = sorted(p.name for p in cfg_dir.glob("*.json"))
+    names = sorted(p.name for p in CONFIGS.glob("*.json"))
     assert names == [
         "canonical_1d.json",
         "diag_2d.json",
         "random_3d.json",
         "spiral_2d.json",
     ]
-    for p in cfg_dir.glob("*.json"):
+    for p in CONFIGS.glob("*.json"):
         cfg = cli.load_config(str(p))
         assert cfg.dimension in (1, 2, 3)

@@ -231,8 +231,7 @@ def test_eigenfunction_memoized(model_spiral, monkeypatch):
 @pytest.mark.parametrize("c", [1.0, 1e4])
 def test_eigenfunction_read_is_from_coeffs_of_its_row(four_models, c):
     # A read is the polynomial that from_coeffs builds from its row of the
-    # unpruned table.  At c = 1e4 (B times c^2) the top degrees of some
-    # forward rows prune away and trim.
+    # table, at c = 1 and at c = 1e4 (B times c^2).
     for name, model in four_models.items():
         model = ou.build_model(model.A, model.B * c**2)
         idx = graded_index(model.dim, 6)
@@ -246,6 +245,22 @@ def test_eigenfunction_read_is_from_coeffs_of_its_row(four_models, c):
                 assert got.degree() == want.degree(), (name, side, K)
                 assert got.prune_eps == want.prune_eps
                 assert not got.coeffs.flags.writeable
+
+
+def test_public_eigenfunctions_in_large_units_are_their_table_rows(four_models):
+    # At c = 1e4 (B times c^2) the coefficients of order k of a forward
+    # row scale as c^-k, far below 1e-13 at the top orders.  No read
+    # prunes, so each public eigenfunction is its row bit for bit, of
+    # degree |K|.
+    for name, model in four_models.items():
+        model = ou.build_model(model.A, model.B * 1e8)
+        idx = graded_index(model.dim, 6)
+        table = ladder._eigenfunctions(model, "forward", 6)
+        for K in idx.modes:
+            got = ou.forward_eigenfunction(model, K).poly
+            row = np.ascontiguousarray(table[idx.row[K], : got.coeffs.size])
+            assert np.array_equal(got.coeffs.view(np.int64), row.view(np.int64)), (name, K)
+            assert got.degree() == sum(K), (name, K)
 
 
 def test_eigenfunction_polynomial_degree(model_diag):
@@ -435,8 +450,8 @@ def test_raising_keeps_products_above_prune_eps_of_a_weight_below_it():
 
 
 def test_polynomials_of_two_prune_eps_share_one_raising_table():
-    # A table holds the operator's exact weights; the polynomial's
-    # prune_eps prunes only the image.
+    # A table holds the operator's exact weights; no prune_eps selects
+    # one.
     model = ou.build_model(A_SPIRAL, np.eye(2))
     for eps in (1e-13, 1e-4):
         p = MPoly(2, {(1, 0): 1.0, (0, 2): 0.5}, prune_eps=eps)

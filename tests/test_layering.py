@@ -10,8 +10,9 @@ model's cache; every other module reads them through it.  Outside
 ``ladder`` no module imports ``_table`` or ``_block``, so none knows the
 slot layout of a table, and outside ``gaussian`` no module
 Cholesky-factors a ``cov``: each Gaussian is factored once, and keeps its
-factor.  ``MPoly._store`` alone calls ``prune``: ``prune_eps`` acts on the
-polynomials that leave the package, and on no table or check.
+factor.  No module defines or calls ``prune``: no numeric step drops a
+coefficient for being small, and ``prune_eps`` is only the threshold by
+which ``mpoly.render`` hides dust.
 ``ladder._eigenvalues`` alone sums K_I lambda_I over a multi-index, so
 lambda_K has one formula.  No production module defines a top-level
 function or class that only ``verify`` reads: check code lives in
@@ -275,9 +276,17 @@ def g(c):
 
 @pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
 def test_only_mpoly_store_prunes(module):
-    calls = list(_prune_calls((PACKAGE / f"{module}.py").read_text()))
-    want = ["MPoly._store"] if module == "mpoly" else []
-    assert [scope for scope, _ in calls] == want, calls
+    # No module defines or calls ``prune``: ``MPoly._store``, the name's
+    # subject, was its last caller.
+    source = (PACKAGE / f"{module}.py").read_text()
+    defined = [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "prune"
+    ]
+    assert defined == []
+    calls = list(_prune_calls(source))
+    assert [scope for scope, _ in calls] == [], calls
 
 
 def _eigenvalue_sums(source):

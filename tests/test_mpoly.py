@@ -84,13 +84,18 @@ def test_diff_constant_is_zero():
 
 
 def test_prune_drops_dust_keeps_signal():
+    # The polynomial keeps every coefficient; only render hides a term
+    # below prune_eps times the largest one.
     p = MPoly(1, {(0,): 1e-14, (1,): 1.0})
-    assert (0,) not in p.terms and (1,) in p.terms
+    assert p.terms == {(0,): 1e-14 + 0j, (1,): 1.0 + 0j}
+    assert render(p) == "1*x1"
+    assert render(MPoly(1, p.terms, prune_eps=0.0)) == "1e-14 + 1*x1"
     q = MPoly(1, {(0,): 1.0}, prune_eps=1e-6)
     s = p + q
     assert s.prune_eps == 1e-6
     tiny = MPoly(1, {(0,): 1e-7}, prune_eps=1e-6)
-    assert tiny.is_zero()
+    assert not tiny.is_zero() and render(tiny) == "1e-07"
+    assert render(tiny + MPoly(1, {(1,): 1.0})) == "1*x1"
 
 
 def test_evaluation_matches_horner_by_hand():
@@ -173,6 +178,8 @@ def test_hermite_table_matches_numpy_herm2poly():
 
 def test_render_canonical_forms():
     assert render(MPoly.zero(1)) == "0"
+    assert render(MPoly.zero(2), [3.0, 0.5]) == "0"
+    assert render(MPoly(2, {(1, 0): 0.0})) == "0"
     assert render(hermite(2)) == "-2 + 4*x1^2"
     assert render(MPoly(2, {(1, 1): 1.0, (0, 0): -0.5})) == "-0.5 + 1*x1*x2"
     assert render(MPoly(1, {(1,): 1 - 2j})) == "(1-2i)*x1"
@@ -187,6 +194,48 @@ def test_render_order_is_graded_lex():
 def test_render_twelve_significant_digits():
     p = MPoly(1, {(0,): 1.0 / 3.0})
     assert render(p) == "0.333333333333"
+
+
+def test_render_always_shows_non_finite_terms():
+    # NaN and inf are printed whatever their neighbours, and the dust test
+    # measures the finite terms against the largest finite one, so an
+    # infinite term hides nothing.
+    inf, nan = float("inf"), float("nan")
+    assert render(MPoly(1, {(0,): 1.0, (1,): inf, (2,): 1e-20})) == "1 + inf*x1"
+    assert render(MPoly(1, {(0,): 2.0, (1,): -inf, (2,): 0.5})) == "2 - inf*x1 + 0.5*x1^2"
+    assert render(MPoly(1, {(0,): 1e-20, (1,): nan, (2,): 1.0})) == "nan*x1 + 1*x1^2"
+    assert render(MPoly(1, {(0,): nan})) == "nan"
+    assert render(MPoly(1, {(0,): inf, (3,): 1e-300}), [10.0]) == "inf + 1e-300*x1^3"
+
+
+def _shown(text):
+    """The monomials of the terms that ``render`` printed."""
+    terms = text.replace(" - ", " + ").split(" + ")
+    return [term.split("*", 1)[1] if "*" in term else "" for term in terms]
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-3, 1e3, 1e8])
+def test_render_hides_the_same_terms_in_every_unit(c):
+    # x -> c x sends the coefficient of x^a to c^-|a| times itself; scaled
+    # by c too, the units give each term the size it had, so the same
+    # terms are printed.
+    p = MPoly(
+        2,
+        {(0, 0): 1.0, (1, 0): 1e-15, (0, 2): -3.0, (1, 1): 2e-14j, (3, 0): 1e-11, (2, 2): 0.5},
+    )
+    sigma = np.array([0.7, 1.3])
+    image = p.affine(np.eye(2) / c, np.zeros(2))
+    want = ["", "x2^2", "x1^3", "x1^2*x2^2"]
+    assert _shown(render(p, sigma)) == want
+    assert _shown(render(image, c * sigma)) == want
+    # Measured in the units of x instead, the image prints other terms.
+    assert _shown(render(image)) != want
+
+
+def test_render_compares_terms_whose_unit_powers_overflow():
+    # 1e80^4 and 1e80^5 overflow a float; the terms' sizes, 1e20 and
+    # 1e90, do not, and the smaller is dust next to the larger.
+    assert render(MPoly(1, {(4,): 1e-300, (5,): 1e-310}), [1e80]) == "1e-310*x1^5"
 
 
 def test_to_arrays_graded_lex():
@@ -315,7 +364,8 @@ def _assert_canonical(r):
         assert type(exps) is tuple and len(exps) == r.nvars
         assert all(type(e) is int and e >= 0 for e in exps)
         assert type(c) is complex
-        assert abs(c) >= r.prune_eps and c != 0.0
+        # Every nonzero coefficient is a term, however small.
+        assert c != 0.0
 
 
 def _arithmetic_cases():
@@ -354,31 +404,39 @@ def test_negation_and_conjugation_keep_every_term():
         assert -(-p) == p and p.conj().conj() == p
 
 
-def test_arithmetic_prunes_dust_and_keeps_nan():
+def test_arithmetic_keeps_dust_and_nan():
+    # Arithmetic keeps every finite coefficient, however small; render
+    # hides what is small next to the largest term.
     p = MPoly(1, {(0,): 1.0, (1,): 1.0})
     q = MPoly(1, {(1,): -1.0 + 1e-15})
     s = p + q
-    assert s.terms == {(0,): 1.0 + 0.0j}
+    assert s.terms == {(0,): 1.0 + 0.0j, (1,): complex(1.0 + (-1.0 + 1e-15))}
     _assert_canonical(s)
-    assert (p - MPoly(1, {(1,): 1.0 - 1e-15})).terms == {(0,): 1.0 + 0.0j}
-    assert (1e-14 * p).is_zero()
-    assert (p * MPoly(1, {(0,): 1e-14})).is_zero()
-    assert (MPoly(1, {(1,): 1e-13}).diff(0) * 0.5).is_zero()
+    assert render(s) == "1"
+    d = p - MPoly(1, {(1,): 1.0 - 1e-15})
+    assert d.terms == {(0,): 1.0 + 0.0j, (1,): complex(1.0 - (1.0 - 1e-15))}
+    assert render(d) == "1"
+    # A small polynomial is not dust: its terms are its own scale.
+    for small in (1e-14 * p, p * MPoly(1, {(0,): 1e-14})):
+        assert small.terms == {(0,): 1e-14 + 0j, (1,): 1e-14 + 0j}
+        assert render(small) == "1e-14 + 1e-14*x1"
+    assert (MPoly(1, {(1,): 1e-13}).diff(0) * 0.5).terms == {(0,): 5e-14 + 0j}
     for nan in (float("nan"), complex(float("nan"), 0.0)):
         r = p * nan
         assert set(r.terms) == set(p.terms)
         assert all(np.isnan(c) for c in r.terms.values())
     wide = MPoly(1, {(0,): 1.0}, prune_eps=1e-6)
-    assert (wide + MPoly(1, {(1,): 1e-7})).terms == {(0,): 1.0 + 0.0j}
+    r = wide + MPoly(1, {(1,): 1e-7})
+    assert r.terms == {(0,): 1.0 + 0.0j, (1,): 1e-7 + 0.0j}
+    assert render(r) == "1"
 
 
 def _dict_add(a, b):
-    # One dict pass, then a prune pass over every coefficient.
-    eps = max(a.prune_eps, b.prune_eps)
+    # One dict pass that drops only the exact zeros.
     out = dict(a.terms)
     for exps, c in b.terms.items():
         out[exps] = out.get(exps, 0.0) + c
-    return {e: c for e, c in out.items() if c != 0.0 and not abs(c) < eps}
+    return {e: c for e, c in out.items() if c != 0.0}
 
 
 def _dict_diff(p, axis):
@@ -388,10 +446,10 @@ def _dict_diff(p, axis):
         if e:
             key = exps[:axis] + (e - 1,) + exps[axis + 1 :]
             out[key] = out.get(key, 0.0) + c * e
-    return {e: c for e, c in out.items() if c != 0.0 and not abs(c) < p.prune_eps}
+    return {e: c for e, c in out.items() if c != 0.0}
 
 
-def test_add_and_diff_match_the_full_prune_pass():
+def test_add_and_diff_match_a_dict_pass():
     eps = 1e-13
     base = MPoly(2, {(1, 0): 1 + 2j, (0, 1): 3.0, (2, 2): complex(1.0, -0.0), (0, 0): 2e-13})
     equal_eps = [
@@ -577,7 +635,7 @@ def test_ladder_gathers_are_exact_against_a_fraction_reference():
             assert _exact(apply_forward(model, f).poly) == want
 
 
-def test_coefficient_vector_keeps_nan_and_prunes_dust():
+def test_coefficient_vector_keeps_nan_and_dust():
     nan = float("nan")
     p = MPoly(2, {(0, 0): 1.0, (1, 0): nan, (0, 2): 2.0})
     # The NaN survives every operation that reaches it, and only there.
@@ -586,15 +644,20 @@ def test_coefficient_vector_keeps_nan_and_prunes_dust():
     assert np.isnan((p - p).terms[(1, 0)]) and set((p - p).terms) == {(1, 0)}
     assert set((p * MPoly.variable(2, 1)).terms) == {(0, 1), (1, 1), (0, 3)}
     assert set(p.diff(1).terms) == {(0, 1)}
-    # An entry below prune_eps is pruned, and the vector is trimmed to the
-    # degree that is left.
+    # An entry below prune_eps is kept; the vector is trimmed to the
+    # degree of its last nonzero entry, an exact cancellation or an
+    # underflow.
     dust = MPoly(2, {(0, 0): 1.0, (1, 0): 1.0, (0, 3): 1.0})
     r = dust - MPoly(2, {(0, 3): 1.0 - 5e-14})
-    assert r.terms == {(0, 0): 1.0, (1, 0): 1.0}
+    assert r.terms == {(0, 0): 1.0, (1, 0): 1.0, (0, 3): 1.0 - (1.0 - 5e-14)}
+    assert r.degree() == 3 and r.coeffs.size == 10
+    r = dust - MPoly(2, {(0, 3): 1.0})
     assert r.degree() == 1 and r.coeffs.size == 3
-    assert (dust * 1e-14).is_zero() and (dust * 1e-14).coeffs.size == 0
+    assert (dust * 1e-14).degree() == 3 and (dust * 1e-14).coeffs.size == 10
+    under = MPoly(2, {(0, 0): 1.0, (0, 3): 1e-300}) * 1e-300
+    assert under.terms == {(0, 0): 1e-300 + 0j} and under.coeffs.size == 1
     wide = MPoly(2, {(0, 0): 1.0}, prune_eps=1e-6)
-    assert (wide + MPoly(2, {(2, 0): 5e-7})).coeffs.size == 1
+    assert (wide + MPoly(2, {(2, 0): 5e-7})).coeffs.size == 6
 
 
 def _bits(a):

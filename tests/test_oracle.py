@@ -273,8 +273,8 @@ def test_complex_oracle_pairings_are_exactly_the_normalization():
 
 
 # At c = 1e4 the largest coefficient of forward row K scales as
-# c^-(|K| + |K| mod 2), below the absolute prune_eps (1e-13) from order 3
-# on; the tables are not pruned, so they keep those rows.
+# c^-(|K| + |K| mod 2), so from order 3 on every entry of a row is below
+# 1e-13.
 @pytest.mark.parametrize("c", [1.0, 1e-4, 1e4])
 def test_eigenfunction_tables_match_the_exact_oracle(c):
     errors = _forward_error(REAL, c)

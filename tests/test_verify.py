@@ -161,8 +161,9 @@ def _rescaled_config_model(name, c):
     return build_model(model.A, model.B * c**2)
 
 
-# Inputs where the absolute prune (1e-13) decides which coefficients of
-# a gather survive: rescaled units and a stiff drift.
+# Inputs whose coefficients span many orders of magnitude, where an
+# absolute threshold would decide which coefficients of a gather survive:
+# rescaled units and a stiff drift.
 IMAGE_MODELS = {
     "random_3d_seeded": _random_model,
     "random_3d_c1e-4": lambda: _rescaled_config_model("random_3d", 1e-4),
@@ -190,9 +191,9 @@ def _tables(model):
 def test_shared_images_match_direct_evaluation(name):
     # The matrix of each table at the check degree, times the coefficient
     # vector of a battery polynomial of that degree or less, is the
-    # polynomial's own gather, which reads the table of its own degree
-    # and prunes: the matrix identities check the operators that the
-    # public per-polynomial API applies.
+    # polynomial's own gather, which reads the table of its own degree:
+    # the matrix identities check the operators that the public
+    # per-polynomial API applies.
     if name in IMAGE_MODELS:
         model = IMAGE_MODELS[name]()
     else:
@@ -314,23 +315,26 @@ def test_verify_json_reports_the_named_tolerances(tmp_path):
 
 
 def test_run_all_checks_at_the_model_prune_eps():
-    model, max_order = _config_model("spiral_2d")
-    model = build_model(model.A, model.B, prune_eps=1e-10)
-    verify.run_all(model, max_order)
-    # The prune_eps prunes the eigenfunctions that leave the package, and
-    # no table the suites read: both eigenfunction tables hold dust below
-    # 1e-10, and no public eigenfunction does.  The operator tables hold
-    # exact weights, one per operator.
+    unit, max_order = _config_model("spiral_2d")
+    model = build_model(unit.A, unit.B, prune_eps=1e-10)
+    # prune_eps is only the printer's threshold: the suites give the
+    # residuals they give at the default, both eigenfunction tables hold
+    # entries below 1e-10, and each public eigenfunction is its table row,
+    # those entries included.  The operator tables hold exact weights, one
+    # per operator.
+    assert verify.run_all(model, max_order) == verify.run_all(unit, max_order)
     read = {
         "forward": lambda K: forward_eigenfunction(model, K).poly,
         "adjoint": lambda K: adjoint_eigenfunction(model, K),
     }
+    idx = graded_index(model.dim, max_order)
     for side in ("forward", "adjoint"):
-        table = np.abs(ladder._eigenfunctions(model, side, max_order))
-        assert table[table > 0].min() < 1e-10
+        table = ladder._eigenfunctions(model, side, max_order)
+        assert np.abs(table[table != 0]).min() < 1e-10
         for K in enumerate_modes(model.dim, max_order):
-            c = np.abs(read[side](K).coeffs)
-            assert c[c > 0].min() >= 1e-10, (side, K)
+            c, row = read[side](K).coeffs, table[idx.row[K]]
+            npt.assert_array_equal(c, row[: c.size])
+            assert not row[c.size :].any(), (side, K)
     ladders = {key[1:] for key in model._op_cache if key[0] is ladder._ladder_table}
     ops = [f"{step}_{s}" for step in ("raise", "lower") for s in ("forward", "adjoint")]
     assert ladders == {(op, I) for op in ops for I in range(model.dim)}
@@ -539,9 +543,8 @@ def _any_model(name):
 @pytest.mark.parametrize("name", CONFIG_NAMES + tuple(IMAGE_MODELS))
 def test_eigenblock_rows_are_their_parents_raised(name):
     # Row K of a side's eigenfunction table is bit for bit
-    # raise_<side>(model, I, parent row) with prune_eps 0, the gather that
-    # the public operator applies to one polynomial, unpruned; on the
-    # image models the model's prune_eps would drop terms of a row.
+    # raise_<side>(model, I, parent row), the gather that the public
+    # operator applies to one polynomial.
     model, _ = _any_model(name)
     n = model.dim
     idx = graded_index(n, 6)
@@ -554,7 +557,7 @@ def test_eigenblock_rows_are_their_parents_raised(name):
         npt.assert_array_equal(table[0], np.eye(len(idx.modes))[0])
         for r in range(1, len(idx.modes)):
             p, I, _ = idx.steps[r - 1]
-            parent = MPoly.from_coeffs(n, table[p], 0.0)
+            parent = MPoly.from_coeffs(n, table[p])
             want = raise_[side](I, parent).coeffs
             npt.assert_array_equal(table[r, : want.size], want)
             assert not table[r, want.size :].any()
