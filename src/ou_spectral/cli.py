@@ -312,14 +312,17 @@ def cmd_eigensystem(cfg, args):
     _check_order(cfg)
     model = _build(cfg)
     modes = enumerate_modes(model.dim, cfg.max_order)
-    print(f"dimension {model.dim}, {len(modes)} modes up to order {cfg.max_order}")
-    print("drift eigenvalues: " + ", ".join(_fmt_c(v) for v in model.eig.values))
     scale = _f0_scale(model)
-    records = []
+    records, lines = [], []
     for K in modes:
         lam = eigenvalue(model, K)
-        f = render(forward_eigenfunction(model, K).poly, scale)
-        g = render(adjoint_eigenfunction(model, K), scale)
+        # A coefficient that overflows is reported below, not as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            polys = forward_eigenfunction(model, K).poly, adjoint_eigenfunction(model, K)
+        for side, p in zip(("forward", "adjoint"), polys):
+            if not np.all(np.isfinite(p.coeffs)):
+                raise NonFiniteResultError(f"the {side} eigenfunction of K={K} is not finite")
+        f, g = (render(p, scale) for p in polys)
         records.append(
             {
                 "index": list(K),
@@ -329,9 +332,11 @@ def cmd_eigensystem(cfg, args):
                 "adjoint": g,
             }
         )
-        print(f"K={K}  lambda={_fmt_c(lam)}")
-        print(f"  f: {f}")
-        print(f"  g: {g}")
+        lines += [f"K={K}  lambda={_fmt_c(lam)}", f"  f: {f}", f"  g: {g}"]
+    # Checked before anything is printed, as verify's residuals are.
+    print(f"dimension {model.dim}, {len(modes)} modes up to order {cfg.max_order}")
+    print("drift eigenvalues: " + ", ".join(_fmt_c(v) for v in model.eig.values))
+    print("\n".join(lines))
     if args.json:
         _write_json(
             args.json,

@@ -13,11 +13,11 @@ recursion.
 
 The closed forms of the eigenfunctions on one side up to one order are
 the rows of one table (``mpoly.hermite_products``): the power table of
-the eigenvectors, whose row K expands prod_I (v_I . u)^{K_I}, times the
-Hermite map that sends the monomial u^a to prod_i H_{a_i}(y_i).  The
+the eigenvectors in y, whose row K expands prod_I (v_I . u)^{K_I}, times
+the Hermite map that sends the monomial u^a to prod_i H_{a_i}(y_i).  The
 model keeps one table per side (``ladder._grown``), at the highest order
 read so far, and a lower order reads its leading block; nothing is
-cached at module level.
+cached at module level.  ``verify`` and grid evaluation read it.
 """
 
 from dataclasses import dataclass
@@ -82,10 +82,12 @@ def _require_canonical(model):
 
 def _hermite_table(model, side, degree):
     """(table,): row K holds the Hermite closed form of eigenfunction K
-    on ``side``, for every K up to order ``degree``: the
-    ``mpoly.hermite_products`` of the forward or adjoint eigenvectors.
+    on ``side``, for every K up to order ``degree``, in the coordinates
+    y = T^-1 x of f0 (``canonical_transform``): the ``hermite_products``
+    of the eigenvectors there, the rows of (T^-1 E)^T or conj(W) T.
     """
-    V = model.eig.right.T if side == "forward" else np.conj(model.eig.left)
+    tr = canonical_transform(model)
+    V = (tr.T_inv @ model.eig.right).T if side == "forward" else np.conj(model.eig.left) @ tr.T
     table = hermite_products(V, degree)
     table.setflags(write=False)
     return (table,)

@@ -21,14 +21,14 @@ generating functions:
   f0 (Sigma = L L^T), where f0 = exp(log_norm - |z|^2 / 2), the
   canonical coordinates of ``hermite_form`` are y = z / sqrt(2)
   (T = sqrt(2) L), and p_K is the Hermite closed form of the
-  eigenvectors there (``mpoly.hermite_products``).
+  eigenvectors there, the model's one table (``hermite_form``).
 
-Grid evaluation reads that closed form from the model's one grid table
-as coefficient rows over the monomials z^a.  The expansion is then one
-real vector pair against the real monomials z^a, built one product per
-monomial on each block of points.  Neither route prunes anything.  The
-exact ``MPoly`` ladder, whose gather tables the ``verify`` suites check,
-is the reference both are tested against.
+Grid evaluation reads that table as coefficient rows over the monomials
+y^a.  The expansion is then one real vector pair against the real
+monomials y^a, built one product per monomial on each block of points.
+Neither route prunes anything.  The exact ``MPoly`` ladder, whose gather
+tables the ``verify`` suites check, is the reference both are tested
+against.
 
 The inhomogeneous solve builds no eigenfunction either.  With P = p f0,
 f0^-1 L(p f0) = (M x) . grad p + (1/2) B : grad grad p, M = Sigma A^T
@@ -57,10 +57,11 @@ from .gaussian import (
     expectation,
     moments,
 )
+from .hermite_form import _hermite_table
 from .ladder import _check_forward, _eigenvalues, _generator_table, _grown, _matrix
 from .ladder import mode_normalization
 from .monomials import graded_index
-from .mpoly import MPoly, hermite_products
+from .mpoly import MPoly
 from .verify import reconstruct_operators_check  # noqa: F401, the name perfbench/layers.py binds
 
 # Points per block of grid evaluation; the work buffers hold every
@@ -148,37 +149,26 @@ def evaluate_grid(expansion, points, t):
 
 
 def _grid_tables(model, max_order):
-    """(T, lam, norm): the time-independent tables of grid evaluation,
-    one per model (``ladder._grown``), read at a lower order as leading
-    blocks.
-
-    Row K of T holds the coefficients of p_K over the monomials z^a of
-    the whitened coordinates z = W^T x (W = ``model.f0.whitener``), both
-    in ``graded_index`` rows: the Hermite closed form
-    (``mpoly.hermite_products``) of the eigenvectors C / sqrt(2),
-    C = W^T E, in the canonical coordinates y = z / sqrt(2) of
-    ``hermite_form``, with column a scaled by 2^(-|a|/2) to turn y^a
-    into z^a.  ``lam`` and ``norm`` hold lambda_K (``ladder._eigenvalues``)
-    and ``ladder.mode_normalization(K)``, the one formula of each.
-    """
+    """(lam, norm): lambda_K (``ladder._eigenvalues``) and
+    ``ladder.mode_normalization(K)`` of every K up to ``max_order``, the
+    one formula of each, kept on the model (``ladder._grown``) and read
+    at a lower order as leading blocks."""
     idx = graded_index(model.dim, max_order)
-    C = model.f0.whitener.T @ model.eig.right
-    T = hermite_products(C.T / np.sqrt(2.0), max_order)
-    T *= 2.0 ** (-0.5 * idx.exponents.sum(axis=1))
     norm = np.array([mode_normalization(K) for K in idx.modes])
-    return T, _eigenvalues(model, "forward", idx.exponents), norm
+    return _eigenvalues(model, "forward", idx.exponents), norm
 
 
 def evaluate_grid_complex(expansion, points, t):
     """Complex expansion values on a grid of points, shape (P, N) -> (P,).
 
-    Sums f0(x) c_K / mode_normalization(K) exp(lambda_K t) p_K(x) in the
-    whitened coordinates z of f0, where f0 = exp(log_norm - |z|^2 / 2)
-    and each p_K is a row of monomial coefficients (``_grid_tables``, a
-    leading block of the model's one table).  So the sum is one real
-    vector pair b = w(t) T, split into real and imaginary parts, against
-    the real monomials z^a, which ``_fill_grid`` builds in blocks of at
-    most ``GRID_CHUNK`` points, in buffers allocated once per call.
+    Sums f0(x) c_K / mode_normalization(K) exp(lambda_K t) p_K(x) in
+    y = z / sqrt(2), z the whitened coordinates of f0, where f0 =
+    exp(log_norm - |z|^2 / 2) and each p_K is a row of coefficients over
+    y^a, a leading block of the model's one forward closed form.  So the
+    sum is one real vector pair b = w(t) T, split into real and imaginary
+    parts, against the real monomials y^a, which ``_fill_grid`` builds
+    in blocks of at most ``GRID_CHUNK`` points, in buffers allocated once
+    per call.
     Raises ``ValueError`` naming the first point that is not finite, and
     ``NonFiniteResultError`` when a value overflows.
     """
@@ -191,7 +181,8 @@ def evaluate_grid_complex(expansion, points, t):
         )
     idx = graded_index(model.dim, expansion.max_order)
     R = len(idx.modes)
-    _, T, lam, norm = _grown(model, _grid_tables, (), expansion.max_order)
+    _, lam, norm = _grown(model, _grid_tables, (), expansion.max_order)
+    T = _grown(model, _hermite_table, ("forward",), expansion.max_order)[1]
     out = np.empty(pts.shape[0], dtype=np.complex128)
     # An overflow is reported by the check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -208,12 +199,12 @@ def evaluate_grid_complex(expansion, points, t):
 
 
 def _fill_grid(f0, steps, B2, pts, out):
-    """Write f0(x) (B2[0] + i B2[1]) . z^a into ``out`` for each row x of
-    ``pts``, with z^a the monomials of the whitened coordinates of f0 in
-    ``graded_index`` rows, built along the index's ``steps``.
+    """Write f0(x) (B2[0] + i B2[1]) . y^a into ``out`` for each row x of
+    ``pts``, with y^a the monomials of y = z / sqrt(2), z whitened by f0
+    and scaled in place after the density, built along the ``steps``.
 
     Each block of at most ``GRID_CHUNK`` points fills the same three
-    buffers, sized to one block: the monomials, z and the density.  A
+    buffers, sized to one block: the monomials, y and the density.  A
     short last block fills a contiguous prefix of each, so every product
     has the shapes and memory layout it has on a full block.  The buffers
     die on return, so they are not held through the caller's pass over
@@ -227,6 +218,7 @@ def _fill_grid(f0, steps, B2, pts, out):
         m = block.shape[0]
         z, f = z_buf[: n * m].reshape(n, m), f_buf[:m]
         f0._whiten_into(block, z, f)
+        z /= np.sqrt(2.0)
         X = X_buf[: R * m].reshape(R, m)
         X[0] = 1.0
         for k, (p, I, _) in enumerate(steps, 1):

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermite_form import _hermite_table, _require_canonical, is_canonical, to_canonical
+from .gaussian import stationary_density
+from .hermite_form import _hermite_table
 from .ladder import (
     _eigenfunctions,
     _eigenvalues,
@@ -30,8 +31,9 @@ from .ladder import (
     _matrix,
     mode_normalization,
 )
+from .linalg import solve_lyapunov
 from .monomials import enumerate_modes, graded_index
-from .mpoly import MPoly, _diff, _rows
+from .mpoly import MPoly, _diff, _rows, power_table
 
 
 @dataclass
@@ -291,20 +293,24 @@ def commutator_suite(model):
 
 
 def hermite_suite(model, max_order=5):
-    """Ladder route against the Hermite closed form, coefficient-wise.
-
-    Transforms to canonical coordinates first when needed.
-    """
-    model_c = model if is_canonical(model) else to_canonical(model)[0]
-    _require_canonical(model_c)
+    """Each side's table (``ladder._eigenfunctions``), mapped to y = T^-1 x
+    by one power table of T = sqrt(2) L, L the Cholesky factor of the
+    Lyapunov solution of A and B, against the model's own closed form in
+    y of f0, which a Sigma off that solution moves apart.  Row K's residual
+    is divided (forward) or multiplied (adjoint) by prod_I |T^-1 e_I|^K_I:
+    the absolute residual of eigenvectors of unit norm in y."""
+    T = np.sqrt(2.0) * stationary_density(solve_lyapunov(model.A, model.B)).factor
+    to_y = power_table(T, np.zeros(model.dim), max_order)
+    d = np.linalg.norm(np.linalg.solve(T, model.eig.right), axis=0)
+    scale = np.prod(d ** graded_index(model.dim, max_order).exponents, axis=1)
     worst = 0.0
     # inf - inf is NaN, which the maximum keeps.
     with np.errstate(invalid="ignore"):
-        for side in ("forward", "adjoint"):
-            table = _eigenfunctions(model_c, side, max_order)
-            closed = _grown(model_c, _hermite_table, (side,), max_order)[1]
-            d = np.abs(table - closed[: len(table), : len(table)]).max()
-            worst = np.maximum(worst, d)
+        for side, unit in (("forward", 1.0 / scale), ("adjoint", scale)):
+            table = _eigenfunctions(model, side, max_order) @ to_y
+            closed = _grown(model, _hermite_table, (side,), max_order)[1]
+            resid = np.abs(table - closed[: len(table), : len(table)]).max(axis=1)
+            worst = np.maximum(worst, np.max(resid * unit))
     return SuiteResult("hermite-form", float(worst), IDENTITY_TOL)
 
 

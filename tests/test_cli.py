@@ -405,6 +405,26 @@ def test_eigensystem_prints_every_term_in_large_units(tmp_path, capsys, c):
     assert counts == [1024, 1024]
 
 
+@pytest.mark.parametrize(
+    "B, side, K", [(1e-16, "forward", "(19,)"), (1e16, "adjoint", "(36,)")]
+)
+def test_eigensystem_refuses_coefficients_that_are_not_finite(tmp_path, capsys, recwarn, B, side, K):
+    # At max_order 44 the eigenfunction tables of a 1-D model overflow in
+    # extreme units: the forward rows from K = (19,) on at B = 1e-16, the
+    # adjoint rows from K = (36,) on at B = 1e16.  The report is refused
+    # before anything is printed, naming the first such K, and the
+    # overflow is not also a numpy warning.
+    path = write_config(tmp_path, B=[[B]], max_order=44)
+    out_json = tmp_path / "eig.json"
+    assert cli.main(["eigensystem", path, "--json", str(out_json)]) == 2
+    captured = capsys.readouterr()
+    assert "error[NonFiniteResultError]" in captured.err
+    assert f"{side} eigenfunction of K={K}" in captured.err
+    assert captured.out == ""
+    assert not out_json.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_verify_passes_and_is_deterministic(tmp_path, capsys):
     path = write_config(tmp_path, max_order=4)
     j1, j2 = tmp_path / "v1.json", tmp_path / "v2.json"

@@ -14,7 +14,10 @@ factor.  No module defines or calls ``prune``: no numeric step drops a
 coefficient for being small, and ``prune_eps`` is only the threshold by
 which ``mpoly.render`` hides dust.
 ``ladder._eigenvalues`` alone sums K_I lambda_I over a multi-index, so
-lambda_K has one formula.  No production module defines a top-level
+lambda_K has one formula.  ``hermite_form`` alone builds a Hermite
+closed form (``mpoly.hermite_products``), and ``verify`` builds no
+second model (``build_model``, ``to_canonical``): it checks the model's
+own tables.  No production module defines a top-level
 function or class that only ``verify`` reads: check code lives in
 ``verify``.
 """
@@ -334,6 +337,48 @@ def test_only_ladder_sums_eigenvalues_over_a_multi_index(module):
     # lambda_K has one formula, ``ladder._eigenvalues``; every other module
     # reads its vector.
     assert list(_eigenvalue_sums((PACKAGE / f"{module}.py").read_text())) == []
+
+
+def _calls(source, names):
+    """Source lines that call a function named in ``names``, bare or as
+    an attribute."""
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _name(node.func) in names:
+            yield lines[node.lineno - 1].strip()
+
+
+def test_call_finder_sees_bare_and_attribute_calls():
+    source = """
+from .ladder import build_model
+model = build_model(A, B)
+model_c, tr = hermite_form.to_canonical(model)
+table = mpoly.hermite_products(V, 3)
+build = build_model
+n = model.to_canonical_count
+"""
+    assert list(_calls(source, {"build_model", "to_canonical"})) == [
+        "model = build_model(A, B)",
+        "model_c, tr = hermite_form.to_canonical(model)",
+    ]
+    assert list(_calls(source, {"hermite_products"})) == ["table = mpoly.hermite_products(V, 3)"]
+
+
+def test_verify_builds_no_second_model():
+    # The suites check the tables of the model they are given; the Hermite
+    # suite maps them to canonical coordinates instead of rebuilding the
+    # model there.
+    source = (PACKAGE / "verify.py").read_text()
+    assert list(_calls(source, {"build_model", "to_canonical"})) == []
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "hermite_form")
+)
+def test_only_hermite_form_builds_a_hermite_closed_form(module):
+    # One closed-form table per model and side (``hermite_form._hermite_table``),
+    # which the Hermite suite and grid evaluation both read.
+    assert list(_calls((PACKAGE / f"{module}.py").read_text(), {"hermite_products"})) == []
 
 
 def _bound_names():

@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 import ou_spectral as ou
-from ou_spectral import cli, errors, ladder, linalg, spectral, verify
+from ou_spectral import cli, errors, hermite_form, ladder, linalg, spectral, verify
 from ou_spectral.kernels import eval_poly_grid
 from ou_spectral.monomials import graded_index
 from ou_spectral.mpoly import MPoly
@@ -341,17 +341,19 @@ def test_grid_values_do_not_depend_on_units(c):
 
 
 def test_grid_table_rows_are_the_forward_eigenfunctions(four_models):
-    # Row K of T, summed over the monomials of z = W^T x, is the ladder's
+    # Row K of the forward closed form, summed over the monomials of the
+    # canonical coordinates y = z / sqrt(2), z = W^T x, is the ladder's
     # p_K(x) at every point.
     rng = np.random.default_rng(13)
     for path in sorted(CONFIGS.glob("*.json")):
         cfg = cli.load_config(str(path))
         model = four_models[path.stem]
         modes = graded_index(model.dim, cfg.max_order).modes
-        T, lam, norm = spectral._grid_tables(model, cfg.max_order)
+        T = hermite_form._hermite_table(model, "forward", cfg.max_order)[0]
+        lam, norm = spectral._grid_tables(model, cfg.max_order)
         pts = 1.5 * rng.normal(size=(40, model.dim)) @ np.linalg.cholesky(model.Sigma).T
-        z = pts @ model.f0.whitener
-        monomials = np.prod(z[:, None, :] ** np.array(modes)[None, :, :], axis=2)
+        y = pts @ model.f0.whitener / np.sqrt(2.0)
+        monomials = np.prod(y[:, None, :] ** np.array(modes)[None, :, :], axis=2)
         for k, K in enumerate(modes):
             want = np.array([complex(ou.forward_eigenfunction(model, K).poly(x)) for x in pts])
             got = monomials @ T[k]
@@ -396,21 +398,23 @@ def test_grid_evaluation_memory_does_not_grow_with_points(model_3d, n, order):
 
 
 def _reference_grid(expansion, pts, t):
-    """The block loop of grid evaluation with ``f0.whitened`` and a fresh
-    monomial array per block: the reference the buffered loop must equal
-    bit for bit."""
+    """The block loop of grid evaluation with ``f0.whitened``, y = z /
+    sqrt(2) and a fresh monomial array per block: the reference the
+    buffered loop must equal bit for bit."""
     model = expansion.model
     idx = graded_index(model.dim, expansion.max_order)
-    T, lam, norm = spectral._grid_tables(model, expansion.max_order)
+    T = hermite_form._hermite_table(model, "forward", expansion.max_order)[0]
+    lam, norm = spectral._grid_tables(model, expansion.max_order)
     out = np.empty(pts.shape[0], dtype=np.complex128)
     b = (expansion.coeffs / norm * np.exp(lam * t)) @ T
     B2 = np.stack([b.real, b.imag])
     for lo in range(0, pts.shape[0], GRID_CHUNK):
         z, f0 = model.f0.whitened(pts[lo : lo + GRID_CHUNK])
+        y = z / np.sqrt(2.0)
         X = np.empty((len(idx.modes), len(f0)))
         X[0] = 1.0
         for k, (p, I, _) in enumerate(idx.steps, 1):
-            np.multiply(z[I], X[p], out=X[k])
+            np.multiply(y[I], X[p], out=X[k])
         re, im = B2 @ X
         np.multiply(re, f0, out=out.real[lo : lo + len(f0)])
         np.multiply(im, f0, out=out.imag[lo : lo + len(f0)])
@@ -803,10 +807,10 @@ def _bits(a):
 
 
 def test_grid_tables_read_below_their_top_order_match_a_direct_build(four_models):
-    # The model keeps one grid table, at the highest order read: a lower
-    # order reads its leading block, which must equal the tables built at
-    # that order bit for bit, and so must grid values read after an
-    # evaluation at the top order.
+    # The model keeps one grid table and one forward closed form, each at
+    # the highest order read: a lower order reads their leading blocks,
+    # which must equal the tables built at that order bit for bit, and so
+    # must grid values read after an evaluation at the top order.
     models = dict(four_models)
     models.update({f"random_n{n}": _random_model(77 + n, n) for n in (2, 3, 4)})
     rng = np.random.default_rng(77)
@@ -816,11 +820,13 @@ def test_grid_tables_read_below_their_top_order_match_a_direct_build(four_models
         pts = rng.normal(size=(60, model.dim)) @ np.linalg.cholesky(model.Sigma).T
         ou.evaluate_grid_complex(ou.expand_gaussian(model, F0, 6), pts, 0.3)
         top, *tables = model._op_cache[(spectral._grid_tables,)]
-        assert top == 6
+        closed_top, closed = model._op_cache[(hermite_form._hermite_table, "forward")]
+        assert top == closed_top == 6
         for k in range(6, -1, -1):
             direct = spectral._grid_tables(model, k)
+            direct += hermite_form._hermite_table(model, "forward", k)
             rows = len(direct[0])
-            for held, built in zip(tables, direct):
+            for held, built in zip((*tables, closed), direct):
                 lead = held[:rows, :rows] if held.ndim == 2 else held[:rows]
                 assert np.array_equal(_bits(lead), _bits(built)), (name, k)
             ex = ou.expand_gaussian(model, F0, k)
@@ -876,7 +882,7 @@ def test_every_route_reads_eigenvalue_bit_for_bit(four_models):
         idx = graded_index(model.dim, order)
         want = np.array([ou.eigenvalue(model, K) for K in idx.modes])
         routes = {
-            "grid tables": spectral._grid_tables(model, order)[1],
+            "grid tables": spectral._grid_tables(model, order)[0],
             "forward": ladder._eigenvalues(model, "forward", idx.exponents),
             "adjoint": np.conj(ladder._eigenvalues(model, "adjoint", idx.exponents)),
         }

@@ -31,7 +31,7 @@ import numpy.testing as npt
 import pytest
 
 import ou_spectral
-from ou_spectral import cli, errors, hermite_form, ladder, spectral, verify
+from ou_spectral import cli, hermite_form, ladder, spectral, verify
 from ou_spectral.gaussian import (
     ForwardFunction,
     inner_product,
@@ -698,6 +698,30 @@ def test_order_five_adjoint_perturbation_fails_the_suite():
     assert worst <= result.tol
 
 
+def test_perturbed_forward_table_fails_the_hermite_suite():
+    # The Hermite suite compares the model's own eigenfunction tables, the
+    # ones every other suite and the public eigenfunctions read, with the
+    # closed form.  Scale the largest top-degree coefficient of random_3d's
+    # forward row (2, 1, 1) by 1 + 1e-6, after every row is raised: the
+    # suite must see it.  A suite that rebuilt the model in canonical
+    # coordinates and compared that model's tables would pass.
+    model, max_order = _config_model("random_3d")
+    ladder._eigenfunctions(model, "forward", max_order)
+    assert verify.hermite_suite(model, max_order).passed
+    key = (ladder._eigentable, "forward")
+    top, table = model._op_cache[key]
+    assert top == max_order == 4
+    table = table.copy()
+    idx = graded_index(model.dim, max_order)
+    row = table[idx.row[(2, 1, 1)]]
+    quartic = idx.degree(4)
+    row[quartic.start + np.argmax(np.abs(row[quartic]))] *= 1.0 + 1e-6
+    model._op_cache[key] = (top, table)
+    result = verify.hermite_suite(model, max_order)
+    assert result.worst > 1e3 * result.tol
+    assert not result.passed
+
+
 def _poison_entry(build, side, degree):
     """Replace the model's one table ``build(model, side, degree)`` (an
     eigenfunction table or a Hermite table), read first at ``degree``, by
@@ -733,8 +757,7 @@ def _poison_table(build, *args):
 # suites read it from the order-1 forward rows, in the row of (0, 1): after
 # the pairings of (0, 0) and (1, 0), after the order-0 residual, after the
 # rows of axis 0.  The Hermite suite reads it from the adjoint closed form,
-# after the forward side; spiral_2d is canonical, so the suite runs on the
-# model itself.  The matrix suites read theirs from one weight of a table
+# after the forward side.  The matrix suites read theirs from one weight of a table
 # that a later identity reads: the mode-1 raising table, after mode 0's
 # commutators, and the forward generator, after the gradient and position
 # identities.
@@ -811,15 +834,15 @@ def test_inexact_sigma_fails_verify(name):
     # A covariance off by a relative 1e-9 no longer solves the Lyapunov
     # equation.  L is applied in the frame of f0, so the eigen-residual
     # suite reads only 4e-9 to 8e-9 here, under its 1e-8 tolerance; the
-    # Hermite closed form reads above 1e-7.  At 1e-6 the model is too far
-    # from canonical for the Hermite suite to run at all.
+    # Hermite suite maps the tables to the frame of the Lyapunov solution
+    # of A and B, and compares them with the closed form in the frame of
+    # f0, which reads 7e-8 to 2.4e-7 at 1e-9 and 7e-5 to 2.4e-4 at 1e-6.
     model, max_order = _config_model(name)
-    report = verify.run_all(_with_sigma(model, model.Sigma * (1.0 + 1e-9)), max_order)
-    assert not report.passed
-    hermite = next(s for s in report.suites if s.name == "hermite-form")
-    assert not hermite.passed
-    with pytest.raises(errors.NotCanonicalError):
-        verify.run_all(_with_sigma(model, model.Sigma * (1.0 + 1e-6)), max_order)
+    for eps in (1e-9, 1e-6):
+        report = verify.run_all(_with_sigma(model, model.Sigma * (1.0 + eps)), max_order)
+        assert not report.passed
+        hermite = next(s for s in report.suites if s.name == "hermite-form")
+        assert not hermite.passed, eps
 
 
 def _module_state():
@@ -853,40 +876,27 @@ def test_module_level_state_stays_bounded_over_many_models():
     assert info.currsize <= info.maxsize
 
 
-def _run_all_keeping_canonical(monkeypatch, model, max_order):
-    """Run ``run_all`` on the model and return the model the Hermite
-    suite ran on: its canonical model, or the model itself."""
-    canonical = []
-    to_canonical = verify.to_canonical
-
-    def keep(m):
-        canonical.append(to_canonical(m)[0])
-        return canonical[-1], None
-
-    monkeypatch.setattr(verify, "to_canonical", keep)
-    verify.run_all(model, max_order)
-    return canonical[0] if canonical else model
-
-
-def _grid_and_closed_reads(model, model_c, max_order):
+def _grid_and_closed_reads(model, max_order):
     """An expansion evaluated on a grid, and the closed forms of the
-    Hermite route, each read at several orders."""
+    Hermite route on each side, each read at several orders."""
     pts = np.random.default_rng(5).normal(size=(30, model.dim))
     for k in (max_order, 2, max_order - 1):
         ex = spectral.expand_gaussian(model, model.f0, k)
         spectral.evaluate_grid_complex(ex, pts, 0.5)
-    for K in enumerate_modes(model.dim, 3)[::-1]:
-        hermite_form.forward_hermite(model_c, K)
-        hermite_form.adjoint_hermite(model_c, K)
+    for k in (3, 2, 0):
+        for side in ("forward", "adjoint"):
+            ladder._grown(model, hermite_form._hermite_table, (side,), k)
 
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)
-def test_every_cache_key_is_a_builder_and_its_arguments(monkeypatch, name):
+def test_every_cache_key_is_a_builder_and_its_arguments(name):
     # One rule for everything the model caches: one entry per builder and
     # arguments, with no degree in the key, kept at the highest degree
-    # read.  run_all, then the grid and closed-form reads.
+    # read.  run_all, then the grid and closed-form reads.  The Hermite
+    # suite reads the closed forms of the model itself: there is no
+    # second model.
     model, max_order = _config_model(name)
-    model_c = _run_all_keeping_canonical(monkeypatch, model, max_order)
+    verify.run_all(model, max_order)
     n, sides = model.dim, ("forward", "adjoint")
     gens = {(ladder._generator_table, s) for s in sides}
     eigen = {(ladder._eigentable, s) for s in sides}
@@ -894,13 +904,12 @@ def test_every_cache_key_is_a_builder_and_its_arguments(monkeypatch, name):
     ops = [f"{step}_{s}" for step in ("raise", "lower") for s in sides]
     ladders = {(ladder._ladder_table, op, I) for op in ops for I in range(n)}
     raising = {key for key in ladders if key[1].startswith("raise")}
-    # 14 entries on spiral_2d; 16 on random_3d and 10 on its canonical model.
-    want = gens | ladders | eigen | (closed if model_c is model else set())
+    # 14 entries on spiral_2d, 18 on random_3d.
+    want = gens | ladders | eigen | closed
     assert set(model._op_cache) == want
-    if model_c is not model:
-        assert set(model_c._op_cache) == raising | eigen | closed
+    assert {model._op_cache[key][0] for key in closed} == {min(max_order, 5)}
 
-    _grid_and_closed_reads(model, model_c, max_order)
+    _grid_and_closed_reads(model, max_order)
     assert set(model._op_cache) == want | {(spectral._grid_tables,)}
     tops = {key: entry[0] for key, entry in model._op_cache.items()}
     assert {tops[key] for key in eigen} == {max_order}
@@ -911,17 +920,17 @@ def test_every_cache_key_is_a_builder_and_its_arguments(monkeypatch, name):
     assert {tops[key] for key in gens | ladders - raising} == {verify.CHECK_DEGREE + 1}
     assert {tops[key] for key in raising} == {max(verify.CHECK_DEGREE, max_order - 1)}
     assert tops[(spectral._grid_tables,)] == max_order
-    closed_tops = {model_c._op_cache[key][0] for key in closed}
-    assert closed_tops == {min(max_order, 5)}
+    # Grid evaluation reads the forward closed form, at max_order.
+    assert tops[(hermite_form._hermite_table, "forward")] == max_order
+    assert tops[(hermite_form._hermite_table, "adjoint")] == min(max_order, 5)
 
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)
-def test_no_cache_key_holds_a_float(monkeypatch, name):
+def test_no_cache_key_holds_a_float(name):
     # A key names a builder and its side, operator or mode: no prune_eps,
     # or any other threshold, selects a table.
     model, max_order = _config_model(name)
-    model_c = _run_all_keeping_canonical(monkeypatch, model, max_order)
-    _grid_and_closed_reads(model, model_c, max_order)
-    for m in (model, model_c):
-        for key in m._op_cache:
-            assert not any(isinstance(part, float) for part in key), key
+    verify.run_all(model, max_order)
+    _grid_and_closed_reads(model, max_order)
+    for key in model._op_cache:
+        assert not any(isinstance(part, float) for part in key), key
