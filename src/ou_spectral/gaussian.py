@@ -182,18 +182,21 @@ def moments(mean, cov, degree):
     ``graded_index(len(mean), degree)``, as a new vector.
 
     Stein's identity, E[x^(P+e_I)] = mean_I E[x^P]
-    + sum_J cov_IJ P_J E[x^(P-e_J)], fills the rows along the ``steps``
-    of the index.  Only the recursion is used, so ``cov`` may be complex
-    or indefinite: the entries are then the Taylor coefficients of
-    exp(mean . s + s^T cov s / 2) times a!.
+    + sum_J cov_IJ P_J E[x^(P-e_J)], fills the ``runs`` of the index row
+    by row, J ascending.  Only the recursion is used, so ``cov`` may be
+    complex or indefinite: the entries are then the Taylor coefficients
+    of exp(mean . s + s^T cov s / 2) times a!.
     """
     idx = graded_index(len(mean), degree)
+    down = idx.down.T.tolist()
     m = np.empty(len(idx.modes), dtype=np.result_type(mean, cov, float))
     m[0] = 1.0
-    for k, (p, I, lower) in enumerate(idx.steps, 1):
-        m[k] = mean[I] * m[p]
-        for J, c, q in lower:
-            m[k] += (cov[I, J] * c) * m[q]
+    for _, I, rows, parents in idx.runs:
+        for k, p in zip(range(rows.start, rows.stop), range(parents.start, parents.stop)):
+            m[k] = mean[I] * m[p]
+            for J, c in enumerate(idx.modes[p]):
+                if c:
+                    m[k] += (cov[I, J] * c) * m[down[p][J]]
     return m
 
 

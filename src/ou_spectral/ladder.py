@@ -32,9 +32,9 @@ degree is the entry's leading rows or block.  So the operator on a lower
 degree gathers its table's first rows on a zero-padded input
 (``_table``, ``_image``), and the eigenfunctions of a lower order are the
 leading block of their side's one table (``_eigenfunctions``), whose
-rows are raised from their ``monomials.parent`` rows once.
-Concurrent builds may race to insert an entry; each is valid, so last
-write wins harmlessly.
+rows are raised once from their ``monomials.parent`` rows, one gather
+per run of the index (``GradedIndex.runs``).  Concurrent builds may race
+to insert an entry; each is valid, so last write wins harmlessly.
 """
 
 import math
@@ -389,9 +389,9 @@ def _eigentable(model, side, order):
 
     The side's table of a lower order is copied, and each higher order
     raised from it: row K is its parent's row raised by mode I
-    (``monomials.parent``), the rows of one mode by one gather of its
-    table read at ``order - 1``, so each is bit for bit its parent's own
-    raise.
+    (``monomials.parent``), the rows of one run of the index
+    (``GradedIndex.runs``) by one gather of mode I's table read at
+    ``order - 1``, so each is bit for bit its parent's own raise.
     """
     R = _rows(model.dim, order)
     table = np.zeros((R, R), dtype=np.complex128)
@@ -404,15 +404,10 @@ def _eigentable(model, side, order):
         top = min(top, order - 1)
         S = _rows(model.dim, top)
         table[:S, :S] = held[:S, :S]
-        idx = graded_index(model.dim, order)
-        for k in range(top + 1, order + 1):
-            rows = idx.degree(k)
-            parents, modes = np.array([s[:2] for s in idx.steps[rows.start - 1 : rows.stop - 1]]).T
-            block = table[rows]
-            for I, args in enumerate(raising):
-                parent_rows = table[parents[modes == I], : rows.start]
-                image = _image(model, _ladder_table, args, k - 1, parent_rows)
-                block[modes == I, : image.shape[1]] = image
+        for k, I, rows, parents in graded_index(model.dim, order).runs[model.dim * top :]:
+            parent_rows = table[parents, : _rows(model.dim, k - 1)]
+            image = _image(model, _ladder_table, raising[I], k - 1, parent_rows)
+            table[rows, : image.shape[1]] = image
     table.setflags(write=False)
     return (table,)
 

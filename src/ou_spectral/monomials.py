@@ -4,11 +4,12 @@ A multi-index K labels both the eigenpair with eigenvalue sum_I K_I
 lambda_I and the monomial x^K.  Up to a total order they come by order,
 and within one order in reverse lexicographic order (``enumerate_modes``).
 Mode K is raised from its ``parent`` K - e_I, I the first nonzero axis
-of K.  The ladder builds its eigenfunctions along these parents; the
-Gaussian moments, the grid recursion, the solve, polynomial products and
-the pairing matrix of ``verify`` read their rows from ``graded_index``.
+of K.  Every recursion over the modes raises along ``GradedIndex.runs``,
+that rule as row slices; the solve and the pairing matrix of ``verify``
+read their rows from ``graded_index`` too.
 """
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -52,8 +53,8 @@ class GradedIndex:
 
     ``row`` maps a mode to its row; ``exponents`` stacks the modes.  Row
     ``up[i, r]`` holds modes[r] + e_i and ``down[i, r]`` modes[r] - e_i,
-    -1 off the index.  ``steps[r - 1]`` reaches row r from its parent P:
-    (row of P, I, ((J, P_J, row of P - e_J) for nonzero P_J)).
+    -1 off the index.  ``runs`` is ``parent`` as slices, one per order k >= 1
+    and axis I: (k, I, the order-k rows raised along I, their parent rows).
     """
 
     modes: tuple
@@ -61,7 +62,7 @@ class GradedIndex:
     exponents: np.ndarray
     up: np.ndarray
     down: np.ndarray
-    steps: tuple
+    runs: tuple
 
     def degree(self, k):
         """Slice of the rows of total order k."""
@@ -70,13 +71,15 @@ class GradedIndex:
 
     def sum_table(self, rows_a, rows_b):
         """Table S of shape (rows_a, rows_b): S[k, r] is the row of
-        modes[k] + modes[r], each row reached from its parent's by one
-        gather through ``up``.  The two degrees must add up to at most the
-        degree of the index."""
+        modes[k] + modes[r], each run reached from its parents by one
+        gather through ``up``.  rows_a ends on a whole order, and the two
+        degrees must add up to at most the degree of the index."""
         S = np.empty((rows_a, rows_b), dtype=np.intp)
         S[0] = np.arange(rows_b)
-        for k, (p, I, _) in enumerate(self.steps[: rows_a - 1], 1):
-            S[k] = self.up[I, S[p]]
+        for _, I, rows, parents in self.runs:
+            if rows.start >= rows_a:
+                break
+            S[rows] = self.up[I][S[parents]]
         return S
 
 
@@ -96,11 +99,12 @@ def graded_index(dim, degree):
         for i in np.flatnonzero(K):
             down[i, r] = row[K[:i] + (K[i] - 1,) + K[i + 1 :]]
             up[i, down[i, r]] = r
-    steps = []
-    for I, P in map(parent, modes[1:]):
-        lower = tuple((J, P[J], int(down[J, row[P]])) for J in range(dim) if P[J])
-        steps.append((row[P], I, lower))
+    runs = []
+    for (k, I), group in itertools.groupby(modes[1:], lambda K: (sum(K), parent(K)[0])):
+        K, size = next(group), 1 + len(list(group))
+        r, p = row[K], row[parent(K)[1]]
+        runs.append((k, I, slice(r, r + size), slice(p, p + size)))
     exponents = np.array(modes, dtype=np.intp)
     for a in (exponents, up, down):
         a.setflags(write=False)
-    return GradedIndex(modes, MappingProxyType(row), exponents, up, down, tuple(steps))
+    return GradedIndex(modes, MappingProxyType(row), exponents, up, down, tuple(runs))

@@ -19,8 +19,8 @@ carries the larger of their ``prune_eps``.
 
 Arithmetic is gathers through the shift tables of the index.  A partial
 derivative gathers through ``up``, a product sums shifted copies of one
-operand along the ``steps`` of the index, and a row of a power table is
-its parent row times a linear factor, gathered through ``down``.  Zero
+operand along the index's sum table, and each run of a power table is
+its parent rows times a linear factor, gathered through ``down``.  Zero
 weights take no part, so a NaN coefficient reaches only the terms it
 contributes to.  Instances and their coefficient vectors are immutable.
 """
@@ -392,23 +392,21 @@ def power_table(M, b, degree):
     Row k holds the coefficients of prod_i (M y + b)_i^{K_i}, K the k-th
     row of ``graded_index(n, degree)``, on the graded index of m
     variables up to ``degree``: its parent's row p times b_I + M_I . y,
-    the rows of one degree and one I together, summed term by term (b_I p,
-    then M_Ij p read at row - e_j) in elementwise products, so a lower
-    degree's table is the leading block of this one, bit for bit.
+    the rows of one of the index's ``runs`` together, summed term by term
+    (b_I p, then M_Ij p read at row - e_j) in elementwise products, so a
+    lower degree's table is the leading block of this one, bit for bit.
     """
     rows, cols = graded_index(M.shape[0], degree), graded_index(M.shape[1], degree)
     powers = np.zeros((len(rows.modes), len(cols.modes)), dtype=np.complex128)
     powers[0, 0] = 1.0
-    for k in range(1, degree + 1):
-        block, width = rows.degree(k), _rows(M.shape[1], k)
-        parents, axes = np.array([s[:2] for s in rows.steps[block.start - 1 : block.stop - 1]]).T
-        for I in range(M.shape[0]):
-            # -1 in ``down`` reads the last column, where parent rows are zero.
-            p = powers[parents[axes == I], :width]
-            out = b[I] * p if b[I] != 0.0 else np.zeros_like(p)
-            for j in M[I].nonzero()[0]:
-                out += M[I, j] * p[:, cols.down[j, :width]]
-            powers[block.start + np.flatnonzero(axes == I), :width] = out
+    for k, I, run, parents in rows.runs:
+        width = _rows(M.shape[1], k)
+        # -1 in ``down`` reads the last column, where parent rows are zero.
+        p = powers[parents, :width]
+        out = b[I] * p if b[I] != 0.0 else np.zeros_like(p)
+        for j in M[I].nonzero()[0]:
+            out += M[I, j] * p[:, cols.down[j, :width]]
+        powers[run, :width] = out
     return powers
 
 

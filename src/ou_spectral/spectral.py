@@ -25,7 +25,7 @@ generating functions:
 
 Grid evaluation reads that table as coefficient rows over the monomials
 y^a.  The expansion is then one real vector pair against the real
-monomials y^a, built one product per monomial on each block of points.
+monomials y^a, built one product per run of the index on each block.
 Neither route prunes anything.  The exact ``MPoly`` ladder, whose gather
 tables the ``verify`` suites check, is the reference both are tested
 against.
@@ -59,7 +59,7 @@ from .gaussian import (
 )
 from .hermite_form import _hermite_table
 from .ladder import _check_forward, _eigenvalues, _generator_table, _grown, _matrix
-from .ladder import mode_normalization
+from .ladder import _check_multi_index, mode_normalization
 from .monomials import graded_index
 from .mpoly import MPoly
 from .verify import reconstruct_operators_check  # noqa: F401, the name perfbench/layers.py binds
@@ -85,7 +85,12 @@ class SpectralExpansion:
     coeffs: np.ndarray = field(repr=False)
 
     def coefficient(self, K):
-        return complex(self.coeffs[graded_index(self.model.dim, self.max_order).row[tuple(K)]])
+        """Coefficient of mode K, checked as ``ladder`` checks a mode;
+        ``ValueError`` when its order exceeds ``max_order``."""
+        K = _check_multi_index(self.model, K)
+        if sum(K) > self.max_order:
+            raise ValueError(f"mode {K} has order {sum(K)} above max_order {self.max_order}")
+        return complex(self.coeffs[graded_index(self.model.dim, self.max_order).row[K]])
 
 
 def expand_gaussian(model, F0, max_order):
@@ -187,7 +192,7 @@ def evaluate_grid_complex(expansion, points, t):
     # An overflow is reported by the check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         b = (expansion.coeffs / norm[:R] * np.exp(lam[:R] * t)) @ T[:R, :R]
-        _fill_grid(model.f0, idx.steps, np.stack([b.real, b.imag]), pts, out)
+        _fill_grid(model.f0, idx.runs, np.stack([b.real, b.imag]), pts, out)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         check_finite_rows(pts)
@@ -198,10 +203,10 @@ def evaluate_grid_complex(expansion, points, t):
     return out
 
 
-def _fill_grid(f0, steps, B2, pts, out):
+def _fill_grid(f0, runs, B2, pts, out):
     """Write f0(x) (B2[0] + i B2[1]) . y^a into ``out`` for each row x of
     ``pts``, with y^a the monomials of y = z / sqrt(2), z whitened by f0
-    and scaled in place after the density, built along the ``steps``.
+    and scaled in place after the density, each run y_I times its parents.
 
     Each block of at most ``GRID_CHUNK`` points fills the same three
     buffers, sized to one block: the monomials, y and the density.  A
@@ -221,8 +226,8 @@ def _fill_grid(f0, steps, B2, pts, out):
         z /= np.sqrt(2.0)
         X = X_buf[: R * m].reshape(R, m)
         X[0] = 1.0
-        for k, (p, I, _) in enumerate(steps, 1):
-            np.multiply(z[I], X[p], out=X[k])
+        for _, I, rows, parents in runs:
+            np.multiply(z[I], X[parents], out=X[rows])
         re, im = B2 @ X
         np.multiply(re, f, out=out.real[lo : lo + m])
         np.multiply(im, f, out=out.imag[lo : lo + m])

@@ -20,7 +20,7 @@ from ou_spectral.gaussian import (
     stationary_density,
     wick_moment,
 )
-from ou_spectral.monomials import graded_index
+from ou_spectral.monomials import graded_index, parent
 from ou_spectral.mpoly import MPoly
 
 
@@ -324,6 +324,37 @@ def test_moments_match_isserlis_exactly(mean, L):
     npt.assert_array_equal(
         [wick_moment(K, cov_f) for K in modes], [_reference_moment(K, zero, S) for K in modes]
     )
+
+
+def _stein_moments(mean, cov, degree):
+    """``moments`` as one scalar Stein step per mode, from its
+    ``parent`` row, J ascending, read through ``row`` alone."""
+    idx = graded_index(len(mean), degree)
+    m = np.empty(len(idx.modes), dtype=np.result_type(mean, cov, float))
+    m[0] = 1.0
+    for r, K in enumerate(idx.modes[1:], 1):
+        I, P = parent(K)
+        m[r] = mean[I] * m[idx.row[P]]
+        for J, c in enumerate(P):
+            if c:
+                m[r] += (cov[I, J] * c) * m[idx.row[P[:J] + (c - 1,) + P[J + 1 :]]]
+    return m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_complex_moments_are_the_scalar_stein_step_bit_for_bit(n):
+    # expand_gaussian passes a = 2 W mu and M = 4 W (C - Sigma) W^T, with
+    # W complex; the coefficients are these moments, bit for bit.
+    rng = np.random.default_rng(3800 + n)
+    for _ in range(4):
+        W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        D = rng.normal(size=(n, n))
+        mean = 2.0 * (W @ rng.normal(size=n))
+        cov = 4.0 * (W @ (0.1 * (D + D.T)) @ W.T)
+        got = gaussian.moments(mean, cov, 8)
+        want = _stein_moments(mean, cov, 8)
+        assert got.dtype == want.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
 
 
 def test_density_moments_are_a_read_only_prefix():

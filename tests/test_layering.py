@@ -17,9 +17,10 @@ which ``mpoly.render`` hides dust.
 lambda_K has one formula.  ``hermite_form`` alone builds a Hermite
 closed form (``mpoly.hermite_products``), and ``verify`` builds no
 second model (``build_model``, ``to_canonical``): it checks the model's
-own tables.  No production module defines a top-level
-function or class that only ``verify`` reads: check code lives in
-``verify``.
+own tables.  ``monomials`` alone reads ``parent``: every recursion
+over the modes raises along ``GradedIndex.runs``.  No production module
+defines a top-level function or class that only ``verify`` reads: check
+code lives in ``verify``.
 """
 
 import ast
@@ -362,6 +363,50 @@ n = model.to_canonical_count
         "model_c, tr = hermite_form.to_canonical(model)",
     ]
     assert list(_calls(source, {"hermite_products"})) == ["table = mpoly.hermite_products(V, 3)"]
+
+
+def _parent_reads(source):
+    """Source lines that read ``monomials.parent``: import it, call it or
+    pass it on, bare or as an attribute of ``monomials``."""
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("monomials"):
+            found = "parent" in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            found = node.id == "parent" and isinstance(node.ctx, ast.Load)
+        elif isinstance(node, ast.Attribute):
+            found = node.attr == "parent" and _name(node.value) == "monomials"
+        else:
+            continue
+        if found:
+            yield lines[node.lineno - 1].strip()
+
+
+def test_parent_read_finder_sees_imports_calls_and_references():
+    source = """
+from .monomials import graded_index, parent
+I, P = parent(K)
+steps = list(map(parent, modes))
+J, Q = monomials.parent(K)
+path = node.parent
+parent = None
+runs = idx.runs
+"""
+    assert sorted(_parent_reads(source)) == [
+        "I, P = parent(K)",
+        "J, Q = monomials.parent(K)",
+        "from .monomials import graded_index, parent",
+        "steps = list(map(parent, modes))",
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "monomials")
+)
+def test_only_monomials_reads_parent(module):
+    # ``monomials.parent`` states the raising rule once; every recursion
+    # reads it as row slices (``GradedIndex.runs``).
+    assert list(_parent_reads((PACKAGE / f"{module}.py").read_text())) == []
 
 
 def test_verify_builds_no_second_model():

@@ -61,16 +61,24 @@ def test_shift_tables_match_exponent_arithmetic(dim, degree):
 
 @pytest.mark.parametrize("dim, degree", SHAPES)
 def test_steps_follow_the_ladder_parent(dim, degree):
+    # The raising steps are held as runs of rows: one per order and axis,
+    # by order and then axis, each a plain slice.
     idx = graded_index(dim, degree)
-    assert len(idx.steps) == len(idx.modes) - 1
-    for K, (p, I, lower) in zip(idx.modes[1:], idx.steps):
+    assert [(k, I) for k, I, _, _ in idx.runs] == [
+        (k, I) for k in range(1, degree + 1) for I in range(dim)
+    ]
+    covered = []
+    for k, I, rows, parents in idx.runs:
+        assert rows.step is None and parents.step is None
         # forward_eigenfunction raises K from K - e_I, I its first nonzero axis.
-        first = next(i for i, k in enumerate(K) if k)
-        P = _shift(K, first, -1)
-        assert parent(K) == (first, P)
-        assert (I, idx.modes[p]) == (first, P)
-        want = [(J, P[J], _shift(P, J, -1)) for J in range(dim) if P[J]]
-        assert [(J, m, idx.modes[q]) for J, m, q in lower] == want
+        want = [K for K in idx.modes[idx.degree(k)] if parent(K)[0] == I]
+        assert list(idx.modes[rows]) == want
+        assert list(idx.modes[parents]) == [parent(K)[1] for K in want]
+        for K in want:
+            first = next(i for i, m in enumerate(K) if m)
+            assert parent(K) == (first, _shift(K, first, -1))
+        covered.extend(range(rows.start, rows.stop))
+    assert covered == list(range(1, len(idx.modes)))
 
 
 def test_parent_is_the_step_of_the_eigenfunction_builders(model_3d):
@@ -91,7 +99,7 @@ def test_cached_arrays_are_read_only():
             a[0, 0] = 7
     with pytest.raises(TypeError):
         idx.row[(9, 9, 9)] = 0
-    assert isinstance(idx.modes, tuple) and isinstance(idx.steps, tuple)
+    assert isinstance(idx.modes, tuple) and isinstance(idx.runs, tuple)
 
 
 def test_cache_is_bounded_and_rebuilds_equal():
@@ -104,7 +112,7 @@ def test_cache_is_bounded_and_rebuilds_equal():
     assert info.currsize <= INDEX_CACHE_SIZE
     again = graded_index(2, 3)
     assert again is not first
-    assert again.modes == first.modes and again.steps == first.steps
+    assert again.modes == first.modes and again.runs == first.runs
     assert np.array_equal(again.up, first.up) and np.array_equal(again.down, first.down)
 
 

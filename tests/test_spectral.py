@@ -11,7 +11,7 @@ import pytest
 import ou_spectral as ou
 from ou_spectral import cli, errors, hermite_form, ladder, linalg, spectral, verify
 from ou_spectral.kernels import eval_poly_grid
-from ou_spectral.monomials import graded_index
+from ou_spectral.monomials import graded_index, parent
 from ou_spectral.mpoly import MPoly
 from ou_spectral.spectral import GRID_CHUNK
 from ou_spectral.verify import battery_polynomials
@@ -46,6 +46,20 @@ def test_expansion_stationary_mode_is_one(four_models):
         )
         ex = ou.expand_gaussian(model, F0, 2)
         npt.assert_allclose(ex.coefficient((0,) * model.dim), 1.0, atol=1e-12)
+
+
+def test_coefficient_checks_the_mode_as_the_eigenfunctions_do(model_diag):
+    F0 = ou.GaussianDensity(mean=[0.2, -0.1], cov=0.9 * model_diag.Sigma)
+    ex = ou.expand_gaussian(model_diag, F0, 3)
+    assert ex.coefficient((1, 2)) == ex.coeffs[graded_index(2, 3).row[(1, 2)]]
+    assert ex.coefficient(np.array([0, 3])) == ex.coeffs[graded_index(2, 3).row[(0, 3)]]
+    for K in [(1,), (1, 0, 0), (-1, 0)]:
+        with pytest.raises(errors.ModeIndexMismatchError):
+            ex.coefficient(K)
+    with pytest.raises(TypeError):
+        ex.coefficient((1.5, 0))
+    with pytest.raises(ValueError, match=r"\(4, 0\).*max_order 3"):
+        ex.coefficient((4, 0))
 
 
 def _conj_partner(model):
@@ -413,8 +427,9 @@ def _reference_grid(expansion, pts, t):
         y = z / np.sqrt(2.0)
         X = np.empty((len(idx.modes), len(f0)))
         X[0] = 1.0
-        for k, (p, I, _) in enumerate(idx.steps, 1):
-            np.multiply(y[I], X[p], out=X[k])
+        for k, K in enumerate(idx.modes[1:], 1):
+            I, P = parent(K)
+            np.multiply(y[I], X[idx.row[P]], out=X[k])
         re, im = B2 @ X
         np.multiply(re, f0, out=out.real[lo : lo + len(f0)])
         np.multiply(im, f0, out=out.imag[lo : lo + len(f0)])

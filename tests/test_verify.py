@@ -31,7 +31,7 @@ import numpy.testing as npt
 import pytest
 
 import ou_spectral
-from ou_spectral import cli, hermite_form, ladder, spectral, verify
+from ou_spectral import cli, hermite_form, ladder, monomials, spectral, verify
 from ou_spectral.gaussian import (
     ForwardFunction,
     inner_product,
@@ -555,9 +555,9 @@ def test_eigenblock_rows_are_their_parents_raised(name):
     for side in ("forward", "adjoint"):
         table = ladder._eigenfunctions(model, side, 6)
         npt.assert_array_equal(table[0], np.eye(len(idx.modes))[0])
-        for r in range(1, len(idx.modes)):
-            p, I, _ = idx.steps[r - 1]
-            parent = MPoly.from_coeffs(n, table[p])
+        for r, K in enumerate(idx.modes[1:], 1):
+            I, P = monomials.parent(K)
+            parent = MPoly.from_coeffs(n, table[idx.row[P]])
             want = raise_[side](I, parent).coeffs
             npt.assert_array_equal(table[r, : want.size], want)
             assert not table[r, want.size :].any()
