@@ -72,6 +72,15 @@ def _number(x, field):
     return float(x)
 
 
+def _block(raw, field, what="an object"):
+    """The object at the last key of ``field`` in ``raw``, or None where
+    that key is absent or null."""
+    block = raw.get(field.rpartition(".")[2])
+    if block is not None and not isinstance(block, dict):
+        _fail(field, f"expected {what}")
+    return block
+
+
 def _integer(x, field, minimum=None):
     if isinstance(x, bool) or not isinstance(x, int):
         _fail(field, f"expected an integer, got {type(x).__name__}")
@@ -137,7 +146,7 @@ class ModelConfig:
         self.max_order = _integer(raw.get("max_order", 6), "max_order", minimum=0)
 
         tols = dict(_TOL_DEFAULTS)
-        for key, val in (raw.get("tolerances") or {}).items():
+        for key, val in (_block(raw, "tolerances") or {}).items():
             if key not in _TOL_DEFAULTS:
                 _fail(f"tolerances.{key}", "unknown tolerance name")
             v = _number(val, f"tolerances.{key}")
@@ -147,10 +156,8 @@ class ModelConfig:
         self.tolerances = tols
 
         self.initial = None
-        if raw.get("initial") is not None:
-            block = raw["initial"]
-            if not isinstance(block, dict):
-                _fail("initial", "expected an object with 'mean' and 'cov'")
+        block = _block(raw, "initial", "an object with 'mean' and 'cov'")
+        if block is not None:
             if "mean" not in block or "cov" not in block:
                 _fail("initial", "needs both 'mean' and 'cov'")
             self.initial = (
@@ -159,10 +166,8 @@ class ModelConfig:
             )
 
         self.sim = None
-        if raw.get("sim") is not None:
-            block = raw["sim"]
-            if not isinstance(block, dict):
-                _fail("sim", "expected an object")
+        block = _block(raw, "sim")
+        if block is not None:
             for key in ("paths", "dt", "t_final", "seed"):
                 if key not in block:
                     _fail(f"sim.{key}", "missing (required for sim)")
@@ -179,19 +184,15 @@ class ModelConfig:
         self.times = [0.1, 0.5, 1.0]
         self.grid_lo, self.grid_hi = -3.0, 3.0
         self.grid_points = 61 if n == 1 else 21
-        if raw.get("propagate") is not None:
-            block = raw["propagate"]
-            if not isinstance(block, dict):
-                _fail("propagate", "expected an object")
+        block = _block(raw, "propagate")
+        if block is not None:
             if "times" in block:
                 if not isinstance(block["times"], list) or not block["times"]:
                     _fail("propagate.times", "expected a nonempty list of times")
                 self.times = [_number(t, "propagate.times") for t in block["times"]]
                 if any(t < 0 for t in self.times):
                     _fail("propagate.times", "times must be nonnegative")
-            grid = block.get("grid") or {}
-            if not isinstance(grid, dict):
-                _fail("propagate.grid", "expected an object")
+            grid = _block(block, "propagate.grid") or {}
             self.grid_lo = _number(grid.get("lo", self.grid_lo), "propagate.grid.lo")
             self.grid_hi = _number(grid.get("hi", self.grid_hi), "propagate.grid.hi")
             self.grid_points = _integer(
@@ -202,10 +203,11 @@ class ModelConfig:
             _check_grid(self.grid_points, n)
 
         self.source = None
-        if raw.get("source") is not None:
-            block = raw["source"]
-            if not isinstance(block, dict) or "terms" not in block:
-                _fail("source", "expected an object with a 'terms' list")
+        what = "an object with a 'terms' list"
+        block = _block(raw, "source", what)
+        if block is not None:
+            if not isinstance(block.get("terms"), list):
+                _fail("source", f"expected {what}")
             terms = {}
             for idx, item in enumerate(block["terms"]):
                 ok = (
@@ -490,8 +492,9 @@ def cmd_mc_check(cfg, args):
         _fail("sim", "missing (required for mc-check)")
     model = _build(cfg)
     F0 = _initial_density(cfg, model)
-    report = simulate(model, F0, cfg.sim)
+    # The oracle first: a flow that is not finite fails before any path runs.
     exact = exact_gaussian_propagate(model, F0, cfg.sim.t_final)
+    report = simulate(model, F0, cfg.sim)
     mean_sig = np.abs(report.mean - exact.mean) / report.mean_stderr
     cov_sig = np.abs(report.cov - exact.cov) / report.cov_stderr
     worst = float(max(mean_sig.max(), cov_sig.max()))

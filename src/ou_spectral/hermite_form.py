@@ -15,9 +15,10 @@ The closed forms of the eigenfunctions on one side up to one order are
 the rows of one table (``mpoly.hermite_products``): the power table of
 the eigenvectors in y, whose row K expands prod_I (v_I . u)^{K_I}, times
 the Hermite map that sends the monomial u^a to prod_i H_{a_i}(y_i).  The
-model keeps one table per side (``ladder._grown``), at the highest order
-read so far, and a lower order reads its leading block; nothing is
-cached at module level.  ``verify`` and grid evaluation read it.
+model keeps one table per side, at the highest order read so far, and a
+lower order reads its leading block; nothing is cached at module level.
+The public closed forms here, ``verify`` and grid evaluation all read it
+through the ladder's readers, ``_eigenfunctions`` and ``_eigenfunction``.
 """
 
 from dataclasses import dataclass
@@ -25,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCanonicalError
-from .ladder import OUModel, _check_multi_index, _grown, build_model
-from .monomials import graded_index
-from .mpoly import MPoly, hermite_products
+from .ladder import OUModel, _eigenfunction, build_model
+from .mpoly import hermite_products
 
 
 @dataclass(frozen=True)
@@ -93,23 +93,17 @@ def _hermite_table(model, side, degree):
     return (table,)
 
 
-def _hermite(model, side, K):
-    _require_canonical(model)
-    K = _check_multi_index(model, K)
-    table = _grown(model, _hermite_table, (side,), sum(K))[1]
-    row = graded_index(model.dim, sum(K)).row[K]
-    return MPoly.from_coeffs(model.dim, table[row], model.prune_eps)
-
-
 def forward_hermite(model, K):
     """Polynomial factor of a forward eigenfunction, via Hermite products.
 
     Requires a canonical model.  Multi-index semantics match the ladder
     construction exactly, term for term.
     """
-    return _hermite(model, "forward", K)
+    _require_canonical(model)
+    return _eigenfunction(model, "forward", K, _hermite_table)
 
 
 def adjoint_hermite(model, K):
     """Adjoint eigenfunction as a Hermite combination.  Canonical only."""
-    return _hermite(model, "adjoint", K)
+    _require_canonical(model)
+    return _eigenfunction(model, "adjoint", K, _hermite_table)

@@ -70,8 +70,8 @@ class OUModel:
     eigenfunction table of each side, the gather table of each operator
     (the generator of each side, each ladder operator of each mode), the
     grid tables of ``spectral`` and the Hermite closed forms of
-    ``hermite_form``, per side; treat everything returned from it as
-    immutable.
+    ``hermite_form``, per side, the two eigenfunction tables read through
+    ``_eigenfunctions`` alone; treat everything returned as immutable.
     """
 
     A: np.ndarray
@@ -412,20 +412,21 @@ def _eigentable(model, side, order):
     return (table,)
 
 
-def _eigenfunctions(model, side, order):
+def _eigenfunctions(model, side, order, build=_eigentable):
     """The eigenfunctions of ``side`` up to ``order``: the leading block
-    of the side's one table (``_eigentable``)."""
+    of the side's one table, the ladder's (``_eigentable``) or the Hermite
+    closed form's (``hermite_form._hermite_table``)."""
     R = _rows(model.dim, order)
-    return _grown(model, _eigentable, (side,), order)[1][:R, :R]
+    return _grown(model, build, (side,), order)[1][:R, :R]
 
 
-def _eigenfunction(model, side, K):
-    """Row K of ``_eigenfunctions`` as an ``MPoly``: every entry of the
-    row, trimmed to its degree, |K| or less where the top-degree block
-    underflows at extreme units."""
+def _eigenfunction(model, side, K, build=_eigentable):
+    """Row K of ``_eigenfunctions(model, side, |K|, build)`` as an ``MPoly``:
+    every entry of the row, trimmed to its degree, |K| or less where the
+    top-degree block underflows at extreme units."""
     K = _check_multi_index(model, K)
     k = sum(K)
-    row = _eigenfunctions(model, side, k)[graded_index(model.dim, k).row[K]]
+    row = _eigenfunctions(model, side, k, build)[graded_index(model.dim, k).row[K]]
     return MPoly.from_coeffs(model.dim, row, model.prune_eps)
 
 

@@ -23,9 +23,9 @@ generating functions:
   (T = sqrt(2) L), and p_K is the Hermite closed form of the
   eigenvectors there, the model's one table (``hermite_form``).
 
-Grid evaluation reads that table as coefficient rows over the monomials
-y^a.  The expansion is then one real vector pair against the real
-monomials y^a, built one product per run of the index on each block.
+Grid evaluation reads that table (``ladder._eigenfunctions``) as rows of
+coefficients over the monomials y^a, so the expansion is one real vector
+pair against them, built one product per run of the index on each block.
 Neither route prunes anything.  The exact ``MPoly`` ladder, whose gather
 tables the ``verify`` suites check, is the reference both are tested
 against.
@@ -58,8 +58,8 @@ from .gaussian import (
     moments,
 )
 from .hermite_form import _hermite_table
-from .ladder import _check_forward, _eigenvalues, _generator_table, _grown, _matrix
-from .ladder import _check_multi_index, mode_normalization
+from .ladder import _check_forward, _eigenfunctions, _eigenvalues, _generator_table, _grown
+from .ladder import _check_multi_index, _matrix, mode_normalization
 from .monomials import graded_index
 from .mpoly import MPoly
 from .verify import reconstruct_operators_check  # noqa: F401, the name perfbench/layers.py binds
@@ -169,7 +169,7 @@ def evaluate_grid_complex(expansion, points, t):
     Sums f0(x) c_K / mode_normalization(K) exp(lambda_K t) p_K(x) in
     y = z / sqrt(2), z the whitened coordinates of f0, where f0 =
     exp(log_norm - |z|^2 / 2) and each p_K is a row of coefficients over
-    y^a, a leading block of the model's one forward closed form.  So the
+    y^a, the model's one forward closed form read at ``max_order``.  So the
     sum is one real vector pair b = w(t) T, split into real and imaginary
     parts, against the real monomials y^a, which ``_fill_grid`` builds
     in blocks of at most ``GRID_CHUNK`` points, in buffers allocated once
@@ -187,11 +187,11 @@ def evaluate_grid_complex(expansion, points, t):
     idx = graded_index(model.dim, expansion.max_order)
     R = len(idx.modes)
     _, lam, norm = _grown(model, _grid_tables, (), expansion.max_order)
-    T = _grown(model, _hermite_table, ("forward",), expansion.max_order)[1]
+    T = _eigenfunctions(model, "forward", expansion.max_order, _hermite_table)
     out = np.empty(pts.shape[0], dtype=np.complex128)
     # An overflow is reported by the check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        b = (expansion.coeffs / norm[:R] * np.exp(lam[:R] * t)) @ T[:R, :R]
+        b = (expansion.coeffs / norm[:R] * np.exp(lam[:R] * t)) @ T
         _fill_grid(model.f0, idx.runs, np.stack([b.real, b.imag]), pts, out)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
@@ -239,6 +239,8 @@ def exact_gaussian_propagate(model, F0, t):
     The mean contracts by exp(t A); the covariance relaxes toward the
     stationary covariance along the same flow.  Serves as the oracle
     that spectral propagation must converge to as max_order grows.
+    Raises ``NonFiniteResultError`` naming t when exp(t A), the mean or
+    the covariance is not finite.
     """
     if not isinstance(F0, GaussianDensity):
         raise TypeError("exact_gaussian_propagate takes a GaussianDensity")
@@ -248,8 +250,12 @@ def exact_gaussian_propagate(model, F0, t):
         )
     _check_time(t)
     E = linalg.expm(model.A, t)
-    mean = E @ F0.mean
-    cov = model.Sigma + E @ (F0.cov - model.Sigma) @ E.T
+    # A flow that is not finite is reported below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = E @ F0.mean
+        cov = model.Sigma + E @ (F0.cov - model.Sigma) @ E.T
+    if not all(np.isfinite(v).all() for v in (E, mean, cov)):
+        raise NonFiniteResultError(f"exp(tA) or the exact density at t={t} is not finite")
     return GaussianDensity(mean=mean, cov=0.5 * (cov + cov.T))
 
 

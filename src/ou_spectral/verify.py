@@ -25,7 +25,6 @@ from .ladder import (
     _eigenfunctions,
     _eigenvalues,
     _generator_table,
-    _grown,
     _image,
     _ladder_table,
     _matrix,
@@ -296,7 +295,8 @@ def hermite_suite(model, max_order=5):
     """Each side's table (``ladder._eigenfunctions``), mapped to y = T^-1 x
     by one power table of T = sqrt(2) L, L the Cholesky factor of the
     Lyapunov solution of A and B, against the model's own closed form in
-    y of f0, which a Sigma off that solution moves apart.  Row K's residual
+    y of f0, read by the same reader (``_hermite_table`` as its builder),
+    which a Sigma off that solution moves apart.  Row K's residual
     is divided (forward) or multiplied (adjoint) by prod_I |T^-1 e_I|^K_I:
     the absolute residual of eigenvectors of unit norm in y."""
     T = np.sqrt(2.0) * stationary_density(solve_lyapunov(model.A, model.B)).factor
@@ -308,8 +308,8 @@ def hermite_suite(model, max_order=5):
     with np.errstate(invalid="ignore"):
         for side, unit in (("forward", 1.0 / scale), ("adjoint", scale)):
             table = _eigenfunctions(model, side, max_order) @ to_y
-            closed = _grown(model, _hermite_table, (side,), max_order)[1]
-            resid = np.abs(table - closed[: len(table), : len(table)]).max(axis=1)
+            closed = _eigenfunctions(model, side, max_order, _hermite_table)
+            resid = np.abs(table - closed).max(axis=1)
             worst = np.maximum(worst, np.max(resid * unit))
     return SuiteResult("hermite-form", float(worst), IDENTITY_TOL)
 

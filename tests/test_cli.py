@@ -101,13 +101,40 @@ def test_config_tolerance_defaults_are_the_library_defaults(tmp_path, key, funct
             {"sim": {"paths": 2, "dt": 0.01, "t_final": 0.5, "seed": 1}},
             "config field 'sim.paths': must be at least 3",
         ),
+        ({"tolerances": [1]}, "config field 'tolerances': expected an object"),
+        ({"tolerances": "x"}, "config field 'tolerances': expected an object"),
+        ({"tolerances": []}, "config field 'tolerances': expected an object"),
+        ({"initial": [0.0]}, "config field 'initial': expected an object with 'mean' and 'cov'"),
+        ({"sim": 3}, "config field 'sim': expected an object"),
+        ({"propagate": []}, "config field 'propagate': expected an object"),
+        ({"propagate": {"grid": []}}, "config field 'propagate.grid': expected an object"),
+        ({"propagate": {"grid": 0}}, "config field 'propagate.grid': expected an object"),
+        ({"source": [1]}, "config field 'source': expected an object with a 'terms' list"),
+        ({"source": {"terms": 5}}, "'source': expected an object with a 'terms' list"),
+        ({"source": {"terms": {}}}, "'source': expected an object with a 'terms' list"),
     ],
 )
-def test_load_config_rejects(tmp_path, overrides, needle):
+def test_load_config_rejects(tmp_path, capsys, overrides, needle):
     path = write_config(tmp_path, **overrides)
     with pytest.raises(ConfigError) as excinfo:
         cli.load_config(path)
     assert needle in str(excinfo.value)
+    # Every subcommand reads the whole config first: a config error, exit 2.
+    for command in cli._COMMANDS:
+        assert cli.main([command, path]) == 2, command
+        assert f"error[config]: {excinfo.value}" in capsys.readouterr().err
+
+
+def test_load_config_reads_a_null_block_as_absent(tmp_path):
+    path = Path(write_config(tmp_path))
+    want, raw = cli.load_config(str(path)), json.loads(path.read_text())
+    blocks = ("tolerances", "initial", "sim", "propagate", "source")
+    for nulls in (dict.fromkeys(blocks), {"propagate": {"grid": None}}):
+        path.write_text(json.dumps(raw | nulls))
+        got = cli.load_config(str(path))
+        for name in ("tolerances", "initial", "sim", "source", "times", "grid_lo", "grid_hi"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert got.grid_points == want.grid_points
 
 
 def test_load_config_parse_error_reports_location(tmp_path):
@@ -266,6 +293,26 @@ def test_an_order_whose_normalization_overflows_exits_2(tmp_path, capsys, comman
     assert cli.main([command, path, "--json", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error[NonFiniteResultError]" in err and "K=(151,)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("propagate", {"propagate": {"times": [1e300]}}),
+        ("mc-check", {"sim": {"paths": 100, "dt": 1e299, "t_final": 1e300, "seed": 1}}),
+    ],
+)
+def test_an_exact_flow_that_is_not_finite_exits_2(tmp_path, capsys, command, overrides):
+    # scipy's exp(tA) of the spiral drift is NaN at t = 1e300: the exact
+    # density raised a bare ValueError (exit 1, a traceback).
+    spiral = json.loads((CONFIGS / "spiral_2d.json").read_text())
+    path = tmp_path / "huge_t.json"
+    path.write_text(json.dumps(spiral | overrides))
+    out = tmp_path / "out.json"
+    assert cli.main([command, str(path), "--json", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[NonFiniteResultError]" in err and "t=1e+300" in err
     assert not out.exists()
 
 

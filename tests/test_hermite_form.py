@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 import ou_spectral as ou
-from ou_spectral import cli, errors, hermite_form, verify
+from ou_spectral import cli, errors, hermite_form, ladder, verify
 from ou_spectral.mpoly import hermite
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -72,6 +72,31 @@ def test_non_canonical_rejected(model_diag):
         ou.forward_hermite(model_diag, (1, 0))
     with pytest.raises(errors.NotCanonicalError):
         ou.adjoint_hermite(model_diag, (0, 1))
+
+
+@pytest.mark.parametrize(
+    "K, error",
+    [
+        ((1,), errors.ModeIndexMismatchError),
+        ((1, 0, 0), errors.ModeIndexMismatchError),
+        ((1, -1), errors.ModeIndexMismatchError),
+        ((1.5, 0), TypeError),
+        ((0, "1"), TypeError),
+    ],
+)
+def test_closed_forms_refuse_a_bad_mode_as_the_eigenfunctions_do(model_spiral, K, error):
+    # The closed forms read the mode through the ladder's own check, so a
+    # bad K raises the same error on all four routes.
+    routes = (
+        ou.forward_eigenfunction,
+        ou.adjoint_eigenfunction,
+        ou.forward_hermite,
+        ou.adjoint_hermite,
+    )
+    for route in routes:
+        with pytest.raises(error) as excinfo:
+            route(model_spiral, K)
+        assert type(excinfo.value) is error, route.__name__
 
 
 def test_one_dimensional_hermite_form_is_hermite(model_1d):
@@ -185,7 +210,7 @@ def test_closed_forms_read_below_their_top_order_match_a_direct_build():
     # builds.  The random models reach coefficients of 7e8.
     for name, model in _canonical_models().items():
         for side, public in (("forward", ou.forward_hermite), ("adjoint", ou.adjoint_hermite)):
-            top = hermite_form._grown(model, hermite_form._hermite_table, (side,), 6)[1]
+            top = ladder._grown(model, hermite_form._hermite_table, (side,), 6)[1]
             for k in range(6, -1, -1):
                 fresh = dataclasses.replace(model)
                 direct = hermite_form._hermite_table(fresh, side, k)[0]

@@ -13,6 +13,9 @@ Cholesky-factors a ``cov``: each Gaussian is factored once, and keeps its
 factor.  No module defines or calls ``prune``: no numeric step drops a
 coefficient for being small, and ``prune_eps`` is only the threshold by
 which ``mpoly.render`` hides dust.
+``ladder`` alone reads an eigenfunction table, the ladder's or the
+Hermite closed form's, off the cache: every other module reads both
+through ``_eigenfunctions`` and ``_eigenfunction``.
 ``ladder._eigenvalues`` alone sums K_I lambda_I over a multi-index, so
 lambda_K has one formula.  ``hermite_form`` alone builds a Hermite
 closed form (``mpoly.hermite_products``), and ``verify`` builds no
@@ -138,6 +141,65 @@ e = ladder.operator_table(n, 3, a=a, w=w)
 )
 def test_only_ladder_builds_operator_tables(module):
     assert list(_table_builds((PACKAGE / f"{module}.py").read_text())) == []
+
+
+# The builders of the two eigenfunction tables, the ladder's and the
+# Hermite closed form's, which ``ladder._eigenfunctions`` and
+# ``_eigenfunction`` take as their ``build``.
+EIGEN_BUILDERS = {"_eigentable", "_hermite_table"}
+
+
+def _eigentable_reads(source):
+    """Source lines that pass an eigenfunction table builder to
+    ``_grown``, each name read through the aliases of its import."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.asname
+    }
+
+    def named(node):
+        name = _name(node)
+        return aliases.get(name, name)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and named(node.func) == "_grown":
+            args = [*node.args, *(keyword.value for keyword in node.keywords)]
+            if any(named(arg) in EIGEN_BUILDERS for arg in args):
+                yield lines[node.lineno - 1].strip()
+
+
+def test_eigentable_read_finder_sees_bare_attribute_and_imported_spellings():
+    source = """
+from .ladder import _eigentable, _grown
+from .ladder import _grown as grown
+from .hermite_form import _hermite_table as closed_form
+a = _grown(model, _eigentable, ("forward",), 3)
+b = ladder._grown(model, hermite_form._hermite_table, (side,), k)
+c = grown(model, closed_form, ("adjoint",), 2)
+d = _grown(model, build=ladder._eigentable, args=(side,), degree=2)
+e = _grown(model, _grid_tables, (), 4)
+f = ladder._eigenfunctions(model, "forward", 3, _hermite_table)
+"""
+    assert list(_eigentable_reads(source)) == [
+        'a = _grown(model, _eigentable, ("forward",), 3)',
+        "b = ladder._grown(model, hermite_form._hermite_table, (side,), k)",
+        'c = grown(model, closed_form, ("adjoint",), 2)',
+        "d = _grown(model, build=ladder._eigentable, args=(side,), degree=2)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "ladder")
+)
+def test_only_ladder_reads_an_eigenfunction_table(module):
+    # ``ladder._eigenfunctions`` and ``_eigenfunction`` read both tables by
+    # one rule, the leading block of the table kept at the top order.
+    assert list(_eigentable_reads((PACKAGE / f"{module}.py").read_text())) == []
 
 
 def _cache_uses(source):

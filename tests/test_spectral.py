@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -136,6 +137,15 @@ def test_exact_propagator_rejects_non_finite_time_up_front(model_1d, monkeypatch
     monkeypatch.setattr(linalg, "expm", no_expm)
     with pytest.raises(ValueError, match="finite"):
         ou.exact_gaussian_propagate(model_1d, model_1d.f0, t)
+
+
+@pytest.mark.parametrize("t", [1e100, 1e300])
+def test_exact_propagator_refuses_a_flow_that_is_not_finite(model_spiral, model_3d, t):
+    # At these times scipy's exp(tA) is NaN on both models; the density
+    # built from it raised a bare ValueError about its mean.
+    for model in (model_spiral, model_3d):
+        with pytest.raises(errors.NonFiniteResultError, match=re.escape(f"t={t}")):
+            ou.exact_gaussian_propagate(model, model.f0, t)
 
 
 def test_propagation_converges_to_oracle_1d(model_1d):
