@@ -47,7 +47,6 @@ from .ladder import (
     forward_eigenfunction,
     lower_adjoint,
     lower_forward,
-    mode_normalization,
     raise_adjoint,
     raise_forward,
 )
@@ -57,7 +56,7 @@ from .linalg import (
     expm,
     solve_lyapunov,
 )
-from .monomials import enumerate_modes
+from .monomials import enumerate_modes, mode_normalization
 from .mpoly import MPoly, coeff_distance, hermite, render
 from .sde_oracle import MomentReport, SimConfig, simulate
 from .spectral import (

@@ -24,10 +24,9 @@ from .ladder import (
     build_model,
     eigenvalue,
     forward_eigenfunction,
-    mode_normalization,
 )
 from .linalg import DEFAULT_DEFECT_TOL
-from .monomials import enumerate_modes
+from .monomials import enumerate_modes, mode_normalization
 from .mpoly import DEFAULT_PRUNE_EPS, MPoly, coeff_distance, render
 from .sde_oracle import SimConfig, simulate
 from .spectral import (

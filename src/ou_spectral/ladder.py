@@ -37,7 +37,6 @@ per run of the index (``GradedIndex.runs``).  Concurrent builds may race
 to insert an entry; each is valid, so last write wins harmlessly.
 """
 
-import math
 import operator
 from dataclasses import dataclass, field
 
@@ -48,7 +47,6 @@ from .errors import (
     DimensionMismatchError,
     ModeIndexMismatchError,
     ModeOutOfRangeError,
-    NonFiniteResultError,
     UnstableDriftError,
 )
 from .gaussian import ForwardFunction, GaussianDensity, stationary_density
@@ -68,10 +66,10 @@ class OUModel:
     Sigma A^T Sigma^-1.  One cache on the instance, ``_op_cache``, holds
     one entry each (``_grown``), at the highest degree asked so far: the
     eigenfunction table of each side, the gather table of each operator
-    (the generator of each side, each ladder operator of each mode), the
-    grid tables of ``spectral`` and the Hermite closed forms of
-    ``hermite_form``, per side, the two eigenfunction tables read through
-    ``_eigenfunctions`` alone; treat everything returned as immutable.
+    (the generator of each side, each ladder operator of each mode) and
+    the Hermite closed forms of ``hermite_form``, per side, the two
+    eigenfunction tables read through ``_eigenfunctions`` alone; treat
+    everything returned as immutable.
     """
 
     A: np.ndarray
@@ -457,18 +455,3 @@ def eigenvalue(model, K):
     """Forward eigenvalue sum_I K_I lambda_I.  Conjugate for the adjoint."""
     return complex(_eigenvalues(model, "forward", np.array([_check_multi_index(model, K)]))[0])
 
-
-def mode_normalization(K):
-    """Duality normalization prod_I 2^{K_I} K_I! of an eigenpair;
-    ``NonFiniteResultError`` names K when it is not a finite float."""
-    out = 1.0
-    for k in map(operator.index, K):
-        if k < 0:
-            raise ModeIndexMismatchError(f"multi-index {tuple(K)} has a negative entry")
-        try:
-            out *= float(2**k) * float(math.factorial(k))
-        except OverflowError:
-            out = math.inf
-    if not math.isfinite(out):
-        raise NonFiniteResultError(f"normalization 2^|K| K! of K={tuple(K)} is not a finite float")
-    return out

@@ -6,17 +6,21 @@ and within one order in reverse lexicographic order (``enumerate_modes``).
 Mode K is raised from its ``parent`` K - e_I, I the first nonzero axis
 of K.  Every recursion over the modes raises along ``GradedIndex.runs``,
 that rule as row slices; the solve and the pairing matrix of ``verify``
-read their rows from ``graded_index`` too.
+read their rows from ``graded_index`` too.  Its ``normalizations`` hold the
+duality normalization 2^|K| K! of each mode (``mode_normalization``), which
+grid evaluation and the ``verify`` suites divide by.
 """
 
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
+
+from .errors import ModeIndexMismatchError, NonFiniteResultError
 
 # (dim, degree) pairs whose index is kept.
 INDEX_CACHE_SIZE = 32
@@ -47,6 +51,22 @@ def parent(K):
     return I, K[:I] + (K[I] - 1,) + K[I + 1 :]
 
 
+def mode_normalization(K):
+    """Duality normalization prod_I 2^{K_I} K_I! of an eigenpair;
+    ``NonFiniteResultError`` names K when it is not a finite float."""
+    out = 1.0
+    for k in map(operator.index, K):
+        if k < 0:
+            raise ModeIndexMismatchError(f"multi-index {tuple(K)} has a negative entry")
+        try:
+            out *= float(2**k) * float(math.factorial(k))
+        except OverflowError:
+            out = math.inf
+    if not math.isfinite(out):
+        raise NonFiniteResultError(f"normalization 2^|K| K! of K={tuple(K)} is not a finite float")
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class GradedIndex:
     """Read-only tables over ``modes``, one row per mode.
@@ -68,6 +88,14 @@ class GradedIndex:
         """Slice of the rows of total order k."""
         n = self.exponents.shape[1]
         return slice(math.comb(k + n - 1, n), math.comb(k + n, n))
+
+    @cached_property
+    def normalizations(self):
+        """Read-only ``mode_normalization(K)`` of each mode, in row order,
+        built on first read; one that overflows raises again on every read."""
+        out = np.array([mode_normalization(K) for K in self.modes])
+        out.setflags(write=False)
+        return out
 
     def sum_table(self, rows_a, rows_b):
         """Table S of shape (rows_a, rows_b): S[k, r] is the row of

@@ -349,13 +349,23 @@ def render(p, scale=None):
     ``p.prune_eps`` times the largest such size over the finite terms, so
     x -> c x with ``scale`` -> c ``scale`` hides the same terms; ``scale``
     holds one unit per variable, all 1 when None.  A NaN or infinite
-    coefficient is always shown.
+    coefficient is always shown.  Raises ``DimensionMismatchError`` when
+    ``scale`` is not one entry per variable, and ``ValueError`` when an
+    entry is not finite and positive.
     """
+    if scale is not None:
+        scale = np.asarray(scale, dtype=float)
+        if scale.shape != (p.nvars,):
+            raise DimensionMismatchError(
+                f"scale of shape {scale.shape} for a polynomial in {p.nvars} variables"
+            )
+        if not np.all((scale > 0.0) & (scale < np.inf)):
+            raise ValueError(f"scale entries must be finite and positive, got {scale.tolist()}")
     exps, coeffs = p.to_arrays()
     # Logs of the sizes: a power of extreme units overflows where a size does not.
     size = np.log(np.abs(coeffs))
     if scale is not None:
-        size += exps @ np.log(np.asarray(scale, dtype=float))
+        size += exps @ np.log(scale)
     finite = np.isfinite(coeffs)
     shown = ~finite | (np.exp(size - size[finite].max(initial=-np.inf)) >= p.prune_eps)
     text = ""
@@ -445,9 +455,11 @@ def hermite_products(V, degree):
     h = hermite_table(degree)
     for k in range(degree + 1):
         a, b = cols.exponents[cols.degree(k)], cols.exponents[: cols.degree(k).stop]
-        hmap = np.ones((len(a), len(b)))
+        # Complex from the start: the block product would otherwise hold a
+        # complex copy of the map beside it.
+        hmap = np.ones((len(a), len(b)), dtype=np.complex128)
         for i in range(V.shape[1]):
-            hmap *= h[a[:, i, None], b[:, i]]
+            hmap.real *= h[a[:, i, None], b[:, i]]
         # A view: degree k's rows are overwritten in place.
         block = table[rows.degree(k)]
         block[:, : len(b)] = block[:, cols.degree(k)] @ hmap

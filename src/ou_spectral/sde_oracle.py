@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotSPDError
+from .errors import DimensionMismatchError, NonFiniteResultError, NotSPDError
 from .gaussian import GaussianDensity
 from .kernels import PATH_CHUNK, em_paths
 
@@ -88,6 +88,10 @@ def simulate(model, F0, cfg):
     MomentReport
         Bit-reproducible for a fixed seed.  Memory does not grow with
         ``cfg.paths``: paths are stepped one block at a time.
+
+    Raises ``NonFiniteResultError``, naming dt and max_I |1 + dt lambda_I|,
+    when a moment or a standard error is not finite, as when the step
+    leaves the Euler-Maruyama stability region and the paths overflow.
     """
     if not isinstance(F0, GaussianDensity):
         raise TypeError("simulate takes a GaussianDensity initial law")
@@ -104,30 +108,42 @@ def simulate(model, F0, cfg):
     # Sums about the first block's mean c, so that no digits are lost to a
     # mean far from the origin.
     G = np.zeros(((n + 1) ** 2, (n + 1) ** 2))
-    for first in range(0, N, PATH_CHUNK):
-        P = min(PATH_CHUNK, N - first)
-        # n_paths and n_steps stay positional: the benchmark's trace reads
-        # them as the fifth and sixth arguments.
-        X = em_paths(model.A, LB, F0.mean, F0.factor, P, cfg.steps, cfg.dt, cfg.seed, first=first)
-        if first == 0:
-            c = X.mean(axis=0)
-        G += _power_sums(X, c)
+    # Paths that overflow are reported by the check below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, N, PATH_CHUNK):
+            P = min(PATH_CHUNK, N - first)
+            # n_paths and n_steps stay positional: the benchmark's trace reads
+            # them as the fifth and sixth arguments.
+            X = em_paths(
+                model.A, LB, F0.mean, F0.factor, P, cfg.steps, cfg.dt, cfg.seed, first=first
+            )
+            if first == 0:
+                c = X.mean(axis=0)
+            G += _power_sums(X, c)
 
-    delta = G[0, 1 : n + 1] / N
-    # d = x - mean = T^T u with T = [-delta; I], so d (x) d = (T (x) T)^T w.
-    T = np.vstack([-delta, np.eye(n)])
-    K = np.kron(T, T)
-    sum_dd = (G[0] @ K).reshape(n, n)
-    sum_dd2 = np.einsum("ak,ab,bk->k", K, G, K).reshape(n, n)
-    cov = sum_dd / (N - 1)
-    return MomentReport(
-        mean=c + delta,
-        cov=cov,
-        mean_stderr=np.sqrt(np.diag(cov) / N),
-        cov_stderr=np.sqrt((sum_dd2 - sum_dd**2 / N) / ((N - 1) * N)),
-        paths=N,
-        t_final=cfg.t_final,
-    )
+        delta = G[0, 1 : n + 1] / N
+        # d = x - mean = T^T u with T = [-delta; I], so d (x) d = (T (x) T)^T w.
+        T = np.vstack([-delta, np.eye(n)])
+        K = np.kron(T, T)
+        sum_dd = (G[0] @ K).reshape(n, n)
+        sum_dd2 = np.einsum("ak,ab,bk->k", K, G, K).reshape(n, n)
+        cov = sum_dd / (N - 1)
+        report = MomentReport(
+            mean=c + delta,
+            cov=cov,
+            mean_stderr=np.sqrt(np.diag(cov) / N),
+            cov_stderr=np.sqrt((sum_dd2 - sum_dd**2 / N) / ((N - 1) * N)),
+            paths=N,
+            t_final=cfg.t_final,
+        )
+    moments = (report.mean, report.cov, report.mean_stderr, report.cov_stderr)
+    if not all(np.isfinite(m).all() for m in moments):
+        growth = float(np.max(np.abs(1.0 + cfg.dt * model.eig.values)))
+        raise NonFiniteResultError(
+            f"the simulated moments at t_final={cfg.t_final:g} are not finite; "
+            f"dt={cfg.dt:g} gives max_I |1 + dt lambda_I| = {growth:.6g}"
+        )
+    return report
 
 
 def _power_sums(X, c):

@@ -3,9 +3,9 @@
 A Gaussian initial density is projected onto the adjoint eigenbasis;
 propagation multiplies each coefficient by exp(lambda_K t).  Stored
 coefficients are the raw duality pairings; evaluation divides by the
-bi-orthogonal normalization of each mode so the expansion reproduces
-the density itself.  The exact Gaussian propagator doubles as an
-independent oracle for convergence tests.
+bi-orthogonal normalization of each mode (``GradedIndex.normalizations``)
+so the expansion reproduces the density itself.  The exact Gaussian
+propagator doubles as an independent oracle for convergence tests.
 
 Expansion and evaluation never build a polynomial.  The raising
 operators of each family commute, so the eigenfunctions have Gaussian
@@ -58,8 +58,8 @@ from .gaussian import (
     moments,
 )
 from .hermite_form import _hermite_table
-from .ladder import _check_forward, _eigenfunctions, _eigenvalues, _generator_table, _grown
-from .ladder import _check_multi_index, _matrix, mode_normalization
+from .ladder import _check_forward, _check_multi_index, _eigenfunctions, _eigenvalues
+from .ladder import _generator_table, _matrix
 from .monomials import graded_index
 from .mpoly import MPoly
 from .verify import reconstruct_operators_check  # noqa: F401, the name perfbench/layers.py binds
@@ -153,16 +153,6 @@ def evaluate_grid(expansion, points, t):
     return evaluate_grid_complex(expansion, points, t).real
 
 
-def _grid_tables(model, max_order):
-    """(lam, norm): lambda_K (``ladder._eigenvalues``) and
-    ``ladder.mode_normalization(K)`` of every K up to ``max_order``, the
-    one formula of each, kept on the model (``ladder._grown``) and read
-    at a lower order as leading blocks."""
-    idx = graded_index(model.dim, max_order)
-    norm = np.array([mode_normalization(K) for K in idx.modes])
-    return _eigenvalues(model, "forward", idx.exponents), norm
-
-
 def evaluate_grid_complex(expansion, points, t):
     """Complex expansion values on a grid of points, shape (P, N) -> (P,).
 
@@ -173,7 +163,7 @@ def evaluate_grid_complex(expansion, points, t):
     sum is one real vector pair b = w(t) T, split into real and imaginary
     parts, against the real monomials y^a, which ``_fill_grid`` builds
     in blocks of at most ``GRID_CHUNK`` points, in buffers allocated once
-    per call.
+    per call; w(t) divides by the index's ``normalizations``.
     Raises ``ValueError`` naming the first point that is not finite, and
     ``NonFiniteResultError`` when a value overflows.
     """
@@ -185,13 +175,12 @@ def evaluate_grid_complex(expansion, points, t):
             f"points must have shape (P, {model.dim}), got {pts.shape}"
         )
     idx = graded_index(model.dim, expansion.max_order)
-    R = len(idx.modes)
-    _, lam, norm = _grown(model, _grid_tables, (), expansion.max_order)
+    lam = _eigenvalues(model, "forward", idx.exponents)
     T = _eigenfunctions(model, "forward", expansion.max_order, _hermite_table)
     out = np.empty(pts.shape[0], dtype=np.complex128)
     # An overflow is reported by the check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        b = (expansion.coeffs / norm[:R] * np.exp(lam[:R] * t)) @ T
+        b = (expansion.coeffs / idx.normalizations * np.exp(lam * t)) @ T
         _fill_grid(model.f0, idx.runs, np.stack([b.real, b.imag]), pts, out)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:

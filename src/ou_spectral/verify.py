@@ -28,7 +28,6 @@ from .ladder import (
     _image,
     _ladder_table,
     _matrix,
-    mode_normalization,
 )
 from .linalg import solve_lyapunov
 from .monomials import enumerate_modes, graded_index
@@ -179,8 +178,8 @@ def biorthogonality_suite(model, max_order, tol=DEFAULT_RESIDUAL_TOL):
     the index's sum table.  Residuals are relative to the normalization
     of the forward index.
     """
-    modes = graded_index(model.dim, max_order).modes
-    norms = np.array([mode_normalization(K) for K in modes])
+    idx = graded_index(model.dim, max_order)
+    modes, norms = idx.modes, idx.normalizations
     F = _eigenfunctions(model, "forward", max_order)
     G = _eigenfunctions(model, "adjoint", max_order)
     pairs = graded_index(model.dim, 2 * max_order).sum_table(len(modes), len(modes))
@@ -229,7 +228,7 @@ def ladder_suite(model, n_max=ORDER_CAP):
     coefficient of its reference and 1, and past the bottom to 2^m m!.
     """
     exps = graded_index(model.dim, n_max).exponents
-    norms = np.array([mode_normalization((m,)) for m in range(n_max + 1)])
+    norms = graded_index(1, n_max).normalizations
     worst = 0.0
     # inf - inf is NaN, which the maximum keeps.
     with np.errstate(invalid="ignore"):

@@ -757,6 +757,25 @@ def test_mc_check_rejects_t_final_off_the_step_grid(tmp_path, capsys):
     assert not out_json.exists()
 
 
+@pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
+def test_mc_check_paths_that_overflow_exit_2(tmp_path, capsys, json_out):
+    # |1 + dt lambda| = 3.04 on the spiral: the paths overflow, and every
+    # line printed "+nan ... (nan sigma)", then "mc-check: FAIL" with exit
+    # 1, the code of a failed check; with --json the writer refused the NaN
+    # after the report was printed, and the run exited 2.
+    spiral = json.loads((CONFIGS / "spiral_2d.json").read_text())
+    sim = {"paths": 1000, "dt": 1.5, "t_final": 1500, "seed": 1}
+    path = tmp_path / "unstable_step.json"
+    path.write_text(json.dumps(spiral | {"sim": sim}))
+    out = tmp_path / "out.json"
+    argv = ["mc-check", str(path)] + (["--json", str(out)] if json_out else [])
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[NonFiniteResultError]") and "dt=1.5" in captured.err
+    assert not out.exists()
+
+
 def test_mc_check_requires_sim(tmp_path, capsys):
     path = write_config(tmp_path)
     assert cli.main(["mc-check", path]) == 2

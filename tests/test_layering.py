@@ -16,8 +16,11 @@ which ``mpoly.render`` hides dust.
 ``ladder`` alone reads an eigenfunction table, the ladder's or the
 Hermite closed form's, off the cache: every other module reads both
 through ``_eigenfunctions`` and ``_eigenfunction``.
-``ladder._eigenvalues`` alone sums K_I lambda_I over a multi-index, so
-lambda_K has one formula.  ``hermite_form`` alone builds a Hermite
+``ladder`` alone names ``_grown``, the cache's one reader, so no other
+module keeps an entry of its own.  ``ladder._eigenvalues`` alone sums
+K_I lambda_I over a multi-index, so lambda_K has one formula, and
+``monomials`` alone calls ``math.factorial``, so 2^|K| K! has one
+(``mode_normalization``).  ``hermite_form`` alone builds a Hermite
 closed form (``mpoly.hermite_products``), and ``verify`` builds no
 second model (``build_model``, ``to_canonical``): it checks the model's
 own tables.  ``monomials`` alone reads ``parent``: every recursion
@@ -149,15 +152,13 @@ def test_only_ladder_builds_operator_tables(module):
 EIGEN_BUILDERS = {"_eigentable", "_hermite_table"}
 
 
-def _eigentable_reads(source):
-    """Source lines that pass an eigenfunction table builder to
-    ``_grown``, each name read through the aliases of its import."""
-    tree = ast.parse(source)
-    lines = source.splitlines()
+def _resolver(tree):
+    """``_name`` of a node, with a name bound by ``import ... as`` read as
+    the name it imports."""
     aliases = {
         alias.asname: alias.name
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
         if alias.asname
     }
@@ -166,6 +167,15 @@ def _eigentable_reads(source):
         name = _name(node)
         return aliases.get(name, name)
 
+    return named
+
+
+def _eigentable_reads(source):
+    """Source lines that pass an eigenfunction table builder to
+    ``_grown``, each name read through the aliases of its import."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    named = _resolver(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and named(node.func) == "_grown":
             args = [*node.args, *(keyword.value for keyword in node.keywords)]
@@ -182,7 +192,7 @@ a = _grown(model, _eigentable, ("forward",), 3)
 b = ladder._grown(model, hermite_form._hermite_table, (side,), k)
 c = grown(model, closed_form, ("adjoint",), 2)
 d = _grown(model, build=ladder._eigentable, args=(side,), degree=2)
-e = _grown(model, _grid_tables, (), 4)
+e = _grown(model, _generator_table, ("forward",), 4)
 f = ladder._eigenfunctions(model, "forward", 3, _hermite_table)
 """
     assert list(_eigentable_reads(source)) == [
@@ -403,28 +413,95 @@ def test_only_ladder_sums_eigenvalues_over_a_multi_index(module):
 
 
 def _calls(source, names):
-    """Source lines that call a function named in ``names``, bare or as
-    an attribute."""
+    """Source lines that call a function named in ``names``, bare, as an
+    attribute or under the alias of its import."""
+    tree = ast.parse(source)
     lines = source.splitlines()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and _name(node.func) in names:
+    named = _resolver(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and named(node.func) in names:
             yield lines[node.lineno - 1].strip()
 
 
 def test_call_finder_sees_bare_and_attribute_calls():
     source = """
 from .ladder import build_model
+from .hermite_form import to_canonical as canonical
+import math as m
+from math import factorial as fact
 model = build_model(A, B)
 model_c, tr = hermite_form.to_canonical(model)
+model_d, tr = canonical(model)
 table = mpoly.hermite_products(V, 3)
 build = build_model
 n = model.to_canonical_count
+a = math.factorial(k) * m.factorial(k) + factorial(k)
+b = fact(k)
+c = math.comb(n, k)
 """
     assert list(_calls(source, {"build_model", "to_canonical"})) == [
         "model = build_model(A, B)",
         "model_c, tr = hermite_form.to_canonical(model)",
+        "model_d, tr = canonical(model)",
     ]
     assert list(_calls(source, {"hermite_products"})) == ["table = mpoly.hermite_products(V, 3)"]
+    assert sorted(_calls(source, {"factorial"})) == [
+        "a = math.factorial(k) * m.factorial(k) + factorial(k)"
+    ] * 3 + ["b = fact(k)"]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "monomials")
+)
+def test_only_monomials_calls_factorial(module):
+    # 2^|K| K! has one formula, ``monomials.mode_normalization``, whose
+    # vector every reader takes from the index (``GradedIndex.normalizations``).
+    assert list(_calls((PACKAGE / f"{module}.py").read_text(), {"factorial"})) == []
+
+
+def _mentions(source, name):
+    """Source lines that name ``name``: import it, or read it bare, as an
+    attribute or under the alias of its import."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    named = _resolver(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            found = node.name == name
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            found = named(node) == name
+        else:
+            continue
+        if found:
+            yield lines[node.lineno - 1].strip()
+
+
+def test_mention_finder_sees_bare_attribute_and_aliased_names():
+    source = """
+from .ladder import _grown as grown
+from . import ladder as lad
+a = _grown(model, build, args, 3)
+b = lad._grown(model, build, args, 3)
+c = grown(model, build, args, 3)
+d = ladder._grown
+e = model._grown_count
+f = "_grown"
+"""
+    assert sorted(_mentions(source, "_grown")) == [
+        "a = _grown(model, build, args, 3)",
+        "b = lad._grown(model, build, args, 3)",
+        "c = grown(model, build, args, 3)",
+        "d = ladder._grown",
+        "from .ladder import _grown as grown",
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(m for m in PRODUCTION if m != "ladder"))
+def test_only_ladder_names_grown(module):
+    # ``ladder._grown`` is the model cache's one reader, and ``ladder`` its
+    # one caller: every other module reads the cache through ``ladder``'s
+    # readers, and keeps nothing there of its own.
+    assert list(_mentions((PACKAGE / f"{module}.py").read_text(), "_grown")) == []
 
 
 def _parent_reads(source):

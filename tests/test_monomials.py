@@ -1,15 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import ou_spectral as ou
-from ou_spectral import monomials
+from ou_spectral import errors, monomials
 from ou_spectral.monomials import (
     INDEX_CACHE_SIZE,
     compositions,
     enumerate_modes,
     graded_index,
+    mode_normalization,
     parent,
 )
 
@@ -81,6 +83,28 @@ def test_steps_follow_the_ladder_parent(dim, degree):
     assert covered == list(range(1, len(idx.modes)))
 
 
+@pytest.mark.parametrize("dim, degree", SHAPES + [(1, 150)])
+def test_normalizations_are_mode_normalization_row_by_row(dim, degree):
+    idx = graded_index(dim, degree)
+    want = np.array([mode_normalization(K) for K in idx.modes])
+    assert idx.normalizations.tobytes() == want.tobytes()
+    assert not idx.normalizations.flags.writeable
+    with pytest.raises(ValueError):
+        idx.normalizations[0] = 7.0
+    assert idx.normalizations is idx.normalizations
+    for k in range(degree + 1):
+        lead = idx.normalizations[: idx.degree(k).stop]
+        assert lead.tobytes() == graded_index(dim, k).normalizations.tobytes()
+
+
+def test_normalizations_that_overflow_raise_on_every_read():
+    # 2^151 151! is not a finite float; the index itself still builds.
+    idx = graded_index(1, 151)
+    for _ in range(2):
+        with pytest.raises(errors.NonFiniteResultError, match=re.escape("K=(151,)")):
+            idx.normalizations
+
+
 def test_parent_is_the_step_of_the_eigenfunction_builders(model_3d):
     K = (0, 2, 1)
     I, P = parent(K)
@@ -122,6 +146,7 @@ def test_index_validation():
     with pytest.raises(ValueError):
         graded_index(2, -1)
     assert monomials.enumerate_modes is ou.enumerate_modes
+    assert monomials.mode_normalization is ou.mode_normalization
 
 
 @pytest.mark.parametrize("dim, order", [(2, 2.5), (2.0, 2), (2, "2")])

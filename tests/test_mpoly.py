@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from ou_spectral.ladder import (
     raise_adjoint,
     raise_forward,
 )
+from ou_spectral.monomials import graded_index
 from ou_spectral.mpoly import (
     MPoly,
     coeff_distance,
@@ -230,6 +232,25 @@ def test_render_hides_the_same_terms_in_every_unit(c):
     assert _shown(render(image, c * sigma)) == want
     # Measured in the units of x instead, the image prints other terms.
     assert _shown(render(image)) != want
+
+
+@pytest.mark.parametrize(
+    "scale", [[0.0, 1.0], [np.inf, 1.0], [np.nan, 1.0], [-1.0, 1.0]], ids=str
+)
+def test_render_refuses_a_unit_that_is_not_finite_and_positive(scale):
+    # Each of these printed the nonzero polynomial as "0"; the zero unit
+    # also warned "divide by zero encountered in log".
+    p = MPoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 2})
+    with pytest.raises(ValueError, match="finite and positive"):
+        render(p, scale)
+
+
+@pytest.mark.parametrize("scale", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]], ids=str)
+def test_render_refuses_a_scale_of_the_wrong_shape(scale):
+    # A length other than the number of variables raised numpy's matmul
+    # ValueError.
+    with pytest.raises(errors.DimensionMismatchError, match="2 variables"):
+        render(MPoly(2, {(0, 0): 1, (1, 0): 1}), scale)
 
 
 def test_render_compares_terms_whose_unit_powers_overflow():
@@ -686,3 +707,21 @@ def test_tables_read_below_their_top_degree_are_a_direct_build():
                 direct = build(k)
                 rows, cols = direct.shape
                 assert np.array_equal(_bits(top[:rows, :cols]), _bits(direct)), (name, n, k)
+
+
+def test_hermite_products_transient_is_below_its_table():
+    # Each degree's Hermite map was built real, and the block product cast
+    # it to complex, so both copies were alive at once: at n = 5, order 7
+    # that held 10.0 MiB beyond the 9.6 MiB table, 8.0 MiB once the map is
+    # built complex.
+    rng = np.random.default_rng(40)
+    V = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    graded_index(5, 7)  # the index is cached, outside the measurement
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = hermite_products(V, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before - table.nbytes < table.nbytes

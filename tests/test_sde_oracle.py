@@ -9,6 +9,7 @@ from ou_spectral import (
     DimensionMismatchError,
     GaussianDensity,
     MomentReport,
+    NonFiniteResultError,
     SimConfig,
     expm,
     simulate,
@@ -213,3 +214,23 @@ def test_input_checks(model_spiral, model_1d):
         simulate(model_spiral, "not a density", cfg)
     with pytest.raises(DimensionMismatchError):
         simulate(model_spiral, model_1d.f0, cfg)
+
+
+@pytest.mark.parametrize(
+    "t_final, moments_finite", [(1500.0, False), (249.0, True)], ids=["moments", "stderr"]
+)
+def test_paths_that_overflow_raise_naming_the_step(model_spiral, t_final, moments_finite):
+    # dt = 1.5 puts |1 + dt lambda| at 3.04 on the spiral: every step grows
+    # the paths.  At t = 1500 they overflow, and every moment read NaN,
+    # with a RuntimeWarning; at t = 249 (166 steps, about 1e80) the moments
+    # are finite and only the fourth-power sums of the standard errors
+    # overflow.
+    cfg = SimConfig(paths=1000, dt=1.5, t_final=t_final, seed=1)
+    with pytest.raises(NonFiniteResultError, match=r"dt=1\.5 .*3\.04"):
+        simulate(model_spiral, model_spiral.f0, cfg)
+    with np.errstate(all="ignore"):
+        X = kernels.em_paths(
+            model_spiral.A, np.eye(2), np.zeros(2), model_spiral.f0.factor, 1000,
+            cfg.steps, cfg.dt, cfg.seed,
+        )
+        assert np.all(np.isfinite(X.mean(axis=0))) == moments_finite

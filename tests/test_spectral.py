@@ -372,9 +372,10 @@ def test_grid_table_rows_are_the_forward_eigenfunctions(four_models):
     for path in sorted(CONFIGS.glob("*.json")):
         cfg = cli.load_config(str(path))
         model = four_models[path.stem]
-        modes = graded_index(model.dim, cfg.max_order).modes
+        idx = graded_index(model.dim, cfg.max_order)
+        modes, norm = idx.modes, idx.normalizations
         T = hermite_form._hermite_table(model, "forward", cfg.max_order)[0]
-        lam, norm = spectral._grid_tables(model, cfg.max_order)
+        lam = ladder._eigenvalues(model, "forward", idx.exponents)
         pts = 1.5 * rng.normal(size=(40, model.dim)) @ np.linalg.cholesky(model.Sigma).T
         y = pts @ model.f0.whitener / np.sqrt(2.0)
         monomials = np.prod(y[:, None, :] ** np.array(modes)[None, :, :], axis=2)
@@ -428,9 +429,9 @@ def _reference_grid(expansion, pts, t):
     model = expansion.model
     idx = graded_index(model.dim, expansion.max_order)
     T = hermite_form._hermite_table(model, "forward", expansion.max_order)[0]
-    lam, norm = spectral._grid_tables(model, expansion.max_order)
+    lam = ladder._eigenvalues(model, "forward", idx.exponents)
     out = np.empty(pts.shape[0], dtype=np.complex128)
-    b = (expansion.coeffs / norm * np.exp(lam * t)) @ T
+    b = (expansion.coeffs / idx.normalizations * np.exp(lam * t)) @ T
     B2 = np.stack([b.real, b.imag])
     for lo in range(0, pts.shape[0], GRID_CHUNK):
         z, f0 = model.f0.whitened(pts[lo : lo + GRID_CHUNK])
@@ -832,10 +833,11 @@ def _bits(a):
 
 
 def test_grid_tables_read_below_their_top_order_match_a_direct_build(four_models):
-    # The model keeps one grid table and one forward closed form, each at
-    # the highest order read: a lower order reads their leading blocks,
-    # which must equal the tables built at that order bit for bit, and so
-    # must grid values read after an evaluation at the top order.
+    # The model keeps one forward closed form, at the highest order read,
+    # and grid evaluation keeps nothing else: a lower order reads its
+    # leading block, which must equal the table built at that order bit
+    # for bit, and so must grid values read after an evaluation at the top
+    # order.
     models = dict(four_models)
     models.update({f"random_n{n}": _random_model(77 + n, n) for n in (2, 3, 4)})
     rng = np.random.default_rng(77)
@@ -844,24 +846,20 @@ def test_grid_tables_read_below_their_top_order_match_a_direct_build(four_models
         F0 = ou.GaussianDensity(mean=0.1 * np.ones(model.dim), cov=0.8 * model.Sigma)
         pts = rng.normal(size=(60, model.dim)) @ np.linalg.cholesky(model.Sigma).T
         ou.evaluate_grid_complex(ou.expand_gaussian(model, F0, 6), pts, 0.3)
-        top, *tables = model._op_cache[(spectral._grid_tables,)]
-        closed_top, closed = model._op_cache[(hermite_form._hermite_table, "forward")]
-        assert top == closed_top == 6
+        key = (hermite_form._hermite_table, "forward")
+        assert set(model._op_cache) == {key}
+        top, closed = model._op_cache[key]
+        assert top == 6
         for k in range(6, -1, -1):
-            direct = spectral._grid_tables(model, k)
-            direct += hermite_form._hermite_table(model, "forward", k)
-            rows = len(direct[0])
-            for held, built in zip((*tables, closed), direct):
-                lead = held[:rows, :rows] if held.ndim == 2 else held[:rows]
-                assert np.array_equal(_bits(lead), _bits(built)), (name, k)
+            (built,) = hermite_form._hermite_table(model, "forward", k)
+            rows = len(built)
+            assert np.array_equal(_bits(closed[:rows, :rows]), _bits(built)), (name, k)
             ex = ou.expand_gaussian(model, F0, k)
             fresh = dataclasses.replace(ex, model=dataclasses.replace(model))
             want = ou.evaluate_grid_complex(fresh, pts, 0.3)
             got = ou.evaluate_grid_complex(ex, pts, 0.3)
             assert np.array_equal(_bits(got), _bits(want)), (name, k)
-        assert [key for key in model._op_cache if key[0] is spectral._grid_tables] == [
-            (spectral._grid_tables,)
-        ]
+        assert set(model._op_cache) == {key}
 
 
 # Two models of the spectral-stream pool (``perfbench/gen.py``,
@@ -894,7 +892,7 @@ POOL_MODELS = {
 
 def test_every_route_reads_eigenvalue_bit_for_bit(four_models):
     # lambda_K has one formula, ``eigenvalue``'s sum in mode order, and the
-    # adjoint's is its conjugate.  The grid tables and the eigen-residual
+    # adjoint's is its conjugate.  Grid evaluation and the eigen-residual
     # suite read the vector of that sum (``ladder._eigenvalues``), which
     # must equal ``eigenvalue`` bit for bit, signed zeros included, on the
     # configs at c = 1, 1e-4 and 1e4 (B -> c^2 B) and on the pool models.
@@ -907,7 +905,6 @@ def test_every_route_reads_eigenvalue_bit_for_bit(four_models):
         idx = graded_index(model.dim, order)
         want = np.array([ou.eigenvalue(model, K) for K in idx.modes])
         routes = {
-            "grid tables": spectral._grid_tables(model, order)[0],
             "forward": ladder._eigenvalues(model, "forward", idx.exponents),
             "adjoint": np.conj(ladder._eigenvalues(model, "adjoint", idx.exponents)),
         }

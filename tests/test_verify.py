@@ -45,11 +45,10 @@ from ou_spectral.ladder import (
     forward_eigenfunction,
     lower_adjoint,
     lower_forward,
-    mode_normalization,
     raise_adjoint,
     raise_forward,
 )
-from ou_spectral.monomials import enumerate_modes, graded_index
+from ou_spectral.monomials import enumerate_modes, graded_index, mode_normalization
 from ou_spectral.mpoly import MPoly, _diff, coeff_distance
 from ou_spectral.verify import battery_polynomials
 
@@ -910,7 +909,8 @@ def test_every_cache_key_is_a_builder_and_its_arguments(name):
     assert {model._op_cache[key][0] for key in closed} == {min(max_order, 5)}
 
     _grid_and_closed_reads(model, max_order)
-    assert set(model._op_cache) == want | {(spectral._grid_tables,)}
+    # Grid evaluation keeps no table of its own.
+    assert set(model._op_cache) == want
     tops = {key: entry[0] for key, entry in model._op_cache.items()}
     assert {tops[key] for key in eigen} == {max_order}
     # Each suite reads an operator at the degree it needs: the commutators
@@ -919,7 +919,6 @@ def test_every_cache_key_is_a_builder_and_its_arguments(name):
     # operators at max_order - 1.
     assert {tops[key] for key in gens | ladders - raising} == {verify.CHECK_DEGREE + 1}
     assert {tops[key] for key in raising} == {max(verify.CHECK_DEGREE, max_order - 1)}
-    assert tops[(spectral._grid_tables,)] == max_order
     # Grid evaluation reads the forward closed form, at max_order.
     assert tops[(hermite_form._hermite_table, "forward")] == max_order
     assert tops[(hermite_form._hermite_table, "adjoint")] == min(max_order, 5)
