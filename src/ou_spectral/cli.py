@@ -411,9 +411,12 @@ def cmd_propagate(cfg, args):
                 "exact": exact,
             }
         )
+    # Every time is computed before the first line, so a typed error is
+    # the only report.
+    for r in results:
         print(
-            f"t={t:g}: max |expansion - exact| = {err.max():.6e}, "
-            f"max imaginary residue = {np.max(np.abs(vals.imag)):.3e}"
+            f"t={r['t']:g}: max |expansion - exact| = {r['max_abs_error']:.6e}, "
+            f"max imaginary residue = {r['max_imag']:.3e}"
         )
     if args.json:
         _write_json(

@@ -20,11 +20,11 @@ Every operator here acts on the coefficient vector of p (``MPoly``) as
 one gather: row r of the image sums weighted coefficients of p read
 through the shift tables of ``monomials.graded_index``.  One builder,
 ``operator_table``, lays out the table of every operator, L, its adjoint
-and the ladder operators alike, from the operator's exact weights; it
-depends only on the operator and a degree, never on ``prune_eps``,
-which only ``render`` reads.  Only this module reads the slots of a table:
-``_image`` gathers coefficient vectors through it, and ``_matrix``
-scatters it into the operator's matrix, or one block of that matrix.
+and the ladder operators alike, on a degree, from the operator's exact
+weights, each one formula (``_drift``, ``_ladder_weights``), never from
+``prune_eps``.  Only this module reads the slots of a table: ``_image``
+gathers coefficient vectors through it, and ``_matrix`` scatters it into
+the operator's matrix, or one block of that matrix.
 
 ``model._op_cache`` keeps one entry per builder and arguments, at the
 highest degree asked so far, and ``_grown`` is its one reader: a lower
@@ -259,26 +259,32 @@ def operator_table(n, degree, a=None, w=None, D=None, B=None):
     return shift, src, weight
 
 
+def _drift(model, side):
+    """D of the generator (D x) . grad + (1/2) B : grad grad of L or its adjoint."""
+    return model.A if side == "adjoint" else forward_drift(model)
+
+
 def _generator_table(model, side, degree):
     """The table (``operator_table``) of L (side "forward") or its adjoint."""
-    D = model.A if side == "adjoint" else forward_drift(model)
-    return operator_table(model.dim, degree, D=D, B=model.B)
+    return operator_table(model.dim, degree, D=_drift(model, side), B=model.B)
+
+
+def _ladder_weights(model, op, I):
+    """(a, w) of the mode-I ladder operator ``op``, which sends p to
+    (a . x) p + w . grad p; a is None for a lowering operator."""
+    e, w = model.eig.right[:, I], model.eig.left[I, :]
+    if op == "raise_forward":
+        return model.Sigma_inv @ e, -e
+    if op == "lower_forward":
+        return None, 2.0 * (model.Sigma @ w)
+    if op == "raise_adjoint":
+        return 2.0 * np.conj(w), -2.0 * (model.Sigma @ np.conj(w))
+    return None, np.conj(e)
 
 
 def _ladder_table(model, op, I, degree):
-    """The table (``operator_table``) of the mode-I ladder operator
-    ``op``, which sends p to (a . x) p + w . grad p; a lowering operator
-    has no a."""
-    e, w = model.eig.right[:, I], model.eig.left[I, :]
-    if op == "raise_forward":
-        a, w = model.Sigma_inv @ e, -e
-    elif op == "lower_forward":
-        a, w = None, 2.0 * (model.Sigma @ w)
-    elif op == "raise_adjoint":
-        a, w = 2.0 * np.conj(w), -2.0 * (model.Sigma @ np.conj(w))
-    else:
-        a, w = None, np.conj(e)
-    return operator_table(model.dim, degree, a=a, w=w)
+    """The table (``operator_table``) of the mode-I ladder operator ``op``."""
+    return operator_table(model.dim, degree, *_ladder_weights(model, op, I))
 
 
 def _image(model, build, args, degree, c):

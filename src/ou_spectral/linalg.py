@@ -163,4 +163,7 @@ def expm(A, t):
     A = _as_square(A, "A")
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    return scipy.linalg.expm(t * A)
+    # t A may overflow; the caller reports a flow that is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tA = t * A
+    return scipy.linalg.expm(tA)

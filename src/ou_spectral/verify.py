@@ -6,10 +6,9 @@ the eigen-residuals, and a named constant for the others (``LADDER_TOL``,
 ``IDENTITY_TOL``).  The CLI renders these; they are plain library code so
 they can also be driven programmatically.  Every check lives here, and no
 production module imports this one.  The eigenfunction suites read each
-side's one table of them in place (``ladder._eigenfunctions``), and the
-operator suites each operator's one gather table through the two readers
-of ``ladder``: ``_image`` gathers a stack of polynomials through it, and
-``_matrix`` scatters it into the operator's matrix once.  No suite reads
+side's one table of them in place (``ladder._eigenfunctions``); the
+operator suites check their identities on the operators' n x n weights,
+and each table once against them (``ladder._matrix``).  No suite reads
 the slots of a table, and none prunes.  A suite's worst residual is
 numpy's maximum (``np.maximum``, ``ndarray.max``), which keeps a NaN
 wherever it comes, so a non-finite residual decides the verdict.
@@ -22,16 +21,18 @@ import numpy as np
 from .gaussian import stationary_density
 from .hermite_form import _hermite_table
 from .ladder import (
+    _drift,
     _eigenfunctions,
     _eigenvalues,
     _generator_table,
     _image,
     _ladder_table,
+    _ladder_weights,
     _matrix,
 )
 from .linalg import solve_lyapunov
 from .monomials import enumerate_modes, graded_index
-from .mpoly import MPoly, _diff, _rows, power_table
+from .mpoly import MPoly, power_table
 
 
 @dataclass
@@ -55,8 +56,8 @@ class VerifyReport:
         return all(s.passed for s in self.suites)
 
 
-# Degree up to which the commutator and reconstruction identities are
-# checked, on every polynomial: C(n + 5, n) basis polynomials.
+# Degree of the polynomials on which each operator table is read against
+# its weights: C(n + 5, n) monomials.
 CHECK_DEGREE = 5
 # Highest order at which ``run_all`` checks the eigen-residuals and the
 # ladder factorials.
@@ -85,78 +86,87 @@ def battery_polynomials(nvars, count=20, max_degree=5):
     return out
 
 
-def _ladders(model, op, degree):
-    """The matrices (``ladder._matrix``) of ``op`` of every mode on ``degree``."""
-    return [_matrix(model, _ladder_table, (op, I), degree) for I in range(model.dim)]
+def _normwise(terms, target=0.0, axis=None):
+    """max |sum of ``terms`` (each a tuple of matrices, their product) - target|
+    over the largest product of entries forming it; axis 1: each row's own."""
+    value, scale = -target, 0.0
+    for factors in terms:
+        P, S = factors[0], abs(factors[0])
+        for f in factors[1:]:
+            P, S = P @ f, (S[:, :, None] * abs(f)).max(axis=1)
+        value, scale = value + P, np.maximum(scale, S)
+    return (abs(value).max(axis=axis) / scale.max(axis=axis)).max()
 
 
-def _column_worst(lhs, rhs, scale):
-    """Largest over the columns of max |lhs - rhs| / scale, ``scale``
-    one value per column: the coefficient distance on each basis
-    polynomial, relative.  NaN when any entry is NaN."""
-    return float(np.max(np.abs(lhs - rhs).max(axis=0) / scale))
+def _realized(model, build, args, a=None, w=None, D=None, B=None):
+    """The largest gap between an entry of the matrix (``ladder._matrix``)
+    of ``build(model, *args)`` on degree ``CHECK_DEGREE`` and of the matrix
+    pushed from its weights, in roundoff units of the larger, times
+    ``IDENTITY_TOL``.  x^b goes to x^(b+e_j) by a_j, to x^(b-e_i) by
+    w_i b_i, to x^(b-e_i+e_j) by D_ij b_i and to x^(b-e_i-e_j) by
+    (1/2) B_ij b_i (b_j - delta_ij), summed in the table's slot order
+    (``ladder.operator_table``), so a clean table reads exactly 0."""
+    M = _matrix(model, build, args, CHECK_DEGREE)
+    n, C, idx = model.dim, M.shape[1], graded_index(model.dim, CHECK_DEGREE + 1)
+    b, up, down = idx.exponents[:C].T, idx.up[:, :C], idx.down[:, :C]
+    on = down[:, None] >= 0
+    # Slot s sends x^b, column c, to row rows[s, c] by weight[s, c]; -1 is off the index.
+    slots = [] if a is None else [(up, np.repeat(a[:, None], C, axis=1))]
+    slots += [] if w is None else [(down, w[:, None] * b)]
+    if D is not None:
+        slots += [(np.where(on, idx.up[:, down].swapaxes(0, 1), -1), D[:, :, None] * b[:, None])]
+    if B is not None:
+        half = 0.5 * B[:, :, None] * b[:, None] * (b - np.eye(n, dtype=int)[:, :, None])
+        slots += [(np.where(on, idx.down[:, down].swapaxes(0, 1), -1), half)]
+    rows = np.concatenate([r.reshape(-1, C) for r, _ in slots])
+    weight = np.concatenate([v.reshape(-1, C) for _, v in slots])
+    live, P = rows >= 0, np.zeros_like(M)
+    np.add.at(P, (rows[live], np.nonzero(live)[1]), weight[live])
+    if (M == P).all():
+        return 0.0
+    size = np.maximum(np.abs(M), np.abs(P))
+    gap = np.abs(M - P)[size != 0] / size[size != 0]
+    return np.max(gap, initial=0.0) / np.finfo(float).eps * IDENTITY_TOL
+
+
+def _side(model, side):
+    """(D, diag(lambda), a, w, w'): the side's drift (``ladder._drift``)
+    and eigenvalues, and the weights of its raising a . x + w . grad and
+    lowering w' . grad (``ladder._ladder_weights``), stacked by mode."""
+    lam = model.eig.values if side == "forward" else np.conj(model.eig.values)
+    modes = range(model.dim)
+    a, w = map(np.array, zip(*(_ladder_weights(model, f"raise_{side}", I) for I in modes)))
+    low = np.array([_ladder_weights(model, f"lower_{side}", I)[1] for I in modes])
+    return _drift(model, side), np.diag(lam), a, w, low
 
 
 def reconstruct_operators_check(model, tol=IDENTITY_TOL):
     """Verify gradient, position, and both evolution operators rebuild
     from the ladder families alone: the suite "operator-reconstruction",
-    its worst residual over the four identities, one line for each.
+    its worst residual over the four identities, one line for each, each
+    between the weights of ``_side`` and normwise relative (``_normwise``),
+    W and E the left and right eigenvector bases:
 
-    Identities checked, with W the left and E the right eigenvector
-    basis:
-
-    * grad      from the adjoint lowering family weighted by conj(W)
-    * position  from adjoint raising plus a lowering correction
-    * forward   as half the eigenvalue-weighted sum of raise(lower(.))
-    * adjoint   as the conjugate-weighted mirror of the same sum
-
-    Each identity is one between operator matrices on the polynomials of
-    degree up to ``CHECK_DEGREE`` (``ladder._matrix``), so it holds on
-    every basis polynomial; column j, the residual on the j-th, is
-    relative to the larger column maximum of its two sides and 1.  Each
-    operator is scattered once, on that degree.
-    """
-    n, d = model.dim, CHECK_DEGREE
-    rows = [_rows(n, k) for k in (d - 1, d, d + 1)]
-    E = model.eig.right
-    W = model.eig.left
-    lams = model.eig.values
-    Wc = np.conj(W)
-    Ec = np.conj(E)
-    # Gram matrix conj(w_I)^T Sigma conj(w_J) entering the position identity.
-    G = Wc @ model.Sigma @ Wc.T
-
-    worst = {"gradient": 0.0, "position": 0.0, "forward": 0.0, "adjoint": 0.0}
-
-    def fold(name, lhs, rhs):
-        colmax = np.fmax(np.abs(lhs).max(axis=0), np.abs(rhs).max(axis=0))
-        worst[name] = np.maximum(worst[name], _column_worst(lhs, rhs, np.fmax(colmax, 1.0)))
-
-    def evolution(side, lam):
-        # Raising on degree d - 1 is a leading sub-block of raising on d.
-        raised = _ladders(model, f"raise_{side}", d)
-        lowered = _ladders(model, f"lower_{side}", d)
-        rhs = sum(0.5 * lam[I] * (raised[I][: rows[1], : rows[0]] @ lowered[I]) for I in range(n))
-        fold(side, _matrix(model, _generator_table, (side,), d), rhs)
-        return raised, lowered
-
-    idx = graded_index(n, d + 1)
-    cols = np.arange(rows[1])
+    * grad      from adjoint lowering: conj(W)^T w' = I
+    * position  from adjoint raising plus a lowering correction:
+      conj(E) a / 2 = I and conj(E) (w / 2 + G w') = 0, G = conj(W) Sigma conj(W)^T
+    * forward   as half the eigenvalue-weighted sum of raise(lower(.)), with
+      its table (``_realized``): D^T = sum_I lambda_I a_I w'_I^T / 2 and
+      B = sym(sum_I lambda_I w_I w'_I^T)
+    * adjoint   as the conjugate-weighted mirror of the same sum"""
+    Wc, Ec = np.conj(model.eig.left), np.conj(model.eig.right)
+    sides = {side: _side(model, side) for side in ("forward", "adjoint")}
+    _, _, a, w, low = sides["adjoint"]
     # inf - inf is NaN, which the maximum keeps.
     with np.errstate(invalid="ignore"):
-        evolution("forward", lams)
-        shifted, lows = evolution("adjoint", np.conj(lams))
-        # Raising terms of the position identity with their lowering
-        # correction, added in place; neither depends on the axis i.
-        for I in range(n):
-            shifted[I][: rows[0]] += sum(2.0 * G[I, J] * lows[J] for J in range(n))
-        for i in range(n):
-            grad = _diff(np.eye(rows[1]), n, d, i).T
-            fold("gradient", grad, sum(Wc[I, i] * lows[I] for I in range(n)))
-            times_x = np.zeros((rows[2], rows[1]))
-            times_x[idx.up[i, cols], cols] = 1.0
-            fold("position", times_x, sum(0.5 * Ec[i, I] * shifted[I] for I in range(n)))
-
+        position = _normwise([(0.5 * Ec, w), (Ec, Wc @ model.Sigma @ Wc.T, low)])
+        worst = {"gradient": _normwise([(Wc.T, low)], np.eye(model.dim))}
+        worst["position"] = np.maximum(_normwise([(0.5 * Ec, a)], np.eye(model.dim)), position)
+        for side, (D, Lam, a, w, low) in sides.items():
+            drift = _normwise([(D,), (-0.5 * low.T, Lam, a)])
+            diffusion = _normwise([(model.B,), (-0.5 * w.T, Lam, low), (-0.5 * low.T, Lam, w)])
+            table = _realized(model, _generator_table, (side,), D=D, B=model.B)
+            worst[side] = np.maximum(np.maximum(drift, diffusion), table)
     lines = [f"{name}: {val:.3e}" for name, val in sorted(worst.items())]
     total = float(np.max(list(worst.values())))
     return SuiteResult("operator-reconstruction", total, tol, lines)
@@ -251,42 +261,25 @@ def ladder_suite(model, n_max=ORDER_CAP):
 
 
 def commutator_suite(model):
-    """Ladder commutation relations as identities between operator
-    matrices.
-
-    [L, V_I] = lambda_I V_I on the forward side, the conjugate relation
-    on the adjoint side, and the cross relations between opposite
-    lowering and raising families equal to twice the identity, on the
-    polynomials of degree up to ``CHECK_DEGREE``.  Each operator is the
-    matrix of its gather table (``ladder._matrix``), scattered once on the
-    highest degree it acts on, one above the check degree for L and the
-    lowering operators; on a lower degree it is a leading sub-block.
-    Products compose with ``@``, so each relation holds on every basis
-    polynomial.  Column j of a residual acts on the j-th; it is relative
-    to the column maximum of V_I e_j and 1 for the commutators, and
-    absolute for the cross relations, as e_j has coefficients of 1.
-    """
-    n, d = model.dim, CHECK_DEGREE
-    rows = [_rows(n, k) for k in (d - 1, d, d + 1)]
+    """Ladder commutation relations as identities between n x n weights:
+    with V_I = a_I . x + w_I . grad raising and L = (D x) . grad +
+    (1/2) B : grad grad (``_side``), [L, V_I] = lambda_I V_I (conjugate on
+    the adjoint side) is D^T a_I = lambda_I a_I and B a_I - D w_I =
+    lambda_I w_I, each mode apart, and the cross relations with lowering
+    w'_J . grad are w'_J . a_I = 2 delta_IJ, normwise relative
+    (``_normwise``).  Each of the 4n ladder tables is read as ``_realized``."""
     worst = 0.0
-
     # inf - inf is NaN, which the maximum keeps.
     with np.errstate(invalid="ignore"):
-        for side, lams in (("forward", model.eig.values), ("adjoint", np.conj(model.eig.values))):
-            gen_up = _matrix(model, _generator_table, (side,), d + 1)
-            gen = gen_up[: rows[1], : rows[1]]
-            raised = _ladders(model, f"raise_{side}", d)
-            lowered_up = _ladders(model, f"lower_{side}", d + 1)
-            for I in range(n):
-                R = raised[I]
-                scale = np.fmax(np.abs(R).max(axis=0), 1.0)
-                lhs = gen_up @ R - R @ gen
-                worst = np.maximum(worst, _column_worst(lhs, lams[I] * R, scale))
-                for J in range(n):
-                    lowered = lowered_up[J][: rows[0], : rows[1]]
-                    lhs = lowered_up[J] @ R - R[: rows[1], : rows[0]] @ lowered
-                    target = 2.0 * np.eye(rows[1]) if I == J else 0.0
-                    worst = np.maximum(worst, _column_worst(lhs, target, 1.0))
+        for side in ("forward", "adjoint"):
+            D, Lam, a, w, low = _side(model, side)
+            worst = np.maximum(worst, _normwise([(a, D), (-Lam, a)], axis=1))
+            worst = np.maximum(worst, _normwise([(a, model.B), (-w, D.T), (-Lam, w)], axis=1))
+            worst = np.maximum(worst, _normwise([(low, a.T)], 2.0 * np.eye(model.dim)))
+            for op in (f"raise_{side}", f"lower_{side}"):
+                for I in range(model.dim):
+                    weights = _ladder_weights(model, op, I)
+                    worst = np.maximum(worst, _realized(model, _ladder_table, (op, I), *weights))
     return SuiteResult("commutators", float(worst), IDENTITY_TOL)
 
 

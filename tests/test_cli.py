@@ -316,6 +316,36 @@ def test_an_exact_flow_that_is_not_finite_exits_2(tmp_path, capsys, command, ove
     assert not out.exists()
 
 
+@pytest.mark.parametrize("outputs", [(), ("--json",), ("--csv",), ("--json", "--csv")])
+@pytest.mark.parametrize("config", ["spiral_2d", "random_3d"])
+def test_propagate_fails_at_a_late_time_before_any_output(tmp_path, capsys, config, outputs):
+    # t = 0 is finite and t = 1e308 is not: on spiral_2d the expansion
+    # values, on random_3d exp(tA), where t A overflows.  The t = 0 line
+    # was printed first, and random_3d warned of the overflow.
+    raw = json.loads((CONFIGS / f"{config}.json").read_text())
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(raw | {"propagate": {"times": [0.0, 1e308]}}))
+    files = {flag: tmp_path / f"out{flag[2:]}" for flag in outputs}
+    argv = [arg for flag, out in files.items() for arg in (flag, str(out))]
+    assert cli.main(["propagate", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error[NonFiniteResultError]") and "t=1e+308" in captured.err
+    assert not any(out.exists() for out in files.values())
+
+
+def test_propagate_at_a_time_where_t_a_overflows_does_not_warn(tmp_path, capsys):
+    # diag_2d's exp(tA) is 0 once t A is -inf, so the density is f0's.
+    raw = json.loads((CONFIGS / "diag_2d.json").read_text())
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(raw | {"propagate": {"times": [1e308]}}))
+    assert cli.main(["propagate", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("t=1e+308: max |expansion - exact| = ")
+    assert captured.err == ""
+
+
 class _Built(Exception):
     pass
 

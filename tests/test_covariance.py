@@ -15,9 +15,10 @@ The scales are fixed before the run, and none is dropped for failing.
 ``verify`` fails at every one of them on every config today, except
 canonical_1d at c = 1000, so those cases are strict xfails, each naming
 the suites that change verdict at tolerances of 1e-8 (bi-orthogonality
-and eigen-residuals), 1e-10 (ladder factorials) and 1e-9 (commutators
-and reconstruction).  They turn into passes once the numerics run in the
-canonical frame.  The expansion terms and the solution hold at every
+and eigen-residuals) and 1e-10 (ladder factorials).  They turn into
+passes once the numerics run in the canonical frame.  The commutators
+and reconstruction read the operators' weights, each identity relative
+to the products that form it, and keep their verdicts at every scale.  The expansion terms and the solution hold at every
 scale: no numeric step prunes, so no coefficient is lost for being small
 in the units of x.
 """
@@ -58,20 +59,12 @@ VERDICT_FAILURES = {
     ("diag_2d", "c=1e+08"): ("biorthogonality",),
     ("random_3d", "c=1e-08"): ("biorthogonality",),
     ("random_3d", "c=0.001"): ("biorthogonality",),
-    ("random_3d", "c=1000"): ("biorthogonality", "commutators"),
-    ("random_3d", "c=1e+08"): ("biorthogonality", "commutators", "operator-reconstruction"),
+    ("random_3d", "c=1000"): ("biorthogonality",),
+    ("random_3d", "c=1e+08"): ("biorthogonality",),
     ("spiral_2d", "c=1e-08"): ("biorthogonality",),
     ("spiral_2d", "c=0.001"): ("biorthogonality",),
-    ("spiral_2d", "c=1000"): (
-        "biorthogonality", "eigen-residuals", "ladder-factorials", "commutators"
-    ),
-    ("spiral_2d", "c=1e+08"): (
-        "biorthogonality",
-        "eigen-residuals",
-        "ladder-factorials",
-        "commutators",
-        "operator-reconstruction",
-    ),
+    ("spiral_2d", "c=1000"): ("biorthogonality", "eigen-residuals", "ladder-factorials"),
+    ("spiral_2d", "c=1e+08"): ("biorthogonality", "eigen-residuals", "ladder-factorials"),
 }
 
 def _transform(n, name):

@@ -24,7 +24,9 @@ K_I lambda_I over a multi-index, so lambda_K has one formula, and
 closed form (``mpoly.hermite_products``), and ``verify`` builds no
 second model (``build_model``, ``to_canonical``): it checks the model's
 own tables.  ``monomials`` alone reads ``parent``: every recursion
-over the modes raises along ``GradedIndex.runs``.  No production module
+over the modes raises along ``GradedIndex.runs``.  ``ladder`` alone reads
+``Sigma_inv`` or names ``forward_drift``, so each operator weight has one
+formula (``_drift``, ``_ladder_weights``), which ``verify`` reads too.  No production module
 defines a top-level function or class that only ``verify`` reads: check
 code lives in ``verify``.
 """
@@ -546,6 +548,39 @@ def test_only_monomials_reads_parent(module):
     # ``monomials.parent`` states the raising rule once; every recursion
     # reads it as row slices (``GradedIndex.runs``).
     assert list(_parent_reads((PACKAGE / f"{module}.py").read_text())) == []
+
+
+def test_mention_finder_sees_every_spelling_of_the_weight_inputs():
+    source = """
+from .ladder import forward_drift as drift
+from . import ladder as lad
+M = forward_drift(model)
+N = lad.forward_drift(model) @ model.Sigma_inv
+P = drift(model)
+Q = model.Sigma @ model.Sigma_inverse
+"""
+    found = sorted(
+        line for name in ("Sigma_inv", "forward_drift") for line in _mentions(source, name)
+    )
+    assert found == [
+        "M = forward_drift(model)",
+        "N = lad.forward_drift(model) @ model.Sigma_inv",
+        "N = lad.forward_drift(model) @ model.Sigma_inv",
+        "P = drift(model)",
+        "from .ladder import forward_drift as drift",
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "ladder")
+)
+def test_only_ladder_reads_the_weight_inputs(module):
+    # Each ladder and generator weight has one formula in ``ladder``
+    # (``_ladder_weights``, ``_drift``): the tables and the operator
+    # suites of ``verify`` both read it, and no other module rebuilds a
+    # weight from Sigma^-1 or from Sigma A^T Sigma^-1.
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert [*_mentions(source, "Sigma_inv"), *_mentions(source, "forward_drift")] == []
 
 
 def test_verify_builds_no_second_model():

@@ -1,27 +1,30 @@
 """The verify suites against a direct evaluation.
 
-The commutator and reconstruction suites check their identities as
-products of operator matrices, the gather tables of the ladder scattered
-into matrices.  Each matrix times a polynomial's coefficient vector must
-be the polynomial's own gather, a perturbed table weight must fail the
-suite that reads it, and the references below, which apply every public
-operator to one battery polynomial at a time, must read no more than the
-matrix check under the same perturbation.  The other suites read the
+The commutator and reconstruction suites check their identities on the
+n x n weights of the operators, and each gather table once against the
+weights it is built from: its matrix on the check degree must equal the
+matrix pushed from the weights.  Each such matrix times a polynomial's
+coefficient vector must be the polynomial's own gather.  A perturbed
+table weight, or a formula bug in the table builder, must fail the suite
+that reads the table, and under a perturbed weight the references below,
+which apply every public operator to one battery polynomial at a time,
+must read no more than the suite.  The other suites read the
 eigenfunction tables, one per side; each table row must be its
 parent's row raised by the public per-polynomial operator, bit for bit,
 and ``run_all`` must call none of those operators.  The bi-orthogonality
 suite takes every pairing from one Gram matrix; each entry must match
 its own ``inner_product``, and a perturbed pair above order 4 must fail
 it.  A model whose Sigma misses the Lyapunov equation must fail
-``run_all``.  The operator suites read each operator from the ladder's
-one table of it, at the highest degree read; a test-local copy of the
-suites that read one table per input degree must give the same worst
-residuals and lines.
+``run_all``.  The eigen-residual and ladder-factorial suites read each
+operator from the ladder's one table of it, at the highest degree read;
+a test-local copy of them that reads one table per input degree must
+give the same worst residuals.
 """
 
 import dataclasses
 import functools
 import importlib
+import inspect
 import json
 import pathlib
 import pkgutil
@@ -49,7 +52,7 @@ from ou_spectral.ladder import (
     raise_forward,
 )
 from ou_spectral.monomials import enumerate_modes, graded_index, mode_normalization
-from ou_spectral.mpoly import MPoly, _diff, coeff_distance
+from ou_spectral.mpoly import MPoly, coeff_distance
 from ou_spectral.verify import battery_polynomials
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -176,7 +179,7 @@ def _rows(n, degree):
 
 
 def _tables(model):
-    """(build, args) of every gather table the two matrix suites read."""
+    """(build, args) of every gather table the two operator suites read."""
     out = [(ladder._generator_table, (side,)) for side in ("forward", "adjoint")]
     out += [
         (ladder._ladder_table, (op, I))
@@ -191,7 +194,7 @@ def test_shared_images_match_direct_evaluation(name):
     # The matrix of each table at the check degree, times the coefficient
     # vector of a battery polynomial of that degree or less, is the
     # polynomial's own gather, which reads the table of its own degree:
-    # the matrix identities check the operators that the public
+    # the suites read against their weights the operators that the public
     # per-polynomial API applies.
     if name in IMAGE_MODELS:
         model = IMAGE_MODELS[name]()
@@ -214,8 +217,8 @@ def test_shared_images_match_direct_evaluation(name):
 def _perturb_largest(model, build, args, factor):
     """Scale by ``factor`` the largest weight of the operator on degree
     ``CHECK_DEGREE`` in the model's one table of it, grown first to the
-    degree above, the highest any suite reads, so no suite rebuilds it;
-    the suites and the per-polynomial references both read that table."""
+    degree above, so that no read up to that degree rebuilds it; the
+    suites and the per-polynomial references both read that table."""
     _, src, weight = build(model, *args, verify.CHECK_DEGREE)
     s, r = np.unravel_index(np.argmax(np.abs(weight)), weight.shape)
     ladder._table(model, build, args, verify.CHECK_DEGREE + 1)
@@ -226,9 +229,9 @@ def _perturb_largest(model, build, args, factor):
 
 @pytest.mark.parametrize("name", ["spiral_2d", "random_3d"])
 def test_perturbed_raising_weight_fails_the_commutators(name):
-    # The one weight is perturbed in the table the matrices read and in
-    # each table the battery's gathers read; the matrix check reads at
-    # least what the battery reads.
+    # The one weight is perturbed in the table the suite reads against its
+    # weights and in each table the battery's gathers read; the suite
+    # reads at least what the battery reads.
     model, _ = _config_model(name)
     _perturb_largest(model, ladder._ladder_table, ("raise_forward", 0), 1.0 + 1e-9)
     result = verify.commutator_suite(model)
@@ -255,16 +258,69 @@ def test_ladder_identities_pass_in_small_units(name):
     assert verify.reconstruction_suite(model).passed
 
 
-# Known failures, pinned so that a fix shows as an unexpected pass.  At
-# c = 1e4 the lowering weights grow as c^2 and the raising weights shrink
-# as c^-2, so the cross relations subtract terms of about c^2 to leave 2;
-# the residuals read 1.2e-7 to 2.5e-7 (commutators) and 4.2e-8 to 6.1e-8
-# (reconstruction) against 1e-9.
-@pytest.mark.xfail(strict=True, reason="cancellation at large units")
 @pytest.mark.parametrize("suite", ["commutator_suite", "reconstruction_suite"])
 @pytest.mark.parametrize("name", ["spiral_2d", "random_3d"])
 def test_ladder_identities_pass_in_large_units(name, suite):
+    # At c = 1e4 the lowering weights grow as c^2 and the raising weights
+    # shrink as c^-2.  Each weight identity is relative to its largest
+    # product, so none is read against a floor of 1.
     assert getattr(verify, suite)(_rescaled_config_model(name, 1e4)).passed
+
+
+# The same perturbations in other units: each fails its suite and run_all.
+PERTURBATIONS = {
+    "raising": (ladder._ladder_table, ("raise_forward", 0), 1.0 + 1e-9, "commutator_suite"),
+    "generator": (ladder._generator_table, ("forward",), 1.0 + 1e-8, "reconstruction_suite"),
+}
+
+
+@pytest.mark.parametrize("perturbation", sorted(PERTURBATIONS))
+@pytest.mark.parametrize("c", [1e-3, 1e3])
+@pytest.mark.parametrize("name", ["spiral_2d", "random_3d"])
+def test_perturbed_weight_fails_its_suite_in_other_units(name, c, perturbation):
+    build, args, factor, suite = PERTURBATIONS[perturbation]
+    model, max_order = _rescaled_config_model(name, c), _config_model(name)[1]
+    _perturb_largest(model, build, args, factor)
+    assert not getattr(verify, suite)(model).passed
+    assert not verify.run_all(model, max_order).passed
+
+
+def _mutant(old, new):
+    """``ladder.operator_table`` with the text ``old`` of its source read
+    as ``new``: a bug in a formula, not in a weight."""
+    source = inspect.getsource(ladder.operator_table)
+    assert source.count(old) == 1
+    scope = dict(vars(ladder))
+    exec(source.replace(old, new), scope)
+    return scope["operator_table"]
+
+
+# (suite, old, new): w's factor r_i + 1 read as r_i, in the ladder tables;
+# slot (i, j) of D reading row r - e_i + e_j, the source of slot (j, i),
+# in the generator tables.  A diagonal D hides the second, so both run on
+# models with off-diagonal drift.
+FORMULA_BUGS = {
+    "w_factor": (
+        "commutator_suite",
+        "w[:, None] * (E[:, :size] + 1)",
+        "w[:, None] * E[:, :size]",
+    ),
+    "reversed_D_sources": (
+        "reconstruction_suite",
+        "idx.up[:, idx.down], -1)",
+        "idx.up[:, idx.down], -1).swapaxes(0, 1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("bug", sorted(FORMULA_BUGS))
+@pytest.mark.parametrize("name", ["spiral_2d", "random_3d"])
+def test_formula_bug_in_the_table_builder_fails_its_suite(monkeypatch, name, bug):
+    suite, old, new = FORMULA_BUGS[bug]
+    monkeypatch.setattr(ladder, "operator_table", _mutant(old, new))
+    model, max_order = _config_model(name)
+    assert not getattr(verify, suite)(model).passed
+    assert not verify.run_all(model, max_order).passed
 
 
 @pytest.mark.xfail(strict=True, reason="pairing sums cancel at close drift eigenvalues")
@@ -274,16 +330,16 @@ def test_close_drift_eigenvalues_pass_verify_at_order_six():
     assert verify.run_all(_random_model(4, 2), 6).passed
 
 
-# Known failures at high order (ROADMAP item 8): only bi-orthogonality
+# Known failures at high order (ROADMAP item 2): only bi-orthogonality
 # fails, because the monomial moment matrix E[x^(a+b)] loses the digits;
-# every other suite passes.
+# every other suite passes.  Order 14 passes.
 @pytest.mark.parametrize(
     "order",
     [
         pytest.param(order, marks=pytest.mark.xfail(
             strict=True, raises=AssertionError, reason=f"bi-orthogonality reads {worst}"
         ))
-        for order, worst in ((16, "1.56e-7"), (22, "1.86e-2"))
+        for order, worst in ((15, "4.87e-8"), (16, "1.71e-7"), (22, "2.25e-2"))
     ],
 )
 def test_spiral_passes_verify_at_high_order(order):
@@ -341,9 +397,8 @@ def test_run_all_checks_at_the_model_prune_eps():
 
 # The per-degree suites that read one gather table per input degree, each
 # built for the read and not kept, the reference for the suites that read
-# every degree from the one table of an operator: the eigen-residuals,
-# ladder factorials, commutators and reconstruction, with their worst
-# residuals and lines.
+# every degree from the one table of an operator: the eigen-residuals and
+# ladder factorials, with their worst residuals and lines.
 
 
 def _degree_image(model, build, args, degree, c):
@@ -355,20 +410,6 @@ def _degree_image(model, build, args, degree, c):
     for s in range(1, len(src)):
         out += weight[s] * c[..., src[s]]
     return out
-
-
-def _degree_matrix(model, build, args, degree, rows):
-    # A copy of the model starts with an empty cache, so the matrix is
-    # read from a table built at ``degree``.
-    M = ladder._matrix(dataclasses.replace(model), build, args, degree)
-    out = np.zeros((rows, M.shape[1]), dtype=M.dtype)
-    out[: M.shape[0]] = M
-    return out
-
-
-def _degree_ladders(model, op, degree, rows):
-    table = ladder._ladder_table
-    return [_degree_matrix(model, table, (op, I), degree, rows) for I in range(model.dim)]
 
 
 def _sides(model):
@@ -413,71 +454,9 @@ def _degree_ladder_factorials(model, n_max):
     return worst, []
 
 
-def _degree_commutators(model):
-    n, d = model.dim, verify.CHECK_DEGREE
-    rows = [_rows(n, k) for k in (d - 1, d, d + 1)]
-    gen_table = ladder._generator_table
-    worst = 0.0
-    with np.errstate(invalid="ignore"):
-        for side, lams in _sides(model):
-            gen = _degree_matrix(model, gen_table, (side,), d, rows[1])
-            gen_up = _degree_matrix(model, gen_table, (side,), d + 1, rows[2])
-            raised = _degree_ladders(model, f"raise_{side}", d, rows[2])
-            raised_down = _degree_ladders(model, f"raise_{side}", d - 1, rows[1])
-            lowered = _degree_ladders(model, f"lower_{side}", d, rows[0])
-            lowered_up = _degree_ladders(model, f"lower_{side}", d + 1, rows[1])
-            for I in range(n):
-                R = raised[I]
-                scale = np.fmax(np.abs(R).max(axis=0), 1.0)
-                lhs = gen_up @ R - R @ gen
-                worst = np.maximum(worst, verify._column_worst(lhs, lams[I] * R, scale))
-                for J in range(n):
-                    lhs = lowered_up[J] @ R - raised_down[I] @ lowered[J]
-                    target = 2.0 * np.eye(rows[1]) if I == J else 0.0
-                    worst = np.maximum(worst, verify._column_worst(lhs, target, 1.0))
-    return worst, []
-
-
-def _degree_reconstruction(model):
-    n, d = model.dim, verify.CHECK_DEGREE
-    rows = [_rows(n, k) for k in (d - 1, d, d + 1)]
-    Wc, Ec = np.conj(model.eig.left), np.conj(model.eig.right)
-    G = Wc @ model.Sigma @ Wc.T
-    worst = {"gradient": 0.0, "position": 0.0, "forward": 0.0, "adjoint": 0.0}
-
-    def fold(name, lhs, rhs):
-        colmax = np.fmax(np.abs(lhs).max(axis=0), np.abs(rhs).max(axis=0))
-        d = verify._column_worst(lhs, rhs, np.fmax(colmax, 1.0))
-        worst[name] = np.maximum(worst[name], d)
-
-    lows = _degree_ladders(model, "lower_adjoint", d, rows[0])
-    idx = graded_index(n, d + 1)
-    cols = np.arange(rows[1])
-    with np.errstate(invalid="ignore"):
-        shifted = _degree_ladders(model, "raise_adjoint", d, rows[2])
-        for I in range(n):
-            shifted[I][: rows[0]] += sum(2.0 * G[I, J] * lows[J] for J in range(n))
-        for i in range(n):
-            grad = _diff(np.eye(rows[1]), n, d, i).T
-            fold("gradient", grad, sum(Wc[I, i] * lows[I] for I in range(n)))
-            times_x = np.zeros((rows[2], rows[1]))
-            times_x[idx.up[i, cols], cols] = 1.0
-            fold("position", times_x, sum(0.5 * Ec[i, I] * shifted[I] for I in range(n)))
-        for side, lam in _sides(model):
-            raised = _degree_ladders(model, f"raise_{side}", d - 1, rows[1])
-            lowered = _degree_ladders(model, f"lower_{side}", d, rows[0])
-            rhs = sum(0.5 * lam[I] * (raised[I] @ lowered[I]) for I in range(n))
-            gen = _degree_matrix(model, ladder._generator_table, (side,), d, rows[1])
-            fold(side, gen, rhs)
-    lines = [f"{name}: {val:.3e}" for name, val in sorted(worst.items())]
-    return float(np.max(list(worst.values()))), lines
-
-
 PER_DEGREE_SUITES = {
     "eigen-residuals": lambda m, order: _degree_eigen_residuals(m, min(order, verify.ORDER_CAP)),
     "ladder-factorials": lambda m, order: _degree_ladder_factorials(m, min(order, verify.ORDER_CAP)),
-    "commutators": lambda m, order: _degree_commutators(m),
-    "operator-reconstruction": lambda m, order: _degree_reconstruction(m),
 }
 
 REFERENCE_MODELS = dict(IMAGE_MODELS)
@@ -501,17 +480,19 @@ def test_one_table_suites_equal_the_per_degree_suites(name):
     model, max_order = got if isinstance(got, tuple) else (got, 6)
     report = verify.run_all(model, max_order)
     # One table per operator, side and mode, each at the highest degree
-    # the suites read: one above the check degree for the generators and
-    # the lowering operators, and the check degree for the raising
-    # operators, which the eigenfunction tables read at max_order - 1.
+    # the suites read: the check degree, or above it the order of the
+    # eigen-residuals and ladder factorials for the generators and the
+    # lowering operators, and max_order - 1 for the raising operators,
+    # which the eigenfunction tables read there.
     sides, d = ("forward", "adjoint"), verify.CHECK_DEGREE
+    low = max(d, min(max_order, verify.ORDER_CAP))
     gens = {key for key in model._op_cache if key[0] is ladder._generator_table}
     assert gens == {(ladder._generator_table, s) for s in sides}
     ladders = {key for key in model._op_cache if key[0] is ladder._ladder_table}
     ops = [f"{step}_{s}" for step in ("raise", "lower") for s in sides]
     assert ladders == {(ladder._ladder_table, op, I) for op in ops for I in range(model.dim)}
     for key in gens | ladders:
-        top = max(d, max_order - 1) if key[1].startswith("raise") else d + 1
+        top = max(d, max_order - 1) if key[1].startswith("raise") else low
         assert ladder._table(model, key[0], key[1:], 0)[2] == _rows(model.dim, top), key
     for suite in report.suites:
         if suite.name in PER_DEGREE_SUITES:
@@ -756,9 +737,10 @@ def _poison_table(build, *args):
 # suites read it from the order-1 forward rows, in the row of (0, 1): after
 # the pairings of (0, 0) and (1, 0), after the order-0 residual, after the
 # rows of axis 0.  The Hermite suite reads it from the adjoint closed form,
-# after the forward side.  The matrix suites read theirs from one weight of a table
-# that a later identity reads: the mode-1 raising table, after mode 0's
-# commutators, and the forward generator, after the gradient and position
+# after the forward side.  The operator suites read theirs from one weight
+# of a table that they read against its weights after a finite residual:
+# the mode-1 raising table, after the weight identities and mode 0's
+# table, and the forward generator, after the gradient and position
 # identities.
 NAN_CASES = {
     "biorthogonality": (
@@ -913,11 +895,13 @@ def test_every_cache_key_is_a_builder_and_its_arguments(name):
     assert set(model._op_cache) == want
     tops = {key: entry[0] for key, entry in model._op_cache.items()}
     assert {tops[key] for key in eigen} == {max_order}
-    # Each suite reads an operator at the degree it needs: the commutators
-    # read L and the lowering operators one above the check degree, and
-    # the raising operators at it; the eigen tables read the raising
-    # operators at max_order - 1.
-    assert {tops[key] for key in gens | ladders - raising} == {verify.CHECK_DEGREE + 1}
+    # Each suite reads an operator at the degree it needs: the operator
+    # suites read every table at the check degree, the eigen-residuals
+    # and ladder factorials read L and the lowering operators at their
+    # order, and the eigen tables read the raising operators at
+    # max_order - 1.
+    low = max(verify.CHECK_DEGREE, min(max_order, verify.ORDER_CAP))
+    assert {tops[key] for key in gens | ladders - raising} == {low}
     assert {tops[key] for key in raising} == {max(verify.CHECK_DEGREE, max_order - 1)}
     # Grid evaluation reads the forward closed form, at max_order.
     assert tops[(hermite_form._hermite_table, "forward")] == max_order
