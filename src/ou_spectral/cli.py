@@ -26,7 +26,7 @@ from .ladder import (
     forward_eigenfunction,
 )
 from .linalg import DEFAULT_DEFECT_TOL
-from .monomials import enumerate_modes, mode_normalization
+from .monomials import enumerate_modes, index_size, mode_normalization
 from .mpoly import DEFAULT_PRUNE_EPS, MPoly, coeff_distance, render
 from .sde_oracle import SimConfig, simulate
 from .spectral import (
@@ -102,7 +102,7 @@ MAX_MODES = 1000
 
 
 def _check_order(cfg):
-    modes = math.comb(cfg.dimension + cfg.max_order, cfg.dimension)
+    modes = index_size(cfg.dimension, cfg.max_order)
     if modes > MAX_MODES:
         _fail("max_order", f"{cfg.max_order} gives {modes} modes, more than {MAX_MODES}")
 
@@ -451,7 +451,7 @@ def cmd_solve(cfg, args):
     if cfg.source is None:
         _fail("source", "missing (required for solve)")
     degree = max(map(sum, cfg.source), default=0)
-    if math.comb(cfg.dimension + degree, cfg.dimension) > MAX_MODES:
+    if index_size(cfg.dimension, degree) > MAX_MODES:
         _fail("source", f"degree {degree} has more than {MAX_MODES} coefficients")
     model = _build(cfg)
     q = ForwardFunction(

@@ -11,14 +11,13 @@ coefficients c_K of ``spectral.expand_gaussian`` are the moments of
 N(a, M) by the same routine.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NotSPDError
 from .linalg import _as_square, _check_symmetric
-from .monomials import graded_index
+from .monomials import graded_index, index_size
 from .mpoly import MPoly
 
 
@@ -87,7 +86,7 @@ class GaussianDensity:
         A lower degree reads a prefix of the vector kept on the density,
         which is recomputed only when a higher degree is asked for.
         """
-        size = math.comb(degree + self.dim, self.dim)
+        size = index_size(self.dim, degree)
         if self._moments.size < size:
             m = moments(self.mean, self.cov, degree)
             m.setflags(write=False)
@@ -100,53 +99,41 @@ class GaussianDensity:
         return float(self.pdf_grid(point)[0])
 
     def pdf_grid(self, points):
-        """Density at many points, shape (P, dim) -> (P,).
-
-        Raises ``ValueError`` naming the first row that is not finite.
-        """
-        pts = np.asarray(points, dtype=float)
-        out = self.whitened(pts)[1]
-        if not np.all(np.isfinite(out)):
-            check_finite_rows(pts)
-        return out
+        """Density at many points, shape (P, dim) -> (P,)."""
+        return self.whitened(points)[1]
 
     def whitened(self, points):
         """Whitened coordinates z = W^T (x - mean) of points (P, dim), one
         column per point, shape (dim, P), and the density there,
         exp(log_norm - |z|^2 / 2), shape (P,).
 
-        A row that is not finite gets density NaN, so the caller's check
-        of its output sees it; a finite point far enough out for |z|^2 to
-        overflow gets 0.
+        Raises ``ValueError`` naming the first row that is not finite; a
+        finite point far enough out for |z|^2 to overflow gets 0.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DimensionMismatchError(
                 f"points must have shape (P, {self.dim}), got {pts.shape}"
             )
+        if not np.isfinite(pts).all():
+            check_finite_rows(pts)
         z = np.empty((self.dim, pts.shape[0]))
         density = np.empty(pts.shape[0])
         self._whiten_into(pts, z, density)
         return z, density
 
     def _whiten_into(self, pts, z, density):
-        """``whitened`` of the float rows ``pts`` (P, dim), written into the
-        caller's C-contiguous buffers ``z`` (dim, P) and ``density`` (P,).
-
-        Only a non-zero mean allocates, for x - mean.  The NaN rule tests
-        |z|^2, held in ``density`` before the exponential overwrites it,
-        because the exponential turns an infinite |z|^2 into a density of 0.
-        """
-        # A non-finite or overflowing row is handled below, not warned about.
+        """``whitened`` of the finite float rows ``pts`` (P, dim), written
+        into the caller's C-contiguous buffers ``z`` (dim, P) and
+        ``density`` (P,), with no check.  Only a non-zero mean allocates,
+        for x - mean."""
+        # An overflowing |z|^2 gives density 0, not a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(self.whitener.T, (pts - self.mean if self.mean.any() else pts).T, out=z)
             np.einsum("ip,ip->p", z, z, out=density)
-        finite = np.isfinite(density).all()
         np.multiply(density, 0.5, out=density)
         np.subtract(self.log_norm, density, out=density)
         np.exp(density, out=density)
-        if not finite:
-            density[~np.all(np.isfinite(pts), axis=1)] = np.nan
 
 
 @dataclass(frozen=True, eq=False)

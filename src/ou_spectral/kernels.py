@@ -20,8 +20,11 @@ initial law, ``s = 1 .. n_steps`` the steps) uses
 pairs.  The cosine and sine come from a 1024-entry table indexed by the
 top 10 of the angle's 53 bits, corrected by Taylor terms of degree 6
 and 5 in the angle left by the low 43 bits.  A path's draws therefore do
-not depend on how paths are batched, and results are bit-reproducible
-for a fixed seed.
+not depend on how paths are batched.  Results are bit-reproducible for a
+fixed seed on one numpy build and SIMD dispatch target, not across CPUs:
+the radius takes ``np.log``, whose loop numpy picks for the CPU, and its
+AVX512_SKX loop differs from libm's in the last bit on about 0.35 % of
+uniforms.
 
 ``em_paths`` steps ``PATH_CHUNK`` paths at a time through every step, so
 its working set stays in cache and its transient memory does not grow
@@ -189,7 +192,7 @@ def em_paths(A, LB, mean0, L0, n_paths, n_steps, dt, seed, first=0):
     the initial covariance.  Each step is x <- (I + dt A) x + (sqrt(dt) LB) z.
     Row ``i`` is path ``first + i``; every path has its own stream, so
     the rows equal those of one call that starts at path 0.
-    Bit-reproducible for a fixed seed.
+    Bit-reproducible for a fixed seed, numpy build and dispatch target.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     LB = np.ascontiguousarray(LB, dtype=np.float64)

@@ -50,8 +50,8 @@ from .errors import (
     UnstableDriftError,
 )
 from .gaussian import ForwardFunction, GaussianDensity, stationary_density
-from .monomials import graded_index
-from .mpoly import DEFAULT_PRUNE_EPS, MPoly, _padded, _rows
+from .monomials import graded_index, index_size
+from .mpoly import DEFAULT_PRUNE_EPS, MPoly, _padded
 
 
 @dataclass
@@ -201,8 +201,8 @@ def _table(model, build, args, degree):
     an input zero-padded to ``size``, w 0 in place of 0 0 changes only the
     sign of an exact zero."""
     top, shift, src, weight = _grown(model, build, args, degree)
-    rows = _rows(model.dim, degree + shift)
-    return src[:, :rows], weight[:, :rows], _rows(model.dim, top)
+    rows = index_size(model.dim, degree + shift)
+    return src[:, :rows], weight[:, :rows], index_size(model.dim, top)
 
 
 def forward_drift(model):
@@ -232,7 +232,7 @@ def operator_table(n, degree, a=None, w=None, D=None, B=None):
     terms = ((1, a), (-1, w), (0, D), (-2, B))
     shift = max(step for step, term in terms if term is not None)
     idx = graded_index(n, degree + max(shift, 0))
-    size = _rows(n, degree + shift)
+    size = index_size(n, degree + shift)
     E = idx.exponents.T
     axis = np.arange(n)[:, None, None]
     src, weight = [], []
@@ -253,7 +253,7 @@ def operator_table(n, degree, a=None, w=None, D=None, B=None):
         half = (0.5 * B)[:, :, None] * E[axis, diffusion] * (E[:, :size] + 1)
         weight.append(half.reshape(n * n, size))
     src, weight = np.concatenate(src), np.concatenate(weight)
-    src[src >= _rows(n, degree)] = -1
+    src[src >= index_size(n, degree)] = -1
     weight[src < 0] = 0.0
     src[weight == 0.0] = -1
     return shift, src, weight
@@ -319,7 +319,7 @@ def _matrix(model, build, args, degree, rows=slice(None), cols=None):
     summed in slot order, so a block, or the matrix on a lower degree, is
     bit for bit that block of the whole."""
     src, weight, _ = _table(model, build, args, degree)
-    cols = slice(0, _rows(model.dim, degree)) if cols is None else cols
+    cols = slice(0, index_size(model.dim, degree)) if cols is None else cols
     src, weight = src[:, rows], weight[:, rows]
     out = np.zeros((src.shape[1], cols.stop - cols.start), dtype=weight.dtype)
     slot, row = np.nonzero((src >= cols.start) & (src < cols.stop))
@@ -397,7 +397,7 @@ def _eigentable(model, side, order):
     (``GradedIndex.runs``) by one gather of mode I's table read at
     ``order - 1``, so each is bit for bit its parent's own raise.
     """
-    R = _rows(model.dim, order)
+    R = index_size(model.dim, order)
     table = np.zeros((R, R), dtype=np.complex128)
     table[0, 0] = 1.0
     if order:
@@ -406,10 +406,10 @@ def _eigentable(model, side, order):
             _table(model, _ladder_table, args, order - 1)
         top, held = _grown(model, _eigentable, (side,), 0)
         top = min(top, order - 1)
-        S = _rows(model.dim, top)
+        S = index_size(model.dim, top)
         table[:S, :S] = held[:S, :S]
         for k, I, rows, parents in graded_index(model.dim, order).runs[model.dim * top :]:
-            parent_rows = table[parents, : _rows(model.dim, k - 1)]
+            parent_rows = table[parents, : index_size(model.dim, k - 1)]
             image = _image(model, _ladder_table, raising[I], k - 1, parent_rows)
             table[rows, : image.shape[1]] = image
     table.setflags(write=False)
@@ -420,7 +420,7 @@ def _eigenfunctions(model, side, order, build=_eigentable):
     """The eigenfunctions of ``side`` up to ``order``: the leading block
     of the side's one table, the ladder's (``_eigentable``) or the Hermite
     closed form's (``hermite_form._hermite_table``)."""
-    R = _rows(model.dim, order)
+    R = index_size(model.dim, order)
     return _grown(model, build, (side,), order)[1][:R, :R]
 
 

@@ -6,7 +6,8 @@ and within one order in reverse lexicographic order (``enumerate_modes``).
 Mode K is raised from its ``parent`` K - e_I, I the first nonzero axis
 of K.  Every recursion over the modes raises along ``GradedIndex.runs``,
 that rule as row slices; the solve and the pairing matrix of ``verify``
-read their rows from ``graded_index`` too.  Its ``normalizations`` hold the
+read their rows from ``graded_index`` too, and every count of its rows,
+C(n + d, n), from ``index_size``.  Its ``normalizations`` hold the
 duality normalization 2^|K| K! of each mode (``mode_normalization``), which
 grid evaluation and the ``verify`` suites divide by.
 """
@@ -43,6 +44,20 @@ def compositions(total, parts):
 def enumerate_modes(dim, max_order):
     """All multi-indices with total order up to max_order, graded-lex."""
     return list(graded_index(operator.index(dim), operator.index(max_order)).modes)
+
+
+def index_size(dim, degree):
+    """Number of multi-indices of ``dim`` entries up to total order
+    ``degree``, C(dim + degree, dim); 0 below order 0."""
+    return math.comb(degree + dim, dim) if degree >= 0 else 0
+
+
+def degree_of_row(dim, r):
+    """Total order of the mode in row ``r`` of a graded index."""
+    d = 0
+    while index_size(dim, d) <= r:
+        d += 1
+    return d
 
 
 def parent(K):
@@ -87,7 +102,7 @@ class GradedIndex:
     def degree(self, k):
         """Slice of the rows of total order k."""
         n = self.exponents.shape[1]
-        return slice(math.comb(k + n - 1, n), math.comb(k + n, n))
+        return slice(index_size(n, k - 1), index_size(n, k))
 
     @cached_property
     def normalizations(self):

@@ -33,23 +33,11 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import AxisOutOfRangeError, DimensionMismatchError
-from .monomials import graded_index
+from .monomials import degree_of_row, graded_index, index_size
 
 DEFAULT_PRUNE_EPS = 1e-13
 
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
-
-
-def _rows(nvars, degree):
-    """Number of monomials of total degree up to ``degree``; 0 below 0."""
-    return math.comb(degree + nvars, nvars) if degree >= 0 else 0
-
-
-def _degree_of_row(nvars, r):
-    d = 0
-    while math.comb(d + nvars, nvars) <= r:
-        d += 1
-    return d
 
 
 def _padded(c, size):
@@ -65,7 +53,7 @@ def _diff(c, nvars, degree, axis):
     polynomial of ``degree`` with coefficients ``c`` (its last axis): one
     gather through ``up``."""
     idx = graded_index(nvars, max(degree, 0))
-    size = _rows(nvars, degree - 1)
+    size = index_size(nvars, degree - 1)
     return c[..., idx.up[axis, :size]] * (idx.exponents[:size, axis] + 1)
 
 
@@ -101,7 +89,7 @@ class MPoly:
                 raise ValueError(f"negative exponent in {key}")
             clean[key] = complex(c)
         degree = max(map(sum, clean), default=-1)
-        coeffs = np.zeros(_rows(nvars, degree), dtype=np.complex128)
+        coeffs = np.zeros(index_size(nvars, degree), dtype=np.complex128)
         if clean:
             row = graded_index(nvars, degree).row
             for key, c in clean.items():
@@ -126,8 +114,8 @@ class MPoly:
             raise ValueError(f"prune_eps must be finite and nonnegative, got {eps}")
         c = np.array(coeffs, dtype=np.complex128)
         nz = c.nonzero()[0]
-        degree = _degree_of_row(nvars, nz[-1]) if nz.size else -1
-        size = _rows(nvars, degree)
+        degree = degree_of_row(nvars, nz[-1]) if nz.size else -1
+        size = index_size(nvars, degree)
         c = c[:size] if c.size >= size else _padded(c, size)
         c.setflags(write=False)
         object.__setattr__(self, "nvars", nvars)
@@ -410,7 +398,7 @@ def power_table(M, b, degree):
     powers = np.zeros((len(rows.modes), len(cols.modes)), dtype=np.complex128)
     powers[0, 0] = 1.0
     for k, I, run, parents in rows.runs:
-        width = _rows(M.shape[1], k)
+        width = index_size(M.shape[1], k)
         # -1 in ``down`` reads the last column, where parent rows are zero.
         p = powers[parents, :width]
         out = b[I] * p if b[I] != 0.0 else np.zeros_like(p)

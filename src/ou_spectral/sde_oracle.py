@@ -86,7 +86,8 @@ def simulate(model, F0, cfg):
     Returns
     -------
     MomentReport
-        Bit-reproducible for a fixed seed.  Memory does not grow with
+        Bit-reproducible for a fixed seed, numpy build and dispatch
+        target (``kernels``).  Memory does not grow with
         ``cfg.paths``: paths are stepped one block at a time.
 
     Raises ``NonFiniteResultError``, naming dt and max_I |1 + dt lambda_I|,

@@ -164,8 +164,9 @@ def evaluate_grid_complex(expansion, points, t):
     parts, against the real monomials y^a, which ``_fill_grid`` builds
     in blocks of at most ``GRID_CHUNK`` points, in buffers allocated once
     per call; w(t) divides by the index's ``normalizations``.
-    Raises ``ValueError`` naming the first point that is not finite, and
-    ``NonFiniteResultError`` when a value overflows.
+    Raises ``ValueError`` naming the first point that is not finite,
+    before any table is read, and ``NonFiniteResultError`` when a value
+    overflows.
     """
     _check_time(t)
     model = expansion.model
@@ -174,6 +175,8 @@ def evaluate_grid_complex(expansion, points, t):
         raise DimensionMismatchError(
             f"points must have shape (P, {model.dim}), got {pts.shape}"
         )
+    if not np.isfinite(pts).all():
+        check_finite_rows(pts)
     idx = graded_index(model.dim, expansion.max_order)
     lam = _eigenvalues(model, "forward", idx.exponents)
     T = _eigenfunctions(model, "forward", expansion.max_order, _hermite_table)
@@ -184,7 +187,6 @@ def evaluate_grid_complex(expansion, points, t):
         _fill_grid(model.f0, idx.runs, np.stack([b.real, b.imag]), pts, out)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
-        check_finite_rows(pts)
         raise NonFiniteResultError(
             f"expansion value at x={pts[bad[0]].tolist()}, t={t} is {out[bad[0]]}; "
             "a mode value or weight overflowed"

@@ -3,24 +3,31 @@
 Each config in ``configs/`` is mapped by x -> T x: A -> T A T^-1,
 B -> T B T^T, the initial density N(mean, cov) -> N(T mean, T cov T^T)
 and each grid point p -> T p.  T is c I for c in ``SCALES``, one seeded
-rotation, or the reversal of the axes; in one dimension the last two are
-the identity.  The transformed model must have the unit model's drift
-eigenvalues, ``verify.run_all`` must give every suite the unit model's
-verdict, and the spectral density at T p times |det T| must be the unit
-model's density at p.  So must each term c_K f_K of the expansion, whose
-c_K alone depend on the eigenvector scale, and the solution P of
-L P = q for a fixed odd source q, mapped as a density.
+rotation, the reversal of the axes, the per-axis units
+diag(1e-4, ..., 1e4) or the shear I + 100 e_1 e_2^T; in one dimension
+the last four are the identity.  The transformed model must have the
+unit model's drift eigenvalues, ``verify.run_all`` must give every suite
+the unit model's verdict, and the spectral density at T p times |det T|
+must be the unit model's density at p.  So must each term c_K f_K of the
+expansion, whose c_K alone depend on the eigenvector scale, and the
+solution P of L P = q for a fixed odd source q, mapped as a density.
 
-The scales are fixed before the run, and none is dropped for failing.
-``verify`` fails at every one of them on every config today, except
-canonical_1d at c = 1000, so those cases are strict xfails, each naming
-the suites that change verdict at tolerances of 1e-8 (bi-orthogonality
-and eigen-residuals) and 1e-10 (ladder factorials).  They turn into
-passes once the numerics run in the canonical frame.  The commutators
-and reconstruction read the operators' weights, each identity relative
-to the products that form it, and keep their verdicts at every scale.  The expansion terms and the solution hold at every
-scale: no numeric step prunes, so no coefficient is lost for being small
-in the units of x.
+The transforms are fixed before the run, and none is dropped for failing.
+``verify`` fails at every scale on every config today, except
+canonical_1d at c = 1000, and under the per-axis units and the shear on
+every config of more than one dimension.  Those cases are strict xfails,
+each naming the suites that change verdict at tolerances of 1e-8
+(bi-orthogonality and eigen-residuals), 1e-9 (hermite-form) and 1e-10
+(ladder factorials).  The scale and unit cases turn into passes once
+each suite reads its residual in f0's units.  The commutators and
+reconstruction read the operators' weights, each identity relative to
+the products that form it, and keep their verdicts under every
+transform.  The expansion terms and the solution hold at every scale and
+under the per-axis units: no numeric step prunes, so no coefficient is
+lost for being small in the units of x.  Under the shear the tables
+themselves are off, and the density, the expansion terms and the
+solution miss ``DENSITY_BOUND`` on each config of more than one
+dimension, strict xfails naming their gap.
 """
 
 import functools
@@ -36,7 +43,9 @@ from ou_spectral.monomials import graded_index
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 CONFIG_NAMES = ("canonical_1d", "diag_2d", "random_3d", "spiral_2d")
 SCALES = (1e-8, 1e-3, 1e3, 1e8)
-TRANSFORMS = tuple(f"c={c:g}" for c in SCALES) + ("rotation", "reversal")
+# The shear T = I + SHEAR e_1 e_2^T.
+SHEAR = 1e2
+TRANSFORMS = tuple(f"c={c:g}" for c in SCALES) + ("rotation", "reversal", "units", "shear")
 
 # Largest relative gap of a drift eigenvalue from the unit model's.
 EIGENVALUE_BOUND = 1e-12
@@ -65,6 +74,21 @@ VERDICT_FAILURES = {
     ("spiral_2d", "c=0.001"): ("biorthogonality",),
     ("spiral_2d", "c=1000"): ("biorthogonality", "eigen-residuals", "ladder-factorials"),
     ("spiral_2d", "c=1e+08"): ("biorthogonality", "eigen-residuals", "ladder-factorials"),
+    ("diag_2d", "units"): ("biorthogonality",),
+    ("random_3d", "units"): ("biorthogonality",),
+    ("spiral_2d", "units"): ("biorthogonality",),
+    ("diag_2d", "shear"): ("biorthogonality", "hermite-form"),
+    ("random_3d", "shear"): ("biorthogonality", "ladder-factorials", "hermite-form"),
+    ("spiral_2d", "shear"): ("biorthogonality", "ladder-factorials", "hermite-form"),
+}
+
+# The gaps above DENSITY_BOUND, read as the bound reads them, of each
+# check of the density, the expansion terms and the solution that fails
+# under the shear: the tables themselves are off there, not the checks.
+SHEAR_GAPS = {
+    "density": {"diag_2d": 1.7e-12, "random_3d": 1.1e-11, "spiral_2d": 1.5e-10},
+    "terms": {"diag_2d": 6.3e-2, "random_3d": 1.0e-7, "spiral_2d": 5.3e-4},
+    "solution": {"diag_2d": 2.7e-9, "random_3d": 2.7e-10, "spiral_2d": 4.5e-8},
 }
 
 def _transform(n, name):
@@ -77,6 +101,13 @@ def _transform(n, name):
         return Q
     if name == "reversal":
         return np.eye(n)[::-1]
+    if name == "units":
+        return np.diag(np.logspace(-4, 4, n)) if n > 1 else np.eye(1)
+    if name == "shear":
+        T = np.eye(n)
+        if n > 1:
+            T[0, 1] = SHEAR
+        return T
     return float(name[2:]) * np.eye(n)
 
 
@@ -172,7 +203,16 @@ def test_drift_eigenvalues_do_not_depend_on_the_frame(config, name):
     assert np.max(np.abs(got - unit) / np.abs(unit)) <= EIGENVALUE_BOUND
 
 
-@pytest.mark.parametrize("config, name", _cases())
+def _shear_cases(check):
+    """``_cases`` with the shear cases of ``check`` in ``SHEAR_GAPS`` as
+    strict xfails naming their gap."""
+    return _cases(
+        {(config, "shear"): gap for config, gap in SHEAR_GAPS[check].items()},
+        lambda name, gap: f"at {name}, the {check} check reads {gap:.2g}",
+    )
+
+
+@pytest.mark.parametrize("config, name", _shear_cases("density"))
 def test_propagated_density_does_not_depend_on_the_frame(config, name):
     unit, got = _run(config, "unit")[2], _run(config, name)[2]
     assert np.max(np.abs(got - unit)) <= DENSITY_BOUND * np.max(np.abs(unit))
@@ -194,13 +234,13 @@ def test_verify_verdicts_do_not_depend_on_the_frame(config, name):
     assert changed == {}
 
 
-@pytest.mark.parametrize("config, name", _cases())
+@pytest.mark.parametrize("config, name", _shear_cases("terms"))
 def test_expansion_terms_do_not_depend_on_the_frame(config, name):
     unit, got = _terms(config, "unit"), _terms(config, name)
     assert np.max(np.abs(got - unit)) <= DENSITY_BOUND * np.max(np.abs(unit))
 
 
-@pytest.mark.parametrize("config, name", _cases())
+@pytest.mark.parametrize("config, name", _shear_cases("solution"))
 def test_solution_does_not_depend_on_the_frame(config, name):
     unit, got = _solution(config, "unit"), _solution(config, name)
     assert np.max(np.abs(got - unit)) <= DENSITY_BOUND * np.max(np.abs(unit))

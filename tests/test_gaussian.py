@@ -182,41 +182,51 @@ def test_density_pdf_grid_is_the_whitened_form():
     npt.assert_allclose(g.pdf_grid(pts), np.exp(g.log_norm - 0.5 * q), rtol=1e-13)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_whitened_rejects_non_finite_points(bad):
+    # The check is at the entry: a ValueError naming the row, never a
+    # density that a caller has to look for afterwards.
+    g = GaussianDensity(mean=[0.1, -0.2], cov=[[0.5, 0.1], [0.1, 0.4]])
+    pts = np.zeros((5, 2))
+    pts[3, 0] = bad
+    with pytest.raises(ValueError, match="row 3 "):
+        g.whitened(pts)
+
+
 def _reference_whitened(g, pts):
-    """``whitened`` as one allocating expression per step."""
+    """``_whiten_into`` as one allocating expression per step."""
     with np.errstate(over="ignore", invalid="ignore"):
         z = g.whitener.T @ (pts - g.mean if g.mean.any() else pts).T
         q = np.einsum("ip,ip->p", z, z)
-    density = np.exp(g.log_norm - 0.5 * q)
-    if not np.all(np.isfinite(q)):
-        density[~np.all(np.isfinite(pts), axis=1)] = np.nan
-    return z, density
+    return z, np.exp(g.log_norm - 0.5 * q)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("mean", [[0.0, 0.0, 0.0], [0.4, -1.1, 0.25]], ids=["zero", "shifted"])
 def test_whitening_into_buffers_is_whitened(mean, bad):
     # Written into prefixes of larger buffers full of junk, the whitened
-    # coordinates and density equal both allocating forms bit for bit.
-    # Row 7 is the one row that is not finite and gets density NaN; its
-    # entry in the first coordinate makes every z_i infinite, so |z|^2 is
-    # inf, not NaN.  Row 20 is finite, its |z|^2 overflows and its density
-    # is 0.
+    # coordinates and density equal the allocating form bit for bit, and
+    # on finite rows ``whitened``.  Row 7 is not finite: ``_whiten_into``
+    # holds only the arithmetic, so its density there is whatever that
+    # gives, and ``whitened`` refuses the row before any arithmetic.  Row
+    # 20 is finite, its |z|^2 overflows and its density is 0.
     rng = np.random.default_rng(9)
     M = rng.normal(size=(3, 3))
     g = GaussianDensity(mean=mean, cov=M @ M.T + 0.3 * np.eye(3))
     pts = rng.normal(size=(50, 3))
-    pts[7, 0] = bad
     pts[20] = [1e200, -1e200, 1e200]
+    finite = pts.copy()
+    pts[7, 0] = bad
     z_buf, d_buf = np.full(3 * 64, 7.0), np.full(64, 7.0)
     z, density = z_buf[: 3 * 50].reshape(3, 50), d_buf[:50]
-    g._whiten_into(pts, z, density)
-    for want_z, want_density in (g.whitened(pts), _reference_whitened(g, pts)):
-        assert np.array_equal(z, want_z, equal_nan=True)
-        assert np.array_equal(density, want_density, equal_nan=True)
-    assert np.isnan(density[7]) and density[20] == 0.0
-    assert np.all(density[np.r_[0:7, 8:20, 21:50]] > 0.0)
-    assert np.all(z_buf[3 * 50 :] == 7.0) and np.all(d_buf[50:] == 7.0)
+    for rows, want in ((pts, _reference_whitened(g, pts)), (finite, g.whitened(finite))):
+        g._whiten_into(rows, z, density)
+        assert np.array_equal(z, want[0], equal_nan=True)
+        assert np.array_equal(density, want[1], equal_nan=True)
+        assert density[20] == 0.0 and np.all(density[np.r_[0:7, 8:20, 21:50]] > 0.0)
+        assert np.all(z_buf[3 * 50 :] == 7.0) and np.all(d_buf[50:] == 7.0)
+    with pytest.raises(ValueError, match="row 7 "):
+        g.whitened(pts)
 
 
 def test_forward_function_value():

@@ -28,7 +28,10 @@ over the modes raises along ``GradedIndex.runs``.  ``ladder`` alone reads
 ``Sigma_inv`` or names ``forward_drift``, so each operator weight has one
 formula (``_drift``, ``_ladder_weights``), which ``verify`` reads too.  No production module
 defines a top-level function or class that only ``verify`` reads: check
-code lives in ``verify``.
+code lives in ``verify``.  ``monomials`` alone calls ``math.comb``, so the
+row count of an index has one formula (``index_size``), and
+``check_finite_rows`` runs only where a grid enters, in
+``GaussianDensity.whitened`` and ``spectral.evaluate_grid_complex``.
 """
 
 import ast
@@ -317,9 +320,9 @@ def test_only_gaussian_factors_a_covariance(module):
     assert list(_cov_factorings((PACKAGE / f"{module}.py").read_text())) == []
 
 
-def _prune_calls(source):
+def _scoped_calls(source, name):
     """(dotted name of the enclosing classes and functions, source line) of
-    each call of a function named ``prune``, bare or as an attribute."""
+    each call of a function named ``name``, bare or as an attribute."""
     lines = source.splitlines()
 
     def visit(node, scope):
@@ -327,7 +330,7 @@ def _prune_calls(source):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield from visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and _name(child.func) == "prune":
+            if isinstance(child, ast.Call) and _name(child.func) == name:
                 yield ".".join(scope), lines[child.lineno - 1].strip()
             yield from visit(child, scope)
 
@@ -345,7 +348,7 @@ def g(c):
         return prune(c, 0.0)
     return pruned(c)
 """
-    assert list(_prune_calls(source)) == [
+    assert list(_scoped_calls(source, "prune")) == [
         ("", "x = prune(c, eps)"),
         ("MPoly._store", "return f(mpoly.prune(c, eps))"),
         ("g.h", "return prune(c, 0.0)"),
@@ -363,7 +366,7 @@ def test_only_mpoly_store_prunes(module):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "prune"
     ]
     assert defined == []
-    calls = list(_prune_calls(source))
+    calls = list(_scoped_calls(source, "prune"))
     assert [scope for scope, _ in calls] == [], calls
 
 
@@ -450,6 +453,7 @@ c = math.comb(n, k)
     assert sorted(_calls(source, {"factorial"})) == [
         "a = math.factorial(k) * m.factorial(k) + factorial(k)"
     ] * 3 + ["b = fact(k)"]
+    assert list(_calls(source, {"comb"})) == ["c = math.comb(n, k)"]
 
 
 @pytest.mark.parametrize(
@@ -459,6 +463,31 @@ def test_only_monomials_calls_factorial(module):
     # 2^|K| K! has one formula, ``monomials.mode_normalization``, whose
     # vector every reader takes from the index (``GradedIndex.normalizations``).
     assert list(_calls((PACKAGE / f"{module}.py").read_text(), {"factorial"})) == []
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "monomials")
+)
+def test_only_monomials_calls_comb(module):
+    # The row count C(n + d, n) of a graded index has one formula,
+    # ``monomials.index_size``, and the order of a row one reader of it,
+    # ``monomials.degree_of_row``.
+    assert list(_calls((PACKAGE / f"{module}.py").read_text(), {"comb"})) == []
+
+
+def test_points_are_checked_once_where_they_enter():
+    # ``check_finite_rows`` runs only at the two entries of a grid, each
+    # behind one finiteness test of the whole array: no routine looks for
+    # a bad point after the arithmetic, and the per-row test stays off the
+    # path of a finite grid.
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        lines = [line.strip() for line in source.splitlines()]
+        for scope, line in _scoped_calls(source, "check_finite_rows"):
+            calls.append(scope)
+            assert lines[lines.index(line) - 1] == "if not np.isfinite(pts).all():", scope
+    assert calls == ["GaussianDensity.whitened", "evaluate_grid_complex"]
 
 
 def _mentions(source, name):

@@ -504,6 +504,22 @@ def test_evaluate_rejects_non_finite_points(model_spiral, bad, order):
         ou.evaluate(ex, [bad, 0.0], 0.5)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_evaluate_checks_points_before_reading_a_table(model_spiral, monkeypatch, bad):
+    # Each point is checked once where it enters: a point that is not
+    # finite raises before the eigenfunction table is read.
+    ex = ou.expand_gaussian(model_spiral, model_spiral.f0, 3)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was read for a grid that is not finite")
+
+    monkeypatch.setattr(spectral, "_eigenfunctions", no_table)
+    pts = np.zeros((GRID_CHUNK + 5, 2))
+    pts[GRID_CHUNK + 2, 0] = bad
+    with pytest.raises(ValueError, match=f"row {GRID_CHUNK + 2} "):
+        ou.evaluate_grid_complex(ex, pts, 0.5)
+
+
 def test_order_zero_is_the_stationary_mode(model_3d):
     F0 = ou.GaussianDensity(mean=[0.2, -0.1, 0.3], cov=0.7 * model_3d.Sigma)
     ex = ou.expand_gaussian(model_3d, F0, 0)
