@@ -1,16 +1,25 @@
 """Command-line interface.
 
-Subcommands load a JSON model config and emit human-readable reports to
-stdout, with optional machine-readable copies via --json and --csv.
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+Each subcommand (``cmd_*``) takes a validated JSON model config alone and
+returns its exit code, its human-readable report as stdout lines, its JSON
+record and, for ``propagate``, its CSV rows, header first.  ``main`` alone
+emits them, in this order: it runs the command, encodes the record, writes
+--json and then --csv (row by row), and only then prints the report.  So a
+typed error, a record with NaN or infinity, or an output path that cannot
+be written leaves stdout empty and one ``error[...]`` line on stderr; a
+file written before a failing one may remain.
+Exit codes: 0 success, 1 verification failure, 2 usage or config error,
+typed error or unwritable output path.
 All machine-readable output is deterministically ordered, so identical
 inputs give byte-identical files.
 """
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import pathlib
 import sys
 
 import numpy as np
@@ -231,9 +240,8 @@ class ModelConfig:
 
 def load_config(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     try:
         raw = json.loads(text)
@@ -270,22 +278,18 @@ def _json_default(x):
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
-def _write_json(path, obj):
-    # Bare NaN and Infinity are not JSON: refuse them before the file opens.
+def _encode_json(obj, path):
+    """The text of ``obj`` for the file ``path``, which names it in the error."""
+    # Bare NaN and Infinity are not JSON: refuse them.
     try:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
     except ValueError as e:
         raise NonFiniteResultError(f"cannot write {path}: {e}") from None
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    return text + "\n"
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+def _csv_line(row):
+    return ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n"
 
 
 def _grid_points(cfg):
@@ -309,12 +313,16 @@ def _f0_scale(model):
     return np.sqrt(np.diag(model.Sigma))
 
 
-def cmd_eigensystem(cfg, args):
+def cmd_eigensystem(cfg):
     _check_order(cfg)
     model = _build(cfg)
     modes = enumerate_modes(model.dim, cfg.max_order)
     scale = _f0_scale(model)
-    records, lines = [], []
+    records = []
+    lines = [
+        f"dimension {model.dim}, {len(modes)} modes up to order {cfg.max_order}",
+        "drift eigenvalues: " + ", ".join(_fmt_c(v) for v in model.eig.values),
+    ]
     for K in modes:
         lam = eigenvalue(model, K)
         # A coefficient that overflows is reported below, not as a warning.
@@ -334,25 +342,17 @@ def cmd_eigensystem(cfg, args):
             }
         )
         lines += [f"K={K}  lambda={_fmt_c(lam)}", f"  f: {f}", f"  g: {g}"]
-    # Checked before anything is printed, as verify's residuals are.
-    print(f"dimension {model.dim}, {len(modes)} modes up to order {cfg.max_order}")
-    print("drift eigenvalues: " + ", ".join(_fmt_c(v) for v in model.eig.values))
-    print("\n".join(lines))
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "dimension": model.dim,
-                "max_order": cfg.max_order,
-                "drift_eigenvalues": list(model.eig.values),
-                "stationary_cov": model.Sigma,
-                "modes": records,
-            },
-        )
-    return 0
+    record = {
+        "dimension": model.dim,
+        "max_order": cfg.max_order,
+        "drift_eigenvalues": list(model.eig.values),
+        "stationary_cov": model.Sigma,
+        "modes": records,
+    }
+    return 0, lines, record, None
 
 
-def cmd_verify(cfg, args):
+def cmd_verify(cfg):
     _check_order(cfg)
     model = _build(cfg)
     report = verify_mod.run_all(
@@ -361,35 +361,26 @@ def cmd_verify(cfg, args):
     bad = [s.name for s in report.suites if not math.isfinite(s.worst)]
     if bad:
         raise NonFiniteResultError(f"the worst residual of {', '.join(bad)} is not finite")
+    lines = []
     for suite in report.suites:
         status = "PASS" if suite.passed else "FAIL"
-        print(f"suite {suite.name}: {status} (worst {suite.worst:.3e}, tol {suite.tol:.1e})")
-        for line in suite.lines:
-            print(f"  {line}")
-    print(f"overall: {'PASS' if report.passed else 'FAIL'}")
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "dimension": model.dim,
-                "max_order": cfg.max_order,
-                "drift_eigenvalues": list(model.eig.values),
-                "suites": {
-                    s.name: {
-                        "worst": s.worst,
-                        "tol": s.tol,
-                        "passed": s.passed,
-                        "lines": s.lines,
-                    }
-                    for s in report.suites
-                },
-                "passed": report.passed,
-            },
-        )
-    return 0 if report.passed else 1
+        lines.append(f"suite {suite.name}: {status} (worst {suite.worst:.3e}, tol {suite.tol:.1e})")
+        lines += [f"  {line}" for line in suite.lines]
+    lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
+    record = {
+        "dimension": model.dim,
+        "max_order": cfg.max_order,
+        "drift_eigenvalues": list(model.eig.values),
+        "suites": {
+            s.name: {"worst": s.worst, "tol": s.tol, "passed": s.passed, "lines": s.lines}
+            for s in report.suites
+        },
+        "passed": report.passed,
+    }
+    return (0 if report.passed else 1), lines, record, None
 
 
-def cmd_propagate(cfg, args):
+def cmd_propagate(cfg):
     _check_order(cfg)
     points = _grid_points(cfg)
     model = _build(cfg)
@@ -411,43 +402,28 @@ def cmd_propagate(cfg, args):
                 "exact": exact,
             }
         )
-    # Every time is computed before the first line, so a typed error is
-    # the only report.
-    for r in results:
-        print(
-            f"t={r['t']:g}: max |expansion - exact| = {r['max_abs_error']:.6e}, "
-            f"max imaginary residue = {r['max_imag']:.3e}"
-        )
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "max_order": cfg.max_order,
-                "times": cfg.times,
-                "grid": {
-                    "lo": cfg.grid_lo,
-                    "hi": cfg.grid_hi,
-                    "points_per_axis": cfg.grid_points,
-                },
-                "results": results,
-            },
-        )
-    if args.csv:
-        header = (
-            ["t"]
-            + [f"x{i + 1}" for i in range(cfg.dimension)]
-            + ["expansion", "exact", "abs_error"]
-        )
-        rows = [
-            [float(r["t"])] + [float(c) for c in p] + [float(v), float(e), float(abs(v - e))]
-            for r in results
-            for p, v, e in zip(points, r["expansion"], r["exact"])
-        ]
-        _write_csv(args.csv, header, rows)
-    return 0
+    lines = [
+        f"t={r['t']:g}: max |expansion - exact| = {r['max_abs_error']:.6e}, "
+        f"max imaginary residue = {r['max_imag']:.3e}"
+        for r in results
+    ]
+    record = {
+        "max_order": cfg.max_order,
+        "times": cfg.times,
+        "grid": {"lo": cfg.grid_lo, "hi": cfg.grid_hi, "points_per_axis": cfg.grid_points},
+        "results": results,
+    }
+    header = ["t", *(f"x{i + 1}" for i in range(cfg.dimension)), "expansion", "exact", "abs_error"]
+    # The rows are made as they are written, so no table is held.
+    rows = (
+        [float(r["t"])] + [float(c) for c in p] + [float(v), float(e), float(abs(v - e))]
+        for r in results
+        for p, v, e in zip(points, r["expansion"], r["exact"])
+    )
+    return 0, lines, record, itertools.chain([header], rows)
 
 
-def cmd_solve(cfg, args):
+def cmd_solve(cfg):
     if cfg.source is None:
         _fail("source", "missing (required for solve)")
     degree = max(map(sum, cfg.source), default=0)
@@ -471,25 +447,23 @@ def cmd_solve(cfg, args):
     resid = coeff_distance(resid_poly, q.poly) / max(1.0, q.poly.max_coeff())
     tol = cfg.tolerances["residual_tol"]
     solution = render(P.poly, _f0_scale(model))
-    print(f"P: {solution}")
-    print(f"relative residual max|coeff(L P - q)| = {resid:.6e} (tol {tol:.1e})")
     ok = resid <= tol
-    print(f"solve: {'PASS' if ok else 'FAIL'}")
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "max_order": cfg.max_order,
-                "solution": solution,
-                "residual": resid,
-                "tol": tol,
-                "passed": ok,
-            },
-        )
-    return 0 if ok else 1
+    lines = [
+        f"P: {solution}",
+        f"relative residual max|coeff(L P - q)| = {resid:.6e} (tol {tol:.1e})",
+        f"solve: {'PASS' if ok else 'FAIL'}",
+    ]
+    record = {
+        "max_order": cfg.max_order,
+        "solution": solution,
+        "residual": resid,
+        "tol": tol,
+        "passed": ok,
+    }
+    return (0 if ok else 1), lines, record, None
 
 
-def cmd_mc_check(cfg, args):
+def cmd_mc_check(cfg):
     if cfg.sim is None:
         _fail("sim", "missing (required for mc-check)")
     model = _build(cfg)
@@ -497,44 +471,49 @@ def cmd_mc_check(cfg, args):
     # The oracle first: a flow that is not finite fails before any path runs.
     exact = exact_gaussian_propagate(model, F0, cfg.sim.t_final)
     report = simulate(model, F0, cfg.sim)
+    # Paths that all end at one value leave no unit to measure a deviation in.
+    for name, stderr in (("mean", report.mean_stderr), ("cov", report.cov_stderr)):
+        zero = np.argwhere(stderr == 0)
+        if len(zero):
+            at = ",".join(map(str, zero[0]))
+            raise NonFiniteResultError(
+                f"the standard error of {name}[{at}] is 0, so its deviation has no finite sigma"
+            )
     mean_sig = np.abs(report.mean - exact.mean) / report.mean_stderr
     cov_sig = np.abs(report.cov - exact.cov) / report.cov_stderr
     worst = float(max(mean_sig.max(), cov_sig.max()))
     ok = worst <= 4.0
-    print(f"paths={report.paths}, t_final={report.t_final:g}, backend={kernels.active_backend()}")
-    for i in range(model.dim):
-        print(
-            f"mean[{i}] = {report.mean[i]:+.6f}  exact {exact.mean[i]:+.6f}  "
-            f"({mean_sig[i]:.2f} sigma)"
-        )
-    for i in range(model.dim):
-        for j in range(i, model.dim):
-            print(
-                f"cov[{i},{j}] = {report.cov[i, j]:+.6f}  exact {exact.cov[i, j]:+.6f}  "
-                f"({cov_sig[i, j]:.2f} sigma)"
-            )
-    print(f"worst deviation {worst:.2f} sigma (limit 4)")
-    print(f"mc-check: {'PASS' if ok else 'FAIL'}")
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "paths": report.paths,
-                "dt": cfg.sim.dt,
-                "t_final": report.t_final,
-                "seed": cfg.sim.seed,
-                "backend": kernels.active_backend(),
-                "mean": report.mean,
-                "mean_exact": exact.mean,
-                "mean_stderr": report.mean_stderr,
-                "cov": report.cov,
-                "cov_exact": exact.cov,
-                "cov_stderr": report.cov_stderr,
-                "worst_sigma": worst,
-                "passed": ok,
-            },
-        )
-    return 0 if ok else 1
+    backend = kernels.active_backend()
+    lines = [f"paths={report.paths}, t_final={report.t_final:g}, backend={backend}"]
+    lines += [
+        f"mean[{i}] = {report.mean[i]:+.6f}  exact {exact.mean[i]:+.6f}  "
+        f"({mean_sig[i]:.2f} sigma)"
+        for i in range(model.dim)
+    ]
+    lines += [
+        f"cov[{i},{j}] = {report.cov[i, j]:+.6f}  exact {exact.cov[i, j]:+.6f}  "
+        f"({cov_sig[i, j]:.2f} sigma)"
+        for i in range(model.dim)
+        for j in range(i, model.dim)
+    ]
+    lines.append(f"worst deviation {worst:.2f} sigma (limit 4)")
+    lines.append(f"mc-check: {'PASS' if ok else 'FAIL'}")
+    record = {
+        "paths": report.paths,
+        "dt": cfg.sim.dt,
+        "t_final": report.t_final,
+        "seed": cfg.sim.seed,
+        "backend": backend,
+        "mean": report.mean,
+        "mean_exact": exact.mean,
+        "mean_stderr": report.mean_stderr,
+        "cov": report.cov,
+        "cov_exact": exact.cov,
+        "cov_stderr": report.cov_stderr,
+        "worst_sigma": worst,
+        "passed": ok,
+    }
+    return (0 if ok else 1), lines, record, None
 
 
 _COMMANDS = {
@@ -574,15 +553,24 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        handler = _COMMANDS[args.command]
-        return handler(cfg, args)
-    except ConfigError as e:
-        print(f"error[config]: {e}", file=sys.stderr)
-        return 2
+        code, lines, record, table = _COMMANDS[args.command](load_config(args.config))
+        outputs = [(args.json, [_encode_json(record, args.json)])] if args.json else []
     except OUSpectralError as e:
-        print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
+        tag = "config" if isinstance(e, ConfigError) else type(e).__name__
+        print(f"error[{tag}]: {e}", file=sys.stderr)
         return 2
+    if getattr(args, "csv", None):
+        outputs.append((args.csv, map(_csv_line, table)))
+    for path, chunks in outputs:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+        except OSError as e:
+            print(f"error[{type(e).__name__}]: cannot write {path}: {e.strerror}", file=sys.stderr)
+            return 2
+    for line in lines:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -150,6 +150,20 @@ def test_load_config_missing_file(tmp_path):
         cli.load_config(str(tmp_path / "nope.json"))
 
 
+def test_load_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # A UTF-16 byte-order mark: json never saw the text, and the decode
+    # error escaped as a traceback with exit 1.
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        cli.load_config(str(path))
+    assert cli.main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error[config]: cannot read config {path}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_grid_size_cap(tmp_path):
     path = write_config(
         tmp_path,
@@ -639,20 +653,34 @@ def test_propagate_overflow_exits_2_without_json(tmp_path, capsys, B, needle):
     assert not out_json.exists()
 
 
-def test_write_json_refuses_non_finite(tmp_path):
+def _emit(monkeypatch, tmp_path, record, *outputs):
+    """``cli.main`` with ``verify`` replaced by a command that returns
+    ``record`` and one line, and the given output flags."""
+    monkeypatch.setitem(cli._COMMANDS, "verify", lambda cfg: (0, ["report"], record, None))
+    return cli.main(["verify", write_config(tmp_path), *outputs])
+
+
+def test_write_json_refuses_non_finite(tmp_path, capsys, monkeypatch):
+    # The record is encoded before any output: mc-check printed its whole
+    # report before the JSON writer refused it.
     out_json = tmp_path / "out.json"
     for bad in (float("nan"), float("inf"), complex(1.0, float("-inf"))):
         with pytest.raises(errors.NonFiniteResultError):
-            cli._write_json(str(out_json), {"value": [bad]})
+            cli._encode_json({"value": [bad]}, str(out_json))
+        assert _emit(monkeypatch, tmp_path, {"value": [bad]}, "--json", str(out_json)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error[NonFiniteResultError]: cannot write {out_json}: ")
         assert not out_json.exists()
-    cli._write_json(str(out_json), {"value": [1.0, 2j]})
+    assert _emit(monkeypatch, tmp_path, {"value": [1.0, 2j]}, "--json", str(out_json)) == 0
     assert json.loads(out_json.read_text(), parse_constant=_reject_constant) == {
         "value": [1.0, [0.0, 2.0]]
     }
 
 
-def test_write_json_encodes_numpy_values_as_python_ones(tmp_path):
-    # json encodes the Python values; the writer hands it complex numbers,
+def test_write_json_encodes_numpy_values_as_python_ones(tmp_path, monkeypatch):
+    # json encodes the Python values; the encoder hands it complex numbers,
     # arrays and numpy scalars in Python form, with the float repr json
     # uses for a float.
     out_json = tmp_path / "out.json"
@@ -662,7 +690,7 @@ def test_write_json_encodes_numpy_values_as_python_ones(tmp_path):
         "c": np.array([1 + 0.2j]),
         "d": {"x": np.float64(1 / 3), "y": True, "z": None},
     }
-    cli._write_json(str(out_json), obj)
+    assert _emit(monkeypatch, tmp_path, obj, "--json", str(out_json)) == 0
     want = {
         "a": [[0.1, -3.0], 0.5, 3, [1, 2]],
         "b": [[0.1, 1e-300], [2.5, -0.0]],
@@ -670,8 +698,54 @@ def test_write_json_encodes_numpy_values_as_python_ones(tmp_path):
         "d": {"x": 1 / 3, "y": True, "z": None},
     }
     assert out_json.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    assert cli._encode_json(obj, str(out_json)) == out_json.read_text()
     with pytest.raises(TypeError):
-        cli._write_json(str(out_json), {"value": object()})
+        cli._encode_json({"value": object()}, str(out_json))
+
+
+# ---- output paths ----
+
+
+def _emitting_config(tmp_path):
+    # One 1-D config that every subcommand accepts, small enough to run fast.
+    return write_config(
+        tmp_path,
+        max_order=3,
+        initial={"mean": [0.5], "cov": [[0.4]]},
+        sim={"paths": 100, "dt": 0.01, "t_final": 0.1, "seed": 1},
+        propagate={"times": [0.5], "grid": {"points": 5}},
+        source={"terms": [[[1], [1.0, 0.0]]]},
+    )
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_an_unwritable_json_path_exits_2_before_any_output(tmp_path, capsys, command):
+    # verify printed its whole report, then a FileNotFoundError traceback,
+    # and exited 1, the code of a failed check.
+    path = _emitting_config(tmp_path)
+    out_json = tmp_path / "missing" / "out.json"
+    assert cli.main([command, path]) in (0, 1)
+    capsys.readouterr()
+    assert cli.main([command, path, "--json", str(out_json)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error[FileNotFoundError]: cannot write {out_json}: No such file or directory\n"
+    )
+
+
+@pytest.mark.parametrize("json_out", [False, True], ids=["alone", "after-json"])
+def test_an_unwritable_csv_path_exits_2_before_any_output(tmp_path, capsys, json_out):
+    # --json is written first, so a file written before the failing one
+    # remains.
+    path = _emitting_config(tmp_path)
+    out_json, out_csv = tmp_path / "out.json", tmp_path
+    flags = ["--json", str(out_json)] if json_out else []
+    assert cli.main(["propagate", path, *flags, "--csv", str(out_csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[IsADirectoryError]: cannot write {out_csv}: Is a directory\n"
+    assert out_json.exists() == json_out
 
 
 def test_solve_roundtrip(tmp_path, capsys):
@@ -804,6 +878,29 @@ def test_mc_check_paths_that_overflow_exit_2(tmp_path, capsys, json_out):
     assert captured.out == ""
     assert captured.err.startswith("error[NonFiniteResultError]") and "dt=1.5" in captured.err
     assert not out.exists()
+
+
+def test_mc_check_refuses_a_standard_error_of_zero(tmp_path, capsys, recwarn):
+    # With B and the initial covariance at 1e-36 every path ends at the same
+    # float, so both standard errors are exactly 0: the sigmas divided by
+    # zero, warned twice and printed "inf sigma" with exit 1.
+    raw = json.loads((CONFIGS / "canonical_1d.json").read_text())
+    raw |= {
+        "B": [[1e-36]],
+        "initial": {"mean": raw["initial"]["mean"], "cov": [[1e-36]]},
+        "sim": {"paths": 100, "dt": 0.01, "t_final": 0.1, "seed": 1},
+    }
+    path = tmp_path / "still.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out.json"
+    for argv in ([], ["--json", str(out)]):
+        assert cli.main(["mc-check", str(path), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[NonFiniteResultError]: the standard error of mean[0] is 0")
+        assert captured.err.count("\n") == 1
+    assert not out.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_mc_check_requires_sim(tmp_path, capsys):

@@ -32,6 +32,8 @@ code lives in ``verify``.  ``monomials`` alone calls ``math.comb``, so the
 row count of an index has one formula (``index_size``), and
 ``check_finite_rows`` runs only where a grid enters, in
 ``GaussianDensity.whitened`` and ``spectral.evaluate_grid_complex``.
+In ``cli`` only ``main`` prints, opens or writes a file, and each
+subcommand takes its config alone.
 """
 
 import ast
@@ -688,3 +690,70 @@ def test_no_production_module_keeps_verify_only_code():
     # ``__init__`` exports, or that the benchmark binds, counts as read.
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert list(_verify_only(sources, _bound_names())) == []
+
+
+# Calls that print to a stream, open a file or write to one.
+EMITTERS = ("dump", "open", "print", "write", "write_bytes", "write_text", "writelines")
+
+
+def _emits(source):
+    """(dotted scope, source line) of each call in ``source`` that prints,
+    opens a file or writes, bare or as an attribute."""
+    for name in EMITTERS:
+        yield from _scoped_calls(source, name)
+
+
+def _parameters(source):
+    """Name and parameter names, ``*args`` and ``**kw`` included, of each
+    top-level function of ``source`` whose name starts with ``cmd_``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_"):
+            a = node.args
+            names = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs]
+            names += [f"*{a.vararg.arg}"] if a.vararg else []
+            names += [f"**{a.kwarg.arg}"] if a.kwarg else []
+            yield node.name, names
+
+
+def test_emit_finder_sees_prints_opens_and_writes():
+    source = """
+print("x")
+def cmd_a(cfg):
+    print(cfg, file=sys.stderr)
+    sys.stdout.write("y")
+def cmd_b(cfg, args, *rest, out=None, **kw):
+    with open(p, "w") as fh:
+        fh.writelines(rows)
+    pathlib.Path(p).write_text(t)
+    json.dump(obj, fh)
+def main():
+    def later():
+        return io.open(p).read()
+    return printed(x)
+"""
+    assert sorted(_emits(source)) == [
+        ("", 'print("x")'),
+        ("cmd_a", "print(cfg, file=sys.stderr)"),
+        ("cmd_a", 'sys.stdout.write("y")'),
+        ("cmd_b", "fh.writelines(rows)"),
+        ("cmd_b", "json.dump(obj, fh)"),
+        ("cmd_b", "pathlib.Path(p).write_text(t)"),
+        ("cmd_b", 'with open(p, "w") as fh:'),
+        ("main.later", "return io.open(p).read()"),
+    ]
+    assert list(_parameters(source)) == [
+        ("cmd_a", ["cfg"]),
+        ("cmd_b", ["cfg", "args", "out", "*rest", "**kw"]),
+    ]
+
+
+def test_cli_main_is_the_one_emitter():
+    # Each subcommand returns its exit code, stdout lines, JSON record and
+    # CSV rows from its config alone; ``main`` writes them, after all are
+    # computed and encoded, so a failure leaves stdout empty.
+    source = (PACKAGE / "cli.py").read_text()
+    calls = list(_emits(source))
+    assert calls and {scope for scope, _ in calls} == {"main"}, calls
+    commands = dict(_parameters(source))
+    assert len(commands) == 5
+    assert {name: ["cfg"] for name in commands} == commands
