@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotSPDError
-from .linalg import _as_square, _check_symmetric
+from .errors import DimensionMismatchError
+from .linalg import _as_square, _spd_factor
 from .monomials import graded_index, index_size
 from .mpoly import MPoly
 
@@ -59,11 +59,7 @@ class GaussianDensity:
             raise DimensionMismatchError(
                 f"mean has dimension {mean.shape[0]}, cov {cov.shape[0]}"
             )
-        _check_symmetric(cov, "cov")
-        try:
-            L = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise NotSPDError("covariance is not positive definite") from None
+        L = _spd_factor(cov, "cov")
         sign, logdet = np.linalg.slogdet(cov)
         for a in (mean, cov, L):
             a.setflags(write=False)

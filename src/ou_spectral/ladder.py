@@ -63,7 +63,10 @@ class OUModel:
     mutually bi-orthogonal.  ``Sigma`` solves the Lyapunov equation
     A Sigma + Sigma A^T + B = 0; the forward operator relies on it, since
     it is applied in the frame of f0 as the generator with drift
-    Sigma A^T Sigma^-1.  One cache on the instance, ``_op_cache``, holds
+    Sigma A^T Sigma^-1.  ``f0``, ``Sigma_inv`` and ``B_factor``, the
+    Cholesky factor of B that ``simulate`` steps with, are derived on
+    construction, so ``dataclasses.replace(model, Sigma=S)`` is a
+    consistent model.  One cache on the instance, ``_op_cache``, holds
     one entry each (``_grown``), at the highest degree asked so far: the
     eigenfunction table of each side, the gather table of each operator
     (the generator of each side, each ladder operator of each mode) and
@@ -75,14 +78,20 @@ class OUModel:
     A: np.ndarray
     B: np.ndarray
     Sigma: np.ndarray
-    Sigma_inv: np.ndarray
     eig: linalg.EigenSystem
-    f0: GaussianDensity
     tol: float
     prune_eps: float
+    f0: GaussianDensity = field(init=False)
+    Sigma_inv: np.ndarray = field(init=False)
+    B_factor: np.ndarray = field(init=False)
     # Not an init field: a model made by dataclasses.replace starts empty
     # instead of sharing the memo of the model it was made from.
     _op_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.f0 = stationary_density(self.Sigma)
+        self.Sigma_inv = np.linalg.inv(self.Sigma)
+        self.B_factor = linalg._spd_factor(linalg._as_square(self.B, "B"), "B")
 
     @property
     def dim(self):
@@ -126,17 +135,7 @@ def build_model(A, B, tol=linalg.DEFAULT_DEFECT_TOL, prune_eps=DEFAULT_PRUNE_EPS
             f"drift eigenvalue with real part {worst:.6e} is not below {margin:.3e}"
         )
     Sigma = linalg.solve_lyapunov(A, B)
-    f0 = stationary_density(Sigma)  # its Cholesky factoring checks Sigma is SPD
-    return OUModel(
-        A=A,
-        B=B,
-        Sigma=Sigma,
-        Sigma_inv=np.linalg.inv(Sigma),
-        eig=eig,
-        f0=f0,
-        tol=float(tol),
-        prune_eps=float(prune_eps),
-    )
+    return OUModel(A=A, B=B, Sigma=Sigma, eig=eig, tol=float(tol), prune_eps=float(prune_eps))
 
 
 def _check_mode(model, I):

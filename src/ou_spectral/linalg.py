@@ -1,8 +1,9 @@
 """Dense linear algebra for small drift and diffusion matrices.
 
 Everything here operates on plain numpy arrays at desk scale (N up to a
-few dozen).  The one piece with real policy content is
-``biorthogonal_eig``: it fixes a deterministic ordering and phase for the
+few dozen).  ``_spd_factor`` is the one check and Cholesky factoring of a
+symmetric positive-definite matrix (B, Sigma, every covariance), unit-free.
+``biorthogonal_eig`` fixes a deterministic ordering and phase for the
 eigenvectors so that downstream mode labels are reproducible across runs
 and platforms.  The order is one sort of LAPACK's units for a real matrix,
 each a real eigenvalue or an adjacent conjugate pair (positive imaginary
@@ -34,10 +35,16 @@ def _as_square(M, name="matrix"):
     return out.copy()
 
 
-def _check_symmetric(S, name="matrix"):
-    scale = max(1.0, float(np.max(np.abs(S))))
-    if np.max(np.abs(S - S.T)) > 1e-12 * scale:
+def _spd_factor(S, name):
+    """Cholesky factor L of the SPD float array S = L L^T.  Asymmetry is
+    measured against S's largest entry, with no floor, so the verdict
+    does not depend on units; raises ``NotSPDError`` naming S."""
+    if np.max(np.abs(S - S.T)) > 1e-12 * np.max(np.abs(S)):
         raise NotSPDError(f"{name} is not symmetric")
+    try:
+        return np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        raise NotSPDError(f"{name} is not positive definite") from None
 
 
 @dataclass(frozen=True)
@@ -131,11 +138,7 @@ def solve_lyapunov(A, B):
     n = A.shape[0]
     if B.shape[0] != n:
         raise NotSquareError("A and B must have the same dimension")
-    _check_symmetric(B, "B")
-    try:
-        np.linalg.cholesky(B)
-    except np.linalg.LinAlgError:
-        raise NotSPDError("B is not positive definite") from None
+    _spd_factor(B, "B")
     lam = np.linalg.eigvals(A)
     if np.max(lam.real) >= 0.0:
         raise UnstableDriftError(

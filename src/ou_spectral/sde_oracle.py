@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteResultError, NotSPDError
+from .errors import DimensionMismatchError, NonFiniteResultError
 from .gaussian import GaussianDensity
 from .kernels import PATH_CHUNK, em_paths
 
@@ -78,6 +78,7 @@ def simulate(model, F0, cfg):
     Parameters
     ----------
     model : OUModel
+        Paths step with its ``B_factor``; nothing is factored here.
     F0 : GaussianDensity
         Initial law; paths start from independent draws of it.
     cfg : SimConfig
@@ -100,10 +101,6 @@ def simulate(model, F0, cfg):
         raise DimensionMismatchError(
             f"initial law of dimension {F0.dim} for a {model.dim}-dimensional model"
         )
-    try:
-        LB = np.linalg.cholesky(model.B)
-    except np.linalg.LinAlgError:
-        raise NotSPDError("diffusion is not SPD") from None
 
     N, n = cfg.paths, model.dim
     # Sums about the first block's mean c, so that no digits are lost to a
@@ -116,7 +113,8 @@ def simulate(model, F0, cfg):
             # n_paths and n_steps stay positional: the benchmark's trace reads
             # them as the fifth and sixth arguments.
             X = em_paths(
-                model.A, LB, F0.mean, F0.factor, P, cfg.steps, cfg.dt, cfg.seed, first=first
+                model.A, model.B_factor, F0.mean, F0.factor, P, cfg.steps, cfg.dt, cfg.seed,
+                first=first,
             )
             if first == 0:
                 c = X.mean(axis=0)

@@ -276,9 +276,12 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=DEFAULT_SOLVABILITY
 
     Raises ``DimensionMismatchError`` when ``q`` is not a polynomial times
     the model's stationary density, ``ValueError`` when its degree exceeds
-    ``max_order``, and ``NonFiniteResultError`` when a coefficient of q is
-    not finite or one of P overflows.
+    ``max_order`` or ``solvability_tol`` is not finite and nonnegative, and
+    ``NonFiniteResultError`` when a coefficient of q is not finite or one
+    of P overflows.
     """
+    if not 0.0 <= solvability_tol < np.inf:
+        raise ValueError(f"solvability_tol must be finite and nonnegative, got {solvability_tol}")
     _check_forward(model, q)
     max_order = operator.index(max_order)
     if max_order < 0:

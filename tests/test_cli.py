@@ -440,6 +440,17 @@ def test_main_unstable_drift_exits_2(tmp_path, capsys):
     assert "error[UnstableDriftError]" in capsys.readouterr().err
 
 
+def test_main_asymmetric_diffusion_in_small_units_exits_2(tmp_path, capsys):
+    # B is measured against its own largest entry: a floor of 1 took this B
+    # as symmetric, and verify built the model, ran and exited 1.
+    B = [[1e-16, 5e-17], [-5e-17, 1e-16]]
+    path = write_config(tmp_path, dimension=2, A=[[-1.0, -2.0], [2.0, -1.0]], B=B)
+    assert cli.main(["verify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[NotSPDError]: B is not symmetric\n"
+
+
 def test_main_rejects_unknown_command(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["frobnicate", write_config(tmp_path)])

@@ -386,6 +386,25 @@ def test_prune_eps_propagates_through_model():
     assert f.poly.prune_eps == 1e-10
 
 
+def test_model_derives_f0_sigma_inv_and_b_factor_from_its_fields(model_spiral):
+    # Sigma and B are given once, and f0, Sigma^-1 and B's Cholesky factor
+    # are derived from them, so a replaced model is a consistent one.
+    init = [f.name for f in dataclasses.fields(ou.OUModel) if f.init]
+    assert init == ["A", "B", "Sigma", "eig", "tol", "prune_eps"]
+    npt.assert_array_equal(model_spiral.B_factor, np.linalg.cholesky(model_spiral.B))
+    S = np.array([[0.4, 0.1], [0.1, 0.3]])
+    m = dataclasses.replace(model_spiral, Sigma=S)
+    npt.assert_array_equal(m.f0.cov, S)
+    npt.assert_array_equal(m.Sigma_inv, np.linalg.inv(S))
+    m = dataclasses.replace(model_spiral, B=4.0 * model_spiral.B)
+    npt.assert_array_equal(m.B_factor, np.linalg.cholesky(4.0 * model_spiral.B))
+    # A replaced B is checked as build_model checks it.
+    with pytest.raises(ValueError, match="B must have finite entries"):
+        dataclasses.replace(model_spiral, B=np.full((2, 2), np.nan))
+    with pytest.raises(errors.NotSPDError, match="B is not positive definite"):
+        dataclasses.replace(model_spiral, B=-model_spiral.B)
+
+
 def test_replaced_model_starts_with_empty_caches():
     # A model rebuilt with dataclasses.replace must not see the eigenfunction
     # tables and operator tables memoized on the model it was built from.
@@ -398,14 +417,7 @@ def test_replaced_model_starts_with_empty_caches():
     assert (ladder._eigentable, "adjoint") in model._op_cache
     for op in ("raise_forward", "raise_adjoint"):
         assert (ladder._ladder_table, op, 0) in model._op_cache
-    Sigma = 4.0 * model.Sigma
-    m2 = dataclasses.replace(
-        model,
-        B=4.0 * model.B,
-        Sigma=Sigma,
-        Sigma_inv=np.linalg.inv(Sigma),
-        f0=ou.stationary_density(Sigma),
-    )
+    m2 = dataclasses.replace(model, B=4.0 * model.B, Sigma=4.0 * model.Sigma)
     assert not m2._op_cache
     f = ou.forward_eigenfunction(m2, (2,))
     assert f.base is m2.f0

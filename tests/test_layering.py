@@ -10,9 +10,11 @@ model's cache; every other module reads them through it.  Outside
 ``ladder`` no module imports ``_table`` or ``_block``, so none knows the
 slot layout of a table, and outside ``gaussian`` no module
 Cholesky-factors a ``cov``: each Gaussian is factored once, and keeps its
-factor.  No module defines or calls ``prune``: no numeric step drops a
-coefficient for being small, and ``prune_eps`` is only the threshold by
-which ``mpoly.render`` hides dust.
+factor.  ``linalg._spd_factor`` alone calls ``cholesky``, so every SPD
+matrix is checked and factored by one unit-free routine.  No module
+defines or calls ``prune``: no numeric step drops a coefficient for being
+small, and ``prune_eps`` is only the threshold by which ``mpoly.render``
+hides dust.
 ``ladder`` alone reads an eigenfunction table, the ladder's or the
 Hermite closed form's, off the cache: every other module reads both
 through ``_eigenfunctions`` and ``_eigenfunction``.
@@ -324,19 +326,22 @@ def test_only_gaussian_factors_a_covariance(module):
 
 def _scoped_calls(source, name):
     """(dotted name of the enclosing classes and functions, source line) of
-    each call of a function named ``name``, bare or as an attribute."""
+    each call of a function named ``name``, bare, as an attribute or under
+    the alias of its import."""
+    tree = ast.parse(source)
     lines = source.splitlines()
+    named = _resolver(tree)
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield from visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and _name(child.func) == name:
+            if isinstance(child, ast.Call) and named(child.func) == name:
                 yield ".".join(scope), lines[child.lineno - 1].strip()
             yield from visit(child, scope)
 
-    yield from visit(ast.parse(source), ())
+    yield from visit(tree, ())
 
 
 def test_prune_call_finder_sees_scopes_and_spellings():
@@ -355,6 +360,37 @@ def g(c):
         ("MPoly._store", "return f(mpoly.prune(c, eps))"),
         ("g.h", "return prune(c, 0.0)"),
     ]
+
+
+def test_cholesky_call_finder_sees_scopes_and_spellings():
+    source = """
+from numpy.linalg import cholesky as chol
+L = np.linalg.cholesky(S)
+def _spd_factor(S, name):
+    return np.linalg.cholesky(S)
+class GaussianDensity:
+    def __post_init__(self):
+        L = chol(self.cov)
+        M = scipy.linalg.cholesky(B, lower=True)
+LB = cholesky_factor(B)
+"""
+    assert list(_scoped_calls(source, "cholesky")) == [
+        ("", "L = np.linalg.cholesky(S)"),
+        ("_spd_factor", "return np.linalg.cholesky(S)"),
+        ("GaussianDensity.__post_init__", "L = chol(self.cov)"),
+        ("GaussianDensity.__post_init__", "M = scipy.linalg.cholesky(B, lower=True)"),
+    ]
+
+
+def test_only_spd_factor_calls_cholesky():
+    # ``linalg._spd_factor`` is the one check and factoring of an SPD
+    # matrix: B, Sigma and every covariance are factored through it.
+    calls = [
+        (path.stem, *call)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for call in _scoped_calls(path.read_text(), "cholesky")
+    ]
+    assert calls == [("linalg", "_spd_factor", "return np.linalg.cholesky(S)")]
 
 
 @pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))

@@ -8,6 +8,8 @@ import numpy.testing as npt
 import pytest
 
 from ou_spectral import errors, linalg
+from ou_spectral.gaussian import GaussianDensity
+from ou_spectral.ladder import build_model
 
 from conftest import A_3D, A_SPIRAL, B_3D
 
@@ -187,6 +189,22 @@ def test_lyapunov_rejects_unstable_and_nonspd():
         linalg.solve_lyapunov(A_SPIRAL, [[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(errors.NotSPDError):
         linalg.solve_lyapunov(A_SPIRAL, [[1.0, 0.5], [0.0, 1.0]])
+
+
+def test_spd_check_does_not_depend_on_units():
+    # Asymmetry is measured against the matrix's largest entry: with a floor
+    # of 1 under it, c^2 [[1, 0.5], [-0.5, 1]] was refused at c = 1 and
+    # taken as symmetric at c = 1e-8.
+    for c in (1.0, 1e-8):
+        S = c**2 * np.array([[1.0, 0.5], [-0.5, 1.0]])
+        with pytest.raises(errors.NotSPDError, match="^cov is not symmetric$"):
+            GaussianDensity(mean=[0.0, 0.0], cov=S)
+        for build in (linalg.solve_lyapunov, build_model):
+            with pytest.raises(errors.NotSPDError, match="^B is not symmetric$"):
+                build(A_SPIRAL, S)
+        # The symmetric matrix of the same scale is SPD at every c.
+        npt.assert_array_equal(GaussianDensity(mean=[0.0, 0.0], cov=np.abs(S)).cov, np.abs(S))
+        build_model(A_SPIRAL, np.abs(S))
 
 
 def test_expm_rotation_quarter_turn():

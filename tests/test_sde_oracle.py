@@ -33,6 +33,17 @@ def test_same_seed_bit_identical(model_1d):
     assert np.max(np.abs(c.mean - a.mean)) > 1e-6
 
 
+def test_simulate_factors_no_matrix(model_spiral, monkeypatch):
+    # Paths step with the model's B_factor, taken once when the model was
+    # built, and the initial law's kept factor.
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda S: calls.append(S) or cholesky(S))
+    cfg = SimConfig(paths=100, dt=0.05, t_final=0.1, seed=1)
+    simulate(model_spiral, model_spiral.f0, cfg)
+    assert calls == []
+
+
 def test_report_contents(model_spiral):
     cfg = SimConfig(paths=400, dt=0.05, t_final=0.2, seed=1)
     rep = simulate(model_spiral, model_spiral.f0, cfg)

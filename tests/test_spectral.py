@@ -212,6 +212,15 @@ def test_solve_residual_and_unsolvable(model_spiral):
         )
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "-1"])
+def test_solve_rejects_a_solvability_tol_that_is_not_finite_and_nonnegative(model_1d, tol):
+    # NaN and inf turned the solvability check off: q = (1 + x^2) f0 has
+    # stationary component 1.5, and NaN returned a P with L P - q off by 1.5.
+    q = ou.ForwardFunction(MPoly(1, {(0,): 1.0, (2,): 1.0}), model_1d.f0)
+    with pytest.raises(ValueError, match="solvability_tol must be finite and nonnegative"):
+        ou.solve_inhomogeneous(model_1d, q, 4, solvability_tol=tol)
+
+
 def test_solve_zero_source_gives_zero(model_1d):
     q = ou.ForwardFunction(MPoly.zero(1), model_1d.f0)
     P = ou.solve_inhomogeneous(model_1d, q, 4)

@@ -35,11 +35,7 @@ import pytest
 
 import ou_spectral
 from ou_spectral import cli, hermite_form, ladder, monomials, spectral, verify
-from ou_spectral.gaussian import (
-    ForwardFunction,
-    inner_product,
-    stationary_density,
-)
+from ou_spectral.gaussian import ForwardFunction, inner_product
 from ou_spectral.ladder import (
     adjoint_eigenfunction,
     apply_adjoint,
@@ -801,13 +797,8 @@ def test_nan_residual_reaches_the_cli_as_non_finite(monkeypatch, tmp_path, capsy
 
 def _with_sigma(model, Sigma):
     """``model`` with ``Sigma`` in place of its stationary covariance, and
-    the inverse and f0 rebuilt from it; the caches start empty."""
-    return dataclasses.replace(
-        model,
-        Sigma=Sigma,
-        Sigma_inv=np.linalg.inv(Sigma),
-        f0=stationary_density(Sigma),
-    )
+    the inverse and f0 derived from it; the caches start empty."""
+    return dataclasses.replace(model, Sigma=Sigma)
 
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)
