@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import _as_square, _spd_factor
+from .linalg import _as_square, _real, _spd_factor
 from .monomials import graded_index, index_size
 from .mpoly import MPoly
 
@@ -36,8 +36,8 @@ class GaussianDensity:
     """Normalized Gaussian density with mean vector and SPD covariance.
 
     Compares and hashes by identity.  ``mean`` and ``cov`` are read-only
-    copies of the arguments, and a non-finite mean raises ``ValueError``,
-    as a non-finite cov does.  ``factor`` is the Cholesky factor L of
+    copies of the arguments; either raises ``ValueError`` when it is
+    complex or not finite.  ``factor`` is the Cholesky factor L of
     cov = L L^T, the one factoring of cov, and ``whitener`` W = L^-T, so
     the whitened coordinates z = W^T (x - mean) make the density
     exp(log_norm - |z|^2 / 2).
@@ -51,7 +51,7 @@ class GaussianDensity:
     _moments: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float).reshape(-1)
+        mean = _real(self.mean, "mean").flatten()
         if not np.all(np.isfinite(mean)):
             raise ValueError("mean must have finite entries")
         cov = _as_square(self.cov, "cov")
@@ -91,7 +91,7 @@ class GaussianDensity:
 
     def pdf(self, x):
         """Density at one point."""
-        point = np.asarray(x, dtype=float).reshape(1, -1)
+        point = _real(x, "x").reshape(1, -1)
         return float(self.pdf_grid(point)[0])
 
     def pdf_grid(self, points):
@@ -103,10 +103,11 @@ class GaussianDensity:
         column per point, shape (dim, P), and the density there,
         exp(log_norm - |z|^2 / 2), shape (P,).
 
-        Raises ``ValueError`` naming the first row that is not finite; a
-        finite point far enough out for |z|^2 to overflow gets 0.
+        Raises ``ValueError`` for complex points, or naming the first row
+        that is not finite; a point far enough out for |z|^2 to overflow
+        gets 0.
         """
-        pts = np.asarray(points, dtype=float)
+        pts = _real(points, "points")
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DimensionMismatchError(
                 f"points must have shape (P, {self.dim}), got {pts.shape}"

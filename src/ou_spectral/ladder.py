@@ -54,19 +54,19 @@ from .monomials import graded_index, index_size
 from .mpoly import DEFAULT_PRUNE_EPS, MPoly, _padded
 
 
-@dataclass
+@dataclass(eq=False)
 class OUModel:
     """Drift, diffusion, stationary covariance, and drift eigensystem.
 
-    ``eig.right[:, I]`` is the right eigenvector for mode ``I`` and
-    ``eig.left[I, :]`` the matching left eigenvector; the two bases are
-    mutually bi-orthogonal.  ``Sigma`` solves the Lyapunov equation
-    A Sigma + Sigma A^T + B = 0; the forward operator relies on it, since
-    it is applied in the frame of f0 as the generator with drift
-    Sigma A^T Sigma^-1.  ``f0``, ``Sigma_inv`` and ``B_factor``, the
-    Cholesky factor of B that ``simulate`` steps with, are derived on
-    construction, so ``dataclasses.replace(model, Sigma=S)`` is a
-    consistent model.  One cache on the instance, ``_op_cache``, holds
+    Compares and hashes by identity.  ``eig.right[:, I]`` is the right
+    eigenvector for mode ``I`` and ``eig.left[I, :]`` the matching left
+    eigenvector; the two bases are mutually bi-orthogonal.  ``Sigma``
+    solves the Lyapunov equation A Sigma + Sigma A^T + B = 0; the forward
+    operator relies on it, since it is applied in the frame of f0 as the
+    generator with drift Sigma A^T Sigma^-1.  ``f0``, ``Sigma_inv`` and
+    ``B_factor``, the Cholesky factor of B that ``simulate`` steps with,
+    are derived on construction, so ``dataclasses.replace(model, Sigma=S)``
+    is a consistent model.  One cache on the instance, ``_op_cache``, holds
     one entry each (``_grown``), at the highest degree asked so far: the
     eigenfunction table of each side, the gather table of each operator
     (the generator of each side, each ladder operator of each mode) and
@@ -86,7 +86,7 @@ class OUModel:
     B_factor: np.ndarray = field(init=False)
     # Not an init field: a model made by dataclasses.replace starts empty
     # instead of sharing the memo of the model it was made from.
-    _op_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _op_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.f0 = stationary_density(self.Sigma)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DefectiveMatrixError,
+    DimensionMismatchError,
     NotSPDError,
     NotSquareError,
     SingularSystemError,
@@ -26,8 +27,16 @@ from .errors import (
 DEFAULT_DEFECT_TOL = 1e-9
 
 
+def _real(x, name):
+    """``x`` as a float array; ``ValueError`` naming it when it is complex,
+    whose imaginary part the conversion would drop."""
+    if np.iscomplexobj(x):
+        raise ValueError(f"{name} must have real entries")
+    return np.asarray(x, dtype=float)
+
+
 def _as_square(M, name="matrix"):
-    out = np.asarray(M, dtype=float)
+    out = _real(M, name)
     if out.ndim != 2 or out.shape[0] != out.shape[1] or out.shape[0] == 0:
         raise NotSquareError(f"{name} must be square, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
@@ -137,7 +146,7 @@ def solve_lyapunov(A, B):
     B = _as_square(B, "B")
     n = A.shape[0]
     if B.shape[0] != n:
-        raise NotSquareError("A and B must have the same dimension")
+        raise DimensionMismatchError(f"A is {n}x{n} but B is {B.shape[0]}x{B.shape[0]}")
     _spd_factor(B, "B")
     lam = np.linalg.eigvals(A)
     if np.max(lam.real) >= 0.0:

@@ -139,7 +139,7 @@ def _check_time(t):
 
 def evaluate_complex(expansion, x, t):
     """Expansion value at one point and time, imaginary residue intact."""
-    point = np.asarray(x, dtype=float).reshape(1, -1)
+    point = linalg._real(x, "x").reshape(1, -1)
     return complex(evaluate_grid_complex(expansion, point, t)[0])
 
 
@@ -164,13 +164,13 @@ def evaluate_grid_complex(expansion, points, t):
     parts, against the real monomials y^a, which ``_fill_grid`` builds
     in blocks of at most ``GRID_CHUNK`` points, in buffers allocated once
     per call; w(t) divides by the index's ``normalizations``.
-    Raises ``ValueError`` naming the first point that is not finite,
-    before any table is read, and ``NonFiniteResultError`` when a value
-    overflows.
+    Raises ``ValueError`` for complex points, or naming the first point
+    that is not finite, before any table is read, and
+    ``NonFiniteResultError`` when a value overflows.
     """
     _check_time(t)
     model = expansion.model
-    pts = np.asarray(points, dtype=float)
+    pts = linalg._real(points, "points")
     if pts.ndim != 2 or pts.shape[1] != model.dim:
         raise DimensionMismatchError(
             f"points must have shape (P, {model.dim}), got {pts.shape}"

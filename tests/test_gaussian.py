@@ -415,6 +415,26 @@ def test_density_mean_is_a_finite_read_only_copy(case):
     assert expectation(MPoly(2, {(1, 0): 1.0}), g) == 0.5
 
 
+@pytest.mark.parametrize(
+    "mean", [[0.5j, 0.0], np.array([0.5 + 0.5j, 0.0])], ids=["python", "numpy"]
+)
+def test_density_refuses_a_complex_mean(mean):
+    # A list of Python complex numbers used to raise an untyped TypeError,
+    # and a complex array lost its imaginary part.
+    with pytest.raises(ValueError, match="^mean must have real entries$"):
+        GaussianDensity(mean=mean, cov=np.eye(2))
+
+
+def test_density_refuses_complex_points():
+    g = GaussianDensity(mean=[0.0, 0.0], cov=np.eye(2))
+    points = np.array([[0.5, 0.0], [0.0, 0.5j]])
+    for call in (g.whitened, g.pdf_grid):
+        with pytest.raises(ValueError, match="^points must have real entries$"):
+            call(points)
+    with pytest.raises(ValueError, match="^x must have real entries$"):
+        g.pdf([0.5j, 0.0])
+
+
 def test_expectation_does_not_depend_on_units():
     # The mean used to enter through a pruned shift of the polynomial,
     # which dropped mean^2 = 1e-14 here and returned 1e-14.

@@ -405,6 +405,14 @@ def test_model_derives_f0_sigma_inv_and_b_factor_from_its_fields(model_spiral):
         dataclasses.replace(model_spiral, B=-model_spiral.B)
 
 
+@pytest.mark.parametrize("A", [np.diag([-1.0]), np.diag([-1.0, -2.0])], ids=["n1", "n2"])
+def test_model_compares_and_hashes_by_identity(A):
+    # By value, two n = 2 models compared their arrays and raised.
+    one, two = ou.build_model(A, np.eye(len(A))), ou.build_model(A, np.eye(len(A)))
+    assert one == one and one != two and not one == two
+    assert hash(one) != hash(two) and {one: 1}[one] == 1
+
+
 def test_replaced_model_starts_with_empty_caches():
     # A model rebuilt with dataclasses.replace must not see the eigenfunction
     # tables and operator tables memoized on the model it was built from.

@@ -1,41 +1,24 @@
-"""Import layering of the package, read from the source with ``ast``.
+"""Layering of the package, read from the source with ``ast``.
 
-``verify`` holds every check and reads the production modules; none of
-them reads it.  The one exception is a commented line of ``spectral``
-that re-exports ``reconstruct_operators_check`` under the name the
-benchmark binds (``perfbench/layers.py``).  ``ladder`` alone builds the
-gather tables of its operators, each through its one builder
-``operator_table``, and reads them, and alone reads and writes the
-model's cache; every other module reads them through it.  Outside
-``ladder`` no module imports ``_table`` or ``_block``, so none knows the
-slot layout of a table, and outside ``gaussian`` no module
-Cholesky-factors a ``cov``: each Gaussian is factored once, and keeps its
-factor.  ``linalg._spd_factor`` alone calls ``cholesky``, so every SPD
-matrix is checked and factored by one unit-free routine.  No module
-defines or calls ``prune``: no numeric step drops a coefficient for being
-small, and ``prune_eps`` is only the threshold by which ``mpoly.render``
-hides dust.
-``ladder`` alone reads an eigenfunction table, the ladder's or the
-Hermite closed form's, off the cache: every other module reads both
-through ``_eigenfunctions`` and ``_eigenfunction``.
-``ladder`` alone names ``_grown``, the cache's one reader, so no other
-module keeps an entry of its own.  ``ladder._eigenvalues`` alone sums
-K_I lambda_I over a multi-index, so lambda_K has one formula, and
-``monomials`` alone calls ``math.factorial``, so 2^|K| K! has one
-(``mode_normalization``).  ``hermite_form`` alone builds a Hermite
-closed form (``mpoly.hermite_products``), and ``verify`` builds no
-second model (``build_model``, ``to_canonical``): it checks the model's
-own tables.  ``monomials`` alone reads ``parent``: every recursion
-over the modes raises along ``GradedIndex.runs``.  ``ladder`` alone reads
-``Sigma_inv`` or names ``forward_drift``, so each operator weight has one
-formula (``_drift``, ``_ladder_weights``), which ``verify`` reads too.  No production module
-defines a top-level function or class that only ``verify`` reads: check
-code lives in ``verify``.  ``monomials`` alone calls ``math.comb``, so the
-row count of an index has one formula (``index_size``), and
-``check_finite_rows`` runs only where a grid enters, in
-``GaussianDensity.whitened`` and ``spectral.evaluate_grid_complex``.
-In ``cli`` only ``main`` prints, opens or writes a file, and each
-subcommand takes its config alone.
+Each concept of the construction has one owner module.  ``OWNERS`` holds
+one row per rule, (name, kind, owner), which ``_owned`` pins on every
+module but the owner.  A "mention" rule forbids another module to name
+``name`` at all: to import it, or to read it bare, as an attribute or
+under the alias of its import.  A "call" rule forbids another module to
+call ``name``, by any of those spellings, but lets it pass ``name`` on,
+as ``spectral`` and ``verify`` pass table builders to ``ladder``'s
+readers.  ``CALL_SITES`` pins every call of a few names to the scopes
+that make it.  Each rule is checked to bite: a call of its name appended
+to the real source of each module it covers must break it.
+
+The other rules have finders of their own.  ``verify`` holds every check
+and no production module reads it, but for one commented line of
+``spectral`` that re-exports ``reconstruct_operators_check`` under the
+name the benchmark binds (``perfbench/layers.py``); it builds no second
+model.  ``ladder._eigenvalues`` alone sums K_I lambda_I over a
+multi-index.  No production module defines a top-level function or class
+that only ``verify`` reads.  In ``cli`` only ``main`` prints, opens or
+writes a file, and each subcommand takes its config alone.
 """
 
 import ast
@@ -44,6 +27,8 @@ import pathlib
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ou_spectral"
+
+MODULES = tuple(sorted(path.stem for path in PACKAGE.glob("*.py")))
 
 PRODUCTION = (
     "spectral",
@@ -58,12 +43,16 @@ PRODUCTION = (
 )
 
 
+def _source(module):
+    return (PACKAGE / f"{module}.py").read_text()
+
+
 def _imports(module):
     """(package module imported, names, source line) for each import of
     ``module`` that reads another module of the package."""
-    path = PACKAGE / f"{module}.py"
-    lines = path.read_text().splitlines()
-    for node in ast.walk(ast.parse(path.read_text())):
+    source = _source(module)
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.startswith("ou_spectral."):
@@ -102,63 +91,12 @@ def test_no_production_module_imports_verify(module):
     assert bad == []
 
 
-# The one builder of the operator gather tables, ``operator_table``, and
-# the model-level builders that call it and that only ``ladder._table``
-# calls and keeps.
-TABLE_BUILDERS = {"operator_table", "_generator_table", "_ladder_table"}
-
-
 def _name(node):
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
         return node.attr
     return None
-
-
-def _table_builds(source):
-    """Source lines that call a table builder, or pass one to
-    ``_grown``."""
-    lines = source.splitlines()
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        called = _name(node.func)
-        if called in TABLE_BUILDERS or (
-            called == "_grown" and any(_name(arg) in TABLE_BUILDERS for arg in node.args)
-        ):
-            yield lines[node.lineno - 1].strip()
-
-
-def test_table_build_reader_sees_calls_and_cached_builds():
-    source = """
-from .ladder import _grown, _ladder_table, operator_table
-from . import ladder
-a = operator_table(n, 3, D=D, B=B)
-b = ladder._generator_table(model, "forward", 3)
-c = _grown(model, _ladder_table, ("raise_forward", 0), 3)
-d = _table(model, _ladder_table, args, 3)
-e = ladder.operator_table(n, 3, a=a, w=w)
-"""
-    assert list(_table_builds(source)) == [
-        "a = operator_table(n, 3, D=D, B=B)",
-        'b = ladder._generator_table(model, "forward", 3)',
-        'c = _grown(model, _ladder_table, ("raise_forward", 0), 3)',
-        "e = ladder.operator_table(n, 3, a=a, w=w)",
-    ]
-
-
-@pytest.mark.parametrize(
-    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "ladder")
-)
-def test_only_ladder_builds_operator_tables(module):
-    assert list(_table_builds((PACKAGE / f"{module}.py").read_text())) == []
-
-
-# The builders of the two eigenfunction tables, the ladder's and the
-# Hermite closed form's, which ``ladder._eigenfunctions`` and
-# ``_eigenfunction`` take as their ``build``.
-EIGEN_BUILDERS = {"_eigentable", "_hermite_table"}
 
 
 def _resolver(tree):
@@ -179,149 +117,21 @@ def _resolver(tree):
     return named
 
 
-def _eigentable_reads(source):
-    """Source lines that pass an eigenfunction table builder to
-    ``_grown``, each name read through the aliases of its import."""
+def _mentions(source, name):
+    """Source lines that name ``name``: import it, or read it bare, as an
+    attribute or under the alias of its import."""
     tree = ast.parse(source)
     lines = source.splitlines()
     named = _resolver(tree)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and named(node.func) == "_grown":
-            args = [*node.args, *(keyword.value for keyword in node.keywords)]
-            if any(named(arg) in EIGEN_BUILDERS for arg in args):
-                yield lines[node.lineno - 1].strip()
-
-
-def test_eigentable_read_finder_sees_bare_attribute_and_imported_spellings():
-    source = """
-from .ladder import _eigentable, _grown
-from .ladder import _grown as grown
-from .hermite_form import _hermite_table as closed_form
-a = _grown(model, _eigentable, ("forward",), 3)
-b = ladder._grown(model, hermite_form._hermite_table, (side,), k)
-c = grown(model, closed_form, ("adjoint",), 2)
-d = _grown(model, build=ladder._eigentable, args=(side,), degree=2)
-e = _grown(model, _generator_table, ("forward",), 4)
-f = ladder._eigenfunctions(model, "forward", 3, _hermite_table)
-"""
-    assert list(_eigentable_reads(source)) == [
-        'a = _grown(model, _eigentable, ("forward",), 3)',
-        "b = ladder._grown(model, hermite_form._hermite_table, (side,), k)",
-        'c = grown(model, closed_form, ("adjoint",), 2)',
-        "d = _grown(model, build=ladder._eigentable, args=(side,), degree=2)",
-    ]
-
-
-@pytest.mark.parametrize(
-    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "ladder")
-)
-def test_only_ladder_reads_an_eigenfunction_table(module):
-    # ``ladder._eigenfunctions`` and ``_eigenfunction`` read both tables by
-    # one rule, the leading block of the table kept at the top order.
-    assert list(_eigentable_reads((PACKAGE / f"{module}.py").read_text())) == []
-
-
-def _cache_uses(source):
-    """Source lines that read or write an attribute ``_op_cache``."""
-    lines = source.splitlines()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr == "_op_cache":
-            yield lines[node.lineno - 1].strip()
-
-
-def test_cache_reader_sees_reads_and_writes():
-    source = """
-got = model._op_cache.get(key)
-model._op_cache[key] = got
-keys = list(getattr(model, "_op_cache"))
-"""
-    assert sorted(_cache_uses(source)) == [
-        "got = model._op_cache.get(key)",
-        "model._op_cache[key] = got",
-    ]
-
-
-@pytest.mark.parametrize(
-    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "ladder")
-)
-def test_only_ladder_reads_the_model_cache(module):
-    # ``ladder._grown`` is the one reader of the cache, with one rule for
-    # every entry: kept at the highest degree asked, read as leading rows.
-    assert list(_cache_uses((PACKAGE / f"{module}.py").read_text())) == []
-
-
-# Names that expose the slot layout of a gather table: its rows
-# (``_table``) and a bare scatter of its slots (``_block``).  Every other
-# module reads a table through ``ladder._image`` and ``ladder._matrix``.
-SLOT_READERS = {"_table", "_block"}
-
-
-def _slot_reads(source):
-    """Source lines that import a slot reader from ``ladder``, or read one
-    as an attribute of it."""
-    lines = source.splitlines()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("ladder"):
-            found = SLOT_READERS & {alias.name for alias in node.names}
-        elif isinstance(node, ast.Attribute):
-            found = node.attr in SLOT_READERS and _name(node.value) == "ladder"
+        if isinstance(node, ast.alias):
+            found = node.name == name
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            found = named(node) == name
         else:
             continue
         if found:
             yield lines[node.lineno - 1].strip()
-
-
-def test_slot_read_finder_sees_imports_and_attributes():
-    source = """
-from .ladder import _image, _table
-from ou_spectral.ladder import _block
-from . import ladder
-src = ladder._block(a, b, c)
-ok = ladder._matrix(model, build, args, 3)
-"""
-    assert list(_slot_reads(source)) == [
-        "from .ladder import _image, _table",
-        "from ou_spectral.ladder import _block",
-        "src = ladder._block(a, b, c)",
-    ]
-
-
-@pytest.mark.parametrize(
-    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "ladder")
-)
-def test_only_ladder_reads_the_slots_of_a_table(module):
-    assert list(_slot_reads((PACKAGE / f"{module}.py").read_text())) == []
-
-
-def _cov_factorings(source):
-    """Source lines that Cholesky-factor an attribute ``cov``:
-    ``cholesky(g.cov)`` under any module path."""
-    lines = source.splitlines()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and _name(node.func) == "cholesky" and node.args:
-            if isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "cov":
-                yield lines[node.lineno - 1].strip()
-
-
-def test_cov_factoring_finder_sees_every_spelling():
-    source = """
-L = np.linalg.cholesky(model.f0.cov)
-L0 = cholesky(F0.cov)
-LB = np.linalg.cholesky(model.B)
-L = np.linalg.cholesky(cov)
-"""
-    assert list(_cov_factorings(source)) == [
-        "L = np.linalg.cholesky(model.f0.cov)",
-        "L0 = cholesky(F0.cov)",
-    ]
-
-
-@pytest.mark.parametrize(
-    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "gaussian")
-)
-def test_only_gaussian_factors_a_covariance(module):
-    # ``GaussianDensity`` factors its cov once and keeps L as ``factor``.
-    assert list(_cov_factorings((PACKAGE / f"{module}.py").read_text())) == []
 
 
 def _scoped_calls(source, name):
@@ -342,6 +152,26 @@ def _scoped_calls(source, name):
             yield from visit(child, scope)
 
     yield from visit(tree, ())
+
+
+def test_mention_finder_sees_bare_attribute_and_aliased_names():
+    source = """
+from .ladder import _grown as grown
+from . import ladder as lad
+a = _grown(model, build, args, 3)
+b = lad._grown(model, build, args, 3)
+c = grown(model, build, args, 3)
+d = ladder._grown
+e = model._grown_count
+f = "_grown"
+"""
+    assert sorted(_mentions(source, "_grown")) == [
+        "a = _grown(model, build, args, 3)",
+        "b = lad._grown(model, build, args, 3)",
+        "c = grown(model, build, args, 3)",
+        "d = ladder._grown",
+        "from .ladder import _grown as grown",
+    ]
 
 
 def test_prune_call_finder_sees_scopes_and_spellings():
@@ -382,30 +212,213 @@ LB = cholesky_factor(B)
     ]
 
 
+# The earlier self-test of ``_calls``, which ``_scoped_calls`` replaced.
+test_call_finder_sees_bare_and_attribute_calls = test_cholesky_call_finder_sees_scopes_and_spellings
+
+
+# One row per owner rule: (name, "mention" or "call", owner module).
+OWNERS = (
+    # The model cache: one entry per builder and arguments, read by one rule.
+    ("_grown", "mention", "ladder"),
+    ("_op_cache", "mention", "ladder"),
+    # The slot layout of a gather table.
+    ("_table", "mention", "ladder"),
+    # The inputs of the one formula of each weight (``_drift``, ``_ladder_weights``).
+    ("Sigma_inv", "mention", "ladder"),
+    ("forward_drift", "mention", "ladder"),
+    # The raising rule of the modes.
+    ("parent", "mention", "monomials"),
+    # The gather-table builders, which only ``ladder._table`` calls and keeps.
+    ("operator_table", "call", "ladder"),
+    ("_generator_table", "call", "ladder"),
+    ("_ladder_table", "call", "ladder"),
+    # 2^|K| K! (``mode_normalization``) and C(n + d, n) (``index_size``).
+    ("factorial", "call", "monomials"),
+    ("comb", "call", "monomials"),
+    # One closed-form table per model and side (``_hermite_table``).
+    ("hermite_products", "call", "hermite_form"),
+)
+
+
+def _breaches(source, module="", names=None):
+    """Source lines of ``module``'s ``source`` that break the owner rule of
+    a name in ``names``, of every name by default."""
+    for name, kind, owner in OWNERS:
+        if owner == module or (names is not None and name not in names):
+            continue
+        if kind == "mention":
+            yield from _mentions(source, name)
+        else:
+            yield from (line for _, line in _scoped_calls(source, name))
+
+
+def _owned(*names):
+    """A test, one case per module but the owner of ``names``, that the
+    module breaks the owner rule of none of them."""
+    (owner,) = {owner for name, _, owner in OWNERS if name in names}
+
+    @pytest.mark.parametrize("module", [m for m in MODULES if m != owner])
+    def test(module):
+        assert list(_breaches(_source(module), module, names)) == []
+
+    test.owned = names
+    return test
+
+
+test_only_ladder_names_grown = _owned("_grown")
+# Both eigenfunction tables are read off the cache, whose one reader is
+# ``_grown``.
+test_only_ladder_reads_an_eigenfunction_table = test_only_ladder_names_grown
+test_only_ladder_reads_the_model_cache = _owned("_op_cache")
+test_only_ladder_reads_the_slots_of_a_table = _owned("_table")
+test_only_ladder_reads_the_weight_inputs = _owned("Sigma_inv", "forward_drift")
+test_only_monomials_reads_parent = _owned("parent")
+test_only_ladder_builds_operator_tables = _owned(
+    "operator_table", "_generator_table", "_ladder_table"
+)
+test_only_monomials_calls_factorial = _owned("factorial")
+test_only_monomials_calls_comb = _owned("comb")
+test_only_hermite_form_builds_a_hermite_closed_form = _owned("hermite_products")
+
+
+def test_every_owner_rule_is_pinned():
+    pinned = {name for test in list(globals().values()) for name in getattr(test, "owned", ())}
+    assert pinned == {name for name, _, _ in OWNERS}
+
+
+def test_owner_rules_see_every_spelling():
+    # A builder passed to ``_grown`` or ``_table`` breaks their rules;
+    # ``_block`` is not a name of ``ladder`` but a helper of ``cli``.
+    source = """
+from .ladder import _grown as grown, _ladder_table, operator_table
+from ou_spectral.ladder import _table as slots
+a = operator_table(n, 3, D=D, B=B)
+b = ladder._generator_table(model, "forward", 3)
+c = grown(model, _ladder_table, ("raise_forward", 0), 3)
+d = ladder._table(model, build=hermite_form._hermite_table, args=(side,), degree=2)
+e = _matrix(model, _ladder_table, args, 3) + _block(raw, "sim")
+model._op_cache[key] = getattr(model, "_op_cache")
+I, P = parent(K)
+steps = list(map(monomials.parent, modes)) + idx.runs
+from .ladder import forward_drift as drift
+N = drift(model) @ model.Sigma_inv + model.Sigma_inverse
+from math import factorial as fact
+f = math.comb(n + d, n) * fact(k) + mpoly.hermite_products(V, 3)
+"""
+    assert sorted(_breaches(source)) == [
+        "I, P = parent(K)",
+        *["N = drift(model) @ model.Sigma_inv + model.Sigma_inverse"] * 2,
+        "a = operator_table(n, 3, D=D, B=B)",
+        'b = ladder._generator_table(model, "forward", 3)',
+        'c = grown(model, _ladder_table, ("raise_forward", 0), 3)',
+        "d = ladder._table(model, build=hermite_form._hermite_table, args=(side,), degree=2)",
+        *["f = math.comb(n + d, n) * fact(k) + mpoly.hermite_products(V, 3)"] * 3,
+        "from .ladder import _grown as grown, _ladder_table, operator_table",
+        "from .ladder import forward_drift as drift",
+        "from ou_spectral.ladder import _table as slots",
+        'model._op_cache[key] = getattr(model, "_op_cache")',
+        "steps = list(map(monomials.parent, modes)) + idx.runs",
+    ]
+
+
+# The earlier self-tests of the finders that the table replaced.
+test_table_build_reader_sees_calls_and_cached_builds = test_owner_rules_see_every_spelling
+test_eigentable_read_finder_sees_bare_attribute_and_imported_spellings = (
+    test_owner_rules_see_every_spelling
+)
+test_cache_reader_sees_reads_and_writes = test_owner_rules_see_every_spelling
+test_slot_read_finder_sees_imports_and_attributes = test_owner_rules_see_every_spelling
+test_parent_read_finder_sees_imports_calls_and_references = test_owner_rules_see_every_spelling
+test_mention_finder_sees_every_spelling_of_the_weight_inputs = test_owner_rules_see_every_spelling
+
+
+# The exact call sites, (module, dotted scope), of each name whose every
+# caller is pinned.
+CALL_SITES = {
+    # One unit-free check and factoring of every SPD matrix: B, Sigma and
+    # each covariance, which ``GaussianDensity`` factors once and keeps.
+    "cholesky": {("linalg", "_spd_factor")},
+    "_spd_factor": {
+        ("gaussian", "GaussianDensity.__post_init__"),
+        ("ladder", "OUModel.__post_init__"),
+        ("linalg", "solve_lyapunov"),
+    },
+    # ``MPoly._store``, the name's subject, was the last caller.
+    "prune": set(),
+    # The two entries of a grid, each behind one test of the whole array.
+    "check_finite_rows": {
+        ("gaussian", "GaussianDensity.whitened"),
+        ("spectral", "evaluate_grid_complex"),
+    },
+}
+
+
+def _off_site(module, name, source):
+    """Call sites of ``name`` in ``module``'s ``source`` that are not
+    pinned, and pinned sites of the module that it lacks."""
+    found = {(module, scope) for scope, _ in _scoped_calls(source, name)}
+    return found ^ {site for site in CALL_SITES[name] if site[0] == module}
+
+
+def test_cov_factoring_finder_sees_every_spelling():
+    # A second factoring through ``_spd_factor`` is as off-site as a bare
+    # ``cholesky``.
+    source = """
+L = np.linalg.cholesky(model.f0.cov)
+def simulate(model, F0):
+    L0 = _spd_factor(F0.cov, "cov")
+    return linalg._spd_factor(model.B, "B")
+"""
+    assert _off_site("sde_oracle", "cholesky", source) == {("sde_oracle", "")}
+    assert _off_site("sde_oracle", "_spd_factor", source) == {("sde_oracle", "simulate")}
+    assert _off_site("ladder", "_spd_factor", "") == {("ladder", "OUModel.__post_init__")}
+
+
 def test_only_spd_factor_calls_cholesky():
-    # ``linalg._spd_factor`` is the one check and factoring of an SPD
-    # matrix: B, Sigma and every covariance are factored through it.
-    calls = [
-        (path.stem, *call)
-        for path in sorted(PACKAGE.glob("*.py"))
-        for call in _scoped_calls(path.read_text(), "cholesky")
-    ]
-    assert calls == [("linalg", "_spd_factor", "return np.linalg.cholesky(S)")]
+    assert set().union(*(_off_site(m, "cholesky", _source(m)) for m in MODULES)) == set()
 
 
-@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+@pytest.mark.parametrize("module", MODULES)
+def test_only_gaussian_factors_a_covariance(module):
+    assert _off_site(module, "_spd_factor", _source(module)) == set()
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_only_mpoly_store_prunes(module):
-    # No module defines or calls ``prune``: ``MPoly._store``, the name's
-    # subject, was its last caller.
-    source = (PACKAGE / f"{module}.py").read_text()
-    defined = [
-        node.name
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "prune"
-    ]
-    assert defined == []
-    calls = list(_scoped_calls(source, "prune"))
-    assert [scope for scope, _ in calls] == [], calls
+    # No module defines, imports or calls ``prune``.
+    source = _source(module)
+    assert "prune" not in {getattr(node, "name", None) for node in ast.walk(ast.parse(source))}
+    assert _off_site(module, "prune", source) == set()
+
+
+def test_points_are_checked_once_where_they_enter():
+    for module in MODULES:
+        source = _source(module)
+        assert _off_site(module, "check_finite_rows", source) == set()
+        lines = [line.strip() for line in source.splitlines()]
+        for scope, line in _scoped_calls(source, "check_finite_rows"):
+            assert lines[lines.index(line) - 1] == "if not np.isfinite(pts).all():", scope
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_rule_finds_a_call_appended_to_each_module(module):
+    # No rule can go vacuous: a call of its name, appended to the real
+    # source of each module but its owner, breaks it.
+    for name, _, owner in OWNERS:
+        source = _source(module) + f"\n\ndef _injected(lib, x):\n    return lib.{name}(x)\n"
+        if owner != module:
+            assert f"return lib.{name}(x)" in _breaches(source, module, {name}), name
+    for name in CALL_SITES:
+        source = _source(module) + f"\n\ndef _injected(lib, x):\n    return lib.{name}(x)\n"
+        assert (module, "_injected") in _off_site(module, name, source), name
+
+
+def test_verify_builds_no_second_model():
+    # The suites check the tables of the model they are given; the Hermite
+    # suite maps them to canonical coordinates instead of rebuilding the
+    # model there.
+    source = _source("verify")
+    assert [*_scoped_calls(source, "build_model"), *_scoped_calls(source, "to_canonical")] == []
 
 
 def _eigenvalue_sums(source):
@@ -453,219 +466,6 @@ def test_only_ladder_sums_eigenvalues_over_a_multi_index(module):
     # lambda_K has one formula, ``ladder._eigenvalues``; every other module
     # reads its vector.
     assert list(_eigenvalue_sums((PACKAGE / f"{module}.py").read_text())) == []
-
-
-def _calls(source, names):
-    """Source lines that call a function named in ``names``, bare, as an
-    attribute or under the alias of its import."""
-    tree = ast.parse(source)
-    lines = source.splitlines()
-    named = _resolver(tree)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and named(node.func) in names:
-            yield lines[node.lineno - 1].strip()
-
-
-def test_call_finder_sees_bare_and_attribute_calls():
-    source = """
-from .ladder import build_model
-from .hermite_form import to_canonical as canonical
-import math as m
-from math import factorial as fact
-model = build_model(A, B)
-model_c, tr = hermite_form.to_canonical(model)
-model_d, tr = canonical(model)
-table = mpoly.hermite_products(V, 3)
-build = build_model
-n = model.to_canonical_count
-a = math.factorial(k) * m.factorial(k) + factorial(k)
-b = fact(k)
-c = math.comb(n, k)
-"""
-    assert list(_calls(source, {"build_model", "to_canonical"})) == [
-        "model = build_model(A, B)",
-        "model_c, tr = hermite_form.to_canonical(model)",
-        "model_d, tr = canonical(model)",
-    ]
-    assert list(_calls(source, {"hermite_products"})) == ["table = mpoly.hermite_products(V, 3)"]
-    assert sorted(_calls(source, {"factorial"})) == [
-        "a = math.factorial(k) * m.factorial(k) + factorial(k)"
-    ] * 3 + ["b = fact(k)"]
-    assert list(_calls(source, {"comb"})) == ["c = math.comb(n, k)"]
-
-
-@pytest.mark.parametrize(
-    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "monomials")
-)
-def test_only_monomials_calls_factorial(module):
-    # 2^|K| K! has one formula, ``monomials.mode_normalization``, whose
-    # vector every reader takes from the index (``GradedIndex.normalizations``).
-    assert list(_calls((PACKAGE / f"{module}.py").read_text(), {"factorial"})) == []
-
-
-@pytest.mark.parametrize(
-    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "monomials")
-)
-def test_only_monomials_calls_comb(module):
-    # The row count C(n + d, n) of a graded index has one formula,
-    # ``monomials.index_size``, and the order of a row one reader of it,
-    # ``monomials.degree_of_row``.
-    assert list(_calls((PACKAGE / f"{module}.py").read_text(), {"comb"})) == []
-
-
-def test_points_are_checked_once_where_they_enter():
-    # ``check_finite_rows`` runs only at the two entries of a grid, each
-    # behind one finiteness test of the whole array: no routine looks for
-    # a bad point after the arithmetic, and the per-row test stays off the
-    # path of a finite grid.
-    calls = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text()
-        lines = [line.strip() for line in source.splitlines()]
-        for scope, line in _scoped_calls(source, "check_finite_rows"):
-            calls.append(scope)
-            assert lines[lines.index(line) - 1] == "if not np.isfinite(pts).all():", scope
-    assert calls == ["GaussianDensity.whitened", "evaluate_grid_complex"]
-
-
-def _mentions(source, name):
-    """Source lines that name ``name``: import it, or read it bare, as an
-    attribute or under the alias of its import."""
-    tree = ast.parse(source)
-    lines = source.splitlines()
-    named = _resolver(tree)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.alias):
-            found = node.name == name
-        elif isinstance(node, (ast.Name, ast.Attribute)):
-            found = named(node) == name
-        else:
-            continue
-        if found:
-            yield lines[node.lineno - 1].strip()
-
-
-def test_mention_finder_sees_bare_attribute_and_aliased_names():
-    source = """
-from .ladder import _grown as grown
-from . import ladder as lad
-a = _grown(model, build, args, 3)
-b = lad._grown(model, build, args, 3)
-c = grown(model, build, args, 3)
-d = ladder._grown
-e = model._grown_count
-f = "_grown"
-"""
-    assert sorted(_mentions(source, "_grown")) == [
-        "a = _grown(model, build, args, 3)",
-        "b = lad._grown(model, build, args, 3)",
-        "c = grown(model, build, args, 3)",
-        "d = ladder._grown",
-        "from .ladder import _grown as grown",
-    ]
-
-
-@pytest.mark.parametrize("module", sorted(m for m in PRODUCTION if m != "ladder"))
-def test_only_ladder_names_grown(module):
-    # ``ladder._grown`` is the model cache's one reader, and ``ladder`` its
-    # one caller: every other module reads the cache through ``ladder``'s
-    # readers, and keeps nothing there of its own.
-    assert list(_mentions((PACKAGE / f"{module}.py").read_text(), "_grown")) == []
-
-
-def _parent_reads(source):
-    """Source lines that read ``monomials.parent``: import it, call it or
-    pass it on, bare or as an attribute of ``monomials``."""
-    lines = source.splitlines()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("monomials"):
-            found = "parent" in {alias.name for alias in node.names}
-        elif isinstance(node, ast.Name):
-            found = node.id == "parent" and isinstance(node.ctx, ast.Load)
-        elif isinstance(node, ast.Attribute):
-            found = node.attr == "parent" and _name(node.value) == "monomials"
-        else:
-            continue
-        if found:
-            yield lines[node.lineno - 1].strip()
-
-
-def test_parent_read_finder_sees_imports_calls_and_references():
-    source = """
-from .monomials import graded_index, parent
-I, P = parent(K)
-steps = list(map(parent, modes))
-J, Q = monomials.parent(K)
-path = node.parent
-parent = None
-runs = idx.runs
-"""
-    assert sorted(_parent_reads(source)) == [
-        "I, P = parent(K)",
-        "J, Q = monomials.parent(K)",
-        "from .monomials import graded_index, parent",
-        "steps = list(map(parent, modes))",
-    ]
-
-
-@pytest.mark.parametrize(
-    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "monomials")
-)
-def test_only_monomials_reads_parent(module):
-    # ``monomials.parent`` states the raising rule once; every recursion
-    # reads it as row slices (``GradedIndex.runs``).
-    assert list(_parent_reads((PACKAGE / f"{module}.py").read_text())) == []
-
-
-def test_mention_finder_sees_every_spelling_of_the_weight_inputs():
-    source = """
-from .ladder import forward_drift as drift
-from . import ladder as lad
-M = forward_drift(model)
-N = lad.forward_drift(model) @ model.Sigma_inv
-P = drift(model)
-Q = model.Sigma @ model.Sigma_inverse
-"""
-    found = sorted(
-        line for name in ("Sigma_inv", "forward_drift") for line in _mentions(source, name)
-    )
-    assert found == [
-        "M = forward_drift(model)",
-        "N = lad.forward_drift(model) @ model.Sigma_inv",
-        "N = lad.forward_drift(model) @ model.Sigma_inv",
-        "P = drift(model)",
-        "from .ladder import forward_drift as drift",
-    ]
-
-
-@pytest.mark.parametrize(
-    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "ladder")
-)
-def test_only_ladder_reads_the_weight_inputs(module):
-    # Each ladder and generator weight has one formula in ``ladder``
-    # (``_ladder_weights``, ``_drift``): the tables and the operator
-    # suites of ``verify`` both read it, and no other module rebuilds a
-    # weight from Sigma^-1 or from Sigma A^T Sigma^-1.
-    source = (PACKAGE / f"{module}.py").read_text()
-    assert [*_mentions(source, "Sigma_inv"), *_mentions(source, "forward_drift")] == []
-
-
-def test_verify_builds_no_second_model():
-    # The suites check the tables of the model they are given; the Hermite
-    # suite maps them to canonical coordinates instead of rebuilding the
-    # model there.
-    source = (PACKAGE / "verify.py").read_text()
-    assert list(_calls(source, {"build_model", "to_canonical"})) == []
-
-
-@pytest.mark.parametrize(
-    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "hermite_form")
-)
-def test_only_hermite_form_builds_a_hermite_closed_form(module):
-    # One closed-form table per model and side (``hermite_form._hermite_table``),
-    # which the Hermite suite and grid evaluation both read.
-    assert list(_calls((PACKAGE / f"{module}.py").read_text(), {"hermite_products"})) == []
-
 
 def _bound_names():
     """First components of the names that ``perfbench/layers.py`` binds in

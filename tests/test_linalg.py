@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from ou_spectral import errors, linalg
-from ou_spectral.gaussian import GaussianDensity
+from ou_spectral.gaussian import GaussianDensity, stationary_density
 from ou_spectral.ladder import build_model
 
 from conftest import A_3D, A_SPIRAL, B_3D
@@ -226,6 +226,36 @@ def test_expm_semigroup():
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
         linalg.biorthogonal_eig([[np.nan, 0.0], [0.0, -1.0]])
+
+
+A_2D, B_2D = np.diag([-1.0, -2.0]), np.eye(2)
+COMPLEX = np.array([[1j, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("A", lambda: build_model(A_2D + COMPLEX, B_2D)),
+        ("B", lambda: build_model(A_2D, B_2D + COMPLEX)),
+        ("A", lambda: linalg.solve_lyapunov(A_2D + COMPLEX, B_2D)),
+        ("B", lambda: linalg.solve_lyapunov(A_2D, B_2D + COMPLEX)),
+        ("A", lambda: linalg.biorthogonal_eig((A_2D + COMPLEX).tolist())),
+        ("cov", lambda: GaussianDensity(mean=[0.0, 0.0], cov=B_2D + COMPLEX)),
+        ("Sigma", lambda: stationary_density(B_2D + COMPLEX)),
+    ],
+    ids=["build-A", "build-B", "lyapunov-A", "lyapunov-B", "eig-list", "cov", "Sigma"],
+)
+def test_a_complex_matrix_is_refused_not_truncated(name, call):
+    # Converting to float would keep the real part with only a
+    # ComplexWarning, and answer for a matrix that was not given.
+    with pytest.raises(ValueError, match=f"^{name} must have real entries$"):
+        call()
+
+
+def test_lyapunov_dimension_mismatch_is_named_as_build_model_names_it():
+    for call in (linalg.solve_lyapunov, build_model):
+        with pytest.raises(errors.DimensionMismatchError, match="^A is 2x2 but B is 3x3$"):
+            call(A_2D, np.eye(3))
 
 
 def test_package_import_and_cli_leave_scipy_unloaded():

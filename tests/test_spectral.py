@@ -491,6 +491,16 @@ def test_grid_chunks_are_invisible(model_3d):
     assert whole.tobytes() == parts.tobytes()
 
 
+def test_evaluate_refuses_complex_points(model_spiral):
+    # Converting to float would evaluate at the real parts of the points.
+    ex = ou.expand_gaussian(model_spiral, model_spiral.f0, 3)
+    for call in (ou.evaluate_grid_complex, ou.evaluate_grid):
+        with pytest.raises(ValueError, match="^points must have real entries$"):
+            call(ex, [[0.5, 0.0], [0.0, 0.5j]], 0.5)
+    with pytest.raises(ValueError, match="^x must have real entries$"):
+        ou.evaluate(ex, [0.5j, 0.0], 0.5)
+
+
 def test_empty_grid_gives_empty_values(model_spiral):
     ex = ou.expand_gaussian(model_spiral, model_spiral.f0, 3)
     out = ou.evaluate_grid_complex(ex, np.zeros((0, 2)), 0.5)

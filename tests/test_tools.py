@@ -55,3 +55,43 @@ def test_cli_outputs_with_a_wrong_argument_count_exits_with_its_usage(tree, args
     assert run.returncode == 1
     assert run.stdout == ""
     assert run.stderr == "Usage: python3 tools/cli_outputs.py OUTDIR\n"
+
+
+def _files(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+
+def test_bench_outputs_keeps_every_file_of_each_task_and_repeats_bit_for_bit(tmp_path):
+    # Two runs on one seed, side by side: 24 verify and 15 mc-check tasks
+    # each, with their inputs.
+    outs = [tmp_path / "first", tmp_path / "second"]
+    tool = [sys.executable, str(ROOT / "tools" / "bench_outputs.py")]
+    runs = [
+        subprocess.Popen([*tool, out, "45"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for out in outs
+    ]
+    for run in runs:
+        _, stderr = run.communicate()
+        assert run.returncode == 0, stderr
+    names = _files(outs[0])
+    codes = {n[: -len(".code")]: (outs[0] / n).read_text() for n in names if n.endswith(".code")}
+    assert len(codes) == 39 and set(codes.values()) <= {"0\n", "1\n", "2\n"}
+    assert sum(n.startswith("inputs/") for n in names) == 39
+    for task, code in codes.items():
+        wrote = {".code", ".stdout", ".stderr"} | ({".json"} if code != "2\n" else set())
+        assert {s for s in (".code", ".json", ".stderr", ".stdout") if task + s in names} == wrote
+    assert _files(outs[1]) == names
+    match, mismatch, errors = filecmp.cmpfiles(*outs, names, shallow=False)
+    assert (mismatch, errors) == ([], [])
+
+
+@pytest.mark.parametrize("args", [(), ("out",), ("out", "4x")], ids=["none", "no-seed", "bad-seed"])
+def test_bench_outputs_with_wrong_arguments_exits_with_its_usage(args):
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_outputs.py"), *args],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr == "Usage: python3 tools/bench_outputs.py OUTDIR SEED...\n"
