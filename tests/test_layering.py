@@ -1,15 +1,15 @@
 """Layering of the package, read from the source with ``ast``.
 
 Each concept of the construction has one owner module.  ``OWNERS`` holds
-one row per rule, (name, kind, owner), which ``_owned`` pins on every
-module but the owner.  A "mention" rule forbids another module to name
-``name`` at all: to import it, or to read it bare, as an attribute or
-under the alias of its import.  A "call" rule forbids another module to
-call ``name``, by any of those spellings, but lets it pass ``name`` on,
-as ``spectral`` and ``verify`` pass table builders to ``ladder``'s
-readers.  ``CALL_SITES`` pins every call of a few names to the scopes
-that make it.  Each rule is checked to bite: a call of its name appended
-to the real source of each module it covers must break it.
+one row per rule, (name, kind, owner), checked on every module but the
+owner.  A "mention" rule forbids another module to name ``name`` at all:
+to import it, or to read it bare, as an attribute or under the alias of
+its import.  A "call" rule forbids another module to call ``name``, by
+any of those spellings, but lets it pass ``name`` on, as ``spectral`` and
+``verify`` pass table builders to ``ladder``'s readers.  ``CALL_SITES``
+pins each call of a few names to the scope that makes it.  Each rule is
+checked to bite: a call of its name appended to the real source of each
+module it covers must be the one line that breaks it.
 
 The other rules have finders of their own.  ``verify`` holds every check
 and no production module reads it, but for one commented line of
@@ -23,6 +23,7 @@ writes a file, and each subcommand takes its config alone.
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -154,26 +155,6 @@ def _scoped_calls(source, name):
     yield from visit(tree, ())
 
 
-def test_mention_finder_sees_bare_attribute_and_aliased_names():
-    source = """
-from .ladder import _grown as grown
-from . import ladder as lad
-a = _grown(model, build, args, 3)
-b = lad._grown(model, build, args, 3)
-c = grown(model, build, args, 3)
-d = ladder._grown
-e = model._grown_count
-f = "_grown"
-"""
-    assert sorted(_mentions(source, "_grown")) == [
-        "a = _grown(model, build, args, 3)",
-        "b = lad._grown(model, build, args, 3)",
-        "c = grown(model, build, args, 3)",
-        "d = ladder._grown",
-        "from .ladder import _grown as grown",
-    ]
-
-
 def test_prune_call_finder_sees_scopes_and_spellings():
     source = """
 x = prune(c, eps)
@@ -212,10 +193,6 @@ LB = cholesky_factor(B)
     ]
 
 
-# The earlier self-test of ``_calls``, which ``_scoped_calls`` replaced.
-test_call_finder_sees_bare_and_attribute_calls = test_cholesky_call_finder_sees_scopes_and_spellings
-
-
 # One row per owner rule: (name, "mention" or "call", owner module).
 OWNERS = (
     # The model cache: one entry per builder and arguments, read by one rule.
@@ -232,6 +209,10 @@ OWNERS = (
     ("operator_table", "call", "ladder"),
     ("_generator_table", "call", "ladder"),
     ("_ladder_table", "call", "ladder"),
+    # The two eigenfunction tables, the ladder's and the Hermite closed
+    # form's, which only ``ladder._grown`` calls, as its ``build``.
+    ("_eigentable", "call", "ladder"),
+    ("_hermite_table", "call", "ladder"),
     # 2^|K| K! (``mode_normalization``) and C(n + d, n) (``index_size``).
     ("factorial", "call", "monomials"),
     ("comb", "call", "monomials"),
@@ -253,22 +234,18 @@ def _breaches(source, module="", names=None):
 
 
 def _owned(*names):
-    """A test, one case per module but the owner of ``names``, that the
-    module breaks the owner rule of none of them."""
+    """A test that each module but the owner of ``names`` breaks none of their rules."""
     (owner,) = {owner for name, _, owner in OWNERS if name in names}
 
     @pytest.mark.parametrize("module", [m for m in MODULES if m != owner])
     def test(module):
         assert list(_breaches(_source(module), module, names)) == []
 
-    test.owned = names
     return test
 
 
 test_only_ladder_names_grown = _owned("_grown")
-# Both eigenfunction tables are read off the cache, whose one reader is
-# ``_grown``.
-test_only_ladder_reads_an_eigenfunction_table = test_only_ladder_names_grown
+test_only_ladder_reads_an_eigenfunction_table = _owned("_eigentable", "_hermite_table")
 test_only_ladder_reads_the_model_cache = _owned("_op_cache")
 test_only_ladder_reads_the_slots_of_a_table = _owned("_table")
 test_only_ladder_reads_the_weight_inputs = _owned("Sigma_inv", "forward_drift")
@@ -281,106 +258,135 @@ test_only_monomials_calls_comb = _owned("comb")
 test_only_hermite_form_builds_a_hermite_closed_form = _owned("hermite_products")
 
 
-def test_every_owner_rule_is_pinned():
-    pinned = {name for test in list(globals().values()) for name in getattr(test, "owned", ())}
-    assert pinned == {name for name, _, _ in OWNERS}
-
-
-def test_owner_rules_see_every_spelling():
-    # A builder passed to ``_grown`` or ``_table`` breaks their rules;
-    # ``_block`` is not a name of ``ladder`` but a helper of ``cli``.
-    source = """
-from .ladder import _grown as grown, _ladder_table, operator_table
-from ou_spectral.ladder import _table as slots
-a = operator_table(n, 3, D=D, B=B)
-b = ladder._generator_table(model, "forward", 3)
-c = grown(model, _ladder_table, ("raise_forward", 0), 3)
-d = ladder._table(model, build=hermite_form._hermite_table, args=(side,), degree=2)
-e = _matrix(model, _ladder_table, args, 3) + _block(raw, "sim")
-model._op_cache[key] = getattr(model, "_op_cache")
-I, P = parent(K)
-steps = list(map(monomials.parent, modes)) + idx.runs
-from .ladder import forward_drift as drift
-N = drift(model) @ model.Sigma_inv + model.Sigma_inverse
+# Spellings of owned names; each line's comment names the rule of each breach on it.
+SPELLINGS = """
+from .ladder import _grown as grown, _ladder_table as lt  # _grown
+from ou_spectral.ladder import _table as slots  # _table
+from .hermite_form import _hermite_table as closed
+from .monomials import graded_index, parent  # parent
+from .ladder import forward_drift as drift  # forward_drift
+import math as m
 from math import factorial as fact
-f = math.comb(n + d, n) * fact(k) + mpoly.hermite_products(V, 3)
+a = operator_table(n, 3, D=D, B=B) + lt(model, op, I, 3)  # operator_table _ladder_table
+b = ladder._generator_table(model, "forward", 3)  # _generator_table
+c = grown(model, _ladder_table, ("raise_forward", 0), 3)  # _grown
+d = _matrix(model, _ladder_table, args, 3) + _block(raw, "sim")
+e = ladder._grown(model, _eigentable, ("forward",), 3)  # _grown
+f = ladder._eigentable(model, "adjoint", 3) + closed(model, side, 2)  # _eigentable _hermite_table
+g = _eigenfunctions(model, side, 3, hermite_form._hermite_table)
+model._op_cache[key] = getattr(model, "_op_cache")  # _op_cache
+src = ladder._table(model, build, args, 3) + slots  # _table _table
+I, P = parent(K)  # parent
+steps = list(map(monomials.parent, modes)) + idx.runs  # parent
+N = lad.forward_drift(model) @ model.Sigma_inv + model.Sigma_inverse  # forward_drift Sigma_inv
+Q = drift(model)  # forward_drift
+h = math.factorial(k) * m.factorial(k) + fact(k)  # factorial factorial factorial
+i = math.comb(n, k) + mpoly.hermite_products(V, 3)  # comb hermite_products
+build = hermite_products
+j = _grown, model._grown_count, "_grown"  # _grown
 """
-    assert sorted(_breaches(source)) == [
-        "I, P = parent(K)",
-        *["N = drift(model) @ model.Sigma_inv + model.Sigma_inverse"] * 2,
-        "a = operator_table(n, 3, D=D, B=B)",
-        'b = ladder._generator_table(model, "forward", 3)',
-        'c = grown(model, _ladder_table, ("raise_forward", 0), 3)',
-        "d = ladder._table(model, build=hermite_form._hermite_table, args=(side,), degree=2)",
-        *["f = math.comb(n + d, n) * fact(k) + mpoly.hermite_products(V, 3)"] * 3,
-        "from .ladder import _grown as grown, _ladder_table, operator_table",
-        "from .ladder import forward_drift as drift",
-        "from ou_spectral.ladder import _table as slots",
-        'model._op_cache[key] = getattr(model, "_op_cache")',
-        "steps = list(map(monomials.parent, modes)) + idx.runs",
-    ]
 
 
-# The earlier self-tests of the finders that the table replaced.
-test_table_build_reader_sees_calls_and_cached_builds = test_owner_rules_see_every_spelling
-test_eigentable_read_finder_sees_bare_attribute_and_imported_spellings = (
-    test_owner_rules_see_every_spelling
-)
-test_cache_reader_sees_reads_and_writes = test_owner_rules_see_every_spelling
-test_slot_read_finder_sees_imports_and_attributes = test_owner_rules_see_every_spelling
-test_parent_read_finder_sees_imports_calls_and_references = test_owner_rules_see_every_spelling
-test_mention_finder_sees_every_spelling_of_the_weight_inputs = test_owner_rules_see_every_spelling
+def _spelled(*names):
+    """Whether the rules of ``names`` break each line of ``SPELLINGS`` as
+    often as its comment names one of them."""
+    lines = [line.strip() for line in SPELLINGS.splitlines()]
+    marked = Counter(
+        line for line in lines for rule in line.partition("#")[2].split() if rule in names
+    )
+    return Counter(_breaches(SPELLINGS, names=names)) == marked
 
 
-# The exact call sites, (module, dotted scope), of each name whose every
-# caller is pinned.
+def test_mention_finder_sees_bare_attribute_and_aliased_names():
+    assert _spelled("_grown")
+
+
+def test_call_finder_sees_bare_and_attribute_calls():
+    assert _spelled("factorial", "comb", "hermite_products")
+
+
+def test_table_build_reader_sees_calls_and_cached_builds():
+    # A builder passed to ``_grown`` breaks its rule; one passed to
+    # ``_matrix``, and ``_block``, a helper of ``cli``, break none.
+    assert _spelled("_grown", "operator_table", "_generator_table", "_ladder_table")
+
+
+def test_eigentable_read_finder_sees_bare_attribute_and_imported_spellings():
+    assert _spelled("_grown", "_eigentable", "_hermite_table")
+
+
+def test_cache_reader_sees_reads_and_writes():
+    assert _spelled("_op_cache")
+
+
+def test_slot_read_finder_sees_imports_and_attributes():
+    assert _spelled("_table")
+
+
+def test_parent_read_finder_sees_imports_calls_and_references():
+    assert _spelled("parent")
+
+
+def test_mention_finder_sees_every_spelling_of_the_weight_inputs():
+    assert _spelled("Sigma_inv", "forward_drift")
+
+
+# The exact call sites, (module, dotted scope), one per call, of each
+# name whose every caller is pinned.
 CALL_SITES = {
     # One unit-free check and factoring of every SPD matrix: B, Sigma and
     # each covariance, which ``GaussianDensity`` factors once and keeps.
-    "cholesky": {("linalg", "_spd_factor")},
-    "_spd_factor": {
+    "cholesky": [("linalg", "_spd_factor")],
+    "_spd_factor": [
         ("gaussian", "GaussianDensity.__post_init__"),
         ("ladder", "OUModel.__post_init__"),
         ("linalg", "solve_lyapunov"),
-    },
+    ],
     # ``MPoly._store``, the name's subject, was the last caller.
-    "prune": set(),
+    "prune": [],
     # The two entries of a grid, each behind one test of the whole array.
-    "check_finite_rows": {
+    "check_finite_rows": [
         ("gaussian", "GaussianDensity.whitened"),
         ("spectral", "evaluate_grid_complex"),
-    },
+    ],
 }
 
 
 def _off_site(module, name, source):
-    """Call sites of ``name`` in ``module``'s ``source`` that are not
-    pinned, and pinned sites of the module that it lacks."""
-    found = {(module, scope) for scope, _ in _scoped_calls(source, name)}
-    return found ^ {site for site in CALL_SITES[name] if site[0] == module}
+    """Call sites of ``name`` in ``module``'s ``source`` beyond those
+    pinned, one per extra call, and pinned sites that it lacks."""
+    found = Counter((module, scope) for scope, _ in _scoped_calls(source, name))
+    pinned = Counter(site for site in CALL_SITES[name] if site[0] == module)
+    return sorted(((found - pinned) + (pinned - found)).elements())
 
 
 def test_cov_factoring_finder_sees_every_spelling():
-    # A second factoring through ``_spd_factor`` is as off-site as a bare
-    # ``cholesky``.
+    # A second factoring through ``_spd_factor``, in a new scope or in a
+    # pinned one, is as off-site as a bare ``cholesky``.
     source = """
 L = np.linalg.cholesky(model.f0.cov)
 def simulate(model, F0):
     L0 = _spd_factor(F0.cov, "cov")
     return linalg._spd_factor(model.B, "B")
+class OUModel:
+    def __post_init__(self):
+        self.B_factor = _spd_factor(self.B, "B")
+        L0 = _spd_factor(self.f0.cov, "cov")
 """
-    assert _off_site("sde_oracle", "cholesky", source) == {("sde_oracle", "")}
-    assert _off_site("sde_oracle", "_spd_factor", source) == {("sde_oracle", "simulate")}
-    assert _off_site("ladder", "_spd_factor", "") == {("ladder", "OUModel.__post_init__")}
+    assert _off_site("sde_oracle", "cholesky", source) == [("sde_oracle", "")]
+    assert _off_site("ladder", "_spd_factor", source) == [
+        ("ladder", "OUModel.__post_init__"), *[("ladder", "simulate")] * 2
+    ]
+    assert _off_site("ladder", "_spd_factor", "") == [("ladder", "OUModel.__post_init__")]
 
 
 def test_only_spd_factor_calls_cholesky():
-    assert set().union(*(_off_site(m, "cholesky", _source(m)) for m in MODULES)) == set()
+    assert [site for m in MODULES for site in _off_site(m, "cholesky", _source(m))] == []
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_only_gaussian_factors_a_covariance(module):
-    assert _off_site(module, "_spd_factor", _source(module)) == set()
+    assert _off_site(module, "_spd_factor", _source(module)) == []
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -388,13 +394,13 @@ def test_only_mpoly_store_prunes(module):
     # No module defines, imports or calls ``prune``.
     source = _source(module)
     assert "prune" not in {getattr(node, "name", None) for node in ast.walk(ast.parse(source))}
-    assert _off_site(module, "prune", source) == set()
+    assert _off_site(module, "prune", source) == []
 
 
 def test_points_are_checked_once_where_they_enter():
     for module in MODULES:
         source = _source(module)
-        assert _off_site(module, "check_finite_rows", source) == set()
+        assert _off_site(module, "check_finite_rows", source) == []
         lines = [line.strip() for line in source.splitlines()]
         for scope, line in _scoped_calls(source, "check_finite_rows"):
             assert lines[lines.index(line) - 1] == "if not np.isfinite(pts).all():", scope
@@ -403,14 +409,14 @@ def test_points_are_checked_once_where_they_enter():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_rule_finds_a_call_appended_to_each_module(module):
     # No rule can go vacuous: a call of its name, appended to the real
-    # source of each module but its owner, breaks it.
+    # source of each module but its owner, is the one line that breaks it.
     for name, _, owner in OWNERS:
         source = _source(module) + f"\n\ndef _injected(lib, x):\n    return lib.{name}(x)\n"
         if owner != module:
-            assert f"return lib.{name}(x)" in _breaches(source, module, {name}), name
+            assert list(_breaches(source, module, {name})) == [f"return lib.{name}(x)"], name
     for name in CALL_SITES:
         source = _source(module) + f"\n\ndef _injected(lib, x):\n    return lib.{name}(x)\n"
-        assert (module, "_injected") in _off_site(module, name, source), name
+        assert _off_site(module, name, source) == [(module, "_injected")], name
 
 
 def test_verify_builds_no_second_model():
@@ -459,13 +465,12 @@ def one_mode(model, I, R):
     assert list(_eigenvalue_sums(source)) == ["matmul", "summed", "python_sum"]
 
 
-@pytest.mark.parametrize(
-    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "ladder")
-)
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "ladder"])
 def test_only_ladder_sums_eigenvalues_over_a_multi_index(module):
     # lambda_K has one formula, ``ladder._eigenvalues``; every other module
     # reads its vector.
-    assert list(_eigenvalue_sums((PACKAGE / f"{module}.py").read_text())) == []
+    assert list(_eigenvalue_sums(_source(module))) == []
+
 
 def _bound_names():
     """First components of the names that ``perfbench/layers.py`` binds in
