@@ -17,7 +17,6 @@ from .errors import (
     NotSPDError,
     NotSquareError,
     OUSpectralError,
-    SingularMatrixError,
     SingularSystemError,
     UnstableDriftError,
 )

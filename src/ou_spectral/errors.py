@@ -21,11 +21,7 @@ class NotSPDError(OUSpectralError):
     """Matrix expected to be symmetric positive definite is not."""
 
 
-class SingularMatrixError(OUSpectralError):
-    """Matrix is singular to working precision."""
-
-
-class SingularSystemError(SingularMatrixError):
+class SingularSystemError(OUSpectralError):
     """Linear system assembled from the inputs could not be solved."""
 
 

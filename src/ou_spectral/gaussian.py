@@ -21,14 +21,17 @@ from .monomials import graded_index, index_size
 from .mpoly import MPoly
 
 
-def check_finite_rows(points):
-    """Raise ``ValueError`` naming the first row of ``points`` that holds
-    a non-finite entry; do nothing when every row is finite."""
-    bad = np.flatnonzero(~np.all(np.isfinite(points), axis=1))
-    if bad.size:
-        raise ValueError(
-            f"points must be finite; row {bad[0]} is {points[bad[0]].tolist()}"
-        )
+def _points(points, dim):
+    """``points`` as a float array of shape (P, ``dim``), the one check of
+    a grid: ``ValueError`` when it is complex or naming its first row that
+    is not finite, ``DimensionMismatchError`` for another shape."""
+    pts = _real(points, "points")
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise DimensionMismatchError(f"points must have shape (P, {dim}), got {pts.shape}")
+    if not np.isfinite(pts).all():
+        bad = np.flatnonzero(~np.all(np.isfinite(pts), axis=1))[0]
+        raise ValueError(f"points must be finite; row {bad} is {pts[bad].tolist()}")
+    return pts
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,13 +110,7 @@ class GaussianDensity:
         that is not finite; a point far enough out for |z|^2 to overflow
         gets 0.
         """
-        pts = _real(points, "points")
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"points must have shape (P, {self.dim}), got {pts.shape}"
-            )
-        if not np.isfinite(pts).all():
-            check_finite_rows(pts)
+        pts = _points(points, self.dim)
         z = np.empty((self.dim, pts.shape[0]))
         density = np.empty(pts.shape[0])
         self._whiten_into(pts, z, density)
@@ -151,8 +148,17 @@ class ForwardFunction:
     def dim(self):
         return self.base.dim
 
-    def value(self, x):
-        return complex(self.poly(x)) * self.base.pdf(x)
+
+def _density_for(F0, dim):
+    """The one check of a model's density argument: ``TypeError`` unless
+    ``F0`` is a ``GaussianDensity``, ``DimensionMismatchError`` unless its
+    dimension is ``dim``."""
+    if not isinstance(F0, GaussianDensity):
+        raise TypeError("expected a GaussianDensity")
+    if F0.dim != dim:
+        raise DimensionMismatchError(
+            f"density of dimension {F0.dim} for a {dim}-dimensional model"
+        )
 
 
 def stationary_density(Sigma):
@@ -186,17 +192,10 @@ def moments(mean, cov, degree):
 
 def wick_moment(exponents, Sigma):
     """E[prod_i x_i^k_i] under the centered Gaussian with covariance Sigma:
-    one entry of ``moments``.  Odd total degree gives 0."""
+    the ``expectation`` of the monomial x^k, whose exponents ``MPoly``
+    reads and checks.  Odd total degree gives 0."""
     g = stationary_density(Sigma)
-    counts = tuple(int(k) for k in exponents)
-    if len(counts) != g.dim:
-        raise DimensionMismatchError(
-            f"{len(counts)} exponents for a {g.dim}-dimensional Gaussian"
-        )
-    if any(k < 0 for k in counts):
-        raise ValueError(f"negative exponent in {counts}")
-    d = sum(counts)
-    return float(g.moments(d)[graded_index(g.dim, d).row[counts]])
+    return float(expectation(MPoly(g.dim, {tuple(exponents): 1.0}), g).real)
 
 
 def expectation(p, g):

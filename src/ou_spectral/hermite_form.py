@@ -32,11 +32,10 @@ from .mpoly import hermite_products
 
 @dataclass(frozen=True)
 class CanonicalTransform:
-    """Change of variables x = T y with Jacobian determinant ``jac``."""
+    """Change of variables x = T y."""
 
     T: np.ndarray
     T_inv: np.ndarray
-    jac: float
 
 
 def canonical_transform(model):
@@ -45,7 +44,7 @@ def canonical_transform(model):
     (``GaussianDensity.factor``) and whitener W = L^-T."""
     T = np.sqrt(2.0) * model.f0.factor
     T_inv = model.f0.whitener.T / np.sqrt(2.0)
-    return CanonicalTransform(T=T, T_inv=T_inv, jac=float(np.linalg.det(T)))
+    return CanonicalTransform(T=T, T_inv=T_inv)
 
 
 def to_canonical(model):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteResultError
-from .gaussian import GaussianDensity
+from .errors import NonFiniteResultError
+from .gaussian import _density_for
 from .kernels import PATH_CHUNK, em_paths
 
 
@@ -95,12 +95,7 @@ def simulate(model, F0, cfg):
     when a moment or a standard error is not finite, as when the step
     leaves the Euler-Maruyama stability region and the paths overflow.
     """
-    if not isinstance(F0, GaussianDensity):
-        raise TypeError("simulate takes a GaussianDensity initial law")
-    if F0.dim != model.dim:
-        raise DimensionMismatchError(
-            f"initial law of dimension {F0.dim} for a {model.dim}-dimensional model"
-        )
+    _density_for(F0, model.dim)
 
     N, n = cfg.paths, model.dim
     # Sums about the first block's mean c, so that no digits are lost to a

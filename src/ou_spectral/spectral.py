@@ -45,18 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DimensionMismatchError,
-    NonFiniteResultError,
-    NotSolvableError,
-)
-from .gaussian import (
-    ForwardFunction,
-    GaussianDensity,
-    check_finite_rows,
-    expectation,
-    moments,
-)
+from .errors import NonFiniteResultError, NotSolvableError
+from .gaussian import ForwardFunction, GaussianDensity, _density_for, _points, expectation, moments
 from .hermite_form import _hermite_table
 from .ladder import _check_forward, _check_multi_index, _eigenfunctions, _eigenvalues
 from .ladder import _generator_table, _matrix
@@ -103,12 +93,7 @@ def expand_gaussian(model, F0, max_order):
     ``F0`` is real, which all Gaussians here are.  Raises
     ``NonFiniteResultError`` when a coefficient overflows.
     """
-    if not isinstance(F0, GaussianDensity):
-        raise TypeError("expand_gaussian takes a GaussianDensity")
-    if F0.dim != model.dim:
-        raise DimensionMismatchError(
-            f"density of dimension {F0.dim} for a {model.dim}-dimensional model"
-        )
+    _density_for(F0, model.dim)
     max_order = operator.index(max_order)
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
@@ -131,6 +116,8 @@ def expand_gaussian(model, F0, max_order):
 
 
 def _check_time(t):
+    if np.iscomplexobj(t):
+        raise ValueError("t must be real")
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     if t < 0.0:
@@ -170,13 +157,7 @@ def evaluate_grid_complex(expansion, points, t):
     """
     _check_time(t)
     model = expansion.model
-    pts = linalg._real(points, "points")
-    if pts.ndim != 2 or pts.shape[1] != model.dim:
-        raise DimensionMismatchError(
-            f"points must have shape (P, {model.dim}), got {pts.shape}"
-        )
-    if not np.isfinite(pts).all():
-        check_finite_rows(pts)
+    pts = _points(points, model.dim)
     idx = graded_index(model.dim, expansion.max_order)
     lam = _eigenvalues(model, "forward", idx.exponents)
     T = _eigenfunctions(model, "forward", expansion.max_order, _hermite_table)
@@ -233,12 +214,7 @@ def exact_gaussian_propagate(model, F0, t):
     Raises ``NonFiniteResultError`` naming t when exp(t A), the mean or
     the covariance is not finite.
     """
-    if not isinstance(F0, GaussianDensity):
-        raise TypeError("exact_gaussian_propagate takes a GaussianDensity")
-    if F0.dim != model.dim:
-        raise DimensionMismatchError(
-            f"density of dimension {F0.dim} for a {model.dim}-dimensional model"
-        )
+    _density_for(F0, model.dim)
     _check_time(t)
     E = linalg.expm(model.A, t)
     # A flow that is not finite is reported below, not as a warning.

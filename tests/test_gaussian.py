@@ -77,6 +77,28 @@ def test_moment_validation():
         wick_moment((2, 2), np.array([[1.0]]))
     with pytest.raises(ValueError):
         wick_moment((-2,), np.array([[1.0]]))
+    # Read by int(), (0.5, 0.5) gave E[1] = 1, (1.9, 0) gave E[x_1] = 0
+    # and ("2", 0) gave E[x_1^2]; ``MPoly`` reads the exponents.
+    for exponents in ((0.5, 0.5), (1.9, 0), ("2", 0)):
+        with pytest.raises(TypeError):
+            wick_moment(exponents, np.eye(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wick_moment_reads_its_entry_of_the_moment_vector(n):
+    # The expectation of one monomial reads the entry of the density's
+    # moment vector bit for bit on every mode up to order 8, but for the
+    # sign of an exact zero, which the dot product of ``expectation`` reads
+    # as 0.0 where the recursion gave -0.0.
+    rng = np.random.default_rng(4700 + n)
+    modes = graded_index(n, 8).modes
+    for _ in range(20):
+        M = rng.normal(size=(n, n))
+        S = (M @ M.T + 0.5 * np.eye(n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        want = stationary_density(S).moments(8)
+        got = np.array([wick_moment(K, S) for K in modes])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want) & (want != 0.0))
 
 
 def test_expectation_with_mean_shift():
@@ -230,10 +252,10 @@ def test_whitening_into_buffers_is_whitened(mean, bad):
 
 
 def test_forward_function_value():
+    # The value is poly(x) * base.pdf(x), which callers form themselves;
+    # the polynomial must live in the density's dimension.
     g = GaussianDensity(mean=[0.0], cov=[[0.5]])
-    f = ForwardFunction(MPoly(1, {(2,): 4.0, (0,): -2.0}), g)
-    x = 0.6
-    assert f.value([x]) == pytest.approx((4 * x**2 - 2) * g.pdf([x]))
+    assert ForwardFunction(MPoly(1, {(2,): 4.0, (0,): -2.0}), g).dim == 1
     with pytest.raises(errors.DimensionMismatchError):
         ForwardFunction(MPoly(2, {(1, 0): 1.0}), g)
 

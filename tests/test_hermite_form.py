@@ -18,7 +18,6 @@ def test_canonical_transform_squares_to_twice_covariance(model_3d):
     npt.assert_allclose(tr.T @ tr.T.T, 2.0 * model_3d.Sigma, atol=1e-12)
     npt.assert_allclose(tr.T @ tr.T_inv, np.eye(3), atol=1e-12)
     npt.assert_array_equal(np.triu(tr.T, 1), 0.0)
-    npt.assert_allclose(tr.jac, np.linalg.det(tr.T))
 
 
 def test_canonical_frame_is_the_whitened_frame_of_f0(four_models):
@@ -170,7 +169,7 @@ def test_densities_agree_through_the_transform(model_diag):
     for _ in range(6):
         y = rng.normal(size=2)
         x = tr.T @ y
-        a = complex(f_orig.poly(x)) * f_orig.base.pdf(x) * tr.jac
+        a = complex(f_orig.poly(x)) * f_orig.base.pdf(x) * np.linalg.det(tr.T)
         b = complex(f_can.poly(y)) * f_can.base.pdf(y)
         ratios.append(a / b)
     for r in ratios[1:]:

@@ -344,10 +344,17 @@ CALL_SITES = {
     ],
     # ``MPoly._store``, the name's subject, was the last caller.
     "prune": [],
-    # The two entries of a grid, each behind one test of the whole array.
-    "check_finite_rows": [
+    # One reader per argument kind in ``gaussian``: the points of a grid,
+    # read by its two entries, and a model's Gaussian density, read by the
+    # three calls that take one.
+    "_points": [
         ("gaussian", "GaussianDensity.whitened"),
         ("spectral", "evaluate_grid_complex"),
+    ],
+    "_density_for": [
+        ("sde_oracle", "simulate"),
+        ("spectral", "expand_gaussian"),
+        ("spectral", "exact_gaussian_propagate"),
     ],
 }
 
@@ -398,12 +405,20 @@ def test_only_mpoly_store_prunes(module):
 
 
 def test_points_are_checked_once_where_they_enter():
-    for module in MODULES:
-        source = _source(module)
-        assert _off_site(module, "check_finite_rows", source) == []
-        lines = [line.strip() for line in source.splitlines()]
-        for scope, line in _scoped_calls(source, "check_finite_rows"):
-            assert lines[lines.index(line) - 1] == "if not np.isfinite(pts).all():", scope
+    assert [site for m in MODULES for site in _off_site(m, "_points", _source(m))] == []
+
+
+def test_a_density_is_checked_once_where_it_enters():
+    # ``_density_for`` is the one place that asks whether an argument is a
+    # ``GaussianDensity``.
+    assert [site for m in MODULES for site in _off_site(m, "_density_for", _source(m))] == []
+    asks = [
+        (module, scope)
+        for module in MODULES
+        for scope, line in _scoped_calls(_source(module), "isinstance")
+        if "GaussianDensity" in line
+    ]
+    assert asks == [("gaussian", "_density_for")]
 
 
 @pytest.mark.parametrize("module", MODULES)

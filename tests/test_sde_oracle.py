@@ -221,9 +221,9 @@ def test_simulate_transient_memory_does_not_grow_with_paths(model_spiral):
 
 def test_input_checks(model_spiral, model_1d):
     cfg = SimConfig(paths=10, dt=0.1, t_final=0.5, seed=0)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^expected a GaussianDensity$"):
         simulate(model_spiral, "not a density", cfg)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match="^density of dimension 1 for a 2-"):
         simulate(model_spiral, model_1d.f0, cfg)
 
 

@@ -139,6 +139,21 @@ def test_exact_propagator_rejects_non_finite_time_up_front(model_1d, monkeypatch
         ou.exact_gaussian_propagate(model_1d, model_1d.f0, t)
 
 
+@pytest.mark.parametrize("t", [1j, 0.5 + 0j])
+def test_grid_evaluation_refuses_a_complex_time(model_1d, t):
+    # np.isfinite passed a complex time, and t < 0 then raised an untyped
+    # TypeError.
+    ex = ou.expand_gaussian(model_1d, model_1d.f0, 2)
+    with pytest.raises(ValueError, match="^t must be real$"):
+        ou.evaluate_grid_complex(ex, np.zeros((3, 1)), t)
+
+
+@pytest.mark.parametrize("t", [1j, 0.5 + 0j])
+def test_exact_propagator_refuses_a_complex_time(model_1d, t):
+    with pytest.raises(ValueError, match="^t must be real$"):
+        ou.exact_gaussian_propagate(model_1d, model_1d.f0, t)
+
+
 @pytest.mark.parametrize("t", [1e100, 1e300])
 def test_exact_propagator_refuses_a_flow_that_is_not_finite(model_spiral, model_3d, t):
     # At these times scipy's exp(tA) is NaN on both models; the density
@@ -248,11 +263,12 @@ def test_reconstruction_report(four_models):
 
 
 def test_expand_validates_inputs(model_1d):
-    with pytest.raises(TypeError):
-        ou.expand_gaussian(model_1d, "nope", 3)
     F0 = ou.GaussianDensity(mean=[0.0, 0.0], cov=np.eye(2))
-    with pytest.raises(errors.DimensionMismatchError):
-        ou.expand_gaussian(model_1d, F0, 3)
+    for take in (ou.expand_gaussian, ou.exact_gaussian_propagate):
+        with pytest.raises(TypeError, match="^expected a GaussianDensity$"):
+            take(model_1d, "nope", 3)
+        with pytest.raises(errors.DimensionMismatchError, match="^density of dimension 2 for a 1-"):
+            take(model_1d, F0, 3)
 
 
 @pytest.mark.parametrize("order", [2.7, 3.0, "3"])

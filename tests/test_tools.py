@@ -63,7 +63,7 @@ def _files(root):
 
 def test_bench_outputs_keeps_every_file_of_each_task_and_repeats_bit_for_bit(tmp_path):
     # Two runs on one seed, side by side: 24 verify and 15 mc-check tasks
-    # each, with their inputs.
+    # and 66 spectral-stream requests each, with their inputs.
     outs = [tmp_path / "first", tmp_path / "second"]
     tool = [sys.executable, str(ROOT / "tools" / "bench_outputs.py")]
     runs = [
@@ -76,7 +76,16 @@ def test_bench_outputs_keeps_every_file_of_each_task_and_repeats_bit_for_bit(tmp
     names = _files(outs[0])
     codes = {n[: -len(".code")]: (outs[0] / n).read_text() for n in names if n.endswith(".code")}
     assert len(codes) == 39 and set(codes.values()) <= {"0\n", "1\n", "2\n"}
-    assert sum(n.startswith("inputs/") for n in names) == 39
+    assert sum(n.startswith("inputs/") for n in names) == 39 + 3  # + pool.json, cycle0.json, cycle1.json
+    requests = [n for n in names if n.startswith("spectral-stream-")]
+    assert len(requests) == 66 and all(n.endswith((".sha256", ".stderr")) for n in requests)
+    assert len({n.rpartition(".")[0] for n in requests}) == 66
+    for n in requests:
+        lines = (outs[0] / n).read_text().splitlines()
+        if n.endswith(".stderr"):
+            assert len(lines) == 1 and lines[0].startswith("error["), lines
+        else:
+            assert len(lines) in (1, 7) and all(len(line.split()[-1]) == 64 for line in lines)
     for task, code in codes.items():
         wrote = {".code", ".stdout", ".stderr"} | ({".json"} if code != "2\n" else set())
         assert {s for s in (".code", ".json", ".stderr", ".stdout") if task + s in names} == wrote

@@ -346,6 +346,32 @@ def test_spiral_passes_verify_at_high_order(order):
     assert not failing, failing
 
 
+# ROADMAP item 12: read at the full order, hermite-form fails on clean
+# tables.  Its residual is absolute in the monomials of y, and Hermite
+# coefficients grow with the order, so it passes IDENTITY_TOL only at the
+# orders <= 5 that ``run_all`` reads.  A = [[-1, 5], [0, -2]] is non-normal.
+@pytest.mark.parametrize(
+    "name, order",
+    [
+        pytest.param(name, order, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason=f"hermite-form reads {worst} against IDENTITY_TOL 1e-9",
+        ))
+        for name, order, worst in (
+            ("canonical_1d", 12, "2.98e-8"), ("spiral_2d", 14, "4.47e-8"), ("non_normal", 8, "3.75e-8")
+        )
+    ],
+)
+def test_hermite_form_passes_at_full_order(name, order):
+    if name == "non_normal":
+        model = build_model(np.array([[-1.0, 5.0], [0.0, -2.0]]), np.eye(2))
+    else:
+        model, _ = _config_model(name)
+    suite = verify.hermite_suite(model, max_order=order)
+    assert suite.tol == verify.IDENTITY_TOL
+    assert suite.passed, suite.worst
+
+
 def test_verify_json_reports_the_named_tolerances(tmp_path):
     out = tmp_path / "verify.json"
     assert cli.main(["verify", str(CONFIGS / "spiral_2d.json"), "--json", str(out)]) == 0
