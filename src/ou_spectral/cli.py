@@ -105,6 +105,8 @@ def _vector(x, field, n):
 
 # Most modes C(dimension + max_order, dimension) of eigensystem, verify and
 # propagate, which build square complex tables of as many rows: 16 MB each.
+# verify holds four at full order, each side's eigenfunctions and their
+# Hermite closed forms.
 # The solve, whose blocks grow with its source's degree, holds the source
 # to as many coefficients, C(dimension + degree, dimension).
 MAX_MODES = 1000

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NonFiniteResultError
 from .linalg import _as_square, _real, _spd_factor
 from .monomials import graded_index, index_size
 from .mpoly import MPoly
@@ -87,7 +87,10 @@ class GaussianDensity:
         """
         size = index_size(self.dim, degree)
         if self._moments.size < size:
-            m = moments(self.mean, self.cov, degree)
+            # A moment that overflows is kept as inf or NaN, which
+            # ``expectation`` refuses where a coefficient reads it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                m = moments(self.mean, self.cov, degree)
             m.setflags(write=False)
             object.__setattr__(self, "_moments", m)
         return self._moments[:size]
@@ -200,17 +203,27 @@ def wick_moment(exponents, Sigma):
 
 def expectation(p, g):
     """E[p(x)] for x distributed as the Gaussian g: the coefficient vector
-    of p against the moments of g.  Exact in moments; nothing is pruned."""
+    of p against the moments of g.  Exact in moments; nothing is pruned.
+    A moment under a zero coefficient takes no part; one under a nonzero
+    coefficient that is not finite raises ``NonFiniteResultError``."""
     if not isinstance(p, MPoly):
         raise TypeError("expectation takes an MPoly")
     if p.nvars != g.dim:
         raise DimensionMismatchError(
             f"polynomial in {p.nvars} variables, Gaussian of dimension {g.dim}"
         )
+    c, m = p.coeffs, g.moments(p.degree())
+    if not np.isfinite(m).all():
+        used = c != 0
+        bad = np.flatnonzero(used & ~np.isfinite(m))
+        if bad.size:
+            K = graded_index(g.dim, p.degree()).modes[bad[0]]
+            raise NonFiniteResultError(f"the Gaussian moment E[x^a] at a = {K} is not finite")
+        c, m = c[used], m[used]
     # An infinite coefficient against a zero moment gives NaN, which the
     # result keeps, as MPoly does.
     with np.errstate(invalid="ignore"):
-        return complex(p.coeffs @ g.moments(p.degree()))
+        return complex(c @ m)
 
 
 def inner_product(gp, f):

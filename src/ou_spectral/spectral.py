@@ -253,8 +253,8 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=DEFAULT_SOLVABILITY
     Raises ``DimensionMismatchError`` when ``q`` is not a polynomial times
     the model's stationary density, ``ValueError`` when its degree exceeds
     ``max_order`` or ``solvability_tol`` is not finite and nonnegative, and
-    ``NonFiniteResultError`` when a coefficient of q is not finite or one
-    of P overflows.
+    ``NonFiniteResultError`` when a coefficient of q is not finite, a
+    moment of f0 that it reads overflows, or a coefficient of P overflows.
     """
     if not 0.0 <= solvability_tol < np.inf:
         raise ValueError(f"solvability_tol must be finite and nonnegative, got {solvability_tol}")
@@ -265,8 +265,9 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=DEFAULT_SOLVABILITY
     d = q.poly.degree()
     if d > max_order:
         raise ValueError(f"source of degree {d} exceeds max_order {max_order}")
-    # Checked first: the solvability test below is False for a NaN or
-    # infinite stationary component.
+    # Checked first: a coefficient that is not finite can make the
+    # stationary component NaN, which the solvability test below passes.
+    # A moment of f0 that is not finite raises in ``expectation``.
     if not np.all(np.isfinite(q.poly.coeffs)):
         raise NonFiniteResultError("the source has a coefficient that is not finite")
     scale = max(1.0, q.poly.max_coeff())

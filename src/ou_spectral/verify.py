@@ -59,9 +59,6 @@ class VerifyReport:
 # Degree of the polynomials on which each operator table is read against
 # its weights: C(n + 5, n) monomials.
 CHECK_DEGREE = 5
-# Highest order at which ``run_all`` checks the eigen-residuals and the
-# ladder factorials.
-ORDER_CAP = 6
 # Default tolerance of bi-orthogonality and the eigen-residuals; the fixed
 # one of the ladder factorials; that of the operator identities (commutators,
 # Hermite closed form, reconstruction).
@@ -227,31 +224,31 @@ def eigen_residual_suite(model, max_order, tol=DEFAULT_RESIDUAL_TOL):
     return SuiteResult("eigen-residuals", float(worst), tol)
 
 
-def ladder_suite(model, n_max=ORDER_CAP):
+def ladder_suite(model, max_order):
     """Repeated lowering against the exact factorial ladder factors.
 
-    k-fold lowering of the order-m single-mode eigenfunction must equal
-    2^k m!/(m-k)! times the order-(m-k) one, and annihilate it for k > m.
-    The single-mode rows of one axis are lowered together, one gather of
-    its lowering operator per step (``_image``), none of them pruned.  A
-    row's residual is relative to its factor times the largest
-    coefficient of its reference and 1, and past the bottom to 2^m m!.
+    k-fold lowering of the order-m single-mode eigenfunction, m <= max_order,
+    must equal 2^k m!/(m-k)! times the order-(m-k) one, and annihilate it for
+    k > m.  The single-mode rows of one axis are lowered together, one gather
+    of its lowering operator per step (``_image``), none of them pruned.  A
+    row's residual is relative to its factor times the largest coefficient
+    of its reference and 1, and past the bottom to 2^m m!.
     """
-    exps = graded_index(model.dim, n_max).exponents
-    norms = graded_index(1, n_max).normalizations
+    exps = graded_index(model.dim, max_order).exponents
+    norms = graded_index(1, max_order).normalizations
     worst = 0.0
     # inf - inf is NaN, which the maximum keeps.
     with np.errstate(invalid="ignore"):
         for side in ("forward", "adjoint"):
-            table = _eigenfunctions(model, side, n_max)
+            table = _eigenfunctions(model, side, max_order)
             for I in range(model.dim):
-                # Row m holds the eigenfunction of m e_I, m = 0..n_max.
+                # Row m holds the eigenfunction of m e_I, m = 0..max_order.
                 rows = single = table[exps[:, I] == exps.sum(axis=1)]
                 args = (f"lower_{side}", I)
-                for k in range(1, n_max + 2):
-                    rows = _image(model, _ladder_table, args, n_max + 1 - k, rows)
-                    factor = norms[k:] / norms[: n_max + 1 - k]
-                    ref = single[: n_max + 1 - k, : rows.shape[1]]
+                for k in range(1, max_order + 2):
+                    rows = _image(model, _ladder_table, args, max_order + 1 - k, rows)
+                    factor = norms[k:] / norms[: max_order + 1 - k]
+                    ref = single[: max_order + 1 - k, : rows.shape[1]]
                     target = ref * factor[:, None]
                     scale = factor * np.fmax(np.abs(ref).max(axis=1, initial=0.0), 1.0)
                     d = np.abs(rows[k:] - target).max(axis=1, initial=0.0) / scale
@@ -283,40 +280,38 @@ def commutator_suite(model):
     return SuiteResult("commutators", float(worst), IDENTITY_TOL)
 
 
-def hermite_suite(model, max_order=5):
+def hermite_suite(model, max_order):
     """Each side's table (``ladder._eigenfunctions``), mapped to y = T^-1 x
     by one power table of T = sqrt(2) L, L the Cholesky factor of the
     Lyapunov solution of A and B, against the model's own closed form in
     y of f0, read by the same reader (``_hermite_table`` as its builder),
-    which a Sigma off that solution moves apart.  Row K's residual
-    is divided (forward) or multiplied (adjoint) by prod_I |T^-1 e_I|^K_I:
-    the absolute residual of eigenvectors of unit norm in y."""
+    which a Sigma off that solution moves apart.  Row K's residual is
+    relative to the largest coefficient of its closed form, which makes
+    it unit-free at every order."""
     T = np.sqrt(2.0) * stationary_density(solve_lyapunov(model.A, model.B)).factor
     to_y = power_table(T, np.zeros(model.dim), max_order)
-    d = np.linalg.norm(np.linalg.solve(T, model.eig.right), axis=0)
-    scale = np.prod(d ** graded_index(model.dim, max_order).exponents, axis=1)
     worst = 0.0
     # inf - inf is NaN, which the maximum keeps.
     with np.errstate(invalid="ignore"):
-        for side, unit in (("forward", 1.0 / scale), ("adjoint", scale)):
+        for side in ("forward", "adjoint"):
             table = _eigenfunctions(model, side, max_order) @ to_y
             closed = _eigenfunctions(model, side, max_order, _hermite_table)
-            resid = np.abs(table - closed).max(axis=1)
-            worst = np.maximum(worst, np.max(resid * unit))
+            resid = np.abs(table - closed).max(axis=1) / np.abs(closed).max(axis=1)
+            worst = np.maximum(worst, np.max(resid))
     return SuiteResult("hermite-form", float(worst), IDENTITY_TOL)
 
 
 def run_all(model, max_order, residual_tol=DEFAULT_RESIDUAL_TOL):
-    """Every suite at its standard tolerance; shared residual_tol where
-    a suite has no tighter inherent requirement.  Each suite reads each
-    operator's one table at the degree it needs, which grows the table
-    when that degree is above every earlier read."""
+    """Every suite at its standard tolerance, shared residual_tol where a
+    suite has no tighter inherent requirement, and at ``max_order`` where
+    it takes an order.  Each suite reads each operator's one table at the
+    degree it needs, growing it when that degree is above every earlier read."""
     suites = [
         biorthogonality_suite(model, max_order, tol=residual_tol),
-        eigen_residual_suite(model, min(max_order, ORDER_CAP), tol=residual_tol),
-        ladder_suite(model, n_max=min(max_order, ORDER_CAP)),
+        eigen_residual_suite(model, max_order, tol=residual_tol),
+        ladder_suite(model, max_order),
         commutator_suite(model),
-        hermite_suite(model, max_order=min(max_order, 5)),
+        hermite_suite(model, max_order),
         reconstruction_suite(model),
     ]
     return VerifyReport(suites=suites)

@@ -811,6 +811,21 @@ def test_solve_unsolvable_source_exits_2(tmp_path, capsys):
     assert "error[NotSolvableError]" in capsys.readouterr().err
 
 
+def test_solve_with_a_moment_that_overflows_exits_2_with_one_line(tmp_path, capsys, recwarn):
+    # Under f0 = N(0, 1e200), E[x^4] and E[x^6] overflow: the stationary
+    # component of x^6 - x^4 was inf - inf, which passed the solvability
+    # test, and the solve failed later, after two numpy warnings.
+    source = {"terms": [[[6], [1.0, 0.0]], [[4], [-1.0, 0.0]]]}
+    path = write_config(tmp_path, B=[[2e200]], max_order=6, source=source)
+    assert cli.main(["solve", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error[NonFiniteResultError]: ")
+    assert "a = (4,)" in captured.err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_mc_check_passes(tmp_path, capsys):
     path = write_config(
         tmp_path,

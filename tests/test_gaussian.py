@@ -291,6 +291,21 @@ def test_expectation_type_checks():
         expectation(MPoly(2, {(1, 1): 1.0}), g)
 
 
+def test_expectation_reads_only_the_moments_its_polynomial_uses():
+    # E[x_2^8] = 105e400 overflows, and 0 * inf once made the expectation
+    # of x_1^8 NaN; it is 105, bit for bit the finite entry.
+    g = GaussianDensity(mean=[0.0, 0.0], cov=np.diag([1.0, 1e100]))
+    assert expectation(MPoly(2, {(8, 0): 1.0}), g) == 105.0
+    with pytest.raises(errors.NonFiniteResultError, match=r"a = \(0, 8\)"):
+        expectation(MPoly(2, {(8, 0): 1.0, (0, 8): 1.0}), g)
+
+
+def test_wick_moment_that_overflows_is_an_error():
+    # E[x^8] = 105e400 read NaN.
+    with pytest.raises(errors.NonFiniteResultError, match=r"a = \(8,\)"):
+        wick_moment((8,), [[1e100]])
+
+
 @functools.cache
 def _isserlis(counts, S):
     """E[y^counts] for y ~ N(0, S) by pair counting, in Fractions: one

@@ -1,6 +1,8 @@
-"""``tools/cli_outputs.py``, run on a tree that holds one config."""
+"""The tools: ``cli_outputs.py`` run on a tree that holds one config,
+``bench_outputs.py`` on one seed and ``verdicts.py`` on synthetic trees."""
 
 import filecmp
+import json
 import shutil
 import subprocess
 import sys
@@ -104,3 +106,58 @@ def test_bench_outputs_with_wrong_arguments_exits_with_its_usage(args):
     assert run.returncode == 1
     assert run.stdout == ""
     assert run.stderr == "Usage: python3 tools/bench_outputs.py OUTDIR SEED...\n"
+
+
+def _verify_task(root, task, code, suites=None):
+    """Write ``task``'s ``.code`` and, given its suites as {name: (passed,
+    worst)}, a ``.json`` in the shape of ``verify --json``."""
+    root.mkdir(exist_ok=True)
+    (root / f"{task}.code").write_text(f"{code}\n")
+    if suites is not None:
+        body = {n: {"lines": [], "passed": p, "tol": 1e-9, "worst": w} for n, (p, w) in suites.items()}
+        passed = all(p for p, _ in suites.values())
+        (root / f"{task}.json").write_text(json.dumps({"passed": passed, "suites": body}))
+
+
+def _verdicts(*args):
+    tool = [sys.executable, str(ROOT / "tools" / "verdicts.py"), *map(str, args)]
+    return subprocess.run(tool, capture_output=True, text=True)
+
+
+def test_verdicts_prints_each_moved_verdict_and_the_largest_passing_worst(tmp_path):
+    before, after = tmp_path / "before", tmp_path / "after"
+    for root, hermite, code in ((before, (False, 3e-8), 1), (after, (True, 2e-15), 1)):
+        _verify_task(root, "verify-cold-7-a", code, {"hermite-form": hermite, "biorthogonality": (False, 1e-6)})
+    _verify_task(before, "verify-cold-7-b", 0, {"hermite-form": (True, 4e-13), "biorthogonality": (True, 0.0)})
+    _verify_task(after, "verify-cold-7-b", 0, {"hermite-form": (True, 1e-15), "biorthogonality": (True, 0.0)})
+    _verify_task(before, "verify-cold-7-c", 1, {"hermite-form": (False, 1.0), "biorthogonality": (True, 0.0)})
+    _verify_task(after, "verify-cold-7-c", 2)
+    # Neither a spectral-stream file nor a .stdout names a task.
+    (before / "spectral-stream-7-0.sha256").write_text("")
+    (after / "verify-cold-7-a.stdout").write_text("")
+    run = _verdicts(before, after)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "verify-cold-7-a: hermite-form FAIL -> PASS, worst 3.000e-08 -> 2.000e-15",
+        "verify-cold-7-c: exit 1 -> 2; biorthogonality PASS -> -, worst 0.000e+00 -> -; "
+        "hermite-form FAIL -> -, worst 1.000e+00 -> -",
+        "biorthogonality: largest passing worst 0.000e+00 -> 0.000e+00",
+        "hermite-form: largest passing worst 4.000e-13 -> 2.000e-15",
+    ]
+
+
+def test_verdicts_of_trees_with_different_tasks_exits_1(tmp_path):
+    _verify_task(tmp_path / "before", "verify-cold-7-a", 0, {})
+    _verify_task(tmp_path / "after", "verify-cold-7-b", 0, {})
+    run = _verdicts(tmp_path / "before", tmp_path / "after")
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr == "task names differ; BEFORE only: verify-cold-7-a; AFTER only: verify-cold-7-b\n"
+
+
+@pytest.mark.parametrize("args", [(), ("a",), ("a", "b", "c")], ids=["none", "one", "three"])
+def test_verdicts_with_a_wrong_argument_count_exits_with_its_usage(args):
+    run = _verdicts(*args)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr == "Usage: python3 tools/verdicts.py BEFORE AFTER\n"

@@ -34,7 +34,7 @@ import numpy.testing as npt
 import pytest
 
 import ou_spectral
-from ou_spectral import cli, hermite_form, ladder, monomials, spectral, verify
+from ou_spectral import cli, hermite_form, ladder, monomials, mpoly, spectral, verify
 from ou_spectral.gaussian import ForwardFunction, inner_product
 from ou_spectral.ladder import (
     adjoint_eigenfunction,
@@ -346,28 +346,36 @@ def test_spiral_passes_verify_at_high_order(order):
     assert not failing, failing
 
 
-# ROADMAP item 12: read at the full order, hermite-form fails on clean
-# tables.  Its residual is absolute in the monomials of y, and Hermite
-# coefficients grow with the order, so it passes IDENTITY_TOL only at the
-# orders <= 5 that ``run_all`` reads.  A = [[-1, 5], [0, -2]] is non-normal.
+@pytest.mark.parametrize("name, order", [("spiral_2d", 14), ("random_3d", 7)])
+def test_run_all_reads_every_suite_at_max_order(name, order):
+    # One order rule: each suite that takes an order reads run_all's
+    # max_order, the same read as the suite called alone on a fresh model.
+    alone = {
+        "biorthogonality": verify.biorthogonality_suite,
+        "eigen-residuals": verify.eigen_residual_suite,
+        "ladder-factorials": verify.ladder_suite,
+        "hermite-form": verify.hermite_suite,
+    }
+    report = verify.run_all(_config_model(name)[0], order)
+    got = {s.name: s for s in report.suites if s.name in alone}
+    assert set(got) == set(alone)
+    for suite, run in alone.items():
+        assert got[suite] == run(_config_model(name)[0], order), suite
+
+
+# Hermite-form on clean tables at orders above those of the configs.  Read
+# absolute in the monomials of y, where Hermite coefficients grow with the
+# order, it read 2.98e-8, 4.47e-8 and 3.75e-8 here; each row read against
+# its own closed form is unit-free.  A = [[-1, 5], [0, -2]] is non-normal.
 @pytest.mark.parametrize(
-    "name, order",
-    [
-        pytest.param(name, order, marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError,
-            reason=f"hermite-form reads {worst} against IDENTITY_TOL 1e-9",
-        ))
-        for name, order, worst in (
-            ("canonical_1d", 12, "2.98e-8"), ("spiral_2d", 14, "4.47e-8"), ("non_normal", 8, "3.75e-8")
-        )
-    ],
+    "name, order", [("canonical_1d", 12), ("spiral_2d", 14), ("non_normal", 8)]
 )
 def test_hermite_form_passes_at_full_order(name, order):
     if name == "non_normal":
         model = build_model(np.array([[-1.0, 5.0], [0.0, -2.0]]), np.eye(2))
     else:
         model, _ = _config_model(name)
-    suite = verify.hermite_suite(model, max_order=order)
+    suite = verify.hermite_suite(model, order)
     assert suite.tol == verify.IDENTITY_TOL
     assert suite.passed, suite.worst
 
@@ -477,8 +485,8 @@ def _degree_ladder_factorials(model, n_max):
 
 
 PER_DEGREE_SUITES = {
-    "eigen-residuals": lambda m, order: _degree_eigen_residuals(m, min(order, verify.ORDER_CAP)),
-    "ladder-factorials": lambda m, order: _degree_ladder_factorials(m, min(order, verify.ORDER_CAP)),
+    "eigen-residuals": _degree_eigen_residuals,
+    "ladder-factorials": _degree_ladder_factorials,
 }
 
 REFERENCE_MODELS = dict(IMAGE_MODELS)
@@ -502,12 +510,12 @@ def test_one_table_suites_equal_the_per_degree_suites(name):
     model, max_order = got if isinstance(got, tuple) else (got, 6)
     report = verify.run_all(model, max_order)
     # One table per operator, side and mode, each at the highest degree
-    # the suites read: the check degree, or above it the order of the
-    # eigen-residuals and ladder factorials for the generators and the
-    # lowering operators, and max_order - 1 for the raising operators,
-    # which the eigenfunction tables read there.
+    # the suites read: the check degree, or above it max_order for the
+    # generators and the lowering operators, which the eigen-residuals and
+    # ladder factorials read there, and max_order - 1 for the raising
+    # operators, which the eigenfunction tables read there.
     sides, d = ("forward", "adjoint"), verify.CHECK_DEGREE
-    low = max(d, min(max_order, verify.ORDER_CAP))
+    low = max(d, max_order)
     gens = {key for key in model._op_cache if key[0] is ladder._generator_table}
     assert gens == {(ladder._generator_table, s) for s in sides}
     ladders = {key for key in model._op_cache if key[0] is ladder._ladder_table}
@@ -525,12 +533,12 @@ def test_one_table_suites_equal_the_per_degree_suites(name):
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)
 def test_suites_at_order_seven_equal_the_per_degree_suites(name):
-    # Above the order cap of run_all the tables grow past degree 6.
+    # Above the configs' orders the tables grow past degree 6.
     model, _ = _config_model(name)
     got = verify.eigen_residual_suite(model, 7)
     assert got.passed
     assert got.worst == _degree_eigen_residuals(model, 7)[0]
-    got = verify.ladder_suite(model, n_max=7)
+    got = verify.ladder_suite(model, 7)
     assert got.passed
     assert got.worst == _degree_ladder_factorials(model, 7)[0]
 
@@ -706,7 +714,9 @@ def test_perturbed_forward_table_fails_the_hermite_suite():
     # closed form.  Scale the largest top-degree coefficient of random_3d's
     # forward row (2, 1, 1) by 1 + 1e-6, after every row is raised: the
     # suite must see it.  A suite that rebuilt the model in canonical
-    # coordinates and compared that model's tables would pass.
+    # coordinates and compared that model's tables would pass.  The suite
+    # reads the defect itself: delta c x^a in y, max |delta c (T y)^a|,
+    # over the row's largest closed-form coefficient.
     model, max_order = _config_model("random_3d")
     ladder._eigenfunctions(model, "forward", max_order)
     assert verify.hermite_suite(model, max_order).passed
@@ -715,12 +725,17 @@ def test_perturbed_forward_table_fails_the_hermite_suite():
     assert top == max_order == 4
     table = table.copy()
     idx = graded_index(model.dim, max_order)
-    row = table[idx.row[(2, 1, 1)]]
-    quartic = idx.degree(4)
-    row[quartic.start + np.argmax(np.abs(row[quartic]))] *= 1.0 + 1e-6
+    K, quartic, delta = (2, 1, 1), idx.degree(4), 1e-6
+    row = table[idx.row[K]]
+    a = quartic.start + np.argmax(np.abs(row[quartic]))
+    defect = delta * row[a]
+    row[a] *= 1.0 + delta
     model._op_cache[key] = (top, table)
     result = verify.hermite_suite(model, max_order)
-    assert result.worst > 1e3 * result.tol
+    to_y = mpoly.power_table(hermite_form.canonical_transform(model).T, np.zeros(3), max_order)
+    closed = ladder._eigenfunctions(model, "forward", max_order, hermite_form._hermite_table)
+    want = np.abs(defect * to_y[a]).max() / np.abs(closed[idx.row[K]]).max()
+    assert result.worst == pytest.approx(want, rel=1e-6, abs=0.0)
     assert not result.passed
 
 
@@ -775,7 +790,7 @@ NAN_CASES = {
     ),
     "ladder-factorials": (
         _poison_entry(ladder._eigentable, "forward", 1),
-        lambda m: verify.ladder_suite(m, n_max=2),
+        lambda m: verify.ladder_suite(m, 2),
     ),
     "commutators": (
         _poison_table(ladder._ladder_table, "raise_forward", 1),
@@ -783,7 +798,7 @@ NAN_CASES = {
     ),
     "hermite-form": (
         _poison_entry(hermite_form._hermite_table, "adjoint", 2),
-        lambda m: verify.hermite_suite(m, max_order=2),
+        lambda m: verify.hermite_suite(m, 2),
     ),
     "operator-reconstruction": (
         _poison_table(ladder._generator_table, "forward"),
@@ -834,7 +849,8 @@ def test_inexact_sigma_fails_verify(name):
     # suite reads only 4e-9 to 8e-9 here, under its 1e-8 tolerance; the
     # Hermite suite maps the tables to the frame of the Lyapunov solution
     # of A and B, and compares them with the closed form in the frame of
-    # f0, which reads 7e-8 to 2.4e-7 at 1e-9 and 7e-5 to 2.4e-4 at 1e-6.
+    # f0, each row relative to its closed form, which reads 1.5e-9 to
+    # 3.0e-9 at 1e-9 and 1.5e-6 to 3.0e-6 at 1e-6.
     model, max_order = _config_model(name)
     for eps in (1e-9, 1e-6):
         report = verify.run_all(_with_sigma(model, model.Sigma * (1.0 + eps)), max_order)
@@ -905,7 +921,7 @@ def test_every_cache_key_is_a_builder_and_its_arguments(name):
     # 14 entries on spiral_2d, 18 on random_3d.
     want = gens | ladders | eigen | closed
     assert set(model._op_cache) == want
-    assert {model._op_cache[key][0] for key in closed} == {min(max_order, 5)}
+    assert {model._op_cache[key][0] for key in closed} == {max_order}
 
     _grid_and_closed_reads(model, max_order)
     # Grid evaluation keeps no table of its own.
@@ -914,15 +930,15 @@ def test_every_cache_key_is_a_builder_and_its_arguments(name):
     assert {tops[key] for key in eigen} == {max_order}
     # Each suite reads an operator at the degree it needs: the operator
     # suites read every table at the check degree, the eigen-residuals
-    # and ladder factorials read L and the lowering operators at their
-    # order, and the eigen tables read the raising operators at
+    # and ladder factorials read L and the lowering operators at
+    # max_order, and the eigen tables read the raising operators at
     # max_order - 1.
-    low = max(verify.CHECK_DEGREE, min(max_order, verify.ORDER_CAP))
+    low = max(verify.CHECK_DEGREE, max_order)
     assert {tops[key] for key in gens | ladders - raising} == {low}
     assert {tops[key] for key in raising} == {max(verify.CHECK_DEGREE, max_order - 1)}
-    # Grid evaluation reads the forward closed form, at max_order.
+    # The Hermite suite reads both closed forms at max_order.
     assert tops[(hermite_form._hermite_table, "forward")] == max_order
-    assert tops[(hermite_form._hermite_table, "adjoint")] == min(max_order, 5)
+    assert tops[(hermite_form._hermite_table, "adjoint")] == max_order
 
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)
