@@ -21,15 +21,32 @@ from .monomials import graded_index, index_size
 from .mpoly import MPoly
 
 
+# Rows per block of a grid read: whitening, its density and each scan of a
+# grid for values that are not finite hold one block, never the grid.
+GRID_CHUNK = 4096
+
+
+def _first_not_finite(a):
+    """Index of the first row of ``a`` holding a value that is not finite,
+    or -1, read ``GRID_CHUNK`` rows at a time: a block of flags is all the
+    scan allocates."""
+    for lo in range(0, a.shape[0], GRID_CHUNK):
+        bad = ~np.isfinite(a[lo : lo + GRID_CHUNK])
+        if bad.any():
+            return lo + int(np.flatnonzero(bad.reshape(bad.shape[0], -1).any(axis=1))[0])
+    return -1
+
+
 def _points(points, dim):
     """``points`` as a float array of shape (P, ``dim``), the one check of
     a grid: ``ValueError`` when it is complex or naming its first row that
-    is not finite, ``DimensionMismatchError`` for another shape."""
+    is not finite, ``DimensionMismatchError`` for another shape.  Float
+    points are not copied, and the scan holds one block of flags."""
     pts = _real(points, "points")
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise DimensionMismatchError(f"points must have shape (P, {dim}), got {pts.shape}")
-    if not np.isfinite(pts).all():
-        bad = np.flatnonzero(~np.all(np.isfinite(pts), axis=1))[0]
+    bad = _first_not_finite(pts)
+    if bad >= 0:
         raise ValueError(f"points must be finite; row {bad} is {pts[bad].tolist()}")
     return pts
 
@@ -101,23 +118,49 @@ class GaussianDensity:
         return float(self.pdf_grid(point)[0])
 
     def pdf_grid(self, points):
-        """Density at many points, shape (P, dim) -> (P,)."""
-        return self.whitened(points)[1]
+        """Density at many points, shape (P, dim) -> (P,), its points
+        checked as ``whitened`` checks them.  Beyond its output it holds
+        one block: each block of at most ``GRID_CHUNK`` points is whitened
+        into the same buffers (``_whitened_blocks``)."""
+        pts = _points(points, self.dim)
+        out = np.empty(pts.shape[0])
+        for rows, _, density in self._whitened_blocks(pts):
+            out[rows] = density
+        return out
 
     def whitened(self, points):
         """Whitened coordinates z = W^T (x - mean) of points (P, dim), one
         column per point, shape (dim, P), and the density there,
         exp(log_norm - |z|^2 / 2), shape (P,).
 
-        Raises ``ValueError`` for complex points, or naming the first row
-        that is not finite; a point far enough out for |z|^2 to overflow
-        gets 0.
+        The whole-grid call: it allocates z and the density over the whole
+        grid, 8 dim + 8 bytes a point, and x - mean too, 8 dim more, when
+        the mean is not zero.  Raises ``ValueError`` for complex points, or
+        naming the first row that is not finite; a point far enough out
+        for |z|^2 to overflow gets 0.
         """
         pts = _points(points, self.dim)
         z = np.empty((self.dim, pts.shape[0]))
         density = np.empty(pts.shape[0])
         self._whiten_into(pts, z, density)
         return z, density
+
+    def _whitened_blocks(self, pts):
+        """``whitened`` of the finite float rows ``pts`` (P, dim), with no
+        check, one block of at most ``GRID_CHUNK`` rows at a time: yields
+        (the block's rows as a slice, its z, its density).  Every z and
+        density is a view of the same two buffers, sized to one block,
+        which the next block overwrites; a short last block fills a
+        contiguous prefix of each, so every product has the shapes and
+        memory layout it has on a full block."""
+        n, P = self.dim, pts.shape[0]
+        size = min(P, GRID_CHUNK)
+        z_buf, f_buf = np.empty(n * size), np.empty(size)
+        for lo in range(0, P, GRID_CHUNK):
+            m = min(GRID_CHUNK, P - lo)
+            z, density = z_buf[: n * m].reshape(n, m), f_buf[:m]
+            self._whiten_into(pts[lo : lo + m], z, density)
+            yield slice(lo, lo + m), z, density
 
     def _whiten_into(self, pts, z, density):
         """``whitened`` of the finite float rows ``pts`` (P, dim), written

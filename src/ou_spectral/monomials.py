@@ -43,7 +43,19 @@ def compositions(total, parts):
 
 def enumerate_modes(dim, max_order):
     """All multi-indices with total order up to max_order, graded-lex."""
-    return list(graded_index(operator.index(dim), operator.index(max_order)).modes)
+    return list(graded_index(dim, max_order).modes)
+
+
+def _max_order(max_order):
+    """``max_order`` as an int, the one reader of an order argument:
+    ``TypeError`` unless it is an integer, ``ValueError`` when negative."""
+    try:
+        order = operator.index(max_order)
+    except TypeError:
+        raise TypeError(f"max_order must be an integer, got {max_order!r}") from None
+    if order < 0:
+        raise ValueError("max_order must be nonnegative")
+    return order
 
 
 def index_size(dim, degree):
@@ -126,10 +138,15 @@ class GradedIndex:
         return S
 
 
-@lru_cache(maxsize=INDEX_CACHE_SIZE)
 def graded_index(dim, degree):
     """The ``GradedIndex`` of all multi-indices of ``dim`` entries up to
-    total order ``degree``."""
+    total order ``degree``, each read as an integer (``operator.index``)
+    before the cache is, which would take 3.0 for 3."""
+    return _graded_index(operator.index(dim), operator.index(degree))
+
+
+@lru_cache(maxsize=INDEX_CACHE_SIZE)
+def _graded_index(dim, degree):
     if dim < 1:
         raise ValueError("dim must be at least 1")
     if degree < 0:

@@ -25,9 +25,9 @@ from .kernels import PATH_CHUNK, em_paths
 class SimConfig:
     """Monte Carlo settings; seed is reduced modulo 2^64.
 
-    ``paths`` and ``seed`` are integers (``TypeError`` otherwise), and
-    ``t_final`` is a finite integer multiple of ``dt``, so that the paths
-    stop at the time the report names.
+    ``paths`` and ``seed`` are integers (``TypeError`` otherwise), ``dt``
+    is positive and finite, and ``t_final`` is a finite integer multiple
+    of ``dt``, so that the paths stop at the time the report names.
     """
 
     paths: int
@@ -44,6 +44,8 @@ class SimConfig:
             raise ValueError("paths must be at least 3")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
+        if not math.isfinite(self.dt):
+            raise ValueError(f"dt must be finite, got {self.dt}")
         if not math.isfinite(self.t_final):
             raise ValueError(f"t_final must be finite, got {self.t_final}")
         if self.t_final < self.dt:

@@ -39,24 +39,21 @@ source, top degree first, on blocks of the generator's matrix that
 table, the table that ``apply_forward`` gathers through.
 """
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .errors import NonFiniteResultError, NotSolvableError
-from .gaussian import ForwardFunction, GaussianDensity, _density_for, _points, expectation, moments
+from .gaussian import GRID_CHUNK, ForwardFunction, GaussianDensity, _density_for, _first_not_finite
+from .gaussian import _points, expectation, moments
 from .hermite_form import _hermite_table
 from .ladder import _check_forward, _check_multi_index, _eigenfunctions, _eigenvalues
 from .ladder import _generator_table, _matrix
-from .monomials import graded_index
+from .monomials import _max_order, graded_index
 from .mpoly import MPoly
 from .verify import reconstruct_operators_check  # noqa: F401, the name perfbench/layers.py binds
 
-# Points per block of grid evaluation; the work buffers hold every
-# monomial over one block, never over the whole grid.
-GRID_CHUNK = 4096
 # Default bound on a solve source's stationary component, relative.
 DEFAULT_SOLVABILITY_TOL = 1e-10
 
@@ -94,9 +91,7 @@ def expand_gaussian(model, F0, max_order):
     ``NonFiniteResultError`` when a coefficient overflows.
     """
     _density_for(F0, model.dim)
-    max_order = operator.index(max_order)
-    if max_order < 0:
-        raise ValueError("max_order must be nonnegative")
+    max_order = _max_order(max_order)
     W = model.eig.left
     a = 2.0 * (W @ F0.mean)
     M = 4.0 * (W @ (F0.cov - model.Sigma) @ W.T)
@@ -150,10 +145,12 @@ def evaluate_grid_complex(expansion, points, t):
     sum is one real vector pair b = w(t) T, split into real and imaginary
     parts, against the real monomials y^a, which ``_fill_grid`` builds
     in blocks of at most ``GRID_CHUNK`` points, in buffers allocated once
-    per call; w(t) divides by the index's ``normalizations``.
+    per call; w(t) divides by the index's ``normalizations``.  Beyond its
+    output it holds one block: the buffers, and the flags of each scan of
+    the points and of the values for ones that are not finite.
     Raises ``ValueError`` for complex points, or naming the first point
     that is not finite, before any table is read, and
-    ``NonFiniteResultError`` when a value overflows.
+    ``NonFiniteResultError`` naming the first value that overflows.
     """
     _check_time(t)
     model = expansion.model
@@ -166,10 +163,10 @@ def evaluate_grid_complex(expansion, points, t):
     with np.errstate(over="ignore", invalid="ignore"):
         b = (expansion.coeffs / idx.normalizations * np.exp(lam * t)) @ T
         _fill_grid(model.f0, idx.runs, np.stack([b.real, b.imag]), pts, out)
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
+    bad = _first_not_finite(out)
+    if bad >= 0:
         raise NonFiniteResultError(
-            f"expansion value at x={pts[bad[0]].tolist()}, t={t} is {out[bad[0]]}; "
+            f"expansion value at x={pts[bad].tolist()}, t={t} is {out[bad]}; "
             "a mode value or weight overflowed"
         )
     return out
@@ -178,31 +175,25 @@ def evaluate_grid_complex(expansion, points, t):
 def _fill_grid(f0, runs, B2, pts, out):
     """Write f0(x) (B2[0] + i B2[1]) . y^a into ``out`` for each row x of
     ``pts``, with y^a the monomials of y = z / sqrt(2), z whitened by f0
-    and scaled in place after the density, each run y_I times its parents.
+    one block at a time (``GaussianDensity._whitened_blocks``) and scaled
+    in place after the density, each run y_I times its parents.
 
-    Each block of at most ``GRID_CHUNK`` points fills the same three
-    buffers, sized to one block: the monomials, y and the density.  A
-    short last block fills a contiguous prefix of each, so every product
-    has the shapes and memory layout it has on a full block.  The buffers
-    die on return, so they are not held through the caller's pass over
-    the whole of ``out``.
+    Each block fills the same monomial buffer, sized to one block; a
+    short last block fills a contiguous prefix of it, as it does of the
+    whitening buffers.  The buffers die on return, so they are not held
+    through the caller's pass over the whole of ``out``.
     """
-    n, R = f0.dim, B2.shape[1]
-    size = min(pts.shape[0], GRID_CHUNK)
-    X_buf, z_buf, f_buf = np.empty(R * size), np.empty(n * size), np.empty(size)
-    for lo in range(0, pts.shape[0], GRID_CHUNK):
-        block = pts[lo : lo + GRID_CHUNK]
-        m = block.shape[0]
-        z, f = z_buf[: n * m].reshape(n, m), f_buf[:m]
-        f0._whiten_into(block, z, f)
+    R = B2.shape[1]
+    X_buf = np.empty(R * min(pts.shape[0], GRID_CHUNK))
+    for block, z, f in f0._whitened_blocks(pts):
         z /= np.sqrt(2.0)
-        X = X_buf[: R * m].reshape(R, m)
+        X = X_buf[: R * f.size].reshape(R, f.size)
         X[0] = 1.0
         for _, I, rows, parents in runs:
             np.multiply(z[I], X[parents], out=X[rows])
         re, im = B2 @ X
-        np.multiply(re, f, out=out.real[lo : lo + m])
-        np.multiply(im, f, out=out.imag[lo : lo + m])
+        np.multiply(re, f, out=out.real[block])
+        np.multiply(im, f, out=out.imag[block])
 
 
 def exact_gaussian_propagate(model, F0, t):
@@ -259,9 +250,7 @@ def solve_inhomogeneous(model, q, max_order, solvability_tol=DEFAULT_SOLVABILITY
     if not 0.0 <= solvability_tol < np.inf:
         raise ValueError(f"solvability_tol must be finite and nonnegative, got {solvability_tol}")
     _check_forward(model, q)
-    max_order = operator.index(max_order)
-    if max_order < 0:
-        raise ValueError("max_order must be nonnegative")
+    max_order = _max_order(max_order)
     d = q.poly.degree()
     if d > max_order:
         raise ValueError(f"source of degree {d} exceeds max_order {max_order}")

@@ -31,7 +31,7 @@ from .ladder import (
     _matrix,
 )
 from .linalg import solve_lyapunov
-from .monomials import enumerate_modes, graded_index
+from .monomials import _max_order, enumerate_modes, graded_index
 from .mpoly import MPoly, power_table
 
 
@@ -137,6 +137,14 @@ def _side(model, side):
     return _drift(model, side), np.diag(lam), a, w, low
 
 
+def _check_tol(tol):
+    """The residual tolerance of a suite: ``ValueError`` unless it is
+    finite and positive, where inf would pass every residual and NaN or 0
+    fail every one."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"residual tolerance must be finite and positive, got {tol}")
+
+
 def reconstruct_operators_check(model, tol=IDENTITY_TOL):
     """Verify gradient, position, and both evolution operators rebuild
     from the ladder families alone: the suite "operator-reconstruction",
@@ -183,8 +191,11 @@ def biorthogonality_suite(model, max_order, tol=DEFAULT_RESIDUAL_TOL):
     adjoint eigenfunctions F and G (``ladder._eigenfunctions``) and the
     moment matrix H_ab = E_f0[x^(a+b)], one gather of f0's moments through
     the index's sum table.  Residuals are relative to the normalization
-    of the forward index.
+    of the forward index.  Raises ``ValueError`` for a ``tol`` that is not
+    finite and positive.
     """
+    _check_tol(tol)
+    max_order = _max_order(max_order)
     idx = graded_index(model.dim, max_order)
     modes, norms = idx.modes, idx.normalizations
     F = _eigenfunctions(model, "forward", max_order)
@@ -209,8 +220,11 @@ def eigen_residual_suite(model, max_order, tol=DEFAULT_RESIDUAL_TOL):
     Each side is one gather of the generator (``_image``) over its
     eigenfunctions (``ladder._eigenfunctions``) against lambda_K
     (``ladder._eigenvalues``) times row K, a row's residual relative to
-    its largest coefficient and 1.
+    its largest coefficient and 1.  Raises ``ValueError`` for a ``tol``
+    that is not finite and positive.
     """
+    _check_tol(tol)
+    max_order = _max_order(max_order)
     worst = 0.0
     # inf - inf is NaN, which the maximum keeps.
     with np.errstate(invalid="ignore"):
@@ -234,6 +248,7 @@ def ladder_suite(model, max_order):
     row's residual is relative to its factor times the largest coefficient
     of its reference and 1, and past the bottom to 2^m m!.
     """
+    max_order = _max_order(max_order)
     exps = graded_index(model.dim, max_order).exponents
     norms = graded_index(1, max_order).normalizations
     worst = 0.0
@@ -288,6 +303,7 @@ def hermite_suite(model, max_order):
     which a Sigma off that solution moves apart.  Row K's residual is
     relative to the largest coefficient of its closed form, which makes
     it unit-free at every order."""
+    max_order = _max_order(max_order)
     T = np.sqrt(2.0) * stationary_density(solve_lyapunov(model.A, model.B)).factor
     to_y = power_table(T, np.zeros(model.dim), max_order)
     worst = 0.0
@@ -305,7 +321,9 @@ def run_all(model, max_order, residual_tol=DEFAULT_RESIDUAL_TOL):
     """Every suite at its standard tolerance, shared residual_tol where a
     suite has no tighter inherent requirement, and at ``max_order`` where
     it takes an order.  Each suite reads each operator's one table at the
-    degree it needs, growing it when that degree is above every earlier read."""
+    degree it needs, growing it when that degree is above every earlier read.
+    A ``max_order`` or ``residual_tol`` that the suites refuse is refused
+    by the first, before any table is read."""
     suites = [
         biorthogonality_suite(model, max_order, tol=residual_tol),
         eigen_residual_suite(model, max_order, tol=residual_tol),

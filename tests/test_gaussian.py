@@ -13,6 +13,7 @@ import scipy.stats
 
 from ou_spectral import errors, gaussian
 from ou_spectral.gaussian import (
+    GRID_CHUNK,
     ForwardFunction,
     GaussianDensity,
     expectation,
@@ -173,11 +174,13 @@ def test_density_validation():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_density_rejects_non_finite_points(bad):
+    # The row is named in the whole grid, in the first block or past it.
     g = GaussianDensity(mean=[0.1, -0.2], cov=[[0.5, 0.1], [0.1, 0.4]])
-    pts = np.zeros((5, 2))
-    pts[3, 1] = bad
-    with pytest.raises(ValueError, match="row 3"):
-        g.pdf_grid(pts)
+    for row in (3, GRID_CHUNK + 2):
+        pts = np.zeros((GRID_CHUNK + 5, 2))
+        pts[row, 1] = bad
+        with pytest.raises(ValueError, match=f"row {row} "):
+            g.pdf_grid(pts)
     with pytest.raises(ValueError, match="finite"):
         g.pdf([bad, 0.0])
 
@@ -249,6 +252,21 @@ def test_whitening_into_buffers_is_whitened(mean, bad):
         assert np.all(z_buf[3 * 50 :] == 7.0) and np.all(d_buf[50:] == 7.0)
     with pytest.raises(ValueError, match="row 7 "):
         g.whitened(pts)
+
+
+@pytest.mark.parametrize("mean", [[0.0, 0.0, 0.0], [0.4, -1.1, 0.25]], ids=["zero", "shifted"])
+def test_pdf_grid_is_whitened_block_by_block(mean):
+    # The buffers are reused across blocks and a short block fills their
+    # prefix; neither may change a bit of the density that ``whitened``
+    # gives on each block.
+    rng = np.random.default_rng(10)
+    M = rng.normal(size=(3, 3))
+    g = GaussianDensity(mean=mean, cov=M @ M.T + 0.3 * np.eye(3))
+    for P in (0, 1, GRID_CHUNK - 1, GRID_CHUNK, GRID_CHUNK + 1, 3 * GRID_CHUNK + 17):
+        pts = 2.0 * rng.normal(size=(P, 3))
+        blocks = [g.whitened(pts[lo : lo + GRID_CHUNK])[1] for lo in range(0, P, GRID_CHUNK)]
+        want = np.concatenate(blocks) if blocks else np.empty(0)
+        assert np.array_equal(g.pdf_grid(pts), want), P
 
 
 def test_forward_function_value():

@@ -345,9 +345,10 @@ CALL_SITES = {
     # ``MPoly._store``, the name's subject, was the last caller.
     "prune": [],
     # One reader per argument kind in ``gaussian``: the points of a grid,
-    # read by its two entries, and a model's Gaussian density, read by the
-    # three calls that take one.
+    # read by its three entries, and a model's Gaussian density, read by
+    # the three calls that take one.
     "_points": [
+        ("gaussian", "GaussianDensity.pdf_grid"),
         ("gaussian", "GaussianDensity.whitened"),
         ("spectral", "evaluate_grid_complex"),
     ],
@@ -355,6 +356,16 @@ CALL_SITES = {
         ("sde_oracle", "simulate"),
         ("spectral", "expand_gaussian"),
         ("spectral", "exact_gaussian_propagate"),
+    ],
+    # One reader of an order argument, in ``monomials``, for every public
+    # call that takes one.
+    "_max_order": [
+        ("spectral", "expand_gaussian"),
+        ("spectral", "solve_inhomogeneous"),
+        ("verify", "biorthogonality_suite"),
+        ("verify", "eigen_residual_suite"),
+        ("verify", "hermite_suite"),
+        ("verify", "ladder_suite"),
     ],
 }
 
@@ -406,6 +417,10 @@ def test_only_mpoly_store_prunes(module):
 
 def test_points_are_checked_once_where_they_enter():
     assert [site for m in MODULES for site in _off_site(m, "_points", _source(m))] == []
+
+
+def test_an_order_is_read_once_where_it_enters():
+    assert [site for m in MODULES for site in _off_site(m, "_max_order", _source(m))] == []
 
 
 def test_a_density_is_checked_once_where_it_enters():

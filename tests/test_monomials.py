@@ -131,7 +131,7 @@ def test_cache_is_bounded_and_rebuilds_equal():
     assert graded_index(2, 3) is first
     for degree in range(INDEX_CACHE_SIZE + 4):
         graded_index(1, degree)
-    info = graded_index.cache_info()
+    info = monomials._graded_index.cache_info()
     assert info.maxsize == INDEX_CACHE_SIZE
     assert info.currsize <= INDEX_CACHE_SIZE
     again = graded_index(2, 3)
@@ -147,6 +147,20 @@ def test_index_validation():
         graded_index(2, -1)
     assert monomials.enumerate_modes is ou.enumerate_modes
     assert monomials.mode_normalization is ou.mode_normalization
+
+
+def test_index_refuses_a_float_whether_or_not_its_integer_is_kept():
+    # The cache compared 3.0 with 3: graded_index(2, 3.0) returned the kept
+    # (2, 3) index, and raised when none was kept.
+    monomials._graded_index.cache_clear()
+    for dim, degree in ((2, 3.0), (2.0, 3)):
+        with pytest.raises(TypeError):
+            graded_index(dim, degree)
+    kept = graded_index(2, 3)
+    for dim, degree in ((2, 3.0), (2.0, 3)):
+        with pytest.raises(TypeError):
+            graded_index(dim, degree)
+    assert graded_index(np.int64(2), np.int64(3)) is kept
 
 
 @pytest.mark.parametrize("dim, order", [(2, 2.5), (2.0, 2), (2, "2")])

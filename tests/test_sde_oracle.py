@@ -112,6 +112,12 @@ def test_simconfig_validation():
         SimConfig(paths=10, dt=0.5, t_final=0.2, seed=1)
 
 
+def test_simconfig_refuses_a_dt_that_is_not_finite():
+    # dt = inf was reported as "t_final must be at least dt".
+    with pytest.raises(ValueError, match="^dt must be finite, got inf$"):
+        SimConfig(paths=10, dt=float("inf"), t_final=1.0, seed=1)
+
+
 @pytest.mark.parametrize("field, value", [("paths", 1000.7), ("paths", 1000.0), ("seed", 1.9)])
 def test_simconfig_refuses_non_integer_counts(field, value):
     # paths=1000.7 ran 1000 paths but reported 1000.7 and divided the

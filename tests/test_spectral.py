@@ -10,11 +10,11 @@ import numpy.testing as npt
 import pytest
 
 import ou_spectral as ou
-from ou_spectral import cli, errors, hermite_form, ladder, linalg, spectral, verify
+from ou_spectral import cli, errors, gaussian, hermite_form, ladder, linalg, spectral, verify
+from ou_spectral.gaussian import GRID_CHUNK
 from ou_spectral.kernels import eval_poly_grid
 from ou_spectral.monomials import graded_index, parent
 from ou_spectral.mpoly import MPoly
-from ou_spectral.spectral import GRID_CHUNK
 from ou_spectral.verify import battery_polynomials
 
 
@@ -418,6 +418,29 @@ A_4D = np.diag([-1.0, -1.4, -1.8, -2.2]) + 0.3 * np.array(
 B_4D = np.eye(4) + 0.2 * np.ones((4, 4))
 
 
+A_5D = -np.diag([1.0, 1.3, 1.6, 1.9, 2.2]) + 0.3 * (np.eye(5, k=1) - np.eye(5, k=-1))
+
+
+def _transients(read, grids):
+    """Traced peak of ``read`` on each grid beyond what it leaves
+    allocated, its output, after a first call on the last grid builds
+    the model's tables and fills numpy's caches of small blocks, which
+    stay."""
+    transient = []
+    tracemalloc.start()
+    try:
+        read(grids[-1])
+        for pts in grids:
+            tracemalloc.reset_peak()
+            out = read(pts)
+            current, peak = tracemalloc.get_traced_memory()
+            transient.append(peak - current)
+            del out
+    finally:
+        tracemalloc.stop()
+    return transient
+
+
 @pytest.mark.parametrize(
     "n, order", [(3, 5), (4, 4)], ids=["n3-order5-R56", "n4-order4-R70"]
 )
@@ -427,24 +450,34 @@ def test_grid_evaluation_memory_does_not_grow_with_points(model_3d, n, order):
     ex = ou.expand_gaussian(model, F0, order)
     rng = np.random.default_rng(14)
     grids = [rng.normal(size=(P, n)) for P in (20000, 200000)]
-    transient = []
-    tracemalloc.start()
-    try:
-        # A first call builds the model's tables and fills numpy's caches
-        # of small blocks, which stay.
-        ou.evaluate_grid_complex(ex, grids[1], 0.5)
-        for pts in grids:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = ou.evaluate_grid_complex(ex, pts, 0.5)
-            transient.append(tracemalloc.get_traced_memory()[1] - before - out.nbytes)
-            del out
-    finally:
-        tracemalloc.stop()
+    transient = _transients(lambda pts: ou.evaluate_grid_complex(ex, pts, 0.5), grids)
     # One block of 56 or 70 monomials is 1.8 or 2.3 MB; a whole-grid work
     # array would add at least 450 B per point, 81 MB between the grids.
     assert abs(transient[1] - transient[0]) <= 1024
     assert max(transient) <= 4 * 2**20
+
+
+@pytest.mark.parametrize("read", ["_points", "pdf_grid", "evaluate_grid_complex"])
+@pytest.mark.parametrize("n", [2, 5])
+def test_grid_reads_hold_one_block(model_spiral, n, read):
+    # Every read of a grid holds one block beyond its output.  At order 0
+    # the monomial buffer is one row, so a whole-grid temporary would show
+    # above the block buffers: z and x - mean in ``pdf_grid`` (16 n bytes
+    # a point, 16 MB at n = 5), or the flags of a scan for values that are
+    # not finite, n bytes a point of the points and 2 of the values.
+    model = model_spiral if n == 2 else ou.build_model(A_5D, np.eye(5) + 0.2 * np.ones((5, 5)))
+    F0 = ou.GaussianDensity(mean=0.2 + 0.1 * np.arange(n), cov=0.7 * model.Sigma)
+    ex = ou.expand_gaussian(model, F0, 0)
+    calls = {
+        "_points": lambda pts: gaussian._points(pts, n),
+        "pdf_grid": F0.pdf_grid,
+        "evaluate_grid_complex": lambda pts: ou.evaluate_grid_complex(ex, pts, 0.5),
+    }
+    rng = np.random.default_rng(15)
+    grids = [rng.normal(size=(P, n)) for P in (20000, 200000)]
+    transient = _transients(calls[read], grids)
+    assert abs(transient[1] - transient[0]) <= 1024
+    assert max(transient) <= 2**20
 
 
 def _reference_grid(expansion, pts, t):
