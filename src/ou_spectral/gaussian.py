@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NonFiniteResultError
 from .linalg import _as_square, _real, _spd_factor
 from .monomials import graded_index, index_size
-from .mpoly import MPoly
+from .mpoly import MPoly, _poly_for
 
 
 # Rows per block of a grid read: whitening, its density and each scan of a
@@ -39,9 +39,11 @@ def _first_not_finite(a):
 
 def _points(points, dim):
     """``points`` as a float array of shape (P, ``dim``), the one check of
-    a grid: ``ValueError`` when it is complex or naming its first row that
-    is not finite, ``DimensionMismatchError`` for another shape.  Float
-    points are not copied, and the scan holds one block of flags."""
+    a grid, made by its two entries, ``GaussianDensity.pdf_grid`` and
+    ``spectral.evaluate_grid_complex``: ``ValueError`` when it is complex
+    or naming its first row that is not finite, ``DimensionMismatchError``
+    for another shape.  Float points are not copied, and the scan holds
+    one block of flags."""
     pts = _real(points, "points")
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise DimensionMismatchError(f"points must have shape (P, {dim}), got {pts.shape}")
@@ -118,62 +120,44 @@ class GaussianDensity:
         return float(self.pdf_grid(point)[0])
 
     def pdf_grid(self, points):
-        """Density at many points, shape (P, dim) -> (P,), its points
-        checked as ``whitened`` checks them.  Beyond its output it holds
-        one block: each block of at most ``GRID_CHUNK`` points is whitened
-        into the same buffers (``_whitened_blocks``)."""
+        """Density at many points, shape (P, dim) -> (P,), exp(log_norm -
+        |z|^2 / 2) at the whitened coordinates z of each point; a point far
+        enough out for |z|^2 to overflow gets 0.  The points are checked by
+        ``_points``.  Beyond its output it holds one block: each block of
+        at most ``GRID_CHUNK`` points is whitened into the same buffers
+        (``_whitened_blocks``)."""
         pts = _points(points, self.dim)
         out = np.empty(pts.shape[0])
         for rows, _, density in self._whitened_blocks(pts):
             out[rows] = density
         return out
 
-    def whitened(self, points):
-        """Whitened coordinates z = W^T (x - mean) of points (P, dim), one
-        column per point, shape (dim, P), and the density there,
-        exp(log_norm - |z|^2 / 2), shape (P,).
-
-        The whole-grid call: it allocates z and the density over the whole
-        grid, 8 dim + 8 bytes a point, and x - mean too, 8 dim more, when
-        the mean is not zero.  Raises ``ValueError`` for complex points, or
-        naming the first row that is not finite; a point far enough out
-        for |z|^2 to overflow gets 0.
-        """
-        pts = _points(points, self.dim)
-        z = np.empty((self.dim, pts.shape[0]))
-        density = np.empty(pts.shape[0])
-        self._whiten_into(pts, z, density)
-        return z, density
-
     def _whitened_blocks(self, pts):
-        """``whitened`` of the finite float rows ``pts`` (P, dim), with no
-        check, one block of at most ``GRID_CHUNK`` rows at a time: yields
-        (the block's rows as a slice, its z, its density).  Every z and
-        density is a view of the same two buffers, sized to one block,
-        which the next block overwrites; a short last block fills a
-        contiguous prefix of each, so every product has the shapes and
-        memory layout it has on a full block."""
+        """The one whitening loop, over the finite float rows ``pts`` (P,
+        dim), with no check, one block of at most ``GRID_CHUNK`` rows at a
+        time: yields (the block's rows as a slice, its whitened
+        coordinates z = W^T (x - mean), one column per point, shape (dim,
+        m), its density exp(log_norm - |z|^2 / 2), shape (m,)).
+
+        Every z and density is a view of the same two buffers, sized to
+        one block, which the next block overwrites; a short last block
+        fills a contiguous prefix of each, so every product has the shapes
+        and memory layout it has on a full block.  Only a non-zero mean
+        allocates more, a block of x - mean."""
         n, P = self.dim, pts.shape[0]
         size = min(P, GRID_CHUNK)
         z_buf, f_buf = np.empty(n * size), np.empty(size)
         for lo in range(0, P, GRID_CHUNK):
             m = min(GRID_CHUNK, P - lo)
-            z, density = z_buf[: n * m].reshape(n, m), f_buf[:m]
-            self._whiten_into(pts[lo : lo + m], z, density)
+            x, z, density = pts[lo : lo + m], z_buf[: n * m].reshape(n, m), f_buf[:m]
+            # An overflowing |z|^2 gives density 0, not a warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(self.whitener.T, (x - self.mean if self.mean.any() else x).T, out=z)
+                np.einsum("ip,ip->p", z, z, out=density)
+            np.multiply(density, 0.5, out=density)
+            np.subtract(self.log_norm, density, out=density)
+            np.exp(density, out=density)
             yield slice(lo, lo + m), z, density
-
-    def _whiten_into(self, pts, z, density):
-        """``whitened`` of the finite float rows ``pts`` (P, dim), written
-        into the caller's C-contiguous buffers ``z`` (dim, P) and
-        ``density`` (P,), with no check.  Only a non-zero mean allocates,
-        for x - mean."""
-        # An overflowing |z|^2 gives density 0, not a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(self.whitener.T, (pts - self.mean if self.mean.any() else pts).T, out=z)
-            np.einsum("ip,ip->p", z, z, out=density)
-        np.multiply(density, 0.5, out=density)
-        np.subtract(self.log_norm, density, out=density)
-        np.exp(density, out=density)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,24 +168,21 @@ class ForwardFunction:
     base: GaussianDensity
 
     def __post_init__(self):
-        if self.poly.nvars != self.base.dim:
-            raise DimensionMismatchError(
-                f"polynomial in {self.poly.nvars} variables over a "
-                f"{self.base.dim}-dimensional Gaussian"
-            )
+        _density_for(self.base)
+        _poly_for(self.poly, self.base.dim)
 
     @property
     def dim(self):
         return self.base.dim
 
 
-def _density_for(F0, dim):
-    """The one check of a model's density argument: ``TypeError`` unless
-    ``F0`` is a ``GaussianDensity``, ``DimensionMismatchError`` unless its
-    dimension is ``dim``."""
+def _density_for(F0, dim=None):
+    """The one check of a density argument: ``TypeError`` unless ``F0`` is
+    a ``GaussianDensity``, ``DimensionMismatchError`` unless its dimension
+    is a model's ``dim``, when one is given."""
     if not isinstance(F0, GaussianDensity):
         raise TypeError("expected a GaussianDensity")
-    if F0.dim != dim:
+    if dim is not None and F0.dim != dim:
         raise DimensionMismatchError(
             f"density of dimension {F0.dim} for a {dim}-dimensional model"
         )
@@ -249,12 +230,8 @@ def expectation(p, g):
     of p against the moments of g.  Exact in moments; nothing is pruned.
     A moment under a zero coefficient takes no part; one under a nonzero
     coefficient that is not finite raises ``NonFiniteResultError``."""
-    if not isinstance(p, MPoly):
-        raise TypeError("expectation takes an MPoly")
-    if p.nvars != g.dim:
-        raise DimensionMismatchError(
-            f"polynomial in {p.nvars} variables, Gaussian of dimension {g.dim}"
-        )
+    _density_for(g)
+    _poly_for(p, g.dim)
     c, m = p.coeffs, g.moments(p.degree())
     if not np.isfinite(m).all():
         used = c != 0
@@ -277,4 +254,5 @@ def inner_product(gp, f):
     """
     if not isinstance(f, ForwardFunction):
         raise TypeError("inner_product takes (MPoly, ForwardFunction)")
+    _poly_for(gp, f.dim)
     return expectation(gp.conj() * f.poly, f.base)

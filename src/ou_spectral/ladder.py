@@ -51,7 +51,7 @@ from .errors import (
 )
 from .gaussian import ForwardFunction, GaussianDensity, stationary_density
 from .monomials import graded_index, index_size
-from .mpoly import DEFAULT_PRUNE_EPS, MPoly, _padded
+from .mpoly import DEFAULT_PRUNE_EPS, MPoly, _padded, _poly_for
 
 
 @dataclass(eq=False)
@@ -167,15 +167,6 @@ def _check_forward(model, f):
     ):
         raise DimensionMismatchError(
             "forward function is not based on this model's stationary density"
-        )
-
-
-def _check_adjoint(model, g):
-    if not isinstance(g, MPoly):
-        raise TypeError("expected an MPoly")
-    if g.nvars != model.dim:
-        raise DimensionMismatchError(
-            f"polynomial in {g.nvars} variables for a {model.dim}-dimensional model"
         )
 
 
@@ -345,7 +336,7 @@ def apply_forward(model, f):
 def apply_adjoint(model, g):
     """Apply the adjoint (backward) operator to a plain polynomial:
     (A x) . grad g + (1/2) B : grad grad g."""
-    _check_adjoint(model, g)
+    _poly_for(g, model.dim)
     return _apply_table(model, _generator_table, ("adjoint",), g)
 
 
@@ -376,13 +367,13 @@ def raise_adjoint(model, I, g):
     g -> 2 conj(w_I) . x g - 2 (Sigma conj(w_I)) . grad g, stepping the
     adjoint eigenvalue by conj(lambda_I).
     """
-    _check_adjoint(model, g)
+    _poly_for(g, model.dim)
     return _ladder(model, "raise_adjoint", I, g)
 
 
 def lower_adjoint(model, I, g):
     """Mode-I lowering operator on the adjoint side: conj(e_I) . grad."""
-    _check_adjoint(model, g)
+    _poly_for(g, model.dim)
     return _ladder(model, "lower_adjoint", I, g)
 
 

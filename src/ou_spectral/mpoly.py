@@ -48,15 +48,6 @@ def _padded(c, size):
     return out
 
 
-def _diff(c, nvars, degree, axis):
-    """Coefficients of the partial derivative along ``axis`` of each
-    polynomial of ``degree`` with coefficients ``c`` (its last axis): one
-    gather through ``up``."""
-    idx = graded_index(nvars, max(degree, 0))
-    size = index_size(nvars, degree - 1)
-    return c[..., idx.up[axis, :size]] * (idx.exponents[:size, axis] + 1)
-
-
 class MPoly:
     """Polynomial in ``nvars`` variables: a coefficient vector over the
     graded index.
@@ -251,7 +242,9 @@ class MPoly:
         axis = operator.index(axis)
         if not 0 <= axis < self.nvars:
             raise AxisOutOfRangeError(f"axis {axis} outside 0..{self.nvars - 1}")
-        out = _diff(self.coeffs, self.nvars, self._degree, axis)
+        idx = graded_index(self.nvars, max(self._degree, 0))
+        size = index_size(self.nvars, self._degree - 1)
+        out = self.coeffs[idx.up[axis, :size]] * (idx.exponents[:size, axis] + 1)
         return MPoly.from_coeffs(self.nvars, out, self.prune_eps)
 
     def conj(self):
@@ -308,6 +301,16 @@ class MPoly:
             f"MPoly(nvars={self.nvars}, nterms={np.count_nonzero(self.coeffs)}, "
             f"degree={self.degree()})"
         )
+
+
+def _poly_for(p, nvars):
+    """The one check of a polynomial argument: ``TypeError`` unless ``p``
+    is an ``MPoly``, ``DimensionMismatchError`` unless it has ``nvars``
+    variables."""
+    if not isinstance(p, MPoly):
+        raise TypeError("expected an MPoly")
+    if p.nvars != nvars:
+        raise DimensionMismatchError(f"polynomial in {p.nvars} variables, expected {nvars}")
 
 
 def _fmt_real(v):

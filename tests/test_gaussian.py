@@ -11,7 +11,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from ou_spectral import errors, gaussian
+from ou_spectral import errors, gaussian, ladder
 from ou_spectral.gaussian import (
     GRID_CHUNK,
     ForwardFunction,
@@ -209,17 +209,18 @@ def test_density_pdf_grid_is_the_whitened_form():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_whitened_rejects_non_finite_points(bad):
-    # The check is at the entry: a ValueError naming the row, never a
-    # density that a caller has to look for afterwards.
+    # The check is at the entry of the whitened read: a ValueError naming
+    # the row, never a density that a caller has to look for afterwards.
     g = GaussianDensity(mean=[0.1, -0.2], cov=[[0.5, 0.1], [0.1, 0.4]])
     pts = np.zeros((5, 2))
     pts[3, 0] = bad
     with pytest.raises(ValueError, match="row 3 "):
-        g.whitened(pts)
+        g.pdf_grid(pts)
 
 
 def _reference_whitened(g, pts):
-    """``_whiten_into`` as one allocating expression per step."""
+    """One block of ``GaussianDensity._whitened_blocks`` as one allocating
+    expression per step."""
     with np.errstate(over="ignore", invalid="ignore"):
         z = g.whitener.T @ (pts - g.mean if g.mean.any() else pts).T
         q = np.einsum("ip,ip->p", z, z)
@@ -229,42 +230,53 @@ def _reference_whitened(g, pts):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("mean", [[0.0, 0.0, 0.0], [0.4, -1.1, 0.25]], ids=["zero", "shifted"])
 def test_whitening_into_buffers_is_whitened(mean, bad):
-    # Written into prefixes of larger buffers full of junk, the whitened
-    # coordinates and density equal the allocating form bit for bit, and
-    # on finite rows ``whitened``.  Row 7 is not finite: ``_whiten_into``
-    # holds only the arithmetic, so its density there is whatever that
-    # gives, and ``whitened`` refuses the row before any arithmetic.  Row
-    # 20 is finite, its |z|^2 overflows and its density is 0.
+    # Each block, the short last one written into a prefix of buffers that
+    # still hold the full block before it, equals the allocating form bit
+    # for bit, and its density is ``pdf_grid``'s on finite rows.  Row 7 of
+    # each block is not finite: ``_whitened_blocks`` holds only the
+    # arithmetic, so its density there is whatever that gives, and
+    # ``pdf_grid`` refuses the row before any arithmetic.  Row 20 of each
+    # block is finite, its |z|^2 overflows and its density is 0.
     rng = np.random.default_rng(9)
     M = rng.normal(size=(3, 3))
     g = GaussianDensity(mean=mean, cov=M @ M.T + 0.3 * np.eye(3))
-    pts = rng.normal(size=(50, 3))
-    pts[20] = [1e200, -1e200, 1e200]
+    pts = rng.normal(size=(GRID_CHUNK + 50, 3))
+    pts[[20, GRID_CHUNK + 20]] = [1e200, -1e200, 1e200]
     finite = pts.copy()
-    pts[7, 0] = bad
-    z_buf, d_buf = np.full(3 * 64, 7.0), np.full(64, 7.0)
-    z, density = z_buf[: 3 * 50].reshape(3, 50), d_buf[:50]
-    for rows, want in ((pts, _reference_whitened(g, pts)), (finite, g.whitened(finite))):
-        g._whiten_into(rows, z, density)
-        assert np.array_equal(z, want[0], equal_nan=True)
-        assert np.array_equal(density, want[1], equal_nan=True)
-        assert density[20] == 0.0 and np.all(density[np.r_[0:7, 8:20, 21:50]] > 0.0)
-        assert np.all(z_buf[3 * 50 :] == 7.0) and np.all(d_buf[50:] == 7.0)
+    pts[[7, GRID_CHUNK + 7], 0] = bad
+    for rows in (pts, finite):
+        before = None
+        for block, z, density in g._whitened_blocks(rows):
+            want = _reference_whitened(g, rows[block])
+            assert np.array_equal(z, want[0], equal_nan=True)
+            assert np.array_equal(density, want[1], equal_nan=True)
+            m = density.size
+            assert density[20] == 0.0 and np.all(density[np.r_[0:7, 8:20, 21:m]] > 0.0)
+            if rows is finite:
+                assert np.array_equal(density, g.pdf_grid(rows[block]))
+            if before is not None:
+                # The same two buffers, their tails past the prefix untouched.
+                z_buf, f_buf, z_old, f_old = before
+                assert z.base is z_buf and density.base is f_buf
+                assert np.array_equal(z_buf[z.size :], z_old[z.size :], equal_nan=True)
+                assert np.array_equal(f_buf[m:], f_old[m:], equal_nan=True)
+            before = z.base, density.base, z.base.copy(), density.base.copy()
+        assert m == 50 and before[0].size == 3 * GRID_CHUNK
     with pytest.raises(ValueError, match="row 7 "):
-        g.whitened(pts)
+        g.pdf_grid(pts)
 
 
 @pytest.mark.parametrize("mean", [[0.0, 0.0, 0.0], [0.4, -1.1, 0.25]], ids=["zero", "shifted"])
 def test_pdf_grid_is_whitened_block_by_block(mean):
     # The buffers are reused across blocks and a short block fills their
-    # prefix; neither may change a bit of the density that ``whitened``
-    # gives on each block.
+    # prefix; neither may change a bit of the density that the allocating
+    # form gives on each block.
     rng = np.random.default_rng(10)
     M = rng.normal(size=(3, 3))
     g = GaussianDensity(mean=mean, cov=M @ M.T + 0.3 * np.eye(3))
     for P in (0, 1, GRID_CHUNK - 1, GRID_CHUNK, GRID_CHUNK + 1, 3 * GRID_CHUNK + 17):
         pts = 2.0 * rng.normal(size=(P, 3))
-        blocks = [g.whitened(pts[lo : lo + GRID_CHUNK])[1] for lo in range(0, P, GRID_CHUNK)]
+        blocks = [_reference_whitened(g, pts[lo : lo + GRID_CHUNK])[1] for lo in range(0, P, GRID_CHUNK)]
         want = np.concatenate(blocks) if blocks else np.empty(0)
         assert np.array_equal(g.pdf_grid(pts), want), P
 
@@ -307,6 +319,53 @@ def test_expectation_type_checks():
         expectation("not a poly", g)
     with pytest.raises(errors.DimensionMismatchError):
         expectation(MPoly(2, {(1, 1): 1.0}), g)
+
+
+# An argument of the wrong kind, each of which raised an untyped
+# AttributeError from inside the call, and the message it now raises.
+WRONG_KINDS = {
+    "forward-poly": (lambda g, model: ForwardFunction("x", g), "^expected an MPoly$"),
+    "forward-base": (
+        lambda g, model: ForwardFunction(MPoly(1, {(1,): 1.0}), "g"),
+        "^expected a GaussianDensity$",
+    ),
+    "expectation-density": (
+        lambda g, model: expectation(MPoly(1, {(1,): 1.0}), model),
+        "^expected a GaussianDensity$",
+    ),
+    "inner-product-poly": (
+        lambda g, model: inner_product([1, 2], ForwardFunction(MPoly(1, {(1,): 1.0}), g)),
+        "^expected an MPoly$",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", WRONG_KINDS)
+def test_an_argument_of_the_wrong_kind_is_a_type_error(kind, model_1d):
+    call, message = WRONG_KINDS[kind]
+    with pytest.raises(TypeError, match=message):
+        call(model_1d.f0, model_1d)
+
+
+def test_every_polynomial_argument_is_read_by_one_check(model_spiral):
+    # ``mpoly._poly_for`` reads the polynomial of each entry: one message
+    # for a polynomial in the wrong number of variables, and one for an
+    # argument that is not an MPoly.
+    g, p1 = model_spiral.f0, MPoly(1, {(1,): 1.0})
+    f = ForwardFunction(MPoly(2, {(1, 0): 1.0}), g)
+    entries = (
+        lambda p: ForwardFunction(p, g),
+        lambda p: expectation(p, g),
+        lambda p: inner_product(p, f),
+        lambda p: ladder.apply_adjoint(model_spiral, p),
+        lambda p: ladder.raise_adjoint(model_spiral, 0, p),
+        lambda p: ladder.lower_adjoint(model_spiral, 0, p),
+    )
+    for entry in entries:
+        with pytest.raises(errors.DimensionMismatchError, match="^polynomial in 1 variables, expected 2$"):
+            entry(p1)
+        with pytest.raises(TypeError, match="^expected an MPoly$"):
+            entry(np.zeros(6))
 
 
 def test_expectation_reads_only_the_moments_its_polynomial_uses():
@@ -483,9 +542,8 @@ def test_density_refuses_a_complex_mean(mean):
 def test_density_refuses_complex_points():
     g = GaussianDensity(mean=[0.0, 0.0], cov=np.eye(2))
     points = np.array([[0.5, 0.0], [0.0, 0.5j]])
-    for call in (g.whitened, g.pdf_grid):
-        with pytest.raises(ValueError, match="^points must have real entries$"):
-            call(points)
+    with pytest.raises(ValueError, match="^points must have real entries$"):
+        g.pdf_grid(points)
     with pytest.raises(ValueError, match="^x must have real entries$"):
         g.pdf([0.5j, 0.0])
 

@@ -344,18 +344,34 @@ CALL_SITES = {
     ],
     # ``MPoly._store``, the name's subject, was the last caller.
     "prune": [],
-    # One reader per argument kind in ``gaussian``: the points of a grid,
-    # read by its three entries, and a model's Gaussian density, read by
-    # the three calls that take one.
+    # One reader per argument kind: the points of a grid, read by its two
+    # entries, and a Gaussian density, read by every call that takes one,
+    # in ``gaussian``; a polynomial, read by every call that takes a bare
+    # one, in ``mpoly``.
     "_points": [
         ("gaussian", "GaussianDensity.pdf_grid"),
-        ("gaussian", "GaussianDensity.whitened"),
         ("spectral", "evaluate_grid_complex"),
     ],
     "_density_for": [
+        ("gaussian", "ForwardFunction.__post_init__"),
+        ("gaussian", "expectation"),
         ("sde_oracle", "simulate"),
         ("spectral", "expand_gaussian"),
         ("spectral", "exact_gaussian_propagate"),
+    ],
+    "_poly_for": [
+        ("gaussian", "ForwardFunction.__post_init__"),
+        ("gaussian", "expectation"),
+        ("gaussian", "inner_product"),
+        ("ladder", "apply_adjoint"),
+        ("ladder", "lower_adjoint"),
+        ("ladder", "raise_adjoint"),
+    ],
+    # One whitening loop, read by the density of a grid and by grid
+    # evaluation.
+    "_whitened_blocks": [
+        ("gaussian", "GaussianDensity.pdf_grid"),
+        ("spectral", "_fill_grid"),
     ],
     # One reader of an order argument, in ``monomials``, for every public
     # call that takes one.
@@ -419,21 +435,42 @@ def test_points_are_checked_once_where_they_enter():
     assert [site for m in MODULES for site in _off_site(m, "_points", _source(m))] == []
 
 
+def test_a_grid_is_whitened_by_one_loop():
+    assert [site for m in MODULES for site in _off_site(m, "_whitened_blocks", _source(m))] == []
+
+
 def test_an_order_is_read_once_where_it_enters():
     assert [site for m in MODULES for site in _off_site(m, "_max_order", _source(m))] == []
+
+
+def _asks(module, source, cls):
+    """(module, dotted scope) of each ``isinstance`` call in ``source``
+    whose line names ``cls``."""
+    return [(module, scope) for scope, line in _scoped_calls(source, "isinstance") if cls in line]
 
 
 def test_a_density_is_checked_once_where_it_enters():
     # ``_density_for`` is the one place that asks whether an argument is a
     # ``GaussianDensity``.
     assert [site for m in MODULES for site in _off_site(m, "_density_for", _source(m))] == []
-    asks = [
-        (module, scope)
-        for module in MODULES
-        for scope, line in _scoped_calls(_source(module), "isinstance")
-        if "GaussianDensity" in line
-    ]
+    asks = [ask for m in MODULES for ask in _asks(m, _source(m), "GaussianDensity")]
     assert asks == [("gaussian", "_density_for")]
+
+
+def test_a_polynomial_is_checked_once_where_it_enters():
+    # No module but ``mpoly``, whose ``_poly_for`` reads every polynomial
+    # argument, asks whether an argument is an ``MPoly``.
+    assert [site for m in MODULES for site in _off_site(m, "_poly_for", _source(m))] == []
+    assert [ask for m in MODULES if m != "mpoly" for ask in _asks(m, _source(m), "MPoly")] == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_kind_rules_find_an_ask_appended_to_each_module(module):
+    # Neither kind rule can go vacuous: an ``isinstance`` of its class
+    # appended to a module's real source is found in its scope.
+    for cls in ("GaussianDensity", "MPoly"):
+        source = _source(module) + f"\n\ndef _injected(x):\n    return isinstance(x, {cls})\n"
+        assert _asks(module, source, cls)[-1] == (module, "_injected"), cls
 
 
 @pytest.mark.parametrize("module", MODULES)

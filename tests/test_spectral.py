@@ -481,9 +481,10 @@ def test_grid_reads_hold_one_block(model_spiral, n, read):
 
 
 def _reference_grid(expansion, pts, t):
-    """The block loop of grid evaluation with ``f0.whitened``, y = z /
-    sqrt(2) and a fresh monomial array per block: the reference the
-    buffered loop must equal bit for bit."""
+    """The block loop of grid evaluation with each block whitened alone,
+    into buffers of its own size, y = z / sqrt(2) and a fresh monomial
+    array per block: the reference the buffered loop must equal bit for
+    bit."""
     model = expansion.model
     idx = graded_index(model.dim, expansion.max_order)
     T = hermite_form._hermite_table(model, "forward", expansion.max_order)[0]
@@ -492,7 +493,7 @@ def _reference_grid(expansion, pts, t):
     b = (expansion.coeffs / idx.normalizations * np.exp(lam * t)) @ T
     B2 = np.stack([b.real, b.imag])
     for lo in range(0, pts.shape[0], GRID_CHUNK):
-        z, f0 = model.f0.whitened(pts[lo : lo + GRID_CHUNK])
+        [(_, z, f0)] = model.f0._whitened_blocks(pts[lo : lo + GRID_CHUNK])
         y = z / np.sqrt(2.0)
         X = np.empty((len(idx.modes), len(f0)))
         X[0] = 1.0
