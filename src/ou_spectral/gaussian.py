@@ -53,6 +53,20 @@ def _points(points, dim):
     return pts
 
 
+def _point(x, dim):
+    """One point ``x`` as a float array of shape (1, ``dim``), the one check
+    of a point, made by the two one-point entries, ``GaussianDensity.pdf``
+    and ``spectral.evaluate_complex``: ``ValueError`` when it is complex or
+    not finite, ``DimensionMismatchError`` for another number of
+    coordinates, each naming the point, not a row of a grid."""
+    pt = _real(x, "x").reshape(1, -1)
+    if pt.shape[1] != dim:
+        raise DimensionMismatchError(f"point has {pt.shape[1]} coordinates, expected {dim}")
+    if not np.isfinite(pt).all():
+        raise ValueError(f"point must be finite, got {pt[0].tolist()}")
+    return pt
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianDensity:
     """Normalized Gaussian density with mean vector and SPD covariance.
@@ -115,9 +129,8 @@ class GaussianDensity:
         return self._moments[:size]
 
     def pdf(self, x):
-        """Density at one point."""
-        point = _real(x, "x").reshape(1, -1)
-        return float(self.pdf_grid(point)[0])
+        """Density at one point, checked by ``_point``."""
+        return float(self.pdf_grid(_point(x, self.dim))[0])
 
     def pdf_grid(self, points):
         """Density at many points, shape (P, dim) -> (P,), exp(log_norm -

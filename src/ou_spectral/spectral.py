@@ -46,7 +46,7 @@ import numpy as np
 from . import linalg
 from .errors import NonFiniteResultError, NotSolvableError
 from .gaussian import GRID_CHUNK, ForwardFunction, GaussianDensity, _density_for, _first_not_finite
-from .gaussian import _points, expectation, moments
+from .gaussian import _point, _points, expectation, moments
 from .hermite_form import _hermite_table
 from .ladder import _check_forward, _check_multi_index, _eigenfunctions, _eigenvalues
 from .ladder import _generator_table, _matrix
@@ -120,8 +120,9 @@ def _check_time(t):
 
 
 def evaluate_complex(expansion, x, t):
-    """Expansion value at one point and time, imaginary residue intact."""
-    point = linalg._real(x, "x").reshape(1, -1)
+    """Expansion value at one point and time, imaginary residue intact; the
+    point is checked by ``gaussian._point``."""
+    point = _point(x, expansion.model.dim)
     return complex(evaluate_grid_complex(expansion, point, t)[0])
 
 

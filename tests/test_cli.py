@@ -318,8 +318,9 @@ def test_an_order_whose_normalization_overflows_exits_2(tmp_path, capsys, comman
     ],
 )
 def test_an_exact_flow_that_is_not_finite_exits_2(tmp_path, capsys, command, overrides):
-    # scipy's exp(tA) of the spiral drift is NaN at t = 1e300: the exact
-    # density raised a bare ValueError (exit 1, a traceback).
+    # The package's exp(tA) of the spiral drift is NaN at t = 1e300, where
+    # (tA)^4 overflows: the exact density raised a bare ValueError (exit 1,
+    # a traceback).
     spiral = json.loads((CONFIGS / "spiral_2d.json").read_text())
     path = tmp_path / "huge_t.json"
     path.write_text(json.dumps(spiral | overrides))

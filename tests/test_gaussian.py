@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import math
+import re
 import weakref
 from fractions import Fraction
 
@@ -546,6 +547,20 @@ def test_density_refuses_complex_points():
         g.pdf_grid(points)
     with pytest.raises(ValueError, match="^x must have real entries$"):
         g.pdf([0.5j, 0.0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_density_at_one_point_names_the_point(bad):
+    # A one-point call was read as a grid of one row: "points must be
+    # finite; row 0 is [nan, 0.0]" and "points must have shape (P, 2), got
+    # (1, 3)".  The error types are unchanged.
+    g = GaussianDensity(mean=[0.0, 0.0], cov=np.eye(2))
+    want = re.escape(f"point must be finite, got [{bad}, 0.0]")
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        g.pdf([bad, 0.0])
+    for point, n in (([1.0, 2.0, 3.0], 3), ([], 0), ([[1.0]], 1)):
+        with pytest.raises(errors.DimensionMismatchError, match=f"^point has {n} coordinates, expected 2$"):
+            g.pdf(point)
 
 
 def test_expectation_does_not_depend_on_units():

@@ -18,7 +18,8 @@ name the benchmark binds (``perfbench/layers.py``); it builds no second
 model.  ``ladder._eigenvalues`` alone sums K_I lambda_I over a
 multi-index.  No production module defines a top-level function or class
 that only ``verify`` reads.  In ``cli`` only ``main`` prints, opens or
-writes a file, and each subcommand takes its config alone.
+writes a file, and each subcommand takes its config alone.  No module
+imports scipy, which is a test dependency only.
 """
 
 import ast
@@ -345,12 +346,16 @@ CALL_SITES = {
     # ``MPoly._store``, the name's subject, was the last caller.
     "prune": [],
     # One reader per argument kind: the points of a grid, read by its two
-    # entries, and a Gaussian density, read by every call that takes one,
-    # in ``gaussian``; a polynomial, read by every call that takes a bare
-    # one, in ``mpoly``.
+    # entries, one point, read by the two one-point entries, and a Gaussian
+    # density, read by every call that takes one, in ``gaussian``; a
+    # polynomial, read by every call that takes a bare one, in ``mpoly``.
     "_points": [
         ("gaussian", "GaussianDensity.pdf_grid"),
         ("spectral", "evaluate_grid_complex"),
+    ],
+    "_point": [
+        ("gaussian", "GaussianDensity.pdf"),
+        ("spectral", "evaluate_complex"),
     ],
     "_density_for": [
         ("gaussian", "ForwardFunction.__post_init__"),
@@ -435,6 +440,10 @@ def test_points_are_checked_once_where_they_enter():
     assert [site for m in MODULES for site in _off_site(m, "_points", _source(m))] == []
 
 
+def test_a_point_is_checked_once_where_it_enters():
+    assert [site for m in MODULES for site in _off_site(m, "_point", _source(m))] == []
+
+
 def test_a_grid_is_whitened_by_one_loop():
     assert [site for m in MODULES for site in _off_site(m, "_whitened_blocks", _source(m))] == []
 
@@ -484,6 +493,46 @@ def test_every_rule_finds_a_call_appended_to_each_module(module):
     for name in CALL_SITES:
         source = _source(module) + f"\n\ndef _injected(lib, x):\n    return lib.{name}(x)\n"
         assert _off_site(module, name, source) == [(module, "_injected")], name
+
+
+def _scipy_imports(source):
+    """Source lines of ``source`` that import scipy or a module of it."""
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            yield lines[node.lineno - 1].strip()
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_scipy(module):
+    # numpy is the one run-time dependency; scipy is a test reference only.
+    assert list(_scipy_imports(_source(module))) == []
+
+
+SCIPY_SPELLINGS = (
+    "import scipy",
+    "import scipy.linalg as sl",
+    "import numpy, scipy.sparse",
+    "from scipy.linalg import expm",
+    "from scipy import linalg",
+)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_scipy_rule_finds_an_import_appended_to_each_module(module):
+    # The rule cannot go vacuous: each spelling of a scipy import, appended
+    # to a module's real source, is the one line that breaks it, and a
+    # module whose name only starts with "scipy" is not read as scipy.
+    for spelling in SCIPY_SPELLINGS:
+        source = _source(module) + f"\n\ndef _injected():\n    {spelling}\n"
+        assert list(_scipy_imports(source)) == [spelling], spelling
+    assert list(_scipy_imports("import scipyx\nfrom .scipy import y\n")) == []
 
 
 def test_verify_builds_no_second_model():

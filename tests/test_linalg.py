@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,8 @@ from ou_spectral.gaussian import GaussianDensity, stationary_density
 from ou_spectral.ladder import build_model
 
 from conftest import A_3D, A_SPIRAL, B_3D
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_eig_spiral_values_from_characteristic_polynomial():
@@ -223,6 +227,169 @@ def test_expm_semigroup():
     npt.assert_allclose(E1 @ E2, linalg.expm(A_SPIRAL, 1.0), atol=1e-12)
 
 
+def _config_drift(name):
+    return np.array(json.loads((ROOT / "configs" / f"{name}.json").read_text())["A"])
+
+
+CONFIG_DRIFTS = ("canonical_1d", "diag_2d", "spiral_2d", "random_3d")
+BATTERY_TIMES = (0.0, 0.1, 0.5, 1.0, 3.0, 10.0)
+JORDAN = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]])
+
+
+def _battery():
+    """(label, A, t): the configs' drifts at the battery's times, a small
+    t A that takes degree 3, a stiff diagonal, a rotation, a stiff
+    triangular A and its transpose, a 3 x 3 Jordan block and its
+    transpose, and seeded random A with n <= 6, triangular ones among
+    them."""
+    for name in CONFIG_DRIFTS:
+        for t in BATTERY_TIMES:
+            yield f"{name}@{t}", _config_drift(name), t
+    yield "small", A_SPIRAL, 1e-3
+    yield "stiff", np.diag([-1e6, -1e-3]), 1.0
+    yield "rotation", np.array([[0.0, -1.0], [1.0, 0.0]]), np.pi / 2
+    yield "triangular", np.array([[-300.0, 1.0], [0.0, -350.0]]), 1.0
+    yield "triangular-lower", np.array([[-300.0, 0.0], [1.0, -350.0]]), 1.0
+    for t in (0.5, 1.0, 3.0, 10.0):
+        yield f"jordan@{t}", JORDAN, t
+        yield f"jordan-lower@{t}", JORDAN.T, t
+    rng = np.random.default_rng(5401)
+    for k in range(40):
+        n = int(rng.integers(2, 7))
+        A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-2.0, 0.7)
+        yield f"random{k}", np.triu(A) if k % 8 == 7 else A, 1.0
+
+
+def _relative(got, want):
+    return np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1)
+
+
+def test_expm_matches_scipy_on_the_battery():
+    # Two references.  scipy.sparse.linalg.expm is scipy's pure-Python run
+    # of the same algorithm (Al-Mohy & Higham 2009, exact 1-norms below
+    # n = 200); it squares a lower triangular input as a full one, so it
+    # reads the transpose there.  scipy.linalg.expm is its compiled run,
+    # whose [13/13] approximant in scipy 1.17 adds A^6 once more to the odd
+    # part U: it agrees to 1e-14 wherever it takes a degree below 13 and
+    # sits up to 1.2e-13 off where it takes 13 (``test_expm_matches_closed_forms``
+    # reads the spiral's 7.8e-14 there against its closed form).
+    import scipy.linalg
+    from scipy.sparse.linalg import expm as sparse_expm
+
+    pure, compiled, degree_13 = {}, {}, {}
+    for label, A, t in _battery():
+        got, tA = linalg.expm(A, t), t * A
+        want = sparse_expm(tA.T).T if "lower" in label else sparse_expm(tA)
+        pure[label] = _relative(got, want)
+        offdiag = np.tril(tA, -1).any() or np.triu(tA, 1).any()
+        degree = linalg._pade_structure(tA)[0] if offdiag else 0
+        (degree_13 if degree == 13 else compiled)[label] = _relative(got, scipy.linalg.expm(tA))
+    assert max(pure.values()) <= 1e-14, max(pure, key=pure.get)
+    assert max(compiled.values()) <= 1e-14, max(compiled, key=compiled.get)
+    assert max(degree_13.values()) <= 2e-13, max(degree_13, key=degree_13.get)
+
+
+def test_expm_picks_scipys_degree_and_scaling_on_the_battery():
+    # scipy.linalg.expm's own choice of (m, s), from its compiled
+    # ``pick_pade_structure``, which scales its argument in place.
+    structure = pytest.importorskip("scipy.linalg._matfuncs_expm")
+    picked = {}
+    for label, A, t in _battery():
+        tA = t * A
+        if np.tril(tA, -1).any() or np.triu(tA, 1).any():
+            Am = np.zeros((5,) + tA.shape)
+            Am[0] = tA
+            picked[label] = tuple(structure.pick_pade_structure(Am)), linalg._pade_structure(tA)[:2]
+    assert [label for label, (want, got) in picked.items() if want != got] == []
+    assert {got[0] for want, got in picked.values()} == {3, 5, 7, 9, 13}
+
+
+@pytest.mark.parametrize("t", BATTERY_TIMES + (30.0,))
+def test_expm_matches_closed_forms(t):
+    # exp(t(-I + 2J)) = e^-t R(2t) for the spiral drift; a Jordan block
+    # gives e^-t [1, t, t^2/2] on its diagonals, upper or lower.  At t = 3
+    # and 10, scipy.linalg.expm 1.17 reads 7.8e-14 from the spiral's.
+    c, s = np.cos(2.0 * t), np.sin(2.0 * t)
+    spiral = np.exp(-t) * np.array([[c, -s], [s, c]])
+    assert _relative(linalg.expm(A_SPIRAL, t), spiral) <= 1e-14
+    jordan = np.exp(-t) * np.array([[1.0, t, t * t / 2], [0.0, 1.0, t], [0.0, 0.0, 1.0]])
+    assert _relative(linalg.expm(JORDAN, t), jordan) <= 1e-14
+    assert _relative(linalg.expm(JORDAN.T, t), jordan.T) <= 1e-14
+    c, s = np.cos(t), np.sin(t)
+    rotation = np.array([[c, -s], [s, c]])
+    assert _relative(linalg.expm([[0.0, -1.0], [1.0, 0.0]], t), rotation) <= 1e-14
+
+
+@pytest.mark.parametrize("gap, b", [(5.0, 1.0), (50.0, 1.0), (50.0, 1e3)])
+def test_expm_of_a_triangular_matrix_keeps_its_diagonals_exact(gap, b):
+    # exp([[a, b], [0, a - gap]]) has e^a, e^(a - gap) on its diagonal and
+    # b (e^a - e^(a - gap)) / gap above it.  At a = -300 the scaling is
+    # 2^-7; squaring the approximant alone reads 5e-14 here, while
+    # Code Fragment 2.1 resets both diagonals exactly at each squaring.
+    a = -300.0
+    T = np.array([[a, b], [0.0, a - gap]])
+    off = b * np.exp(a) * -np.expm1(-gap) / gap
+    want = np.array([[np.exp(a), off], [0.0, np.exp(a - gap)]])
+    assert _relative(linalg.expm(T, 1.0), want) <= 1e-15
+    assert _relative(linalg.expm(T.T, 1.0), want.T) <= 1e-15
+
+
+def _similar(a, b):
+    # Q [[a, b], [0, -a]] Q^-1: its even powers are a^2 I, so eta = |a|,
+    # while |A|^(2m+1) grows with b: the case the ell correction is for.
+    Q = np.array([[1.0, 2.0], [0.5, 3.0]])
+    return Q @ np.array([[a, b], [0.0, -a]]) @ np.linalg.inv(Q)
+
+
+@pytest.mark.parametrize(
+    "A, t, m, s",
+    [
+        (A_SPIRAL, 0.1, 7, 0),
+        (A_SPIRAL, 0.5, 9, 0),
+        (A_SPIRAL, 1.0, 13, 0),
+        (A_SPIRAL, 3.0, 13, 1),
+        (A_SPIRAL, 10.0, 13, 3),
+        (A_SPIRAL, 1e10, 13, 33),
+        (A_3D, 0.1, 7, 0),
+        (A_3D, 10.0, 13, 3),
+        (_similar(1e-4, 1.0), 1.0, 7, 0),
+        (_similar(0.1, 1.0), 1.0, 5, 0),
+        (_similar(1e-4, 1e5), 1.0, 13, 14),
+        (_similar(1e-4, 1e10), 1.0, 13, 30),
+    ],
+)
+def test_expm_picks_the_degree_and_scaling_scipy_picks(A, t, m, s):
+    # The (m, s) that scipy.linalg.expm 1.17 picks for t A, read from its
+    # ``pick_pade_structure``: scaling from the unscaled powers' exact
+    # norms, and the ell correction, which adds 14 and 30 squarings to the
+    # last two although their eta is 1e-4.
+    assert linalg._pade_structure(t * A)[:2] == (m, s)
+
+
+@pytest.mark.parametrize("t", [1e100, 1e300, 1e308])
+def test_expm_whose_powers_overflow_is_not_finite_without_a_warning(t):
+    # At 1e100 and 1e300 every entry of t A is finite but (t A)^4 is not;
+    # at 1e308 t A itself holds infinite entries.  No scaling is computed
+    # from a bound that is not finite, so nothing raises or warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A in (A_SPIRAL, A_3D):
+            E = linalg.expm(A, t)
+            assert E.shape == A.shape and not np.isfinite(E).any()
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 7.0, 1e300, 1e308])
+def test_expm_of_a_diagonal_or_1x1_matrix_is_np_exp(t):
+    # Bit for bit, and at 1e308, where t A is -inf, exp gives exactly 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A in (np.diag([-1.0, -2.0]), np.diag([-1e6, -1e-3, 0.0]), np.array([[-0.5]])):
+            with np.errstate(over="ignore"):
+                want = np.diag(np.exp(t * np.diag(A)))
+            got = linalg.expm(A, t)
+            assert got.tobytes() == want.tobytes(), (A.tolist(), t)
+
+
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
         linalg.biorthogonal_eig([[np.nan, 0.0], [0.0, -1.0]])
@@ -259,23 +426,26 @@ def test_lyapunov_dimension_mismatch_is_named_as_build_model_names_it():
 
 
 def test_package_import_and_cli_leave_scipy_unloaded():
-    # expm imports scipy itself, and verify, eigensystem and solve never
-    # call it, so neither the import nor those commands load scipy.
-    root = Path(__file__).resolve().parents[1]
+    # No module of the package imports scipy (``tests/test_layering.py``),
+    # so neither the import nor any subcommand loads it.  propagate and
+    # mc-check read spiral_2d's initial and sim blocks, and call expm on
+    # its 2 x 2 drift; solve reads canonical_1d's source block.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     code = (
         "import sys\n"
         "import ou_spectral.cli as cli\n"
+        "COMMANDS = ('verify', 'eigensystem', 'solve', 'propagate', 'mc-check')\n"
         "loaded = 'scipy' in sys.modules\n"
-        "for command in ('verify', 'eigensystem', 'solve'):\n"
-        "    assert cli.main([command, sys.argv[1]]) == 0\n"
+        "for command, config in zip(COMMANDS, sys.argv[1:]):\n"
+        "    assert cli.main([command, config]) == 0, command\n"
         "print(loaded, 'scipy' in sys.modules)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(root / "configs" / "canonical_1d.json")],
+        [sys.executable, "-c", code]
+        + [str(ROOT / "configs" / f"{name}.json") for name in ["canonical_1d"] * 3 + ["spiral_2d"] * 2],
         capture_output=True,
         text=True,
         timeout=600,

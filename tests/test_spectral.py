@@ -156,8 +156,9 @@ def test_exact_propagator_refuses_a_complex_time(model_1d, t):
 
 @pytest.mark.parametrize("t", [1e100, 1e300])
 def test_exact_propagator_refuses_a_flow_that_is_not_finite(model_spiral, model_3d, t):
-    # At these times scipy's exp(tA) is NaN on both models; the density
-    # built from it raised a bare ValueError about its mean.
+    # At these times the package's exp(tA) is NaN on both models, whose
+    # powers of tA overflow; the density built from it raised a bare
+    # ValueError about its mean.
     for model in (model_spiral, model_3d):
         with pytest.raises(errors.NonFiniteResultError, match=re.escape(f"t={t}")):
             ou.exact_gaussian_propagate(model, model.f0, t)
@@ -571,6 +572,23 @@ def test_evaluate_rejects_non_finite_points(model_spiral, bad, order):
         ou.evaluate_grid_complex(ex, pts, 0.5)
     with pytest.raises(ValueError, match="finite"):
         ou.evaluate(ex, [bad, 0.0], 0.5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_evaluate_at_one_point_names_the_point(model_spiral, bad):
+    # A one-point call was read as a grid of one row: "points must be
+    # finite; row 0 is [nan, 0.0]" and "points must have shape (P, 2), got
+    # (1, 3)".  The error types are unchanged.
+    ex = ou.expand_gaussian(model_spiral, model_spiral.f0, 3)
+    want = re.escape(f"point must be finite, got [{bad}, 0.0]")
+    for call in (ou.evaluate_complex, ou.evaluate):
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            call(ex, [bad, 0.0], 0.5)
+        for point, n in (([1.0, 2.0, 3.0], 3), ([], 0), ([[1.0]], 1)):
+            with pytest.raises(
+                errors.DimensionMismatchError, match=f"^point has {n} coordinates, expected 2$"
+            ):
+                call(ex, point, 0.5)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

@@ -3,6 +3,7 @@
 
 import filecmp
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -37,7 +38,11 @@ def test_cli_outputs_keeps_every_file_of_each_run_and_repeats_bit_for_bit(tree):
     for out in outs:
         run = _run(tree, out)
         assert run.returncode == 0, run.stderr
-        assert run.stdout == "".join(f"{c}-canonical_1d: exit 0\n" for c in COMMANDS)
+        # One line per run: its exit code, wall seconds and peak RSS.
+        lines = run.stdout.splitlines()
+        assert len(lines) == len(COMMANDS)
+        for command, line in zip(COMMANDS, lines):
+            assert re.fullmatch(rf"{command}-canonical_1d: exit 0, \d+\.\d{{3}} s, \d+\.\d MB", line), line
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(
         f"{command}-canonical_1d{suffix}"

@@ -10,13 +10,20 @@ fresh process, with this checkout's ``src/`` first on the import path and
 and ``.csv`` files that the run wrote.  Processes run in OUTDIR and name
 their output files relative to it, so two checkouts give byte-identical
 trees exactly when they emit the same bytes, which ``diff -r`` shows.
-Stdlib only.
+
+What each run cost goes to this tool's stdout only, one line per run:
+``<name>: exit <code>, <wall> s, <peak RSS> MB``, the wall time from just
+before the process is started to its exit, and the peak resident set of
+the process, as ``os.wait4`` reports it (``ru_maxrss``, KiB on Linux).
+Run the tool several times and take the best to compare two checkouts.
+Stdlib only; ``os.wait4`` is POSIX.
 """
 
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 COMMANDS = ("eigensystem", "verify", "propagate", "solve", "mc-check")
@@ -35,11 +42,15 @@ def main(argv):
             argv += ["--json", f"{name}.json"]
             if command == "propagate":
                 argv += ["--csv", f"{name}.csv"]
-            run = subprocess.run(argv, cwd=out, env=env, capture_output=True)
-            (out / f"{name}.stdout").write_bytes(run.stdout)
-            (out / f"{name}.stderr").write_bytes(run.stderr)
-            (out / f"{name}.code").write_text(f"{run.returncode}\n")
-            print(f"{name}: exit {run.returncode}")
+            with open(out / f"{name}.stdout", "wb") as so, open(out / f"{name}.stderr", "wb") as se:
+                start = time.perf_counter()
+                proc = subprocess.Popen(argv, cwd=out, env=env, stdout=so, stderr=se)
+                _, status, usage = os.wait4(proc.pid, 0)
+                wall = time.perf_counter() - start
+            # wait4 reaped the child; tell Popen, which did not see it.
+            proc.returncode = code = os.waitstatus_to_exitcode(status)
+            (out / f"{name}.code").write_text(f"{code}\n")
+            print(f"{name}: exit {code}, {wall:.3f} s, {usage.ru_maxrss / 1024:.1f} MB")
 
 
 if __name__ == "__main__":
