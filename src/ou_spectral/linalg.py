@@ -322,13 +322,15 @@ def _fragment_2_1(X, T, s, lower):
 
 
 def _exp_sinch(x):
-    """(e^x[k+1] - e^x[k]) / (x[k+1] - x[k]), or e^x[k] where the two are
-    equal: exp's first off-diagonal over T's for a bidiagonal T (Higham,
-    Functions of Matrices, 2008, (10.42))."""
-    ex = np.exp(x)
-    dx = np.diff(x)
-    out = np.diff(ex)
-    same = dx == 0.0
-    out[~same] /= dx[~same]
-    out[same] = ex[:-1][same]
-    return out
+    """exp's first off-diagonal over T's for a bidiagonal T with diagonal x:
+    e^a sinh(b) / b at a, b the mean and half-difference of x[k], x[k+1]
+    (Higham, Functions of Matrices, 2008, (10.42)).  As in scipy, a Taylor
+    series of sinh(b) / b for |b| < 0.0135, where the divided difference
+    (e^(a+b) - e^(a-b)) / 2b would cancel; that difference elsewhere."""
+    a = 0.5 * (x[:-1] + x[1:])
+    b = 0.5 * (x[:-1] - x[1:])
+    near = np.abs(b) < 0.0135
+    b2 = b * b
+    series = np.exp(a) * (1.0 + b2 / 6.0 * (1.0 + b2 / 20.0 * (1.0 + b2 / 42.0)))
+    bf = np.where(near, 1.0, b)
+    return np.where(near, series, (np.exp(a + bf) - np.exp(a - bf)) / (2.0 * bf))

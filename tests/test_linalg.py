@@ -234,12 +234,22 @@ def _config_drift(name):
 CONFIG_DRIFTS = ("canonical_1d", "diag_2d", "spiral_2d", "random_3d")
 BATTERY_TIMES = (0.0, 0.1, 0.5, 1.0, 3.0, 10.0)
 JORDAN = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]])
+# Triangular t A whose diagonal entries differ by 1e-9, 1e-5 and 0.01, all
+# scaled (s = 2): the divided difference (e^x2 - e^x1) / (x2 - x1) of their
+# exact off-diagonal cancels, and scipy 1.17's compiled expm, which takes
+# it, reads 9e-8, 5e-12 and 4e-15 off on them.
+NEAR_REPEATED = (
+    ("near-repeated-1e-9", np.array([[-10.0, 10.0], [0.0, -10.0 + 1e-9]]), 1.0),
+    ("near-repeated-1e-6", np.array([[-1.0, 1.0], [0.0, -1.0 - 1e-6]]), 10.0),
+    ("near-repeated-1e-3", np.array([[-1.0, 1.0], [0.0, -1.0 + 1e-3]]), 10.0),
+)
 
 
 def _battery():
     """(label, A, t): the configs' drifts at the battery's times, a small
     t A that takes degree 3, a stiff diagonal, a rotation, a stiff
-    triangular A and its transpose, a 3 x 3 Jordan block and its
+    triangular A and its transpose, triangular A whose diagonal entries
+    nearly repeat and their transposes, a 3 x 3 Jordan block and its
     transpose, and seeded random A with n <= 6, triangular ones among
     them."""
     for name in CONFIG_DRIFTS:
@@ -250,6 +260,9 @@ def _battery():
     yield "rotation", np.array([[0.0, -1.0], [1.0, 0.0]]), np.pi / 2
     yield "triangular", np.array([[-300.0, 1.0], [0.0, -350.0]]), 1.0
     yield "triangular-lower", np.array([[-300.0, 0.0], [1.0, -350.0]]), 1.0
+    for label, T, t in NEAR_REPEATED:
+        yield label, T, t
+        yield f"{label}-lower", T.T, t
     for t in (0.5, 1.0, 3.0, 10.0):
         yield f"jordan@{t}", JORDAN, t
         yield f"jordan-lower@{t}", JORDAN.T, t
@@ -272,7 +285,11 @@ def test_expm_matches_scipy_on_the_battery():
     # whose [13/13] approximant in scipy 1.17 adds A^6 once more to the odd
     # part U: it agrees to 1e-14 wherever it takes a degree below 13 and
     # sits up to 1.2e-13 off where it takes 13 (``test_expm_matches_closed_forms``
-    # reads the spiral's 7.8e-14 there against its closed form).
+    # reads the spiral's 7.8e-14 there against its closed form).  Its Code
+    # Fragment 2.1 also takes the plain divided difference for the first
+    # off-diagonal, which reads 9e-8 off on the near-repeated diagonals
+    # (``test_expm_of_a_triangular_matrix_keeps_its_diagonals_exact``), so
+    # only the pure-Python run is their reference.
     import scipy.linalg
     from scipy.sparse.linalg import expm as sparse_expm
 
@@ -281,27 +298,14 @@ def test_expm_matches_scipy_on_the_battery():
         got, tA = linalg.expm(A, t), t * A
         want = sparse_expm(tA.T).T if "lower" in label else sparse_expm(tA)
         pure[label] = _relative(got, want)
+        if label.startswith("near-repeated"):
+            continue
         offdiag = np.tril(tA, -1).any() or np.triu(tA, 1).any()
         degree = linalg._pade_structure(tA)[0] if offdiag else 0
         (degree_13 if degree == 13 else compiled)[label] = _relative(got, scipy.linalg.expm(tA))
     assert max(pure.values()) <= 1e-14, max(pure, key=pure.get)
     assert max(compiled.values()) <= 1e-14, max(compiled, key=compiled.get)
     assert max(degree_13.values()) <= 2e-13, max(degree_13, key=degree_13.get)
-
-
-def test_expm_picks_scipys_degree_and_scaling_on_the_battery():
-    # scipy.linalg.expm's own choice of (m, s), from its compiled
-    # ``pick_pade_structure``, which scales its argument in place.
-    structure = pytest.importorskip("scipy.linalg._matfuncs_expm")
-    picked = {}
-    for label, A, t in _battery():
-        tA = t * A
-        if np.tril(tA, -1).any() or np.triu(tA, 1).any():
-            Am = np.zeros((5,) + tA.shape)
-            Am[0] = tA
-            picked[label] = tuple(structure.pick_pade_structure(Am)), linalg._pade_structure(tA)[:2]
-    assert [label for label, (want, got) in picked.items() if want != got] == []
-    assert {got[0] for want, got in picked.values()} == {3, 5, 7, 9, 13}
 
 
 @pytest.mark.parametrize("t", BATTERY_TIMES + (30.0,))
@@ -320,13 +324,25 @@ def test_expm_matches_closed_forms(t):
     assert _relative(linalg.expm([[0.0, -1.0], [1.0, 0.0]], t), rotation) <= 1e-14
 
 
-@pytest.mark.parametrize("gap, b", [(5.0, 1.0), (50.0, 1.0), (50.0, 1e3)])
-def test_expm_of_a_triangular_matrix_keeps_its_diagonals_exact(gap, b):
+@pytest.mark.parametrize(
+    "a, gap, b",
+    [
+        (-300.0, 5.0, 1.0),
+        (-300.0, 50.0, 1.0),
+        (-300.0, 50.0, 1e3),
+        (-10.0, -1e-9, 10.0),
+        (-10.0, 1e-5, 10.0),
+        (-10.0, -1e-2, 10.0),
+    ],
+)
+def test_expm_of_a_triangular_matrix_keeps_its_diagonals_exact(a, gap, b):
     # exp([[a, b], [0, a - gap]]) has e^a, e^(a - gap) on its diagonal and
     # b (e^a - e^(a - gap)) / gap above it.  At a = -300 the scaling is
     # 2^-7; squaring the approximant alone reads 5e-14 here, while
-    # Code Fragment 2.1 resets both diagonals exactly at each squaring.
-    a = -300.0
+    # Code Fragment 2.1 resets both diagonals exactly at each squaring.  At
+    # a = -10 (s = 2) the diagonal nearly repeats, and the off-diagonal is
+    # e^a sinh(b) / b at the half-gap, whose divided difference would read
+    # 9e-8 off at gap 1e-9.
     T = np.array([[a, b], [0.0, a - gap]])
     off = b * np.exp(a) * -np.expm1(-gap) / gap
     want = np.array([[np.exp(a), off], [0.0, np.exp(a - gap)]])
@@ -344,6 +360,7 @@ def _similar(a, b):
 @pytest.mark.parametrize(
     "A, t, m, s",
     [
+        (A_SPIRAL, 1e-3, 3, 0),
         (A_SPIRAL, 0.1, 7, 0),
         (A_SPIRAL, 0.5, 9, 0),
         (A_SPIRAL, 1.0, 13, 0),
@@ -352,6 +369,10 @@ def _similar(a, b):
         (A_SPIRAL, 1e10, 13, 33),
         (A_3D, 0.1, 7, 0),
         (A_3D, 10.0, 13, 3),
+        (JORDAN, 1.0, 9, 0),
+        (JORDAN.T, 10.0, 13, 2),
+        (np.array([[-300.0, 0.0], [1.0, -350.0]]), 1.0, 13, 7),
+        (NEAR_REPEATED[0][1], 1.0, 13, 2),
         (_similar(1e-4, 1.0), 1.0, 7, 0),
         (_similar(0.1, 1.0), 1.0, 5, 0),
         (_similar(1e-4, 1e5), 1.0, 13, 14),
@@ -360,9 +381,9 @@ def _similar(a, b):
 )
 def test_expm_picks_the_degree_and_scaling_scipy_picks(A, t, m, s):
     # The (m, s) that scipy.linalg.expm 1.17 picks for t A, read from its
-    # ``pick_pade_structure``: scaling from the unscaled powers' exact
-    # norms, and the ell correction, which adds 14 and 30 squarings to the
-    # last two although their eta is 1e-4.
+    # ``pick_pade_structure``, every degree among them: scaling from the
+    # unscaled powers' exact norms, and the ell correction, which adds 14
+    # and 30 squarings to the last two although their eta is 1e-4.
     assert linalg._pade_structure(t * A)[:2] == (m, s)
 
 
