@@ -158,7 +158,10 @@ def reconstruct_operators_check(model, tol=IDENTITY_TOL):
     * forward   as half the eigenvalue-weighted sum of raise(lower(.)), with
       its table (``_realized``): D^T = sum_I lambda_I a_I w'_I^T / 2 and
       B = sym(sum_I lambda_I w_I w'_I^T)
-    * adjoint   as the conjugate-weighted mirror of the same sum"""
+    * adjoint   as the conjugate-weighted mirror of the same sum
+
+    A ``tol`` that ``_check_tol`` refuses is refused before any weight is read."""
+    _check_tol(tol)
     Wc, Ec = np.conj(model.eig.left), np.conj(model.eig.right)
     sides = {side: _side(model, side) for side in ("forward", "adjoint")}
     _, _, a, w, low = sides["adjoint"]

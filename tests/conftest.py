@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -62,3 +63,17 @@ def four_models(model_1d, model_diag, model_spiral, model_3d):
         "spiral_2d": model_spiral,
         "random_3d": model_3d,
     }
+
+
+@pytest.fixture(scope="session")
+def bound_functions():
+    """The ``FUNCTIONS`` tuple of perfbench/layers.py, the (module, function)
+    names the benchmark binds, read as a literal from its source; the file
+    is never imported."""
+    layers = SRC.parent / "perfbench" / "layers.py"
+    for node in ast.parse(layers.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "FUNCTIONS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{layers} defines no FUNCTIONS")

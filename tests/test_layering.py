@@ -1,25 +1,28 @@
 """Layering of the package, read from the source with ``ast``.
 
-Each concept of the construction has one owner module.  ``OWNERS`` holds
-one row per rule, (name, kind, owner), checked on every module but the
-owner.  A "mention" rule forbids another module to name ``name`` at all:
-to import it, or to read it bare, as an attribute or under the alias of
-its import.  A "call" rule forbids another module to call ``name``, by
-any of those spellings, but lets it pass ``name`` on, as ``spectral`` and
-``verify`` pass table builders to ``ladder``'s readers.  ``CALL_SITES``
-pins each call of a few names to the scope that makes it.  Each rule is
-checked to bite: a call of its name appended to the real source of each
-module it covers must be the one line that breaks it.
+Each concept of the construction has one owner module, and each rule is
+a row of one of three tables, read by one test parametrized over its
+rows.  ``OWNERS`` holds one row per owner rule, name -> (kind, owner),
+checked on every module but the owner.  A "mention" rule forbids another
+module to name ``name`` at all: to import it, or to read it bare, as an
+attribute or under the alias of its import.  A "call" rule forbids
+another module to call ``name``, by any of those spellings, but lets it
+pass ``name`` on, as ``spectral`` and ``verify`` pass table builders to
+``ladder``'s readers.  ``CALL_SITES`` pins each call of a name to the
+scopes that make it, and ``ASKS`` each ``isinstance`` of a class, on
+every module.  Each rule is checked to bite: a call of its name, or an
+ask of its class, appended to the real source of each module it covers
+must be the one line that breaks it.
 
 The other rules have finders of their own.  ``verify`` holds every check
 and no production module reads it, but for one commented line of
 ``spectral`` that re-exports ``reconstruct_operators_check`` under the
-name the benchmark binds (``perfbench/layers.py``); it builds no second
-model.  ``ladder._eigenvalues`` alone sums K_I lambda_I over a
-multi-index.  No production module defines a top-level function or class
-that only ``verify`` reads.  In ``cli`` only ``main`` prints, opens or
-writes a file, and each subcommand takes its config alone.  No module
-imports scipy, which is a test dependency only.
+name the benchmark binds (``perfbench/layers.py``).
+``ladder._eigenvalues`` alone sums K_I lambda_I over a multi-index.  No
+production module defines a top-level function or class that only
+``verify`` reads.  In ``cli`` only ``main`` prints, opens or writes a
+file, and each subcommand takes its config alone.  No module imports
+scipy, which is a test dependency only.
 """
 
 import ast
@@ -32,17 +35,9 @@ PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ou_spectral"
 
 MODULES = tuple(sorted(path.stem for path in PACKAGE.glob("*.py")))
 
-PRODUCTION = (
-    "spectral",
-    "ladder",
-    "gaussian",
-    "mpoly",
-    "monomials",
-    "linalg",
-    "kernels",
-    "sde_oracle",
-    "hermite_form",
-)
+# Every module but the package's entry, the command line, the error
+# types and the checks; a new module is production unless it is named here.
+PRODUCTION = tuple(m for m in MODULES if m not in ("__init__", "cli", "errors", "verify"))
 
 
 def _source(module):
@@ -194,72 +189,51 @@ LB = cholesky_factor(B)
     ]
 
 
-# One row per owner rule: (name, "mention" or "call", owner module).
-OWNERS = (
+# One row per owner rule: name -> ("mention" or "call", owner module).
+OWNERS = {
     # The model cache: one entry per builder and arguments, read by one rule.
-    ("_grown", "mention", "ladder"),
-    ("_op_cache", "mention", "ladder"),
+    "_grown": ("mention", "ladder"),
+    "_op_cache": ("mention", "ladder"),
     # The slot layout of a gather table.
-    ("_table", "mention", "ladder"),
+    "_table": ("mention", "ladder"),
     # The inputs of the one formula of each weight (``_drift``, ``_ladder_weights``).
-    ("Sigma_inv", "mention", "ladder"),
-    ("forward_drift", "mention", "ladder"),
+    "Sigma_inv": ("mention", "ladder"),
+    "forward_drift": ("mention", "ladder"),
     # The raising rule of the modes.
-    ("parent", "mention", "monomials"),
+    "parent": ("mention", "monomials"),
     # The gather-table builders, which only ``ladder._table`` calls and keeps.
-    ("operator_table", "call", "ladder"),
-    ("_generator_table", "call", "ladder"),
-    ("_ladder_table", "call", "ladder"),
+    "operator_table": ("call", "ladder"),
+    "_generator_table": ("call", "ladder"),
+    "_ladder_table": ("call", "ladder"),
     # The two eigenfunction tables, the ladder's and the Hermite closed
     # form's, which only ``ladder._grown`` calls, as its ``build``.
-    ("_eigentable", "call", "ladder"),
-    ("_hermite_table", "call", "ladder"),
+    "_eigentable": ("call", "ladder"),
+    "_hermite_table": ("call", "ladder"),
     # 2^|K| K! (``mode_normalization``) and C(n + d, n) (``index_size``).
-    ("factorial", "call", "monomials"),
-    ("comb", "call", "monomials"),
+    "factorial": ("call", "monomials"),
+    "comb": ("call", "monomials"),
     # One closed-form table per model and side (``_hermite_table``).
-    ("hermite_products", "call", "hermite_form"),
+    "hermite_products": ("call", "hermite_form"),
+}
+
+
+def _breaches(source, name):
+    """Source lines of ``source`` that break the owner rule of ``name``."""
+    if OWNERS[name][0] == "mention":
+        return list(_mentions(source, name))
+    return [line for _, line in _scoped_calls(source, name)]
+
+
+@pytest.mark.parametrize(
+    "name, module", [(n, m) for n, (_, owner) in OWNERS.items() for m in MODULES if m != owner]
 )
+def test_only_the_owner_reads_a_name(name, module):
+    assert _breaches(_source(module), name) == []
 
 
-def _breaches(source, module="", names=None):
-    """Source lines of ``module``'s ``source`` that break the owner rule of
-    a name in ``names``, of every name by default."""
-    for name, kind, owner in OWNERS:
-        if owner == module or (names is not None and name not in names):
-            continue
-        if kind == "mention":
-            yield from _mentions(source, name)
-        else:
-            yield from (line for _, line in _scoped_calls(source, name))
-
-
-def _owned(*names):
-    """A test that each module but the owner of ``names`` breaks none of their rules."""
-    (owner,) = {owner for name, _, owner in OWNERS if name in names}
-
-    @pytest.mark.parametrize("module", [m for m in MODULES if m != owner])
-    def test(module):
-        assert list(_breaches(_source(module), module, names)) == []
-
-    return test
-
-
-test_only_ladder_names_grown = _owned("_grown")
-test_only_ladder_reads_an_eigenfunction_table = _owned("_eigentable", "_hermite_table")
-test_only_ladder_reads_the_model_cache = _owned("_op_cache")
-test_only_ladder_reads_the_slots_of_a_table = _owned("_table")
-test_only_ladder_reads_the_weight_inputs = _owned("Sigma_inv", "forward_drift")
-test_only_monomials_reads_parent = _owned("parent")
-test_only_ladder_builds_operator_tables = _owned(
-    "operator_table", "_generator_table", "_ladder_table"
-)
-test_only_monomials_calls_factorial = _owned("factorial")
-test_only_monomials_calls_comb = _owned("comb")
-test_only_hermite_form_builds_a_hermite_closed_form = _owned("hermite_products")
-
-
-# Spellings of owned names; each line's comment names the rule of each breach on it.
+# Spellings of owned names; each line's comment names the rule of each
+# breach on it.  A builder passed to ``_grown`` breaks its rule; one passed
+# to ``_matrix``, and ``_block``, a helper of ``cli``, break none.
 SPELLINGS = """
 from .ladder import _grown as grown, _ladder_table as lt  # _grown
 from ou_spectral.ladder import _table as slots  # _table
@@ -288,48 +262,19 @@ j = _grown, model._grown_count, "_grown"  # _grown
 """
 
 
-def _spelled(*names):
-    """Whether the rules of ``names`` break each line of ``SPELLINGS`` as
-    often as its comment names one of them."""
+def _spelled(name):
+    """Whether the rule of ``name`` breaks each line of ``SPELLINGS`` as
+    often as its comment names it, on at least one line."""
     lines = [line.strip() for line in SPELLINGS.splitlines()]
     marked = Counter(
-        line for line in lines for rule in line.partition("#")[2].split() if rule in names
+        line for line in lines for rule in line.partition("#")[2].split() if rule == name
     )
-    return Counter(_breaches(SPELLINGS, names=names)) == marked
+    return bool(marked) and Counter(_breaches(SPELLINGS, name)) == marked
 
 
-def test_mention_finder_sees_bare_attribute_and_aliased_names():
-    assert _spelled("_grown")
-
-
-def test_call_finder_sees_bare_and_attribute_calls():
-    assert _spelled("factorial", "comb", "hermite_products")
-
-
-def test_table_build_reader_sees_calls_and_cached_builds():
-    # A builder passed to ``_grown`` breaks its rule; one passed to
-    # ``_matrix``, and ``_block``, a helper of ``cli``, break none.
-    assert _spelled("_grown", "operator_table", "_generator_table", "_ladder_table")
-
-
-def test_eigentable_read_finder_sees_bare_attribute_and_imported_spellings():
-    assert _spelled("_grown", "_eigentable", "_hermite_table")
-
-
-def test_cache_reader_sees_reads_and_writes():
-    assert _spelled("_op_cache")
-
-
-def test_slot_read_finder_sees_imports_and_attributes():
-    assert _spelled("_table")
-
-
-def test_parent_read_finder_sees_imports_calls_and_references():
-    assert _spelled("parent")
-
-
-def test_mention_finder_sees_every_spelling_of_the_weight_inputs():
-    assert _spelled("Sigma_inv", "forward_drift")
+@pytest.mark.parametrize("name", OWNERS)
+def test_owner_rule_sees_every_spelling_of_its_name(name):
+    assert _spelled(name)
 
 
 # The exact call sites, (module, dotted scope), one per call, of each
@@ -372,6 +317,33 @@ CALL_SITES = {
         ("ladder", "lower_adjoint"),
         ("ladder", "raise_adjoint"),
     ],
+    # A time, read by the grid evaluator, which every evaluation reaches,
+    # and by the exact propagator.
+    "_check_time": [
+        ("spectral", "evaluate_grid_complex"),
+        ("spectral", "exact_gaussian_propagate"),
+    ],
+    # A forward function, read by every call that takes one in ``ladder``
+    # and by the inhomogeneous solve.
+    "_check_forward": [
+        ("ladder", "apply_forward"),
+        ("ladder", "lower_forward"),
+        ("ladder", "raise_forward"),
+        ("spectral", "solve_inhomogeneous"),
+    ],
+    # A multi-index K and a mode I.
+    "_check_multi_index": [
+        ("ladder", "_eigenfunction"),
+        ("ladder", "eigenvalue"),
+        ("spectral", "SpectralExpansion.coefficient"),
+    ],
+    "_check_mode": [("ladder", "_ladder")],
+    # A residual tolerance, read by each suite that takes one.
+    "_check_tol": [
+        ("verify", "biorthogonality_suite"),
+        ("verify", "eigen_residual_suite"),
+        ("verify", "reconstruct_operators_check"),
+    ],
     # One whitening loop, read by the density of a grid and by grid
     # evaluation.
     "_whitened_blocks": [
@@ -388,15 +360,61 @@ CALL_SITES = {
         ("verify", "hermite_suite"),
         ("verify", "ladder_suite"),
     ],
+    # A model is built from a config and, in canonical coordinates, by
+    # ``to_canonical``, which nothing calls: the suites check the tables of
+    # the model they are given, and the Hermite suite maps them to
+    # canonical coordinates instead of rebuilding the model there.
+    "build_model": [
+        ("cli", "_build"),
+        ("hermite_form", "to_canonical"),
+    ],
+    "to_canonical": [],
 }
+
+# The exact sites, (module, dotted scope), one per ``isinstance`` call, at
+# which each class is asked for: the reader of its argument kind, and the
+# calls that ask of an operand, ``MPoly``'s arithmetic and ``inner_product``.
+ASKS = {
+    "GaussianDensity": [("gaussian", "_density_for")],
+    "MPoly": [
+        ("mpoly", "MPoly.__eq__"),
+        ("mpoly", "MPoly._combine"),
+        ("mpoly", "MPoly.__mul__"),
+        ("mpoly", "_poly_for"),
+    ],
+    "ForwardFunction": [
+        ("gaussian", "inner_product"),
+        ("ladder", "_check_forward"),
+    ],
+    "OUModel": [("hermite_form", "_require_canonical")],
+}
+
+
+def _unpinned(module, found, pins):
+    """Sites of ``found`` beyond the sites of ``module`` in ``pins``, one per
+    extra site, and the pinned sites that it lacks."""
+    found = Counter(found)
+    pinned = Counter(site for site in pins if site[0] == module)
+    return sorted(((found - pinned) + (pinned - found)).elements())
 
 
 def _off_site(module, name, source):
     """Call sites of ``name`` in ``module``'s ``source`` beyond those
     pinned, one per extra call, and pinned sites that it lacks."""
-    found = Counter((module, scope) for scope, _ in _scoped_calls(source, name))
-    pinned = Counter(site for site in CALL_SITES[name] if site[0] == module)
-    return sorted(((found - pinned) + (pinned - found)).elements())
+    calls = ((module, scope) for scope, _ in _scoped_calls(source, name))
+    return _unpinned(module, calls, CALL_SITES[name])
+
+
+def _asks(module, source, cls):
+    """(module, dotted scope) of each ``isinstance`` call in ``source``
+    whose line names ``cls``."""
+    return [(module, scope) for scope, line in _scoped_calls(source, "isinstance") if cls in line]
+
+
+def _off_ask(module, cls, source):
+    """``isinstance`` sites of ``cls`` in ``module``'s ``source`` beyond
+    those pinned, one per extra ask, and pinned sites that it lacks."""
+    return _unpinned(module, _asks(module, source, cls), ASKS[cls])
 
 
 def test_cov_factoring_finder_sees_every_spelling():
@@ -419,77 +437,44 @@ class OUModel:
     assert _off_site("ladder", "_spd_factor", "") == [("ladder", "OUModel.__post_init__")]
 
 
-def test_only_spd_factor_calls_cholesky():
-    assert [site for m in MODULES for site in _off_site(m, "cholesky", _source(m))] == []
-
-
+@pytest.mark.parametrize("name", CALL_SITES)
 @pytest.mark.parametrize("module", MODULES)
-def test_only_gaussian_factors_a_covariance(module):
-    assert _off_site(module, "_spd_factor", _source(module)) == []
+def test_each_call_is_made_at_its_pinned_sites(module, name):
+    assert _off_site(module, name, _source(module)) == []
 
 
+def test_no_module_defines_prune():
+    # Nor imports it: ``MPoly._store`` prunes inline.
+    defined = [
+        m for m in MODULES for node in ast.walk(ast.parse(_source(m)))
+        if getattr(node, "name", None) == "prune"
+    ]
+    assert defined == []
+
+
+@pytest.mark.parametrize("cls", ASKS)
 @pytest.mark.parametrize("module", MODULES)
-def test_only_mpoly_store_prunes(module):
-    # No module defines, imports or calls ``prune``.
-    source = _source(module)
-    assert "prune" not in {getattr(node, "name", None) for node in ast.walk(ast.parse(source))}
-    assert _off_site(module, "prune", source) == []
-
-
-def test_points_are_checked_once_where_they_enter():
-    assert [site for m in MODULES for site in _off_site(m, "_points", _source(m))] == []
-
-
-def test_a_point_is_checked_once_where_it_enters():
-    assert [site for m in MODULES for site in _off_site(m, "_point", _source(m))] == []
-
-
-def test_a_grid_is_whitened_by_one_loop():
-    assert [site for m in MODULES for site in _off_site(m, "_whitened_blocks", _source(m))] == []
-
-
-def test_an_order_is_read_once_where_it_enters():
-    assert [site for m in MODULES for site in _off_site(m, "_max_order", _source(m))] == []
-
-
-def _asks(module, source, cls):
-    """(module, dotted scope) of each ``isinstance`` call in ``source``
-    whose line names ``cls``."""
-    return [(module, scope) for scope, line in _scoped_calls(source, "isinstance") if cls in line]
-
-
-def test_a_density_is_checked_once_where_it_enters():
-    # ``_density_for`` is the one place that asks whether an argument is a
-    # ``GaussianDensity``.
-    assert [site for m in MODULES for site in _off_site(m, "_density_for", _source(m))] == []
-    asks = [ask for m in MODULES for ask in _asks(m, _source(m), "GaussianDensity")]
-    assert asks == [("gaussian", "_density_for")]
-
-
-def test_a_polynomial_is_checked_once_where_it_enters():
-    # No module but ``mpoly``, whose ``_poly_for`` reads every polynomial
-    # argument, asks whether an argument is an ``MPoly``.
-    assert [site for m in MODULES for site in _off_site(m, "_poly_for", _source(m))] == []
-    assert [ask for m in MODULES if m != "mpoly" for ask in _asks(m, _source(m), "MPoly")] == []
+def test_each_class_is_asked_for_at_its_pinned_sites(module, cls):
+    assert _off_ask(module, cls, _source(module)) == []
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_kind_rules_find_an_ask_appended_to_each_module(module):
-    # Neither kind rule can go vacuous: an ``isinstance`` of its class
-    # appended to a module's real source is found in its scope.
-    for cls in ("GaussianDensity", "MPoly"):
+    # No ask rule can go vacuous: an ``isinstance`` of its class appended
+    # to a module's real source is the one ask off its pinned sites.
+    for cls in ASKS:
         source = _source(module) + f"\n\ndef _injected(x):\n    return isinstance(x, {cls})\n"
-        assert _asks(module, source, cls)[-1] == (module, "_injected"), cls
+        assert _off_ask(module, cls, source) == [(module, "_injected")], cls
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_rule_finds_a_call_appended_to_each_module(module):
     # No rule can go vacuous: a call of its name, appended to the real
     # source of each module but its owner, is the one line that breaks it.
-    for name, _, owner in OWNERS:
+    for name, (_, owner) in OWNERS.items():
         source = _source(module) + f"\n\ndef _injected(lib, x):\n    return lib.{name}(x)\n"
         if owner != module:
-            assert list(_breaches(source, module, {name})) == [f"return lib.{name}(x)"], name
+            assert _breaches(source, name) == [f"return lib.{name}(x)"], name
     for name in CALL_SITES:
         source = _source(module) + f"\n\ndef _injected(lib, x):\n    return lib.{name}(x)\n"
         assert _off_site(module, name, source) == [(module, "_injected")], name
@@ -533,14 +518,6 @@ def test_scipy_rule_finds_an_import_appended_to_each_module(module):
         source = _source(module) + f"\n\ndef _injected():\n    {spelling}\n"
         assert list(_scipy_imports(source)) == [spelling], spelling
     assert list(_scipy_imports("import scipyx\nfrom .scipy import y\n")) == []
-
-
-def test_verify_builds_no_second_model():
-    # The suites check the tables of the model they are given; the Hermite
-    # suite maps them to canonical coordinates instead of rebuilding the
-    # model there.
-    source = _source("verify")
-    assert [*_scoped_calls(source, "build_model"), *_scoped_calls(source, "to_canonical")] == []
 
 
 def _eigenvalue_sums(source):
@@ -588,17 +565,6 @@ def test_only_ladder_sums_eigenvalues_over_a_multi_index(module):
     assert list(_eigenvalue_sums(_source(module))) == []
 
 
-def _bound_names():
-    """First components of the names that ``perfbench/layers.py`` binds in
-    ``FUNCTIONS``: ``MPoly.__init__`` binds ``MPoly``, ``*simulate``
-    binds ``simulate``."""
-    path = PACKAGE.parents[1] / "perfbench" / "layers.py"
-    for node in ast.parse(path.read_text()).body:
-        if isinstance(node, ast.Assign) and _name(node.targets[0]) == "FUNCTIONS":
-            return {func.lstrip("*").split(".")[0] for _, func in ast.literal_eval(node.value)}
-    raise AssertionError("perfbench/layers.py binds no FUNCTIONS")
-
-
 def _verify_only(sources, bound=()):
     """(module, name) of each top-level function or class of a module of
     ``PRODUCTION`` whose only reader among ``sources`` (module name to
@@ -642,11 +608,13 @@ r = gaussian.Report()
     ]
 
 
-def test_no_production_module_keeps_verify_only_code():
+def test_no_production_module_keeps_verify_only_code(bound_functions):
     # Aim 2: code that only a check reads lives in ``verify``.  A name that
-    # ``__init__`` exports, or that the benchmark binds, counts as read.
+    # ``__init__`` exports, or that the benchmark binds, counts as read:
+    # ``MPoly.__init__`` binds ``MPoly``, ``*simulate`` binds ``simulate``.
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
-    assert list(_verify_only(sources, _bound_names())) == []
+    bound = {func.lstrip("*").split(".")[0] for _, func in bound_functions}
+    assert list(_verify_only(sources, bound)) == []
 
 
 # Calls that print to a stream, open a file or write to one.
@@ -714,3 +682,87 @@ def test_cli_main_is_the_one_emitter():
     commands = dict(_parameters(source))
     assert len(commands) == 5
     assert {name: ["cfg"] for name in commands} == commands
+
+
+# Earlier reports ran these rules as grouped tests.  Their ids stay, each a
+# group of table rows read as the table tests read them, until they are
+# retired together; a new row joins none of them.
+
+
+def _owned(*names):
+    """The ``OWNERS`` rows ``names``, each read alone, one test per module
+    but their owner."""
+    (owner,) = {OWNERS[name][1] for name in names}
+
+    @pytest.mark.parametrize("module", [m for m in MODULES if m != owner])
+    def test(module):
+        breaches = {name: _breaches(_source(module), name) for name in names}
+        assert breaches == dict.fromkeys(names, [])
+
+    return test
+
+
+def _spells(*names):
+    """``_spelled`` on the ``OWNERS`` rows ``names``, each alone."""
+
+    def test():
+        assert [name for name in names if not _spelled(name)] == []
+
+    return test
+
+
+def _pinned(*names, asks=(), each=False):
+    """The ``CALL_SITES`` rows ``names`` and the ``ASKS`` rows ``asks``, in
+    one test over every module, or in one test per module with ``each``."""
+
+    def off(module):
+        source = _source(module)
+        calls = [site for name in names for site in _off_site(module, name, source)]
+        return calls + [site for cls in asks for site in _off_ask(module, cls, source)]
+
+    @pytest.mark.parametrize("module", MODULES)
+    def per_module(module):
+        assert off(module) == []
+
+    def every_module():
+        assert [site for m in MODULES for site in off(m)] == []
+
+    return per_module if each else every_module
+
+
+test_only_ladder_names_grown = _owned("_grown")
+test_only_ladder_reads_an_eigenfunction_table = _owned("_eigentable", "_hermite_table")
+test_only_ladder_reads_the_model_cache = _owned("_op_cache")
+test_only_ladder_reads_the_slots_of_a_table = _owned("_table")
+test_only_ladder_reads_the_weight_inputs = _owned("Sigma_inv", "forward_drift")
+test_only_monomials_reads_parent = _owned("parent")
+test_only_ladder_builds_operator_tables = _owned(
+    "operator_table", "_generator_table", "_ladder_table"
+)
+test_only_monomials_calls_factorial = _owned("factorial")
+test_only_monomials_calls_comb = _owned("comb")
+test_only_hermite_form_builds_a_hermite_closed_form = _owned("hermite_products")
+
+test_mention_finder_sees_bare_attribute_and_aliased_names = _spells("_grown")
+test_call_finder_sees_bare_and_attribute_calls = _spells("factorial", "comb", "hermite_products")
+test_table_build_reader_sees_calls_and_cached_builds = _spells(
+    "_grown", "operator_table", "_generator_table", "_ladder_table"
+)
+test_eigentable_read_finder_sees_bare_attribute_and_imported_spellings = _spells(
+    "_grown", "_eigentable", "_hermite_table"
+)
+test_cache_reader_sees_reads_and_writes = _spells("_op_cache")
+test_slot_read_finder_sees_imports_and_attributes = _spells("_table")
+test_parent_read_finder_sees_imports_calls_and_references = _spells("parent")
+test_mention_finder_sees_every_spelling_of_the_weight_inputs = _spells("Sigma_inv", "forward_drift")
+
+test_only_spd_factor_calls_cholesky = _pinned("cholesky")
+test_only_gaussian_factors_a_covariance = _pinned("_spd_factor", each=True)
+test_only_mpoly_store_prunes = _pinned("prune", each=True)
+test_points_are_checked_once_where_they_enter = _pinned("_points")
+test_a_point_is_checked_once_where_it_enters = _pinned("_point")
+test_a_grid_is_whitened_by_one_loop = _pinned("_whitened_blocks")
+test_an_order_is_read_once_where_it_enters = _pinned("_max_order")
+test_verify_builds_no_second_model = _pinned("build_model", "to_canonical")
+test_a_density_is_checked_once_where_it_enters = _pinned("_density_for", asks=["GaussianDensity"])
+test_a_polynomial_is_checked_once_where_it_enters = _pinned("_poly_for", asks=["MPoly"])

@@ -3,35 +3,21 @@
 ``perfbench/layers.py`` wraps package functions by (module, function)
 name, and the benchmark worker reports ``kernels.active_backend()``.  A
 deleted or renamed name would otherwise break only the traced benchmark
-run.  The file is parsed as source, never imported or written.  The
-kernel's observer reads its path and step counts from fixed positions,
-so the oracle must keep passing them there.
+run.  The file is parsed as source (``conftest.bound_functions``),
+never imported or written.  The kernel's observer reads its path and
+step counts from fixed positions, so the oracle must keep passing them
+there.
 """
 
-import ast
 import importlib
-import pathlib
 
 import ou_spectral
 from ou_spectral import SimConfig, sde_oracle, simulate
 
-LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
-
-def _bound_functions():
-    """The ``FUNCTIONS`` tuple of perfbench/layers.py, read as a literal."""
-    for node in ast.parse(LAYERS.read_text()).body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "FUNCTIONS" for t in node.targets
-        ):
-            return ast.literal_eval(node.value)
-    raise AssertionError(f"{LAYERS} defines no FUNCTIONS")
-
-
-def test_benchmark_bindings_resolve():
-    functions = _bound_functions()
-    assert functions
-    for module, func in functions:
+def test_benchmark_bindings_resolve(bound_functions):
+    assert bound_functions
+    for module, func in bound_functions:
         # The lookup of Layers: "*" marks an entry point, and a dotted name
         # is a function in a class's own namespace.
         parts = func.lstrip("*").split(".")

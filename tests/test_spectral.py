@@ -154,6 +154,38 @@ def test_exact_propagator_refuses_a_complex_time(model_1d, t):
         ou.exact_gaussian_propagate(model_1d, model_1d.f0, t)
 
 
+@pytest.mark.parametrize(
+    "t",
+    [np.array([0.5, 1.0]), np.array([0.5]), np.array(0.5), "0.5", None, Fraction(1, 2)],
+    ids=["array", "size-1", "0-d", "str", "None", "Fraction"],
+)
+def test_time_readers_refuse_a_time_that_is_not_a_real_scalar(model_1d, t):
+    # An array raised numpy's "truth value ... is ambiguous" ValueError, or
+    # passed when it held one entry; a string or None raised numpy's
+    # "ufunc 'isfinite' not supported" TypeError, as did a Fraction.
+    ex = ou.expand_gaussian(model_1d, model_1d.f0, 2)
+    want = f"^t must be a real scalar, got {type(t).__name__}$"
+    with pytest.raises(TypeError, match=want):
+        ou.evaluate_grid_complex(ex, np.zeros((3, 1)), t)
+    with pytest.raises(TypeError, match=want):
+        ou.exact_gaussian_propagate(model_1d, model_1d.f0, t)
+
+
+def test_time_readers_take_python_and_numpy_real_scalars(model_1d):
+    ex = ou.expand_gaussian(model_1d, ou.GaussianDensity(mean=[0.5], cov=[[0.5]]), 2)
+    pts = np.linspace(-1.0, 1.0, 3).reshape(-1, 1)
+    want = ou.evaluate_grid_complex(ex, pts, 0.5)
+    exact = ou.exact_gaussian_propagate(model_1d, model_1d.f0, 0.5)
+    for t in (np.float64(0.5), np.float32(0.5)):
+        assert np.array_equal(ou.evaluate_grid_complex(ex, pts, t), want), t
+        got = ou.exact_gaussian_propagate(model_1d, model_1d.f0, t)
+        assert np.array_equal(got.cov, exact.cov) and np.array_equal(got.mean, exact.mean), t
+    for t in (1, np.int64(1)):
+        assert np.array_equal(
+            ou.evaluate_grid_complex(ex, pts, t), ou.evaluate_grid_complex(ex, pts, 1.0)
+        ), t
+
+
 @pytest.mark.parametrize("t", [1e100, 1e300])
 def test_exact_propagator_refuses_a_flow_that_is_not_finite(model_spiral, model_3d, t):
     # At these times the package's exp(tA) is NaN on both models, whose

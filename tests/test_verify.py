@@ -871,6 +871,15 @@ def test_suites_refuse_a_residual_tol_that_is_not_finite_and_positive(suite, tol
         getattr(verify, suite)(model, max_order, **kwargs)
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0], ids=["inf", "nan", "0", "-1"])
+def test_reconstruction_check_refuses_a_tol_that_is_not_finite_and_positive(model_spiral, tol):
+    # The one suite that skipped ``_check_tol``: on spiral_2d, whose worst
+    # residual reads 4.4e-16, inf passed and NaN, 0 or -1 failed.
+    with pytest.raises(ValueError) as caught:
+        verify.reconstruct_operators_check(model_spiral, tol=tol)
+    assert str(caught.value) == f"residual tolerance must be finite and positive, got {tol}"
+
+
 ORDER_READERS = {
     "run_all": verify.run_all,
     "biorthogonality_suite": verify.biorthogonality_suite,
