@@ -112,11 +112,11 @@ def expand_gaussian(model, F0, max_order):
 
 def _check_time(t):
     """The one reader of a time: ``ValueError`` when t is complex,
-    ``TypeError`` unless it is a Python or numpy real scalar, and
-    ``ValueError`` unless it is finite and nonnegative."""
+    ``TypeError`` unless it is a Python or numpy real scalar other than a
+    bool, and ``ValueError`` unless it is finite and nonnegative."""
     if np.iscomplexobj(t):
         raise ValueError("t must be real")
-    if not isinstance(t, (int, float, np.integer, np.floating)):
+    if isinstance(t, bool) or not isinstance(t, (int, float, np.integer, np.floating)):
         raise TypeError(f"t must be a real scalar, got {type(t).__name__}")
     if not np.isfinite(t):
         raise ValueError("t must be finite")

@@ -1,18 +1,19 @@
 """Layering of the package, read from the source with ``ast``.
 
 Each concept of the construction has one owner module, and each rule is
-a row of one of three tables, read by one test parametrized over its
-rows.  ``OWNERS`` holds one row per owner rule, name -> (kind, owner),
-checked on every module but the owner.  A "mention" rule forbids another
-module to name ``name`` at all: to import it, or to read it bare, as an
-attribute or under the alias of its import.  A "call" rule forbids
-another module to call ``name``, by any of those spellings, but lets it
-pass ``name`` on, as ``spectral`` and ``verify`` pass table builders to
-``ladder``'s readers.  ``CALL_SITES`` pins each call of a name to the
-scopes that make it, and ``ASKS`` each ``isinstance`` of a class, on
-every module.  Each rule is checked to bite: a call of its name, or an
-ask of its class, appended to the real source of each module it covers
-must be the one line that breaks it.
+a row of one of three tables.  ``OWNERS`` holds one row per owner rule,
+name -> (kind, owner), checked on every module but the owner.  A
+"mention" rule forbids another module to name ``name`` at all: to import
+it, or to read it bare, as an attribute or under the alias of its
+import.  A "call" rule forbids another module to call ``name``, by any of
+those spellings, but lets it pass ``name`` on, as ``spectral`` and
+``verify`` pass table builders to ``ladder``'s readers.  ``CALL_SITES``
+pins each call of a name to the scopes that make it, and ``ASKS`` each
+``isinstance`` of a class, on every module.  Each row is read alone, by
+a test of its own where an earlier report named one and by the table
+test of ``CALL_SITES`` or ``ASKS`` otherwise, and is checked to bite: a
+call of its name, or an ask of its class, appended to the real source of
+each module it covers must be the one line that breaks it.
 
 The other rules have finders of their own.  ``verify`` holds every check
 and no production module reads it, but for one commented line of
@@ -224,11 +225,31 @@ def _breaches(source, name):
     return [line for _, line in _scoped_calls(source, name)]
 
 
-@pytest.mark.parametrize(
-    "name, module", [(n, m) for n, (_, owner) in OWNERS.items() for m in MODULES if m != owner]
+def _owned(*names):
+    """A test that each module but the owner of ``names`` breaks none of
+    their rules, each rule read alone."""
+    (owner,) = {OWNERS[name][1] for name in names}
+
+    @pytest.mark.parametrize("module", [m for m in MODULES if m != owner])
+    def test(module):
+        breaches = {name: _breaches(_source(module), name) for name in names}
+        assert breaches == dict.fromkeys(names, [])
+
+    return test
+
+
+test_only_ladder_names_grown = _owned("_grown")
+test_only_ladder_reads_an_eigenfunction_table = _owned("_eigentable", "_hermite_table")
+test_only_ladder_reads_the_model_cache = _owned("_op_cache")
+test_only_ladder_reads_the_slots_of_a_table = _owned("_table")
+test_only_ladder_reads_the_weight_inputs = _owned("Sigma_inv", "forward_drift")
+test_only_monomials_reads_parent = _owned("parent")
+test_only_ladder_builds_operator_tables = _owned(
+    "operator_table", "_generator_table", "_ladder_table"
 )
-def test_only_the_owner_reads_a_name(name, module):
-    assert _breaches(_source(module), name) == []
+test_only_monomials_calls_factorial = _owned("factorial")
+test_only_monomials_calls_comb = _owned("comb")
+test_only_hermite_form_builds_a_hermite_closed_form = _owned("hermite_products")
 
 
 # Spellings of owned names; each line's comment names the rule of each
@@ -272,9 +293,27 @@ def _spelled(name):
     return bool(marked) and Counter(_breaches(SPELLINGS, name)) == marked
 
 
-@pytest.mark.parametrize("name", OWNERS)
-def test_owner_rule_sees_every_spelling_of_its_name(name):
-    assert _spelled(name)
+def _spells(*names):
+    """A test that ``_spelled`` holds for each of ``names``, read alone."""
+
+    def test():
+        assert [name for name in names if not _spelled(name)] == []
+
+    return test
+
+
+test_mention_finder_sees_bare_attribute_and_aliased_names = _spells("_grown")
+test_call_finder_sees_bare_and_attribute_calls = _spells("factorial", "comb", "hermite_products")
+test_table_build_reader_sees_calls_and_cached_builds = _spells(
+    "_grown", "operator_table", "_generator_table", "_ladder_table"
+)
+test_eigentable_read_finder_sees_bare_attribute_and_imported_spellings = _spells(
+    "_grown", "_eigentable", "_hermite_table"
+)
+test_cache_reader_sees_reads_and_writes = _spells("_op_cache")
+test_slot_read_finder_sees_imports_and_attributes = _spells("_table")
+test_parent_read_finder_sees_imports_calls_and_references = _spells("parent")
+test_mention_finder_sees_every_spelling_of_the_weight_inputs = _spells("Sigma_inv", "forward_drift")
 
 
 # The exact call sites, (module, dotted scope), one per call, of each
@@ -437,10 +476,48 @@ class OUModel:
     assert _off_site("ladder", "_spd_factor", "") == [("ladder", "OUModel.__post_init__")]
 
 
-@pytest.mark.parametrize("name", CALL_SITES)
-@pytest.mark.parametrize("module", MODULES)
-def test_each_call_is_made_at_its_pinned_sites(module, name):
-    assert _off_site(module, name, _source(module)) == []
+# Earlier reports read these rows with tests of their own, whose ids the
+# suite keeps; the two table tests below read every other row, so a new
+# rule is a new row and no new test.
+NAMED = set()
+
+
+def _pinned(*names, asks=(), each=False):
+    """A test that each module calls ``names`` and asks for the classes
+    ``asks`` at their pinned sites alone: one test over every module, or
+    one per module with ``each``."""
+    NAMED.update(names, asks)
+
+    def off(module):
+        source = _source(module)
+        calls = [site for name in names for site in _off_site(module, name, source)]
+        return calls + [site for cls in asks for site in _off_ask(module, cls, source)]
+
+    @pytest.mark.parametrize("module", MODULES)
+    def per_module(module):
+        assert off(module) == []
+
+    def every_module():
+        assert [site for m in MODULES for site in off(m)] == []
+
+    return per_module if each else every_module
+
+
+test_only_spd_factor_calls_cholesky = _pinned("cholesky")
+test_only_gaussian_factors_a_covariance = _pinned("_spd_factor", each=True)
+test_only_mpoly_store_prunes = _pinned("prune", each=True)
+test_points_are_checked_once_where_they_enter = _pinned("_points")
+test_a_point_is_checked_once_where_it_enters = _pinned("_point")
+test_a_grid_is_whitened_by_one_loop = _pinned("_whitened_blocks")
+test_an_order_is_read_once_where_it_enters = _pinned("_max_order")
+test_verify_builds_no_second_model = _pinned("build_model", "to_canonical")
+test_a_density_is_checked_once_where_it_enters = _pinned("_density_for", asks=["GaussianDensity"])
+test_a_polynomial_is_checked_once_where_it_enters = _pinned("_poly_for", asks=["MPoly"])
+
+
+@pytest.mark.parametrize("name", [name for name in CALL_SITES if name not in NAMED])
+def test_each_call_is_made_at_its_pinned_sites(name):
+    assert [site for m in MODULES for site in _off_site(m, name, _source(m))] == []
 
 
 def test_no_module_defines_prune():
@@ -452,10 +529,9 @@ def test_no_module_defines_prune():
     assert defined == []
 
 
-@pytest.mark.parametrize("cls", ASKS)
-@pytest.mark.parametrize("module", MODULES)
-def test_each_class_is_asked_for_at_its_pinned_sites(module, cls):
-    assert _off_ask(module, cls, _source(module)) == []
+@pytest.mark.parametrize("cls", [cls for cls in ASKS if cls not in NAMED])
+def test_each_class_is_asked_for_at_its_pinned_sites(cls):
+    assert [site for m in MODULES for site in _off_ask(m, cls, _source(m))] == []
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -683,86 +759,3 @@ def test_cli_main_is_the_one_emitter():
     assert len(commands) == 5
     assert {name: ["cfg"] for name in commands} == commands
 
-
-# Earlier reports ran these rules as grouped tests.  Their ids stay, each a
-# group of table rows read as the table tests read them, until they are
-# retired together; a new row joins none of them.
-
-
-def _owned(*names):
-    """The ``OWNERS`` rows ``names``, each read alone, one test per module
-    but their owner."""
-    (owner,) = {OWNERS[name][1] for name in names}
-
-    @pytest.mark.parametrize("module", [m for m in MODULES if m != owner])
-    def test(module):
-        breaches = {name: _breaches(_source(module), name) for name in names}
-        assert breaches == dict.fromkeys(names, [])
-
-    return test
-
-
-def _spells(*names):
-    """``_spelled`` on the ``OWNERS`` rows ``names``, each alone."""
-
-    def test():
-        assert [name for name in names if not _spelled(name)] == []
-
-    return test
-
-
-def _pinned(*names, asks=(), each=False):
-    """The ``CALL_SITES`` rows ``names`` and the ``ASKS`` rows ``asks``, in
-    one test over every module, or in one test per module with ``each``."""
-
-    def off(module):
-        source = _source(module)
-        calls = [site for name in names for site in _off_site(module, name, source)]
-        return calls + [site for cls in asks for site in _off_ask(module, cls, source)]
-
-    @pytest.mark.parametrize("module", MODULES)
-    def per_module(module):
-        assert off(module) == []
-
-    def every_module():
-        assert [site for m in MODULES for site in off(m)] == []
-
-    return per_module if each else every_module
-
-
-test_only_ladder_names_grown = _owned("_grown")
-test_only_ladder_reads_an_eigenfunction_table = _owned("_eigentable", "_hermite_table")
-test_only_ladder_reads_the_model_cache = _owned("_op_cache")
-test_only_ladder_reads_the_slots_of_a_table = _owned("_table")
-test_only_ladder_reads_the_weight_inputs = _owned("Sigma_inv", "forward_drift")
-test_only_monomials_reads_parent = _owned("parent")
-test_only_ladder_builds_operator_tables = _owned(
-    "operator_table", "_generator_table", "_ladder_table"
-)
-test_only_monomials_calls_factorial = _owned("factorial")
-test_only_monomials_calls_comb = _owned("comb")
-test_only_hermite_form_builds_a_hermite_closed_form = _owned("hermite_products")
-
-test_mention_finder_sees_bare_attribute_and_aliased_names = _spells("_grown")
-test_call_finder_sees_bare_and_attribute_calls = _spells("factorial", "comb", "hermite_products")
-test_table_build_reader_sees_calls_and_cached_builds = _spells(
-    "_grown", "operator_table", "_generator_table", "_ladder_table"
-)
-test_eigentable_read_finder_sees_bare_attribute_and_imported_spellings = _spells(
-    "_grown", "_eigentable", "_hermite_table"
-)
-test_cache_reader_sees_reads_and_writes = _spells("_op_cache")
-test_slot_read_finder_sees_imports_and_attributes = _spells("_table")
-test_parent_read_finder_sees_imports_calls_and_references = _spells("parent")
-test_mention_finder_sees_every_spelling_of_the_weight_inputs = _spells("Sigma_inv", "forward_drift")
-
-test_only_spd_factor_calls_cholesky = _pinned("cholesky")
-test_only_gaussian_factors_a_covariance = _pinned("_spd_factor", each=True)
-test_only_mpoly_store_prunes = _pinned("prune", each=True)
-test_points_are_checked_once_where_they_enter = _pinned("_points")
-test_a_point_is_checked_once_where_it_enters = _pinned("_point")
-test_a_grid_is_whitened_by_one_loop = _pinned("_whitened_blocks")
-test_an_order_is_read_once_where_it_enters = _pinned("_max_order")
-test_verify_builds_no_second_model = _pinned("build_model", "to_canonical")
-test_a_density_is_checked_once_where_it_enters = _pinned("_density_for", asks=["GaussianDensity"])
-test_a_polynomial_is_checked_once_where_it_enters = _pinned("_poly_for", asks=["MPoly"])

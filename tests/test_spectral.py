@@ -156,13 +156,14 @@ def test_exact_propagator_refuses_a_complex_time(model_1d, t):
 
 @pytest.mark.parametrize(
     "t",
-    [np.array([0.5, 1.0]), np.array([0.5]), np.array(0.5), "0.5", None, Fraction(1, 2)],
-    ids=["array", "size-1", "0-d", "str", "None", "Fraction"],
+    [np.array([0.5, 1.0]), np.array([0.5]), np.array(0.5), "0.5", None, Fraction(1, 2), True],
+    ids=["array", "size-1", "0-d", "str", "None", "Fraction", "bool"],
 )
 def test_time_readers_refuse_a_time_that_is_not_a_real_scalar(model_1d, t):
     # An array raised numpy's "truth value ... is ambiguous" ValueError, or
     # passed when it held one entry; a string or None raised numpy's
-    # "ufunc 'isfinite' not supported" TypeError, as did a Fraction.
+    # "ufunc 'isfinite' not supported" TypeError, as did a Fraction; a bool
+    # ran as the time 0 or 1.
     ex = ou.expand_gaussian(model_1d, model_1d.f0, 2)
     want = f"^t must be a real scalar, got {type(t).__name__}$"
     with pytest.raises(TypeError, match=want):
